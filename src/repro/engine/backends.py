@@ -23,8 +23,11 @@ passes then attach implementations:
   (:mod:`repro.engine.sparse`), memoized in a two-level in-memory +
   versioned on-disk operator cache.
 
-Backends other than ``numpy`` are intentionally partial: an operator they
-do not register runs on the counted ``numpy`` fallback.  Which gaps are
+``numpy`` and ``sparse`` implement all 14 operators (``sparse`` runs the
+bilinear B1 as ``0.5 * (q * (K f) + K (f * q))``, two matvecs of the TRiSK
+stencil ``K``); ``scatter`` and ``codegen`` are intentionally partial: an
+operator they do not register runs on the counted ``numpy`` fallback.
+Which gaps are
 *intentional* is declared in :data:`INTENTIONAL_FALLBACKS`, and a
 lint-style test asserts no op falls back silently — a newly added operator
 must either implement every backend or be whitelisted there.
@@ -51,20 +54,17 @@ __all__ = [
 
 
 #: backend -> op names that *deliberately* run on the counted ``numpy``
-#: fallback under that backend.  ``scatter``'s loop references never got a
+#: fallback under that backend; a backend without an entry (``numpy``,
+#: ``sparse``) is complete.  ``scatter``'s loop references never got a
 #: fused C sweep; ``codegen``'s declarative specs cannot express the
-#: vector-valued reconstruction, the fused C sweep, or the F1 kite gather;
-#: ``sparse`` excludes the one genuinely non-linear stencil — B1 couples
-#: each edge's own PV with every gathered neighbour multiplicatively, so no
-#: input-independent matrix computes it in a single matvec.  The registry
-#: lint test enforces that every other (op, backend) pair is registered.
+#: vector-valued reconstruction, the fused C sweep, or the F1 kite gather.
+#: The registry lint test enforces that every other (op, backend) pair is
+#: registered.
 INTENTIONAL_FALLBACKS: dict[str, frozenset[str]] = {
-    "numpy": frozenset(),
     "scatter": frozenset({"d2fdx2"}),
     "codegen": frozenset(
         {"velocity_reconstruction", "d2fdx2", "cell_from_vertices_kite"}
     ),
-    "sparse": frozenset({"coriolis_edge_term"}),
 }
 
 

@@ -7,9 +7,9 @@ fresh output allocation.  This module removes all of that for
 ``backend="sparse"``: :func:`compile_plan` topologically schedules an RK
 substep from the data-flow diagram (:mod:`repro.dataflow.schedule`) and
 emits one :class:`ExecutionPlan` per ``(mesh, config)`` — a flat list of
-closures over the cached CSR operators and preallocated scratch buffers,
-with the one genuinely non-linear stencil (``coriolis_edge_term``) spliced
-in as a planned stage instead of a per-dispatch fallback branch.
+closures over the cached CSR operators and preallocated scratch buffers.
+That includes the bilinear ``coriolis_edge_term`` (B1), emitted as the two
+matvecs + four elementwise ops of :class:`repro.engine.sparse.CoriolisOp`.
 
 Two fusion modes
 ----------------
@@ -74,10 +74,10 @@ output row over the stored entries in exactly the order ``csr_matvec``
 does, per column — so **column k of a batched stage is bitwise identical
 to the serial stage applied to column k**, which is the foundation the
 ensemble engine (:mod:`repro.ensemble`) builds its per-member
-reproducibility contract on.  The one non-linear stage
-(``coriolis_edge_term``) loops over members on contiguous column copies;
-the ``E1`` stability check flags diverging members into a caller-provided
-mask instead of raising, so one poisoned member cannot stall the batch.
+reproducibility contract on.  No stage loops over members (B1's two
+matvecs run on the member block like every other stage); the ``E1``
+stability check flags diverging members into a caller-provided mask
+instead of raising, so one poisoned member cannot stall the batch.
 Batched plans are memoized next to the serial ones, keyed by
 ``plan_key(config) + (batch,)``.
 """
@@ -98,7 +98,7 @@ from ..obs.trace import get_tracer
 from ..resilience.integrity import checked_load, seal
 from .sparse import (
     OPERATOR_CACHE_VERSION,
-    SPARSE_FALLBACK_OPS,
+    _triples,
     mesh_fingerprint,
     sparse_operator,
 )
@@ -107,7 +107,6 @@ from .split import active_placement, placements_active
 __all__ = [
     "PLAN_CACHE_VERSION",
     "PLAN_FUSE_MODES",
-    "PLAN_FALLBACK_OPS",
     "PLANNED_OPS",
     "PLAN_LOCAL_LABELS",
     "ExecutionPlan",
@@ -131,20 +130,16 @@ PLAN_CACHE_VERSION = 1
 #: Accepted values of ``SWConfig.plan_fuse``.
 PLAN_FUSE_MODES = ("exact", "algebraic")
 
-#: Ops the plan splices in as planned non-linear stages (same set the
-#: sparse backend leaves on the counted numpy fallback).
-PLAN_FALLBACK_OPS = SPARSE_FALLBACK_OPS
-
-#: Registry ops the plan compiler consumes into fused stages.  Together
-#: with :data:`PLAN_FALLBACK_OPS` this must cover the whole registry — the
-#: lint test asserts it, so a newly registered operator must either gain a
-#: plan emitter or be whitelisted as a planned fallback.
+#: Registry ops the plan compiler consumes into fused stages.  This must
+#: be the whole registry — the lint test asserts it, so a newly registered
+#: operator must gain a plan emitter.
 PLANNED_OPS = frozenset(
     {
         "flux_divergence",
         "kinetic_energy",
         "cell_divergence",
         "velocity_reconstruction",
+        "coriolis_edge_term",
         "tangential_velocity",
         "d2fdx2",
         "cell_to_edge_mean",
@@ -186,63 +181,36 @@ _UNSTABLE_MSG = (
 
 
 # ------------------------------------------------------------ fast matvec
-def _probe_csr_matvec():
-    """scipy's raw ``csr_matvec`` kernel, verified bitwise against ``M @ x``.
+def _probe_kernel(name: str, x: np.ndarray):
+    """scipy's raw ``csr_matvec`` / ``csr_matvecs`` kernel, verified bitwise
+    against ``M @ x`` on the probe vector (1-D) or member block (2-D) ``x``.
 
-    ``M @ x`` allocates a zero vector and accumulates into it with exactly
+    ``M @ x`` allocates a zero output and accumulates into it with exactly
     this kernel, so zeroing a reused buffer and calling it directly is
-    bitwise identical while skipping the per-call allocation.  Any scipy
-    that does not expose (or changes) the kernel falls back to ``M @ x``.
+    bitwise identical while skipping the per-call allocation.  The
+    multi-vector kernel walks each output row's stored entries in the same
+    order as the single-vector one, so every column of a batched product is
+    bitwise the serial matvec of that column — the batched plan's per-member
+    reproducibility contract.  Any scipy that does not expose (or changes)
+    a kernel falls back to ``M @ x``.
     """
     try:
         from scipy.sparse import _sparsetools
 
-        fn = _sparsetools.csr_matvec
+        fn = getattr(_sparsetools, name)
     except (ImportError, AttributeError):  # pragma: no cover - scipy variant
         return None
     m = sp.csr_matrix(np.arange(12.0).reshape(3, 4) / 7.0)
-    x = np.linspace(-1.0, 1.0, 4)
-    out = np.zeros(3)
+    out = np.zeros((3,) + x.shape[1:])
     try:
-        fn(3, 4, m.indptr, m.indices, m.data, x, out)
+        fn(*m.shape, *x.shape[1:], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
     except Exception:  # pragma: no cover - scipy variant
         return None
-    if not np.array_equal(out, m @ x):  # pragma: no cover - scipy variant
-        return None
-    return fn
+    return fn if np.array_equal(out, m @ x) else None
 
 
-_CSR_MATVEC = _probe_csr_matvec()
-
-
-def _probe_csr_matvecs():
-    """scipy's raw multi-vector ``csr_matvecs`` kernel, verified against ``M @ X``.
-
-    ``M @ X`` for a 2-D ``X`` zero-fills the output and runs this kernel,
-    which walks each output row's stored entries in the same order as
-    ``csr_matvec`` — so every column of the batched product is bitwise
-    identical to the serial matvec of that column.  The batched plan
-    relies on that for its per-member reproducibility contract.
-    """
-    try:
-        from scipy.sparse import _sparsetools
-
-        fn = _sparsetools.csr_matvecs
-    except (ImportError, AttributeError):  # pragma: no cover - scipy variant
-        return None
-    m = sp.csr_matrix(np.arange(12.0).reshape(3, 4) / 7.0)
-    x = np.ascontiguousarray(np.linspace(-1.0, 1.0, 8).reshape(4, 2))
-    out = np.zeros((3, 2))
-    try:
-        fn(3, 4, 2, m.indptr, m.indices, m.data, x.ravel(), out.ravel())
-    except Exception:  # pragma: no cover - scipy variant
-        return None
-    if not np.array_equal(out, m @ x):  # pragma: no cover - scipy variant
-        return None
-    return fn
-
-
-_CSR_MATVECS = _probe_csr_matvecs()
+_CSR_MATVEC = _probe_kernel("csr_matvec", np.linspace(-1.0, 1.0, 4))
+_CSR_MATVECS = _probe_kernel("csr_matvecs", np.linspace(-1.0, 1.0, 8).reshape(4, 2))
 
 
 def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -251,25 +219,12 @@ def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     Accepts a 1-D vector or a 2-D ``(n, N)`` member block; either way each
     column matches the serial ``m @ column`` bit for bit.
     """
-    if x.ndim == 2:
-        if (
-            _CSR_MATVECS is None
-            or not x.flags.c_contiguous
-            or not out.flags.c_contiguous
-        ):
-            out[:] = m @ x
-            return out
-        out.fill(0.0)
-        _CSR_MATVECS(
-            m.shape[0], m.shape[1], x.shape[1],
-            m.indptr, m.indices, m.data, x.ravel(), out.ravel(),
-        )
-        return out
-    if _CSR_MATVEC is None or not x.flags.c_contiguous:
+    fn = _CSR_MATVECS if x.ndim == 2 else _CSR_MATVEC
+    if fn is None or not (x.flags.c_contiguous and out.flags.c_contiguous):
         out[:] = m @ x
         return out
     out.fill(0.0)
-    _CSR_MATVEC(m.shape[0], m.shape[1], m.indptr, m.indices, m.data, x, out)
+    fn(*m.shape, *x.shape[1:], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
     return out
 
 
@@ -624,8 +579,6 @@ class _Compiler:
         self._v1 = np.zeros(shape(n_vertices))
         if config.thickness_adv_order > 2:
             self._d2 = np.zeros(shape(2 * n_edges))
-        if self.batch:
-            self._q = np.zeros(shape(n_edges))
         self.composed: list[str] = []
 
     def _shape(self, n: int):
@@ -702,59 +655,41 @@ class _Compiler:
 
             return [PlanStage("freeze_u", freeze, kind="elementwise")]
 
-        stages: list[PlanStage] = []
-        reg = self.registry
-        coriolis = reg.op("coriolis_edge_term").impls["numpy"]
+        # 0.5 * (q * (K f) + K (f * q)) with f = u * h_edge: the ufunc
+        # sequence of :class:`repro.engine.sparse.CoriolisOp`, into buffers.
+        K = self.matrix("tangential_velocity")
+        e1, e2, e3 = self._e1, self._e2, self._e3
 
-        if self.batch:
-            # The one non-linear stage: loop members over contiguous column
-            # copies of the serial numpy kernel, so each column stays
-            # bitwise identical to the serial stage.
-            n_members = self.batch
-            q = self._q
+        def cor_fast(ctx):
+            q = ctx["pv_edge"]
+            np.multiply(ctx["u"], ctx["h_edge"], out=e1)
+            _matvec(K, e1, e2)
+            np.multiply(e1, q, out=e1)
+            _matvec(K, e1, e3)
+            np.multiply(q, e2, out=e2)
+            np.add(e2, e3, out=e2)
+            np.multiply(e2, 0.5, out=ctx["tend_u"])
 
-            def cor_fast(ctx):
-                mesh = ctx["mesh"]
-                u, h_edge, pv_edge = ctx["u"], ctx["h_edge"], ctx["pv_edge"]
-                for k in range(n_members):
-                    q[:, k] = coriolis(
-                        mesh,
-                        np.ascontiguousarray(u[:, k]),
-                        np.ascontiguousarray(h_edge[:, k]),
-                        np.ascontiguousarray(pv_edge[:, k]),
-                    )
-                ctx["q"] = q
-
-            cor_routed = cor_fast
-        else:
-            def cor_fast(ctx):
-                ctx["q"] = coriolis(
-                    ctx["mesh"], ctx["u"], ctx["h_edge"], ctx["pv_edge"]
-                )
-
-            def cor_routed(ctx):
-                ctx["q"] = reg.dispatch(
-                    "coriolis_edge_term", ctx["mesh"], ctx["u"], ctx["h_edge"],
-                    ctx["pv_edge"], backend="sparse",
-                )
-
-        stages.append(
+        stages = [
             PlanStage(
-                "coriolis_edge_term", cor_fast, kind="fallback",
-                op="coriolis_edge_term", pattern="B1", routed=cor_routed,
+                "coriolis_edge_term", cor_fast, kind="matvec",
+                op="coriolis_edge_term", pattern="B1",
+                routed=self._route(
+                    "coriolis_edge_term", "tend_u", "u", "h_edge", "pv_edge"
+                ),
             )
-        )
+        ]
 
         Mgc = self.matrix("edge_gradient_of_cell")
         g = self.config.gravity
-        e1, c1 = self._e1, self._c1
+        c1 = self._c1
 
         def bern_fast(ctx):
             np.add(ctx["h"], ctx["b"], out=c1)
             np.multiply(c1, g, out=c1)
             np.add(ctx["ke"], c1, out=c1)
             _matvec(Mgc, c1, e1)
-            np.subtract(ctx["q"], e1, out=ctx["tend_u"])
+            np.subtract(ctx["tend_u"], e1, out=ctx["tend_u"])
 
         stages.append(
             PlanStage(
@@ -766,7 +701,6 @@ class _Compiler:
         if self.config.viscosity != 0.0:
             Mgv = self.matrix("edge_gradient_of_vertex")
             visc = self.config.viscosity
-            e2 = self._e2
 
             def visc_fast(ctx):
                 _matvec(Mgc, ctx["divergence"], e1)
@@ -1075,24 +1009,15 @@ class _Compiler:
         M = self.matrix("velocity_reconstruction")
         reg = self.registry
 
-        if self.batch:
-            n_members = self.batch
+        def fast(ctx):
+            # A batched (3n, N) product reshapes to (n, 3, N): column k is
+            # the serial (n, 3) reconstruction of member k, bit for bit.
+            ctx["U"] = _triples(M @ ctx["u"])
 
-            def fast(ctx):
-                # (3n, N) row-major reshaped to (n, 3, N): column k is the
-                # serial (n, 3) reconstruction of member k, bit for bit.
-                ctx["U"] = (M @ ctx["u"]).reshape(-1, 3, n_members)
-
-            routed = fast
-        else:
-            def fast(ctx):
-                ctx["U"] = (M @ ctx["u"]).reshape(-1, 3)
-
-            def routed(ctx):
-                ctx["U"] = reg.dispatch(
-                    "velocity_reconstruction", ctx["mesh"], ctx["u"],
-                    backend="sparse",
-                )
+        def routed(ctx):
+            ctx["U"] = reg.dispatch(
+                "velocity_reconstruction", ctx["mesh"], ctx["u"], backend="sparse"
+            )
 
         return [
             PlanStage(

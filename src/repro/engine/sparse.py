@@ -22,13 +22,14 @@ Compilability classification
     side*: an elementwise product followed by a matvec
     (``flux_divergence`` = divergence of ``u*h``, ``kinetic_energy`` =
     weighted sum of ``u*u``).
-``fallback``
-    Genuinely non-linear stencils: ``coriolis_edge_term`` couples each
-    output edge's own PV with every gathered neighbour multiplicatively,
-    so no input-independent matrix computes it in one matvec.  It carries
-    no ``sparse`` registration and runs on the counted ``numpy`` fallback
-    (``engine.fallback`` metric), keeping the backend's contract — *the
-    operator is the matrix* — honest.
+``bilinear``
+    ``coriolis_edge_term`` (B1) multiplies each output edge's own PV with
+    every gathered neighbour, so no single matrix computes it — but it is
+    bilinear: ``sum_j w_ej f_j (q_e + q_j)/2 = (q_e (K f)_e + (K (f q))_e)/2``
+    with ``f = u * h_edge`` and ``K`` the already-compiled
+    ``tangential_velocity`` operator.  Two matvecs of ``K`` plus four
+    elementwise ops in one fixed order (:class:`CoriolisOp`), so all 14
+    registry ops are registered and nothing falls back to ``numpy``.
 
 The operator cache
 ------------------
@@ -71,7 +72,6 @@ from ..resilience.integrity import checked_load, seal
 
 __all__ = [
     "OPERATOR_CACHE_VERSION",
-    "SPARSE_FALLBACK_OPS",
     "classify_op",
     "mesh_fingerprint",
     "operator_cache_path",
@@ -83,10 +83,6 @@ __all__ = [
 #: Format version of the on-disk operator archives.  Bump whenever the
 #: compiled representation changes; mismatched files are recompiled.
 OPERATOR_CACHE_VERSION = 1
-
-#: Registry ops that stay on the counted ``numpy`` fallback under
-#: ``backend="sparse"`` (see the module docstring's classification).
-SPARSE_FALLBACK_OPS = frozenset({"coriolis_edge_term"})
 
 
 # ----------------------------------------------------------------- compilers
@@ -265,9 +261,9 @@ _COMPILERS: dict[str, Callable[[Mesh], sp.csr_matrix]] = {
 
 
 def classify_op(op: str) -> str:
-    """``"matvec"``, ``"pre"`` or ``"fallback"`` for a registry op name."""
-    if op in SPARSE_FALLBACK_OPS:
-        return "fallback"
+    """``"matvec"``, ``"pre"`` or ``"bilinear"`` for a registry op name."""
+    if op == "coriolis_edge_term":
+        return "bilinear"
     if op in ("flux_divergence", "kinetic_energy"):
         return "pre"
     if op in _COMPILERS:
@@ -431,12 +427,13 @@ class CompiledOp:
     def operator(self, mesh: Mesh) -> sp.csr_matrix:
         return sparse_operator(mesh, self.matrix_op)
 
-    def _vec(self, fields):
-        return self.pre(*fields) if self.pre is not None else fields[0]
+    def _apply(self, m: sp.csr_matrix, fields, rows: slice = slice(None)):
+        """Evaluate against ``m``: the operator, or its ``rows`` slice."""
+        y = m @ (self.pre(*fields) if self.pre is not None else fields[0])
+        return self.post(y) if self.post is not None else y
 
     def __call__(self, mesh: Mesh, *fields):
-        y = self.operator(mesh) @ self._vec(fields)
-        return self.post(y) if self.post is not None else y
+        return self._apply(self.operator(mesh), fields)
 
 
 class SliceableOp(CompiledOp):
@@ -458,8 +455,33 @@ class SliceableOp(CompiledOp):
     def apply_rows(self, mesh: Mesh, fields, rows: slice):
         m = self.operator(mesh)
         sub = m[rows.start * self.block : rows.stop * self.block]
-        y = sub @ self._vec(fields)
-        return self.post(y) if self.post is not None else y
+        return self._apply(sub, fields, rows)
+
+
+class CoriolisOp(SliceableOp):
+    """B1 as two matvecs of the TRiSK stencil ``K`` (``tangential_velocity``).
+
+    ``0.5 * (q * (K f) + K (f * q))`` with ``f = u * h_edge``, in exactly
+    this evaluation order: the plan's B1 stage issues the same ufunc
+    sequence into its buffers, so fused and unfused stay bitwise identical.
+    Each output row reads only its own ``q`` and its own row of ``K``, so
+    row slicing commutes with the evaluation as for any matvec.
+    """
+
+    def __init__(self) -> None:
+        super().__init__("coriolis_edge_term", "tangential_velocity")
+
+    def _apply(self, K: sp.csr_matrix, fields, rows: slice = slice(None)):
+        u_edge, h_edge, pv_edge = fields
+        # In place — the bits of the expression above, a * b being b * a —
+        # because each temporary saved is an mmap'd 240 kB array at level 5.
+        flux = u_edge * h_edge
+        out = K @ flux
+        flux *= pv_edge
+        out *= pv_edge[rows]
+        out += K @ flux
+        out *= 0.5
+        return out
 
 
 def _pair(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -501,6 +523,7 @@ def build_sparse_impls() -> dict[str, Callable]:
         post=_triples,
         block=3,
     )
+    impls["coriolis_edge_term"] = CoriolisOp()
     # Tuple-valued (and no_split in the registry): plain CompiledOp.
     impls["d2fdx2"] = CompiledOp("d2fdx2", "d2fdx2", post=_pair)
     return impls

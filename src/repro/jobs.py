@@ -239,8 +239,16 @@ def _ensure_manifest(req, run_dir: Path) -> None:
                 f"{run_dir} (manifest: {existing.manifest['steps']}); point "
                 f"the request at a fresh directory"
             )
+        if existing.invariant_interval != req.invariant_interval:
+            raise ManifestError(
+                f"invariant_interval {req.invariant_interval} does not match "
+                f"the durable run in {run_dir} (manifest: "
+                f"{existing.invariant_interval}); use a fresh directory"
+            )
         return
-    DurableRun.create(run_dir, req.case_token, req.mesh, config, req.steps)
+    DurableRun.create(
+        run_dir, req.case_token, req.mesh, config, req.steps, req.invariant_interval
+    )
 
 
 def _durable_status(run_dir: Path) -> str:
@@ -265,19 +273,17 @@ def _durable_result(run_dir: Path):
         # A previous driver made progress and died; roll forward from the
         # newest committed checkpoint (bitwise identical to never dying).
         get_registry().counter("jobs.resumed").inc()
-        return resume_durable(run_dir)
+        return resume_durable(run_dir, invariant_interval=run.invariant_interval)
     # Fresh directory: drive the run from step 0 under this manifest.
     mesh = _manifest_mesh(run)
     from .api import resolve_case
-    from .resilience.durable import _execute_decomposed, _execute_serial
+    from .resilience.durable import _drive
     from .swm.config import SWConfig
 
     config = SWConfig(**run.manifest["config"])
     case = resolve_case(run.manifest["case"])
     total = int(run.manifest["steps"])
-    if config.parallel == "serial":
-        return _execute_serial(run, mesh, case, config, 0, total, None)
-    return _execute_decomposed(run, mesh, case, config, 0, total, None)
+    return _drive(run, mesh, case, config, 0, total, None, run.invariant_interval)
 
 
 def _manifest_mesh(run):

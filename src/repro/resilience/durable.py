@@ -151,9 +151,13 @@ class DurableRun:
 
     @classmethod
     def create(
-        cls, directory, case_token, mesh, config: SWConfig, steps: int
+        cls, directory, case_token, mesh, config: SWConfig, steps: int,
+        invariant_interval: int = 0,
     ) -> "DurableRun":
-        """Initialize a fresh run directory (refusing to clobber one)."""
+        """Initialize a fresh run directory (refusing to clobber one).
+
+        ``invariant_interval`` is recorded for drivers that know only the
+        directory (``jobs.result(run_dir)``)."""
         directory = Path(directory)
         if (directory / MANIFEST_NAME).exists():
             raise ManifestError(
@@ -170,6 +174,7 @@ class DurableRun:
             "config": dataclasses.asdict(config),
             "mesh": _mesh_identity(mesh),
             "steps": int(steps),
+            "invariant_interval": int(invariant_interval),
             "completed": False,
             "checkpoints": [],
         }
@@ -204,6 +209,10 @@ class DurableRun:
                 f"code revision or start a fresh run directory"
             )
         return cls(directory, manifest)
+
+    @property
+    def invariant_interval(self) -> int:
+        return int(self.manifest.get("invariant_interval", 0))  # absent: old
 
     def save(self) -> None:
         """Atomically publish the current manifest."""
@@ -432,6 +441,29 @@ def _execute_decomposed(
     return result
 
 
+def _drive(
+    run: DurableRun, mesh, case, config: SWConfig, start_step: int, total: int,
+    ckpt: Path | None, invariant_interval: int = 0, callback=None,
+):
+    """Integrate ``run`` from ``start_step`` (the restart file ``ckpt``, or
+    the initial condition when ``None``) to ``total`` on the executor the
+    config names — the one dispatch every driver of a manifest goes through."""
+    if config.parallel == "serial":
+        return _execute_serial(
+            run, mesh, case, config, start_step, total, ckpt,
+            invariant_interval=invariant_interval, callback=callback,
+        )
+    if invariant_interval or callback is not None:
+        raise ValueError(
+            "invariant_interval/callback require parallel='serial'"
+        )
+    state = None
+    if ckpt is not None:
+        with np.load(ckpt) as data:
+            state = State(h=data["h"].copy(), u=data["u"].copy())
+    return _execute_decomposed(run, mesh, case, config, start_step, total, state)
+
+
 # ------------------------------------------------------------ entry points
 def run_durable(
     directory,
@@ -460,17 +492,12 @@ def run_durable(
     case = resolve_case(case_token)
     if config.checkpoint_interval < 1:
         config = dataclasses.replace(config, checkpoint_interval=1)
-    run = DurableRun.create(directory, case_token, mesh, config, steps)
-    if config.parallel == "serial":
-        return _execute_serial(
-            run, mesh, case, config, 0, steps, None,
-            invariant_interval=invariant_interval, callback=callback,
-        )
-    if invariant_interval or callback is not None:
-        raise ValueError(
-            "invariant_interval/callback require parallel='serial'"
-        )
-    return _execute_decomposed(run, mesh, case, config, 0, steps, None)
+    run = DurableRun.create(
+        directory, case_token, mesh, config, steps, invariant_interval
+    )
+    return _drive(
+        run, mesh, case, config, 0, steps, None, invariant_interval, callback
+    )
 
 
 def resume_durable(
@@ -527,17 +554,7 @@ def resume_durable(
         )
     start_step, ckpt = found
     total = int(run.manifest["steps"])
-    if config.parallel == "serial":
-        return _execute_serial(
-            run, mesh, case, config, start_step, total, ckpt,
-            invariant_interval=invariant_interval, callback=callback,
-        )
-    if invariant_interval or callback is not None:
-        raise ValueError(
-            "invariant_interval/callback require parallel='serial'"
-        )
-    with np.load(ckpt) as data:
-        state = State(h=data["h"].copy(), u=data["u"].copy())
-    return _execute_decomposed(
-        run, mesh, case, config, start_step, total, state
+    return _drive(
+        run, mesh, case, config, start_step, total, ckpt,
+        invariant_interval, callback,
     )

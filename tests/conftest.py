@@ -40,3 +40,45 @@ def cell_field(mesh3, rng):
 @pytest.fixture()
 def vertex_field(mesh3, rng):
     return rng.standard_normal(mesh3.nVertices)
+
+
+def _coriolis_plan_stage(mesh, u, h_edge, q, batch=0):
+    """The compiled plan's B1 stage alone (``batch`` > 0: member column 1
+    of a block whose other columns hold unrelated data)."""
+    from repro.engine.plan import compiled_plan
+    from repro.swm.config import SWConfig
+
+    plan = compiled_plan(
+        mesh, SWConfig(dt=60.0, backend="sparse", plan=True), batch=batch
+    )
+    (stage,) = [s for s in plan.stages()["tend"] if s.op == "coriolis_edge_term"]
+    if batch:
+        noise = np.random.default_rng(7)
+        u, h_edge, q = (
+            np.ascontiguousarray(
+                np.stack([noise.standard_normal(f.shape), f, -f], axis=1)
+            )
+            for f in (u, h_edge, q)
+        )
+    out = np.empty_like(u)
+    stage.fast({"u": u, "h_edge": h_edge, "pv_edge": q, "tend_u": out})
+    return out[:, 1] if batch else out
+
+
+@pytest.fixture(scope="session")
+def coriolis_paths():
+    """``name -> fn(mesh, u, h_edge, q)``: B1 on every surviving execution
+    path, so the physics properties are not proven on numpy only."""
+    from repro.engine import dispatch
+
+    def via(backend):
+        return lambda mesh, *f: dispatch(
+            "coriolis_edge_term", mesh, *f, backend=backend
+        )
+
+    return {
+        "numpy": via("numpy"),
+        "sparse": via("sparse"),
+        "plan": _coriolis_plan_stage,
+        "plan-batch-column": lambda mesh, *f: _coriolis_plan_stage(mesh, *f, batch=3),
+    }

@@ -258,6 +258,44 @@ class TestDurableJobs:
         assert rec.mass_drift() == res.mass_drift()
         assert rec.energy_drift() == res.energy_drift()
 
+    def test_job_path_records_the_requested_invariants(self, mesh3, dt, tmp_path):
+        """Regression: ``result()`` on a fresh durable job drove the run
+        through ``_durable_result``, which dropped ``invariant_interval``
+        and returned only the two endpoint records.  The interval now
+        lives in the manifest, so the job path — even from a process that
+        knows only the directory — matches ``run(..., run_dir=d)``."""
+        cfg = SWConfig(dt=dt, checkpoint_interval=2)
+        direct = run(
+            "tc2", mesh=mesh3, config=cfg, steps=STEPS,
+            invariant_interval=1, run_dir=tmp_path / "direct",
+        )
+        d = tmp_path / "job"
+        submit(
+            case="tc2", mesh=mesh3, config=cfg, steps=STEPS,
+            invariant_interval=1, run_dir=d,
+        )
+        jobs.reset()  # the submitting "process" is gone
+        res = result(d)
+        assert len(res.invariant_history) == STEPS + 1
+        assert res.invariant_history == direct.invariant_history
+        assert DurableRun.open(d).invariant_interval == 1
+
+    def test_manifest_without_the_field_reads_as_zero(self, mesh3, dt, tmp_path):
+        d = tmp_path / "job"
+        submit(self._request(mesh3, dt, d))
+        drun = DurableRun.open(d)
+        del drun.manifest["invariant_interval"]  # a pre-existing manifest
+        drun.save()
+        assert DurableRun.open(d).invariant_interval == 0
+        jobs.reset()
+        with pytest.raises(ManifestError, match="invariant_interval"):
+            submit(
+                case="tc2", mesh=mesh3,
+                config=SWConfig(dt=dt, checkpoint_interval=2),
+                steps=STEPS, invariant_interval=1, run_dir=d,
+            )
+        assert len(result(d).invariant_history) == 2
+
     def test_resubmit_attaches_and_mismatch_rejected(self, mesh3, dt, tmp_path):
         d = tmp_path / "job"
         submit(self._request(mesh3, dt, d))

@@ -15,9 +15,9 @@ Contracts pinned here:
   config fields (a dt change recompiles), composed matrices round-trip
   through the versioned disk archive and a version-stamp mismatch
   recompiles instead of loading;
-* the registry lint — every Algorithm-1 operator is either plannable or an
-  intentional planned fallback, and every scheduled Table I label has an
-  emitter or a whitelist entry;
+* the registry lint — every Algorithm-1 operator is consumed by a plan
+  emitter (no stage is a fallback), and every scheduled Table I label has
+  an emitter or a whitelist entry;
 * the algebraic mode — composition happens exactly where the legality
   oracle allows it, and stays within 1e-12 of the exact plan.
 """
@@ -35,7 +35,6 @@ from repro.dataflow.schedule import (
 from repro.engine import default_registry, use_placements
 from repro.engine.plan import (
     PLAN_CACHE_VERSION,
-    PLAN_FALLBACK_OPS,
     PLAN_LOCAL_LABELS,
     PLANNED_OPS,
     clear_plan_memory_cache,
@@ -132,9 +131,16 @@ class TestSchedule:
 
 # -------------------------------------------------------------------- lint
 class TestRegistryLint:
-    def test_every_op_planned_or_whitelisted(self):
-        assert PLANNED_OPS | PLAN_FALLBACK_OPS == set(default_registry().ops())
-        assert not PLANNED_OPS & PLAN_FALLBACK_OPS
+    def test_every_op_planned(self):
+        assert PLANNED_OPS == set(default_registry().ops())
+
+    @pytest.mark.parametrize("batch", [0, 3], ids=["serial", "batch3"])
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_no_fallback_stage(self, mesh3, name, batch):
+        plan = compile_plan(mesh3, _cfg(plan=True, **CONFIGS[name]), batch=batch)
+        assert "fallback" not in plan.describe()
+        kinds = {st.kind for stages in plan.stages().values() for st in stages}
+        assert kinds <= {"matvec", "elementwise", "composed"}
 
     def test_every_scheduled_label_plannable(self):
         for name, kw in CONFIGS.items():
@@ -199,6 +205,33 @@ class TestKernelBitwise:
         mesh = Mesh.from_points(pts, name=f"plan-random120-{seed}")
         _assert_kernels_bitwise(mesh, CONFIGS["order3_apvm"])
 
+    @pytest.mark.parametrize("name", ["default", "order3_apvm", "hyperviscous"])
+    def test_batched_column_equals_serial_stage(self, mesh3, name):
+        """Column k of every batched stage (B1's two matvecs included) is
+        bitwise the serial plan applied to member k."""
+        state, b_cell, f_vertex = _galewsky_inputs(mesh3)
+        rng = np.random.default_rng(5)
+        members = [
+            State(
+                h=state.h * (1.0 + 1e-3 * rng.standard_normal(state.h.shape)),
+                u=state.u + 0.1 * rng.standard_normal(state.u.shape),
+            )
+            for _ in range(3)
+        ]
+        cfg = _cfg(plan=True, **CONFIGS[name])
+        batched = compile_plan(mesh3, cfg, batch=3)
+        block = State.stack(members)
+        bdiag = batched.diagnostics(block, f_vertex)
+        btend_h, btend_u = batched.tend(block, bdiag, b_cell)
+        serial = compiled_plan(mesh3, cfg)
+        for k, member in enumerate(members):
+            diag = serial.diagnostics(member, f_vertex)
+            for f in DIAG_FIELDS:
+                assert np.array_equal(getattr(bdiag, f)[:, k], getattr(diag, f)), f
+            tend_h, tend_u = serial.tend(member, diag, b_cell)
+            assert np.array_equal(btend_h[:, k], tend_h)
+            assert np.array_equal(btend_u[:, k], tend_u)
+
     def test_advection_only_freezes_velocity(self, mesh3):
         state, b_cell, f_vertex = _galewsky_inputs(mesh3)
         cfg = _cfg(plan=True, advection_only=True)
@@ -249,7 +282,9 @@ class TestAcceptanceRun:
         assert np.array_equal(result.state.u, galewsky_states["u"])
 
     def test_split_bitwise(self, mesh3, galewsky_states):
-        labels = ("A1", "A2", "A3", "A4", "B2", "D1", "E1", "F1", "G1", "H1")
+        labels = (
+            "A1", "A2", "A3", "A4", "B1", "B2", "D1", "E1", "F1", "G1", "H1"
+        )
         placements = {
             lab: Placement(device="split", cpu_fraction=0.43) for lab in labels
         }

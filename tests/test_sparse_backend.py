@@ -2,8 +2,9 @@
 
 Contracts pinned here:
 
-* classification — every registry op is compilable (``matvec``/``pre``) or
-  an intentional counted fallback, consistent with ``INTENTIONAL_FALLBACKS``;
+* classification — every registry op is compilable (``matvec``/``pre``/
+  ``bilinear``) and registered, so no sparse or plan run ever touches the
+  counted ``numpy`` fallback;
 * the two-level operator cache — memory memoization returns the same CSR
   instance, disk archives round-trip, version/fingerprint mismatches
   recompile (and restamp) instead of loading, and meshes without a
@@ -24,10 +25,8 @@ import numpy as np
 import pytest
 
 from repro.engine import default_registry, dispatch, use_placements
-from repro.engine.backends import INTENTIONAL_FALLBACKS
 from repro.engine.sparse import (
     OPERATOR_CACHE_VERSION,
-    SPARSE_FALLBACK_OPS,
     classify_op,
     clear_operator_memory_cache,
     mesh_fingerprint,
@@ -43,6 +42,7 @@ _SPARSE_OPS = [
     ("kinetic_energy", "A2", ("edge",)),
     ("cell_divergence", "A3", ("edge",)),
     ("velocity_reconstruction", "A4", ("edge",)),
+    ("coriolis_edge_term", "B1", ("edge", "edge", "edge")),
     ("tangential_velocity", "B2", ("edge",)),
     ("cell_to_edge_mean", "D1", ("cell",)),
     ("vertex_from_cells_kite", "E1", ("cell",)),
@@ -73,45 +73,66 @@ class TestClassification:
     def test_every_op_classified(self):
         reg = default_registry()
         for op in reg.ops():
-            assert classify_op(op) in ("matvec", "pre", "fallback")
+            assert classify_op(op) in ("matvec", "pre", "bilinear")
 
     def test_classification_matches_registrations(self):
         reg = default_registry()
-        for op in reg.ops():
-            registered = "sparse" in reg.op(op).impls
-            assert registered == (classify_op(op) != "fallback"), op
-
-    def test_fallback_set_matches_whitelist(self):
-        assert SPARSE_FALLBACK_OPS == INTENTIONAL_FALLBACKS["sparse"]
+        assert reg.ops("sparse") == reg.ops()
+        assert sorted(op for op, _, _ in _SPARSE_OPS) == reg.ops()
 
     def test_bilinear_ops_are_pre(self):
         assert classify_op("flux_divergence") == "pre"
         assert classify_op("kinetic_energy") == "pre"
         assert classify_op("cell_divergence") == "matvec"
+        assert classify_op("coriolis_edge_term") == "bilinear"
 
     def test_unknown_op_raises(self):
         with pytest.raises(KeyError, match="classification"):
             classify_op("no_such_op")
 
 
-class TestFallback:
-    def test_coriolis_falls_back_counted(self, mesh3, rng):
-        """B1 is genuinely non-linear: it runs on the counted numpy path."""
-        reg = default_registry()
-        assert "sparse" not in reg.op("coriolis_edge_term").impls
+class TestNoFallback:
+    def test_coriolis_runs_on_the_trisk_operator(self, mesh3, rng):
+        """B1 is two matvecs of the compiled TRiSK stencil, never numpy."""
         u, h, pv = _fields(mesh3, ("edge", "edge", "edge"), rng)
         metrics = MetricsRegistry()
         with use_registry(metrics):
             got = dispatch(
                 "coriolis_edge_term", mesh3, u, h, pv, backend="sparse"
             )
+        K = sparse_operator(mesh3, "tangential_velocity")
+        flux = u * h
+        assert np.array_equal(got, 0.5 * (pv * (K @ flux) + K @ (flux * pv)))
         want = dispatch("coriolis_edge_term", mesh3, u, h, pv, backend="numpy")
-        assert np.array_equal(got, want)
-        (fallback,) = metrics.series("engine.fallback")
-        assert fallback.tags == {"op": "coriolis_edge_term", "backend": "sparse"}
-        assert fallback.value == 1.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert metrics.series("engine.fallback") == []
         (timer,) = metrics.series("engine.op")
-        assert timer.tags["backend"] == "numpy"
+        assert timer.tags["backend"] == "sparse"
+
+    @pytest.mark.parametrize("plan", [False, True], ids=["unfused", "plan"])
+    def test_galewsky_run_never_falls_back(self, mesh3, plan):
+        from repro import api
+
+        case = api.resolve_case("galewsky")
+        dt = api.suggested_dt(mesh3, case, 9.80616, cfl=0.5)
+        metrics = MetricsRegistry()
+        with use_registry(metrics):
+            api.run(
+                case, mesh=mesh3,
+                config=api.SWConfig(dt=dt, backend="sparse", plan=plan), steps=3,
+            )
+        assert metrics.series("engine.fallback") == []
+
+    def test_batched_column_bitwise_equals_serial(self, mesh3, rng):
+        u, h, pv = (rng.standard_normal((mesh3.nEdges, 3)) for _ in range(3))
+        block = dispatch("coriolis_edge_term", mesh3, u, h, pv, backend="sparse")
+        for k in range(3):
+            col = dispatch(
+                "coriolis_edge_term", mesh3,
+                *(np.ascontiguousarray(f[:, k]) for f in (u, h, pv)),
+                backend="sparse",
+            )
+            assert np.array_equal(block[:, k], col)
 
 
 class TestOperatorCache:

@@ -117,17 +117,23 @@ class TestDiscreteIdentities:
         rhs = -np.sum(grad * F * mesh3.dcEdge * mesh3.dvEdge)
         assert np.isclose(lhs, rhs, rtol=1e-10)
 
-    def test_coriolis_energy_neutral(self, mesh3, rng):
+    def test_coriolis_energy_neutral(self, mesh3, rng, coriolis_paths):
         """The TRiSK PV term does no work: with the energy weight
         h_edge * dc * dv per edge, sum_e u h (q F)perp = 0 for any q, h, u
-        (antisymmetric weights x symmetric edge-PV average)."""
+        (antisymmetric weights x symmetric edge-PV average) — on every
+        execution path, each of which also agrees with the numpy gather."""
         u = rng.standard_normal(mesh3.nEdges)
         h_edge = rng.uniform(0.5, 2.0, mesh3.nEdges)
         pv = rng.standard_normal(mesh3.nEdges)
-        qperp = coriolis_edge_term(mesh3, u, h_edge, pv)
-        work = np.sum(u * h_edge * qperp * mesh3.dcEdge * mesh3.dvEdge)
         scale = np.sum((u * h_edge) ** 2 * mesh3.dcEdge * mesh3.dvEdge)
-        assert abs(work) < 1e-10 * scale
+        reference = coriolis_edge_term(mesh3, u, h_edge, pv)
+        for path, coriolis in coriolis_paths.items():
+            qperp = coriolis(mesh3, u, h_edge, pv)
+            work = np.sum(u * h_edge * qperp * mesh3.dcEdge * mesh3.dvEdge)
+            assert abs(work) < 1e-10 * scale, path
+            assert np.max(np.abs(qperp - reference)) <= 1e-12 * np.max(
+                np.abs(reference)
+            ), path
 
     def test_kite_interpolation_partition_of_unity(self, mesh3):
         ones = np.ones(mesh3.nCells)
