@@ -20,9 +20,10 @@ This module is that surface, three functions over
     The job's :class:`~repro.swm.model.RunResult`, computing it now if
     needed (lazy, synchronous).  For durable jobs this is crash-tolerant:
     a partially-run directory resumes from its newest committed
-    checkpoint, and a *completed* job whose in-memory record was evicted
-    (process restart) reconstructs the result from the final checkpoint —
-    the manifest is the source of truth, not this process's memory.
+    checkpoint, and a *completed* job whose in-memory result is gone
+    (process restart, or retention — below) reconstructs it from the final
+    checkpoint — the manifest is the source of truth, not this process's
+    memory.
 
 Durability is opt-in per request: a ``run_dir`` on the request routes the
 job through the PR 8 :mod:`~repro.resilience.durable` machinery (manifest
@@ -30,6 +31,15 @@ job through the PR 8 :mod:`~repro.resilience.durable` machinery (manifest
 bare run directory in place of a handle, so a fresh process can pick up a
 job it never submitted.  Requests without ``run_dir`` live only in this
 process (fine for scripts and tests, gone on restart).
+
+Retention: a level-5 :class:`~repro.swm.model.RunResult` is about 2 MB,
+so a process that completes durable jobs all day must not pin every one.
+Only the :data:`RETAINED_DURABLE_RESULTS` most recently completed durable
+jobs keep their result in memory; an older one answers :func:`result` by
+rebuilding from its run directory (bitwise state, diagnostics and
+reconstruction; of the invariant history only the two endpoints).
+In-process jobs cannot be rebuilt and keep their result until
+:func:`reset`.
 
 Ensemble requests (``config.ensemble >= 1``) are jobbable in-process:
 ``result()`` returns the :class:`~repro.ensemble.run.EnsembleResult`.
@@ -41,7 +51,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 from .obs.metrics import get_registry
@@ -81,6 +92,11 @@ _BY_KEY: dict[tuple, _Job] = {}
 _BY_ID: dict[str, _Job] = {}
 _IDS = itertools.count(1)
 
+#: How many completed *durable* jobs keep their result in memory (newest
+#: last in ``_RETAINED``); older ones are rebuilt from disk when asked.
+RETAINED_DURABLE_RESULTS = 4
+_RETAINED: deque[_Job] = deque()
+
 
 def reset() -> None:
     """Forget every in-process job record (tests; simulates eviction).
@@ -90,6 +106,7 @@ def reset() -> None:
     """
     _BY_KEY.clear()
     _BY_ID.clear()
+    _RETAINED.clear()
 
 
 def submit(request=None, **kwargs) -> JobHandle:
@@ -162,19 +179,24 @@ def result(job):
     Synchronous and idempotent: the first call on a pending job runs it
     (durable jobs resume from their newest committed checkpoint if a
     previous driver died mid-run); later calls return the cached result.
-    A completed *durable* job with no in-memory record — submitted by a
-    process that has since exited — reconstructs its
+    A completed *durable* job with no result in memory — submitted by a
+    process that has since exited, or older than the newest
+    :data:`RETAINED_DURABLE_RESULTS` completions — reconstructs its
     :class:`~repro.swm.model.RunResult` from the final checkpoint.
     """
     record, run_dir = _resolve(job)
-    if record is not None and record.state == "completed":
+    if record is not None and record.result is not None:
         return record.result
     if record is not None and record.state == "failed":
         raise record.error
     if run_dir is not None:
-        value = _durable_result(run_dir)
+        mesh = None if record is None else record.handle.request.mesh
+        value = _durable_result(run_dir, mesh)
         if record is not None:
             record.state, record.result = "completed", value
+            _RETAINED.append(record)
+            while len(_RETAINED) > RETAINED_DURABLE_RESULTS:
+                _RETAINED.popleft().result = None
         return value
     if record is None:
         raise JobError(f"unknown job {job!r} (not submitted in this process)")
@@ -262,20 +284,23 @@ def _durable_status(run_dir: Path) -> str:
     return "pending"
 
 
-def _durable_result(run_dir: Path):
-    """Drive or recover a durable job purely from its run directory."""
-    from .resilience.durable import DurableRun, ManifestError, resume_durable
+def _durable_result(run_dir: Path, mesh=None):
+    """Drive or recover a durable job from its run directory; ``mesh`` is
+    the submitter's (a bare directory rebuilds it from the manifest)."""
+    from .resilience.durable import DurableRun, resume_durable
 
     run = DurableRun.open(run_dir)
     if run.manifest.get("completed"):
-        return _reconstruct_completed(run)
+        return _reconstruct_completed(run, mesh)
     if run.manifest["checkpoints"]:
         # A previous driver made progress and died; roll forward from the
         # newest committed checkpoint (bitwise identical to never dying).
         get_registry().counter("jobs.resumed").inc()
-        return resume_durable(run_dir, invariant_interval=run.invariant_interval)
+        return resume_durable(
+            run_dir, mesh=mesh, invariant_interval=run.invariant_interval
+        )
     # Fresh directory: drive the run from step 0 under this manifest.
-    mesh = _manifest_mesh(run)
+    mesh = run.resolve_mesh(mesh)
     from .api import resolve_case
     from .resilience.durable import _drive
     from .swm.config import SWConfig
@@ -286,29 +311,7 @@ def _durable_result(run_dir: Path):
     return _drive(run, mesh, case, config, 0, total, None, run.invariant_interval)
 
 
-def _manifest_mesh(run):
-    """Rebuild the job's mesh from the manifest identity (cache-backed)."""
-    from .resilience.durable import ManifestError
-
-    ident = run.manifest["mesh"]
-    if ident["level"] is None:
-        raise ManifestError(
-            f"the manifest in {run.directory} records no mesh level to "
-            f"rebuild from (custom mesh {ident['name']!r}); drive this job "
-            f"from the submitting process instead"
-        )
-    from .mesh.cache import cached_mesh
-
-    mesh = cached_mesh(
-        ident["level"],
-        lloyd_iterations=ident["lloyd_iterations"],
-        radius=ident["radius"],
-    )
-    run.validate_compatible(mesh=mesh)
-    return mesh
-
-
-def _reconstruct_completed(run):
+def _reconstruct_completed(run, mesh=None):
     """A completed job's result, rebuilt from its final checkpoint.
 
     ``resume_durable`` (rightly) refuses completed runs, but a service
@@ -338,7 +341,7 @@ def _reconstruct_completed(run):
             f"cannot be reconstructed"
         )
     _, ckpt = found
-    mesh = _manifest_mesh(run)
+    mesh = run.resolve_mesh(mesh)
     get_registry().counter("jobs.reconstructed").inc()
     model = ShallowWaterModel.from_checkpoint(mesh, ckpt)
     recon = model.integrator._mpas_reconstruct(

@@ -253,24 +253,35 @@ def render_backend_cost_report(rows: list[BackendCost], title: str) -> str:
 
 
 # --------------------------------------------------------- fault and recovery
+def _series_rows(registry: MetricsRegistry, prefix: str) -> list[list[str]]:
+    """``[name, tags, value]`` of every series under a metric namespace."""
+    rows = []
+    for s in registry.series():
+        if not s.name.startswith(prefix):
+            continue
+        tags = ", ".join(f"{k}={v}" for k, v in sorted(s.tags.items())) or "-"
+        if s.kind == "timer":
+            shown = f"{s.count} calls, {s.total:.4f} s total"
+        else:
+            shown = f"{s.value:g}"
+        rows.append([s.name, tags, shown])
+    return rows
+
+
 def resilience_rows(registry: MetricsRegistry) -> list[list[str]]:
     """Every fault/recovery series: injected faults, retries, fallbacks,
     degradations, backoff, checkpoints, watchdog violations and
     quarantined cache entries.
 
     Covers the ``resilience.*`` namespace written by the fault plans
-    (:mod:`repro.resilience.faults`), the per-layer recovery mechanisms
-    and the cache integrity layer (``resilience.cache.quarantined``,
-    tagged by cache ``kind``), so one cost report shows both what was
-    thrown at a run and how it survived.
+    (:mod:`repro.resilience.faults`), the per-layer recovery mechanisms,
+    the cache integrity layer (``resilience.cache.quarantined``, tagged by
+    cache ``kind``) and the checkpoint path (``resilience.checkpoint.saved``
+    / ``.bytes`` / ``.write_s`` and ``resilience.durable.commit_s``), so one
+    cost report shows what was thrown at a run, how it survived and what
+    its restart files cost.
     """
-    rows = []
-    for s in registry.series():
-        if not s.name.startswith("resilience."):
-            continue
-        tags = ", ".join(f"{k}={v}" for k, v in sorted(s.tags.items())) or "-"
-        rows.append([s.name, tags, f"{s.value:g}"])
-    return rows
+    return _series_rows(registry, "resilience.")
 
 
 def render_resilience_report(registry: MetricsRegistry, title: str) -> str:
@@ -286,17 +297,7 @@ def ensemble_rows(registry: MetricsRegistry) -> list[list[str]]:
     """Every ``ensemble.*`` metric series: width, survivors, per-member
     step counts and divergences (tagged ``member=k``), and the lockstep
     step timer."""
-    rows = []
-    for s in registry.series():
-        if not s.name.startswith("ensemble."):
-            continue
-        tags = ", ".join(f"{k}={v}" for k, v in sorted(s.tags.items())) or "-"
-        if hasattr(s, "value"):  # counters and gauges
-            shown = f"{s.value:g}"
-        else:  # the ensemble.step timer
-            shown = f"{s.count} calls, {s.total:.4f} s total"
-        rows.append([s.name, tags, shown])
-    return rows
+    return _series_rows(registry, "ensemble.")
 
 
 def render_ensemble_report(result, registry: MetricsRegistry, title: str) -> str:
@@ -411,6 +412,7 @@ def run_traced(
     parallel: str = "serial",
     ranks: int = 1,
     halo_schedule: str = "static",
+    run_dir=None,
 ) -> tuple[Tracer, MetricsRegistry, object, object]:
     """Integrate ``steps`` RK-4 steps with tracing on.
 
@@ -422,7 +424,9 @@ def run_traced(
 
     ``parallel``/``ranks``/``halo_schedule`` select a decomposed executor
     (lockstep or pool) instead of the serial integrator; its per-exchange
-    ``halo`` spans feed :func:`halo_rows`.
+    ``halo`` spans feed :func:`halo_rows`.  ``run_dir`` makes the traced run
+    durable (a fresh directory), so the registry also carries what its
+    checkpoints cost (``resilience.checkpoint.*``, ``resilience.durable.*``).
     """
     from ..constants import GRAVITY
     from ..mesh import cached_mesh
@@ -446,13 +450,14 @@ def run_traced(
             halo_schedule=halo_schedule,
             advection_only=bool(sc is not None and sc.advection_only),
         )
-    if config.parallel != "serial":
+    if config.parallel != "serial" or run_dir is not None:
         from ..api import run as api_run
 
         tracer = Tracer()
         registry = MetricsRegistry()
         with use_tracer(tracer), use_registry(registry):
-            api_run(test_case, mesh=mesh, config=config, steps=steps)
+            # The token, not the object: a durable manifest records it.
+            api_run(case, mesh=mesh, config=config, steps=steps, run_dir=run_dir)
         registry.counter("swm.steps", case=case, level=level).inc(steps)
         return tracer, registry, mesh, config
     state, b_cell = initialize(mesh, test_case)
@@ -601,6 +606,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--halo-schedule", default="static",
                         choices=("static", "dataflow"),
                         help="halo schedule of the decomposed executors")
+    parser.add_argument("--run-dir", type=Path, default=None,
+                        help="trace a durable run into this fresh directory; "
+                             "the fault/recovery table then shows what its "
+                             "checkpoints cost")
     parser.add_argument("--compare-backends", action="store_true",
                         help="run under every backend and print the "
                              "per-backend per-pattern dispatch costs")
@@ -655,7 +664,7 @@ def main(argv: list[str] | None = None) -> int:
     tracer, registry, mesh, config = run_traced(
         args.case, args.level, args.steps, backend=args.backend,
         parallel=args.parallel, ranks=args.ranks,
-        halo_schedule=args.halo_schedule,
+        halo_schedule=args.halo_schedule, run_dir=args.run_dir,
     )
     rows = measured_vs_modeled(tracer, mesh, config)
     print(render_cost_report(

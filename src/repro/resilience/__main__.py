@@ -18,7 +18,10 @@ to the fault-free run:
    failed attempts occupying their PCIe channel (timeline still validates);
 5. the numerical watchdog — an unstable ``dt`` is caught by the CFL guard
    and either halts with a diagnostic or rolls back to the auto-checkpoint
-   with ``dt`` halving, per the configured policy.
+   with ``dt`` halving, per the configured policy;
+6. a durable run (level 3, a checkpoint every step) dies of an injected
+   ``process.crash``, is resumed from its manifest, lands bitwise on the
+   fault-free state, and every manifest digest matches its file.
 
 Exit code 0 on success; the fault/recovery counter table is printed so the
 obs report provably shows nonzero counters for what was thrown at the runs.
@@ -37,6 +40,9 @@ from .faults import FaultPlan, FaultSpec, use_fault_plan
 
 #: Steps of every selftest integration (the acceptance horizon).
 SELFTEST_STEPS = 10
+#: Mesh level of the durable scenario: its restart files should be real
+#: archives (642 cells), not the 162-cell default of the fault scenarios.
+DURABLE_LEVEL = 3
 
 
 def _base_config(mesh, case, **overrides):
@@ -256,6 +262,53 @@ def _scenario_watchdog(level: int) -> bool:
     return ok
 
 
+def _scenario_durable(reference) -> bool:
+    import tempfile
+
+    from ..api import run
+    from ..mesh.cache import cached_mesh
+    from ..swm.galewsky import galewsky_jet
+    from .durable import DurableRun
+    from .faults import FaultInjected
+
+    mesh = cached_mesh(DURABLE_LEVEL)
+    config = _base_config(mesh, galewsky_jet(), checkpoint_interval=1)
+    crash_at = SELFTEST_STEPS // 2 + 1
+    plan = FaultPlan(
+        [FaultSpec("process.crash", at=(1,), match={"step": crash_at})], seed=5
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-durable-") as directory:
+        crashed = False
+        try:
+            with use_fault_plan(plan):
+                run("galewsky", mesh=mesh, config=config,
+                    steps=SELFTEST_STEPS, run_dir=directory)
+        except FaultInjected:
+            crashed = True
+        committed = [
+            c["step"] for c in DurableRun.open(directory).manifest["checkpoints"]
+        ]
+        ok = _check(
+            "durable run crashed mid-way",
+            crashed and committed == list(range(crash_at)),
+            f"died before step {crash_at}, {len(committed)} checkpoints committed",
+        )
+        resumed = run(resume=directory, mesh=mesh)
+        ok &= _bitwise(
+            "  resumed from the manifest",
+            (resumed.state.h, resumed.state.u), reference,
+        )
+        durable = DurableRun.open(directory)
+        entries = durable.manifest["checkpoints"]
+        matching = sum(durable.entry_matches_file(c) for c in entries)
+    return ok & _check(
+        "  manifest digests == files",
+        durable.manifest["completed"]
+        and matching == len(entries) == SELFTEST_STEPS + 1,
+        f"{matching}/{len(entries)} checkpoints",
+    )
+
+
 # ------------------------------------------------------------------------ CLI
 def _selftest(level: int) -> int:
     from ..obs.report import render_resilience_report
@@ -271,6 +324,10 @@ def _selftest(level: int) -> int:
         ok &= _scenario_halo(level)
         ok &= _scenario_transfer()
         ok &= _scenario_watchdog(level)
+        ok &= _scenario_durable(
+            reference if level == DURABLE_LEVEL
+            else _run_model(DURABLE_LEVEL, SELFTEST_STEPS)
+        )
 
         injected = _counter_total("resilience.fault.injected")
         recovered = (

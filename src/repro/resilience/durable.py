@@ -20,16 +20,28 @@ The on-disk layout of a run directory::
 
 and the crash-consistency protocol:
 
-1. every checkpoint is written atomically (``*.tmp`` + ``os.replace`` +
-   fsync), so a file under its final name is never half-written;
+1. every checkpoint is written atomically by the tree's one restart
+   writer (:func:`repro.resilience.checkpoint.write_restart`: uncompressed
+   ``.npz``, ``*.tmp`` + fsync + ``os.replace``), so a file under its final
+   name is never half-written; the writer returns the byte length and
+   SHA-256 of what it published, taken while writing;
 2. after each checkpoint publish, the manifest is rewritten — also
-   atomically — *committing* the checkpoint: step, file name, byte length
-   and SHA-256 enter ``manifest["checkpoints"]``;
+   atomically — *committing* the checkpoint: step, file name and the
+   writer's byte length and SHA-256 enter ``manifest["checkpoints"]``
+   without the file being read back (only a file this process did not
+   write is measured with ``stat`` + :func:`sha256_file`);
 3. resume trusts only the manifest: uncommitted checkpoint files (published
    in the window before the manifest write, or mid-write ``*.tmp`` debris)
    are deleted, committed files are re-hashed and quarantined if they do
    not match their recorded digest, and the run continues from the newest
    checkpoint that survives.
+
+Every commit is synchronous — checkpoint *s* is durable (file fsynced,
+then manifest fsynced: two fsyncs) before step *s+1* starts.  Group commit
+and a write-behind thread would be cheaper and were declined: both trade
+away exactly that ordering, which is safety, not overhead.  What a commit
+still costs beyond its fsync is the whole-manifest rewrite, O(committed
+checkpoints) — an append-only journal is the follow-up.
 
 Because checkpoints land at fixed multiples of ``config.
 checkpoint_interval`` — a resumed run keeps the cadence of the original —
@@ -56,8 +68,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ..obs.metrics import get_registry
 from ..swm.config import SWConfig
 from ..swm.state import State
+from .checkpoint import write_restart
 from .integrity import quarantine
 
 __all__ = [
@@ -219,24 +233,29 @@ class DurableRun:
         _atomic_write_json(self.manifest_path, self.manifest)
 
     # ---------------------------------------------------------- checkpoints
-    def commit_checkpoint(self, step: int, path) -> None:
+    def commit_checkpoint(self, step: int, path, written=None) -> None:
         """Record a just-published checkpoint file in the manifest.
 
         The commit point of the protocol: only after this returns is the
-        checkpoint reachable by a future resume.  Re-committing a step
-        (a resumed run re-saving its restart point) replaces the entry.
+        checkpoint reachable by a future resume.  ``written`` is the
+        ``(bytes, sha256)`` the restart writer returned for ``path``; a
+        bare path (a file this process did not write) is measured here
+        with ``stat`` + :func:`sha256_file`.  Re-committing a step (a
+        resumed run re-saving its restart point) replaces the entry.
         """
         path = Path(path)
-        entry = {
-            "step": int(step),
-            "file": path.name,
-            "bytes": path.stat().st_size,
-            "sha256": sha256_file(path),
-        }
-        kept = [c for c in self.manifest["checkpoints"] if c["step"] != step]
-        kept.append(entry)
-        self.manifest["checkpoints"] = sorted(kept, key=lambda c: c["step"])
-        self.save()
+        with get_registry().timer("resilience.durable.commit_s").time():
+            size, digest = written or (path.stat().st_size, sha256_file(path))
+            entry = {
+                "step": int(step),
+                "file": path.name,
+                "bytes": int(size),
+                "sha256": digest,
+            }
+            kept = [c for c in self.manifest["checkpoints"] if c["step"] != step]
+            kept.append(entry)
+            self.manifest["checkpoints"] = sorted(kept, key=lambda c: c["step"])
+            self.save()
 
     def latest_valid_checkpoint(self) -> tuple[int, Path] | None:
         """The newest committed checkpoint whose bytes match the manifest.
@@ -250,13 +269,19 @@ class DurableRun:
             path = self.checkpoint_path / entry["file"]
             if not path.exists():
                 continue
-            if (
-                path.stat().st_size == entry["bytes"]
-                and sha256_file(path) == entry["sha256"]
-            ):
+            if self.entry_matches_file(entry):
                 return int(entry["step"]), path
             quarantine(path, kind="checkpoint", reason="manifest digest mismatch")
         return None
+
+    def entry_matches_file(self, entry: dict) -> bool:
+        """Whether a manifest entry's byte length and SHA-256 are those of
+        the file it names (which must exist)."""
+        path = self.checkpoint_path / entry["file"]
+        return (
+            path.stat().st_size == entry["bytes"]
+            and sha256_file(path) == entry["sha256"]
+        )
 
     def clean_uncommitted(self) -> list[Path]:
         """Delete checkpoint files the manifest never committed.
@@ -326,24 +351,31 @@ class DurableRun:
             )
 
 
+    def resolve_mesh(self, mesh=None):
+        """The mesh of this run: ``mesh`` when handed one, else rebuilt
+        through the cache from the manifest's level/lloyd/radius hints —
+        fingerprint-validated against the manifest either way."""
+        if mesh is None:
+            ident = self.manifest["mesh"]
+            if ident["level"] is None:
+                raise ManifestError(
+                    f"the manifest in {self.directory} records no mesh level "
+                    f"to rebuild from (custom mesh {ident['name']!r}); pass "
+                    f"the original mesh via mesh=... (for a job: ask through "
+                    f"the handle, in the submitting process)"
+                )
+            from ..mesh.cache import cached_mesh
+
+            mesh = cached_mesh(
+                ident["level"],
+                lloyd_iterations=ident["lloyd_iterations"],
+                radius=ident["radius"],
+            )
+        self.validate_compatible(mesh=mesh)
+        return mesh
+
+
 # -------------------------------------------------------------- executors
-def _write_restart(path: Path, state: State, b_cell, f_vertex, config) -> None:
-    """Atomically publish one restart file (the ``save_checkpoint`` format)."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            h=state.h,
-            u=state.u,
-            b_cell=b_cell,
-            f_vertex=f_vertex,
-            config=np.array(json.dumps(dataclasses.asdict(config))),
-        )
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def _execute_serial(
     run: DurableRun,
     mesh,
@@ -377,8 +409,7 @@ def _execute_serial(
         run.manifest["checkpoints"][-1]["step"] != total
     ):
         final = run.checkpoint_path / f"auto-{total:08d}.npz"
-        model.save_checkpoint(final)
-        run.commit_checkpoint(total, final)
+        run.commit_checkpoint(total, final, model.save_checkpoint(final))
     run.mark_complete()
     return result
 
@@ -403,17 +434,21 @@ def _execute_decomposed(
         from ..parallel.pool import PoolShallowWater
 
         exec_obj = PoolShallowWater(mesh, config.ranks, case, config)
+
+    def checkpoint(step: int, state: State) -> None:
+        path = run.checkpoint_path / f"auto-{step:08d}.npz"
+        written = write_restart(
+            path, state, exec_obj.b_cell, exec_obj.f_vertex, config
+        )
+        run.commit_checkpoint(step, path, written)
+
     try:
         if resume_state is not None:
             exec_obj.load_state(resume_state, step=start_step)
         start_state = exec_obj.gather_state()
         latest = run.manifest["checkpoints"]
         if not latest or latest[-1]["step"] != start_step:
-            path = run.checkpoint_path / f"auto-{start_step:08d}.npz"
-            _write_restart(
-                path, start_state, exec_obj.b_cell, exec_obj.f_vertex, config
-            )
-            run.commit_checkpoint(start_step, path)
+            checkpoint(start_step, start_state)
         interval = config.checkpoint_interval
         done = start_step
         while done < total:
@@ -422,12 +457,7 @@ def _execute_decomposed(
                 fault_site("process.crash", step=s)
             exec_obj.advance(chunk)
             done += chunk
-            state = exec_obj.gather_state()
-            path = run.checkpoint_path / f"auto-{done:08d}.npz"
-            _write_restart(
-                path, state, exec_obj.b_cell, exec_obj.f_vertex, config
-            )
-            run.commit_checkpoint(done, path)
+            checkpoint(done, exec_obj.gather_state())
         if hasattr(exec_obj, "_merge_observability"):
             exec_obj._merge_observability()
         result = gathered_run_result(
@@ -525,24 +555,7 @@ def resume_durable(
         )
     config = SWConfig(**run.manifest["config"])
     case = resolve_case(run.manifest["case"])
-    if mesh is not None:
-        run.validate_compatible(mesh=mesh)
-    else:
-        ident = run.manifest["mesh"]
-        if ident["level"] is None:
-            raise ManifestError(
-                f"the manifest in {run.directory} records no mesh level to "
-                f"rebuild from (custom mesh {ident['name']!r}); pass the "
-                f"original mesh via mesh=..."
-            )
-        from ..mesh.cache import cached_mesh
-
-        mesh = cached_mesh(
-            ident["level"],
-            lloyd_iterations=ident["lloyd_iterations"],
-            radius=ident["radius"],
-        )
-        run.validate_compatible(mesh=mesh)
+    mesh = run.resolve_mesh(mesh)
 
     run.clean_uncommitted()
     found = run.latest_valid_checkpoint()

@@ -19,7 +19,7 @@ the caller rebuilds the entry exactly as if it had never been cached.
 Validation is a CRC *sidecar*: :func:`seal` writes ``<file>.crc`` holding
 the byte length and CRC-32 of the published file, and :func:`verify` checks
 both on read.  A sidecar (rather than an in-archive footer) keeps the
-``.npz`` payload bit-identical to what ``np.savez_compressed`` produced —
+``.npz`` payload bit-identical to what numpy's archive writer produced —
 ``np.load`` stays the single reader — and the replace-file-then-replace-
 sidecar window degrades safely: a mismatch quarantines and rebuilds.
 Legacy entries written before this layer carry no sidecar; they are loaded

@@ -134,8 +134,9 @@ class ShallowWaterModel:
         restarted from a checkpoint writes checkpoints at the *same* steps
         an uninterrupted run would.  ``checkpoint_keep`` overrides the
         checkpointer's retention (durable runs keep everything);
-        ``on_checkpoint(step, path)`` fires after every checkpoint write —
-        the durable manifest's commit hook.
+        ``on_checkpoint(step, path, written)`` fires after every checkpoint
+        write with the ``(bytes, sha256)`` the writer returned — the durable
+        manifest's commit hook, which therefore never re-reads the file.
 
         The run executes under the recovery policy built from the config's
         retry knobs (:meth:`SWConfig.recovery_policy`).  With
@@ -197,7 +198,10 @@ class ShallowWaterModel:
             if checkpointer.last_step != start_step:
                 checkpointer.save(start_step)
                 if on_checkpoint is not None:
-                    on_checkpoint(start_step, checkpointer.last_path)
+                    on_checkpoint(
+                        start_step, checkpointer.last_path,
+                        checkpointer.last_written,
+                    )
             elapsed_at_ckpt[checkpointer.last_step] = 0.0
         recon = None
         elapsed = 0.0
@@ -248,7 +252,10 @@ class ShallowWaterModel:
                 if checkpointer is not None and checkpointer.maybe_save(step):
                     elapsed_at_ckpt[step] = elapsed
                     if on_checkpoint is not None:
-                        on_checkpoint(step, checkpointer.last_path)
+                        on_checkpoint(
+                            step, checkpointer.last_path,
+                            checkpointer.last_written,
+                        )
                 if callback is not None:
                     callback(step, result)
                 step += 1
@@ -295,7 +302,7 @@ class ShallowWaterModel:
         return model
 
     # ------------------------------------------------------------ checkpoints
-    def save_checkpoint(self, path) -> None:
+    def save_checkpoint(self, path) -> tuple[int, str]:
         """Write a restart file: prognostic state + the run's fixed fields.
 
         The continuation contract (tested): restoring and running N steps is
@@ -304,33 +311,17 @@ class ShallowWaterModel:
         only ``h``, ``u``, ``b``, ``f`` and the configuration need storing
         (exactly MPAS's restart-stream content for this core).
 
-        The write is crash-atomic: the archive is flushed to a ``*.tmp``
-        sibling, fsynced, then published with ``os.replace`` — a reader can
-        see the old file or the new file under ``path``, never a torn one.
+        The write is crash-atomic and single-pass — see
+        :func:`repro.resilience.checkpoint.write_restart`, whose
+        ``(bytes, sha256)`` of the published file is returned.
         """
-        import dataclasses
-        import json
-        import os
-        from pathlib import Path
+        from ..resilience.checkpoint import write_restart
 
         if self.state is None:
             raise RuntimeError("nothing to checkpoint: initialize() first")
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        # Write through an open handle: savez would append ".npz" to a bare
-        # tmp *name*, breaking the rename; a handle keeps the name exact.
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                h=self.state.h,
-                u=self.state.u,
-                b_cell=self.b_cell,
-                f_vertex=self.integrator.f_vertex,
-                config=np.array(json.dumps(dataclasses.asdict(self.config))),
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        return write_restart(
+            path, self.state, self.b_cell, self.integrator.f_vertex, self.config
+        )
 
     @classmethod
     def from_checkpoint(cls, mesh: Mesh, path) -> "ShallowWaterModel":

@@ -333,6 +333,71 @@ class TestDurableJobs:
         assert np.array_equal(res.state.h, direct.state.h)
         assert status(d) == "completed"
 
+    def test_completed_durable_results_are_bounded(self, mesh3, dt, tmp_path):
+        """Regression: the queue pinned the RunResult of every completed
+        job for the life of the process (2 MB each at level 5).  Only the
+        newest few completed durable jobs keep theirs; an older handle
+        still answers — rebuilt from its run directory, bitwise."""
+
+        def held() -> int:
+            return sum(j.result is not None for j in jobs._BY_ID.values())
+
+        handles = [
+            submit(case="tc2", mesh=mesh3, config=SWConfig(dt=dt),
+                   steps=1 + k % 2, run_dir=tmp_path / f"job-{k}")
+            for k in range(12)
+        ]
+        first = result(handles[0])
+        first_h, first_u = first.state.h.copy(), first.state.u.copy()
+        for h in handles[1:]:
+            result(h)
+        assert held() <= jobs.RETAINED_DURABLE_RESULTS < len(handles)
+        assert result(handles[-1]) is result(handles[-1])  # newest: cached
+        assert status(handles[0]) == "completed"
+        again = result(handles[0])
+        assert again is not first
+        assert np.array_equal(again.state.h, first_h)
+        assert np.array_equal(again.state.u, first_u)
+        assert len(again.invariant_history) == 2  # endpoints only
+        assert held() <= jobs.RETAINED_DURABLE_RESULTS
+
+    def test_in_process_results_are_never_dropped(self, mesh3, dt):
+        handles = [
+            submit(case="tc2", mesh=mesh3, config=SWConfig(dt=dt), steps=k)
+            for k in range(1, jobs.RETAINED_DURABLE_RESULTS + 3)
+        ]
+        first = result(handles[0])
+        for h in handles[1:]:
+            result(h)
+        assert result(handles[0]) is first
+
+    def test_custom_mesh_job_runs_in_the_submitting_process(self, tmp_path):
+        """Regression: ``result(handle)`` ignored the mesh the handle's
+        request holds and always rebuilt one from the manifest's level, so
+        a job on a ``Mesh.from_points`` mesh raised ``ManifestError:
+        records no mesh level`` although ``run(..., run_dir=d)`` works."""
+        from repro.geometry import lloyd_relax, normalize
+        from repro.mesh import Mesh
+
+        pts = normalize(np.random.default_rng(11).standard_normal((120, 3)))
+        mesh = Mesh.from_points(
+            lloyd_relax(pts, iterations=40).points, name="random120-11"
+        )
+        cfg = SWConfig(
+            dt=suggested_dt(mesh, resolve_case("tc2"), GRAVITY, cfl=0.5)
+        )
+        direct = run("tc2", mesh=mesh, config=cfg, steps=2,
+                     run_dir=tmp_path / "direct")
+        h = submit(case="tc2", mesh=mesh, config=cfg, steps=2,
+                   run_dir=tmp_path / "job")
+        res = result(h)
+        assert np.array_equal(res.state.h, direct.state.h)
+        assert np.array_equal(res.state.u, direct.state.u)
+        # A bare directory has no mesh to offer and none to rebuild from.
+        jobs.reset()
+        with pytest.raises(ManifestError, match="no mesh level"):
+            result(tmp_path / "job")
+
     def test_durable_ensemble_rejected(self, mesh3, tmp_path):
         case = resolve_case("galewsky")
         cfg = SWConfig(

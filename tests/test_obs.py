@@ -323,6 +323,27 @@ class TestReport:
         shares = [float(r[2].rstrip("%")) for r in rows]
         assert sum(shares) == pytest.approx(100.0, abs=0.5)
 
+    def test_durable_traced_run_reports_checkpoint_cost(self, tmp_path):
+        """A durable run says what its restart files cost: the counters and
+        the two timers are in the registry and the fault/recovery table
+        renders timers (it used to assume every series has a ``value``)."""
+        from repro.obs.report import render_resilience_report, run_traced
+
+        _, registry, _, _ = run_traced(
+            "tc5", level=2, steps=2, run_dir=tmp_path / "run"
+        )
+        on_disk = sum(
+            p.stat().st_size for p in (tmp_path / "run").rglob("auto-*.npz")
+        )
+        (nbytes,) = registry.series("resilience.checkpoint.bytes")
+        assert nbytes.value == on_disk > 0
+        text = render_resilience_report(registry, "costs")
+        for name in ("checkpoint.saved", "checkpoint.bytes"):
+            assert f"resilience.{name}" in text
+        for name in ("checkpoint.write_s", "durable.commit_s"):
+            (row,) = [ln for ln in text.splitlines() if f"resilience.{name}" in ln]
+            assert "3 calls" in row
+
 
 # ----------------------------------------------------------------------- shim
 class TestProfiledIntegratorShim:

@@ -9,6 +9,7 @@ watchdog instead of silently propagating NaN.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -528,27 +529,31 @@ class TestAutoCheckpointer:
         """A crash mid-write leaves the previous checkpoint byte-intact.
 
         Regression for the pre-atomic ``save_checkpoint`` that wrote the
-        archive in place: dying mid-``savez`` left a torn npz under the
-        published name.  Now the write lands on a ``*.tmp`` sibling and is
-        published with ``os.replace``, so an aborted write must leave the
-        old bytes untouched and loadable.
+        archive in place: dying mid-write left a torn npz under the
+        published name.  The one restart writer lands its single write on a
+        ``*.tmp`` sibling and publishes with ``os.replace`` only after the
+        fsync, so a write that dies half-way must leave the old bytes
+        untouched and loadable, and nothing torn under ``path``.
         """
         model = _model(mesh3)
         path = tmp_path / "restart.npz"
         model.save_checkpoint(path)
         good = path.read_bytes()
 
-        def torn_savez(fh, **arrays):
-            fh.write(good[: len(good) // 2])  # half an archive, then die
+        def torn_fsync(fd):
+            os.ftruncate(fd, len(good) // 2)  # half an archive, then die
             raise OSError("simulated crash mid-write")
 
-        monkeypatch.setattr(np, "savez_compressed", torn_savez)
+        monkeypatch.setattr(os, "fsync", torn_fsync)
         model.run(steps=1)
         with pytest.raises(OSError, match="mid-write"):
             model.save_checkpoint(path)
         monkeypatch.undo()
 
         assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir() if p != path] == [
+            "restart.npz.tmp"
+        ]
         resumed = ShallowWaterModel.from_checkpoint(mesh3, path)
         assert np.array_equal(resumed.state.h, np.load(path)["h"])
 
