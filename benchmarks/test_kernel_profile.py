@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from conftest import bench_level
-from repro.bench import render_table
 from repro.constants import GRAVITY
 from repro.mesh import cached_mesh
-from repro.swm import SWConfig, isolated_mountain, suggested_dt
-from repro.swm.profiling import ProfiledIntegrator
+from repro.obs import Tracer, use_tracer
+from repro.obs.report import render_kernel_profile
+from repro.swm import RK4Integrator, SWConfig, isolated_mountain, suggested_dt
 from repro.swm.testcases import initialize
 
 
@@ -27,40 +27,44 @@ def test_kernel_profile(benchmark, report):
                    thickness_adv_order=4)
     state, b = initialize(mesh, case)
     f_vertex = cfg.coriolis(mesh.metrics.latVertex)
-    integ = ProfiledIntegrator(mesh, cfg, b, f_vertex)
+    integ = RK4Integrator(mesh, cfg, b, f_vertex)
     diag = integ.diagnostics_for(state)
-    # Warm-up step: pays the one-time per-mesh setup (reconstruction
-    # matrices, deriv_two coefficients), which is not kernel cost.
+    # Warm-up step (untraced): pays the one-time per-mesh setup
+    # (reconstruction matrices, deriv_two coefficients), which is not
+    # kernel cost.
     integ.step(state, diag)
-    integ.profile.reset()
+    steps = 5
+    tracer = Tracer()
 
     def run_steps():
         s, d = state, diag
-        for _ in range(5):
-            r = integ.step(s, d)
-            s, d = r.state, r.diagnostics
+        with use_tracer(tracer):
+            for _ in range(steps):
+                r = integ.step(s, d)
+                s, d = r.state, r.diagnostics
         return s
 
     final = benchmark.pedantic(run_steps, rounds=1, iterations=1)
     assert np.all(np.isfinite(final.h))
 
-    profile = integ.profile
-    rows = profile.table_rows()
     report(
         "kernel_profile",
-        render_table(
+        render_kernel_profile(
+            tracer,
             f"Measured kernel cost breakdown ({mesh.nCells} cells, "
-            f"{profile.steps} steps, real NumPy kernels)",
-            ["kernel", "wall time", "share"],
-            rows,
+            f"{steps} steps, real NumPy kernels)",
         ),
     )
 
-    fractions = profile.fractions()
+    seconds = tracer.aggregate_names(category="kernel")
+    total = sum(seconds.values())
+    fractions = {kernel: secs / total for kernel, secs in seconds.items()}
     # The Figure 2 rationale: the two stencil-heavy kernels dominate.
     heavy = fractions["compute_tend"] + fractions["compute_solve_diagnostics"]
     assert heavy > 0.6
-    assert profile.dominant() in ("compute_tend", "compute_solve_diagnostics")
+    assert max(seconds, key=seconds.get) in (
+        "compute_tend", "compute_solve_diagnostics"
+    )
     # The local kernels are cheap.
     assert fractions["accumulative_update"] < 0.15
     assert fractions["enforce_boundary_edge"] < 0.05

@@ -6,12 +6,12 @@ run.  This package adds the batch dimension on top of the execution stack:
 * :mod:`~repro.ensemble.members` — deterministic per-member initial
   conditions (seeded relative thickness perturbations, one independent
   rng stream per member).
-* :mod:`~repro.ensemble.batch` — :class:`~repro.ensemble.batch.
-  BatchedIntegrator`, the RK-4 loop over ``(n, N)`` member blocks driven
-  by a batched :class:`~repro.engine.plan.ExecutionPlan`; column ``k`` is
-  bitwise identical to a serial integration of member ``k``.
 * :mod:`~repro.ensemble.run` — :class:`~repro.ensemble.run.EnsembleRun`,
-  the lockstep driver with per-member invariants and divergence verdicts
+  the lockstep driver: it stacks the members into one ``(n, N)`` state and
+  steps it with the plain :class:`~repro.swm.timestep.RK4Integrator` (the
+  one step program is shape-agnostic over the member axis; column ``k`` is
+  bitwise identical to a serial integration of member ``k``), keeping
+  per-member invariants and divergence verdicts
   (a diverging member is quarantined or detached to a serial rollback
   continuation without stalling the batch), producing one
   :class:`~repro.swm.model.RunResult` per member.

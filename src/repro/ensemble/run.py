@@ -2,10 +2,15 @@
 verdicts.
 
 :class:`EnsembleRun` packs N perturbed-IC members into one batched state
-and advances them together through a batched execution plan
-(:class:`~repro.ensemble.batch.BatchedIntegrator`), keeping per-member
-invariant trajectories and watchdog verdicts.  Divergence handling reuses
-the resilience stack's policy knobs:
+(``State.stack``) and advances them together with the plain
+:class:`~repro.swm.timestep.RK4Integrator` — the one step program is
+shape-agnostic over the trailing member axis and runs every kernel through
+the batched execution plan — keeping per-member invariant trajectories and
+watchdog verdicts.  The integrator always executes with ``plan=True``, even
+for configs with ``plan=False``: the default ``plan_fuse="exact"`` program
+replays the unfused sparse backend's arithmetic bitwise, so members of a
+``backend="sparse"`` run match their serial unfused reference exactly as
+well.  Divergence handling reuses the resilience stack's policy knobs:
 
 ``guard_policy="halt"`` (default)
     A member whose column goes non-finite or trips the ``E1`` stability
@@ -24,9 +29,8 @@ Healthy members are returned as ordinary per-member
 :class:`~repro.swm.model.RunResult`\\ s whose state/diagnostics/invariants
 are **bitwise identical** to a serial run of the same member (the batched
 plan's per-column contract plus the shared IC builders of
-:mod:`~repro.ensemble.members`).  ``ensemble_mode="serial"`` runs the same
-members one by one through the serial model — the reference path the tests
-compare against.
+:mod:`~repro.ensemble.members`) — e.g. ``repro.api.run`` of the
+``"perturbed:<base>:<k>:<seed>"`` scenario token.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from ..swm.error import Invariants, invariants
 from ..swm.model import RunResult, ShallowWaterModel
 from ..swm.state import State
 from ..swm.testcases import TestCase
-from .batch import BatchedIntegrator
+from ..swm.timestep import RK4Integrator
 from .members import ensemble_initial_states
 
 __all__ = ["MemberVerdict", "EnsembleResult", "EnsembleRun", "run_ensemble"]
@@ -146,9 +150,7 @@ class EnsembleRun:
     mesh, case, config
         The shared scenario.  ``config.ensemble`` must be >= 1 and is the
         member count; ``config.ensemble_seed`` / ``config.
-        ensemble_amplitude`` control the per-member IC perturbation;
-        ``config.ensemble_mode`` selects lockstep batching or the serial
-        reference path.
+        ensemble_amplitude`` control the per-member IC perturbation.
     initial_states
         Optional explicit member ICs (parameter sweeps, tests).  Length
         must equal ``config.ensemble``; topography still comes from the
@@ -212,49 +214,13 @@ class EnsembleRun:
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps!r}")
         get_registry().gauge("ensemble.members").set(self.config.ensemble)
-        if self.config.ensemble_mode == "serial":
-            return self._execute_serial(steps, invariant_interval)
-        return self._execute_lockstep(steps, invariant_interval)
-
-    def _execute_serial(self, steps: int, invariant_interval: int) -> EnsembleResult:
-        """The reference path: each member as its own serial model run."""
-        states, b = self._member_states()
-        f_vertex = self._f_vertex()
-        results: list[RunResult | None] = []
-        verdicts: list[MemberVerdict] = []
-        tracer = get_tracer()
-        for k, state in enumerate(states):
-            model = ShallowWaterModel.from_state(
-                self.mesh, self._member_config(), self.case, state, b, f_vertex
-            )
-            with tracer.span("ensemble.member", category="ensemble", member=k):
-                try:
-                    res = model.run(
-                        steps=steps, invariant_interval=invariant_interval
-                    )
-                except (NumericalBlowup, FloatingPointError) as exc:
-                    get_registry().counter(
-                        "ensemble.member.diverged", member=str(k)
-                    ).inc()
-                    results.append(None)
-                    verdicts.append(
-                        MemberVerdict(k, "diverged", None, str(exc))
-                    )
-                    continue
-            get_registry().counter(
-                "ensemble.member.steps", member=str(k)
-            ).inc(res.steps)
-            results.append(res)
-            verdicts.append(MemberVerdict(k, "ok"))
-        return self._finish(results, verdicts, steps)
-
-    def _execute_lockstep(self, steps: int, invariant_interval: int) -> EnsembleResult:
         config = self.config
         n = config.ensemble
         states, b = self._member_states()
         f_vertex = self._f_vertex()
-        integ = BatchedIntegrator(
-            self.mesh, config, b, f_vertex, n, registry=self.registry
+        integ = RK4Integrator(
+            self.mesh, dataclasses.replace(config, plan=True), b, f_vertex,
+            registry=self.registry,
         )
         packed = State.stack(states)
         unstable = np.zeros(n, dtype=bool)
@@ -348,7 +314,12 @@ class EnsembleRun:
                 verdicts.append(
                     MemberVerdict(k, "diverged", failed_step[k], verdict_detail[k])
                 )
-        return self._finish(results, verdicts, steps)
+        out = EnsembleResult(members=results, verdicts=verdicts, steps=steps)
+        ok = [r for r, v in zip(results, verdicts) if r is not None and v.status == "ok"]
+        if ok:
+            out.invariant_history = ok[0].invariant_history
+        get_registry().gauge("ensemble.survivors").set(len(out.survivors()))
+        return out
 
     def _detach(
         self,
@@ -369,7 +340,7 @@ class EnsembleRun:
         Returns ``None`` when the continuation blows up too.
         """
         remaining = steps - snapshot_step
-        config = self._member_config(dt=self.config.dt / 2.0, ensemble_mode="serial")
+        config = self._member_config(dt=self.config.dt / 2.0)
         detail = (
             f"rolled back to step {snapshot_step}, continuing serially "
             f"with dt={config.dt:.6g} for {remaining} steps"
@@ -397,19 +368,6 @@ class EnsembleRun:
             "ensemble.member.steps", member=str(member)
         ).inc(res.steps)
         return res
-
-    def _finish(
-        self,
-        results: list[RunResult | None],
-        verdicts: list[MemberVerdict],
-        steps: int,
-    ) -> EnsembleResult:
-        out = EnsembleResult(members=results, verdicts=verdicts, steps=steps)
-        ok = [r for r, v in zip(results, verdicts) if r is not None and v.status == "ok"]
-        if ok:
-            out.invariant_history = ok[0].invariant_history
-        get_registry().gauge("ensemble.survivors").set(len(out.survivors()))
-        return out
 
 
 def run_ensemble(

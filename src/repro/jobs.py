@@ -305,7 +305,7 @@ def _durable_result(run_dir: Path, mesh=None):
     from .resilience.durable import _drive
     from .swm.config import SWConfig
 
-    config = SWConfig(**run.manifest["config"])
+    config = SWConfig.from_dict(run.manifest["config"])
     case = resolve_case(run.manifest["case"])
     total = int(run.manifest["steps"])
     return _drive(run, mesh, case, config, 0, total, None, run.invariant_interval)

@@ -424,9 +424,11 @@ def run_traced(
 
     ``parallel``/``ranks``/``halo_schedule`` select a decomposed executor
     (lockstep or pool) instead of the serial integrator; its per-exchange
-    ``halo`` spans feed :func:`halo_rows`.  ``run_dir`` makes the traced run
-    durable (a fresh directory), so the registry also carries what its
-    checkpoints cost (``resilience.checkpoint.*``, ``resilience.durable.*``).
+    ``halo`` spans feed :func:`halo_rows`, and its ranks emit the same
+    ``kernel`` spans as the serial step (:func:`kernel_profile_rows`).
+    ``run_dir`` makes the traced run durable (a fresh directory), so the
+    registry also carries what its checkpoints cost
+    (``resilience.checkpoint.*``, ``resilience.durable.*``).
     """
     from ..constants import GRAVITY
     from ..mesh import cached_mesh
@@ -592,7 +594,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jsonl", type=Path, default=None,
                         help="write a JSON-lines export here")
     parser.add_argument("--kernels", action="store_true",
-                        help="also print the per-kernel breakdown")
+                        help="also print the per-kernel breakdown (always "
+                             "printed for --parallel lockstep|pool)")
     parser.add_argument("--overhead", action="store_true",
                         help="measure tracing overhead (traced/untraced ratio)")
     parser.add_argument("--backend", default="numpy",
@@ -687,12 +690,14 @@ def main(argv: list[str] | None = None) -> int:
             f"Halo exchanges per sync point ({args.parallel}, "
             f"ranks={args.ranks}, schedule={args.halo_schedule})",
         ))
-    if args.kernels:
+    if args.kernels or args.parallel != "serial":
+        # Every executor runs the one step program, so decomposed runs carry
+        # the same kernel spans (summed over ranks here, one row per kernel).
         print()
         print(render_kernel_profile(
             tracer,
             f"Measured kernel cost breakdown ({mesh.nCells} cells, "
-            f"{args.steps} steps, real NumPy kernels)",
+            f"{args.steps} steps, {args.parallel}, ranks={args.ranks})",
         ))
     if args.chrome is not None:
         n = write_chrome_trace(tracer, args.chrome, registry)

@@ -10,11 +10,13 @@ through :func:`repro.api.run`.
 
 Execution contract (enforced by the test suite): **the owned portion of
 every rank's state is bitwise identical to the serial run**.  This holds
-because each worker executes the exact per-rank kernel sequence of the
-lockstep runner on an identical :class:`~repro.parallel.halo.LocalMesh`,
-and the halo exchange moves values by pure slice copies through a
-:class:`~repro.parallel.shm.SharedState` segment at exactly the Algorithm-1
-synchronization points.
+because each worker runs the one step program
+(:func:`repro.swm.timestep.rk4_step`) on one
+:class:`~repro.swm.timestep.RK4Integrator` built over the same
+:class:`~repro.parallel.halo.LocalMesh` the lockstep runner uses, and this
+module only supplies that program's halo transport: values move by pure
+slice copies through a :class:`~repro.parallel.shm.SharedState` segment at
+exactly the Algorithm-1 synchronization points.
 
 Under the default static schedule
 (``SWConfig(halo_schedule="static")``) each of the 8 sync points is a
@@ -34,11 +36,12 @@ only the variables and halo rings the schedule names, and the global
 barrier is replaced by the publish/acknowledge counters of a
 :class:`~repro.parallel.shm.SyncBoard` over a double-buffered segment.
 Each kept exchange is split around compute — a rank publishes its owned
-slices the moment the substate exists, runs the RK accumulation (and,
-under fused plans, the interior diagnostics of
+slices the moment the substate exists (``begin``), the step program runs
+the RK accumulation (and, under fused plans, the interior diagnostics of
 :func:`repro.engine.plan.compiled_overlap`) while its peers drain the
-exchange, and acquires its halo only at the last read point.  The owned
-state stays bitwise identical to the serial run in both modes.
+exchange, and the halo is acquired only at the last read point
+(``finish``).  The owned state stays bitwise identical to the serial run
+in both modes.
 
 Worker death (a crashed process, an ``os._exit`` mid-step) is recoverable:
 surviving workers time out of the broken barrier and report back, the
@@ -46,7 +49,11 @@ parent restores the last committed global state into the shared segment,
 respawns the dead ranks, reloads every worker and retries the batch —
 bounded by ``RecoveryPolicy.halo_retries`` (a dead worker is a lost halo
 peer), counted under ``resilience.pool.*``.  A successful retry is
-bitwise-invisible, like every other recovery in this repo.
+bitwise-invisible, like every other recovery in this repo.  A *numerical*
+failure is not a dead worker: a rank whose step raises
+``FloatingPointError`` acks ``("failed", step, message)``, and the parent
+closes the pool and raises ``FloatingPointError`` naming rank, step and
+cause — once, with no respawn (the same input would fail the same way).
 
 Per-worker observability is private (each worker installs a fresh metrics
 registry and tracer at startup) and is merged into the parent's process-wide
@@ -67,16 +74,9 @@ from ..mesh.mesh import Mesh
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.trace import Tracer, get_tracer, set_tracer, trace_span
 from ..swm.config import SWConfig
-from ..swm.diagnostics import compute_solve_diagnostics
 from ..swm.state import State
 from ..swm.testcases import TestCase, initialize
-from ..swm.timestep import (
-    RK_ACCUMULATE_WEIGHTS,
-    RK_SUBSTEP_WEIGHTS,
-    accumulative_update,
-    compute_next_substep_state,
-)
-from ..swm.tendencies import compute_tend
+from ..swm.timestep import HaloTransport, RK4Integrator, rk4_step
 from .halo import (
     build_local_mesh,
     exchange_bytes,
@@ -103,45 +103,37 @@ class WorkerPoolError(RuntimeError):
 
 
 # ---------------------------------------------------------------- worker side
-def _worker_exchange(shared, lm, barrier, timeout: float, state: State) -> None:
-    """One two-phase shared-memory halo exchange (worker side)."""
-    shared.publish_owned(lm, state)
-    barrier.wait(timeout)
-    shared.refresh_halo(lm, state)
-    barrier.wait(timeout)
+class _BarrierSync(HaloTransport):
+    """The static schedule's transport: every sync point is one two-phase
+    shared-memory exchange, complete when :meth:`begin` returns."""
+
+    def __init__(self, shared, lm, barrier, timeout: float) -> None:
+        self.shared = shared
+        self.lm = lm
+        self.barrier = barrier
+        self.timeout = timeout
+        self.nbytes = 8.0 * (lm.n_halo_cells + lm.n_halo_edges)
+        registry = get_registry()
+        self._bytes = registry.counter("halo.bytes", mode="pool")
+        self._exchanges = registry.counter("halo.exchanges", mode="pool")
+
+    def begin(self, sync: str, states) -> None:
+        (state,) = states
+        with trace_span("halo_exchange", category="halo", bytes_est=self.nbytes):
+            self.shared.publish_owned(self.lm, state)
+            self.barrier.wait(self.timeout)
+            self.shared.refresh_halo(self.lm, state)
+            self.barrier.wait(self.timeout)
+        self._bytes.inc(self.nbytes)
+        self._exchanges.inc()
 
 
-def _worker_step(exchange, lm, state, diag, b_cell, f_vertex, config):
-    """One RK-4 step of one rank — the lockstep per-rank body, verbatim.
-
-    ``exchange(state)`` performs one two-phase shared-memory halo exchange.
-    """
-    dt = config.dt
-    provis = state.copy()
-    provis_diag = diag
-    acc = state.copy()
-    for stage in range(4):
-        exchange(provis)
-        tend_h, tend_u = compute_tend(lm, provis, provis_diag, b_cell, config)
-        accumulative_update(acc, tend_h, tend_u, RK_ACCUMULATE_WEIGHTS[stage] * dt)
-        if stage < 3:
-            provis = compute_next_substep_state(
-                state, tend_h, tend_u, RK_SUBSTEP_WEIGHTS[stage] * dt
-            )
-            exchange(provis)
-            provis_diag = compute_solve_diagnostics(lm, provis, f_vertex, config)
-        else:
-            exchange(acc)
-            diag = compute_solve_diagnostics(lm, acc, f_vertex, config)
-    return acc, diag
-
-
-class _DataflowSync:
-    """Worker-side driver of one rank's schedule-derived halo exchanges.
+class _DataflowSync(HaloTransport):
+    """The dataflow schedule's transport for one rank.
 
     Each kept sync point is split into a *publish* half (:meth:`begin`)
-    and an *acquire* half (:meth:`finish`) so the caller can slot compute
-    between them; a point the schedule elides returns ``None`` from
+    and an *acquire* half (:meth:`finish`) so the step program can slot
+    compute between them; a point the schedule elides returns ``None`` from
     :meth:`begin` and costs nothing.  Moved bytes and wait/overlap seconds
     feed the ``halo.*`` counters, plus one ``halo.sync`` span per
     exchange.
@@ -186,8 +178,8 @@ class _DataflowSync:
             self.base_timeout, self.TIMEOUT_SAFETY * self.board.max_observed()
         )
 
-    def begin(self, name: str, state):
-        """Publish ``state``'s owned slices for sync point ``name``.
+    def begin(self, name: str, states):
+        """Publish the rank's owned slices for sync point ``name``.
 
         Returns an opaque token for :meth:`finish`, or ``None`` when the
         schedule elides the point.  Blocks only until the target buffer's
@@ -196,6 +188,7 @@ class _DataflowSync:
         entry = self.points.get(name)
         if entry is None:
             return None
+        (state,) = states
         self.seq += 1
         t0 = time.perf_counter()
         self.board.await_acked(
@@ -233,67 +226,6 @@ class _DataflowSync:
             )
 
 
-def _overlapped_diagnostics(sync, token, overlap, lm, state, f_vertex, config):
-    """Diagnostics of a just-exchanged substate, overlapped when possible.
-
-    ``token`` is the in-flight exchange from :meth:`_DataflowSync.begin`
-    (``None`` when the schedule elided the point — the halo is provably
-    clean and the plain kernel runs directly).  With a compiled overlap
-    program the interior rows are computed on the stale halo *while peers
-    drain the exchange*, then the boundary rows are recomputed after the
-    thin acquire — bitwise identical to refresh-then-full-compute.
-    """
-    if token is None:
-        return compute_solve_diagnostics(lm, state, f_vertex, config)
-    if overlap is None:
-        sync.finish(token)
-        return compute_solve_diagnostics(lm, state, f_vertex, config)
-    diag, ctx = overlap.interior(state, f_vertex)
-    sync.finish(token)
-    overlap.boundary(ctx)
-    return diag
-
-
-def _worker_step_dataflow(sync, overlap, lm, state, diag, b_cell, f_vertex, config):
-    """One RK-4 step under the dataflow halo schedule (worker side).
-
-    The same kernel sequence as :func:`_worker_step`, reordered around the
-    kept sync points: each post-substep exchange publishes as soon as the
-    substate exists, the RK accumulation (independent of the exchange)
-    and the interior diagnostics run inside the overlap window, and the
-    halo is acquired at the last point before its values could be read.
-    """
-    dt = config.dt
-    provis = state.copy()
-    provis_diag = diag
-    acc = state.copy()
-    for stage in range(4):
-        token = sync.begin(f"pre@s{stage + 1}", provis)
-        if token is not None:
-            sync.finish(token)
-        tend_h, tend_u = compute_tend(lm, provis, provis_diag, b_cell, config)
-        if stage < 3:
-            provis = compute_next_substep_state(
-                state, tend_h, tend_u, RK_SUBSTEP_WEIGHTS[stage] * dt
-            )
-            token = sync.begin(f"post@s{stage + 1}", provis)
-            accumulative_update(
-                acc, tend_h, tend_u, RK_ACCUMULATE_WEIGHTS[stage] * dt
-            )
-            provis_diag = _overlapped_diagnostics(
-                sync, token, overlap, lm, provis, f_vertex, config
-            )
-        else:
-            accumulative_update(
-                acc, tend_h, tend_u, RK_ACCUMULATE_WEIGHTS[stage] * dt
-            )
-            token = sync.begin("post@s4", acc)
-            diag = _overlapped_diagnostics(
-                sync, token, overlap, lm, acc, f_vertex, config
-            )
-    return acc, diag
-
-
 def _worker_main(
     rank: int,
     conn,
@@ -313,18 +245,19 @@ def _worker_main(
     """Persistent worker loop: own rank state, obey parent commands.
 
     Commands (over the pipe): ``("steps", n)`` advance ``n`` RK-4 steps,
-    acked ``("ok", n)`` or ``("broken", at_step)`` after a barrier break;
+    acked ``("ok", n)``, ``("broken", at_step)`` after a barrier break, or
+    ``("failed", at_step, message)`` when the step itself raised
+    ``FloatingPointError``;
     ``("load", base_step)`` re-slice the local state from the shared
     segment (post-recovery resynchronization); ``("obs",)`` ship-and-clear
     this worker's metrics snapshot and finished tracer spans;
     ``("gather",)`` ship the owned state slices; ``("stop",)`` exit.
 
-    ``board is None`` selects the static barrier path; otherwise the
-    dataflow :class:`_DataflowSync` drives the kept sync points of
+    ``board is None`` selects the static :class:`_BarrierSync` transport;
+    otherwise :class:`_DataflowSync` drives the kept sync points of
     ``schedule`` against the ``neighbors = (providers, consumers)`` rank
-    sets.
+    sets.  Either way the step is :func:`repro.swm.timestep.rk4_step`.
     """
-    from ..engine import default_registry
     from ..engine.split import placements_active
     from ..resilience.recovery import use_recovery_policy
 
@@ -350,16 +283,15 @@ def _worker_main(
     # were forked from the parent.
     set_registry(MetricsRegistry())
     set_tracer(Tracer(enabled=trace_enabled))
-    default_registry()  # per-process registry, built (or inherited) up front
 
     registry = get_registry()
     steps_done = registry.counter("pool.worker.steps")
 
+    integ = RK4Integrator(lm, config, b_cell, f_vertex)
     if board is not None:
         sync = _DataflowSync(
             rank, shared, board, barrier_timeout, lm, schedule, *neighbors
         )
-        overlap = None
         if config.plan and not placements_active():
             # Fused-plan ranks split diagnostics into interior + boundary
             # around each acquire; split placements fall back to the plain
@@ -367,34 +299,13 @@ def _worker_main(
             from ..engine.plan import compiled_overlap
 
             rings = max(p.rings for p in schedule.points)
-            overlap = compiled_overlap(lm, config, rings)
-
-        def do_step(state_, diag_):
-            return _worker_step_dataflow(
-                sync, overlap, lm, state_, diag_, b_cell, f_vertex, config
-            )
+            integ.overlap = compiled_overlap(lm, config, rings)
     else:
-        sync = None
-        bytes_per_exchange = 8.0 * (lm.n_halo_cells + lm.n_halo_edges)
-        halo_bytes = registry.counter("halo.bytes", mode="pool")
-        halo_exchanges = registry.counter("halo.exchanges", mode="pool")
-
-        def exchange(state_):
-            with trace_span(
-                "halo_exchange", category="halo", bytes_est=bytes_per_exchange
-            ):
-                _worker_exchange(shared, lm, barrier, barrier_timeout, state_)
-            halo_bytes.inc(bytes_per_exchange)
-            halo_exchanges.inc()
-
-        def do_step(state_, diag_):
-            return _worker_step(
-                exchange, lm, state_, diag_, b_cell, f_vertex, config
-            )
+        sync = _BarrierSync(shared, lm, barrier, barrier_timeout)
 
     t_diag = time.perf_counter()
     state = shared.read_local(lm)
-    diag = compute_solve_diagnostics(lm, state, f_vertex, config)
+    diag = integ.diagnostics_for(state)
     if board is not None:
         # Seed the adaptive-timeout estimate before any peer can wait on
         # this rank: the startup diagnostics is one full compute interval.
@@ -414,18 +325,24 @@ def _worker_main(
                             os._exit(3)  # simulated worker crash (tests)
                         t_step = time.perf_counter()
                         with trace_span("pool_step", category="pool", step=step_no):
-                            state, diag = do_step(state, diag)
+                            (state,), (diag,) = rk4_step(
+                                [integ], [state], [diag], transport=sync
+                            )
                         if board is not None:
                             board.observe(rank, time.perf_counter() - t_step)
                         steps_done.inc()
                     conn.send(("ok", n))
                 except threading.BrokenBarrierError:
                     conn.send(("broken", step_no))
+                except FloatingPointError as exc:
+                    # The model blew up, the worker did not: report the
+                    # cause instead of dying with it.
+                    conn.send(("failed", step_no, str(exc)))
             elif cmd == "load":
                 state = shared.read_local(lm)
-                diag = compute_solve_diagnostics(lm, state, f_vertex, config)
+                diag = integ.diagnostics_for(state)
                 step_no = msg[1]
-                if sync is not None:
+                if board is not None:
                     sync.seq = 0  # the board was reset with the reload
                 kill_at_step = None  # a test kill fires at most once per spawn
                 conn.send(("loaded", rank))
@@ -606,7 +523,12 @@ class PoolShallowWater:
         self._conns[rank] = parent_conn
 
     def _await(self, expected: str, ranks) -> list[int]:
-        """Collect one ack per rank; returns the ranks that died instead."""
+        """Collect one ack per rank; returns the ranks that died instead.
+
+        A ``("failed", step, message)`` ack is a numerical failure, not a
+        death: the pool is torn down at once (peers may be blocked on the
+        failed rank's next publish) and ``FloatingPointError`` raised.
+        """
         pending = set(ranks)
         dead: list[int] = []
         while pending:
@@ -616,6 +538,13 @@ class PoolShallowWater:
                     if conn.poll(0.02):
                         msg = conn.recv()
                         pending.discard(r)
+                        if msg[0] == "failed":
+                            for proc in self._workers:
+                                proc.terminate()
+                            self.close()
+                            raise FloatingPointError(
+                                f"pool rank {r} failed at step {msg[1]}: {msg[2]}"
+                            )
                         if msg[0] != expected:
                             dead.append(r)
                         continue

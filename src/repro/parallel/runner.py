@@ -2,9 +2,14 @@
 
 ``DecomposedShallowWater`` runs P ranks inside one process, lockstep, with
 real halo exchanges of the prognostic state — a *functional* stand-in for the
-paper's MPI layer (no MPI runtime is available here; see DESIGN.md).  The
-number-for-number contract, enforced by the test suite: **the owned portion
-of every rank's state is bitwise identical to the serial run**, because
+paper's MPI layer (no MPI runtime is available here; see DESIGN.md).  It
+owns no RK loop: every rank is an :class:`~repro.swm.timestep.RK4Integrator`
+on its local mesh, all of them are handed to the one step program
+(:func:`repro.swm.timestep.rk4_step`), and this class is that program's
+:class:`~repro.swm.timestep.HaloTransport` — an in-process copy between the
+ranks' arrays.  The number-for-number contract, enforced by the test suite:
+**the owned portion of every rank's state is bitwise identical to the serial
+run**, because
 
 * initial conditions are discretized globally and sliced,
 * every kernel computes each owned output point from the same inputs in the
@@ -18,8 +23,6 @@ of every rank's state is bitwise identical to the serial run**, because
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..mesh.mesh import Mesh
@@ -30,17 +33,10 @@ from ..resilience.recovery import active_recovery_policy
 from ..swm.config import SWConfig
 from ..swm.diagnostics import compute_solve_diagnostics
 from ..swm.state import Diagnostics, State
-from ..swm.tendencies import compute_tend
 from ..swm.testcases import TestCase, initialize
-from ..swm.timestep import (
-    RK_ACCUMULATE_WEIGHTS,
-    RK_SUBSTEP_WEIGHTS,
-    accumulative_update,
-    compute_next_substep_state,
-)
+from ..swm.timestep import HaloTransport, RK4Integrator, rk4_step
 from ..dataflow.schedule import HaloSchedule, halo_schedule_for
 from .halo import (
-    LocalMesh,
     build_local_mesh,
     exchange_bytes,
     halo_layers_required,
@@ -95,16 +91,7 @@ def gathered_run_result(
     )
 
 
-@dataclass
-class _RankData:
-    mesh: LocalMesh
-    state: State
-    diag: Diagnostics
-    b_cell: np.ndarray
-    f_vertex: np.ndarray
-
-
-class DecomposedShallowWater:
+class DecomposedShallowWater(HaloTransport):
     """P-rank lockstep shallow-water integration with halo exchanges."""
 
     def __init__(
@@ -134,26 +121,21 @@ class DecomposedShallowWater:
         self.b_cell = global_b
         self.f_vertex = f_vertex_global
 
-        self.ranks: list[_RankData] = []
+        #: One integrator per rank, on its local mesh; the ranks' current
+        #: states and diagnostics sit alongside in ``states`` / ``diags``.
+        self.ranks: list[RK4Integrator] = []
         for r in range(n_ranks):
             lm = build_local_mesh(mesh, self.owner, r, halo_layers=halo_layers)
-            state = State(
-                h=global_state.h[lm.cells_global].copy(),
-                u=global_state.u[lm.edges_global].copy(),
-            )
-            diag = compute_solve_diagnostics(lm, state, f_vertex_global[lm.vertices_global], config)
             self.ranks.append(
-                _RankData(
-                    mesh=lm,
-                    state=state,
-                    diag=diag,
-                    b_cell=global_b[lm.cells_global],
-                    f_vertex=f_vertex_global[lm.vertices_global],
+                RK4Integrator(
+                    lm, config, global_b[lm.cells_global],
+                    f_vertex_global[lm.vertices_global],
                 )
             )
+        self.load_state(global_state)
         self.exchange_count = 0
         self.schedule = halo_schedule_for(config)
-        meshes = [rd.mesh for rd in self.ranks]
+        meshes = [rk.mesh for rk in self.ranks]
         # Refresh index sets per kept sync point (ring-limited under the
         # dataflow schedule; the static schedule keeps the full-slice path).
         self._sync_idx: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -180,15 +162,15 @@ class DecomposedShallowWater:
         )
 
     # ------------------------------------------------------------- exchange
-    def _exchange(self, states: list[State], sync: str = "") -> None:
+    def _exchange(self, states: list[State], sync: str) -> None:
         """Refresh halo values of ``h``/``u`` from their owning ranks.
 
         ``sync`` names the Algorithm-1 synchronization point; under the
         dataflow :class:`~repro.dataflow.schedule.HaloSchedule` an elided
         point returns immediately (no exchange, no fault site) and a kept
         point refreshes only the fields it names, ring-limited to its
-        depth.  The static schedule (and a call without ``sync``) keeps the
-        full-slice refresh of every halo point.
+        depth.  The static schedule keeps the full-slice refresh of every
+        halo point.
 
         Each executed exchange is one ``halo.exchange`` fault site (a
         dropped MPI message).  A faulted exchange is re-attempted up to
@@ -199,10 +181,10 @@ class DecomposedShallowWater:
         fault propagates — a halo the ranks never agree on is not
         recoverable by degradation.
         """
-        point = self.schedule.entry(sync) if sync else None
-        if sync and point is None:
+        point = self.schedule.entry(sync)
+        if point is None:
             return  # elided by the dataflow schedule: provably clean
-        thin = point is not None and self.schedule.mode == "dataflow"
+        thin = self.schedule.mode == "dataflow"
         attempt = 0
         while True:
             try:
@@ -221,7 +203,7 @@ class DecomposedShallowWater:
                     "resilience.halo.backoff_s", ranks=self.n_ranks
                 ).inc(policy.halo_backoff_s * 2.0**attempt)
                 attempt += 1
-        fields = point.fields if point is not None else ("h", "u")
+        fields = point.fields
         skip = self._skip_refresh
         if skip is not None and skip[0] == sync:
             fields = tuple(f for f in fields if f != skip[1])
@@ -229,17 +211,17 @@ class DecomposedShallowWater:
             self._sync_bytes[sync] if thin else self._bytes_per_exchange
         )
         with trace_span(
-            "halo_exchange", category="halo", sync=sync or "full",
+            "halo_exchange", category="halo", sync=sync,
             ranks=self.n_ranks, bytes_est=bytes_moved,
         ):
             gh = np.empty(self.mesh.nCells)
             gu = np.empty(self.mesh.nEdges)
-            for rd, st in zip(self.ranks, states):
-                lm = rd.mesh
+            for rk, st in zip(self.ranks, states):
+                lm = rk.mesh
                 gh[lm.cells_global[: lm.n_owned_cells]] = st.h[: lm.n_owned_cells]
                 gu[lm.edges_global[: lm.n_owned_edges]] = st.u[: lm.n_owned_edges]
-            for r, (rd, st) in enumerate(zip(self.ranks, states)):
-                lm = rd.mesh
+            for r, (rk, st) in enumerate(zip(self.ranks, states)):
+                lm = rk.mesh
                 if thin:
                     cell_idx, edge_idx = self._sync_idx[sync][r]
                     if "h" in fields:
@@ -256,40 +238,15 @@ class DecomposedShallowWater:
         self._halo_exchanges.inc()
 
     # ----------------------------------------------------------------- step
-    def step(self) -> None:
-        """One RK-4 step across all ranks (Algorithm 1, lockstep)."""
-        dt = self.config.dt
-        provis = [rd.state.copy() for rd in self.ranks]
-        provis_diag = [rd.diag for rd in self.ranks]
-        acc = [rd.state.copy() for rd in self.ranks]
+    def begin(self, sync: str, states: list[State]) -> None:
+        """The lockstep halo transport: the whole exchange, in place, now."""
+        self._exchange(states, sync)
 
-        for stage in range(4):
-            self._exchange(provis, sync=f"pre@s{stage + 1}")
-            tends = [
-                compute_tend(rd.mesh, pv, pd, rd.b_cell, self.config)
-                for rd, pv, pd in zip(self.ranks, provis, provis_diag)
-            ]
-            for (tend_h, tend_u), a in zip(tends, acc):
-                accumulative_update(a, tend_h, tend_u, RK_ACCUMULATE_WEIGHTS[stage] * dt)
-            if stage < 3:
-                provis = [
-                    compute_next_substep_state(
-                        rd.state, th, tu, RK_SUBSTEP_WEIGHTS[stage] * dt
-                    )
-                    for rd, (th, tu) in zip(self.ranks, tends)
-                ]
-                self._exchange(provis, sync=f"post@s{stage + 1}")
-                provis_diag = [
-                    compute_solve_diagnostics(rd.mesh, pv, rd.f_vertex, self.config)
-                    for rd, pv in zip(self.ranks, provis)
-                ]
-            else:
-                self._exchange(acc, sync="post@s4")
-                for rd, a in zip(self.ranks, acc):
-                    rd.diag = compute_solve_diagnostics(
-                        rd.mesh, a, rd.f_vertex, self.config
-                    )
-                    rd.state = a
+    def step(self) -> None:
+        """One RK-4 step across all ranks (the shared step program)."""
+        self.states, self.diags = rk4_step(
+            self.ranks, self.states, self.diags, transport=self
+        )
 
     def run(self, steps: int):
         """Integrate ``steps`` steps; returns the gathered
@@ -310,31 +267,32 @@ class DecomposedShallowWater:
     def load_state(self, state: State, step: int = 0) -> None:
         """Replace every rank's local state from a restored global ``state``.
 
-        Each rank re-slices its owned + halo points from the global arrays
-        and recomputes its diagnostics — the resume counterpart of the
-        initial-condition slicing in ``__init__`` (``step`` is accepted for
-        signature parity with the pool executor; the lockstep runner keeps
-        no step counter).
+        Each rank slices its owned + halo points from the global arrays and
+        computes its diagnostics — the initial condition in ``__init__``, a
+        restored checkpoint on resume (``step`` is accepted for signature
+        parity with the pool executor; the lockstep runner keeps no step
+        counter).
         """
-        for rd in self.ranks:
-            lm = rd.mesh
-            rd.state = State(
-                h=state.h[lm.cells_global].copy(),
-                u=state.u[lm.edges_global].copy(),
+        self.states: list[State] = [
+            State(
+                h=state.h[rk.mesh.cells_global].copy(),
+                u=state.u[rk.mesh.edges_global].copy(),
             )
-            rd.diag = compute_solve_diagnostics(
-                lm, rd.state, rd.f_vertex, self.config
-            )
+            for rk in self.ranks
+        ]
+        self.diags: list[Diagnostics] = [
+            rk.diagnostics_for(st) for rk, st in zip(self.ranks, self.states)
+        ]
 
     # ------------------------------------------------------------- gathering
     def gather_state(self) -> State:
         """Assemble the global state from the owned slices of all ranks."""
         gh = np.full(self.mesh.nCells, np.nan)
         gu = np.full(self.mesh.nEdges, np.nan)
-        for rd in self.ranks:
-            lm = rd.mesh
-            gh[lm.cells_global[: lm.n_owned_cells]] = rd.state.h[: lm.n_owned_cells]
-            gu[lm.edges_global[: lm.n_owned_edges]] = rd.state.u[: lm.n_owned_edges]
+        for rk, st in zip(self.ranks, self.states):
+            lm = rk.mesh
+            gh[lm.cells_global[: lm.n_owned_cells]] = st.h[: lm.n_owned_cells]
+            gu[lm.edges_global[: lm.n_owned_edges]] = st.u[: lm.n_owned_edges]
         if np.any(np.isnan(gh)) or np.any(np.isnan(gu)):
             raise AssertionError("ownership does not cover the mesh")
         return State(h=gh, u=gu)

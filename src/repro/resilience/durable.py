@@ -319,7 +319,8 @@ class DurableRun:
             want = self.manifest["config"]
             got = dataclasses.asdict(config)
             bad = sorted(
-                k for k in set(want) | set(got) if want.get(k) != got.get(k)
+                k for k in (set(want) | set(got)) - set(SWConfig.RETIRED_FIELDS)
+                if want.get(k) != got.get(k)
             )
             if bad:
                 detail = ", ".join(
@@ -553,7 +554,7 @@ def resume_durable(
             f"{run.manifest['steps']} steps; start a fresh run directory "
             f"to integrate further"
         )
-    config = SWConfig(**run.manifest["config"])
+    config = SWConfig.from_dict(run.manifest["config"])
     case = resolve_case(run.manifest["case"])
     mesh = run.resolve_mesh(mesh)
 

@@ -63,7 +63,8 @@ class SWConfig:
         RecoveryPolicy` for each knob's meaning).
     guard_interval : int
         Run the numerical watchdog every this many steps (0 disables it);
-        1 gives the per-step NaN/Inf scan.
+        1 gives the per-step NaN/Inf scan.  Serial only: the decomposed
+        executors run no watchdog, so a non-zero value is rejected there.
     guard_policy : str
         What a watchdog violation does: ``"halt"`` raises
         :class:`~repro.resilience.guards.NumericalBlowup` with a diagnostic
@@ -137,9 +138,6 @@ class SWConfig:
     #: Relative amplitude of the thickness perturbation applied to each
     #: member's initial condition (0 runs N identical members).
     ensemble_amplitude: float = 1e-6
-    #: ``"lockstep"`` advances all members through one batched plan;
-    #: ``"serial"`` runs them one by one (the bitwise reference path).
-    ensemble_mode: str = "lockstep"
 
     #: Execution modes accepted by :attr:`parallel`.
     PARALLEL_MODES = ("serial", "lockstep", "pool")
@@ -147,8 +145,9 @@ class SWConfig:
     #: Halo schedules accepted by :attr:`halo_schedule`.
     HALO_SCHEDULES = ("static", "dataflow")
 
-    #: Ensemble execution modes accepted by :attr:`ensemble_mode`.
-    ENSEMBLE_MODES = ("lockstep", "serial")
+    #: Fields this class used to have.  Manifests and restart files written
+    #: before their removal still carry them; :meth:`from_dict` drops them.
+    RETIRED_FIELDS = ("ensemble_mode",)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -204,6 +203,11 @@ class SWConfig:
                 f"ranks={self.ranks} needs a decomposed mode: "
                 "set parallel='pool' or parallel='lockstep'"
             )
+        if self.guard_interval and self.parallel != "serial":
+            raise ValueError(
+                f"guard_interval > 0 requires parallel='serial' (got parallel="
+                f"{self.parallel!r}); the decomposed executors run no watchdog"
+            )
         from ..engine import BACKENDS  # deferred: config must stay import-light
 
         if self.backend not in BACKENDS:
@@ -236,11 +240,6 @@ class SWConfig:
                 f"perturbation; 0 runs identical members), got "
                 f"{self.ensemble_amplitude!r}"
             )
-        if self.ensemble_mode not in self.ENSEMBLE_MODES:
-            raise ValueError(
-                f"ensemble_mode must be one of {self.ENSEMBLE_MODES}, "
-                f"got {self.ensemble_mode!r}"
-            )
         if self.ensemble:
             if self.backend != "sparse":
                 raise ValueError(
@@ -252,6 +251,19 @@ class SWConfig:
                     "ensemble batching is in-process: set parallel='serial' "
                     f"(got parallel={self.parallel!r})"
                 )
+
+    @classmethod
+    def from_dict(cls, stored: dict) -> "SWConfig":
+        """The config a manifest or restart file recorded.
+
+        The one loader of persisted configs: keys named in
+        :attr:`RETIRED_FIELDS` are dropped (run directories written before a
+        field was retired keep loading); any other unknown key is still a
+        ``TypeError``.
+        """
+        return cls(
+            **{k: v for k, v in stored.items() if k not in cls.RETIRED_FIELDS}
+        )
 
     def recovery_policy(self):
         """The :class:`~repro.resilience.recovery.RecoveryPolicy` these knobs

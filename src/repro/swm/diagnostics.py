@@ -27,6 +27,7 @@ def compute_solve_diagnostics(
     state: State,
     f_vertex: np.ndarray,
     config: SWConfig,
+    unstable: np.ndarray | None = None,
 ) -> Diagnostics:
     """Compute all diagnostic fields from ``state``.
 
@@ -39,11 +40,21 @@ def compute_solve_diagnostics(
         Coriolis parameter at vorticity points.
     config : SWConfig
         ``apvm_upwinding`` and ``thickness_adv_order`` are honoured here.
+    unstable : (N,) bool array, optional
+        Batched ``(n, N)`` states only: receives per-member stability flags
+        instead of a raise (:meth:`repro.engine.plan.ExecutionPlan.diagnostics`).
     """
     if config.plan:
         from ..engine.plan import compiled_plan
 
-        return compiled_plan(mesh, config).diagnostics(state, f_vertex)
+        return compiled_plan(
+            mesh, config, batch=state.n_members or 0
+        ).diagnostics(state, f_vertex, unstable=unstable)
+    if state.n_members is not None:
+        raise ValueError(
+            "batched (n, N) states execute through the compiled plan: "
+            "set plan=True (requires backend='sparse')"
+        )
     h, u = state.h, state.u
     backend = config.backend
 
@@ -63,10 +74,10 @@ def compute_solve_diagnostics(
         v = dispatch("tangential_velocity", mesh, u, backend=backend)
     with pattern_span("E1", mesh, backend=backend):
         h_vertex = dispatch("vertex_from_cells_kite", mesh, h, backend=backend)
-        unstable = bool(np.any(h_vertex <= 0.0))
-        if not unstable:
+        blown_up = bool(np.any(h_vertex <= 0.0))
+        if not blown_up:
             pv_vertex = (f_vertex + vorticity) / h_vertex
-    if unstable:
+    if blown_up:
         raise FloatingPointError(
             "non-positive h_vertex: the simulation has gone unstable "
             "(reduce dt or check the initial condition)"

@@ -330,7 +330,7 @@ class ShallowWaterModel:
         from pathlib import Path
 
         with np.load(Path(path)) as data:
-            config = SWConfig(**json.loads(str(data["config"])))
+            config = SWConfig.from_dict(json.loads(str(data["config"])))
             model = cls(mesh, config)
             state = State(h=data["h"].copy(), u=data["u"].copy())
             state.validate_shapes(mesh.nCells, mesh.nEdges)

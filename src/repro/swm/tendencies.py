@@ -52,7 +52,9 @@ def compute_tend(
         # lockstep, pool and split callers all take it.
         from ..engine.plan import compiled_plan
 
-        return compiled_plan(mesh, config).tend(state, diag, b_cell)
+        return compiled_plan(mesh, config, batch=state.n_members or 0).tend(
+            state, diag, b_cell
+        )
     backend = config.backend
     # Pattern A1: mass tendency, gather over the edges of each cell.
     with pattern_span("A1", mesh, backend=backend):

@@ -15,6 +15,12 @@ line  kernel                         role
 8/10  ``accumulative_update``        accumulate the RK-weighted tendency
 12    ``mpas_reconstruct``           cell-centre velocity vectors
 ====  =============================  ====================================
+
+:func:`rk4_step` is the only place in the package where the four RK stages
+are written out.  Serial, ensemble (the member axis of a batched state),
+lockstep and both pool schedules all execute it; they differ in how many
+ranks they hand it and in the :class:`HaloTransport` that moves halo values
+at the eight synchronization points.
 """
 
 from __future__ import annotations
@@ -28,7 +34,14 @@ from ..obs.instrument import kernel_span, pattern_span
 from .config import SWConfig
 from .state import Diagnostics, Reconstruction, State
 
-__all__ = ["RK4Integrator", "StepResult", "RK_SUBSTEP_WEIGHTS", "RK_ACCUMULATE_WEIGHTS"]
+__all__ = [
+    "RK4Integrator",
+    "HaloTransport",
+    "rk4_step",
+    "StepResult",
+    "RK_SUBSTEP_WEIGHTS",
+    "RK_ACCUMULATE_WEIGHTS",
+]
 
 #: Provisional-state weights (fraction of dt) for stages 1..3 (Alg. 1 line 6).
 RK_SUBSTEP_WEIGHTS: tuple[float, float, float] = (0.5, 0.5, 1.0)
@@ -72,12 +85,47 @@ def accumulative_update(
         acc.u += weight_dt * tend_u
 
 
-class RK4Integrator:
-    """Drives the shallow-water core through RK-4 steps.
+class HaloTransport:
+    """What the step program needs from a halo exchange.
 
-    The six Algorithm-1 kernels are resolved by *name* from the engine's
+    The program calls :meth:`begin` at each of the eight named Algorithm-1
+    synchronization points (``"pre@s1"`` .. ``"post@s4"``) with the states
+    whose halos must be current before their next read — one per rank the
+    program is stepping — and :meth:`finish` on the returned token at the
+    last point before that read.  ``begin`` returning ``None`` means nothing
+    is in flight: the point was elided, or the exchange already completed.
+
+    This base class is the serial transport (one rank, no halo).  The
+    decomposed executors subclass it: lockstep exchanges in place at
+    ``begin`` (:class:`repro.parallel.runner.DecomposedShallowWater`), the
+    pool's static schedule runs its two-phase barrier there, and its
+    dataflow schedule publishes at ``begin`` and acquires at ``finish``
+    (:mod:`repro.parallel.pool`).
+    """
+
+    def begin(self, sync: str, states: list[State]):
+        return None
+
+    def finish(self, token) -> None:
+        raise RuntimeError("no halo exchange is in flight")
+
+
+_SERIAL = HaloTransport()
+
+
+class RK4Integrator:
+    """One rank's Algorithm-1 kernels, bound to its mesh and fixed fields.
+
+    The six kernels are resolved by *name* from the engine's
     :func:`~repro.engine.default_registry` (or an explicit ``registry``), so
-    an instrumented or substituted kernel table drives the exact same loop.
+    an instrumented or substituted kernel table drives the exact same
+    program.  :meth:`step` advances a serial run; the decomposed executors
+    hand one integrator per rank (built on its
+    :class:`~repro.parallel.halo.LocalMesh`) to :func:`rk4_step`.
+
+    Fields may carry a trailing member axis (``State.stack``): under
+    ``config.plan`` every kernel then runs the batched plan, and column
+    ``k`` of a step is bitwise the serial step of member ``k``.
 
     Parameters
     ----------
@@ -125,6 +173,11 @@ class RK4Integrator:
             if boundary_mask is None
             else np.asarray(boundary_mask, dtype=bool)
         )
+        #: An :class:`~repro.engine.plan.OverlapDiagnostics` for this rank's
+        #: mesh, attached by the pool's dataflow worker: diagnostics of a
+        #: state whose exchange is in flight then split into interior rows
+        #: (before the acquire) and boundary rows (after it).
+        self.overlap = None
         if config.plan:
             # Compile (and warm the cache for) the fused plan up front so
             # the first step does not pay compilation inside the timed loop.
@@ -132,75 +185,140 @@ class RK4Integrator:
 
             compiled_plan(mesh, config, registry=registry)
 
-    # The halo-exchange hook lets the distributed driver reuse this exact
-    # integrator; serial runs leave it as a no-op.  ``sync`` names the
-    # Algorithm-1 synchronization point (``"pre@s1"`` .. ``"post@s4"``) so
-    # a schedule-aware runner can elide or thin the exchange per point.
-    def exchange_halo(self, state: State, sync: str = "") -> None:  # pragma: no cover - hook
-        """Overridden by the distributed runner; no-op in serial."""
+    def diagnostics_for(
+        self, state: State, unstable: np.ndarray | None = None
+    ) -> Diagnostics:
+        """Diagnostics consistent with an arbitrary state (e.g. the IC).
 
-    def diagnostics_for(self, state: State) -> Diagnostics:
-        """Diagnostics consistent with an arbitrary state (e.g. the IC)."""
+        ``unstable`` — an ``(N,)`` bool array, batched states only —
+        collects per-member stability flags instead of raising (see
+        :meth:`repro.engine.plan.ExecutionPlan.diagnostics`).
+        """
+        # Passed only when given, so a substituted four-argument kernel
+        # keeps driving serial states.
+        extra = {} if unstable is None else {"unstable": unstable}
         return self._compute_solve_diagnostics(
-            self.mesh, state, self.f_vertex, self.config
+            self.mesh, state, self.f_vertex, self.config, **extra
         )
 
-    def step(self, state: State, diag: Diagnostics) -> StepResult:
+    def step(
+        self, state: State, diag: Diagnostics, unstable: np.ndarray | None = None
+    ) -> StepResult:
         """Advance one full time step (Algorithm 1, inner loop).
 
         ``diag`` must be consistent with ``state`` (as produced by the
         previous step, or by :meth:`diagnostics_for` for the first one).
         """
-        dt = self.config.dt
-        provis = state.copy()
-        provis_diag = diag
-        acc = state.copy()
-
-        backend = self.config.backend
-        new_diag: Diagnostics | None = None
-        for stage in range(4):
-            self.exchange_halo(provis, sync=f"pre@s{stage + 1}")
-            with kernel_span("compute_tend", stage=stage, backend=backend):
-                tend_h, tend_u = self._compute_tend(
-                    self.mesh, provis, provis_diag, self.b_cell, self.config
-                )
-            with kernel_span("enforce_boundary_edge", stage=stage, backend=backend):
-                self._enforce_boundary_edge(tend_u, self.boundary_mask)
-            with kernel_span("accumulative_update", stage=stage, backend=backend):
-                self._accumulative_update(
-                    acc, tend_h, tend_u, RK_ACCUMULATE_WEIGHTS[stage] * dt
-                )
-            if stage < 3:
-                with kernel_span(
-                    "compute_next_substep_state", stage=stage, backend=backend
-                ):
-                    provis = self._compute_next_substep_state(
-                        state, tend_h, tend_u, RK_SUBSTEP_WEIGHTS[stage] * dt
-                    )
-                self.exchange_halo(provis, sync=f"post@s{stage + 1}")
-                with kernel_span(
-                    "compute_solve_diagnostics", stage=stage, backend=backend
-                ):
-                    provis_diag = self._compute_solve_diagnostics(
-                        self.mesh, provis, self.f_vertex, self.config
-                    )
-            else:
-                self.exchange_halo(acc, sync="post@s4")
-                with kernel_span(
-                    "compute_solve_diagnostics", stage=stage, backend=backend
-                ):
-                    new_diag = self._compute_solve_diagnostics(
-                        self.mesh, acc, self.f_vertex, self.config
-                    )
-        with kernel_span("mpas_reconstruct", backend=backend):
-            if self.config.plan:
+        (acc,), (new_diag,) = rk4_step([self], [state], [diag], unstable=unstable)
+        config = self.config
+        with kernel_span("mpas_reconstruct", backend=config.backend):
+            if config.plan:
                 # Looked up per step (not cached on self): a config
                 # mutation such as the rollback handler halving dt maps to
                 # a different plan key and must recompile transparently.
                 from ..engine.plan import compiled_plan
 
-                recon = compiled_plan(self.mesh, self.config).reconstruct(acc.u)
+                recon = compiled_plan(
+                    self.mesh, config, batch=acc.n_members or 0
+                ).reconstruct(acc.u)
             else:
-                recon = self._mpas_reconstruct(self.mesh, acc.u, backend=backend)
-        assert new_diag is not None
+                recon = self._mpas_reconstruct(
+                    self.mesh, acc.u, backend=config.backend
+                )
         return StepResult(state=acc, diagnostics=new_diag, reconstruction=recon)
+
+
+def rk4_step(
+    ranks: list[RK4Integrator],
+    states: list[State],
+    diags: list[Diagnostics],
+    transport: HaloTransport = _SERIAL,
+    unstable: np.ndarray | None = None,
+) -> tuple[list[State], list[Diagnostics]]:
+    """The RK-4 step program: Algorithm 1 lines 2-11, written once.
+
+    Every executor runs this function and differs only in ``ranks`` and
+    ``transport``: the serial integrator and a pool worker pass one rank,
+    the lockstep runner passes them all (each phase then sweeps the ranks
+    in order, so an exchange sees every rank's published state).  Returns
+    the accepted ``(states, diagnostics)``, one per rank; the inputs are
+    not modified.  ``mpas_reconstruct`` (line 12) is not part of the
+    program — serial runs it per step, decomposed runs once at gather.
+
+    Per stage the order is the one every transport can share: tendency,
+    provisional state, ``transport.begin``, accumulation, diagnostics —
+    with ``transport.finish`` at the last point before the halo is read
+    (for a rank carrying an ``overlap`` program, between the interior and
+    the boundary rows of the diagnostics).  The accumulation is independent
+    of the provisional state, so running it inside the exchange window
+    moves no bit relative to Algorithm 1's textual order.
+
+    ``unstable`` passes through to the diagnostics of batched states.
+    """
+    config = ranks[0].config
+    dt, backend = config.dt, config.backend
+    provis = [s.copy() for s in states]
+    provis_diag = list(diags)
+    acc = [s.copy() for s in states]
+
+    def accumulate(stage, tends, weight_dt):
+        for rk, a, (tend_h, tend_u) in zip(ranks, acc, tends):
+            with kernel_span("accumulative_update", stage=stage, backend=backend):
+                rk._accumulative_update(a, tend_h, tend_u, weight_dt)
+
+    for stage in range(4):
+        token = transport.begin(f"pre@s{stage + 1}", provis)
+        if token is not None:
+            transport.finish(token)
+        tends = []
+        for rk, pv, pd in zip(ranks, provis, provis_diag):
+            with kernel_span("compute_tend", stage=stage, backend=backend):
+                tend_h, tend_u = rk._compute_tend(rk.mesh, pv, pd, rk.b_cell, config)
+            with kernel_span("enforce_boundary_edge", stage=stage, backend=backend):
+                rk._enforce_boundary_edge(tend_u, rk.boundary_mask)
+            tends.append((tend_h, tend_u))
+        w_acc = RK_ACCUMULATE_WEIGHTS[stage] * dt
+        if stage < 3:
+            w_sub = RK_SUBSTEP_WEIGHTS[stage] * dt
+            provis = []
+            for rk, s, (tend_h, tend_u) in zip(ranks, states, tends):
+                with kernel_span(
+                    "compute_next_substep_state", stage=stage, backend=backend
+                ):
+                    provis.append(
+                        rk._compute_next_substep_state(s, tend_h, tend_u, w_sub)
+                    )
+            token = transport.begin(f"post@s{stage + 1}", provis)
+            accumulate(stage, tends, w_acc)
+        else:
+            # The last stage publishes the accumulated state itself.
+            accumulate(stage, tends, w_acc)
+            provis = acc
+            token = transport.begin("post@s4", provis)
+
+        overlapped = token is not None and ranks[0].overlap is not None
+        if overlapped:
+            partial = []
+            for rk, pv in zip(ranks, provis):
+                with kernel_span(
+                    "compute_solve_diagnostics", stage=stage, backend=backend
+                ):
+                    partial.append(rk.overlap.interior(pv, rk.f_vertex))
+        if token is not None:
+            transport.finish(token)
+        if overlapped:
+            for rk, (_, ctx) in zip(ranks, partial):
+                with kernel_span(
+                    "compute_solve_diagnostics@boundary", stage=stage,
+                    backend=backend,
+                ):
+                    rk.overlap.boundary(ctx)
+            provis_diag = [d for d, _ in partial]
+        else:
+            provis_diag = []
+            for rk, pv in zip(ranks, provis):
+                with kernel_span(
+                    "compute_solve_diagnostics", stage=stage, backend=backend
+                ):
+                    provis_diag.append(rk.diagnostics_for(pv, unstable))
+    return acc, provis_diag

@@ -372,6 +372,63 @@ class TestWritePath:
         _assert_manifest_describes_files(d)
 
 
+class TestRetiredConfigFields:
+    """Run directories written before a config field was retired keep
+    loading; a key that never existed is still an error."""
+
+    @staticmethod
+    def _age(directory: Path, **stale) -> None:
+        """Rewrite the manifest and every committed restart file as an
+        earlier revision would have written them: ``stale`` config keys
+        included."""
+        run_ = DurableRun.open(directory)
+        run_.manifest["config"].update(stale)
+        run_.save()
+        for entry in list(run_.manifest["checkpoints"]):
+            path = run_.checkpoint_path / entry["file"]
+            with np.load(path) as data:
+                fields = {k: data[k] for k in data.files}
+            config = json.loads(str(fields["config"]))
+            config.update(stale)
+            fields["config"] = np.array(json.dumps(config))
+            np.savez(path, **fields)
+            run_.commit_checkpoint(entry["step"], path)
+
+    @staticmethod
+    def _interrupted(mesh, directory: Path) -> SWConfig:
+        """A 6-step run crashed at step 4 (checkpoints 0 and 2 committed)."""
+        cfg = _cfg(mesh, checkpoint_interval=2)
+        with use_fault_plan(_crash_plan(4)):
+            with pytest.raises(FaultInjected):
+                run("galewsky", mesh=mesh, config=cfg, steps=6, run_dir=directory)
+        return cfg
+
+    def test_directory_carrying_ensemble_mode_resumes_bitwise(
+        self, mesh3, tmp_path
+    ):
+        d = tmp_path / "run"
+        cfg = self._interrupted(mesh3, d)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        self._age(d, ensemble_mode="lockstep")
+        assert "ensemble_mode" in json.loads(
+            (d / MANIFEST_NAME).read_text()
+        )["config"]
+        DurableRun.open(d).validate_compatible(config=cfg)  # a job re-attaching
+        resumed = run(resume=d, mesh=mesh3)
+        assert np.array_equal(resumed.state.h, ref.state.h)
+        assert np.array_equal(resumed.state.u, ref.state.u)
+        assert _committed_steps(d) == [0, 2, 4, 6]
+
+    def test_unknown_key_is_still_rejected(self, mesh3, tmp_path):
+        d = tmp_path / "run"
+        cfg = self._interrupted(mesh3, d)
+        self._age(d, never_a_field=1)
+        with pytest.raises(TypeError, match="never_a_field"):
+            run(resume=d, mesh=mesh3)
+        with pytest.raises(ManifestError, match="never_a_field"):
+            DurableRun.open(d).validate_compatible(config=cfg)
+
+
 # -------------------------------------------------------- decomposed runs
 class TestDecomposedDurable:
     @pytest.mark.parametrize(

@@ -152,14 +152,16 @@ class TestFullModelEquivalence:
             SWConfig(dt=60.0, backend="fortran")
 
 
-def test_profiled_integrator_buckets_by_backend():
-    """KernelProfile keeps its old API and additionally buckets per backend."""
+def test_kernel_spans_carry_the_backend_tag():
+    """Every Algorithm-1 kernel span of a traced step names its backend."""
     from repro.mesh import cached_mesh
+    from repro.obs import Tracer, use_tracer
+    from repro.patterns.catalog import KERNELS
     from repro.swm.config import SWConfig
     from repro.swm.galewsky import galewsky_jet
     from repro.swm.model import suggested_dt
-    from repro.swm.profiling import ProfiledIntegrator
     from repro.swm.testcases import initialize
+    from repro.swm.timestep import RK4Integrator
 
     mesh = cached_mesh(2)
     case = galewsky_jet()
@@ -167,17 +169,15 @@ def test_profiled_integrator_buckets_by_backend():
         dt=suggested_dt(mesh, case, GRAVITY), backend="codegen"
     )
     state, b_cell = initialize(mesh, case)
-    integ = ProfiledIntegrator(
+    integ = RK4Integrator(
         mesh, config, b_cell, config.coriolis(mesh.metrics.latVertex)
     )
     diag = integ.diagnostics_for(state)
-    integ.step(state, diag)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        integ.step(state, diag)
 
-    profile = integ.profile
-    assert profile.steps == 1
-    assert set(profile.by_backend) == {"codegen"}
-    # The per-backend bucket partitions the classic accumulator exactly.
-    assert profile.by_backend["codegen"] == profile.seconds
-    from repro.patterns.catalog import KERNELS
-
-    assert profile.dominant() in KERNELS
+    kernels = [s for s in tracer.finished() if s.category == "kernel"]
+    assert {s.name for s in kernels} == set(KERNELS)
+    assert {s.tags["backend"] for s in kernels} == {"codegen"}
+    assert set(tracer.aggregate("backend", category="kernel")) == {"codegen"}

@@ -25,6 +25,7 @@ from repro.ensemble.run import EnsembleRun, run_ensemble
 from repro.resilience.guards import member_finite_mask
 from repro.swm.model import ShallowWaterModel
 from repro.swm.state import State
+from repro.swm.timestep import RK4Integrator
 
 SEED = 2015
 AMPLITUDE = 1e-6
@@ -138,14 +139,19 @@ class TestBitwiseMemberIdentity:
                 i.mass for i in ref.invariant_history
             ]
 
-    def test_serial_mode_equals_lockstep_mode(self, mesh3, case, dt):
-        lock = run_ensemble(mesh3, case, _config(dt), STEPS)
-        ser = run_ensemble(
-            mesh3, case, _config(dt, ensemble_mode="serial"), STEPS
-        )
-        for a, b in zip(lock.members, ser.members):
-            assert np.array_equal(a.state.h, b.state.h)
-            assert np.array_equal(a.state.u, b.state.u)
+    def test_serial_mode_equals_lockstep_mode(self, mesh3, dt):
+        """Member k of the batch == a serial ``run`` of the seeded
+        ``perturbed:`` scenario token (bitwise the member's IC)."""
+        from repro.api import run
+
+        lock = run_ensemble(mesh3, resolve_case("galewsky"), _config(dt), STEPS)
+        for k, member in enumerate(lock.members):
+            ser = run(
+                f"perturbed:galewsky:{k}:{SEED}:{AMPLITUDE}", mesh=mesh3,
+                config=SWConfig(dt=dt, backend="sparse"), steps=STEPS,
+            )
+            assert np.array_equal(member.state.h, ser.state.h)
+            assert np.array_equal(member.state.u, ser.state.u)
 
     def test_api_wrapper_agrees(self, mesh3, dt):
         from repro.api import run_ensemble as api_run_ensemble
@@ -215,11 +221,76 @@ class TestDivergenceIsolation:
     def test_without_mask_the_batch_raises_like_serial(self, mesh3, case, dt):
         states, _ = ensemble_initial_states(mesh3, case, 2, SEED, AMPLITUDE)
         states[0].h *= -1.0
-        cfg = _config(dt, ensemble=2)
-        integ = BatchedIntegrator(
-            mesh3, cfg, np.zeros(mesh3.nCells), _f_vertex(mesh3, case), 2
+        integ = RK4Integrator(
+            mesh3, SWConfig(dt=dt, backend="sparse", plan=True),
+            np.zeros(mesh3.nCells), _f_vertex(mesh3, case),
         )
         with pytest.raises(FloatingPointError, match="non-positive h_vertex"):
+            integ.diagnostics_for(State.stack(states))
+
+
+# ------------------------------------------- the plain integrator, batched
+class TestIntegratorOverMemberAxis:
+    """``RK4Integrator`` is shape-agnostic over the member axis: the one
+    step program on ``State.stack(members)`` is the per-member serial step,
+    column by column."""
+
+    def _integrators(self, mesh, case, dt):
+        _, b = ensemble_initial_states(mesh, case, 1, SEED, AMPLITUDE)
+        f = _f_vertex(mesh, case)
+        batched = RK4Integrator(
+            mesh, SWConfig(dt=dt, backend="sparse", plan=True), b, f
+        )
+        return batched, b, f
+
+    @pytest.mark.parametrize("plan", [False, True], ids=["sparse", "plan"])
+    def test_stacked_step_equals_member_steps(self, mesh3, case, dt, plan):
+        states, _ = ensemble_initial_states(mesh3, case, N, SEED, AMPLITUDE)
+        batched, b, f = self._integrators(mesh3, case, dt)
+        serial = RK4Integrator(
+            mesh3, SWConfig(dt=dt, backend="sparse", plan=plan), b, f
+        )
+        packed = State.stack(states)
+        diag = batched.diagnostics_for(packed)
+        members = [(s, serial.diagnostics_for(s)) for s in states]
+        for _ in range(2):
+            out = batched.step(packed, diag)
+            packed, diag = out.state, out.diagnostics
+            refs = [serial.step(s, d) for s, d in members]
+            members = [(r.state, r.diagnostics) for r in refs]
+            for k, ref in enumerate(refs):
+                assert np.array_equal(packed.member(k).h, ref.state.h)
+                assert np.array_equal(packed.member(k).u, ref.state.u)
+                assert np.array_equal(
+                    diag.member(k).pv_edge, ref.diagnostics.pv_edge
+                )
+                assert np.array_equal(
+                    out.reconstruction.member(k).uReconstructZonal,
+                    ref.reconstruction.uReconstructZonal,
+                )
+
+    def test_unstable_mask_isolates_a_poisoned_column(self, mesh3, case, dt):
+        states, _ = ensemble_initial_states(mesh3, case, N, SEED, AMPLITUDE)
+        clean = [s.copy() for s in states]
+        states[1].h *= -1.0  # finite, non-positive: trips E1 in column 1 only
+        batched, _, _ = self._integrators(mesh3, case, dt)
+        unstable = np.zeros(N, dtype=bool)
+        packed = State.stack(states)
+        diag = batched.diagnostics_for(packed, unstable=unstable)
+        out = batched.step(packed, diag, unstable=unstable)
+        assert unstable.tolist() == [False, True, False]
+        ref_packed = State.stack(clean)
+        ref = batched.step(ref_packed, batched.diagnostics_for(ref_packed))
+        for k in (0, 2):
+            assert np.array_equal(out.state.member(k).h, ref.state.member(k).h)
+            assert np.array_equal(out.state.member(k).u, ref.state.member(k).u)
+
+    def test_batched_state_without_plan_is_rejected(self, mesh3, case, dt):
+        states, b = ensemble_initial_states(mesh3, case, 2, SEED, AMPLITUDE)
+        integ = RK4Integrator(
+            mesh3, SWConfig(dt=dt, backend="sparse"), b, _f_vertex(mesh3, case)
+        )
+        with pytest.raises(ValueError, match="plan=True"):
             integ.diagnostics_for(State.stack(states))
 
 
@@ -267,10 +338,6 @@ class TestConfigKnobs:
     def test_rejects_negative_amplitude(self, dt):
         with pytest.raises(ValueError, match="relative thickness perturbation"):
             SWConfig(dt=600.0, ensemble_amplitude=-1e-6)
-
-    def test_rejects_unknown_mode(self, dt):
-        with pytest.raises(ValueError, match="ensemble_mode"):
-            SWConfig(dt=600.0, ensemble_mode="async")
 
     def test_ensemble_requires_sparse_backend(self, dt):
         with pytest.raises(ValueError, match="backend='sparse'"):

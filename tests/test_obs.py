@@ -345,60 +345,6 @@ class TestReport:
             assert "3 calls" in row
 
 
-# ----------------------------------------------------------------------- shim
-class TestProfiledIntegratorShim:
-    def test_shim_matches_tracer(self, mesh3):
-        from repro.swm.profiling import ProfiledIntegrator
-
-        case = isolated_mountain()
-        config = SWConfig(
-            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5), thickness_adv_order=4
-        )
-        state, b_cell = initialize(mesh3, case)
-        f_vertex = config.coriolis(mesh3.metrics.latVertex)
-        integ = ProfiledIntegrator(mesh3, config, b_cell, f_vertex)
-        diag = integ.diagnostics_for(state)
-        integ.step(state, diag)
-        integ.profile.reset()
-        mark = len(integ.tracer.spans)
-
-        s, d = state, diag
-        for _ in range(2):
-            r = integ.step(s, d)
-            s, d = r.state, r.diagnostics
-
-        # The shim's KernelProfile is exactly the kernel spans, re-summed.
-        from_tracer: dict[str, float] = {}
-        for span in integ.tracer.spans[mark:]:
-            if span.category == "kernel":
-                from_tracer[span.name] = from_tracer.get(span.name, 0.0) + (
-                    span.duration
-                )
-        assert set(integ.profile.seconds) == set(from_tracer)
-        for kernel, secs in integ.profile.seconds.items():
-            assert secs == pytest.approx(from_tracer[kernel], rel=1e-9)
-        assert integ.profile.steps == 2
-        # Same physical conclusion as the paper's Section II-C profile.
-        fractions = integ.profile.fractions()
-        heavy = fractions["compute_tend"] + fractions["compute_solve_diagnostics"]
-        assert heavy > 0.6
-
-    def test_shim_isolated_from_global_tracer(self, mesh3):
-        from repro.swm.profiling import ProfiledIntegrator
-
-        case = isolated_mountain()
-        config = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5))
-        state, b_cell = initialize(mesh3, case)
-        integ = ProfiledIntegrator(
-            mesh3, config, b_cell, config.coriolis(mesh3.metrics.latVertex)
-        )
-        diag = integ.diagnostics_for(state)
-        before = len(get_tracer().spans)
-        integ.step(state, diag)
-        assert len(get_tracer().spans) == before  # nothing leaked globally
-        assert len(integ.tracer.spans) > 0
-
-
 # ------------------------------------------------------------- executor + tune
 class TestSimulatedSpans:
     @pytest.fixture(scope="class")
@@ -498,6 +444,69 @@ class TestHaloCounters:
         halo_spans = [s for s in tracer.finished() if s.category == "halo"]
         assert len(halo_spans) == 8
         assert all(s.tags["bytes_est"] == per_exchange for s in halo_spans)
+
+
+class TestDecomposedKernelSpans:
+    """One step program: every executor emits the serial run's per-kernel
+    spans, per rank (``mpas_reconstruct`` excepted — decomposed runs
+    reconstruct once, at gather)."""
+
+    STEPS = 2
+    RANKS = 2
+
+    def _kernel_spans(self, mesh, **config):
+        from repro.api import run
+
+        case = isolated_mountain()
+        cfg = SWConfig(dt=suggested_dt(mesh, case, GRAVITY, cfl=0.5), **config)
+        with use_registry(MetricsRegistry()), use_tracer(Tracer()) as tracer:
+            run(case, mesh=mesh, config=cfg, steps=self.STEPS)
+        return [s for s in tracer.finished() if s.category == "kernel"]
+
+    @pytest.mark.parametrize(
+        "parallel,halo_schedule,engine",
+        [
+            ("lockstep", "static", {}),
+            ("lockstep", "dataflow", {}),
+            ("pool", "static", {}),
+            ("pool", "dataflow", {}),
+            ("pool", "dataflow", {"backend": "sparse", "plan": True}),
+        ],
+        ids=[
+            "lockstep-static", "lockstep-dataflow", "pool-static",
+            "pool-dataflow", "pool-dataflow-plan",
+        ],
+    )
+    def test_each_rank_emits_the_serial_kernel_spans(
+        self, mesh3, parallel, halo_schedule, engine
+    ):
+        from collections import Counter
+
+        expected = Counter(s.name for s in self._kernel_spans(mesh3, **engine))
+        assert expected.pop("mpas_reconstruct") == self.STEPS
+        assert sum(expected.values()) == 19 * self.STEPS
+
+        spans = self._kernel_spans(
+            mesh3, parallel=parallel, ranks=self.RANKS,
+            halo_schedule=halo_schedule, **engine,
+        )
+        if parallel == "pool":  # merged from the workers, tagged rank=r
+            per_rank = [
+                Counter(s.name for s in spans if s.tags.get("rank") == r)
+                for r in range(self.RANKS)
+            ]
+        else:  # one process sweeps the ranks phase by phase
+            total = Counter(s.name for s in spans)
+            assert all(n % self.RANKS == 0 for n in total.values())
+            per_rank = [
+                Counter({k: n // self.RANKS for k, n in total.items()})
+            ] * self.RANKS
+        for got in per_rank:
+            # Overlapped diagnostics add the post-acquire boundary pass
+            # under its own name; the Algorithm-1 names match serial.
+            boundary = got.pop("compute_solve_diagnostics@boundary", 0)
+            assert (boundary > 0) == bool(engine and halo_schedule == "dataflow")
+            assert got == expected
 
 
 # ------------------------------------------------------------------ CLI smoke

@@ -195,6 +195,36 @@ class TestPoolRecovery:
             ) as pool:
                 pool.run(2)
 
+    @pytest.mark.parametrize("halo_schedule", ["static", "dataflow"])
+    def test_numerical_failure_is_reported_not_respawned(
+        self, mesh3, halo_schedule
+    ):
+        """A blow-up inside a worker is the model failing, not the worker:
+        the cause reaches the caller as ``FloatingPointError`` (like serial
+        and lockstep), after one attempt and zero respawns."""
+        case = steady_zonal_flow()
+        cfg = SWConfig(
+            dt=40.0 * suggested_dt(mesh3, case, GRAVITY),
+            halo_schedule=halo_schedule,
+        )
+        with use_registry(MetricsRegistry()) as registry:
+            with pytest.raises(
+                FloatingPointError,
+                match=r"rank \d failed at step \d+: non-positive h_vertex",
+            ):
+                with PoolShallowWater(
+                    mesh3, 2, case, cfg, barrier_timeout=TIMEOUT
+                ) as pool:
+                    pool.run(20)
+            counted = {
+                rec["metric"]: rec["value"]
+                for rec in registry.snapshot()
+                if rec["metric"].startswith("resilience.")
+            }
+        assert counted.get("resilience.pool.respawn", 0) == 0
+        assert counted.get("resilience.recovery.retry", 0) == 0
+        assert pool._closed
+
     def test_closed_pool_rejects_work(self, mesh3):
         case = steady_zonal_flow()
         cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
@@ -411,9 +441,11 @@ class TestAdaptiveTimeout:
         so a deliberately skewed-slow rank must ride through a timeout that
         is shorter than its own stage time — zero respawns, bitwise state.
         """
-        import repro.parallel.pool as pool_mod
+        from repro.engine import default_registry
 
-        real = pool_mod.compute_solve_diagnostics
+        # Every rank resolves its kernels by name from the registry.
+        kernels = default_registry()._kernels
+        real = kernels["compute_solve_diagnostics"]
 
         def skewed(lm, state, f_vertex, config):
             time.sleep(0.25 * getattr(lm, "rank", 0))
@@ -426,7 +458,7 @@ class TestAdaptiveTimeout:
         )
         res = _serial(mesh3, case, cfg, steps=2)
         # workers fork after the patch, so they inherit the skewed kernel
-        monkeypatch.setattr(pool_mod, "compute_solve_diagnostics", skewed)
+        monkeypatch.setitem(kernels, "compute_solve_diagnostics", skewed)
         with use_registry(MetricsRegistry()) as registry:
             with PoolShallowWater(
                 mesh3, 3, case, cfg, barrier_timeout=0.2

@@ -172,6 +172,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="parallel='pool'"):
             api.SWConfig(dt=600.0, ranks=4)
 
+    @pytest.mark.parametrize("parallel", ["lockstep", "pool"])
+    def test_rejects_guards_in_decomposed_modes(self, parallel):
+        """The decomposed executors run no watchdog; a guard that would be
+        silently ignored is refused (serial keeps it)."""
+        api.SWConfig(dt=600.0, guard_interval=1, guard_cfl_max=0.01)
+        with pytest.raises(ValueError, match="guard_interval.*parallel='serial'"):
+            api.SWConfig(
+                dt=600.0, parallel=parallel, ranks=2,
+                guard_interval=1, guard_cfl_max=0.01,
+            )
+
     @pytest.mark.parametrize(
         "field", ["backend_retries", "halo_retries", "transfer_retries"]
     )

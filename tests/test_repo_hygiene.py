@@ -106,3 +106,45 @@ def test_every_source_package_has_an_init():
     assert not missing, (
         f"source directories without a tracked __init__.py: {missing}"
     )
+
+
+def test_the_rk_stages_are_written_once():
+    """Exactly one function in ``src/repro`` loops over the four RK stages
+    or subscripts the RK weight tables: ``swm/timestep.rk4_step``, the step
+    program every executor runs.  Five drifting copies were collapsed into
+    it; a new executor passes it ranks and a ``HaloTransport`` instead of
+    writing a sixth."""
+    import ast
+
+    weights = {"RK_ACCUMULATE_WEIGHTS", "RK_SUBSTEP_WEIGHTS"}
+
+    def steps_the_stages(node: ast.AST) -> bool:
+        if isinstance(node, ast.For):
+            it = node.iter
+            return (
+                isinstance(it, ast.Call)
+                and getattr(it.func, "id", None) == "range"
+                and [getattr(a, "value", None) for a in it.args] == [4]
+            )
+        if isinstance(node, ast.Subscript):
+            value = node.value
+            return getattr(value, "id", getattr(value, "attr", None)) in weights
+        return False
+
+    found = set()
+    root = REPO / "src" / "repro"
+    for path in sorted(root.rglob("*.py")):
+        # Outermost scopes only: a helper nested in a function belongs to it.
+        scopes = []
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            members = top.body if isinstance(top, ast.ClassDef) else [top]
+            prefix = f"{top.name}." if isinstance(top, ast.ClassDef) else ""
+            scopes += [(prefix + getattr(m, "name", "<module>"), m) for m in members]
+        for name, scope in scopes:
+            if any(steps_the_stages(n) for n in ast.walk(scope)):
+                found.add((str(path.relative_to(root)), name))
+    assert found == {("swm/timestep.py", "rk4_step")}, (
+        f"RK stage loops / weight subscripts outside the one step program: "
+        f"{sorted(found - {('swm/timestep.py', 'rk4_step')})}; run "
+        f"repro.swm.timestep.rk4_step with a HaloTransport instead"
+    )
