@@ -42,6 +42,8 @@ on disk); matrices *composed* by the algebraic mode reuse the same
 two-level mechanics under ``cache_dir()/operators/`` with
 :data:`PLAN_CACHE_VERSION` stamped alongside the operator format version —
 a version bump or mesh edit invalidates them exactly like PR 5 operators.
+The ``mpas_reconstruct`` stages (and the A4 operator's per-cell fits)
+compile on the first :meth:`~ExecutionPlan.reconstruct` / ``describe``.
 
 Execution semantics
 -------------------
@@ -84,6 +86,7 @@ Batched plans are memoized next to the serial ones, keyed by
 
 from __future__ import annotations
 
+import functools
 import os
 import weakref
 from pathlib import Path
@@ -389,7 +392,7 @@ class ExecutionPlan:
         fuse: str,
         tend_stages: list[PlanStage],
         diag_stages: list[PlanStage],
-        recon_stages: list[PlanStage],
+        compile_recon: Callable[[object], list[PlanStage]],
         buffers: dict[str, np.ndarray],
         composed: tuple[str, ...],
         schedule_labels: dict[str, list[str]],
@@ -402,11 +405,18 @@ class ExecutionPlan:
         self.batch = int(batch)
         self._tend = tend_stages
         self._diag = diag_stages
-        self._recon = recon_stages
+        self._compile_recon = compile_recon
         self._buffers = buffers
         self.composed = composed
         self.schedule_labels = schedule_labels
         self._n = (mesh.nCells, mesh.nEdges, mesh.nVertices)
+
+    @functools.cached_property
+    def _recon(self) -> list[PlanStage]:
+        # On first use: ``mpas_reconstruct`` is not part of the RK step and a
+        # decomposed rank never runs it, so neither its stages nor the
+        # per-cell fits behind the A4 operator are compiled with the plan.
+        return self._compile_recon(self._mesh())
 
     # ------------------------------------------------------------ executor
     def _run(self, stages: list[PlanStage], ctx: dict) -> None:
@@ -1525,14 +1535,20 @@ def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     sched4 = schedule_substep(config, stage=4)
     tend = comp.compile_kernel(sched1, "compute_tend")
     diag = comp.compile_kernel(sched1, "compute_solve_diagnostics")
-    recon = comp.compile_kernel(sched4, "mpas_reconstruct")
+
+    def compile_recon(mesh) -> list[PlanStage]:
+        # Takes the mesh as an argument: a closure over it would pin the
+        # mesh the memoized plan only references weakly.
+        recon = _Compiler(mesh, config, reg, batch=batch)
+        return recon.compile_kernel(sched4, "mpas_reconstruct")
+
     return ExecutionPlan(
         mesh,
         key=plan_key(config),
         fuse=fuse,
         tend_stages=tend,
         diag_stages=diag,
-        recon_stages=recon,
+        compile_recon=compile_recon,
         buffers=comp.buffers,
         composed=tuple(comp.composed),
         schedule_labels={

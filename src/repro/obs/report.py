@@ -46,6 +46,7 @@ __all__ = [
     "render_ensemble_report",
     "halo_rows",
     "render_halo_report",
+    "pool_startup_line",
     "run_traced",
     "main",
 ]
@@ -322,10 +323,10 @@ def halo_rows(tracer: Tracer) -> list[list[str]]:
 
     The decomposed runners tag every exchange span with its Algorithm-1
     sync point (``pre@s1`` .. ``post@s4``), the variables moved, a bytes
-    estimate and — under the dataflow schedule — how much of the span was
-    spent blocked (``wait_s``) versus usefully computing inside the
-    overlap window (``overlap_s``).  Static full exchanges, which carry no
-    ``sync`` tag, aggregate under ``full`` with the whole span as wait.
+    estimate and — in the pool, under either schedule — how much of the
+    span was spent blocked (``wait_s``) versus usefully computing inside
+    the overlap window (``overlap_s``).  A span without those tags (the
+    lockstep exchange) counts its whole duration as wait.
     """
     from ..dataflow.schedule import SYNC_POINT_NAMES
 
@@ -366,6 +367,26 @@ def render_halo_report(tracer: Tracer, title: str) -> str:
         title,
         ["sync", "vars", "exchanges", "bytes", "wall", "wait", "overlap"],
         rows,
+    )
+
+
+def pool_startup_line(tracer: Tracer, registry: MetricsRegistry) -> str | None:
+    """What a pool run paid before its first step, on one line: the
+    ``pool.spawn`` span with its children, then each worker's own
+    ``pool.worker.ready_s``.  ``None`` when the run spawned no pool."""
+    spawn = next((s for s in tracer.finished() if s.name == "pool.spawn"), None)
+    if spawn is None:
+        return None
+    phases = ", ".join(
+        f"{c.name} {c.duration * 1e3:.0f} ms" for c in tracer.children(spawn)
+    )
+    ready = ", ".join(
+        f"rank {s.tags.get('rank')} {s.value * 1e3:.0f} ms"
+        for s in registry.series("pool.worker.ready_s")
+    )
+    return (
+        f"Pool start-up: {spawn.duration * 1e3:.0f} ms ({phases}); "
+        f"worker ready after {ready}"
     )
 
 
@@ -694,6 +715,9 @@ def main(argv: list[str] | None = None) -> int:
         # Every executor runs the one step program, so decomposed runs carry
         # the same kernel spans (summed over ranks here, one row per kernel).
         print()
+        startup = pool_startup_line(tracer, registry)
+        if startup:
+            print(startup)
         print(render_kernel_profile(
             tracer,
             f"Measured kernel cost breakdown ({mesh.nCells} cells, "

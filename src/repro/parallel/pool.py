@@ -18,34 +18,27 @@ module only supplies that program's halo transport: values move by pure
 slice copies through a :class:`~repro.parallel.shm.SharedState` segment at
 exactly the Algorithm-1 synchronization points.
 
-Under the default static schedule
-(``SWConfig(halo_schedule="static")``) each of the 8 sync points is a
-two-phase barrier:
-
-1. every rank publishes its owned slices into the shared segment, then
-   waits (no rank may read a halo that is still being written);
-2. every rank refreshes its halo slices from the segment, then waits
-   (no rank may start publishing the *next* exchange while another is
-   still reading this one).
-
-Under ``halo_schedule="dataflow"`` the pool runs the comm-avoiding
-schedule derived from the step graph
-(:func:`repro.dataflow.schedule.derive_halo_schedule`): sync points whose
-halo the graph proves clean are skipped outright, the surviving ones move
-only the variables and halo rings the schedule names, and the global
-barrier is replaced by the publish/acknowledge counters of a
-:class:`~repro.parallel.shm.SyncBoard` over a double-buffered segment.
+Both halo schedules run through one transport (:class:`_BoardTransport`)
+over a double-buffered segment and the publish/acknowledge counters of a
+:class:`~repro.parallel.shm.SyncBoard`; no rank ever parks on a barrier.
 Each kept exchange is split around compute — a rank publishes its owned
 slices the moment the substate exists (``begin``), the step program runs
-the RK accumulation (and, under fused plans, the interior diagnostics of
-:func:`repro.engine.plan.compiled_overlap`) while its peers drain the
-exchange, and the halo is acquired only at the last read point
-(``finish``).  The owned state stays bitwise identical to the serial run
-in both modes.
+the RK accumulation (and, for a rank carrying the interior program of
+:func:`repro.engine.plan.compiled_overlap`, its interior diagnostics) while
+its peers drain the exchange, and the halo is acquired only at the last
+read point (``finish``).  The schedule decides which of the 8 sync points
+exist and what they move: all of them at full payload under the default
+``SWConfig(halo_schedule="static")``; under ``halo_schedule="dataflow"``
+(:func:`repro.dataflow.schedule.derive_halo_schedule`) only those whose
+halo the step graph cannot prove clean, moving only the variables and halo
+rings the schedule names.  The owned state stays bitwise identical to the
+serial run under both.
 
 Worker death (a crashed process, an ``os._exit`` mid-step) is recoverable:
-surviving workers time out of the broken barrier and report back, the
-parent restores the last committed global state into the shared segment,
+the parent sees the process exit at once and resets the sync board, whose
+abort word sends the surviving workers out of their waits to report back
+(a stuck but living peer is caught by the sync timeout instead); the
+parent then restores the last committed global state into the shared segment,
 respawns the dead ranks, reloads every worker and retries the batch —
 bounded by ``RecoveryPolicy.halo_retries`` (a dead worker is a lost halo
 peer), counted under ``resilience.pool.*``.  A successful retry is
@@ -66,6 +59,7 @@ import multiprocessing
 import os
 import threading
 import time
+from multiprocessing import connection
 
 import numpy as np
 
@@ -90,11 +84,9 @@ from .shm import SharedState, SyncBoard
 
 __all__ = ["PoolShallowWater", "WorkerPoolError"]
 
-#: Seconds a worker waits at an exchange barrier before declaring it broken.
-#: Under the dataflow schedule this is a *floor*: the effective timeout is
-#: ``max(DEFAULT_BARRIER_TIMEOUT, TIMEOUT_SAFETY * slowest observed compute
-#: interval)``, so a long interior-overlap window on a loaded machine never
-#: false-triggers the worker-death recovery.
+#: Seconds a worker waits at a halo sync before declaring it broken.  A
+#: *floor*: the effective timeout also allows ``TIMEOUT_SAFETY`` times the
+#: slowest observed compute interval (:meth:`_BoardTransport._timeout`).
 DEFAULT_BARRIER_TIMEOUT = 120.0
 
 
@@ -103,44 +95,19 @@ class WorkerPoolError(RuntimeError):
 
 
 # ---------------------------------------------------------------- worker side
-class _BarrierSync(HaloTransport):
-    """The static schedule's transport: every sync point is one two-phase
-    shared-memory exchange, complete when :meth:`begin` returns."""
-
-    def __init__(self, shared, lm, barrier, timeout: float) -> None:
-        self.shared = shared
-        self.lm = lm
-        self.barrier = barrier
-        self.timeout = timeout
-        self.nbytes = 8.0 * (lm.n_halo_cells + lm.n_halo_edges)
-        registry = get_registry()
-        self._bytes = registry.counter("halo.bytes", mode="pool")
-        self._exchanges = registry.counter("halo.exchanges", mode="pool")
-
-    def begin(self, sync: str, states) -> None:
-        (state,) = states
-        with trace_span("halo_exchange", category="halo", bytes_est=self.nbytes):
-            self.shared.publish_owned(self.lm, state)
-            self.barrier.wait(self.timeout)
-            self.shared.refresh_halo(self.lm, state)
-            self.barrier.wait(self.timeout)
-        self._bytes.inc(self.nbytes)
-        self._exchanges.inc()
-
-
-class _DataflowSync(HaloTransport):
-    """The dataflow schedule's transport for one rank.
+class _BoardTransport(HaloTransport):
+    """One rank's halo transport, for whichever schedule the config selects.
 
     Each kept sync point is split into a *publish* half (:meth:`begin`)
     and an *acquire* half (:meth:`finish`) so the step program can slot
     compute between them; a point the schedule elides returns ``None`` from
-    :meth:`begin` and costs nothing.  Moved bytes and wait/overlap seconds
-    feed the ``halo.*`` counters, plus one ``halo.sync`` span per
-    exchange.
+    :meth:`begin` and costs nothing.  The static schedule is simply the
+    one that keeps all eight points at full payload.  Moved bytes and
+    wait/overlap seconds feed the ``halo.*`` counters, plus one
+    ``halo.sync`` span per exchange.
     """
 
-    #: Multiplier on the slowest observed compute interval of any rank
-    #: when deriving the effective sync timeout (see :meth:`_timeout`).
+    #: Slowest observed compute intervals a sync allows (:meth:`_timeout`).
     TIMEOUT_SAFETY = 4.0
 
     def __init__(
@@ -151,9 +118,7 @@ class _DataflowSync(HaloTransport):
         self.board = board
         self.base_timeout = float(timeout)
         self.lm = lm
-        self.providers = providers
-        self.consumers = consumers
-        self.seq = 0  # kept exchanges completed since the last global load
+        self.providers, self.consumers = providers, consumers
         self.points: dict[str, tuple] = {}
         for p in schedule.points:
             cell_idx, edge_idx = ring_halo_indices(lm, p.rings)
@@ -167,13 +132,20 @@ class _DataflowSync(HaloTransport):
         self._exchanges = registry.counter("halo.exchanges", mode="pool")
         self._wait_s = registry.counter("halo.wait_s", mode="pool")
         self._overlap_s = registry.counter("halo.overlap_s", mode="pool")
+        self.rewind()
+
+    def rewind(self) -> None:
+        """Restart the exchange sequence after a global (re)load: the parent
+        reset the board, and only a rank that adopts its new generation
+        together with the zeroed sequence may exchange again."""
+        self.seq = 0  # kept exchanges completed since the last global load
+        self.board.rejoin()
 
     def _timeout(self) -> float:
         # A sync is declared broken only after the slowest rank has had
-        # several times its worst observed compute interval to arrive: a
-        # long interior-overlap window must never read as a dead peer.
-        # Cross-rank maximum, because a fast rank cannot observe how long
-        # its slowest peer legitimately computes between sync points.
+        # several times its worst observed compute interval to arrive: a long
+        # overlap window must never read as a dead peer.  Cross-rank maximum:
+        # a fast rank cannot observe how long its slowest peer computes.
         return max(
             self.base_timeout, self.TIMEOUT_SAFETY * self.board.max_observed()
         )
@@ -230,34 +202,33 @@ def _worker_main(
     rank: int,
     conn,
     shared: SharedState,
-    barrier,
-    board: SyncBoard | None,
+    board: SyncBoard,
     barrier_timeout: float,
     lm,
     b_cell: np.ndarray,
     f_vertex: np.ndarray,
     config: SWConfig,
     schedule,
-    neighbors: tuple[np.ndarray, np.ndarray],
+    neighbors: tuple[tuple, tuple],
     trace_enabled: bool,
     kill_at_step: int | None,
 ) -> None:
     """Persistent worker loop: own rank state, obey parent commands.
 
     Commands (over the pipe): ``("steps", n)`` advance ``n`` RK-4 steps,
-    acked ``("ok", n)``, ``("broken", at_step)`` after a barrier break, or
+    acked ``("ok", n)``, ``("broken", at_step)`` after a broken sync, or
     ``("failed", at_step, message)`` when the step itself raised
     ``FloatingPointError``;
     ``("load", base_step)`` re-slice the local state from the shared
     segment (post-recovery resynchronization); ``("obs",)`` ship-and-clear
-    this worker's metrics snapshot and finished tracer spans;
-    ``("gather",)`` ship the owned state slices; ``("stop",)`` exit.
+    this worker's metrics snapshot and finished tracer spans; ``("stop",)``
+    exit.  The parent reads states out of the shared segment, never a pipe.
 
-    ``board is None`` selects the static :class:`_BarrierSync` transport;
-    otherwise :class:`_DataflowSync` drives the kept sync points of
-    ``schedule`` against the ``neighbors = (providers, consumers)`` rank
-    sets.  Either way the step is :func:`repro.swm.timestep.rk4_step`.
+    A :class:`_BoardTransport` drives the kept sync points of ``schedule``
+    (static or dataflow) against the ``neighbors = (providers, consumers)``
+    rank sets; the step is :func:`repro.swm.timestep.rk4_step`.
     """
+    t_start = time.perf_counter()
     from ..engine.split import placements_active
     from ..resilience.recovery import use_recovery_policy
 
@@ -281,36 +252,36 @@ def _worker_main(
 
     # Private per-process observability: never double-count series that
     # were forked from the parent.
-    set_registry(MetricsRegistry())
+    registry = MetricsRegistry()
+    set_registry(registry)
     set_tracer(Tracer(enabled=trace_enabled))
-
-    registry = get_registry()
     steps_done = registry.counter("pool.worker.steps")
 
     integ = RK4Integrator(lm, config, b_cell, f_vertex)
-    if board is not None:
-        sync = _DataflowSync(
-            rank, shared, board, barrier_timeout, lm, schedule, *neighbors
-        )
-        if config.plan and not placements_active():
-            # Fused-plan ranks split diagnostics into interior + boundary
-            # around each acquire; split placements fall back to the plain
-            # acquire-then-compute path (plans bypass routing entirely).
-            from ..engine.plan import compiled_overlap
+    sync = _BoardTransport(
+        rank, shared, board, barrier_timeout, lm, schedule, *neighbors
+    )
+    if schedule.mode == "dataflow" and config.plan and not placements_active():
+        # Fused-plan ranks split diagnostics into interior + boundary
+        # around each acquire; split placements fall back to the plain
+        # acquire-then-compute path (plans bypass routing entirely).  Static
+        # stays plain on measurement: the boundary recompute costs 1.4 ms a
+        # step more than the window hides (EXPERIMENTS.md "PR 19").
+        from ..engine.plan import compiled_overlap
 
-            rings = max(p.rings for p in schedule.points)
-            integ.overlap = compiled_overlap(lm, config, rings)
-    else:
-        sync = _BarrierSync(shared, lm, barrier, barrier_timeout)
+        rings = max(p.rings for p in schedule.points)
+        integ.overlap = compiled_overlap(lm, config, rings)
 
     t_diag = time.perf_counter()
     state = shared.read_local(lm)
     diag = integ.diagnostics_for(state)
-    if board is not None:
-        # Seed the adaptive-timeout estimate before any peer can wait on
-        # this rank: the startup diagnostics is one full compute interval.
-        board.observe(rank, time.perf_counter() - t_diag)
+    # Seed the adaptive-timeout estimate before any peer can wait on this
+    # rank: the startup diagnostics is one full compute interval.
+    board.observe(rank, time.perf_counter() - t_diag)
     step_no = 0
+    registry.gauge(
+        "pool.worker.ready_s", transport=type(sync).__name__, schedule=schedule.mode
+    ).set(time.perf_counter() - t_start)
     conn.send(("ready", rank))
     with use_recovery_policy(config.recovery_policy()):
         while True:
@@ -328,8 +299,7 @@ def _worker_main(
                             (state,), (diag,) = rk4_step(
                                 [integ], [state], [diag], transport=sync
                             )
-                        if board is not None:
-                            board.observe(rank, time.perf_counter() - t_step)
+                        board.observe(rank, time.perf_counter() - t_step)
                         steps_done.inc()
                     conn.send(("ok", n))
                 except threading.BrokenBarrierError:
@@ -342,8 +312,7 @@ def _worker_main(
                 state = shared.read_local(lm)
                 diag = integ.diagnostics_for(state)
                 step_no = msg[1]
-                if board is not None:
-                    sync.seq = 0  # the board was reset with the reload
+                sync.rewind()  # the board was reset with the reload
                 kill_at_step = None  # a test kill fires at most once per spawn
                 conn.send(("loaded", rank))
             elif cmd == "obs":
@@ -355,12 +324,6 @@ def _worker_main(
                 ))
                 registry.clear()
                 tracer.clear()
-            elif cmd == "gather":
-                conn.send((
-                    "state",
-                    state.h[: lm.n_owned_cells].copy(),
-                    state.u[: lm.n_owned_edges].copy(),
-                ))
             elif cmd == "stop":
                 conn.send(("bye", rank))
                 break
@@ -368,8 +331,7 @@ def _worker_main(
                 conn.send(("error", f"unknown command {cmd!r}"))
                 break
     shared.close()
-    if board is not None:
-        board.close()
+    board.close()
     conn.close()
 
 
@@ -384,7 +346,7 @@ class PoolShallowWater:
     context manager, or call :meth:`close` explicitly.
 
     Parameters mirror :class:`~repro.parallel.runner.DecomposedShallowWater`
-    plus ``barrier_timeout`` (worker-death detection latency) and the
+    plus ``barrier_timeout`` (how long a sync waits on a silent peer) and the
     test-only ``kill_at`` mapping ``{rank: step}`` that makes a first-
     generation worker exit mid-run to exercise the recovery path.
     """
@@ -408,70 +370,69 @@ class PoolShallowWater:
             halo_layers = halo_layers_required(
                 config.thickness_adv_order, config.apvm_upwinding != 0.0
             )
-        self.owner = partition_cells(mesh, n_ranks, method=partition_method)
-        self.local_meshes = [
-            build_local_mesh(mesh, self.owner, r, halo_layers=halo_layers)
-            for r in range(n_ranks)
-        ]
-
-        global_state, self.b_cell = initialize(mesh, case)
-        if case.coriolis is not None:
-            self.f_vertex = case.coriolis(mesh.metrics.xVertex)
-        else:
-            self.f_vertex = config.coriolis(mesh.metrics.latVertex)
-
-        #: The halo schedule every rank executes (static or dataflow).
-        self.schedule = halo_schedule_for(config)
-        dataflow = self.schedule.mode == "dataflow"
-
-        self._shared = SharedState.create(
-            mesh.nCells, mesh.nEdges, n_buffers=2 if dataflow else 1
-        )
-        self._shared.write_global(global_state.h, global_state.u)
-        # Kept exchanges completed since the last global load: selects the
-        # buffer holding the committed state (`seq % n_buffers`).
-        self._exchanges_done = 0
-        self._snapshot = self._shared.read_global()
-
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        self._barrier = self._ctx.Barrier(n_ranks)
-        self._board = SyncBoard.create(n_ranks, self._ctx) if dataflow else None
-        self._neighbors = self._neighbor_ranks() if dataflow else [
-            (np.empty(0, np.int64), np.empty(0, np.int64))
-        ] * n_ranks
-        self._workers: list = [None] * n_ranks
-        self._conns: list = [None] * n_ranks
-        self._closed = False
-        self._steps_done = 0
-        self.exchange_count = 0
-
-        registry = get_registry()
-        self._bytes_per_exchange = exchange_bytes(self.local_meshes)
-        registry.gauge(
-            "halo.bytes_per_exchange", ranks=n_ranks, mode="pool"
-        ).set(self._bytes_per_exchange)
-        registry.gauge(
-            "halo.exchanges_per_step", ranks=n_ranks, mode="pool",
-            schedule=self.schedule.mode,
-        ).set(self.schedule.exchanges_per_step)
-        registry.gauge(
-            "halo.bytes_per_step", ranks=n_ranks, mode="pool",
-            schedule=self.schedule.mode,
-        ).set(schedule_exchange_bytes(self.local_meshes, self.schedule))
-        self._respawns = registry.counter("resilience.pool.respawn", ranks=n_ranks)
-        self._retries = registry.counter(
-            "resilience.recovery.retry", site="pool.step", ranks=n_ranks
-        )
-
         kill_at = kill_at or {}
-        for r in range(n_ranks):
-            self._spawn(r, kill_at.get(r))
-        self._await("ready", range(n_ranks))
+        # One span: four named children; the rest (IC, segments) is self time.
+        with trace_span("pool.spawn", category="pool", ranks=n_ranks):
+            with trace_span("partition", category="pool"):
+                self.owner = partition_cells(mesh, n_ranks, method=partition_method)
+            with trace_span("local_mesh", category="pool"):
+                self.local_meshes = [
+                    build_local_mesh(mesh, self.owner, r, halo_layers=halo_layers)
+                    for r in range(n_ranks)
+                ]
 
-    def _neighbor_ranks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+            global_state, self.b_cell = initialize(mesh, case)
+            if case.coriolis is not None:
+                self.f_vertex = case.coriolis(mesh.metrics.xVertex)
+            else:
+                self.f_vertex = config.coriolis(mesh.metrics.latVertex)
+
+            #: The halo schedule every rank executes (static or dataflow).
+            self.schedule = halo_schedule_for(config)
+
+            self._shared = SharedState.create(mesh.nCells, mesh.nEdges, n_buffers=2)
+            self._shared.write_global(global_state.h, global_state.u)
+            # Kept exchanges completed since the last global load: selects the
+            # buffer holding the committed state (`seq % n_buffers`).
+            self._exchanges_done = 0
+            self._snapshot = self._shared.read_global()
+
+            methods = multiprocessing.get_all_start_methods()
+            self._ctx = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            )
+            self._board = SyncBoard.create(n_ranks, self._ctx)
+            self._neighbors = self._neighbor_ranks()
+            self._workers: list = [None] * n_ranks
+            self._conns: list = [None] * n_ranks
+            self._closed = False
+            self._steps_done = 0
+            self.exchange_count = 0
+
+            registry = get_registry()
+            registry.gauge(
+                "halo.bytes_per_exchange", ranks=n_ranks, mode="pool"
+            ).set(exchange_bytes(self.local_meshes))
+            registry.gauge(
+                "halo.exchanges_per_step", ranks=n_ranks, mode="pool",
+                schedule=self.schedule.mode,
+            ).set(self.schedule.exchanges_per_step)
+            registry.gauge(
+                "halo.bytes_per_step", ranks=n_ranks, mode="pool",
+                schedule=self.schedule.mode,
+            ).set(schedule_exchange_bytes(self.local_meshes, self.schedule))
+            self._respawns = registry.counter("resilience.pool.respawn", ranks=n_ranks)
+            self._retries = registry.counter(
+                "resilience.recovery.retry", site="pool.step", ranks=n_ranks
+            )
+
+            with trace_span("fork", category="pool"):
+                for r in range(n_ranks):
+                    self._spawn(r, kill_at.get(r))
+            with trace_span("ready", category="pool"):
+                self._await("ready", range(n_ranks))
+
+    def _neighbor_ranks(self) -> list[tuple[tuple, tuple]]:
         """Per-rank ``(providers, consumers)`` sets for the sync board.
 
         ``providers[r]`` are the ranks owning any of rank *r*'s halo
@@ -484,22 +445,18 @@ class PoolShallowWater:
         edge_owner = np.full(self.mesh.nEdges, -1, dtype=np.int64)
         for r, lm in enumerate(self.local_meshes):
             edge_owner[lm.edges_global[: lm.n_owned_edges]] = r
-        providers: list[np.ndarray] = []
+        providers: list[tuple] = []
         for r, lm in enumerate(self.local_meshes):
             owners = np.concatenate([
                 self.owner[lm.cells_global[lm.n_owned_cells :]],
                 edge_owner[lm.edges_global[lm.n_owned_edges :]],
             ])
             owners = np.unique(owners[(owners >= 0) & (owners != r)])
-            providers.append(owners.astype(np.int64))
-        consumers = [
-            np.array(
-                [q for q in range(self.n_ranks) if r in providers[q]],
-                dtype=np.int64,
-            )
+            providers.append(tuple(owners.tolist()))
+        return [
+            (providers[r], tuple(q for q in range(self.n_ranks) if r in providers[q]))
             for r in range(self.n_ranks)
         ]
-        return [(providers[r], consumers[r]) for r in range(self.n_ranks)]
 
     # ----------------------------------------------------------- process mgmt
     def _spawn(self, rank: int, kill_at_step: int | None = None) -> None:
@@ -507,7 +464,7 @@ class PoolShallowWater:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
-                rank, child_conn, self._shared, self._barrier, self._board,
+                rank, child_conn, self._shared, self._board,
                 self.barrier_timeout, self.local_meshes[rank],
                 self.b_cell[self.local_meshes[rank].cells_global],
                 self.f_vertex[self.local_meshes[rank].vertices_global],
@@ -525,6 +482,10 @@ class PoolShallowWater:
     def _await(self, expected: str, ranks) -> list[int]:
         """Collect one ack per rank; returns the ranks that died instead.
 
+        Blocks on the pending pipes and process sentinels together, so an
+        ack and a death are both seen as they happen; the first lost rank
+        resets the board, whose abort word sends every survivor out of its
+        wait (recovery latency is detection latency, not the sync timeout).
         A ``("failed", step, message)`` ack is a numerical failure, not a
         death: the pool is torn down at once (peers may be blocked on the
         failed rank's next publish) and ``FloatingPointError`` raised.
@@ -532,31 +493,28 @@ class PoolShallowWater:
         pending = set(ranks)
         dead: list[int] = []
         while pending:
-            for r in sorted(pending):
+            waitable = {}
+            for r in pending:
+                waitable[self._conns[r]] = waitable[self._workers[r].sentinel] = r
+            for r in sorted({waitable[w] for w in connection.wait(list(waitable))}):
+                pending.discard(r)
                 conn = self._conns[r]
                 try:
-                    if conn.poll(0.02):
-                        msg = conn.recv()
-                        pending.discard(r)
-                        if msg[0] == "failed":
-                            for proc in self._workers:
-                                proc.terminate()
-                            self.close()
-                            raise FloatingPointError(
-                                f"pool rank {r} failed at step {msg[1]}: {msg[2]}"
-                            )
-                        if msg[0] != expected:
-                            dead.append(r)
-                        continue
+                    # Nothing to read means only the sentinel fired.
+                    msg = conn.recv() if conn.poll() else ("exited",)
                 except (EOFError, OSError):
-                    # Pipe closed from the other side: the worker is gone.
-                    pending.discard(r)
+                    msg = ("exited",)
+                if msg[0] == "failed":
+                    for proc in self._workers:
+                        proc.terminate()
+                    self.close()
+                    raise FloatingPointError(
+                        f"pool rank {r} failed at step {msg[1]}: {msg[2]}"
+                    )
+                if msg[0] != expected:
+                    if not dead:
+                        self._board.reset()
                     dead.append(r)
-                    continue
-                if not self._workers[r].is_alive():
-                    pending.discard(r)
-                    dead.append(r)
-            time.sleep(0.0 if not pending else 0.005)
         return dead
 
     def _broadcast(self, message: tuple, ranks=None) -> None:
@@ -571,9 +529,7 @@ class PoolShallowWater:
                 proc.terminate()
             proc.join(timeout=10.0)
             self._conns[r].close()
-        self._barrier.reset()
-        if self._board is not None:
-            self._board.reset()
+        self._board.reset()
         self._shared.write_global(*self._snapshot)
         self._exchanges_done = 0
         for r in set(dead):
@@ -630,8 +586,7 @@ class PoolShallowWater:
             raise WorkerPoolError("pool is closed")
         self._shared.write_global(state.h, state.u)
         self._exchanges_done = 0
-        if self._board is not None:
-            self._board.reset()
+        self._board.reset()
         self._snapshot = self._shared.read_global()
         self._steps_done = step
         self._broadcast(("load", step))
@@ -717,9 +672,8 @@ class PoolShallowWater:
                 pass
         self._shared.close()
         self._shared.unlink()
-        if self._board is not None:
-            self._board.close()
-            self._board.unlink()
+        self._board.close()
+        self._board.unlink()
 
     def __enter__(self) -> "PoolShallowWater":
         return self

@@ -14,8 +14,7 @@ arithmetic), so the values that flow through the segment are bitwise
 identical to the in-process lockstep exchange
 (:class:`repro.parallel.runner.DecomposedShallowWater._exchange`).
 
-The static halo schedule uses a single buffer behind a global barrier.
-The comm-avoiding dataflow schedule double-buffers: exchange ``i``
+The pool double-buffers under both halo schedules: exchange ``i``
 (1-based) flows through block ``i % n_buffers``, and the
 :class:`SyncBoard` publish/acknowledge counters guarantee a block is
 never overwritten while a peer still reads it — the barrier-free
@@ -31,7 +30,9 @@ their mapping.
 
 from __future__ import annotations
 
+import os
 import threading
+import time
 
 import numpy as np
 
@@ -94,21 +95,9 @@ class SharedState:
         """Allocate a fresh zeroed segment (parent side; call ``unlink``)."""
         from multiprocessing import shared_memory
 
-        nbytes = (
-            int(n_buffers)
-            * (int(n_cells) + int(n_edges))
-            * np.dtype(_FLOAT).itemsize
-        )
+        nbytes = 8 * int(n_buffers) * (int(n_cells) + int(n_edges))
         shm = shared_memory.SharedMemory(create=True, size=nbytes)
         return cls(shm, n_cells, n_edges, owner=True, n_buffers=n_buffers)
-
-    @classmethod
-    def attach(
-        cls, name: str, n_cells: int, n_edges: int, n_buffers: int = 1
-    ) -> "SharedState":
-        """Map an existing segment by name (worker side; call ``close``)."""
-        shm = _attach_segment(name)
-        return cls(shm, n_cells, n_edges, owner=False, n_buffers=n_buffers)
 
     @property
     def name(self) -> str:
@@ -138,8 +127,7 @@ class SharedState:
 
     def __setstate__(self, state: tuple) -> None:
         name, n_cells, n_edges, n_buffers = state
-        other = SharedState.attach(name, n_cells, n_edges, n_buffers)
-        self.__dict__.update(other.__dict__)
+        self.__init__(_attach_segment(name), n_cells, n_edges, False, n_buffers)
 
     # ------------------------------------------------------------ state I/O
     def write_global(self, h: np.ndarray, u: np.ndarray) -> None:
@@ -191,16 +179,12 @@ class SharedState:
         """
         lm = local_mesh
         bh, bu = self.buffer(seq)
+        cells = slice(lm.n_owned_cells, None) if cell_idx is None else cell_idx
+        edges = slice(lm.n_owned_edges, None) if edge_idx is None else edge_idx
         if "h" in fields:
-            if cell_idx is None:
-                state.h[lm.n_owned_cells :] = bh[lm.cells_global[lm.n_owned_cells :]]
-            else:
-                state.h[cell_idx] = bh[lm.cells_global[cell_idx]]
+            state.h[cells] = bh[lm.cells_global[cells]]
         if "u" in fields:
-            if edge_idx is None:
-                state.u[lm.n_owned_edges :] = bu[lm.edges_global[lm.n_owned_edges :]]
-            else:
-                state.u[edge_idx] = bu[lm.edges_global[edge_idx]]
+            state.u[edges] = bu[lm.edges_global[edges]]
 
     def read_local(self, local_mesh, seq: int = 0):
         """This rank's full local state (owned + halo) as private copies."""
@@ -213,19 +197,34 @@ class SharedState:
         )
 
 
-class SyncBoard:
-    """Publish/acknowledge counters for the comm-avoiding halo schedule.
+#: The wait policy, fixed rather than configured (docs/parallel.md): poll
+#: ``SPIN_POLLS`` times back to back, then between ``os.sched_yield()``
+#: calls for ``YIELD_SECONDS`` (a runnable peer gets this core at once, so
+#: spinning is harmless with more ranks than cores), then between
+#: ``NAP_SECONDS`` sleeps (a genuinely late peer costs no busy core).
+SPIN_POLLS = 32
+YIELD_SECONDS = 2e-3
+NAP_SECONDS = 2e-4
+_yield = getattr(os, "sched_yield", None) or (lambda: time.sleep(0))  # none on Windows
 
-    One shared-memory scoreboard replaces the pool's global barrier under
-    the dataflow schedule.  Per rank it holds two monotonically increasing
-    ``int64`` exchange counters — ``pub[r]`` (the last exchange rank *r*
-    published) and ``ack[r]`` (the last exchange rank *r* finished
+
+def _behind(counters: np.ndarray, ranks, seq: int) -> bool:
+    """True while any of ``ranks`` has not yet counted up to ``seq``."""
+    for r in ranks:
+        if counters[r] < seq:
+            return True
+    return False
+
+
+class SyncBoard:
+    """Publish/acknowledge counters: the pool's one wait primitive.
+
+    Per rank the shared-memory scoreboard holds two monotonically
+    increasing ``int64`` exchange counters — ``pub[r]`` (the last exchange
+    rank *r* published) and ``ack[r]`` (the last exchange rank *r* finished
     reading) — plus a ``float64`` ``observed[r]`` slot with the longest
     compute interval rank *r* has measured (the cross-rank input to the
-    adaptive sync timeout).  A single ``multiprocessing.Condition``
-    (fork-inherited / Process-arg pickled, like the barrier it replaces)
-    wakes waiters; the counters themselves live in the segment so a
-    predicate is one vectorized compare.
+    adaptive sync timeout), and one ``int64`` *abort word* shared by all.
 
     The protocol (``n_buffers`` state buffers, exchange ``seq`` 1-based):
 
@@ -235,23 +234,34 @@ class SyncBoard:
     * a rank may *read* its halo for exchange ``seq`` once every provider
       of its halo points has ``pub >= seq``.
 
-    A timed-out wait raises :class:`threading.BrokenBarrierError`, so the
-    pool's existing broken-exchange recovery path (respawn + rewind)
-    applies unchanged; :meth:`reset` rewinds the counters to match.
+    A wait never parks the process: it polls the counters (spin, yield,
+    nap — the module constants), because balanced peers arrive within
+    microseconds of each other and a futex wake-up costs a hundred times
+    that.  Ordering does not lean on the polled loads: every counter
+    *store* happens under the board's lock and a successful waiter passes
+    through that lock once before returning, so "segment written, counter
+    stored" and "counter seen, segment read" are a release/acquire pair on
+    any architecture.
+
+    A wait that outlives its timeout raises
+    :class:`threading.BrokenBarrierError`, which the pool's recovery
+    (respawn + rewind) keys on.  So does one that finds the abort word
+    moved past the generation this process adopted at :meth:`rejoin`:
+    :meth:`reset` bumps it, so survivors of a dead peer leave at once and a
+    rank exchanges again only after rewinding to the zeroed counters.
     """
 
-    def __init__(self, shm, cond, n_ranks: int, owner: bool) -> None:
+    def __init__(self, shm, lock, n_ranks: int, owner: bool) -> None:
         self._shm = shm
-        self._cond = cond
+        self._lock = lock
         self.n_ranks = int(n_ranks)
         self._owner = owner
         n = self.n_ranks
-        isz = np.dtype(np.int64).itemsize
-        self.pub = np.ndarray((n,), dtype=np.int64, buffer=shm.buf)
-        self.ack = np.ndarray((n,), dtype=np.int64, buffer=shm.buf, offset=n * isz)
-        self.observed = np.ndarray(
-            (n,), dtype=_FLOAT, buffer=shm.buf, offset=2 * n * isz
-        )
+        ints = np.ndarray((2 * n + 1,), dtype=np.int64, buffer=shm.buf)
+        self.pub, self.ack, self._abort = ints[:n], ints[n : 2 * n], ints[2 * n :]
+        self.observed = np.ndarray((n,), _FLOAT, buffer=shm.buf, offset=ints.nbytes)
+        #: The abort-word value this process exchanges under (process-local).
+        self._generation = 0
 
     # ------------------------------------------------------------- lifecycle
     @classmethod
@@ -259,21 +269,12 @@ class SyncBoard:
         """Allocate the scoreboard (parent side; ``ctx`` a mp context)."""
         from multiprocessing import shared_memory
 
-        shm = shared_memory.SharedMemory(create=True, size=3 * 8 * int(n_ranks))
-        board = cls(shm, ctx.Condition(), n_ranks, owner=True)
-        board.pub[:] = 0
-        board.ack[:] = 0
-        board.observed[:] = 0.0
-        return board
-
-    @property
-    def name(self) -> str:
-        """OS-level segment name (the attach key)."""
-        return self._shm.name
+        shm = shared_memory.SharedMemory(create=True, size=8 * (3 * int(n_ranks) + 1))
+        return cls(shm, ctx.Lock(), n_ranks, owner=True)  # a new segment is zeroed
 
     def close(self) -> None:
         """Drop this process's mapping (the segment itself survives)."""
-        self.pub = self.ack = self.observed = None
+        self.pub = self.ack = self.observed = self._abort = None
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover - stray external views
@@ -289,61 +290,69 @@ class SyncBoard:
 
     # -------------------------------------------------------------- pickling
     def __getstate__(self) -> tuple:
-        # The Condition pickles through multiprocessing's Process-argument
-        # reduction (exactly like the Barrier it replaces); the segment
-        # re-attaches by name.
-        return (self.name, self.n_ranks, self._cond)
+        # The lock pickles as a Process argument; the segment re-attaches by name.
+        return (self._shm.name, self.n_ranks, self._lock)
 
     def __setstate__(self, state: tuple) -> None:
-        name, n_ranks, cond = state
-        self.__init__(_attach_segment(name), cond, n_ranks, owner=False)
+        name, n_ranks, lock = state
+        self.__init__(_attach_segment(name), lock, n_ranks, owner=False)
 
     # -------------------------------------------------------------- protocol
     def reset(self) -> None:
-        """Rewind every exchange counter to zero (recovery rewind).
+        """Rewind every exchange counter to zero and bump the abort word.
 
         ``observed`` survives on purpose: the compute-interval estimates
         stay valid across a respawn and keep the adaptive timeout armed.
         """
-        self.pub[:] = 0
-        self.ack[:] = 0
+        with self._lock:
+            self.pub[:] = 0
+            self.ack[:] = 0
+            self._abort[0] += 1
 
-    def _wait(self, predicate, timeout: float, what: str) -> None:
-        with self._cond:
-            if not self._cond.wait_for(predicate, timeout):
-                raise threading.BrokenBarrierError(
-                    f"halo sync timed out after {timeout:.1f}s waiting for {what}"
-                )
+    def rejoin(self) -> None:
+        """Adopt the current generation (a rank whose sequence is at zero)."""
+        self._generation = int(self._abort[0])
 
-    def await_acked(self, ranks: np.ndarray, seq: int, timeout: float) -> None:
+    def _wait(self, counters, ranks, seq: int, timeout: float, what: str) -> None:
+        for _ in range(SPIN_POLLS):
+            if not _behind(counters, ranks, seq):
+                break
+        else:
+            t0 = time.perf_counter()
+            while _behind(counters, ranks, seq):
+                waited = time.perf_counter() - t0
+                aborted = self._abort[0] != self._generation
+                if aborted or waited > timeout:
+                    why = "aborted" if aborted else f"timed out after {timeout:.1f}s"
+                    raise threading.BrokenBarrierError(
+                        f"halo sync {why} waiting for {what}"
+                    )
+                if waited < YIELD_SECONDS:
+                    _yield()
+                else:
+                    time.sleep(NAP_SECONDS)
+        # The acquire half of the ordering argument in the class docstring.
+        with self._lock:
+            pass
+
+    def await_acked(self, ranks, seq: int, timeout: float) -> None:
         """Block until every rank in ``ranks`` has acknowledged ``seq``."""
-        if seq <= 0 or len(ranks) == 0:
-            return
-        ack = self.ack
-        self._wait(
-            lambda: bool(np.all(ack[ranks] >= seq)), timeout, f"acks >= {seq}"
-        )
+        if seq > 0:
+            self._wait(self.ack, ranks, seq, timeout, f"acks >= {seq}")
 
-    def await_published(self, ranks: np.ndarray, seq: int, timeout: float) -> None:
+    def await_published(self, ranks, seq: int, timeout: float) -> None:
         """Block until every rank in ``ranks`` has published ``seq``."""
-        if len(ranks) == 0:
-            return
-        pub = self.pub
-        self._wait(
-            lambda: bool(np.all(pub[ranks] >= seq)), timeout, f"pubs >= {seq}"
-        )
+        self._wait(self.pub, ranks, seq, timeout, f"pubs >= {seq}")
 
     def mark_published(self, rank: int, seq: int) -> None:
         """Announce this rank's owned slices of exchange ``seq`` are written."""
-        with self._cond:
+        with self._lock:
             self.pub[rank] = seq
-            self._cond.notify_all()
 
     def mark_acked(self, rank: int, seq: int) -> None:
         """Announce this rank has finished reading exchange ``seq``."""
-        with self._cond:
+        with self._lock:
             self.ack[rank] = seq
-            self._cond.notify_all()
 
     # ------------------------------------------------------ adaptive timeout
     def observe(self, rank: int, seconds: float) -> None:

@@ -97,16 +97,16 @@ def advection_coefficients(mesh: Mesh) -> AdvectionCoefficients:
 
     cells = np.zeros((conn.n_edges, 2, max_stencil), dtype=np.int64)
     weights = np.zeros((conn.n_edges, 2, max_stencil), dtype=np.float64)
+    east, north = tangent_basis(met.xCell)
     for e in range(conn.n_edges):
         for s in range(2):
             c = int(conn.cellsOnEdge[e, s])
             stencil = cell_stencils[c]
             pinv = cell_pinvs[c]
             # Edge-normal direction in cell c's tangent frame.
-            east, north = tangent_basis(met.xCell[c])
             n3 = met.edgeNormal[e]
-            nx = float(n3 @ east)
-            ny = float(n3 @ north)
+            nx = float(n3 @ east[c])
+            ny = float(n3 @ north[c])
             nrm = np.hypot(nx, ny)
             nx, ny = nx / nrm, ny / nrm
             # d2/dn2 of the quadratic: 2*a3*nx^2 + 2*a4*nx*ny + 2*a5*ny^2

@@ -108,17 +108,13 @@ def plan_for(mesh: Mesh) -> OperatorPlan:
     voc = conn.verticesOnCell
     voc_safe = np.where(voc >= 0, voc, 0)
     vmask = (voc >= 0).astype(np.float64)
-    # Build a sparse (vertex, cell) -> kite-area lookup:
-    kite_lookup: dict[tuple[int, int], float] = {}
-    for v in range(conn.n_vertices):
-        for k in range(3):
-            kite_lookup[(v, int(conn.cellsOnVertex[v, k]))] = float(
-                met.kiteAreasOnVertex[v, k]
-            )
+    # Each of a vertex's three kites belongs to one of its cells: select,
+    # per (cell, vertex slot), the kite whose cell is this one.
+    cov, kite = conn.cellsOnVertex[voc_safe], met.kiteAreasOnVertex[voc_safe]
+    this_cell = np.arange(conn.n_cells)[:, None]
     kite_on_cell = np.zeros_like(sign_dv)
-    for c in range(conn.n_cells):
-        for j in range(int(conn.nEdgesOnCell[c])):
-            kite_on_cell[c, j] = kite_lookup[(int(voc[c, j]), c)]
+    for k in range(3):
+        kite_on_cell = np.where(cov[..., k] == this_cell, kite[..., k], kite_on_cell)
 
     eoe = tri.edgesOnEdge
     eoe_safe = np.where(eoe >= 0, eoe, 0)

@@ -41,17 +41,17 @@ def reconstruction_matrices(mesh: Mesh) -> np.ndarray:
         return mats
 
     conn, met = mesh.connectivity, mesh.metrics
-    n_cells, max_edges = conn.n_cells, conn.max_edges
-    mats = np.zeros((n_cells, 3, max_edges), dtype=np.float64)
+    mats = np.zeros((conn.n_cells, 3, conn.max_edges), dtype=np.float64)
     east, north = tangent_basis(met.xCell)
-    for c in range(n_cells):
-        n = int(conn.nEdgesOnCell[c])
-        edges = conn.edgesOnCell[c, :n]
+    E = np.stack([east, north], axis=2)  # (nCells, 3, 2)
+    # One stacked pinv per cell valence (pentagons, hexagons, ...): the
+    # gufunc factors each matrix exactly as a per-cell call would.
+    for n in np.unique(conn.nEdgesOnCell):
+        cells = np.flatnonzero(conn.nEdgesOnCell == n)
         # Rows: outward-facing signs do not matter (u_e is signed in the
         # global n_e convention), so use the global normals directly.
-        N = met.edgeNormal[edges]  # (n, 3)
-        E = np.stack([east[c], north[c]], axis=1)  # (3, 2)
-        mats[c, :, :n] = E @ np.linalg.pinv(N @ E)
+        N = met.edgeNormal[conn.edgesOnCell[cells, :n]]  # (k, n, 3)
+        mats[cells, :, :n] = E[cells] @ np.linalg.pinv(N @ E[cells])
     _CACHE[mesh] = mats
     return mats
 

@@ -98,9 +98,8 @@ class HaloTransport:
     This base class is the serial transport (one rank, no halo).  The
     decomposed executors subclass it: lockstep exchanges in place at
     ``begin`` (:class:`repro.parallel.runner.DecomposedShallowWater`), the
-    pool's static schedule runs its two-phase barrier there, and its
-    dataflow schedule publishes at ``begin`` and acquires at ``finish``
-    (:mod:`repro.parallel.pool`).
+    pool publishes at ``begin`` and acquires at ``finish`` under either
+    halo schedule (:mod:`repro.parallel.pool`).
     """
 
     def begin(self, sync: str, states: list[State]):

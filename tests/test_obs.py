@@ -518,3 +518,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "obs selftest OK" in out
         assert "measured vs modeled" in out
+
+    def test_pool_report_leads_its_kernel_table_with_the_startup_line(self, capsys):
+        from repro.obs.report import main
+
+        assert main(
+            ["--case", "tc2", "--level", "2", "--steps", "2", "--parallel", "pool",
+             "--ranks", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        startup = out.index("Pool start-up: ")
+        assert startup < out.index("Measured kernel cost breakdown")
+        line = out[startup:].splitlines()[0]
+        for part in ("partition", "local_mesh", "fork", "ready", "rank 0", "rank 1"):
+            assert part in line
+        # both schedules time their waits now: static renders per sync point
+        assert "pre@s1" in out and "post@s4" in out

@@ -370,6 +370,30 @@ class TestPlanCache:
         # mesh identity says disk-cached there.  Composition still works.
         assert "h_edge_order4" in plan.composed
 
+    def test_reconstruction_compiles_on_first_use(self, mesh3, plan_cache):
+        """A rank that only steps never pays for ``mpas_reconstruct``: the
+        A4 operator (per-cell least-squares fits) of its mesh is compiled by
+        the first ``reconstruct()``, not by ``compiled_plan``."""
+        from repro.engine.sparse import _MEMORY_OPS
+        from repro.parallel import build_local_mesh, partition_cells
+
+        cfg = _cfg(plan=True)
+        lm = build_local_mesh(mesh3, partition_cells(mesh3, 2), 0)
+        state, b_cell, f_vertex = _galewsky_inputs(mesh3)
+        local = State(h=state.h[lm.cells_global], u=state.u[lm.edges_global])
+        plan = compiled_plan(lm, cfg)
+        diag = plan.diagnostics(local, f_vertex[lm.vertices_global])
+        plan.tend(local, diag, b_cell[lm.cells_global])
+        assert "velocity_reconstruction" not in _MEMORY_OPS[lm]
+
+        recon = plan.reconstruct(local.u)
+        assert "velocity_reconstruction" in _MEMORY_OPS[lm]
+        reference = mpas_reconstruct(lm, local.u, backend="sparse")
+        for field in RECON_FIELDS:
+            assert np.array_equal(getattr(recon, field), getattr(reference, field))
+        # describe() is the other trigger: a fresh plan lists the A4 stage.
+        assert "velocity_reconstruction" in compile_plan(lm, cfg).describe()
+
 
 # ---------------------------------------------------------- algebraic mode
 class TestAlgebraicFusion:

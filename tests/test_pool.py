@@ -42,6 +42,10 @@ from repro.swm import (
 # runs take well under a second per barrier cycle.
 TIMEOUT = 30.0
 
+# A killed worker must be recovered from well inside the 5 s sync timeout the
+# death tests run with: the parent aborts the survivors' waits on detection.
+RECOVERY_BOUND = 2.0
+
 
 def _serial(mesh, case, cfg, steps):
     model = ShallowWaterModel(mesh, cfg)
@@ -112,6 +116,24 @@ class TestPoolRuns:
         assert np.array_equal(pres.state.h, res.state.h)
         assert np.array_equal(pres.state.u, res.state.u)
 
+    @pytest.mark.parametrize("halo_schedule", ["static", "dataflow"])
+    def test_more_ranks_than_cores_bitwise_and_bounded(self, mesh3, halo_schedule):
+        """Four spin-waiting ranks on the two cores of the usual host: the
+        waits must hand the core over (yield, then nap), so the run neither
+        hangs nor crawls, and no bit moves."""
+        case = galewsky_jet()
+        cfg = SWConfig(
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5),
+            backend="sparse", plan=True, halo_schedule=halo_schedule,
+        )
+        res = _serial(mesh3, case, cfg, steps=20)
+        t0 = time.perf_counter()
+        with PoolShallowWater(mesh3, 4, case, cfg, barrier_timeout=TIMEOUT) as pool:
+            pres = pool.run(20)
+        assert time.perf_counter() - t0 < TIMEOUT
+        assert np.array_equal(pres.state.h, res.state.h)
+        assert np.array_equal(pres.state.u, res.state.u)
+
     def test_bitwise_equal_tc5_high_order(self, mesh3):
         case = isolated_mountain()
         cfg = SWConfig(
@@ -170,6 +192,7 @@ class TestPoolRecovery:
         case = steady_zonal_flow()
         cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
         res = _serial(mesh3, case, cfg, steps=4)
+        t0 = time.perf_counter()
         with use_registry(MetricsRegistry()) as registry:
             with PoolShallowWater(
                 mesh3, 2, case, cfg, barrier_timeout=5.0, kill_at={1: 2}
@@ -180,6 +203,8 @@ class TestPoolRecovery:
                 for rec in registry.snapshot()
                 if rec["metric"] == "resilience.pool.respawn"
             )
+        # the survivor is aborted when the death is seen, not at the timeout
+        assert time.perf_counter() - t0 < RECOVERY_BOUND
         assert respawns >= 1
         assert np.array_equal(pres.state.h, res.state.h)
         assert np.array_equal(pres.state.u, res.state.u)
@@ -189,11 +214,13 @@ class TestPoolRecovery:
         cfg = SWConfig(
             dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6), halo_retries=0
         )
+        t0 = time.perf_counter()
         with pytest.raises(WorkerPoolError, match="respawn budget"):
             with PoolShallowWater(
                 mesh3, 2, case, cfg, barrier_timeout=5.0, kill_at={0: 1}
             ) as pool:
                 pool.run(2)
+        assert time.perf_counter() - t0 < RECOVERY_BOUND
 
     @pytest.mark.parametrize("halo_schedule", ["static", "dataflow"])
     def test_numerical_failure_is_reported_not_respawned(
@@ -259,6 +286,55 @@ class TestPoolObservability:
         # every rank contributed its 8-per-step exchange count
         assert exchanges == {0: 16.0, 1: 16.0}
         assert span_ranks == {0, 1}
+
+    def test_spawn_span_and_worker_ready_times(self, mesh3):
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        with use_registry(MetricsRegistry()) as registry:
+            with use_tracer(Tracer(enabled=True)) as tracer:
+                with PoolShallowWater(
+                    mesh3, 2, case, cfg, barrier_timeout=TIMEOUT
+                ) as pool:
+                    pool.run(1)
+        (spawn,) = [s for s in tracer.finished() if s.name == "pool.spawn"]
+        children = tracer.children(spawn)
+        assert [c.name for c in children] == [
+            "partition", "local_mesh", "fork", "ready"
+        ]
+        assert sum(c.duration for c in children) <= spawn.duration
+        ready = {
+            s.tags["rank"]: s.value for s in registry.series("pool.worker.ready_s")
+        }
+        assert set(ready) == {0, 1}
+        # a worker is ready (compile + first diagnostics) inside the
+        # parent's fork + ready window
+        window = sum(c.duration for c in children[2:])
+        assert all(0.0 < seconds <= window for seconds in ready.values())
+
+    def test_both_schedules_run_one_transport_and_time_their_waits(self, mesh3):
+        case = steady_zonal_flow()
+        seen = {}
+        for halo_schedule in ("static", "dataflow"):
+            cfg = SWConfig(
+                dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6),
+                halo_schedule=halo_schedule,
+            )
+            with use_registry(MetricsRegistry()) as registry:
+                with PoolShallowWater(
+                    mesh3, 2, case, cfg, barrier_timeout=TIMEOUT
+                ) as pool:
+                    pool.run(2)
+            seen[halo_schedule] = {
+                s.tags["transport"] for s in registry.series("pool.worker.ready_s")
+            }
+            for name in ("halo.wait_s", "halo.overlap_s"):
+                per_rank = {
+                    s.tags["rank"]: s.value for s in registry.series(name)
+                }
+                assert set(per_rank) == {0, 1}, (halo_schedule, name)
+                assert all(v > 0.0 for v in per_rank.values())
+        assert seen["static"] == seen["dataflow"]
+        assert len(seen["static"]) == 1
 
 
 class TestSharedStateBuffers:
@@ -336,6 +412,91 @@ class TestSyncBoard:
             p.join()
         assert board.pub[2] == 7
 
+    def test_wait_without_publisher_times_out_on_schedule(self, board):
+        timeout = 0.3
+        t0 = time.perf_counter()
+        with pytest.raises(threading.BrokenBarrierError, match="timed out"):
+            board.await_published(np.array([1], np.int64), 1, timeout=timeout)
+        assert timeout <= time.perf_counter() - t0 <= timeout + 0.5
+
+    @staticmethod
+    def _waiter(board, conn):
+        """Child: wait for a publish that never comes; report how it ended."""
+        board.rejoin()
+        conn.send("waiting")
+        t0, cpu0 = time.perf_counter(), time.process_time()
+        try:
+            board.await_published(np.array([2], np.int64), 1, timeout=30.0)
+            outcome = "returned"
+        except threading.BrokenBarrierError as exc:
+            outcome = str(exc)
+        conn.send(
+            (outcome, time.perf_counter() - t0, time.process_time() - cpu0)
+        )
+
+    def test_blocked_waiter_leaves_at_reset_and_mostly_slept(self, board):
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        p = ctx.Process(target=self._waiter, args=(board, theirs))
+        p.start()
+        try:
+            assert ours.poll(10.0) and ours.recv() == "waiting"
+            time.sleep(0.5)
+            t_reset = time.perf_counter()
+            board.reset()
+            assert ours.poll(5.0)
+            outcome, waited, cpu = ours.recv()
+            left_after = time.perf_counter() - t_reset
+        finally:
+            p.join(5.0)
+        assert not p.is_alive()
+        assert "aborted" in outcome
+        assert left_after < 0.5
+        # spin, then yield, then nap: a waiter of a late peer is not a
+        # busy core (a pure busy-wait would burn its whole wait)
+        assert cpu < 0.5 * waited
+
+    def test_counters_and_sequence_rewind_together(self, board, mesh3):
+        """After a board reset a rank exchanges again only once it has
+        rewound its own sequence: an un-rewound transport is refused."""
+        from repro.dataflow.schedule import static_halo_schedule
+        from repro.parallel.pool import _BoardTransport
+
+        lm = build_local_mesh(mesh3, partition_cells(mesh3, 2), 0)
+        shared = SharedState.create(mesh3.nCells, mesh3.nEdges, n_buffers=2)
+        try:
+            sync = _BoardTransport(
+                0, shared, board, 30.0, lm, static_halo_schedule(), (1,), (1,)
+            )
+            state = shared.read_local(lm)
+
+            def exchange():
+                token = sync.begin("post@s1", [state])
+                board.mark_published(1, sync.seq)  # the peer keeps pace
+                sync.finish(token)
+                board.mark_acked(1, sync.seq)
+
+            exchange()
+            exchange()
+            assert sync.seq == 2 and board.pub[0] == 2 and board.ack[0] == 2
+
+            board.reset()
+            assert np.all(board.pub == 0) and np.all(board.ack == 0)
+            t0 = time.perf_counter()
+            with pytest.raises(threading.BrokenBarrierError, match="aborted"):
+                # seq 3 against zeroed counters: the peer is never "there"
+                token = sync.begin("post@s1", [state])
+                sync.finish(token)
+            assert time.perf_counter() - t0 < 0.5  # not the 30 s timeout
+
+            sync.rewind()
+            assert sync.seq == 0
+            exchange()
+            assert sync.seq == 1 and board.pub[0] == 1 and board.ack[0] == 1
+        finally:
+            shared.close()
+            shared.unlink()
+
     def test_reset_clears_progress_but_keeps_observations(self, board):
         board.mark_published(0, 3)
         board.mark_acked(1, 2)
@@ -390,6 +551,7 @@ class TestPoolDataflow:
             halo_schedule="dataflow",
         )
         res = _serial(mesh3, case, cfg, steps=4)
+        t0 = time.perf_counter()
         with use_registry(MetricsRegistry()) as registry:
             with PoolShallowWater(
                 mesh3, 2, case, cfg, barrier_timeout=5.0, kill_at={1: 2}
@@ -400,6 +562,8 @@ class TestPoolDataflow:
                 for rec in registry.snapshot()
                 if rec["metric"] == "resilience.pool.respawn"
             )
+        # the survivor is aborted when the death is seen, not at the timeout
+        assert time.perf_counter() - t0 < RECOVERY_BOUND
         assert respawns >= 1
         assert np.array_equal(pres.state.h, res.state.h)
         assert np.array_equal(pres.state.u, res.state.u)

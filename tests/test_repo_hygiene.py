@@ -148,3 +148,25 @@ def test_the_rk_stages_are_written_once():
         f"{sorted(found - {('swm/timestep.py', 'rk4_step')})}; run "
         f"repro.swm.timestep.rk4_step with a HaloTransport instead"
     )
+
+
+def test_the_parallel_layer_has_one_wait_primitive():
+    """Nothing under ``src/repro/parallel`` constructs a ``Barrier`` or a
+    ``Condition``: ranks meet only through ``shm.SyncBoard``'s polled
+    counters.  A parked wait costs a 200-500 us wake-up at every one of the
+    16 syncs of a step, which is what made two ranks lose to one."""
+    import ast
+
+    found = []
+    root = REPO / "src" / "repro" / "parallel"
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("Barrier", "Condition"):
+                    found.append(f"{path.relative_to(root)}:{node.lineno} {name}(")
+    assert not found, (
+        f"sleeping wait primitives in the parallel layer: {found}; wait on "
+        f"repro.parallel.shm.SyncBoard instead"
+    )
