@@ -8,8 +8,7 @@ end-to-end exercise of the public API (:mod:`repro.api`).
 
 Usage:  python examples/quickstart.py [icosahedron_level=3] [backend=numpy]
 
-``backend`` selects the engine execution backend
-(numpy/scatter/codegen/sparse);
+``backend`` selects the engine execution backend (numpy/sparse);
 every stencil operator of the run dispatches through the kernel registry
 under that name.
 """

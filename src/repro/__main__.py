@@ -31,6 +31,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.swm.config import SWConfig
+
 
 def _cmd_mesh(args: argparse.Namespace) -> None:
     from repro.mesh import assess_quality, cached_mesh
@@ -57,7 +59,7 @@ def _chaos_plan(crash_at: int | None):
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    from repro.api import SWConfig, build_mesh, error_norms, resolve_case, run, suggested_dt
+    from repro.api import build_mesh, error_norms, resolve_case, run, suggested_dt
     from repro.constants import GRAVITY
 
     if args.resume is not None:
@@ -223,7 +225,7 @@ def _cmd_jobs(args: argparse.Namespace) -> None:
 
     try:
         if args.jobs_command == "submit":
-            from repro.api import RunRequest, SWConfig, build_mesh, resolve_case, suggested_dt
+            from repro.api import RunRequest, build_mesh, resolve_case, suggested_dt
             from repro.constants import GRAVITY
 
             raw = args.case
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=2, choices=(2, 3, 4))
     p.add_argument(
         "--backend", default=None,
-        help="engine execution backend (numpy/scatter/codegen/sparse); "
+        help="engine execution backend (numpy/sparse); "
         "defaults to numpy, or sparse under --plan",
     )
     p.add_argument(
@@ -362,10 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--ranks", type=int, default=1)
     p.add_argument(
-        "--halo-schedule", default="static", choices=("static", "dataflow"),
+        "--halo-schedule", default=SWConfig.halo_schedule,
+        choices=SWConfig.HALO_SCHEDULES,
         help="halo synchronization schedule of the decomposed modes: "
-        "static runs all 8 Algorithm-1 sync points; dataflow runs the "
-        "comm-avoiding schedule derived from the step graph",
+        "dataflow runs the comm-avoiding schedule derived from the step "
+        "graph; static runs all 8 Algorithm-1 sync points",
     )
     p.add_argument(
         "--checkpoint-interval", type=int, default=0,

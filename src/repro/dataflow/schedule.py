@@ -219,8 +219,8 @@ class SyncPoint:
 class HaloSchedule:
     """Which of the 8 sync points a config's RK step must execute, and how.
 
-    ``mode`` is ``"static"`` (all eight points, full payloads — the
-    bitwise-proven escape hatch) or ``"dataflow"`` (derived from the
+    ``mode`` is ``"static"`` (all eight points, full payloads — the oracle
+    the derivation is tested against) or ``"dataflow"`` (derived from the
     Fig. 4 step graph by :func:`derive_halo_schedule`).  Points absent
     from ``points`` are elided entirely: the executors run neither a
     barrier nor a copy there.
@@ -322,7 +322,7 @@ def derive_halo_schedule(config: SWConfig | None = None) -> HaloSchedule:
 
 def halo_schedule_for(config: SWConfig) -> HaloSchedule:
     """The schedule ``config.halo_schedule`` selects (static | dataflow)."""
-    if getattr(config, "halo_schedule", "static") == "dataflow":
+    if config.halo_schedule == "dataflow":
         return derive_halo_schedule(config)
     return static_halo_schedule(config)
 

@@ -1,8 +1,8 @@
 """Pattern-driven execution engine: kernel registry + pluggable backends.
 
 The one way kernels execute.  See :mod:`repro.engine.registry` for the
-dispatch mechanics, :mod:`repro.engine.backends` for the four built-in
-backends (``numpy`` / ``scatter`` / ``codegen`` / ``sparse``),
+dispatch mechanics, :mod:`repro.engine.backends` for the two built-in
+backends (``numpy`` / ``sparse``),
 :mod:`repro.engine.split` for split execution across two logical devices,
 and :mod:`repro.engine.plan` for fused per-mesh execution plans compiled
 from the Fig. 4 dataflow graph (``SWConfig(plan=True)``).

@@ -1,36 +1,24 @@
-"""Registration of the four built-in backends.
+"""Registration of the two built-in backends.
 
 One declarative table (:data:`OPS`) lists every stencil operator of the
-model with its Table I attribution and gather stencil; four registration
+model with its Table I attribution and gather stencil; two registration
 passes then attach implementations:
 
 * ``numpy`` — the production gather operators (:mod:`repro.swm.operators`,
   plus the A4 gather of :mod:`repro.swm.reconstruct` and the fused C1,C2
-  sweep of :mod:`repro.swm.advection`).  Complete by construction; also the
-  fallback for the other backends.
-* ``scatter`` — the Algorithm 2 / loop-order references of
-  :mod:`repro.swm.reference`.  Semantically the "original code" the paper
-  refactors away from; registered for correctness cross-checks and as the
-  baseline in backend benchmarks.
-* ``codegen`` — kernels compiled from the declarative
-  :data:`~repro.patterns.codegen.BUILTIN_SPECS`.  Single-field specs map
-   one-to-one; the two multi-field operators (``flux_divergence``,
-  ``coriolis_edge_term``) are *compositions* of compiled kernels with
-  point-local pre/post arithmetic — the same decomposition the Table I
-  catalog uses to price them.
+  sweep of :mod:`repro.swm.advection`); also what a faulted dispatch
+  recovers onto.
 * ``sparse`` — fixed-sparsity stencils compiled once per mesh into
   ``scipy.sparse`` CSR operators and applied as matvecs
   (:mod:`repro.engine.sparse`), memoized in a two-level in-memory +
-  versioned on-disk operator cache.
+  versioned on-disk operator cache.  The bilinear B1 runs as
+  ``0.5 * (q * (K f) + K (f * q))``, two matvecs of the TRiSK stencil ``K``.
 
-``numpy`` and ``sparse`` implement all 14 operators (``sparse`` runs the
-bilinear B1 as ``0.5 * (q * (K f) + K (f * q))``, two matvecs of the TRiSK
-stencil ``K``); ``scatter`` and ``codegen`` are intentionally partial: an
-operator they do not register runs on the counted ``numpy`` fallback.
-Which gaps are
-*intentional* is declared in :data:`INTENTIONAL_FALLBACKS`, and a
-lint-style test asserts no op falls back silently — a newly added operator
-must either implement every backend or be whitelisted there.
+Both implement all 14 operators, and a lint-style test asserts it: a newly
+added operator must implement both.  The Algorithm 2 loop/scatter forms
+(:mod:`repro.swm.reference`) and the kernels compiled from
+:data:`repro.patterns.codegen.BUILTIN_SPECS` are not backends: the tests
+call them directly, as the oracles the operators are checked against.
 
 The Algorithm-1 kernel drivers are registered by name alongside, so the
 integrator and the CLI resolve them through the registry too.
@@ -41,31 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..patterns.codegen import BUILTIN_SPECS, compile_kernel
 from ..patterns.pattern import PatternKind
 from .registry import KernelRegistry
 
 __all__ = [
     "OPS",
     "OpSpec",
-    "INTENTIONAL_FALLBACKS",
     "build_default_registry",
 ]
-
-
-#: backend -> op names that *deliberately* run on the counted ``numpy``
-#: fallback under that backend; a backend without an entry (``numpy``,
-#: ``sparse``) is complete.  ``scatter``'s loop references never got a
-#: fused C sweep; ``codegen``'s declarative specs cannot express the
-#: vector-valued reconstruction, the fused C sweep, or the F1 kite gather.
-#: The registry lint test enforces that every other (op, backend) pair is
-#: registered.
-INTENTIONAL_FALLBACKS: dict[str, frozenset[str]] = {
-    "scatter": frozenset({"d2fdx2"}),
-    "codegen": frozenset(
-        {"velocity_reconstruction", "d2fdx2", "cell_from_vertices_kite"}
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -161,66 +132,6 @@ def _register_numpy(reg: KernelRegistry, meta: dict) -> None:
         reg.register(op, "numpy", fn, **meta[op])
 
 
-# ----------------------------------------------------------------- scatter
-def _register_scatter(reg: KernelRegistry) -> None:
-    from ..swm import reference as ref
-
-    impls = {
-        "flux_divergence": ref.flux_divergence_scatter,
-        "kinetic_energy": ref.cell_kinetic_energy_loop,
-        "cell_divergence": ref.cell_divergence_scatter,
-        "velocity_reconstruction": ref.velocity_reconstruction_loop,
-        "coriolis_edge_term": ref.coriolis_edge_term_loop,
-        "tangential_velocity": ref.tangential_velocity_loop,
-        "cell_to_edge_mean": ref.cell_to_edge_mean_loop,
-        "vertex_from_cells_kite": ref.vertex_from_cells_kite_loop,
-        "cell_from_vertices_kite": ref.cell_from_vertices_kite_loop,
-        "vertex_to_edge_mean": ref.vertex_to_edge_mean_loop,
-        "vertex_curl": ref.vertex_curl_loop,
-        "edge_gradient_of_cell": ref.edge_gradient_of_cell_loop,
-        "edge_gradient_of_vertex": ref.edge_gradient_of_vertex_loop,
-    }
-    for op, fn in impls.items():
-        reg.register(op, "scatter", fn)
-
-
-# ----------------------------------------------------------------- codegen
-def _register_codegen(reg: KernelRegistry) -> None:
-    compiled = {name: compile_kernel(spec) for name, spec in BUILTIN_SPECS.items()}
-
-    # Single-field specs map directly onto operators.
-    direct = {
-        "kinetic_energy": "kinetic_energy",
-        "cell_divergence": "divergence",
-        "tangential_velocity": "tangential_velocity",
-        "cell_to_edge_mean": "edge_mean_of_cells",
-        "vertex_from_cells_kite": "h_vertex",
-        "vertex_to_edge_mean": "edge_mean_of_vertices",
-        "vertex_curl": "vorticity",
-        "edge_gradient_of_cell": "edge_gradient_of_cell",
-        "edge_gradient_of_vertex": "edge_gradient_of_vertex",
-    }
-    for op, spec_name in direct.items():
-        reg.register(op, "codegen", compiled[spec_name])
-
-    # Multi-field operators: compositions of compiled kernels with
-    # point-local arithmetic (the X-part the catalog prices separately).
-    divergence = compiled["divergence"]
-    trisk = compiled["tangential_velocity"]
-
-    def flux_divergence(mesh, u_edge, h_edge):
-        return divergence(mesh, u_edge * h_edge)
-
-    def coriolis_edge_term(mesh, u_edge, h_edge, pv_edge):
-        # sum_j w_j f_j 0.5 (q_e + q_j) = 0.5 q_e K(f) + 0.5 K(f q),
-        # with K the compiled TRiSK stencil and f = u h the edge flux.
-        flux = u_edge * h_edge
-        return 0.5 * (pv_edge * trisk(mesh, flux) + trisk(mesh, flux * pv_edge))
-
-    reg.register("flux_divergence", "codegen", flux_divergence)
-    reg.register("coriolis_edge_term", "codegen", coriolis_edge_term)
-
-
 # ------------------------------------------------------------------ sparse
 def _register_sparse(reg: KernelRegistry) -> None:
     from .sparse import build_sparse_impls
@@ -246,12 +157,10 @@ def _register_kernels(reg: KernelRegistry) -> None:
 
 
 def build_default_registry() -> KernelRegistry:
-    """A fresh registry with all four backends and kernel names registered."""
+    """A fresh registry with both backends and the kernel names registered."""
     reg = KernelRegistry()
     meta = {spec.op: _op_meta(spec) for spec in OPS}
     _register_numpy(reg, meta)
-    _register_scatter(reg)
-    _register_codegen(reg)
     _register_sparse(reg)
     _register_kernels(reg)
     return reg

@@ -1,14 +1,13 @@
 """Fused per-mesh execution plans compiled from the Fig. 4 dataflow graph.
 
-PR 5 made every linear stencil a precompiled CSR matvec, but the RK loop
-still walks the 14 operators one dispatch at a time: each call pays the
-registry lookup, the placement probe, a metrics timer, a fault site and a
-fresh output allocation.  This module removes all of that for
-``backend="sparse"``: :func:`compile_plan` topologically schedules an RK
-substep from the data-flow diagram (:mod:`repro.dataflow.schedule`) and
-emits one :class:`ExecutionPlan` per ``(mesh, config)`` — a flat list of
-closures over the cached CSR operators and preallocated scratch buffers.
-That includes the bilinear ``coriolis_edge_term`` (B1), emitted as the two
+Dispatching the 14 operators one at a time pays, per call, a registry
+lookup, a placement probe, a metrics timer, a fault site and a fresh output
+allocation.  For ``backend="sparse"`` this module removes all of that:
+:func:`compile_plan` topologically schedules an RK substep from the
+data-flow diagram (:mod:`repro.dataflow.schedule`) and emits one
+:class:`ExecutionPlan` per ``(mesh, config)`` — a flat list of closures
+over the cached CSR operators and preallocated scratch buffers.  That
+includes the bilinear ``coriolis_edge_term`` (B1), emitted as the two
 matvecs + four elementwise ops of :class:`repro.engine.sparse.CoriolisOp`.
 
 Two fusion modes
@@ -36,12 +35,12 @@ Caching
 -------
 Plans are memoized per mesh in a ``WeakKeyDictionary`` keyed by the
 structure-affecting config fields (:func:`plan_key`).  The CSR operators a
-plan closes over come from the PR 5 two-level operator cache
+plan closes over come from the two-level operator cache
 (:func:`repro.engine.sparse.sparse_operator`: memory + versioned ``.npz``
 on disk); matrices *composed* by the algebraic mode reuse the same
 two-level mechanics under ``cache_dir()/operators/`` with
 :data:`PLAN_CACHE_VERSION` stamped alongside the operator format version —
-a version bump or mesh edit invalidates them exactly like PR 5 operators.
+a version bump or mesh edit invalidates them exactly like the operators.
 The ``mpas_reconstruct`` stages (and the A4 operator's per-cell fits)
 compile on the first :meth:`~ExecutionPlan.reconstruct` / ``describe``.
 
@@ -117,9 +116,6 @@ __all__ = [
     "plan_key",
     "compile_plan",
     "compiled_plan",
-    "OverlapDiagnostics",
-    "compile_overlap",
-    "compiled_overlap",
     "clear_plan_memory_cache",
     "plan_cache_path",
     "unplanned_labels",
@@ -1051,457 +1047,6 @@ class _Compiler:
         return [PlanStage("tangent_rotation", fast)]
 
 
-# ----------------------------------------- interior/boundary overlap split
-class OverlapDiagnostics:
-    """The fused diagnostics program split for compute/communication overlap.
-
-    A decomposed rank that has just *published* its owned boundary slices
-    does not need its peers' values to compute most of its diagnostics —
-    only the rows whose dependency cone reaches the halo points the next
-    acquire will refresh.  This object holds the same fused stage program
-    as :meth:`ExecutionPlan.diagnostics` split in two:
-
-    1. ``diag, ctx = overlap.interior(state, f_vertex)`` — runs the *full*
-       stage program against the pre-acquire (stale-halo) state.  Rows with
-       no halo ancestry are already bitwise-final; tainted rows hold
-       garbage.  The ``E1`` stability check is deferred (a stale halo could
-       falsely trip it) and the ``pv_vertex`` divide runs under
-       ``np.errstate`` so a stale non-positive ``h_vertex`` cannot warn.
-    2. the caller acquires the exchange, refreshing the state halo *in
-       place* (``ctx`` aliases the state arrays, so the refresh is visible)
-    3. ``overlap.boundary(ctx)`` — recomputes exactly the tainted rows of
-       every output (compile-time presliced CSR rows + elementwise ops in
-       the same per-element order as the full stages) and runs the
-       deferred stability check over the now-fresh ``h_vertex``.
-
-    The result is **bitwise identical**, for every Diagnostics field at
-    every local point, to running :meth:`ExecutionPlan.diagnostics` after
-    the refresh — the overlap moves the peer wait off the critical path
-    without changing a single bit.  Taint sets are static per
-    ``(local mesh, config, ring depth)``: they derive from the refreshed
-    index sets via :func:`repro.engine.split.propagate_taint`.
-    """
-
-    def __init__(
-        self,
-        mesh,
-        key: tuple,
-        interior_stages: list[PlanStage],
-        boundary_stages: list[PlanStage],
-        buffers: dict[str, np.ndarray],
-        boundary_points: int,
-    ) -> None:
-        self._mesh = weakref.ref(mesh)
-        self.key = key
-        self._interior = interior_stages
-        self._boundary = boundary_stages
-        self._buffers = buffers
-        #: Total tainted output rows the boundary pass recomputes (the
-        #: redundant-work price of the overlap; owned + halo rows).
-        self.boundary_points = boundary_points
-        self._n = (mesh.nCells, mesh.nEdges, mesh.nVertices)
-
-    def _run(self, stages: list[PlanStage], ctx: dict) -> None:
-        tracer = get_tracer()
-        if tracer.enabled:
-            for st in stages:
-                with tracer.span(
-                    st.name, category="plan", stage_kind=st.kind,
-                    op=st.op or "-", pattern=st.pattern or "-",
-                ):
-                    st.fast(ctx)
-        else:
-            for st in stages:
-                st.fast(ctx)
-
-    def interior(self, state, f_vertex):
-        """Full-array diagnostics on the pre-acquire state.
-
-        Returns ``(diag, ctx)``; ``diag`` is final except at tainted rows,
-        ``ctx`` must be handed to :meth:`boundary` after the halo refresh.
-        """
-        from ..swm.state import Diagnostics
-
-        n_cells, n_edges, n_vertices = self._n
-        with get_registry().timer("engine.plan", segment="diag_interior").time():
-            ctx = dict(self._buffers)
-            ctx["mesh"] = self._mesh()
-            ctx.update(
-                h=state.h,
-                u=state.u,
-                f=f_vertex,
-                h_edge=np.empty(n_edges),
-                ke=np.empty(n_cells),
-                vorticity=np.empty(n_vertices),
-                divergence=np.empty(n_cells),
-                v=np.empty(n_edges),
-                h_vertex=np.empty(n_vertices),
-                pv_vertex=np.empty(n_vertices),
-                pv_cell=np.empty(n_cells),
-                pv_edge=np.empty(n_edges),
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                self._run(self._interior, ctx)
-            diag = Diagnostics(
-                h_edge=ctx["h_edge"],
-                ke=ctx["ke"],
-                vorticity=ctx["vorticity"],
-                divergence=ctx["divergence"],
-                v=ctx["v"],
-                h_vertex=ctx["h_vertex"],
-                pv_vertex=ctx["pv_vertex"],
-                pv_cell=ctx["pv_cell"],
-                pv_edge=ctx["pv_edge"],
-            )
-        return diag, ctx
-
-    def boundary(self, ctx: dict) -> None:
-        """Recompute the tainted rows after the halo refresh (in place)."""
-        with get_registry().timer("engine.plan", segment="diag_boundary").time():
-            self._run(self._boundary, ctx)
-
-
-class _OverlapCompiler(_Compiler):
-    """Compiles the interior + boundary stage pair for one local mesh.
-
-    The interior program is the parent class's fused diagnostics program
-    with the ``E1`` stability raise deferred; the boundary program is
-    emitted by the ``_boundary_*`` methods, which thread per-variable
-    taint masks through the same schedule order the interior ran in.
-    Every boundary closure captures compile-time presliced CSR rows —
-    ``M[rows] @ x`` is bitwise identical to ``(M @ x)[rows]`` because row
-    extraction preserves each row's stored entry order.
-    """
-
-    def __init__(self, mesh, config, registry, cell_mask, edge_mask) -> None:
-        super().__init__(mesh, config, registry)
-        #: Variable name -> boolean mask of rows invalidated by the
-        #: refresh, threaded through the boundary emitters.
-        self.taint: dict[str, np.ndarray] = {"h": cell_mask, "u": edge_mask}
-        self._usq = np.zeros(mesh.nEdges)
-        self.boundary_points = 0
-
-    # Interior variant of E1: no raise (a stale halo h_vertex may be
-    # non-positive without the run being unstable); the boundary pass
-    # checks the fresh array.
-    def _emit_E1(self, sched) -> list[PlanStage]:
-        M = self.matrix("vertex_from_cells_kite")
-
-        def fast(ctx):
-            _matvec(M, ctx["h"], ctx["h_vertex"])
-            np.add(ctx["f"], ctx["vorticity"], out=ctx["pv_vertex"])
-            np.divide(ctx["pv_vertex"], ctx["h_vertex"], out=ctx["pv_vertex"])
-
-        return [
-            PlanStage(
-                "pv_vertex", fast, kind="matvec",
-                op="vertex_from_cells_kite", pattern="E1",
-            )
-        ]
-
-    # ------------------------------------------------- boundary emitters
-    def compile_boundary(self, sched) -> list[PlanStage]:
-        stages: list[PlanStage] = []
-        for node in sched.nodes_for_kernel("compute_solve_diagnostics"):
-            label = sched.graph.instance(node).label
-            emit = getattr(self, f"_boundary_{label}", None)
-            if emit is None:
-                raise KeyError(
-                    f"no boundary emitter for Table I label {label!r} "
-                    f"(node {node!r}); interior/boundary overlap cannot "
-                    "cover this schedule"
-                )
-            stages.extend(emit(sched))
-        return stages
-
-    def _rows(self, mask: np.ndarray) -> np.ndarray:
-        rows = np.flatnonzero(mask)
-        self.boundary_points += int(rows.size)
-        return rows
-
-    def _boundary_matvec(
-        self, name: str, op: str, out_key: str, in_key: str, in_taint: str
-    ) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        M = self.matrix(op)
-        mask = propagate_taint(M, self.taint[in_taint])
-        self.taint[out_key] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        sub = sp.csr_matrix(M[rows])
-
-        def fast(ctx):
-            ctx[out_key][rows] = sub @ ctx[in_key]
-
-        return [PlanStage(name, fast, kind="boundary", op=op)]
-
-    def _boundary_C1(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        if self.config.thickness_adv_order == 2:
-            return []
-        if self.fuse == "algebraic" and self._h_edge_composable(sched):
-            return []  # D1's composed operator is retainted directly
-        Md2 = self.matrix("d2fdx2")
-        mask = propagate_taint(Md2, self.taint["h"], block=2)
-        self.taint["d2"] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        flat = np.empty(2 * rows.size, dtype=np.int64)
-        flat[0::2] = 2 * rows
-        flat[1::2] = 2 * rows + 1
-        sub = sp.csr_matrix(Md2[flat])
-        d2 = self._d2
-
-        def fast(ctx):
-            d2[flat] = sub @ ctx["h"]
-
-        return [PlanStage("d2fdx2@boundary", fast, kind="boundary", op="d2fdx2")]
-
-    def _boundary_C2(self, sched) -> list[PlanStage]:
-        return []  # fixed by the fused C1 boundary sweep
-
-    def _boundary_D1(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        order = self.config.thickness_adv_order
-        if order > 2 and self.fuse == "algebraic" and self._h_edge_composable(sched):
-            def already_built():  # the interior _emit_D1 pass composed it
-                raise AssertionError("h_edge_order4 must be composed before the boundary pass")
-
-            H4 = _composed_operator(self.mesh, "h_edge_order4", already_built)
-            mask = propagate_taint(H4, self.taint["h"])
-            self.taint["h_edge"] = mask
-            rows = self._rows(mask)
-            if rows.size == 0:
-                return []
-            sub = sp.csr_matrix(H4[rows])
-
-            def fast(ctx):
-                ctx["h_edge"][rows] = sub @ ctx["h"]
-
-            return [PlanStage("h_edge_order4@boundary", fast, kind="boundary")]
-
-        Mmean = self.matrix("cell_to_edge_mean")
-        mask = propagate_taint(Mmean, self.taint["h"])
-        if order > 2:
-            mask = mask | self.taint["d2"]
-        if order == 3:
-            mask = mask | self.taint["u"]
-        self.taint["h_edge"] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        sub = sp.csr_matrix(Mmean[rows])
-        if order == 2:
-            def fast2(ctx):
-                ctx["h_edge"][rows] = sub @ ctx["h"]
-
-            return [PlanStage("h_edge@boundary", fast2, kind="boundary")]
-
-        d2_1, d2_2 = self._d2[0::2], self._d2[1::2]
-        dc2_12 = self.mesh.metrics.dcEdge**2 / 12.0
-        dc2_half_r = (dc2_12 * 0.5)[rows]
-        dc2_12_r = dc2_12[rows]
-        coef = self.config.coef_3rd_order
-
-        def fast(ctx):
-            he = ctx["h_edge"]
-            he[rows] = sub @ ctx["h"]
-            e1 = d2_1[rows] + d2_2[rows]
-            e1 *= dc2_half_r
-            he[rows] -= e1
-            if order == 3:
-                e2 = np.sign(ctx["u"][rows])
-                e2 *= coef
-                e2 *= dc2_12_r
-                e2 *= 0.5
-                e1b = d2_2[rows] - d2_1[rows]
-                e2 *= e1b
-                he[rows] += e2
-
-        return [PlanStage("h_edge@boundary", fast, kind="boundary")]
-
-    def _boundary_A2(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        M = self.matrix("kinetic_energy")
-        mask = propagate_taint(M, self.taint["u"])
-        self.taint["ke"] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        sub = sp.csr_matrix(M[rows])
-        cols = np.unique(sub.indices)
-        usq = self._usq
-
-        def fast(ctx):
-            u = ctx["u"]
-            usq[cols] = u[cols] * u[cols]
-            ctx["ke"][rows] = sub @ usq
-
-        return [PlanStage("kinetic_energy@boundary", fast, kind="boundary")]
-
-    def _boundary_A3(self, sched) -> list[PlanStage]:
-        return self._boundary_matvec(
-            "divergence@boundary", "cell_divergence", "divergence", "u", "u"
-        )
-
-    def _boundary_H1(self, sched) -> list[PlanStage]:
-        return self._boundary_matvec(
-            "vorticity@boundary", "vertex_curl", "vorticity", "u", "u"
-        )
-
-    def _boundary_B2(self, sched) -> list[PlanStage]:
-        return self._boundary_matvec(
-            "tangential_velocity@boundary", "tangential_velocity", "v", "u", "u"
-        )
-
-    def _boundary_E1(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        M = self.matrix("vertex_from_cells_kite")
-        hv_mask = propagate_taint(M, self.taint["h"])
-        self.taint["h_vertex"] = hv_mask
-        pv_mask = hv_mask | self.taint["vorticity"]
-        self.taint["pv_vertex"] = pv_mask
-        hv_rows = self._rows(hv_mask)
-        pv_rows = self._rows(pv_mask)
-        sub = sp.csr_matrix(M[hv_rows]) if hv_rows.size else None
-
-        # Always emitted: this stage also owns the deferred stability
-        # check the interior pass skipped.
-        def fast(ctx):
-            hv = ctx["h_vertex"]
-            if sub is not None:
-                hv[hv_rows] = sub @ ctx["h"]
-            if np.any(hv <= 0.0):
-                raise FloatingPointError(_UNSTABLE_MSG)
-            if pv_rows.size:
-                pv = ctx["f"][pv_rows] + ctx["vorticity"][pv_rows]
-                pv /= hv[pv_rows]
-                ctx["pv_vertex"][pv_rows] = pv
-
-        return [
-            PlanStage(
-                "pv_vertex@boundary", fast, kind="boundary",
-                op="vertex_from_cells_kite",
-            )
-        ]
-
-    def _boundary_F1(self, sched) -> list[PlanStage]:
-        return self._boundary_matvec(
-            "pv_cell@boundary", "cell_from_vertices_kite",
-            "pv_cell", "pv_vertex", "pv_vertex",
-        )
-
-    def _boundary_G1(self, sched) -> list[PlanStage]:
-        from .split import propagate_taint
-
-        Mvte = self.matrix("vertex_to_edge_mean")
-        mask = propagate_taint(Mvte, self.taint["pv_vertex"])
-        apvm = self.config.apvm_upwinding != 0.0
-        if apvm:
-            Mgv = self.matrix("edge_gradient_of_vertex")
-            Mgc = self.matrix("edge_gradient_of_cell")
-            mask = (
-                mask
-                | propagate_taint(Mgv, self.taint["pv_vertex"])
-                | propagate_taint(Mgc, self.taint["pv_cell"])
-                | self.taint["v"]
-                | self.taint["u"]
-            )
-        self.taint["pv_edge"] = mask
-        rows = self._rows(mask)
-        if rows.size == 0:
-            return []
-        sub_vte = sp.csr_matrix(Mvte[rows])
-        if not apvm:
-            def fast_plain(ctx):
-                ctx["pv_edge"][rows] = sub_vte @ ctx["pv_vertex"]
-
-            return [PlanStage("pv_edge@boundary", fast_plain, kind="boundary")]
-
-        sub_gv = sp.csr_matrix(Mgv[rows])
-        sub_gc = sp.csr_matrix(Mgc[rows])
-        factor = self.config.apvm_upwinding * self.config.dt
-
-        def fast(ctx):
-            pe = sub_vte @ ctx["pv_vertex"]
-            g1 = sub_gv @ ctx["pv_vertex"]
-            g2 = sub_gc @ ctx["pv_cell"]
-            np.multiply(ctx["v"][rows], g1, out=g1)
-            np.multiply(ctx["u"][rows], g2, out=g2)
-            np.add(g1, g2, out=g1)
-            np.multiply(g1, factor, out=g1)
-            np.subtract(pe, g1, out=pe)
-            ctx["pv_edge"][rows] = pe
-
-        return [PlanStage("pv_edge@boundary", fast, kind="boundary")]
-
-
-def compile_overlap(local_mesh, config, rings: int, registry=None) -> OverlapDiagnostics:
-    """Compile the interior/boundary diagnostics pair for one local mesh.
-
-    ``rings`` is the halo-ring depth the surrounding exchange refreshes
-    (the :class:`~repro.dataflow.schedule.SyncPoint` depth): the taint
-    seeds are exactly the refreshed cell/edge index sets of
-    :func:`repro.parallel.halo.ring_halo_indices`.
-    """
-    from ..dataflow.schedule import schedule_substep
-    from ..parallel.halo import ring_halo_indices
-    from .registry import default_registry
-
-    if config.backend != "sparse":
-        raise ValueError(
-            "overlap programs require backend='sparse' "
-            f"(got backend={config.backend!r})"
-        )
-    reg = registry if registry is not None else default_registry()
-    cell_idx, edge_idx = ring_halo_indices(local_mesh, rings)
-    cell_mask = np.zeros(local_mesh.nCells, dtype=bool)
-    cell_mask[cell_idx] = True
-    edge_mask = np.zeros(local_mesh.nEdges, dtype=bool)
-    edge_mask[edge_idx] = True
-    comp = _OverlapCompiler(local_mesh, config, reg, cell_mask, edge_mask)
-    sched1 = schedule_substep(config, stage=1)
-    interior = comp.compile_kernel(sched1, "compute_solve_diagnostics")
-    boundary = comp.compile_boundary(sched1)
-    return OverlapDiagnostics(
-        local_mesh,
-        key=plan_key(config) + (int(rings),),
-        interior_stages=interior,
-        boundary_stages=boundary,
-        buffers=comp.buffers,
-        boundary_points=comp.boundary_points,
-    )
-
-
-_OVERLAPS: "weakref.WeakKeyDictionary[object, dict[tuple, OverlapDiagnostics]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def compiled_overlap(local_mesh, config, rings: int, registry=None) -> OverlapDiagnostics:
-    """The memoized overlap program for ``(local_mesh, config, rings)``."""
-    per_mesh = _OVERLAPS.get(local_mesh)
-    if per_mesh is None:
-        per_mesh = {}
-        _OVERLAPS[local_mesh] = per_mesh
-    key = plan_key(config) + (int(rings),)
-    ov = per_mesh.get(key)
-    if ov is None:
-        ov = compile_overlap(local_mesh, config, rings, registry=registry)
-        per_mesh[key] = ov
-        get_registry().counter(
-            "engine.plan.compile_overlap", fuse=getattr(config, "plan_fuse", "exact")
-        ).inc()
-    return ov
-
-
 def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     """Compile the fused :class:`ExecutionPlan` for ``(mesh, config)``.
 
@@ -1575,7 +1120,7 @@ def compiled_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     Keyed by :func:`plan_key` (plus the batch width), so a config mutation
     that changes the compiled structure (e.g. the rollback handler halving
     ``dt``, which is baked into the APVM factor) transparently compiles a
-    fresh plan; the underlying CSR operators are shared through the PR 5
+    fresh plan; the underlying CSR operators are shared through the
     operator cache either way.
     """
     plans = _PLANS.get(mesh)
@@ -1595,4 +1140,3 @@ def clear_plan_memory_cache() -> None:
     """Drop in-process compiled plans and composed matrices (cache tests)."""
     _PLANS.clear()
     _COMPOSED_MEM.clear()
-    _OVERLAPS.clear()

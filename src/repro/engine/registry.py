@@ -11,26 +11,18 @@ the hybrid layer all resolve work through the same table instead of
 importing implementations directly (the Loop-of-stencil-reduce shape: one
 pattern abstraction, many interchangeable backends).
 
-Four backends ship by default (see :mod:`repro.engine.backends`):
+Two backends ship (see :mod:`repro.engine.backends`):
 
 ``numpy``
     The production gather-form operators of :mod:`repro.swm.operators`
     (Algorithms 3/4 — label matrices, branch-free padding).
-``scatter``
-    The loop/scatter reference forms of :mod:`repro.swm.reference`
-    (Algorithm 2 — the "original code" semantics, for cross-checks).
-``codegen``
-    Kernels compiled from declarative :class:`~repro.patterns.codegen.
-    StencilSpec` descriptions — the paper's automatic-code-generation
-    future work promoted to a real execution path.
 ``sparse``
     Fixed-sparsity stencils compiled once per mesh into ``scipy.sparse``
     CSR operators and applied as matvecs (:mod:`repro.engine.sparse`),
     with a two-level in-memory + versioned on-disk operator cache.
 
-An operator missing from the selected backend falls back to ``numpy`` (and
-the fallback is counted in the metrics registry), so partial backends can
-still drive a full model run.  Every dispatch is timed into the
+Both implement every operator; asking for an implementation that was never
+registered is a ``KeyError``.  Every dispatch is timed into the
 process-wide :class:`~repro.obs.metrics.MetricsRegistry` under
 ``engine.op`` tagged with ``(op, pattern, backend)`` — the raw material of
 the per-backend cost report (:mod:`repro.obs.report`).
@@ -57,7 +49,7 @@ __all__ = [
 ]
 
 #: The backends registered by :mod:`repro.engine.backends`.
-BACKENDS: tuple[str, ...] = ("numpy", "scatter", "codegen", "sparse")
+BACKENDS: tuple[str, ...] = ("numpy", "sparse")
 
 DEFAULT_BACKEND = "numpy"
 
@@ -100,18 +92,15 @@ class OpEntry:
     no_split: bool = False
     impls: dict[str, Callable] = field(default_factory=dict)
 
-    def resolve(self, backend: str) -> tuple[Callable, str]:
-        """Implementation for ``backend``, falling back to ``numpy``."""
-        fn = self.impls.get(backend)
-        if fn is not None:
-            return fn, backend
-        fn = self.impls.get(DEFAULT_BACKEND)
-        if fn is None:
+    def resolve(self, backend: str) -> Callable:
+        """The implementation registered for ``backend``."""
+        try:
+            return self.impls[backend]
+        except KeyError:
             raise KeyError(
-                f"operator {self.op!r} has no {backend!r} implementation "
-                f"and no {DEFAULT_BACKEND!r} fallback"
-            )
-        return fn, DEFAULT_BACKEND
+                f"operator {self.op!r} has no {backend!r} implementation; "
+                f"registered: {sorted(self.impls)}"
+            ) from None
 
 
 class KernelRegistry:
@@ -124,12 +113,12 @@ class KernelRegistry:
     def __reduce__(self):
         """Pickle support for worker processes.
 
-        Registered implementations include compiled codegen closures that
-        cannot cross a process boundary, so a registry never pickles by
-        value.  The process-default registry pickles as "rebuild the
-        default in the receiving process" — each pool worker then owns an
-        equivalent, independently built table (same registrations, fresh
-        timers).  Custom registries must be rebuilt inside the worker.
+        Registered implementations include closures that cannot cross a
+        process boundary, so a registry never pickles by value.  The
+        process-default registry pickles as "rebuild the default in the
+        receiving process" — each pool worker then owns an equivalent,
+        independently built table (same registrations, fresh timers).
+        Custom registries must be rebuilt inside the worker.
         """
         if self is _DEFAULT:
             return (default_registry, ())
@@ -214,8 +203,7 @@ class KernelRegistry:
         Honours an active split :class:`~repro.hybrid.executor.Placement`
         for the operator's pattern label (see
         :func:`repro.engine.split.use_placements`), and records an
-        ``engine.op`` timer tagged ``(op, pattern, backend)`` plus an
-        ``engine.fallback`` counter when the backend had to fall back.
+        ``engine.op`` timer tagged ``(op, pattern, backend)``.
 
         Every dispatch is the ``engine.dispatch`` fault site: a faulted call
         is retried on the same backend (``RecoveryPolicy.backend_retries``
@@ -224,24 +212,21 @@ class KernelRegistry:
         are counted under ``resilience.recovery.*``.
         """
         entry = self.op(op)
-        fn, resolved = entry.resolve(backend)
-        metrics = _get_metrics()
-        if resolved != backend:
-            metrics.counter("engine.fallback", op=op, backend=backend).inc()
+        fn = entry.resolve(backend)
         placement = active_placement(entry.pattern) if entry.pattern else None
-        timer = metrics.timer(
-            "engine.op", op=op, pattern=entry.pattern or "-", backend=resolved
+        timer = _get_metrics().timer(
+            "engine.op", op=op, pattern=entry.pattern or "-", backend=backend
         )
         with timer.time():
             if placement is not None and getattr(placement, "device", None) == "split":
                 from .split import run_split
 
-                return run_split(entry, fn, resolved, mesh, fields, placement)
+                return run_split(entry, fn, backend, mesh, fields, placement)
             try:
-                fault_site("engine.dispatch", op=op, backend=resolved)
+                fault_site("engine.dispatch", op=op, backend=backend)
                 return fn(mesh, *fields)
             except FaultInjected as exc:
-                return self._recover_dispatch(entry, fn, resolved, mesh, fields, exc)
+                return self._recover_dispatch(entry, fn, backend, mesh, fields, exc)
 
     def _recover_dispatch(self, entry, fn, backend, mesh, fields, exc):
         """Bounded same-backend retries, then the counted ``numpy`` fallback.

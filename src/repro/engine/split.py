@@ -47,7 +47,6 @@ __all__ = [
     "active_placements",
     "placements_active",
     "run_split",
-    "propagate_taint",
 ]
 
 #: Table I label -> Placement, installed by :func:`use_placements`.
@@ -228,34 +227,3 @@ def run_split(entry, fn, backend: str, mesh, fields, placement):
         _demote(placement, survivor)
     metrics.gauge("engine.split.cpu_fraction", op=entry.op).set(f)
     return np.concatenate(parts, axis=0)
-
-
-def propagate_taint(
-    matrix, in_mask: np.ndarray, block: int = 1
-) -> np.ndarray:
-    """Output rows of a linear operator that depend on flagged inputs.
-
-    Given a sparse operator and a boolean mask over its input points,
-    return the boolean mask of output points whose value reads at least
-    one flagged input — the structural dependency cone one matvec deep.
-    ``abs()`` of the matrix is used so coefficient sign cancellation can
-    never hide a dependency, and *any* stored entry counts (an explicit
-    zero still marks a structural read).  ``block`` collapses block-row
-    operators (``block`` consecutive matrix rows per output point, e.g.
-    the fused ``d2fdx2`` pair) to one flag per point.
-
-    This is how the interior/boundary overlap splitter decides which rows
-    of each fused-plan stage must be recomputed after a halo refresh.
-    """
-    import scipy.sparse as sp
-
-    m = matrix.tocsr() if not hasattr(matrix, "indptr") else matrix
-    # Structural adjacency: every stored entry counts as 1, so neither a
-    # zero coefficient nor sign cancellation can hide a dependency.
-    structure = sp.csr_matrix(
-        (np.ones_like(m.data), m.indices, m.indptr), shape=m.shape
-    )
-    out = (structure @ np.asarray(in_mask, dtype=np.float64)) > 0.0
-    if block > 1:
-        out = out.reshape(-1, block).any(axis=1)
-    return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import SphericalVoronoi
 
 from .sphere import normalize, polygon_centroid
 
@@ -42,8 +41,12 @@ class LloydResult:
     converged: bool = False
 
 
-def _region_centroids(sv: SphericalVoronoi) -> np.ndarray:
-    """Spherical centroid of every Voronoi region of ``sv``."""
+def _region_centroids(pts: np.ndarray) -> np.ndarray:
+    """Spherical centroid of the Voronoi region of every generator in ``pts``."""
+    from scipy.spatial import SphericalVoronoi  # deferred: 0.2 s, builds only
+
+    sv = SphericalVoronoi(pts, radius=1.0)
+    sv.sort_vertices_of_regions()
     centroids = np.empty_like(sv.points)
     for i, region in enumerate(sv.regions):
         centroids[i] = polygon_centroid(sv.vertices[region])
@@ -69,9 +72,7 @@ def lloyd_relax(
     pts = normalize(np.asarray(points, dtype=np.float64))
     result = LloydResult(points=pts, iterations=0)
     for it in range(iterations):
-        sv = SphericalVoronoi(pts, radius=1.0)
-        sv.sort_vertices_of_regions()
-        new_pts = _region_centroids(sv)
+        new_pts = _region_centroids(pts)
         disp = float(np.max(np.linalg.norm(new_pts - pts, axis=-1)))
         result.displacement_history.append(disp)
         pts = new_pts
@@ -89,7 +90,5 @@ def centroidality_residual(points: np.ndarray) -> float:
     Zero for an exact SCVT; used by mesh-quality diagnostics and tests.
     """
     pts = normalize(np.asarray(points, dtype=np.float64))
-    sv = SphericalVoronoi(pts, radius=1.0)
-    sv.sort_vertices_of_regions()
-    centroids = _region_centroids(sv)
+    centroids = _region_centroids(pts)
     return float(np.max(np.linalg.norm(centroids - pts, axis=-1)))

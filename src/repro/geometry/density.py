@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import SphericalVoronoi
 
 from .sphere import arc_length, normalize, spherical_triangle_area
 
@@ -89,6 +88,8 @@ def weighted_lloyd_relax(
     tol: float = 1e-10,
 ) -> WeightedLloydResult:
     """Lloyd iteration with generator updates weighted by ``density``."""
+    from scipy.spatial import SphericalVoronoi  # deferred: 0.2 s, builds only
+
     pts = normalize(np.asarray(points, dtype=np.float64))
     result = WeightedLloydResult(points=pts, iterations=0)
     for it in range(iterations):

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import SphericalVoronoi
 
 from ..geometry.sphere import normalize, spherical_polygon_area
 
@@ -73,6 +72,8 @@ def extract_voronoi(points: np.ndarray, min_vertex_separation: float = 1e-9) -> 
     RawVoronoi
         With every region wound counter-clockwise.
     """
+    from scipy.spatial import SphericalVoronoi  # deferred: 0.2 s, builds only
+
     pts = normalize(np.asarray(points, dtype=np.float64))
     if pts.shape[0] < 4:
         raise ValueError("need at least 4 generators for a spherical Voronoi diagram")

@@ -24,6 +24,7 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..swm.config import SWConfig
 from .export import read_jsonl, validate_chrome_trace, write_chrome_trace, write_jsonl
 from .instrument import pattern_info
 from .metrics import MetricsRegistry, get_registry, use_registry
@@ -432,7 +433,7 @@ def run_traced(
     backend: str = "numpy",
     parallel: str = "serial",
     ranks: int = 1,
-    halo_schedule: str = "static",
+    halo_schedule: str = SWConfig.halo_schedule,
     run_dir=None,
 ) -> tuple[Tracer, MetricsRegistry, object, object]:
     """Integrate ``steps`` RK-4 steps with tracing on.
@@ -460,7 +461,6 @@ def run_traced(
     test_case = _resolve_case(case)
     if config is None:
         from ..swm import scenarios
-        from ..swm.config import SWConfig
         from ..swm.model import suggested_dt
 
         sc = scenarios.scenario_for(test_case)
@@ -577,7 +577,6 @@ def _overhead(case: str, level: int, steps: int) -> float:
 def _run_untraced(case: str, level: int, steps: int) -> None:
     from ..constants import GRAVITY
     from ..mesh import cached_mesh
-    from ..swm.config import SWConfig
     from ..swm.model import suggested_dt
     from ..swm.testcases import initialize
     from ..swm.timestep import RK4Integrator
@@ -620,15 +619,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--overhead", action="store_true",
                         help="measure tracing overhead (traced/untraced ratio)")
     parser.add_argument("--backend", default="numpy",
-                        help="engine execution backend "
-                             "(numpy/scatter/codegen/sparse)")
+                        help="engine execution backend (numpy/sparse)")
     parser.add_argument("--parallel", default="serial",
                         choices=("serial", "lockstep", "pool"),
                         help="executor; non-serial runs add the per-sync-"
                              "point halo table")
     parser.add_argument("--ranks", type=int, default=1)
-    parser.add_argument("--halo-schedule", default="static",
-                        choices=("static", "dataflow"),
+    parser.add_argument("--halo-schedule", default=SWConfig.halo_schedule,
+                        choices=SWConfig.HALO_SCHEDULES,
                         help="halo schedule of the decomposed executors")
     parser.add_argument("--run-dir", type=Path, default=None,
                         help="trace a durable run into this fresh directory; "

@@ -23,16 +23,15 @@ over a double-buffered segment and the publish/acknowledge counters of a
 :class:`~repro.parallel.shm.SyncBoard`; no rank ever parks on a barrier.
 Each kept exchange is split around compute — a rank publishes its owned
 slices the moment the substate exists (``begin``), the step program runs
-the RK accumulation (and, for a rank carrying the interior program of
-:func:`repro.engine.plan.compiled_overlap`, its interior diagnostics) while
-its peers drain the exchange, and the halo is acquired only at the last
-read point (``finish``).  The schedule decides which of the 8 sync points
-exist and what they move: all of them at full payload under the default
-``SWConfig(halo_schedule="static")``; under ``halo_schedule="dataflow"``
+the RK accumulation while its peers drain the exchange, and the halo is
+acquired at the last point before it is read (``finish``).  The two
+schedules differ only in the :class:`~repro.dataflow.schedule.HaloSchedule`
+value handed to the transport, which says which of the 8 sync points exist
+and what they move: under the default ``SWConfig(halo_schedule="dataflow")``
 (:func:`repro.dataflow.schedule.derive_halo_schedule`) only those whose
-halo the step graph cannot prove clean, moving only the variables and halo
-rings the schedule names.  The owned state stays bitwise identical to the
-serial run under both.
+halo the step graph cannot prove clean, moving only the variables the
+schedule names; under ``halo_schedule="static"`` all of them at full
+payload.  The owned state is bitwise identical to the serial run under both.
 
 Worker death (a crashed process, an ``os._exit`` mid-step) is recoverable:
 the parent sees the process exit at once and resets the sync board, whose
@@ -127,12 +126,17 @@ class _BoardTransport(HaloTransport):
                 + (edge_idx.size if "u" in p.fields else 0)
             )
             self.points[p.name] = (p.fields, cell_idx, edge_idx, nbytes)
+        self.bind_counters()
+        self.rewind()
+
+    def bind_counters(self) -> None:
+        """Resolve the ``halo.*`` series in the installed registry; again
+        after every ``registry.clear()``, which orphans the old objects."""
         registry = get_registry()
         self._bytes = registry.counter("halo.bytes", mode="pool")
         self._exchanges = registry.counter("halo.exchanges", mode="pool")
         self._wait_s = registry.counter("halo.wait_s", mode="pool")
         self._overlap_s = registry.counter("halo.overlap_s", mode="pool")
-        self.rewind()
 
     def rewind(self) -> None:
         """Restart the exchange sequence after a global (re)load: the parent
@@ -229,7 +233,6 @@ def _worker_main(
     rank sets; the step is :func:`repro.swm.timestep.rk4_step`.
     """
     t_start = time.perf_counter()
-    from ..engine.split import placements_active
     from ..resilience.recovery import use_recovery_policy
 
     # A SIGKILLed parent cannot tell its workers anything, and under the
@@ -255,23 +258,11 @@ def _worker_main(
     registry = MetricsRegistry()
     set_registry(registry)
     set_tracer(Tracer(enabled=trace_enabled))
-    steps_done = registry.counter("pool.worker.steps")
 
     integ = RK4Integrator(lm, config, b_cell, f_vertex)
     sync = _BoardTransport(
         rank, shared, board, barrier_timeout, lm, schedule, *neighbors
     )
-    if schedule.mode == "dataflow" and config.plan and not placements_active():
-        # Fused-plan ranks split diagnostics into interior + boundary
-        # around each acquire; split placements fall back to the plain
-        # acquire-then-compute path (plans bypass routing entirely).  Static
-        # stays plain on measurement: the boundary recompute costs 1.4 ms a
-        # step more than the window hides (EXPERIMENTS.md "PR 19").
-        from ..engine.plan import compiled_overlap
-
-        rings = max(p.rings for p in schedule.points)
-        integ.overlap = compiled_overlap(lm, config, rings)
-
     t_diag = time.perf_counter()
     state = shared.read_local(lm)
     diag = integ.diagnostics_for(state)
@@ -300,7 +291,7 @@ def _worker_main(
                                 [integ], [state], [diag], transport=sync
                             )
                         board.observe(rank, time.perf_counter() - t_step)
-                        steps_done.inc()
+                        registry.counter("pool.worker.steps").inc()
                     conn.send(("ok", n))
                 except threading.BrokenBarrierError:
                     conn.send(("broken", step_no))
@@ -323,6 +314,7 @@ def _worker_main(
                     [s.to_dict() for s in tracer.finished()],
                 ))
                 registry.clear()
+                sync.bind_counters()
                 tracer.clear()
             elif cmd == "stop":
                 conn.send(("bye", rank))

@@ -23,6 +23,8 @@ run**, because
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..mesh.mesh import Mesh
@@ -35,7 +37,7 @@ from ..swm.diagnostics import compute_solve_diagnostics
 from ..swm.state import Diagnostics, State
 from ..swm.testcases import TestCase, initialize
 from ..swm.timestep import HaloTransport, RK4Integrator, rk4_step
-from ..dataflow.schedule import HaloSchedule, halo_schedule_for
+from ..dataflow.schedule import halo_schedule_for
 from .halo import (
     build_local_mesh,
     exchange_bytes,
@@ -136,8 +138,8 @@ class DecomposedShallowWater(HaloTransport):
         self.exchange_count = 0
         self.schedule = halo_schedule_for(config)
         meshes = [rk.mesh for rk in self.ranks]
-        # Refresh index sets per kept sync point (ring-limited under the
-        # dataflow schedule; the static schedule keeps the full-slice path).
+        # Per kept sync point: each rank's halo indices within the point's
+        # ring depth, and the bytes refreshing them moves.
         self._sync_idx: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._sync_bytes: dict[str, float] = {}
         for point in self.schedule.points:
@@ -145,32 +147,29 @@ class DecomposedShallowWater(HaloTransport):
                 ring_halo_indices(lm, point.rings) for lm in meshes
             ]
             self._sync_bytes[point.name] = schedule_exchange_bytes(
-                meshes, HaloSchedule(mode=self.schedule.mode, points=(point,))
+                meshes, replace(self.schedule, points=(point,))
             )
         #: Oracle hook for the schedule-soundness test: a ``(sync, field)``
         #: pair whose halo refresh is skipped — a needed refresh then shows
         #: up as an owned-state diff against serial.
         self._skip_refresh: tuple[str, str] | None = None
-        # Per-exchange payload is fixed by the decomposition; cache the
-        # counter series so the hot path pays two adds per exchange.
+        # Cache the counter series so the hot path pays two adds per exchange.
         registry = get_registry()
-        self._bytes_per_exchange = exchange_bytes(meshes)
         self._halo_bytes = registry.counter("halo.bytes", ranks=n_ranks)
         self._halo_exchanges = registry.counter("halo.exchanges", ranks=n_ranks)
         registry.gauge("halo.bytes_per_exchange", ranks=n_ranks).set(
-            self._bytes_per_exchange
+            exchange_bytes(meshes)
         )
 
     # ------------------------------------------------------------- exchange
     def _exchange(self, states: list[State], sync: str) -> None:
         """Refresh halo values of ``h``/``u`` from their owning ranks.
 
-        ``sync`` names the Algorithm-1 synchronization point; under the
-        dataflow :class:`~repro.dataflow.schedule.HaloSchedule` an elided
-        point returns immediately (no exchange, no fault site) and a kept
-        point refreshes only the fields it names, ring-limited to its
-        depth.  The static schedule keeps the full-slice refresh of every
-        halo point.
+        ``sync`` names the Algorithm-1 synchronization point: one the
+        :class:`~repro.dataflow.schedule.HaloSchedule` elides returns
+        immediately (no exchange, no fault site); a kept one refreshes the
+        fields its :class:`~repro.dataflow.schedule.SyncPoint` names, at the
+        halo points within its ring depth.
 
         Each executed exchange is one ``halo.exchange`` fault site (a
         dropped MPI message).  A faulted exchange is re-attempted up to
@@ -183,8 +182,7 @@ class DecomposedShallowWater(HaloTransport):
         """
         point = self.schedule.entry(sync)
         if point is None:
-            return  # elided by the dataflow schedule: provably clean
-        thin = self.schedule.mode == "dataflow"
+            return  # elided by the schedule: provably clean
         attempt = 0
         while True:
             try:
@@ -207,9 +205,7 @@ class DecomposedShallowWater(HaloTransport):
         skip = self._skip_refresh
         if skip is not None and skip[0] == sync:
             fields = tuple(f for f in fields if f != skip[1])
-        bytes_moved = (
-            self._sync_bytes[sync] if thin else self._bytes_per_exchange
-        )
+        bytes_moved = self._sync_bytes[sync]
         with trace_span(
             "halo_exchange", category="halo", sync=sync,
             ranks=self.n_ranks, bytes_est=bytes_moved,
@@ -222,17 +218,11 @@ class DecomposedShallowWater(HaloTransport):
                 gu[lm.edges_global[: lm.n_owned_edges]] = st.u[: lm.n_owned_edges]
             for r, (rk, st) in enumerate(zip(self.ranks, states)):
                 lm = rk.mesh
-                if thin:
-                    cell_idx, edge_idx = self._sync_idx[sync][r]
-                    if "h" in fields:
-                        st.h[cell_idx] = gh[lm.cells_global[cell_idx]]
-                    if "u" in fields:
-                        st.u[edge_idx] = gu[lm.edges_global[edge_idx]]
-                else:
-                    if "h" in fields:
-                        st.h[lm.n_owned_cells :] = gh[lm.cells_global[lm.n_owned_cells :]]
-                    if "u" in fields:
-                        st.u[lm.n_owned_edges :] = gu[lm.edges_global[lm.n_owned_edges :]]
+                cell_idx, edge_idx = self._sync_idx[sync][r]
+                if "h" in fields:
+                    st.h[cell_idx] = gh[lm.cells_global[cell_idx]]
+                if "u" in fields:
+                    st.u[edge_idx] = gu[lm.edges_global[edge_idx]]
         self.exchange_count += 1
         self._halo_bytes.inc(bytes_moved)
         self._halo_exchanges.inc()

@@ -18,8 +18,8 @@ The pool double-buffers under both halo schedules: exchange ``i``
 (1-based) flows through block ``i % n_buffers``, and the
 :class:`SyncBoard` publish/acknowledge counters guarantee a block is
 never overwritten while a peer still reads it — the barrier-free
-producer/consumer protocol that lets interior compute overlap the
-exchange.
+producer/consumer protocol that lets a rank run its RK accumulation while
+its peers drain the exchange.
 
 Lifecycle: the parent :meth:`SharedState.create`\\ s and eventually
 :meth:`SharedState.unlink`\\ s the segment; workers receive the

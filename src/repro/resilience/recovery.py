@@ -46,7 +46,7 @@ class RecoveryPolicy:
         falling back.
     backend_fallback : bool
         After retries are exhausted, resolve the ``numpy`` implementation
-        and run that (the counted ``engine.fallback``-style escape hatch).
+        and run that (counted under ``resilience.recovery.fallback``).
     split_degrade : bool
         After a split-device failure, demote the placement to the surviving
         device for subsequent dispatches (degraded mode).

@@ -43,9 +43,9 @@ class SWConfig:
         (the Williamson TC1 passive-advection configuration): ``tend_u`` is
         forced to zero every substage.
     backend : str
-        Execution backend for the stencil operators (``"numpy"``,
-        ``"scatter"``, ``"codegen"`` or ``"sparse"``); every kernel
-        dispatches through the :mod:`repro.engine` registry under this name.
+        Execution backend for the stencil operators (``"numpy"`` or
+        ``"sparse"``); every kernel dispatches through the
+        :mod:`repro.engine` registry under this name.
     parallel : str
         Execution mode of the run (dispatched by :func:`repro.api.run`):
         ``"serial"`` integrates in-process; ``"lockstep"`` steps ``ranks``
@@ -105,14 +105,14 @@ class SWConfig:
     #: ``"algebraic"`` additionally composes linear-operator chains into
     #: single matrices (equivalent to ~1e-12, not bitwise).
     plan_fuse: str = "exact"
-    #: Halo synchronization schedule of the decomposed modes: ``"static"``
-    #: executes all 8 Algorithm-1 sync points with full payloads (the
-    #: bitwise-proven escape hatch); ``"dataflow"`` runs the comm-avoiding
-    #: schedule derived from the step graph by
+    #: Halo synchronization schedule of the decomposed modes: ``"dataflow"``
+    #: runs the comm-avoiding schedule derived from the step graph by
     #: :func:`repro.dataflow.schedule.derive_halo_schedule` — provably-clean
-    #: sync points are elided and the rest ship only the dirty variables.
-    #: Both produce bitwise-identical owned state.
-    halo_schedule: str = "static"
+    #: sync points are elided and the rest ship only the dirty variables;
+    #: ``"static"`` executes all 8 Algorithm-1 sync points with full
+    #: payloads (the oracle the derivation is checked against).  Both
+    #: produce bitwise-identical owned state.
+    halo_schedule: str = "dataflow"
     parallel: str = "serial"
     ranks: int = 1
     backend_retries: int = 1

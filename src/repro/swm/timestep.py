@@ -172,11 +172,6 @@ class RK4Integrator:
             if boundary_mask is None
             else np.asarray(boundary_mask, dtype=bool)
         )
-        #: An :class:`~repro.engine.plan.OverlapDiagnostics` for this rank's
-        #: mesh, attached by the pool's dataflow worker: diagnostics of a
-        #: state whose exchange is in flight then split into interior rows
-        #: (before the acquire) and boundary rows (after it).
-        self.overlap = None
         if config.plan:
             # Compile (and warm the cache for) the fused plan up front so
             # the first step does not pay compilation inside the timed loop.
@@ -246,11 +241,10 @@ def rk4_step(
 
     Per stage the order is the one every transport can share: tendency,
     provisional state, ``transport.begin``, accumulation, diagnostics —
-    with ``transport.finish`` at the last point before the halo is read
-    (for a rank carrying an ``overlap`` program, between the interior and
-    the boundary rows of the diagnostics).  The accumulation is independent
-    of the provisional state, so running it inside the exchange window
-    moves no bit relative to Algorithm 1's textual order.
+    with ``transport.finish`` at the last point before the halo is read.
+    The accumulation is independent of the provisional state, so running it
+    inside the exchange window moves no bit relative to Algorithm 1's
+    textual order.
 
     ``unstable`` passes through to the diagnostics of batched states.
     """
@@ -295,29 +289,12 @@ def rk4_step(
             provis = acc
             token = transport.begin("post@s4", provis)
 
-        overlapped = token is not None and ranks[0].overlap is not None
-        if overlapped:
-            partial = []
-            for rk, pv in zip(ranks, provis):
-                with kernel_span(
-                    "compute_solve_diagnostics", stage=stage, backend=backend
-                ):
-                    partial.append(rk.overlap.interior(pv, rk.f_vertex))
         if token is not None:
             transport.finish(token)
-        if overlapped:
-            for rk, (_, ctx) in zip(ranks, partial):
-                with kernel_span(
-                    "compute_solve_diagnostics@boundary", stage=stage,
-                    backend=backend,
-                ):
-                    rk.overlap.boundary(ctx)
-            provis_diag = [d for d, _ in partial]
-        else:
-            provis_diag = []
-            for rk, pv in zip(ranks, provis):
-                with kernel_span(
-                    "compute_solve_diagnostics", stage=stage, backend=backend
-                ):
-                    provis_diag.append(rk.diagnostics_for(pv, unstable))
+        provis_diag = []
+        for rk, pv in zip(ranks, provis):
+            with kernel_span(
+                "compute_solve_diagnostics", stage=stage, backend=backend
+            ):
+                provis_diag.append(rk.diagnostics_for(pv, unstable))
     return acc, provis_diag

@@ -16,6 +16,7 @@ Three layers, mirroring :mod:`repro.resilience.durable`:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -156,8 +157,6 @@ class TestManifest:
     ):
         cfg = _cfg(mesh3)
         run_ = DurableRun.create(tmp_path, "galewsky", mesh3, cfg, 4)
-        import dataclasses
-
         other = dataclasses.replace(cfg, thickness_adv_order=4)
         with pytest.raises(ManifestError, match="thickness_adv_order"):
             run_.validate_compatible(config=other)
@@ -341,8 +340,6 @@ class TestWritePath:
     def test_old_compressed_checkpoint_resumes_bitwise(self, mesh3, tmp_path):
         """Backward compatibility: a restart file in the previous (deflated)
         layout, committed by bare path, is a valid resume point."""
-        import dataclasses
-
         from repro.swm.model import ShallowWaterModel
 
         cfg = _cfg(mesh3, checkpoint_interval=2)
@@ -418,6 +415,35 @@ class TestRetiredConfigFields:
         assert np.array_equal(resumed.state.h, ref.state.h)
         assert np.array_equal(resumed.state.u, ref.state.u)
         assert _committed_steps(d) == [0, 2, 4, 6]
+
+    #: ``manifest["config"]`` exactly as the commit before the static
+    #: schedule stopped being the default and ``scatter`` / ``codegen``
+    #: stopped being backends wrote it, for a 2-rank pool run.
+    PRE_PR21_CONFIG = json.loads(
+        '{"dt": 90.0, "gravity": 9.80616, "omega": 7.292e-05, '
+        '"apvm_upwinding": 0.5, "thickness_adv_order": 2, '
+        '"coef_3rd_order": 0.25, "viscosity": 0.0, "hyperviscosity": 0.0, '
+        '"advection_only": false, "backend": "numpy", "plan": false, '
+        '"plan_fuse": "exact", "halo_schedule": "static", "parallel": "pool", '
+        '"ranks": 2, "backend_retries": 1, "halo_retries": 2, '
+        '"halo_backoff_s": 0.0, "transfer_retries": 2, "guard_interval": 0, '
+        '"guard_policy": "halt", "guard_mass_drift": 0.0, '
+        '"guard_energy_drift": 0.0, "guard_cfl_max": 0.0, '
+        '"checkpoint_interval": 0, "max_rollbacks": 3, "ensemble": 0, '
+        '"ensemble_seed": 0, "ensemble_amplitude": 1e-06}'
+    )
+
+    def test_stored_static_schedule_stays_static(self):
+        cfg = SWConfig.from_dict(self.PRE_PR21_CONFIG)
+        assert cfg.halo_schedule == "static" != SWConfig.halo_schedule
+        assert dataclasses.asdict(cfg) == self.PRE_PR21_CONFIG
+
+    @pytest.mark.parametrize("backend", ["scatter", "codegen"])
+    def test_stored_retired_backend_is_refused_by_name(self, backend):
+        with pytest.raises(ValueError, match=r"\('numpy', 'sparse'\)"):
+            SWConfig.from_dict({**self.PRE_PR21_CONFIG, "backend": backend})
+        with pytest.raises(ValueError, match=backend):
+            SWConfig(dt=1.0, backend=backend)
 
     def test_unknown_key_is_still_rejected(self, mesh3, tmp_path):
         d = tmp_path / "run"

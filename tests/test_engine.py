@@ -1,9 +1,10 @@
 """Tests of the execution engine: registry, split execution, layer consistency.
 
 The engine is the one dispatch point for every stencil operator; these tests
-pin its contracts — registration semantics, numpy fallback, the three-layer
-consistency between the data-flow builder / Table I catalog / registry, and
-the bitwise identity of split execution across two logical devices.
+pin its contracts — registration semantics, backend completeness, the
+three-layer consistency between the data-flow builder / Table I catalog /
+registry, and the bitwise identity of split execution across two logical
+devices.
 """
 
 from __future__ import annotations
@@ -32,31 +33,14 @@ class TestRegistry:
         assert reg.backends() == sorted(BACKENDS)
 
     def test_no_silent_fallbacks(self):
-        """Registry-completeness lint: every op implements every backend,
-        or the gap is declared in INTENTIONAL_FALLBACKS.
+        """Registry-completeness lint: every op implements every backend.
 
-        A new operator registered for ``numpy`` only would silently run the
-        fallback under ``--backend sparse`` (or any other backend); this
-        test makes that a visible decision — implement it or whitelist it.
+        There is no fallback: an operator registered for ``numpy`` only
+        would be a ``KeyError`` under ``--backend sparse``.
         """
-        from repro.engine.backends import INTENTIONAL_FALLBACKS
-
         reg = default_registry()
-        assert set(INTENTIONAL_FALLBACKS) == {"scatter", "codegen"}
         for backend in BACKENDS:
-            whitelisted = INTENTIONAL_FALLBACKS.get(backend, frozenset())
-            missing = {
-                op for op in reg.ops() if backend not in reg.op(op).impls
-            }
-            assert missing == set(whitelisted), (
-                f"backend {backend!r}: ops falling back to numpy without "
-                f"being whitelisted in INTENTIONAL_FALLBACKS: "
-                f"{sorted(missing - whitelisted)}; stale whitelist entries: "
-                f"{sorted(whitelisted - missing)}"
-            )
-        # The whitelist names real operators only (guards against typos).
-        for backend, ops in INTENTIONAL_FALLBACKS.items():
-            assert ops <= set(reg.ops()), (backend, ops)
+            assert reg.ops(backend) == reg.ops(), backend
 
     def test_duplicate_registration_rejected(self):
         reg = KernelRegistry()
@@ -84,33 +68,26 @@ class TestRegistry:
         assert reg.op_for_label("C1").op == "d2fdx2"
         assert reg.op_for_label("C2").op == "d2fdx2"
 
-    def test_fallback_to_numpy_is_counted(self, mesh3, cell_field):
-        # cell_from_vertices_kite has no codegen registration: the dispatch
-        # must fall back to numpy and count the fallback.
-        reg = default_registry()
-        assert "codegen" not in reg.op("cell_from_vertices_kite").impls
-        metrics = MetricsRegistry()
-        vertex = np.linspace(0.0, 1.0, mesh3.nVertices)
-        with use_registry(metrics):
-            got = dispatch("cell_from_vertices_kite", mesh3, vertex, backend="codegen")
-        want = dispatch("cell_from_vertices_kite", mesh3, vertex, backend="numpy")
-        assert np.array_equal(got, want)
-        (fallback,) = metrics.series("engine.fallback")
-        assert fallback.tags == {"op": "cell_from_vertices_kite", "backend": "codegen"}
-        assert fallback.value == 1.0
-        (timer,) = metrics.series("engine.op")
-        assert timer.tags["backend"] == "numpy"  # timed under the resolved backend
+    def test_missing_backend_is_a_key_error(self, mesh3, edge_field):
+        """No silent fall-through to numpy, for a retired backend name or
+        for an operator one backend never registered."""
+        with pytest.raises(KeyError, match="no 'codegen' implementation"):
+            dispatch("cell_divergence", mesh3, edge_field, backend="codegen")
+        reg = KernelRegistry()
+        reg.register("foo", "numpy", lambda mesh, x: x)
+        with pytest.raises(KeyError, match="registered: \\['numpy'\\]"):
+            reg.dispatch("foo", mesh3, edge_field, backend="sparse")
 
     def test_dispatch_times_every_call(self, mesh3, edge_field):
         metrics = MetricsRegistry()
         with use_registry(metrics):
             dispatch("cell_divergence", mesh3, edge_field, backend="numpy")
-            dispatch("cell_divergence", mesh3, edge_field, backend="codegen")
+            dispatch("cell_divergence", mesh3, edge_field, backend="sparse")
         tags = {(s.tags["op"], s.tags["pattern"], s.tags["backend"])
                 for s in metrics.series("engine.op")}
         assert tags == {
             ("cell_divergence", "A3", "numpy"),
-            ("cell_divergence", "A3", "codegen"),
+            ("cell_divergence", "A3", "sparse"),
         }
 
 
@@ -148,14 +125,13 @@ class TestLayerConsistency:
                 assert entry.kernel == owner[label], (name, label)
 
     def test_every_backend_covers_every_pattern_or_falls_back(self):
-        """Each Table I stencil label executes under each backend name."""
+        """Each Table I stencil label executes under each backend name
+        (natively: there is nothing to fall back to any more)."""
         reg = default_registry()
         for label in sorted(reg.labels()):
             entry = reg.op_for_label(label)
             for backend in BACKENDS:
-                fn, resolved = entry.resolve(backend)
-                assert callable(fn)
-                assert resolved in BACKENDS
+                assert callable(entry.resolve(backend))
 
 
 # Ops exercised by the split executor: (op, field point types).
@@ -194,9 +170,9 @@ class TestSplitExecution:
 
     def test_split_honours_backend(self, mesh3, rng):
         u, h = _fields(mesh3, ("edge", "edge"), rng)
-        base = dispatch("flux_divergence", mesh3, u, h, backend="codegen")
+        base = dispatch("flux_divergence", mesh3, u, h, backend="sparse")
         with use_placements({"A1": Placement("split", 0.4)}):
-            split = dispatch("flux_divergence", mesh3, u, h, backend="codegen")
+            split = dispatch("flux_divergence", mesh3, u, h, backend="sparse")
         assert np.array_equal(base, split)
 
     def test_band_points_counted(self, mesh3, rng):

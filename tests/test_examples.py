@@ -28,9 +28,9 @@ def test_quickstart():
     assert "mass drift" in out
 
 
-def test_quickstart_codegen_backend():
-    out = _run("quickstart.py", "2", "codegen")
-    assert "backend = codegen" in out
+def test_quickstart_sparse_backend():
+    out = _run("quickstart.py", "2", "sparse")
+    assert "backend = sparse" in out
     assert "Error vs the exact steady solution" in out
 
 

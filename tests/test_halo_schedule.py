@@ -103,8 +103,8 @@ class TestDerivation:
             assert {p.rings for p in sched.points} == {required}
 
     def test_halo_schedule_for_dispatches_on_config(self):
-        assert halo_schedule_for(_cfg()).mode == "static"
-        assert halo_schedule_for(_cfg(halo_schedule="dataflow")).mode == "dataflow"
+        assert halo_schedule_for(_cfg()).mode == "dataflow"
+        assert halo_schedule_for(_cfg(halo_schedule="static")).mode == "static"
 
     def test_config_rejects_unknown_schedule(self):
         with pytest.raises(ValueError, match="halo_schedule"):

@@ -117,10 +117,15 @@ class TestLocalMesh:
 
 
 class TestDecomposedRuns:
+    """Pinned to the static schedule, the oracle the dataflow default is
+    derived against; tests/test_halo_schedule.py runs lockstep under dataflow."""
+
     @pytest.mark.parametrize("n_ranks", [2, 3, 4])
     def test_bitwise_equal_tc2(self, mesh3, n_ranks):
         case = steady_zonal_flow()
-        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        cfg = SWConfig(
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6), halo_schedule="static"
+        )
         serial = ShallowWaterModel(mesh3, cfg)
         serial.initialize(case)
         res = serial.run(steps=5)
@@ -134,7 +139,8 @@ class TestDecomposedRuns:
     def test_bitwise_equal_tc5_high_order(self, mesh3):
         case = isolated_mountain()
         cfg = SWConfig(
-            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5), thickness_adv_order=4
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5), thickness_adv_order=4,
+            halo_schedule="static",
         )
         serial = ShallowWaterModel(mesh3, cfg)
         serial.initialize(case)
@@ -148,11 +154,15 @@ class TestDecomposedRuns:
 
     def test_exchange_count(self, mesh3):
         case = steady_zonal_flow()
-        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
-        dec = DecomposedShallowWater(mesh3, 2, case, cfg)
-        dec.step()
-        # Two exchanges per substage (Figure 2): pre-tend + post-update.
-        assert dec.exchange_count == 8
+        dt = suggested_dt(mesh3, case, GRAVITY, cfl=0.6)
+        # Figure 2's two exchanges per substage (pre-tend + post-update); the
+        # default schedule proves the four pre-tend ones clean and elides them.
+        for halo_schedule, per_step in (("static", 8), ("dataflow", 4)):
+            cfg = SWConfig(dt=dt, halo_schedule=halo_schedule)
+            dec = DecomposedShallowWater(mesh3, 2, case, cfg)
+            dec.step()
+            assert dec.exchange_count == per_step
+        assert SWConfig.halo_schedule == "dataflow"
 
     def test_contiguous_partition_also_bitwise(self, mesh3):
         case = steady_zonal_flow()

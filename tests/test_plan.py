@@ -458,107 +458,3 @@ class TestObservability:
             s.tags["segment"] for s in metrics.series("engine.plan")
         }
         assert segments == {"diagnostics", "tend"}
-
-
-# ------------------------------------------------------ interior/boundary
-class TestOverlapSplit:
-    """The interior/boundary diagnostics split (compute/comm overlap).
-
-    Contract: ``interior`` on a stale-halo state, then an in-place halo
-    refresh, then ``boundary``, is bitwise identical — every Diagnostics
-    field, every local point — to the full fused plan on the fresh state.
-    """
-
-    def _split_inputs(self, mesh, cfg):
-        from repro.parallel import (
-            build_local_mesh,
-            halo_layers_required,
-            partition_cells,
-        )
-        from repro.parallel.halo import ring_halo_indices
-        from repro.swm.galewsky import galewsky_jet
-        from repro.swm.model import ShallowWaterModel
-
-        model = ShallowWaterModel(mesh, cfg)
-        model.initialize(galewsky_jet())
-        s0 = State(h=model.state.h.copy(), u=model.state.u.copy())
-        model.run(steps=1)
-        s1 = model.state
-
-        rings = halo_layers_required(
-            cfg.thickness_adv_order, cfg.apvm_upwinding != 0.0
-        )
-        owner = partition_cells(mesh, 2)
-        lm = build_local_mesh(mesh, owner, 0, halo_layers=rings)
-        cell_idx, edge_idx = ring_halo_indices(lm, rings)
-
-        fresh = State(h=s1.h[lm.cells_global].copy(), u=s1.u[lm.edges_global].copy())
-        stale = State(h=fresh.h.copy(), u=fresh.u.copy())
-        # the halo still holds the *previous* step's values, exactly the
-        # state a rank sees between publishing and acquiring an exchange
-        stale.h[cell_idx] = s0.h[lm.cells_global[cell_idx]]
-        stale.u[edge_idx] = s0.u[lm.edges_global[edge_idx]]
-        f_vertex = cfg.coriolis(lm.metrics.latVertex)
-        return lm, rings, (cell_idx, edge_idx), fresh, stale, f_vertex
-
-    @pytest.mark.parametrize(
-        "kw", [dict(), dict(thickness_adv_order=4, viscosity=1.0e4)],
-        ids=["default", "order4_viscous"],
-    )
-    def test_split_bitwise_equals_full_plan(self, mesh3, plan_cache, kw):
-        from repro.engine.plan import compiled_overlap
-
-        cfg = _cfg(plan=True, **kw)
-        lm, rings, (cell_idx, edge_idx), fresh, stale, f_vertex = (
-            self._split_inputs(mesh3, cfg)
-        )
-        reference = compute_solve_diagnostics(lm, fresh, f_vertex, cfg)
-
-        overlap = compiled_overlap(lm, cfg, rings)
-        diag, ctx = overlap.interior(stale, f_vertex)
-        stale.h[cell_idx] = fresh.h[cell_idx]  # the acquire, in place
-        stale.u[edge_idx] = fresh.u[edge_idx]
-        overlap.boundary(ctx)
-
-        for field in DIAG_FIELDS:
-            assert np.array_equal(
-                getattr(diag, field), getattr(reference, field)
-            ), f"overlap split diverged on {field}"
-
-    def test_interior_alone_is_wrong_on_the_halo_cone(self, mesh3, plan_cache):
-        """Sanity: the split is load-bearing — skipping ``boundary`` must
-        leave stale-tainted rows behind (otherwise the overlap tests prove
-        nothing)."""
-        from repro.engine.plan import compiled_overlap
-
-        cfg = _cfg(plan=True)
-        lm, rings, (cell_idx, edge_idx), fresh, stale, f_vertex = (
-            self._split_inputs(mesh3, cfg)
-        )
-        reference = compute_solve_diagnostics(lm, fresh, f_vertex, cfg)
-        overlap = compiled_overlap(lm, cfg, rings)
-        diag, _ctx = overlap.interior(stale, f_vertex)
-        assert not all(
-            np.array_equal(getattr(diag, f), getattr(reference, f))
-            for f in DIAG_FIELDS
-        )
-
-    def test_overlap_is_memoized_per_mesh_and_rings(self, mesh3, plan_cache):
-        from repro.engine.plan import compiled_overlap
-
-        cfg = _cfg(plan=True)
-        lm, rings, _, _, _, _ = self._split_inputs(mesh3, cfg)
-        assert compiled_overlap(lm, cfg, rings) is compiled_overlap(lm, cfg, rings)
-        assert compiled_overlap(lm, cfg, rings) is not compiled_overlap(
-            lm, cfg, rings - 1
-        )
-
-    def test_rejects_non_sparse_backend(self, mesh3):
-        from repro.engine.plan import compile_overlap
-        from repro.parallel import build_local_mesh, partition_cells
-
-        owner = partition_cells(mesh3, 2)
-        lm = build_local_mesh(mesh3, owner, 0)
-        cfg = SWConfig(dt=60.0, backend="numpy")
-        with pytest.raises(ValueError, match="sparse"):
-            compile_overlap(lm, cfg, 3)

@@ -107,7 +107,9 @@ class TestPoolRuns:
     @pytest.mark.parametrize("n_ranks", [2, 4])
     def test_bitwise_equal_tc2(self, mesh3, n_ranks):
         case = steady_zonal_flow()
-        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        cfg = SWConfig(
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6), halo_schedule="static"
+        )
         res = _serial(mesh3, case, cfg, steps=5)
         with PoolShallowWater(
             mesh3, n_ranks, case, cfg, barrier_timeout=TIMEOUT
@@ -137,7 +139,8 @@ class TestPoolRuns:
     def test_bitwise_equal_tc5_high_order(self, mesh3):
         case = isolated_mountain()
         cfg = SWConfig(
-            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5), thickness_adv_order=4
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5), thickness_adv_order=4,
+            halo_schedule="static",
         )
         res = _serial(mesh3, case, cfg, steps=4)
         with PoolShallowWater(mesh3, 4, case, cfg, barrier_timeout=TIMEOUT) as pool:
@@ -147,7 +150,9 @@ class TestPoolRuns:
 
     def test_matches_lockstep_and_counts_exchanges(self, mesh3):
         case = steady_zonal_flow()
-        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        cfg = SWConfig(
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6), halo_schedule="static"
+        )
         dec = DecomposedShallowWater(mesh3, 2, case, cfg)
         dres = dec.run(3)
         with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=TIMEOUT) as pool:
@@ -283,8 +288,8 @@ class TestPoolObservability:
             for rec in snap
             if rec["metric"] == "halo.exchanges" and "rank" in rec["tags"]
         }
-        # every rank contributed its 8-per-step exchange count
-        assert exchanges == {0: 16.0, 1: 16.0}
+        # every rank contributed its 4-per-step exchange count
+        assert exchanges == {0: 8.0, 1: 8.0}
         assert span_ranks == {0, 1}
 
     def test_spawn_span_and_worker_ready_times(self, mesh3):
@@ -335,6 +340,33 @@ class TestPoolObservability:
                 assert all(v > 0.0 for v in per_rank.values())
         assert seen["static"] == seen["dataflow"]
         assert len(seen["static"]) == 1
+
+    def test_every_run_on_one_pool_reports_the_same_halo_series(self, mesh3):
+        """Each collection clears the worker's registry; the transport must
+        count the next run into series that collection will ship."""
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        runs = []
+        with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=TIMEOUT) as pool:
+            for _ in range(3):
+                with use_registry(MetricsRegistry()) as registry:
+                    pool.run(2)
+                runs.append({
+                    (s.name, s.tags["rank"]): s.value for s in registry.series()
+                    if s.name.startswith(("halo.", "pool.worker.steps"))
+                    and "rank" in s.tags
+                })
+        expected = {
+            (name, rank)
+            for name in (
+                "halo.bytes", "halo.exchanges", "halo.wait_s", "halo.overlap_s",
+                "pool.worker.steps",
+            )
+            for rank in (0, 1)
+        }
+        assert [set(run) for run in runs] == [expected] * 3
+        for counted in ("halo.bytes", "halo.exchanges", "pool.worker.steps"):
+            assert len({run[counted, 0] for run in runs}) == 1, counted
 
 
 class TestSharedStateBuffers:

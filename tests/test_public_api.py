@@ -8,7 +8,7 @@ Two kinds of guarantees:
   name must be importable and documented.
 * **Behaviour**: ``run()`` dispatches on ``SWConfig.parallel`` and all
   three executors produce bitwise-identical prognostic state — checked
-  here on the Galewsky jet at 4 ranks for both the numpy and codegen
+  here on the Galewsky jet at 4 ranks for both the numpy and sparse
   backends, per the reproduction's headline contract.
 * **Validation**: ``SWConfig.validate()`` rejects inconsistent
   configurations at construction with actionable messages.
@@ -113,7 +113,7 @@ class TestRunDispatch:
         with pytest.raises(ValueError, match="parallel='serial'"):
             api.run("tc2", mesh=mesh3, config=cfg, steps=1, invariant_interval=5)
 
-    @pytest.mark.parametrize("backend", ["numpy", "codegen", "sparse"])
+    @pytest.mark.parametrize("backend", ["numpy", "sparse"])
     def test_galewsky_pool_bitwise_equals_serial(self, mesh3, backend):
         """The headline contract: 10 steps, 4 ranks, owned state bitwise."""
         case = api.resolve_case("galewsky")

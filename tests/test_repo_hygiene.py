@@ -170,3 +170,54 @@ def test_the_parallel_layer_has_one_wait_primitive():
         f"sleeping wait primitives in the parallel layer: {found}; wait on "
         f"repro.parallel.shm.SyncBoard instead"
     )
+
+
+#: Total lines of tracked ``src/**/*.py``.  This number only ever goes down:
+#: lower it with every PR that deletes a path, never raise it to make room.
+#: ROADMAP: "every deletion so far was paid back in docstrings, counters and
+#: shims" — a budget is what stops the next one being paid back too.
+SRC_LINE_BUDGET = 18_900
+
+
+def test_src_stays_inside_its_line_budget():
+    sources = [
+        p for p in _tracked_files() if p.startswith("src/") and p.endswith(".py")
+    ]
+    total = sum(len((REPO / p).read_text().splitlines()) for p in sources)
+    assert total <= SRC_LINE_BUDGET, (
+        f"src/ is {total} lines of Python, over the {SRC_LINE_BUDGET} budget; "
+        f"delete a path the measurements have ruled out instead of raising it"
+    )
+
+
+def test_the_overlap_split_stays_deleted():
+    """The interior/boundary diagnostics split lost under both halo
+    schedules (EXPERIMENTS.md "PR 19", "PR 21"); every stage of every
+    executor ends in the one diagnostics sweep serial runs."""
+    import inspect
+
+    import repro.engine.plan as plan
+    from repro.swm.timestep import RK4Integrator
+
+    assert not [name for name in dir(plan) if "overlap" in name.lower()]
+    # An instance attribute set in __init__ is invisible to hasattr on the class.
+    assert not hasattr(RK4Integrator, "overlap")
+    assert "overlap" not in inspect.getsource(RK4Integrator)
+
+
+def test_importing_the_api_loads_no_mesh_builder_or_graph_library():
+    """``scipy.spatial`` (0.2 s) is needed only by a cold mesh build and
+    ``networkx`` only by the dataflow analyses; every run pays whatever
+    ``import repro.api`` pulls in as ``setup_s``."""
+    import sys
+
+    code = (
+        "import sys, repro.api; "
+        "print([m for m in ('scipy.spatial', 'networkx') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.strip() == "[]"

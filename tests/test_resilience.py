@@ -159,10 +159,10 @@ class TestDispatchRecovery:
         )
         metrics = MetricsRegistry()
         with use_registry(metrics), use_fault_plan(plan):
-            got = dispatch("cell_divergence", mesh3, edge_field, backend="codegen")
+            got = dispatch("cell_divergence", mesh3, edge_field, backend="sparse")
         assert np.array_equal(base, got)  # the fallback *is* numpy
         (fallback,) = metrics.series("resilience.recovery.fallback")
-        assert fallback.value == 1 and fallback.tags["backend"] == "codegen"
+        assert fallback.value == 1 and fallback.tags["backend"] == "sparse"
 
     def test_unrecoverable_fault_propagates(self, mesh3, edge_field):
         plan = FaultPlan(
@@ -596,9 +596,9 @@ class TestAutoCheckpointer:
 
 # ------------------------------------------- checkpoint round-trip (satellite)
 class TestCheckpointRoundTripBackends:
-    @pytest.mark.parametrize("backend", ["numpy", "codegen"])
+    @pytest.mark.parametrize("backend", ["numpy", "sparse"])
     def test_bitwise_continuation(self, mesh3, tmp_path, backend):
-        """save/restore mid-run continues bitwise under both real backends."""
+        """save/restore mid-run continues bitwise under both backends."""
         full = _model(mesh3, backend=backend)
         full.run(steps=6)
 
