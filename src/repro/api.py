@@ -22,12 +22,13 @@ the execution entry points are thin consumers of it:
     combinations actionably, ``key()`` is the content identity jobs
     deduplicate on.
 :func:`run`
-    Normalize one request and execute it synchronously, dispatching on
-    ``SWConfig.parallel``: ``"serial"`` (the in-process model),
+    Normalize one request and execute it synchronously through
+    :meth:`~repro.swm.model.ShallowWaterModel.run` on the executor
+    ``SWConfig.parallel`` names: ``"serial"`` (one integrator),
     ``"lockstep"`` (P decomposed ranks, one process) or ``"pool"``
     (P concurrent shared-memory worker processes).  All three return the
     same :class:`~repro.swm.model.RunResult` and produce bitwise-identical
-    prognostic state.
+    prognostic state, invariant records and guard verdicts.
 :func:`run_ensemble`
     N perturbed-IC members advanced lockstep through one batched execution
     plan (:mod:`repro.ensemble`); member ``k`` is bitwise identical to a
@@ -252,46 +253,27 @@ class RunRequest:
 
 
 def _execute(req: RunRequest, callback=None) -> RunResult:
-    """Execute one *normalized* request synchronously (the run dispatcher)."""
-    case = resolve_case(req.case)
-    mesh, config, steps = req.mesh, req.config, req.steps
+    """Execute one *normalized* request synchronously."""
+    config = req.config
     if config.ensemble:
         raise ValueError(
             "config.ensemble > 0 describes an ensemble: call "
             "repro.api.run_ensemble (or `python -m repro run --ensemble N`)"
         )
-
     if req.run_dir is not None:
         from .resilience.durable import run_durable
 
         return run_durable(
-            req.run_dir, req.case_token, mesh, config, steps,
+            req.run_dir, req.case_token, req.mesh, config, req.steps,
             invariant_interval=req.invariant_interval, callback=callback,
         )
-
-    if config.parallel == "serial":
-        model = ShallowWaterModel(mesh, config)
-        model.initialize(case)
+    with ShallowWaterModel(req.mesh, config) as model:
+        model.initialize(resolve_case(req.case))
         return model.run(
-            steps=steps,
+            steps=req.steps,
             invariant_interval=req.invariant_interval,
             callback=callback,
         )
-
-    if req.invariant_interval or callback is not None:
-        raise ValueError(
-            "invariant_interval/callback require parallel='serial'; the "
-            "decomposed executors record invariants at the run endpoints only"
-        )
-    if config.parallel == "lockstep":
-        from .parallel.runner import DecomposedShallowWater
-
-        return DecomposedShallowWater(mesh, config.ranks, case, config).run(steps)
-    # config.validate() constrains parallel to the three known modes.
-    from .parallel.pool import PoolShallowWater
-
-    with PoolShallowWater(mesh, config.ranks, case, config) as pool:
-        return pool.run(steps)
 
 
 def run(
@@ -324,10 +306,9 @@ def run(
     steps, days : exactly one required
         Integration length in RK-4 steps or simulated days.
     invariant_interval, callback
-        Serial-mode extras, forwarded to
-        :meth:`~repro.swm.model.ShallowWaterModel.run` (the decomposed
-        executors record invariants at the endpoints only and reject a
-        per-step callback).
+        Forwarded to :meth:`~repro.swm.model.ShallowWaterModel.run`; every
+        executor records the serial run's invariants and hands the callback
+        the serial run's states (gathered from the ranks at those steps).
     run_dir : path-like, optional
         Make the run *durable*: checkpoints land in this directory under a
         crash-consistent manifest, so a killed run can be continued with

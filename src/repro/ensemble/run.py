@@ -49,7 +49,7 @@ from ..swm.error import Invariants, invariants
 from ..swm.model import RunResult, ShallowWaterModel
 from ..swm.state import State
 from ..swm.testcases import TestCase
-from ..swm.timestep import RK4Integrator
+from ..swm.timestep import RK4Integrator, rk4_step
 from .members import ensemble_initial_states
 
 __all__ = ["MemberVerdict", "EnsembleResult", "EnsembleRun", "run_ensemble"]
@@ -210,7 +210,13 @@ class EnsembleRun:
 
     # ------------------------------------------------------------ execution
     def execute(self, steps: int, invariant_interval: int = 0) -> EnsembleResult:
-        """Advance all members ``steps`` steps; one verdict per member."""
+        """Advance all members ``steps`` steps; one verdict per member.
+
+        The one step loop outside :meth:`ShallowWaterModel.run`: judging
+        members one by one (a diverged column is quarantined or detached,
+        the batch keeps stepping) is a different contract from the
+        watchdog's halt-or-rollback of a whole run.
+        """
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps!r}")
         get_registry().gauge("ensemble.members").set(self.config.ensemble)
@@ -271,9 +277,9 @@ class EnsembleRun:
         step_timer = get_registry().timer("ensemble.step")
         for step in range(1, steps + 1):
             with step_timer.time():
-                result = integ.step(packed, diag, unstable=unstable)
-            packed, diag = result.state, result.diagnostics
-            recon = result.reconstruction
+                (packed,), (diag,) = rk4_step(
+                    [integ], [packed], [diag], unstable=unstable
+                )
             judge(step)
             if (
                 config.checkpoint_interval
@@ -284,6 +290,7 @@ class EnsembleRun:
                 record(step)
         if history_steps[-1] != steps:
             record(steps)
+        recon = integ.reconstruct(packed.u)
 
         results: list[RunResult | None] = []
         verdicts: list[MemberVerdict] = []

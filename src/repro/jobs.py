@@ -327,8 +327,7 @@ def _reconstruct_completed(run, mesh=None):
     """
     from .api import resolve_case
     from .resilience.durable import ManifestError
-    from .swm.error import invariants
-    from .swm.model import RunResult, ShallowWaterModel
+    from .swm.model import ShallowWaterModel
     from .swm.testcases import initialize
 
     total = int(run.manifest["steps"])
@@ -343,25 +342,12 @@ def _reconstruct_completed(run, mesh=None):
     _, ckpt = found
     mesh = run.resolve_mesh(mesh)
     get_registry().counter("jobs.reconstructed").inc()
-    model = ShallowWaterModel.from_checkpoint(mesh, ckpt)
-    recon = model.integrator._mpas_reconstruct(
-        mesh, model.state.u, backend=model.config.backend
-    )
+    final = ShallowWaterModel.from_checkpoint(mesh, ckpt)
     case = resolve_case(run.manifest["case"])
-    state0, b0 = initialize(mesh, case)
-    diag0 = model.integrator.diagnostics_for(state0)
-    history = [
-        invariants(mesh, state0, diag0, b0, model.config.gravity),
-        invariants(
-            mesh, model.state, model.diagnostics, model.b_cell,
-            model.config.gravity,
-        ),
-    ]
-    return RunResult(
-        state=model.state,
-        diagnostics=model.diagnostics,
-        reconstruction=recon,
-        steps=total,
-        elapsed_seconds=total * model.config.dt,
-        invariant_history=history,
+    start = ShallowWaterModel.from_state(
+        mesh, final.config, case, initialize(mesh, case)[0],
+        final.b_cell, final.integrator.f_vertex,
+    )
+    return final.result(
+        total, total * final.config.dt, [start.invariants(), final.invariants()]
     )

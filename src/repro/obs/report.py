@@ -393,11 +393,17 @@ def pool_startup_line(tracer: Tracer, registry: MetricsRegistry) -> str | None:
 
 # ------------------------------------------------------------- kernel profile
 def kernel_profile_rows(tracer: Tracer) -> list[list[str]]:
-    """The classic per-kernel breakdown (kernel, wall time, share)."""
+    """The classic per-kernel breakdown (kernel, wall time, share, spans).
+
+    The span count separates the kernels of the step program (per stage,
+    step and rank) from ``mpas_reconstruct``, which the run loop runs once
+    per result it builds — once per run unless a callback reads it."""
     totals = tracer.aggregate_names(category="kernel")
     total = sum(totals.values()) or 1.0
+    spans = [s.name for s in tracer.finished() if s.category == "kernel"]
     return [
-        [kernel, f"{secs * 1e3:.2f} ms", f"{100 * secs / total:.1f}%"]
+        [kernel, f"{secs * 1e3:.2f} ms", f"{100 * secs / total:.1f}%",
+         spans.count(kernel)]
         for kernel, secs in sorted(totals.items(), key=lambda kv: -kv[1])
     ]
 
@@ -406,22 +412,27 @@ def render_kernel_profile(tracer: Tracer, title: str) -> str:
     from ..bench.tables import render_table
 
     return render_table(
-        title, ["kernel", "wall time", "share"], kernel_profile_rows(tracer)
+        title, ["kernel", "wall time", "share", "spans"], kernel_profile_rows(tracer)
     )
 
 
 # ------------------------------------------------------------------ traced run
-def _resolve_case(token: str):
-    """Resolve ``token`` through the scenario registry (any alias works).
-
-    The report used to carry its own private three-entry case table, which
-    silently drifted from the cases the rest of the package accepted; now
-    every name/alias/``perturbed:`` token in
-    :mod:`repro.swm.scenarios` works here too.
-    """
+def _report_config(mesh, case: str, **overrides) -> SWConfig:
+    """The report's default configuration of a scenario token: order-4
+    thickness advection at the CFL-safe ``suggested_dt`` (``case`` resolves
+    through :mod:`repro.swm.scenarios`, so every alias works)."""
+    from ..constants import GRAVITY
     from ..swm import scenarios
+    from ..swm.model import suggested_dt
 
-    return scenarios.resolve(token)
+    test_case = scenarios.resolve(case)
+    sc = scenarios.scenario_for(test_case)
+    return SWConfig(
+        dt=suggested_dt(mesh, test_case, GRAVITY, cfl=0.5),
+        thickness_adv_order=4,
+        advection_only=bool(sc is not None and sc.advection_only),
+        **overrides,
+    )
 
 
 def run_traced(
@@ -436,66 +447,37 @@ def run_traced(
     halo_schedule: str = SWConfig.halo_schedule,
     run_dir=None,
 ) -> tuple[Tracer, MetricsRegistry, object, object]:
-    """Integrate ``steps`` RK-4 steps with tracing on.
+    """Integrate ``steps`` RK-4 steps through :func:`repro.api.run`, traced.
 
-    Returns ``(tracer, registry, mesh, config)``.  A warm-up step (untraced)
-    pays the one-time per-mesh setup — reconstruction matrices, deriv_two
-    coefficients — so the spans measure steady-state kernel cost.
-    ``backend`` selects the engine execution backend (ignored when an
-    explicit ``config`` is given — set ``config.backend`` instead).
+    Returns ``(tracer, registry, mesh, config)``.  A warm-up run of one
+    step (untraced) pays the one-time per-mesh setup — reconstruction
+    matrices, deriv_two coefficients — so the spans measure steady-state
+    kernel cost.  ``backend``/``parallel``/``ranks``/``halo_schedule`` build
+    the default config (ignored when an explicit ``config`` is given).
 
-    ``parallel``/``ranks``/``halo_schedule`` select a decomposed executor
-    (lockstep or pool) instead of the serial integrator; its per-exchange
-    ``halo`` spans feed :func:`halo_rows`, and its ranks emit the same
-    ``kernel`` spans as the serial step (:func:`kernel_profile_rows`).
+    Every executor goes through the same call: a decomposed run adds its
+    per-exchange ``halo`` spans (:func:`halo_rows`) to the ``kernel`` spans
+    its ranks share with the serial step (:func:`kernel_profile_rows`).
     ``run_dir`` makes the traced run durable (a fresh directory), so the
     registry also carries what its checkpoints cost
     (``resilience.checkpoint.*``, ``resilience.durable.*``).
     """
-    from ..constants import GRAVITY
+    from ..api import run as api_run
     from ..mesh import cached_mesh
-    from ..swm.testcases import initialize
-    from ..swm.timestep import RK4Integrator
 
     mesh = cached_mesh(level)
-    test_case = _resolve_case(case)
     if config is None:
-        from ..swm import scenarios
-        from ..swm.model import suggested_dt
-
-        sc = scenarios.scenario_for(test_case)
-        config = SWConfig(
-            dt=suggested_dt(mesh, test_case, GRAVITY, cfl=0.5),
-            thickness_adv_order=4,
-            backend=backend,
-            parallel=parallel,
-            ranks=ranks,
+        config = _report_config(
+            mesh, case, backend=backend, parallel=parallel, ranks=ranks,
             halo_schedule=halo_schedule,
-            advection_only=bool(sc is not None and sc.advection_only),
         )
-    if config.parallel != "serial" or run_dir is not None:
-        from ..api import run as api_run
-
-        tracer = Tracer()
-        registry = MetricsRegistry()
-        with use_tracer(tracer), use_registry(registry):
-            # The token, not the object: a durable manifest records it.
-            api_run(case, mesh=mesh, config=config, steps=steps, run_dir=run_dir)
-        registry.counter("swm.steps", case=case, level=level).inc(steps)
-        return tracer, registry, mesh, config
-    state, b_cell = initialize(mesh, test_case)
-    f_vertex = config.coriolis(mesh.metrics.latVertex)
-    integ = RK4Integrator(mesh, config, b_cell, f_vertex)
-    diag = integ.diagnostics_for(state)
     if warmup:
-        integ.step(state, diag)
-
+        api_run(case, mesh=mesh, config=config, steps=1)
     tracer = Tracer()
     registry = MetricsRegistry()
     with use_tracer(tracer), use_registry(registry):
-        for _ in range(steps):
-            result = integ.step(state, diag)
-            state, diag = result.state, result.diagnostics
+        # The token, not the object: a durable manifest records it.
+        api_run(case, mesh=mesh, config=config, steps=steps, run_dir=run_dir)
     registry.counter("swm.steps", case=case, level=level).inc(steps)
     return tracer, registry, mesh, config
 
@@ -558,41 +540,24 @@ def _overhead(case: str, level: int, steps: int) -> float:
     """Wall-time ratio of a traced over an untraced run (same steps)."""
     import time
 
+    from ..api import run as api_run
+    from ..mesh import cached_mesh
+
+    mesh = cached_mesh(level)
+    config = _report_config(mesh, case)
+
     def timed(traced: bool) -> float:
         t0 = time.perf_counter()
-        if traced:
-            run_traced(case, level, steps)
-        else:
-            _run_untraced(case, level, steps)
+        with use_tracer(Tracer(enabled=traced)), use_registry(MetricsRegistry()):
+            api_run(case, mesh=mesh, config=config, steps=steps)
         return time.perf_counter() - t0
 
     # Warm the process caches (mesh, reconstruction matrices, deriv-two
     # coefficients) so neither timed run pays one-time setup.
-    _run_untraced(case, level, 1)
+    timed(False)
     off = min(timed(False) for _ in range(3))
     on = min(timed(True) for _ in range(3))
     return on / off
-
-
-def _run_untraced(case: str, level: int, steps: int) -> None:
-    from ..constants import GRAVITY
-    from ..mesh import cached_mesh
-    from ..swm.model import suggested_dt
-    from ..swm.testcases import initialize
-    from ..swm.timestep import RK4Integrator
-
-    mesh = cached_mesh(level)
-    test_case = _resolve_case(case)
-    config = SWConfig(
-        dt=suggested_dt(mesh, test_case, GRAVITY, cfl=0.5), thickness_adv_order=4
-    )
-    state, b_cell = initialize(mesh, test_case)
-    f_vertex = config.coriolis(mesh.metrics.latVertex)
-    integ = RK4Integrator(mesh, config, b_cell, f_vertex)
-    diag = integ.diagnostics_for(state)
-    for _ in range(steps + 1):  # +1 matches the traced warm-up step
-        result = integ.step(state, diag)
-        state, diag = result.state, result.diagnostics
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,7 +5,7 @@ a shared-memory process pool, and the strong/weak scaling models
 from .halo import LocalMesh, build_local_mesh, halo_layers_required
 from .partition import PartitionQuality, partition_cells, partition_quality
 from .pool import PoolShallowWater, WorkerPoolError
-from .runner import DecomposedShallowWater, gathered_run_result
+from .runner import DecomposedShallowWater
 from .shm import SharedState
 from .scaling import (
     ScalingPoint,
@@ -23,7 +23,6 @@ __all__ = [
     "partition_cells",
     "partition_quality",
     "DecomposedShallowWater",
-    "gathered_run_result",
     "PoolShallowWater",
     "WorkerPoolError",
     "SharedState",

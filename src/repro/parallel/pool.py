@@ -49,7 +49,7 @@ cause — once, with no respawn (the same input would fail the same way).
 
 Per-worker observability is private (each worker installs a fresh metrics
 registry and tracer at startup) and is merged into the parent's process-wide
-registry/tracer at gather time, tagged ``rank=r``.
+registry/tracer when the run loop finishes, tagged ``rank=r``.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from ..mesh.mesh import Mesh
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.trace import Tracer, get_tracer, set_tracer, trace_span
 from ..swm.config import SWConfig
+from ..swm.model import ShallowWaterModel
 from ..swm.state import State
 from ..swm.testcases import TestCase, initialize
 from ..swm.timestep import HaloTransport, RK4Integrator, rk4_step
@@ -78,7 +79,6 @@ from .halo import (
     schedule_exchange_bytes,
 )
 from .partition import partition_cells
-from .runner import gathered_run_result
 from .shm import SharedState, SyncBoard
 
 __all__ = ["PoolShallowWater", "WorkerPoolError"]
@@ -542,26 +542,12 @@ class PoolShallowWater:
         self._run_steps(1)
 
     def run(self, steps: int):
-        """Integrate ``steps`` steps; returns the gathered
-        :class:`~repro.swm.model.RunResult` (same contract as the serial
-        model and the lockstep runner)."""
-        if self._closed:
-            raise WorkerPoolError("pool is closed")
-        start_state = self.gather_state()
-        self._run_steps(steps)
-        self._merge_observability()
-        return gathered_run_result(
-            self.mesh, start_state, self.gather_state(),
-            self.b_cell, self.f_vertex, self.config, steps,
-        )
+        """Integrate ``steps`` steps through the one run loop; returns the
+        gathered :class:`~repro.swm.model.RunResult`."""
+        return ShallowWaterModel(self.mesh, self.config, executor=self).run(steps=steps)
 
     def advance(self, steps: int) -> None:
-        """Advance ``steps`` RK-4 steps without gathering a result.
-
-        The chunked driver for durable runs: the caller interleaves
-        ``advance`` with :meth:`gather_state` checkpoints and builds one
-        :func:`~repro.parallel.runner.gathered_run_result` at the end.
-        """
+        """Advance ``steps`` RK-4 steps without gathering."""
         self._run_steps(steps)
 
     def load_state(self, state: State, step: int = 0) -> None:
@@ -620,10 +606,12 @@ class PoolShallowWater:
     # ------------------------------------------------------------- gathering
     def gather_state(self) -> State:
         """The global state assembled in the shared segment (private copy)."""
+        if self._closed:
+            raise WorkerPoolError("pool is closed")
         h, u = self._shared.read_global(self._exchanges_done)
         return State(h=h, u=u)
 
-    def _merge_observability(self) -> None:
+    def merge_observability(self) -> None:
         """Pull per-worker metrics/spans into the parent registry/tracer."""
         registry = get_registry()
         tracer = get_tracer()

@@ -3,7 +3,9 @@
 ``DecomposedShallowWater`` runs P ranks inside one process, lockstep, with
 real halo exchanges of the prognostic state — a *functional* stand-in for the
 paper's MPI layer (no MPI runtime is available here; see DESIGN.md).  It
-owns no RK loop: every rank is an :class:`~repro.swm.timestep.RK4Integrator`
+owns no RK loop and no run loop (:meth:`repro.swm.model.ShallowWaterModel.run`
+drives it through ``advance`` / ``gather_state`` / ``load_state``): every
+rank is an :class:`~repro.swm.timestep.RK4Integrator`
 on its local mesh, all of them are handed to the one step program
 (:func:`repro.swm.timestep.rk4_step`), and this class is that program's
 :class:`~repro.swm.timestep.HaloTransport` — an in-process copy between the
@@ -33,7 +35,7 @@ from ..obs.trace import trace_span
 from ..resilience.faults import FaultInjected, fault_site
 from ..resilience.recovery import active_recovery_policy
 from ..swm.config import SWConfig
-from ..swm.diagnostics import compute_solve_diagnostics
+from ..swm.model import ShallowWaterModel
 from ..swm.state import Diagnostics, State
 from ..swm.testcases import TestCase, initialize
 from ..swm.timestep import HaloTransport, RK4Integrator, rk4_step
@@ -47,50 +49,7 @@ from .halo import (
 )
 from .partition import partition_cells
 
-__all__ = ["DecomposedShallowWater", "gathered_run_result"]
-
-
-def gathered_run_result(
-    mesh: Mesh,
-    start_state: State,
-    final_state: State,
-    b_cell: np.ndarray,
-    f_vertex: np.ndarray,
-    config: SWConfig,
-    steps: int,
-):
-    """Build the serial-shaped :class:`~repro.swm.model.RunResult` for a
-    gathered decomposed run.
-
-    Both multi-rank executors (lockstep and pool) end a run holding the
-    gathered global state; this recomputes the global diagnostics,
-    cell-centre reconstruction and the start/end conserved integrals from
-    it so their ``run()`` honours the same contract as
-    :meth:`repro.swm.model.ShallowWaterModel.run` — ``mass_drift()`` /
-    ``energy_drift()`` work unchanged.  Diagnostics are a pure function of
-    the state, so the recomputation introduces no new numbers.
-    """
-    from ..engine import default_registry
-    from ..swm.error import invariants
-    from ..swm.model import RunResult
-
-    start_diag = compute_solve_diagnostics(mesh, start_state, f_vertex, config)
-    final_diag = compute_solve_diagnostics(mesh, final_state, f_vertex, config)
-    recon = default_registry().kernel("mpas_reconstruct")(
-        mesh, final_state.u, backend=config.backend
-    )
-    history = [
-        invariants(mesh, start_state, start_diag, b_cell, config.gravity),
-        invariants(mesh, final_state, final_diag, b_cell, config.gravity),
-    ]
-    return RunResult(
-        state=final_state,
-        diagnostics=final_diag,
-        reconstruction=recon,
-        steps=steps,
-        elapsed_seconds=steps * config.dt,
-        invariant_history=history,
-    )
+__all__ = ["DecomposedShallowWater"]
 
 
 class DecomposedShallowWater(HaloTransport):
@@ -119,7 +78,6 @@ class DecomposedShallowWater(HaloTransport):
             f_vertex_global = case.coriolis(mesh.metrics.xVertex)
         else:
             f_vertex_global = config.coriolis(mesh.metrics.latVertex)
-        self.start_state = State(h=global_state.h.copy(), u=global_state.u.copy())
         self.b_cell = global_b
         self.f_vertex = f_vertex_global
 
@@ -239,29 +197,28 @@ class DecomposedShallowWater(HaloTransport):
         )
 
     def run(self, steps: int):
-        """Integrate ``steps`` steps; returns the gathered
-        :class:`~repro.swm.model.RunResult` (the serial-run contract)."""
-        start_state = self.gather_state()
-        for _ in range(steps):
-            self.step()
-        return gathered_run_result(
-            self.mesh, start_state, self.gather_state(),
-            self.b_cell, self.f_vertex, self.config, steps,
-        )
+        """Integrate ``steps`` steps through the one run loop; returns the
+        gathered :class:`~repro.swm.model.RunResult`."""
+        return ShallowWaterModel(self.mesh, self.config, executor=self).run(steps=steps)
 
     def advance(self, steps: int) -> None:
-        """Advance ``steps`` steps without gathering (durable chunk driver)."""
+        """Advance ``steps`` steps without gathering."""
         for _ in range(steps):
             self.step()
+
+    def merge_observability(self) -> None:
+        """Nothing to merge: the ranks record into this process's registry."""
+
+    def close(self) -> None:
+        """Nothing to release (the pool executor has workers to stop)."""
 
     def load_state(self, state: State, step: int = 0) -> None:
         """Replace every rank's local state from a restored global ``state``.
 
         Each rank slices its owned + halo points from the global arrays and
         computes its diagnostics — the initial condition in ``__init__``, a
-        restored checkpoint on resume (``step`` is accepted for signature
-        parity with the pool executor; the lockstep runner keeps no step
-        counter).
+        restored checkpoint or a rollback later (``step`` is the pool
+        executor's label; the lockstep runner keeps no step counter).
         """
         self.states: list[State] = [
             State(

@@ -77,23 +77,6 @@ def _run_model(level: int, steps: int, plan=None, placements=None, **overrides):
     return model.state.h.copy(), model.state.u.copy()
 
 
-def _run_decomposed(level: int, steps: int, plan=None):
-    """2-rank lockstep Galewsky integration; returns the gathered ``(h, u)``."""
-    from ..mesh.cache import cached_mesh
-    from ..parallel.runner import DecomposedShallowWater
-    from ..swm.galewsky import galewsky_jet
-
-    mesh = cached_mesh(level)
-    case = galewsky_jet()
-    runner = DecomposedShallowWater(mesh, 2, case, _base_config(mesh, case))
-    with ExitStack() as stack:
-        if plan is not None:
-            stack.enter_context(use_fault_plan(plan))
-        runner.run(steps)
-    state = runner.gather_state()
-    return state.h, state.u
-
-
 def _check(name: str, ok: bool, detail: str = "") -> bool:
     print(f"  {name:28s} [{'ok' if ok else 'FAIL'}]{' ' + detail if detail else ''}")
     return ok
@@ -159,7 +142,8 @@ def _scenario_split(level: int, reference) -> bool:
 
 
 def _scenario_halo(level: int) -> bool:
-    ref = _run_decomposed(level, SELFTEST_STEPS)
+    lockstep = dict(parallel="lockstep", ranks=2)
+    ref = _run_model(level, SELFTEST_STEPS, **lockstep)
     plan = FaultPlan(
         [
             FaultSpec("halo.exchange", at=(7,), max_fires=1),
@@ -167,7 +151,7 @@ def _scenario_halo(level: int) -> bool:
         ],
         seed=3,
     )
-    got = _run_decomposed(level, SELFTEST_STEPS, plan=plan)
+    got = _run_model(level, SELFTEST_STEPS, plan=plan, **lockstep)
     ok = _bitwise("halo-exchange faults", got, ref)
     return ok & _check(
         "  plan fired", plan.total_fires >= 1, f"{plan.total_fires} fires"

@@ -1,9 +1,9 @@
 """Restart files: the one writer, interval auto-checkpoints, in-run rollback.
 
 :func:`write_restart` is the only function in the tree that lays out a
-restart archive; :meth:`repro.swm.model.ShallowWaterModel.save_checkpoint`,
-:class:`AutoCheckpointer` and the decomposed durable driver all publish
-through it.  The file is an *uncompressed* ``.npz`` (``h``, ``u``,
+restart archive; :meth:`repro.swm.model.ShallowWaterModel.save_checkpoint`
+and :class:`AutoCheckpointer` publish through it, for every executor.  The
+file is an *uncompressed* ``.npz`` (``h``, ``u``,
 ``b_cell``, ``f_vertex``, ``config``): float64 mantissas do not compress —
 zlib spent 25 ms to turn 577 KB into 466 KB at level 5 — and ``np.load``
 reads stored and deflated members alike, so restart files written by
@@ -171,7 +171,8 @@ class AutoCheckpointer:
         """Restore the model to the newest checkpoint; return its step.
 
         Only ``h``/``u`` are read back (the run's fixed fields never change);
-        diagnostics are recomputed, matching the restart contract.  The
+        the model recomputes the diagnostics (and reloads decomposed ranks)
+        from the assigned state, matching the restart contract.  The
         model's *current* configuration is kept — so a caller that halves
         ``dt`` before resuming integrates the restored state under the new
         step size.
@@ -181,10 +182,7 @@ class AutoCheckpointer:
         from ..swm.state import State
 
         step, path = self._saved[-1]
-        model = self.model
         with np.load(path) as data:
-            state = State(h=data["h"].copy(), u=data["u"].copy())
-        model.state = state
-        model.diagnostics = model.integrator.diagnostics_for(state)
+            self.model.state = State(h=data["h"].copy(), u=data["u"].copy())
         get_registry().counter("resilience.checkpoint.rollback").inc()
         return step

@@ -47,8 +47,9 @@ Because checkpoints land at fixed multiples of ``config.
 checkpoint_interval`` — a resumed run keeps the cadence of the original —
 and the restart contract is bitwise (diagnostics are a pure function of the
 state), a run killed at *any* point and resumed produces the identical
-final state to one that was never interrupted, in serial and in the
-decomposed pool (ranks re-derive their partition from the restored global
+final state to one that was never interrupted, on every executor: a durable
+run is the model's one run loop with :meth:`DurableRun.commit_checkpoint` as
+its checkpoint hook (decomposed ranks are reloaded from the restored global
 state via ``load_state``).  The crash-chaos tests prove exactly that with
 real ``SIGKILL``\\ s (the ``process.crash`` fault site).
 
@@ -66,12 +67,8 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 from ..obs.metrics import get_registry
 from ..swm.config import SWConfig
-from ..swm.state import State
-from .checkpoint import write_restart
 from .integrity import quarantine
 
 __all__ = [
@@ -376,123 +373,41 @@ class DurableRun:
         return mesh
 
 
-# -------------------------------------------------------------- executors
-def _execute_serial(
-    run: DurableRun,
-    mesh,
-    case,
-    config: SWConfig,
-    start_step: int,
-    total: int,
-    resume_path: Path | None,
-    invariant_interval: int = 0,
-    callback=None,
-):
-    from ..swm.model import ShallowWaterModel
-
-    if resume_path is not None:
-        model = ShallowWaterModel.from_checkpoint(mesh, resume_path)
-        model.case = case
-        config = model.config  # a mid-run dt halving survives the restart
-    else:
-        model = ShallowWaterModel(mesh, config)
-        model.initialize(case)
-    result = model.run(
-        steps=total - start_step,
-        start_step=start_step,
-        invariant_interval=invariant_interval,
-        callback=callback,
-        checkpoint_dir=run.checkpoint_path,
-        checkpoint_keep=10**9,  # durable runs keep every committed file
-        on_checkpoint=run.commit_checkpoint,
-    )
-    if not run.manifest["checkpoints"] or (
-        run.manifest["checkpoints"][-1]["step"] != total
-    ):
-        final = run.checkpoint_path / f"auto-{total:08d}.npz"
-        run.commit_checkpoint(total, final, model.save_checkpoint(final))
-    run.mark_complete()
-    return result
-
-
-def _execute_decomposed(
-    run: DurableRun,
-    mesh,
-    case,
-    config: SWConfig,
-    start_step: int,
-    total: int,
-    resume_state: State | None,
-):
-    from ..parallel.runner import gathered_run_result
-    from .faults import fault_site
-
-    if config.parallel == "lockstep":
-        from ..parallel.runner import DecomposedShallowWater
-
-        exec_obj = DecomposedShallowWater(mesh, config.ranks, case, config)
-    else:
-        from ..parallel.pool import PoolShallowWater
-
-        exec_obj = PoolShallowWater(mesh, config.ranks, case, config)
-
-    def checkpoint(step: int, state: State) -> None:
-        path = run.checkpoint_path / f"auto-{step:08d}.npz"
-        written = write_restart(
-            path, state, exec_obj.b_cell, exec_obj.f_vertex, config
-        )
-        run.commit_checkpoint(step, path, written)
-
-    try:
-        if resume_state is not None:
-            exec_obj.load_state(resume_state, step=start_step)
-        start_state = exec_obj.gather_state()
-        latest = run.manifest["checkpoints"]
-        if not latest or latest[-1]["step"] != start_step:
-            checkpoint(start_step, start_state)
-        interval = config.checkpoint_interval
-        done = start_step
-        while done < total:
-            chunk = min(interval, total - done)
-            for s in range(done + 1, done + chunk + 1):
-                fault_site("process.crash", step=s)
-            exec_obj.advance(chunk)
-            done += chunk
-            checkpoint(done, exec_obj.gather_state())
-        if hasattr(exec_obj, "_merge_observability"):
-            exec_obj._merge_observability()
-        result = gathered_run_result(
-            mesh, start_state, exec_obj.gather_state(),
-            exec_obj.b_cell, exec_obj.f_vertex, config, total - start_step,
-        )
-    finally:
-        if hasattr(exec_obj, "close"):
-            exec_obj.close()
-    run.mark_complete()
-    return result
-
-
+# ----------------------------------------------------------------- driver
 def _drive(
     run: DurableRun, mesh, case, config: SWConfig, start_step: int, total: int,
     ckpt: Path | None, invariant_interval: int = 0, callback=None,
 ):
     """Integrate ``run`` from ``start_step`` (the restart file ``ckpt``, or
-    the initial condition when ``None``) to ``total`` on the executor the
-    config names — the one dispatch every driver of a manifest goes through."""
-    if config.parallel == "serial":
-        return _execute_serial(
-            run, mesh, case, config, start_step, total, ckpt,
-            invariant_interval=invariant_interval, callback=callback,
+    the initial condition when ``None``) to ``total`` — the one driver of a
+    manifest: the model's run loop with this run's commit as its checkpoint
+    hook, on whichever executor the config names."""
+    from ..swm.model import ShallowWaterModel
+
+    if ckpt is None:
+        model = ShallowWaterModel(mesh, config)
+    else:
+        # The file's config, not the manifest's: a mid-run dt halving
+        # survives the restart.
+        model = ShallowWaterModel.from_checkpoint(mesh, ckpt, case)
+    with model:
+        if ckpt is None:
+            model.initialize(case)
+        result = model.run(
+            steps=total - start_step,
+            start_step=start_step,
+            invariant_interval=invariant_interval,
+            callback=callback,
+            checkpoint_dir=run.checkpoint_path,
+            checkpoint_keep=10**9,  # durable runs keep every committed file
+            on_checkpoint=run.commit_checkpoint,
         )
-    if invariant_interval or callback is not None:
-        raise ValueError(
-            "invariant_interval/callback require parallel='serial'"
-        )
-    state = None
-    if ckpt is not None:
-        with np.load(ckpt) as data:
-            state = State(h=data["h"].copy(), u=data["u"].copy())
-    return _execute_decomposed(run, mesh, case, config, start_step, total, state)
+        committed = run.manifest["checkpoints"]
+        if not committed or committed[-1]["step"] != total:
+            final = run.checkpoint_path / f"auto-{total:08d}.npz"
+            run.commit_checkpoint(total, final, model.save_checkpoint(final))
+    run.mark_complete()
+    return result
 
 
 # ------------------------------------------------------------ entry points

@@ -47,7 +47,8 @@ class SWConfig:
         ``"sparse"``); every kernel dispatches through the
         :mod:`repro.engine` registry under this name.
     parallel : str
-        Execution mode of the run (dispatched by :func:`repro.api.run`):
+        What advances the state inside the one run loop
+        (:meth:`repro.swm.model.ShallowWaterModel.run`):
         ``"serial"`` integrates in-process; ``"lockstep"`` steps ``ranks``
         decomposed ranks inside one process
         (:class:`repro.parallel.runner.DecomposedShallowWater`);
@@ -63,14 +64,15 @@ class SWConfig:
         RecoveryPolicy` for each knob's meaning).
     guard_interval : int
         Run the numerical watchdog every this many steps (0 disables it);
-        1 gives the per-step NaN/Inf scan.  Serial only: the decomposed
-        executors run no watchdog, so a non-zero value is rejected there.
+        1 gives the per-step NaN/Inf scan.  Every executor is guarded: the
+        run loop checks the gathered state, so a decomposed run's verdict is
+        the serial run's.
     guard_policy : str
         What a watchdog violation does: ``"halt"`` raises
         :class:`~repro.resilience.guards.NumericalBlowup` with a diagnostic
         naming the offending field and step; ``"rollback"`` restores the
         last auto-checkpoint and halves ``dt`` (requires
-        ``checkpoint_interval > 0``).
+        ``checkpoint_interval > 0``; not available with ``parallel="pool"``).
     guard_mass_drift, guard_energy_drift : float
         Relative invariant-drift limits against the first guarded state
         (0 disables each).
@@ -203,10 +205,16 @@ class SWConfig:
                 f"ranks={self.ranks} needs a decomposed mode: "
                 "set parallel='pool' or parallel='lockstep'"
             )
-        if self.guard_interval and self.parallel != "serial":
+        if (
+            self.guard_interval
+            and self.guard_policy == "rollback"
+            and self.parallel == "pool"
+        ):
             raise ValueError(
-                f"guard_interval > 0 requires parallel='serial' (got parallel="
-                f"{self.parallel!r}); the decomposed executors run no watchdog"
+                "guard_policy='rollback' needs parallel='serial' or 'lockstep': "
+                "pool workers hold their own copy of the config, so the halved "
+                "dt of a rollback would not reach them (guard_policy='halt' "
+                "works under parallel='pool')"
             )
         from ..engine import BACKENDS  # deferred: config must stay import-light
 

@@ -1,9 +1,14 @@
 """High-level shallow-water model driver: the three-phase MPAS procedure.
 
 ``ShallowWaterModel`` wraps initialization (mesh + test case + Coriolis),
-time-integration (RK-4 stepping with optional per-step callbacks) and
-finalization (summary of invariants and errors), mirroring the MPAS running
-procedure described in Section II-B of the paper.
+time-integration (RK-4 stepping with invariant records, guards, checkpoints
+and callbacks) and finalization (the :class:`RunResult`), mirroring the MPAS
+running procedure described in Section II-B of the paper.  It is the only
+run driver in the package: ``config.parallel`` selects what advances the
+state — one :class:`~repro.swm.timestep.RK4Integrator`, or the decomposed
+ranks of :class:`~repro.parallel.runner.DecomposedShallowWater` /
+:class:`~repro.parallel.pool.PoolShallowWater` — and :meth:`ShallowWaterModel.
+run` is the one loop around it, for plain and durable runs alike.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .config import SWConfig
 from .error import ErrorNorms, Invariants, error_norms, invariants
 from .state import Diagnostics, Reconstruction, State
 from .testcases import TestCase, initialize
-from .timestep import RK4Integrator, StepResult
+from .timestep import RK4Integrator, StepResult, rk4_step
 
 __all__ = ["ShallowWaterModel", "RunResult", "suggested_dt"]
 
@@ -85,31 +90,126 @@ class RunResult:
 
 
 class ShallowWaterModel:
-    """Initialization / time-integration / finalization driver."""
+    """Initialization / time-integration / finalization driver.
 
-    def __init__(self, mesh: Mesh, config: SWConfig) -> None:
+    The model holds the *global* view of a run whatever executes it: the
+    fixed fields, an :class:`RK4Integrator` on the whole mesh (the serial
+    executor; for decomposed runs the source of the gathered state's
+    diagnostics and reconstruction) and :attr:`state` / :attr:`diagnostics`,
+    which a decomposed run gathers and recomputes only when they are read.
+    Assigning :attr:`state` (a rollback, a restored checkpoint) reloads the
+    ranks before the next step.  Use as a context manager, or call
+    :meth:`close`, when ``config.parallel="pool"`` (it owns the workers).
+    """
+
+    def __init__(self, mesh: Mesh, config: SWConfig, executor=None) -> None:
         self.mesh = mesh
         self.config = config
         self.case: TestCase | None = None
-        self.state: State | None = None
-        self.diagnostics: Diagnostics | None = None
         self.b_cell: np.ndarray | None = None
         self.integrator: RK4Integrator | None = None
+        #: The decomposed executor, once spawned (``None`` in serial runs);
+        #: passing one drives ranks somebody else built (their ``run()``).
+        self.executor = None
+        #: Step number the current state is labelled with.
+        self.step = 0
+        self._state: State | None = None
+        self._diag: Diagnostics | None = None
+        self._ranks_current = False  # the executor holds ``_state``
+        if executor is not None:
+            self._adopt(executor)
+
+    def _prime(self, state: State | None, b_cell, f_vertex) -> None:
+        self.integrator = RK4Integrator(self.mesh, self.config, b_cell, f_vertex)
+        self.b_cell = self.integrator.b_cell
+        self._state = state
+        self._diag = None if state is None else self.integrator.diagnostics_for(state)
+
+    def _adopt(self, ranks) -> None:
+        """Drive ``ranks``: their fixed fields are the run's, and the global
+        state is gathered from them when somebody reads it."""
+        self.executor = ranks
+        self._prime(None, ranks.b_cell, ranks.f_vertex)
+        self._ranks_current = True
+
+    def _spawn(self):
+        """Build the decomposed executor ``config.parallel`` names."""
+        from ..parallel import DecomposedShallowWater, PoolShallowWater
+
+        if self.case is None:
+            raise RuntimeError(
+                "a decomposed run builds its ranks from the test case: call "
+                "initialize(case), or pass case=... to from_checkpoint()"
+            )
+        config = self.config
+        kind = PoolShallowWater if config.parallel == "pool" else DecomposedShallowWater
+        return kind(self.mesh, config.ranks, self.case, config)
+
+    # ------------------------------------------------------------------ state
+    @property
+    def state(self) -> State | None:
+        """The global prognostic state (gathered from the ranks on demand)."""
+        if self._state is None and self.executor is not None:
+            self._state = self.executor.gather_state()
+        return self._state
+
+    @state.setter
+    def state(self, value: State) -> None:
+        self._state, self._diag, self._ranks_current = value, None, False
+
+    @property
+    def diagnostics(self) -> Diagnostics | None:
+        """Diagnostics of :attr:`state` (a pure function of it)."""
+        if self._diag is None and self.state is not None:
+            self._diag = self.integrator.diagnostics_for(self._state)
+        return self._diag
+
+    @diagnostics.setter
+    def diagnostics(self, value: Diagnostics) -> None:
+        self._diag = value
+
+    def reconstruction(self) -> Reconstruction:
+        """Cell-centre velocities of the current state (``mpas_reconstruct``)."""
+        return self.integrator.reconstruct(self.state.u)
+
+    def invariants(self) -> Invariants:
+        """Conserved integrals of the current state."""
+        return invariants(
+            self.mesh, self.state, self.diagnostics, self.b_cell, self.config.gravity
+        )
 
     # ---------------------------------------------------------------- phases
     def initialize(self, case: TestCase) -> State:
         """Phase 1: discretize the test case and prime the diagnostics."""
         self.case = case
-        state, b = initialize(self.mesh, case)
-        if case.coriolis is not None:
-            f_vertex = case.coriolis(self.mesh.metrics.xVertex)
+        if self.config.parallel == "serial":
+            state, b = initialize(self.mesh, case)
+            if case.coriolis is not None:
+                f_vertex = case.coriolis(self.mesh.metrics.xVertex)
+            else:
+                f_vertex = self.config.coriolis(self.mesh.metrics.latVertex)
+            self._prime(state, b, f_vertex)
+        else:  # the ranks discretize (globally, then slice)
+            self._adopt(self._spawn())
+        self.step = 0
+        return self.state
+
+    def advance(self, steps: int) -> None:
+        """Advance ``steps`` RK-4 steps on the executor ``config.parallel`` names."""
+        if self.executor is None and self.config.parallel != "serial":
+            self.executor = self._spawn()
+        if self.executor is None:
+            state, diag = self.state, self.diagnostics
+            for _ in range(steps):
+                (state,), (diag,) = rk4_step([self.integrator], [state], [diag])
+                self._state, self._diag = state, diag
         else:
-            f_vertex = self.config.coriolis(self.mesh.metrics.latVertex)
-        self.integrator = RK4Integrator(self.mesh, self.config, b, f_vertex)
-        self.b_cell = b
-        self.state = state
-        self.diagnostics = self.integrator.diagnostics_for(state)
-        return state
+            if not self._ranks_current:
+                self.executor.load_state(self._state, step=self.step)
+                self._ranks_current = True
+            self.executor.advance(steps)
+            self._state = self._diag = None
+        self.step += steps
 
     def run(
         self,
@@ -124,9 +224,17 @@ class ShallowWaterModel:
     ) -> RunResult:
         """Phase 2: integrate for ``steps`` steps or ``days`` simulated days.
 
+        The one run loop, whatever ``config.parallel`` says.  It advances in
+        chunks up to the next step somebody observes — multiples of
+        ``invariant_interval`` / ``config.checkpoint_interval``, every step
+        when a ``callback`` or the watchdog is present, otherwise the whole
+        horizon (a plain pool run is one command round trip) — and only then
+        gathers the state, so every observer sees the serial run's values.
+
         ``invariant_interval > 0`` records the conserved integrals every that
         many steps (plus at start and end).  ``callback(step, result)`` runs
-        after each step when given.
+        after each step when given, with a :class:`StepResult` of the
+        gathered state.
 
         ``start_step`` labels the current state as already being at that
         step (a resumed run): step numbering, invariant records and the
@@ -157,7 +265,7 @@ class ShallowWaterModel:
             raise ValueError("specify exactly one of steps/days")
         if steps is None:
             steps = int(round(days * SECONDS_PER_DAY / self.config.dt))
-        if self.state is None or self.integrator is None:
+        if self.integrator is None:
             raise RuntimeError("initialize() must be called before run()")
 
         from ..resilience.checkpoint import AutoCheckpointer
@@ -178,17 +286,25 @@ class ShallowWaterModel:
             checkpointer = AutoCheckpointer(
                 self, config.checkpoint_interval, directory=checkpoint_dir, **kw
             )
+        # Intervals at which somebody reads the state (the horizon is one).
+        every = int(callback is not None or watchdog is not None)
+        observed = (every, invariant_interval, config.checkpoint_interval)
 
-        state, diag = self.state, self.diagnostics
         history: list[Invariants] = []
         history_steps: list[int] = []
 
         def record(step: int) -> None:
-            history.append(
-                invariants(self.mesh, state, diag, self.b_cell, config.gravity)
-            )
+            history.append(self.invariants())
             history_steps.append(step)
 
+        def committed() -> None:
+            if on_checkpoint is not None:
+                on_checkpoint(
+                    checkpointer.last_step, checkpointer.last_path,
+                    checkpointer.last_written,
+                )
+
+        self.step = start_step
         record(start_step)
         elapsed_at_ckpt: dict[int, float] = {}
         if checkpointer is not None:
@@ -197,37 +313,31 @@ class ShallowWaterModel:
             checkpointer.discard_after(start_step)
             if checkpointer.last_step != start_step:
                 checkpointer.save(start_step)
-                if on_checkpoint is not None:
-                    on_checkpoint(
-                        start_step, checkpointer.last_path,
-                        checkpointer.last_written,
-                    )
+                committed()
             elapsed_at_ckpt[checkpointer.last_step] = 0.0
-        recon = None
         elapsed = 0.0
         rollbacks = 0
-        step = start_step + 1
         with use_recovery_policy(config.recovery_policy()):
-            while step <= total:
-                fault_site("process.crash", step=step)
+            while self.step < total:
+                done = self.step
+                stop = min([total] + [(done // k + 1) * k for k in observed if k])
+                for step in range(done + 1, stop + 1):
+                    fault_site("process.crash", step=step)
                 report = None
-                result: StepResult | None = None
                 try:
-                    result = self.integrator.step(state, diag)
+                    self.advance(stop - done)
                 except FloatingPointError as exc:
                     # A violently unstable step fails *inside* the RK stages
                     # before any end-of-step guard can see it.
                     if watchdog is None:
                         raise
-                    report = watchdog.in_step_failure(step, exc)
+                    report = watchdog.in_step_failure(stop, exc)
                 else:
-                    state, diag, recon = (
-                        result.state, result.diagnostics, result.reconstruction,
-                    )
-                    self.state, self.diagnostics = state, diag
-                    elapsed += config.dt
-                    if watchdog is not None and step % config.guard_interval == 0:
-                        report = watchdog.check(step, state, diag, config.dt)
+                    elapsed += (stop - done) * config.dt
+                    if watchdog is not None and stop % config.guard_interval == 0:
+                        report = watchdog.check(
+                            stop, self.state, self.diagnostics, config.dt
+                        )
                 if report is not None:
                     if (
                         config.guard_policy != "rollback"
@@ -235,42 +345,54 @@ class ShallowWaterModel:
                         or rollbacks >= config.max_rollbacks
                     ):
                         raise NumericalBlowup(report)
-                    rolled_to = checkpointer.rollback()
-                    config.dt /= 2.0
-                    rollbacks += 1
                     # Abandon the poisoned trajectory: state, invariant
                     # records and the clock all rewind to the checkpoint.
-                    state, diag = self.state, self.diagnostics
-                    while history_steps and history_steps[-1] > rolled_to:
+                    self.step = checkpointer.rollback()
+                    config.dt /= 2.0
+                    rollbacks += 1
+                    while history_steps and history_steps[-1] > self.step:
                         history_steps.pop()
                         history.pop()
-                    elapsed = elapsed_at_ckpt[rolled_to]
-                    step = rolled_to + 1
+                    elapsed = elapsed_at_ckpt[self.step]
                     continue
-                if invariant_interval and step % invariant_interval == 0:
-                    record(step)
-                if checkpointer is not None and checkpointer.maybe_save(step):
-                    elapsed_at_ckpt[step] = elapsed
-                    if on_checkpoint is not None:
-                        on_checkpoint(
-                            step, checkpointer.last_path,
-                            checkpointer.last_written,
-                        )
+                if invariant_interval and stop % invariant_interval == 0:
+                    record(stop)
+                if checkpointer is not None and checkpointer.maybe_save(stop):
+                    elapsed_at_ckpt[stop] = elapsed
+                    committed()
                 if callback is not None:
-                    callback(step, result)
-                step += 1
+                    callback(stop, StepResult(
+                        self.state, self.diagnostics, self.reconstruction()
+                    ))
+        if self.executor is not None:
+            self.executor.merge_observability()
         if history_steps[-1] != total:
             record(total)
+        return self.result(steps, elapsed, history)
 
-        self.state, self.diagnostics = state, diag
+    def result(
+        self, steps: int, elapsed_seconds: float, history: list[Invariants]
+    ) -> RunResult:
+        """Phase 3: the :class:`RunResult` of the current state."""
         return RunResult(
-            state=state,
-            diagnostics=diag,
-            reconstruction=recon,
+            state=self.state,
+            diagnostics=self.diagnostics,
+            reconstruction=self.reconstruction(),
             steps=steps,
-            elapsed_seconds=elapsed,
+            elapsed_seconds=elapsed_seconds,
             invariant_history=history,
         )
+
+    def close(self) -> None:
+        """Release the executor (the pool's workers and segments)."""
+        if self.executor is not None:
+            self.executor.close()
+
+    def __enter__(self) -> "ShallowWaterModel":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     @classmethod
     def from_state(
@@ -293,12 +415,7 @@ class ShallowWaterModel:
         model = cls(mesh, config)
         model.case = case
         state.validate_shapes(mesh.nCells, mesh.nEdges)
-        model.b_cell = np.asarray(b_cell, dtype=np.float64)
-        model.integrator = RK4Integrator(
-            mesh, config, model.b_cell, np.asarray(f_vertex, dtype=np.float64)
-        )
-        model.state = state
-        model.diagnostics = model.integrator.diagnostics_for(state)
+        model._prime(state, b_cell, f_vertex)
         return model
 
     # ------------------------------------------------------------ checkpoints
@@ -324,23 +441,22 @@ class ShallowWaterModel:
         )
 
     @classmethod
-    def from_checkpoint(cls, mesh: Mesh, path) -> "ShallowWaterModel":
-        """Rebuild a runnable model from a restart file (same mesh)."""
+    def from_checkpoint(
+        cls, mesh: Mesh, path, case: TestCase | None = None
+    ) -> "ShallowWaterModel":
+        """Rebuild a runnable model from a restart file (same mesh).
+
+        ``case`` is what a decomposed configuration re-derives its ranks
+        from when the run continues; the restored state is loaded into them.
+        """
         import json
         from pathlib import Path
 
         with np.load(Path(path)) as data:
             config = SWConfig.from_dict(json.loads(str(data["config"])))
-            model = cls(mesh, config)
             state = State(h=data["h"].copy(), u=data["u"].copy())
-            state.validate_shapes(mesh.nCells, mesh.nEdges)
-            model.b_cell = data["b_cell"].copy()
-            model.integrator = RK4Integrator(
-                mesh, config, model.b_cell, data["f_vertex"].copy()
-            )
-        model.state = state
-        model.diagnostics = model.integrator.diagnostics_for(state)
-        return model
+            b_cell, f_vertex = data["b_cell"].copy(), data["f_vertex"].copy()
+        return cls.from_state(mesh, config, case, state, b_cell, f_vertex)
 
     # ----------------------------------------------------------- finalization
     def exact_error(self) -> ErrorNorms:

@@ -118,9 +118,9 @@ class RK4Integrator:
     The six kernels are resolved by *name* from the engine's
     :func:`~repro.engine.default_registry` (or an explicit ``registry``), so
     an instrumented or substituted kernel table drives the exact same
-    program.  :meth:`step` advances a serial run; the decomposed executors
-    hand one integrator per rank (built on its
-    :class:`~repro.parallel.halo.LocalMesh`) to :func:`rk4_step`.
+    program.  :meth:`step` is one serial step with its reconstruction; the
+    run loop and the decomposed executors hand integrators (one per rank,
+    built on its :class:`~repro.parallel.halo.LocalMesh`) to :func:`rk4_step`.
 
     Fields may carry a trailing member axis (``State.stack``): under
     ``config.plan`` every kernel then runs the batched plan, and column
@@ -195,6 +195,21 @@ class RK4Integrator:
             self.mesh, state, self.f_vertex, self.config, **extra
         )
 
+    def reconstruct(self, u: np.ndarray) -> Reconstruction:
+        """Cell-centre velocity vectors of ``u`` (Algorithm 1, line 12)."""
+        config = self.config
+        with kernel_span("mpas_reconstruct", backend=config.backend):
+            if config.plan:
+                # Looked up per call (not cached on self): a config
+                # mutation such as the rollback handler halving dt maps to
+                # a different plan key and must recompile transparently.
+                from ..engine.plan import compiled_plan
+
+                return compiled_plan(
+                    self.mesh, config, batch=u.shape[1] if u.ndim == 2 else 0
+                ).reconstruct(u)
+            return self._mpas_reconstruct(self.mesh, u, backend=config.backend)
+
     def step(
         self, state: State, diag: Diagnostics, unstable: np.ndarray | None = None
     ) -> StepResult:
@@ -204,22 +219,9 @@ class RK4Integrator:
         previous step, or by :meth:`diagnostics_for` for the first one).
         """
         (acc,), (new_diag,) = rk4_step([self], [state], [diag], unstable=unstable)
-        config = self.config
-        with kernel_span("mpas_reconstruct", backend=config.backend):
-            if config.plan:
-                # Looked up per step (not cached on self): a config
-                # mutation such as the rollback handler halving dt maps to
-                # a different plan key and must recompile transparently.
-                from ..engine.plan import compiled_plan
-
-                recon = compiled_plan(
-                    self.mesh, config, batch=acc.n_members or 0
-                ).reconstruct(acc.u)
-            else:
-                recon = self._mpas_reconstruct(
-                    self.mesh, acc.u, backend=config.backend
-                )
-        return StepResult(state=acc, diagnostics=new_diag, reconstruction=recon)
+        return StepResult(
+            state=acc, diagnostics=new_diag, reconstruction=self.reconstruct(acc.u)
+        )
 
 
 def rk4_step(
@@ -237,7 +239,7 @@ def rk4_step(
     in order, so an exchange sees every rank's published state).  Returns
     the accepted ``(states, diagnostics)``, one per rank; the inputs are
     not modified.  ``mpas_reconstruct`` (line 12) is not part of the
-    program — serial runs it per step, decomposed runs once at gather.
+    program — :meth:`RK4Integrator.reconstruct` runs it where a result is read.
 
     Per stage the order is the one every transport can share: tendency,
     provisional state, ``transport.begin``, accumulation, diagnostics —

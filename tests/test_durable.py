@@ -275,7 +275,6 @@ class TestWritePath:
         import builtins
 
         import repro.resilience.checkpoint as checkpoint_mod
-        import repro.resilience.durable as durable_mod
 
         calls = {"write": 0, "fsync": 0, "reread": 0}
         real_write, real_fsync, real_open = (
@@ -295,10 +294,9 @@ class TestWritePath:
                 calls["reread"] += 1
             return real_open(file, mode, *args, **kwargs)
 
-        # save_checkpoint looks the writer up in its module at call time;
-        # the decomposed driver bound the name at import.
+        # save_checkpoint (every executor's writer) looks the function up in
+        # its module at call time.
         monkeypatch.setattr(checkpoint_mod, "write_restart", counting_write)
-        monkeypatch.setattr(durable_mod, "write_restart", counting_write)
         monkeypatch.setattr(os, "fsync", counting_fsync)
         monkeypatch.setattr(builtins, "open", counting_open)
         cfg = _cfg(mesh3, checkpoint_interval=1, parallel=parallel, ranks=ranks)
@@ -480,13 +478,31 @@ class TestDecomposedDurable:
         assert np.array_equal(resumed.state.u, serial.state.u)
         assert json.loads((d / MANIFEST_NAME).read_text())["completed"]
 
-    def test_resume_rejects_serial_only_arguments(self, mesh3, tmp_path):
-        cfg = _cfg(mesh3, checkpoint_interval=2, parallel="lockstep", ranks=2)
-        with pytest.raises(ValueError, match="serial"):
-            run(
-                "galewsky", mesh=mesh3, config=cfg, steps=4,
-                run_dir=tmp_path / "d", invariant_interval=1,
-            )
+    @pytest.mark.parametrize("parallel,ranks", [("lockstep", 2), ("pool", 2)])
+    def test_interrupt_and_resume_with_invariant_records(
+        self, mesh3, tmp_path, parallel, ranks
+    ):
+        """One run loop: a decomposed durable run records invariants like
+        the serial one, and killed + resumed == uninterrupted still holds —
+        state bitwise, and the records of every step the resume re-ran."""
+        serial = run(
+            "galewsky", mesh=mesh3, config=_cfg(mesh3, checkpoint_interval=2),
+            steps=6, invariant_interval=1,
+        )
+        cfg = _cfg(mesh3, checkpoint_interval=2, parallel=parallel, ranks=ranks)
+        d = tmp_path / "run"
+        with use_fault_plan(_crash_plan(4)):
+            with pytest.raises(FaultInjected):
+                run(
+                    "galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d,
+                    invariant_interval=1,
+                )
+        assert _committed_steps(d) == [0, 2]
+        resumed = run(resume=d, mesh=mesh3, invariant_interval=1)
+        assert np.array_equal(resumed.state.h, serial.state.h)
+        assert np.array_equal(resumed.state.u, serial.state.u)
+        assert resumed.invariant_history == serial.invariant_history[2:]
+        assert _committed_steps(d) == [0, 2, 4, 6]
 
 
 # ------------------------------------------------------------ crash chaos

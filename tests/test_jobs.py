@@ -309,7 +309,7 @@ class TestDurableJobs:
     def test_partial_run_resumes_from_checkpoint(self, mesh3, dt, tmp_path):
         """A driver that died mid-run left committed checkpoints; result()
         rolls forward from the newest one, bitwise."""
-        from repro.resilience.durable import _execute_serial
+        from repro.resilience.durable import _drive
 
         d = tmp_path / "job"
         submit(self._request(mesh3, dt, d))
@@ -320,7 +320,7 @@ class TestDurableJobs:
         cfg = SWConfig(**drun.manifest["config"])
         half = STEPS // 2
         drun.manifest["steps"] = half
-        _execute_serial(drun, mesh3, resolve_case("tc2"), cfg, 0, half, None)
+        _drive(drun, mesh3, resolve_case("tc2"), cfg, 0, half, None)
         drun.manifest["steps"] = STEPS
         drun.manifest["completed"] = False
         drun.save()

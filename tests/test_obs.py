@@ -447,9 +447,9 @@ class TestHaloCounters:
 
 
 class TestDecomposedKernelSpans:
-    """One step program: every executor emits the serial run's per-kernel
-    spans, per rank (``mpas_reconstruct`` excepted — decomposed runs
-    reconstruct once, at gather)."""
+    """One step program, one run loop: every executor emits the serial
+    run's per-kernel spans, per rank — and ``mpas_reconstruct`` once per
+    run, on the gathered state, when the ``RunResult`` is built."""
 
     STEPS = 2
     RANKS = 2
@@ -484,13 +484,16 @@ class TestDecomposedKernelSpans:
         from collections import Counter
 
         expected = Counter(s.name for s in self._kernel_spans(mesh3, **engine))
-        assert expected.pop("mpas_reconstruct") == self.STEPS
+        assert expected.pop("mpas_reconstruct") == 1
         assert sum(expected.values()) == 19 * self.STEPS
 
         spans = self._kernel_spans(
             mesh3, parallel=parallel, ranks=self.RANKS,
             halo_schedule=halo_schedule, **engine,
         )
+        (reconstruct,) = [s for s in spans if s.name == "mpas_reconstruct"]
+        assert "rank" not in reconstruct.tags  # the driver's, not a rank's
+        spans.remove(reconstruct)
         if parallel == "pool":  # merged from the workers, tagged rank=r
             per_rank = [
                 Counter(s.name for s in spans if s.tags.get("rank") == r)

@@ -108,11 +108,6 @@ class TestRunDispatch:
         with pytest.raises(ValueError, match="steps/days"):
             api.run("tc2", mesh=mesh3, config=cfg, steps=1, days=1.0)
 
-    def test_serial_extras_rejected_in_decomposed_modes(self, mesh3):
-        cfg = api.SWConfig(dt=600.0, parallel="lockstep", ranks=2)
-        with pytest.raises(ValueError, match="parallel='serial'"):
-            api.run("tc2", mesh=mesh3, config=cfg, steps=1, invariant_interval=5)
-
     @pytest.mark.parametrize("backend", ["numpy", "sparse"])
     def test_galewsky_pool_bitwise_equals_serial(self, mesh3, backend):
         """The headline contract: 10 steps, 4 ranks, owned state bitwise."""
@@ -144,6 +139,89 @@ class TestRunDispatch:
         assert isinstance(lock, api.RunResult)
 
 
+DECOMPOSED = [("lockstep", 2), ("pool", 2)]
+
+
+class TestOneRunLoop:
+    """What the "serial only" rejections used to hide: invariant records,
+    callbacks and guards run in the one loop, on the gathered state, so a
+    decomposed run reports exactly what the serial run reports."""
+
+    STEPS = 4
+
+    @staticmethod
+    def _cfg(mesh, cfl=0.5, **overrides):
+        case = api.resolve_case("galewsky")
+        return api.SWConfig(
+            dt=api.suggested_dt(mesh, case, 9.80616, cfl=cfl), **overrides
+        )
+
+    def _observed_run(self, mesh, **overrides):
+        seen = []
+
+        def callback(step, result):
+            seen.append((step, result.state.h.copy(), result.state.u.copy(),
+                         result.reconstruction.uReconstructZonal.copy()))
+
+        result = api.run(
+            "galewsky", mesh=mesh, config=self._cfg(mesh, **overrides),
+            steps=self.STEPS, invariant_interval=2, callback=callback,
+        )
+        return result, seen
+
+    @pytest.fixture(scope="class")
+    def serial(self, mesh3):
+        return self._observed_run(mesh3)
+
+    @pytest.mark.parametrize("parallel,ranks", DECOMPOSED)
+    def test_invariants_and_callback_equal_serial(self, mesh3, serial, parallel, ranks):
+        want, want_seen = serial
+        got, seen = self._observed_run(mesh3, parallel=parallel, ranks=ranks)
+        assert len(got.invariant_history) == 3  # steps 0, 2, 4
+        assert got.invariant_history == want.invariant_history  # bitwise
+        assert [s[0] for s in seen] == [s[0] for s in want_seen] == [1, 2, 3, 4]
+        for (_, *fields), (_, *want_fields) in zip(seen, want_seen):
+            assert all(np.array_equal(a, b) for a, b in zip(fields, want_fields))
+        assert np.array_equal(got.state.h, want.state.h)
+
+    @pytest.mark.parametrize("parallel,ranks", DECOMPOSED)
+    def test_halting_guard_reports_like_serial(self, mesh3, parallel, ranks):
+        from repro.resilience.guards import NumericalBlowup
+
+        guards = dict(guard_interval=1, guard_cfl_max=0.01)
+        with pytest.raises(NumericalBlowup) as serial:
+            api.run("galewsky", mesh=mesh3, config=self._cfg(mesh3, **guards), steps=2)
+        with pytest.raises(NumericalBlowup) as got:
+            api.run(
+                "galewsky", mesh=mesh3, steps=2,
+                config=self._cfg(mesh3, parallel=parallel, ranks=ranks, **guards),
+            )
+        assert got.value.report == serial.value.report
+        assert got.value.report.guard == "cfl" and got.value.report.step == 1
+
+    def test_lockstep_rollback_equals_serial_rollback(self, mesh3):
+        """dt just above the CFL ceiling: one rollback, dt halved, then the
+        run completes — the same trajectory on two lockstep ranks."""
+        knobs = dict(
+            cfl=0.8, guard_interval=1, guard_cfl_max=0.7,
+            guard_policy="rollback", checkpoint_interval=2,
+        )
+        runs = {}
+        for mode in ({}, {"parallel": "lockstep", "ranks": 2}):
+            config = self._cfg(mesh3, **knobs, **mode)
+            dt = config.dt
+            runs[len(mode)] = api.run(
+                "galewsky", mesh=mesh3, config=config, steps=self.STEPS,
+                invariant_interval=1,
+            )
+            assert config.dt == dt / 2.0  # rolled back exactly once
+        serial, lockstep = runs[0], runs[2]
+        assert np.array_equal(lockstep.state.h, serial.state.h)
+        assert np.array_equal(lockstep.state.u, serial.state.u)
+        assert lockstep.invariant_history == serial.invariant_history
+        assert lockstep.elapsed_seconds == serial.elapsed_seconds
+
+
 class TestConfigValidation:
     def test_valid_config_constructs(self):
         api.SWConfig(dt=600.0, parallel="pool", ranks=4)
@@ -172,15 +250,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="parallel='pool'"):
             api.SWConfig(dt=600.0, ranks=4)
 
-    @pytest.mark.parametrize("parallel", ["lockstep", "pool"])
-    def test_rejects_guards_in_decomposed_modes(self, parallel):
-        """The decomposed executors run no watchdog; a guard that would be
-        silently ignored is refused (serial keeps it)."""
-        api.SWConfig(dt=600.0, guard_interval=1, guard_cfl_max=0.01)
-        with pytest.raises(ValueError, match="guard_interval.*parallel='serial'"):
+    def test_rejects_rollback_in_the_pool(self):
+        """The one mode/guard combination still refused: pool workers hold
+        their own config copy, so a rollback's halved dt would not reach
+        them.  Halting guards work everywhere, rollback under lockstep."""
+        guards = dict(guard_interval=1, guard_cfl_max=0.01, checkpoint_interval=2)
+        api.SWConfig(dt=600.0, parallel="pool", ranks=2, **guards)
+        api.SWConfig(
+            dt=600.0, parallel="lockstep", ranks=2, guard_policy="rollback", **guards
+        )
+        with pytest.raises(ValueError, match="rollback.*lockstep"):
             api.SWConfig(
-                dt=600.0, parallel=parallel, ranks=2,
-                guard_interval=1, guard_cfl_max=0.01,
+                dt=600.0, parallel="pool", ranks=2, guard_policy="rollback", **guards
             )
 
     @pytest.mark.parametrize(

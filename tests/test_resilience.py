@@ -287,11 +287,11 @@ class TestSplitRecovery:
 
 # --------------------------------------------------------------- halo recovery
 class TestHaloRecovery:
-    def _decomposed(self, mesh, steps, plan=None):
+    def _decomposed(self, mesh, steps, plan=None, **knobs):
         from repro.parallel.runner import DecomposedShallowWater
 
         case = galewsky_jet()
-        config = SWConfig(dt=suggested_dt(mesh, case, GRAVITY, cfl=0.5))
+        config = SWConfig(dt=suggested_dt(mesh, case, GRAVITY, cfl=0.5), **knobs)
         runner = DecomposedShallowWater(mesh, 2, case, config)
         if plan is None:
             runner.run(steps)
@@ -315,18 +315,33 @@ class TestHaloRecovery:
     def test_backoff_accounted(self, mesh3):
         plan = FaultPlan([FaultSpec("halo.exchange", at=(1, 2), max_fires=2)])
         metrics = MetricsRegistry()
-        policy = RecoveryPolicy(halo_retries=2, halo_backoff_s=0.5)
-        with use_registry(metrics), use_recovery_policy(policy):
-            self._decomposed(mesh3, 1, plan)
+        with use_registry(metrics):
+            self._decomposed(mesh3, 1, plan, halo_retries=2, halo_backoff_s=0.5)
         (backoff,) = metrics.series("resilience.halo.backoff_s")
         assert backoff.value == pytest.approx(0.5 + 1.0)  # 0.5 * (2**0 + 2**1)
 
     def test_retries_exhausted_raises(self, mesh3):
         plan = FaultPlan([FaultSpec("halo.exchange", probability=1.0)])
-        policy = RecoveryPolicy(halo_retries=1)
-        with use_recovery_policy(policy):
+        with pytest.raises(FaultInjected):
+            self._decomposed(mesh3, 1, plan, halo_retries=1)
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "run_dir"])
+    def test_lockstep_run_honours_the_configs_retry_knobs(
+        self, mesh3, tmp_path, durable
+    ):
+        """Regression: the lockstep drivers never installed
+        ``config.recovery_policy()``, so ``halo_retries=0`` was ignored and
+        a dropped exchange was silently retried under the process default."""
+        from repro.api import run
+
+        config = SWConfig(
+            dt=suggested_dt(mesh3, galewsky_jet(), GRAVITY, cfl=0.5),
+            parallel="lockstep", ranks=2, halo_retries=0,
+        )
+        extra = {"run_dir": tmp_path / "run"} if durable else {}
+        with use_fault_plan(FaultPlan([FaultSpec("halo.exchange", at=(1,))])):
             with pytest.raises(FaultInjected):
-                self._decomposed(mesh3, 1, plan)
+                run("galewsky", mesh=mesh3, config=config, steps=1, **extra)
 
 
 # ----------------------------------------------------------- transfer recovery
