@@ -33,12 +33,15 @@ Two fusion modes
 
 Caching
 -------
-Plans are memoized per mesh in a ``WeakKeyDictionary`` keyed by the
-structure-affecting config fields (:func:`plan_key`).  The CSR operators a
-plan closes over come from the two-level operator cache
-(:func:`repro.engine.sparse.sparse_operator`: memory + versioned ``.npz``
-on disk); matrices *composed* by the algebraic mode reuse the same
-two-level mechanics under ``cache_dir()/operators/`` with
+Plans are memoized **per thread** and per mesh (a ``threading.local``
+holding a ``WeakKeyDictionary``), keyed by the structure-affecting config
+fields (:func:`plan_key`): a plan owns scratch buffers, so two threads
+stepping one ``(mesh, config)`` — the ensemble's member blocks — each
+compile their own.  The CSR operators a plan closes over are shared,
+read-only, by every thread's plan: they come from the two-level operator
+cache (:func:`repro.engine.sparse.sparse_operator`: memory + versioned
+``.npz`` on disk).  Matrices *composed* by the algebraic mode go through
+the same archive reader/writer as the operator ``"plan_<name>"`` with
 :data:`PLAN_CACHE_VERSION` stamped alongside the operator format version —
 a version bump or mesh edit invalidates them exactly like the operators.
 The ``mpas_reconstruct`` stages (and the A4 operator's per-cell fits)
@@ -63,7 +66,8 @@ reused across calls (safe: every consumer reads them before the next
 ``tend`` call, and ``enforce_boundary_edge`` mutating them in place is the
 contract); Diagnostics and Reconstruction outputs are freshly allocated
 per call because callers retain them (run results, watchdogs, rollback
-checkpoints).  A plan is not re-entrant across threads.
+checkpoints).  A plan is not re-entrant across threads, which is why
+:func:`compiled_plan` hands every thread its own.
 
 Batched plans
 -------------
@@ -86,24 +90,16 @@ Batched plans are memoized next to the serial ones, keyed by
 from __future__ import annotations
 
 import functools
-import os
+import threading
 import weakref
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..mesh.cache import cache_dir
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..resilience.integrity import checked_load, seal
-from .sparse import (
-    OPERATOR_CACHE_VERSION,
-    _triples,
-    mesh_fingerprint,
-    sparse_operator,
-)
+from .sparse import _cached_operator, _triples, sparse_operator
 from .split import active_placement, placements_active
 
 __all__ = [
@@ -117,7 +113,6 @@ __all__ = [
     "compile_plan",
     "compiled_plan",
     "clear_plan_memory_cache",
-    "plan_cache_path",
     "unplanned_labels",
 ]
 
@@ -270,78 +265,13 @@ _COMPOSED_MEM: "weakref.WeakKeyDictionary[object, dict[str, sp.csr_matrix]]" = (
 )
 
 
-def plan_cache_path(mesh, name: str) -> Path:
-    """On-disk archive for one composed plan matrix (versioned ``.npz``)."""
-    root = cache_dir() / "operators"
-    root.mkdir(parents=True, exist_ok=True)
-    return root / f"{mesh_fingerprint(mesh)}_plan_{name}.npz"
-
-
-def _load_composed(path: Path, fingerprint: str) -> sp.csr_matrix | None:
-    """``None`` on stale version/fingerprint (rebuild in place); a corrupt
-    archive is quarantined by the integrity layer (``kind=plan``)."""
-
-    def read(p: Path) -> sp.csr_matrix | None:
-        with np.load(p) as d:
-            if "format_version" not in d.files or "plan_version" not in d.files:
-                return None
-            if int(d["format_version"]) != OPERATOR_CACHE_VERSION:
-                return None
-            if int(d["plan_version"]) != PLAN_CACHE_VERSION:
-                return None
-            if str(d["fingerprint"]) != fingerprint:
-                return None
-            return sp.csr_matrix(
-                (d["data"], d["indices"], d["indptr"]), shape=tuple(d["shape"])
-            )
-
-    return checked_load(path, read, kind="plan")
-
-
-def _save_composed(path: Path, fingerprint: str, m: sp.csr_matrix) -> None:
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez_compressed(
-        tmp,
-        format_version=np.array(OPERATOR_CACHE_VERSION),
-        plan_version=np.array(PLAN_CACHE_VERSION),
-        fingerprint=np.array(fingerprint),
-        data=m.data,
-        indices=m.indices,
-        indptr=m.indptr,
-        shape=np.array(m.shape),
-    )
-    os.replace(tmp, path)
-    seal(path)
-
-
 def _composed_operator(mesh, name: str, build: Callable[[], sp.csr_matrix]):
-    """Two-level (memory + versioned disk) cache for a composed matrix.
-
-    Mirrors :func:`repro.engine.sparse.sparse_operator`: disk persistence
-    only for meshes with a persistent identity (``info["disk_cached"]``);
-    rank-local and ad-hoc meshes compose into memory only.
-    """
-    ops = _COMPOSED_MEM.get(mesh)
-    if ops is None:
-        ops = {}
-        _COMPOSED_MEM[mesh] = ops
-    m = ops.get(name)
-    if m is not None:
-        return m
-    info = getattr(mesh, "info", None)
-    use_disk = bool(info.get("disk_cached")) if info is not None else False
-    path = fingerprint = None
-    if use_disk:
-        fingerprint = mesh_fingerprint(mesh)
-        path = plan_cache_path(mesh, name)
-        if path.exists():
-            m = _load_composed(path, fingerprint)
-    if m is None:
-        m = build()
-        if use_disk:
-            _save_composed(path, fingerprint, m)
-    ops[name] = m
-    return m
+    """A composed matrix behind the operator cache's two levels: the archive
+    is the operator ``"plan_<name>"``, stamped :data:`PLAN_CACHE_VERSION`."""
+    return _cached_operator(
+        _COMPOSED_MEM, mesh, f"plan_{name}", build,
+        kind="plan", plan_version=PLAN_CACHE_VERSION,
+    )
 
 
 # ------------------------------------------------------------ the compiler
@@ -384,18 +314,15 @@ class ExecutionPlan:
     def __init__(
         self,
         mesh,
-        key: tuple,
         fuse: str,
         tend_stages: list[PlanStage],
         diag_stages: list[PlanStage],
         compile_recon: Callable[[object], list[PlanStage]],
         buffers: dict[str, np.ndarray],
         composed: tuple[str, ...],
-        schedule_labels: dict[str, list[str]],
         batch: int = 0,
     ) -> None:
         self._mesh = weakref.ref(mesh)
-        self.key = key
         self.fuse = fuse
         #: 0 for a serial plan; N > 0 when the stages run over (n, N) blocks.
         self.batch = int(batch)
@@ -404,7 +331,6 @@ class ExecutionPlan:
         self._compile_recon = compile_recon
         self._buffers = buffers
         self.composed = composed
-        self.schedule_labels = schedule_labels
         self._n = (mesh.nCells, mesh.nEdges, mesh.nVertices)
 
     @functools.cached_property
@@ -1072,9 +998,6 @@ def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     if int(batch) < 0:
         raise ValueError(f"batch must be >= 0 (0 compiles serial), got {batch!r}")
     reg = registry if registry is not None else default_registry()
-    bad = unplanned_labels(config)
-    if bad:
-        raise KeyError(f"unplannable Table I labels: {sorted(bad)}")
     comp = _Compiler(mesh, config, reg, batch=batch)
     sched1 = schedule_substep(config, stage=1)
     sched4 = schedule_substep(config, stage=4)
@@ -1089,44 +1012,40 @@ def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
 
     return ExecutionPlan(
         mesh,
-        key=plan_key(config),
         fuse=fuse,
         tend_stages=tend,
         diag_stages=diag,
         compile_recon=compile_recon,
         buffers=comp.buffers,
         composed=tuple(comp.composed),
-        schedule_labels={
-            "tend": [sched1.graph.instance(n).label
-                     for n in sched1.nodes_for_kernel("compute_tend")],
-            "diagnostics": [sched1.graph.instance(n).label
-                            for n in sched1.nodes_for_kernel("compute_solve_diagnostics")],
-            "reconstruct": [sched4.graph.instance(n).label
-                            for n in sched4.nodes_for_kernel("mpas_reconstruct")],
-        },
         batch=batch,
     )
 
 
 # ----------------------------------------------------------- plan memoizer
-_PLANS: "weakref.WeakKeyDictionary[object, dict[tuple, ExecutionPlan]]" = (
-    weakref.WeakKeyDictionary()
-)
+class _ThreadPlans(threading.local):
+    """Per thread: mesh -> {key: plan}.  A plan's scratch buffers are written
+    by every call, so no two threads may share one."""
+
+    def __init__(self) -> None:
+        self.by_mesh = weakref.WeakKeyDictionary()
+
+
+_PLANS = _ThreadPlans()
 
 
 def compiled_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
-    """The memoized plan for ``(mesh, config)``, compiled at most once.
+    """The calling thread's memoized plan for ``(mesh, config)``.
 
-    Keyed by :func:`plan_key` (plus the batch width), so a config mutation
-    that changes the compiled structure (e.g. the rollback handler halving
-    ``dt``, which is baked into the APVM factor) transparently compiles a
-    fresh plan; the underlying CSR operators are shared through the
-    operator cache either way.
+    Compiled at most once per thread and keyed by :func:`plan_key` (plus
+    the batch width), so a config mutation that changes the compiled
+    structure (e.g. the rollback handler halving ``dt``, which is baked
+    into the APVM factor) transparently compiles a fresh plan.  Plans are
+    per-thread because they own scratch buffers; the CSR operators they
+    close over are the same read-only instances on every thread, shared
+    through the operator cache.
     """
-    plans = _PLANS.get(mesh)
-    if plans is None:
-        plans = {}
-        _PLANS[mesh] = plans
+    plans = _PLANS.by_mesh.setdefault(mesh, {})
     key = plan_key(config) + (int(batch),)
     plan = plans.get(key)
     if plan is None:
@@ -1137,6 +1056,7 @@ def compiled_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
 
 
 def clear_plan_memory_cache() -> None:
-    """Drop in-process compiled plans and composed matrices (cache tests)."""
-    _PLANS.clear()
+    """Drop the calling thread's compiled plans and the composed matrices
+    (cache tests)."""
+    _PLANS.by_mesh.clear()
     _COMPOSED_MEM.clear()

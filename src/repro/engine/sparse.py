@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import weakref
 from pathlib import Path
 from typing import Callable
@@ -320,7 +321,8 @@ def mesh_fingerprint(mesh: Mesh) -> str:
 
 
 def operator_cache_path(mesh: Mesh, op: str) -> Path:
-    """On-disk archive for one compiled ``(mesh, operator)`` pair."""
+    """On-disk archive for one compiled ``(mesh, operator)`` pair (a matrix
+    composed by the plan compiler is the operator ``"plan_<name>"``)."""
     root = cache_dir() / "operators"
     root.mkdir(parents=True, exist_ok=True)
     return root / f"{mesh_fingerprint(mesh)}_{op}.npz"
@@ -331,40 +333,70 @@ def clear_operator_memory_cache() -> None:
     _MEMORY_OPS.clear()
 
 
-def _load_operator(path: Path, fingerprint: str) -> sp.csr_matrix | None:
-    """Load one archive; ``None`` on a stale version/fingerprint (rebuild in
-    place) *or* on corruption — a damaged archive is quarantined by the
-    integrity layer (``resilience.cache.quarantined`` tagged
-    ``kind=operator``), never raised to the dispatch path."""
+def _read_archive(path: Path, stamps: dict, kind: str) -> sp.csr_matrix | None:
+    """Load one archive; ``None`` when a stamp (format version, fingerprint)
+    is missing or stale (rebuild in place) *or* on corruption — a damaged
+    archive is quarantined by the integrity layer
+    (``resilience.cache.quarantined`` tagged ``kind``), never raised to the
+    dispatch path."""
 
     def read(p: Path) -> sp.csr_matrix | None:
         with np.load(p) as d:
-            if "format_version" not in d.files:
-                return None
-            if int(d["format_version"]) != OPERATOR_CACHE_VERSION:
-                return None
-            if str(d["fingerprint"]) != fingerprint:
+            if any(k not in d.files or d[k].item() != v for k, v in stamps.items()):
                 return None
             return sp.csr_matrix(
                 (d["data"], d["indices"], d["indptr"]), shape=tuple(d["shape"])
             )
 
-    return checked_load(path, read, kind="operator")
+    return checked_load(path, read, kind=kind)
 
 
-def _save_operator(path: Path, fingerprint: str, m: sp.csr_matrix) -> None:
-    tmp = path.with_suffix(".tmp.npz")
+def _write_archive(path: Path, stamps: dict, m: sp.csr_matrix) -> None:
+    """The one writer of the ``.npz`` format.  Each writer publishes from a
+    temporary name of its own (pid + thread id): two writers of one entry
+    built equal matrices, and the last rename wins."""
+    tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp.npz")
     np.savez_compressed(
         tmp,
-        format_version=np.array(OPERATOR_CACHE_VERSION),
-        fingerprint=np.array(fingerprint),
         data=m.data,
         indices=m.indices,
         indptr=m.indptr,
         shape=np.array(m.shape),
+        **{k: np.array(v) for k, v in stamps.items()},
     )
     os.replace(tmp, path)
     seal(path)
+
+
+def _cached_operator(
+    memory, mesh, name, build, use_disk=None, kind="operator", **extra_stamps
+):
+    """``build()`` behind the two cache levels: ``memory[mesh][name]``, then
+    the archive ``name`` (a composed matrix adds a ``plan_version`` stamp)."""
+    ops = memory.setdefault(mesh, {})
+    m = ops.get(name)
+    if m is not None:
+        return m
+    if use_disk is None:
+        # Duck-typed meshes (the pool's rank-local LocalMesh) carry no
+        # ``info`` dict and never persist: their operators are memory-only.
+        info = getattr(mesh, "info", None)
+        use_disk = bool(info.get("disk_cached")) if info is not None else False
+    if use_disk:
+        stamps = {
+            "format_version": OPERATOR_CACHE_VERSION,
+            "fingerprint": mesh_fingerprint(mesh),
+            **extra_stamps,
+        }
+        path = operator_cache_path(mesh, name)
+        if path.exists():
+            m = _read_archive(path, stamps, kind)
+    if m is None:
+        m = build()
+        if use_disk:
+            _write_archive(path, stamps, m)
+    ops[name] = m
+    return m
 
 
 def sparse_operator(
@@ -377,35 +409,14 @@ def sparse_operator(
     ``True``/``False`` to force either policy.  Memory memoization always
     applies, so repeated dispatches return the same CSR instance.
     """
-    ops = _MEMORY_OPS.get(mesh)
-    if ops is None:
-        ops = {}
-        _MEMORY_OPS[mesh] = ops
-    m = ops.get(op)
-    if m is not None:
-        return m
     if op not in _COMPILERS:
         raise KeyError(
             f"operator {op!r} has no sparse compiler; "
             f"compilable: {sorted(_COMPILERS)}"
         )
-    if use_disk is None:
-        # Duck-typed meshes (the pool's rank-local LocalMesh) carry no
-        # ``info`` dict and never persist: their operators are memory-only.
-        info = getattr(mesh, "info", None)
-        use_disk = bool(info.get("disk_cached")) if info is not None else False
-    path = fingerprint = None
-    if use_disk:
-        fingerprint = mesh_fingerprint(mesh)
-        path = operator_cache_path(mesh, op)
-        if path.exists():
-            m = _load_operator(path, fingerprint)
-    if m is None:
-        m = _COMPILERS[op](mesh)
-        if use_disk:
-            _save_operator(path, fingerprint, m)
-    ops[op] = m
-    return m
+    return _cached_operator(
+        _MEMORY_OPS, mesh, op, lambda: _COMPILERS[op](mesh), use_disk
+    )
 
 
 # ----------------------------------------------------------- backend impls

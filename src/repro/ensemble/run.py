@@ -1,12 +1,17 @@
-"""The lockstep ensemble driver: N members, one plan per step, per-member
+"""The lockstep ensemble driver: N members, one step program, per-member
 verdicts.
 
-:class:`EnsembleRun` packs N perturbed-IC members into one batched state
-(``State.stack``) and advances them together with the plain
+:class:`EnsembleRun` packs N perturbed-IC members into batched states
+(``State.stack``) and advances them with the plain
 :class:`~repro.swm.timestep.RK4Integrator` — the one step program is
 shape-agnostic over the trailing member axis and runs every kernel through
 the batched execution plan — keeping per-member invariant trajectories and
-watchdog verdicts.  The integrator always executes with ``plan=True``, even
+watchdog verdicts.  The members are split into one contiguous column block
+per usable CPU (``os.sched_getaffinity``); each step advances the blocks at
+once, block 0 on the calling thread and the others on persistent pinned
+worker threads with a compiled plan of their own (:func:`_sweep`), and the
+caller then judges every member.  Columns are independent, so the split
+moves no bit.  The integrator always executes with ``plan=True``, even
 for configs with ``plan=False``: the default ``plan_fuse="exact"`` program
 replays the unfused sparse backend's arithmetic bitwise, so members of a
 ``backend="sparse"`` run match their serial unfused reference exactly as
@@ -36,10 +41,13 @@ plan's per-column contract plus the shared IC builders of
 from __future__ import annotations
 
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..engine.split import placements_active
 from ..mesh.mesh import Mesh
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
@@ -142,6 +150,52 @@ class EnsembleResult:
         return "\n".join(lines)
 
 
+def _usable_cpus() -> list[int]:
+    """The CPUs this thread may run on: the one input to the block count."""
+    return sorted(os.sched_getaffinity(0))
+
+
+def _advance(integ: RK4Integrator, packed: State, diag, unstable):
+    """One RK-4 step of one member block (the task a block's thread runs)."""
+    (packed,), (diag,) = rk4_step([integ], [packed], [diag], unstable=unstable)
+    return packed, diag
+
+
+#: CPU -> the one-thread executor pinned to it, created on first use and kept:
+#: a fresh unpinned thread shares the caller's core longer than a short run lasts.
+_WORKERS: dict = {}
+
+
+def _sweep(cpus: list[int], task, *columns) -> list:
+    """``list(map(task, *columns))`` with the calls running at once.
+
+    Call 0 runs on the calling thread, pinned to ``cpus[0]`` until every
+    call is done (its previous affinity is restored even when one raises);
+    call ``i`` runs on the persistent worker thread pinned to ``cpus[i]``.  An
+    exception reaches the caller unchanged, after the other calls finished.
+    """
+    jobs = list(zip(*columns))
+    if len(jobs) == 1:
+        return [task(*jobs[0])]
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {cpus[0]})
+    try:
+        futures = []
+        for cpu, job in zip(cpus[1:], jobs[1:]):
+            if cpu not in _WORKERS:
+                _WORKERS[cpu] = ThreadPoolExecutor(
+                    1, f"ensemble-cpu{cpu}", os.sched_setaffinity, (0, {cpu})
+                )
+            futures.append(_WORKERS[cpu].submit(task, *job))
+        try:
+            first = task(*jobs[0])
+        finally:
+            wait(futures)
+        return [first] + [future.result() for future in futures]
+    finally:
+        os.sched_setaffinity(0, before)
+
+
 class EnsembleRun:
     """Driver for one ensemble: build members, advance lockstep, judge them.
 
@@ -228,9 +282,21 @@ class EnsembleRun:
             self.mesh, dataclasses.replace(config, plan=True), b, f_vertex,
             registry=self.registry,
         )
-        packed = State.stack(states)
+        # One contiguous member block per usable CPU, stepped concurrently
+        # (columns are independent: a block is bitwise its columns of the whole
+        # batch).  The tracer and split placements are single-threaded: one block.
+        cpus = _usable_cpus()
+        if get_tracer().enabled or placements_active():
+            cpus = cpus[:1]
+        n_blocks = min(len(cpus), n)
+        spans = [(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
+        #: member -> (its block, its column there)
+        home = [(i, k - lo) for i, (lo, hi) in enumerate(spans) for k in range(lo, hi)]
+        packed = [State.stack(states[lo:hi]) for lo, hi in spans]
         unstable = np.zeros(n, dtype=bool)
-        diag = integ.diagnostics_for(packed, unstable=unstable)
+        flags = [unstable[lo:hi] for lo, hi in spans]  # views into the one mask
+        del states
+        diag = _sweep(cpus, integ.diagnostics_for, packed, flags)
 
         alive = np.ones(n, dtype=bool)
         failed_step = [None] * n
@@ -242,25 +308,27 @@ class EnsembleRun:
         def record(step: int) -> None:
             history_steps.append(step)
             for k in np.flatnonzero(alive):
+                i, col = home[k]
                 histories[k].append(
                     invariants(
-                        self.mesh, packed.member(k), diag.member(k), b,
+                        self.mesh, packed[i].member(col), diag[i].member(col), b,
                         config.gravity,
                     )
                 )
 
         def judge(step: int) -> None:
-            bad = (unstable | member_finite_mask(packed)) & alive
-            for k in np.flatnonzero(bad):
+            poisoned = np.concatenate([member_finite_mask(p) for p in packed])
+            for k in np.flatnonzero((unstable | poisoned) & alive):
                 alive[k] = False
                 failed_step[k] = step
                 get_registry().counter(
                     "ensemble.member.diverged", member=str(int(k))
                 ).inc()
                 if config.guard_policy == "rollback":
+                    i, col = home[k]
                     detached[int(k)] = self._detach(
-                        int(k), snapshot_step, snapshot, b, f_vertex,
-                        steps, invariant_interval, verdict_detail,
+                        int(k), snapshot_step, snapshot[i].member(col), b,
+                        f_vertex, steps, invariant_interval, verdict_detail,
                     )
                 else:
                     verdict_detail[k] = (
@@ -268,63 +336,56 @@ class EnsembleRun:
                         f"at step {step} (guard_policy='halt')"
                     )
 
-        # In-memory rollback anchors (per-member columns of the whole
-        # batch); refreshed on the serial checkpoint cadence.
+        # In-memory rollback anchors (every block's columns); refreshed on
+        # the serial checkpoint cadence.
         snapshot_step = 0
-        snapshot = packed.copy()
+        snapshot = [p.copy() for p in packed]
         judge(0)
         record(0)
         step_timer = get_registry().timer("ensemble.step")
         for step in range(1, steps + 1):
             with step_timer.time():
-                (packed,), (diag,) = rk4_step(
-                    [integ], [packed], [diag], unstable=unstable
-                )
+                packed, diag = map(list, zip(*_sweep(
+                    cpus, _advance, [integ] * n_blocks, packed, diag, flags
+                )))
             judge(step)
-            if (
-                config.checkpoint_interval
-                and step % config.checkpoint_interval == 0
-            ):
-                snapshot_step, snapshot = step, packed.copy()
+            if config.checkpoint_interval and step % config.checkpoint_interval == 0:
+                snapshot_step, snapshot = step, [p.copy() for p in packed]
             if invariant_interval and step % invariant_interval == 0:
                 record(step)
         if history_steps[-1] != steps:
             record(steps)
-        recon = integ.reconstruct(packed.u)
+        del snapshot
 
-        results: list[RunResult | None] = []
+        results: list[RunResult | None] = [None] * n
         verdicts: list[MemberVerdict] = []
-        elapsed = steps * config.dt
-        for k in range(n):
-            if alive[k]:
+        for i, (lo, hi) in enumerate(spans):
+            recon = integ.reconstruct(packed[i].u)
+            for k in np.flatnonzero(alive[lo:hi]) + lo:
                 get_registry().counter(
                     "ensemble.member.steps", member=str(k)
                 ).inc(steps)
-                results.append(
-                    RunResult(
-                        state=packed.member(k),
-                        diagnostics=diag.member(k),
-                        reconstruction=recon.member(k),
-                        steps=steps,
-                        elapsed_seconds=elapsed,
-                        invariant_history=histories[k],
-                    )
+                results[k] = RunResult(
+                    state=packed[i].member(k - lo),
+                    diagnostics=diag[i].member(k - lo),
+                    reconstruction=recon.member(k - lo),
+                    steps=steps,
+                    elapsed_seconds=steps * config.dt,
+                    invariant_history=histories[k],
                 )
-                verdicts.append(MemberVerdict(k, "ok"))
-            elif k in detached and detached[k] is not None:
-                results.append(detached[k])
-                verdicts.append(
-                    MemberVerdict(k, "recovered", failed_step[k], verdict_detail[k])
-                )
-            else:
-                results.append(None)
-                verdicts.append(
-                    MemberVerdict(k, "diverged", failed_step[k], verdict_detail[k])
-                )
+            # The members hold contiguous copies: drop the block's arrays
+            # before the next block's copies are made.
+            packed[i] = diag[i] = recon = None
+        for k in range(n):
+            status = "ok" if alive[k] else "diverged"
+            if detached.get(k) is not None:
+                results[k], status = detached[k], "recovered"
+            verdicts.append(
+                MemberVerdict(k, status, failed_step[k], verdict_detail[k])
+            )
         out = EnsembleResult(members=results, verdicts=verdicts, steps=steps)
-        ok = [r for r, v in zip(results, verdicts) if r is not None and v.status == "ok"]
-        if ok:
-            out.invariant_history = ok[0].invariant_history
+        if alive.any():  # the first lockstep survivor's trajectory
+            out.invariant_history = histories[int(np.argmax(alive))]
         get_registry().gauge("ensemble.survivors").set(len(out.survivors()))
         return out
 
@@ -342,8 +403,9 @@ class EnsembleRun:
         """Finish one diverged member serially from its last snapshot.
 
         The PR 3 rollback semantics applied per member: restore the
-        member's column, halve its (private) ``dt`` and integrate the
-        remaining steps through the serial model — the batch never waits.
+        member's column (``snapshot``, a serial state), halve its (private)
+        ``dt`` and integrate the remaining steps through the serial model —
+        the batch never waits.
         Returns ``None`` when the continuation blows up too.
         """
         remaining = steps - snapshot_step
@@ -362,8 +424,7 @@ class EnsembleRun:
             # first refresh) — the member is then unrecoverable.
             try:
                 model = ShallowWaterModel.from_state(
-                    self.mesh, config, self.case, snapshot.member(member), b,
-                    f_vertex,
+                    self.mesh, config, self.case, snapshot, b, f_vertex,
                 )
                 res = model.run(
                     steps=remaining, invariant_interval=invariant_interval

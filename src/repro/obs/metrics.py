@@ -11,6 +11,7 @@ autotuning trajectories and halo traffic replayable after the fact.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator
@@ -124,14 +125,16 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._series: dict[tuple, object] = {}
+        self._create = threading.Lock()
 
     def _get(self, cls, name: str, tags: dict):
         key = _series_key(name, tags)
         series = self._series.get(key)
         if series is None:
-            series = cls(name, tags)
-            self._series[key] = series
-        elif not isinstance(series, cls):
+            # Under a lock: concurrent first touches must share one object.
+            with self._create:
+                series = self._series.setdefault(key, cls(name, tags))
+        if not isinstance(series, cls):
             raise TypeError(
                 f"series {name!r} {tags!r} already registered as {series.kind}"
             )

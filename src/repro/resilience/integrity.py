@@ -38,6 +38,7 @@ engine's process-startup path can use them freely.
 from __future__ import annotations
 
 import os
+import threading
 import zlib
 from pathlib import Path
 
@@ -88,7 +89,10 @@ def seal(path: str | Path) -> Path:
     path = Path(path)
     length, crc = _length_and_crc(path)
     sidecar = _sidecar_path(path)
-    tmp = sidecar.with_name(sidecar.name + ".tmp")
+    # Named per writer: two sealers of one entry must not rename each other's away.
+    tmp = sidecar.with_name(
+        f"{sidecar.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
     tmp.write_text(f"crc32 {length} {crc:08x}\n", encoding="ascii")
     os.replace(tmp, sidecar)
     return sidecar

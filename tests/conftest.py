@@ -23,6 +23,40 @@ def mesh4():
 
 
 @pytest.fixture()
+def on_threads():
+    """``run(fn, n_threads) -> (results, errors)``: ``fn(i)`` on barrier-started
+    threads under a shortened switch interval, every join bounded."""
+    import sys
+    import threading
+
+    def run(fn, n_threads: int = 2):
+        barrier = threading.Barrier(n_threads)
+        results, errors = [None] * n_threads, []
+
+        def work(i):
+            try:
+                barrier.wait(timeout=30)
+                results[i] = fn(i)
+            except Exception as exc:  # reported to the asserting thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return results, errors
+
+    return run
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20150815)  # ICPP 2015
 

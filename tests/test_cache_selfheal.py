@@ -200,9 +200,11 @@ class TestPlanSelfHeal:
         from repro.engine.plan import (
             clear_plan_memory_cache,
             compiled_plan,
-            plan_cache_path,
         )
-        from repro.engine.sparse import clear_operator_memory_cache
+        from repro.engine.sparse import (
+            clear_operator_memory_cache,
+            operator_cache_path,
+        )
         from repro.mesh.cache import cached_mesh
         from repro.swm.config import SWConfig
 
@@ -212,7 +214,7 @@ class TestPlanSelfHeal:
             thickness_adv_order=4,
         )
         compiled_plan(mesh, cfg)
-        path = plan_cache_path(mesh, "h_edge_order4")
+        path = operator_cache_path(mesh, "plan_h_edge_order4")
         assert path.exists()
         _truncate(path)
         clear_plan_memory_cache()
@@ -247,3 +249,66 @@ class TestMeshSelfHeal:
         assert np.array_equal(rebuilt.xCell, mesh.xCell)
         assert _quarantined(registry, "mesh") == 1.0
         assert list((path.parent / QUARANTINE_DIRNAME).glob("*.npz"))
+
+
+# ------------------------------------------------------ concurrent writers
+class TestConcurrentWriters:
+    """Two writers of one cache entry (same process): each publishes from a
+    temporary name of its own, so neither renames the other's file away."""
+
+    @staticmethod
+    def _same_csr(a, b) -> bool:
+        return (
+            np.array_equal(a.data, b.data)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.indptr, b.indptr)
+        )
+
+    class _NoMemo(dict):
+        """A memory cache that never hits: every caller goes to disk."""
+
+        def get(self, key, default=None):
+            return {}
+
+        setdefault = get
+
+    def test_threads_building_one_operator(
+        self, cache_sandbox, monkeypatch, on_threads
+    ):
+        import repro.engine.sparse as sparse
+        from repro.mesh.cache import cached_mesh
+
+        mesh = cached_mesh(3, lloyd_iterations=0)
+        monkeypatch.setattr(sparse, "_MEMORY_OPS", self._NoMemo())
+        for op in ("cell_divergence", "tangential_velocity", "vertex_curl"):
+            built, errors = on_threads(lambda i: sparse.sparse_operator(mesh, op), 4)
+            assert errors == []
+            assert len(built) == 4
+            assert all(self._same_csr(built[0], m) for m in built[1:])
+            reloaded = sparse.sparse_operator(mesh, op)  # from the archive
+            assert self._same_csr(built[0], reloaded)
+        assert not list(cache_sandbox.rglob("*.tmp*"))
+
+    def test_threads_composing_one_plan_matrix(
+        self, cache_sandbox, monkeypatch, on_threads
+    ):
+        import scipy.sparse as sp
+
+        import repro.engine.plan as plan
+        from repro.engine.sparse import sparse_operator
+        from repro.mesh.cache import cached_mesh
+
+        mesh = cached_mesh(3, lloyd_iterations=0)
+        grad = sparse_operator(mesh, "edge_gradient_of_cell")
+        div = sparse_operator(mesh, "cell_divergence")
+        monkeypatch.setattr(plan, "_COMPOSED_MEM", self._NoMemo())
+        built, errors = on_threads(
+            lambda i: plan._composed_operator(
+                mesh, "grad_div", lambda: sp.csr_matrix(grad @ div)
+            ),
+            4,
+        )
+        assert errors == []
+        assert len(built) == 4
+        assert all(self._same_csr(built[0], m) for m in built[1:])
+        assert not list(cache_sandbox.rglob("*.tmp*"))

@@ -10,9 +10,12 @@ diverging member must not perturb the healthy members' bits.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+import repro.ensemble.run as ensemble_run
 from repro.api import SWConfig, resolve_case, suggested_dt
 from repro.constants import GRAVITY
 from repro.ensemble import (
@@ -22,6 +25,8 @@ from repro.ensemble import (
     member_rng,
 )
 from repro.ensemble.run import EnsembleRun, run_ensemble
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.trace import Tracer, use_tracer
 from repro.resilience.guards import member_finite_mask
 from repro.swm.model import ShallowWaterModel
 from repro.swm.state import State
@@ -201,7 +206,7 @@ class TestDivergenceIsolation:
         f = _f_vertex(mesh3, case)
         detail = [""] * N
         res = run._detach(
-            1, 2, State.stack(states), b, f, STEPS, 0, detail
+            1, 2, states[1], b, f, STEPS, 0, detail
         )
         assert res is not None and res.steps == STEPS - 2
         assert "dt=" in detail[1] and "step 2" in detail[1]
@@ -292,6 +297,172 @@ class TestIntegratorOverMemberAxis:
         )
         with pytest.raises(ValueError, match="plan=True"):
             integ.diagnostics_for(State.stack(states))
+
+
+# ------------------------------------------------- member blocks on threads
+def _cpu_list(count: int) -> list[int]:
+    """``count`` usable CPU ids (real ones, reused when the host has fewer)."""
+    real = sorted(os.sched_getaffinity(0))
+    return [real[i % len(real)] for i in range(count)]
+
+
+@pytest.fixture(scope="module")
+def serial_refs(mesh3, dt):
+    """Member k's serial ``api.run`` of its ``perturbed:`` token, on demand."""
+    from repro.api import run
+
+    refs: dict[int, object] = {}
+
+    def ref(k: int):
+        if k not in refs:
+            refs[k] = run(
+                f"perturbed:galewsky:{k}:{SEED}:{AMPLITUDE}", mesh=mesh3,
+                config=SWConfig(dt=dt, backend="sparse"), steps=3,
+            )
+        return refs[k]
+
+    return ref
+
+
+class TestMemberBlocks:
+    """Members are stepped as contiguous column blocks, one per usable CPU;
+    the split moves no bit and keeps every verdict under its global index."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_member_equals_serial_run_for_every_split(
+        self, mesh3, case, dt, serial_refs, monkeypatch, n, cpus
+    ):
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(cpus))
+        before = os.sched_getaffinity(0)
+        ens = run_ensemble(mesh3, case, _config(dt, ensemble=n), 3)
+        assert os.sched_getaffinity(0) == before
+        assert [v.status for v in ens.verdicts] == ["ok"] * n
+        for k, member in enumerate(ens.members):
+            ref = serial_refs(k)
+            assert np.array_equal(member.state.h, ref.state.h), f"member {k} h"
+            assert np.array_equal(member.state.u, ref.state.u), f"member {k} u"
+            assert np.array_equal(
+                member.diagnostics.pv_edge, ref.diagnostics.pv_edge
+            )
+            assert np.array_equal(
+                member.reconstruction.uReconstructZonal,
+                ref.reconstruction.uReconstructZonal,
+            )
+
+    @pytest.mark.parametrize("policy", ["halt", "rollback"])
+    def test_divergence_in_the_last_block_keeps_its_global_index(
+        self, mesh3, case, dt, serial_refs, monkeypatch, policy
+    ):
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
+        states, _ = ensemble_initial_states(mesh3, case, 5, SEED, AMPLITUDE)
+        states[4].h *= -1.0  # the last column of block [2, 5)
+        detached = []
+        real_detach = EnsembleRun._detach
+
+        def spy(self, member, snapshot_step, snapshot, *rest):
+            detached.append((member, snapshot))
+            return real_detach(self, member, snapshot_step, snapshot, *rest)
+
+        monkeypatch.setattr(EnsembleRun, "_detach", spy)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            res = EnsembleRun(
+                mesh3, case, _config(dt, ensemble=5, guard_policy=policy),
+                initial_states=states,
+            ).execute(3)
+        assert [v.status for v in res.verdicts] == ["ok"] * 4 + ["diverged"]
+        assert res.verdicts[4].member == 4 and res.verdicts[4].failed_step == 0
+        assert res.members[4] is None
+        (counted,) = registry.series("ensemble.member.diverged")
+        assert counted.tags == {"member": "4"}
+        if policy == "rollback":
+            ((member, snapshot),) = detached
+            assert member == 4
+            assert np.array_equal(snapshot.h, states[4].h)
+            assert "rolled back to step 0" in res.verdicts[4].detail
+        else:
+            assert detached == []
+        for k in range(4):
+            assert np.array_equal(res.members[k].state.h, serial_refs(k).state.h)
+            assert np.array_equal(res.members[k].state.u, serial_refs(k).state.u)
+
+    def test_traced_run_sweeps_on_the_caller(self, mesh3, case, dt, monkeypatch):
+        """The tracer is single-threaded: a traced ensemble is one block on
+        the calling thread, and its span tree is well nested."""
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
+        def no_workers(*args, **kwargs):
+            raise AssertionError("a traced run started a worker thread")
+
+        monkeypatch.setattr(ensemble_run, "ThreadPoolExecutor", no_workers)
+        monkeypatch.setattr(ensemble_run, "_WORKERS", {})
+        tracer = Tracer()
+        with use_tracer(tracer):
+            run_ensemble(mesh3, case, _config(dt, ensemble=4), 2)
+        spans = tracer.spans
+        assert spans and all(s.end is not None for s in spans)
+        for s in spans:
+            if s.parent is None:
+                assert s.depth == 0
+                continue
+            parent = spans[s.parent]
+            assert s.depth == parent.depth + 1
+            assert parent.start <= s.start and s.end <= parent.end
+        for parent in [None] + spans:
+            kids = [
+                s for s in spans
+                if s.parent == (None if parent is None else parent.index)
+            ]
+            for a, b in zip(kids, kids[1:]):
+                assert a.end <= b.start
+        assert sum(s.name == "compute_tend" for s in spans) == 2 * 4
+
+    def test_a_raising_block_restores_affinity_and_reaches_the_caller(self):
+        class Boom(Exception):
+            pass
+
+        cpus = _cpu_list(2)
+        before = os.sched_getaffinity(0)
+        for culprit in (0, 1):  # the caller's block, then a worker's
+            boom = Boom(f"block {culprit}")
+            ran = []
+
+            def task(block):
+                ran.append(block)
+                if block == culprit:
+                    raise boom
+
+            with pytest.raises(Boom) as caught:
+                ensemble_run._sweep(cpus, task, [0, 1])
+            assert caught.value is boom
+            assert sorted(ran) == [0, 1]  # the other block still finished
+            assert os.sched_getaffinity(0) == before
+
+    def test_a_run_leaves_no_cyclic_garbage(self, mesh3, case, dt, monkeypatch):
+        """Nothing a run allocates may wait for the cycle collector: a
+        level-5 block is megabytes, a gen-2 collection is rare."""
+        import gc
+
+        from repro.swm.state import Diagnostics, Reconstruction
+
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
+        run_ensemble(mesh3, case, _config(dt, ensemble=4), 2)  # warm caches
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            res = run_ensemble(mesh3, case, _config(dt, ensemble=4), 2)
+            del res
+            gc.collect()
+            leaked = [
+                type(o).__name__ for o in gc.garbage
+                if isinstance(o, (State, Diagnostics, Reconstruction))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
 
 
 # ----------------------------------------------------------- driver plumbing

@@ -168,6 +168,39 @@ class TestMetrics:
         assert by_name["b"]["count"] == 1
 
 
+    def test_get_or_create_is_one_series_across_threads(
+        self, monkeypatch, on_threads
+    ):
+        """Threads touching a new series at once all update the same object
+        (the ensemble's member blocks time into one registry)."""
+        import threading
+        import time
+
+        from repro.obs.metrics import Counter
+
+        real_init = Counter.__init__
+
+        def slow_init(self, name, tags):
+            time.sleep(0.002)  # hold the creation window open
+            real_init(self, name, tags)
+
+        monkeypatch.setattr(Counter, "__init__", slow_init)
+        reg = MetricsRegistry()
+        n_threads, n_series = 8, 5
+        meet = threading.Barrier(n_threads)
+
+        def work(_):
+            for i in range(n_series):
+                meet.wait(timeout=30)  # every thread meets at each new series
+                reg.counter("touched", i=i).inc()
+
+        _, errors = on_threads(work, n_threads)
+        assert errors == []
+        series = reg.series("touched")
+        assert len(series) == n_series
+        assert [s.value for s in series] == [float(n_threads)] * n_series
+
+
 # ---------------------------------------------------------- traced run content
 class TestInstrumentation:
     def test_kernel_spans_cover_algorithm1(self, traced_run):

@@ -40,11 +40,10 @@ from repro.engine.plan import (
     clear_plan_memory_cache,
     compile_plan,
     compiled_plan,
-    plan_cache_path,
     plan_key,
     unplanned_labels,
 )
-from repro.engine.sparse import clear_operator_memory_cache
+from repro.engine.sparse import clear_operator_memory_cache, operator_cache_path
 from repro.hybrid.executor import Placement
 from repro.swm.config import SWConfig
 from repro.swm.diagnostics import compute_solve_diagnostics
@@ -52,6 +51,7 @@ from repro.swm.model import initialize
 from repro.swm.reconstruct import mpas_reconstruct
 from repro.swm.state import State
 from repro.swm.tendencies import compute_tend
+from repro.swm.timestep import RK4Integrator
 
 DIAG_FIELDS = (
     "h_edge", "ke", "vorticity", "divergence", "v",
@@ -324,7 +324,7 @@ class TestPlanCache:
         a = compiled_plan(mesh, cfg)
         assert set(a.composed) == {"del4", "h_edge_order4"}
         for name in a.composed:
-            assert plan_cache_path(mesh, name).exists()
+            assert operator_cache_path(mesh, f"plan_{name}").exists()
         clear_plan_memory_cache()
         b = compiled_plan(mesh, cfg)  # reloaded from the archives
         assert b is not a
@@ -343,7 +343,7 @@ class TestPlanCache:
             plan=True, plan_fuse="algebraic", thickness_adv_order=4,
         )
         compiled_plan(mesh, cfg)
-        path = plan_cache_path(mesh, "h_edge_order4")
+        path = operator_cache_path(mesh, "plan_h_edge_order4")
         stale = dict(np.load(path))
         stale["plan_version"] = np.array(PLAN_CACHE_VERSION + 1)
         stale["data"] = np.zeros_like(stale["data"])  # poison the payload
@@ -393,6 +393,65 @@ class TestPlanCache:
             assert np.array_equal(getattr(recon, field), getattr(reference, field))
         # describe() is the other trigger: a fresh plan lists the A4 stage.
         assert "velocity_reconstruction" in compile_plan(lm, cfg).describe()
+
+
+# --------------------------------------------------------- plans and threads
+class TestPlansArePerThread:
+    """A plan owns scratch buffers, so ``compiled_plan`` memoizes per thread;
+    the CSR operators behind every thread's plan are the same instances."""
+
+    @staticmethod
+    def _captured(plan, kind):
+        """Objects of ``kind`` the tend/diagnostics stage closures hold."""
+        found = [v for v in plan._buffers.values() if isinstance(v, kind)]
+        for stages in (plan._tend, plan._diag):
+            for st in stages:
+                for cell in st.fast.__closure__ or ():
+                    if isinstance(cell.cell_contents, kind):
+                        found.append(cell.cell_contents)
+        return found
+
+    def test_two_threads_get_two_plans_over_the_same_operators(
+        self, mesh3, plan_cache, on_threads
+    ):
+        import scipy.sparse as sp
+
+        cfg = _cfg(plan=True, thickness_adv_order=3, apvm_upwinding=0.5)
+        mine = compiled_plan(mesh3, cfg)
+        theirs, errors = on_threads(lambda i: compiled_plan(mesh3, cfg))
+        assert errors == []
+        plans = [mine, *theirs]
+        assert len({id(p) for p in plans}) == 3
+        assert compiled_plan(mesh3, cfg) is mine  # still memoized, per thread
+        operators = [{id(m) for m in self._captured(p, sp.csr_matrix)} for p in plans]
+        assert operators[0] and operators[0] == operators[1] == operators[2]
+        buffers = [self._captured(p, np.ndarray) for p in plans]
+        assert buffers[0]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert not any(
+                np.shares_memory(a, b) for a in buffers[i] for b in buffers[j]
+            )
+
+    def test_two_threads_stepping_one_config_produce_the_serial_bits(
+        self, mesh3, plan_cache, on_threads
+    ):
+        cfg = _cfg(plan=True)
+        state, b_cell, f_vertex = _galewsky_inputs(mesh3)
+        integ = RK4Integrator(mesh3, cfg, b_cell, f_vertex)
+
+        def six_steps(_):
+            s, d = state, integ.diagnostics_for(state)
+            for _ in range(6):
+                out = integ.step(s, d)
+                s, d = out.state, out.diagnostics
+            return s
+
+        ref = six_steps(0)
+        stepped, errors = on_threads(six_steps)
+        assert errors == []
+        for got in stepped:
+            assert np.array_equal(got.h, ref.h)
+            assert np.array_equal(got.u, ref.u)
 
 
 # ---------------------------------------------------------- algebraic mode
