@@ -10,26 +10,21 @@ over the cached CSR operators and preallocated scratch buffers.  That
 includes the bilinear ``coriolis_edge_term`` (B1), emitted as the two
 matvecs + four elementwise ops of :class:`repro.engine.sparse.CoriolisOp`.
 
-Two fusion modes
-----------------
-``plan_fuse="exact"`` (the default)
-    Executes *exactly* the floating-point expressions of the unfused
-    sparse backend — same matvecs against the same lane-ordered CSR
-    matrices, same elementwise ufunc sequence — only without the
-    per-dispatch overhead, and writing into reused scratch buffers
-    (``out=``, which does not change a ufunc's arithmetic).  The result is
-    **bitwise identical** to the unfused sparse backend in serial,
-    lockstep, pool and split execution.
-``plan_fuse="algebraic"``
-    Additionally composes chains of linear operators into single matrices
-    (e.g. the 4th-order ``h_edge`` operator, the del4 hyperviscosity
-    chain).  Matrix composition reassociates the row sums, so this mode is
-    mathematically equivalent but *not* bitwise identical; the test suite
-    bounds it at ~1e-12 relative.  Composition is only legal across
-    *single-consumer* intermediates (the scheduler's fusion-legality
-    oracle) that no caller observes; the order-3 upwinded correction can
-    never compose because its ``sign(u)`` coefficients depend on the
-    input.
+Composition
+-----------
+Every stage executes the floating-point expressions of the unfused sparse
+backend — same matvecs against the same lane-ordered CSR matrices, same
+elementwise ufunc sequence — only without the per-dispatch overhead, and
+writing into reused scratch buffers (``out=``, which does not change a
+ufunc's arithmetic); those stages are **bitwise identical** to the unfused
+backend.  The one exception is decided at compile time, not by an option:
+a chain of linear operators with input-independent coefficients whose
+intermediates the scheduler's single-consumer oracle certifies (nothing
+else observes them) is composed into one matrix — today the 4th-order
+``h_edge`` operator and the del4 hyperviscosity chain.  Composition
+reassociates the row sums, so a composed stage agrees with the unfused
+backend to ~1e-12 relative, not bitwise; the order-3 upwinded correction
+never composes because its ``sign(u)`` coefficients depend on the input.
 
 Caching
 -------
@@ -40,7 +35,7 @@ stepping one ``(mesh, config)`` — the ensemble's member blocks — each
 compile their own.  The CSR operators a plan closes over are shared,
 read-only, by every thread's plan: they come from the two-level operator
 cache (:func:`repro.engine.sparse.sparse_operator`: memory + versioned
-``.npz`` on disk).  Matrices *composed* by the algebraic mode go through
+``.npz`` on disk).  Composed matrices go through
 the same archive reader/writer as the operator ``"plan_<name>"`` with
 :data:`PLAN_CACHE_VERSION` stamped alongside the operator format version —
 a version bump or mesh edit invalidates them exactly like the operators.
@@ -54,12 +49,11 @@ The plan exposes one entry point per Algorithm-1 kernel it fuses
 :meth:`~ExecutionPlan.reconstruct`) rather than one whole-substep program:
 the halo exchanges of Fig. 4 are barriers between those segments
 (:class:`repro.dataflow.schedule.Segment`), and the decomposed executors
-must run them.  When split placements are active
-(:func:`repro.engine.split.use_placements`), any stage whose Table I label
-is split-placed routes through the registry dispatch — preserving the
-band-reconciliation semantics and metrics — which stays bitwise identical
-because CSR row-slicing commutes with the matvec.  When the tracer is
-enabled, every stage runs under a ``category="plan"`` span.
+must run them.  Each stage has exactly one program: while a split
+placement is active (:func:`repro.engine.split.use_placements`) the kernels
+do not run the plan at all but the unfused per-op path, which implements
+band splitting (:func:`kernel_plan`).  When the tracer is enabled, every
+stage runs under a ``category="plan"`` span.
 
 Buffer discipline: the two tendency outputs live in plan-owned buffers
 reused across calls (safe: every consumer reads them before the next
@@ -92,6 +86,7 @@ from __future__ import annotations
 import functools
 import threading
 import weakref
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -100,11 +95,10 @@ import scipy.sparse as sp
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .sparse import _cached_operator, _triples, sparse_operator
-from .split import active_placement, placements_active
+from .split import split_active
 
 __all__ = [
     "PLAN_CACHE_VERSION",
-    "PLAN_FUSE_MODES",
     "PLANNED_OPS",
     "PLAN_LOCAL_LABELS",
     "ExecutionPlan",
@@ -112,6 +106,7 @@ __all__ = [
     "plan_key",
     "compile_plan",
     "compiled_plan",
+    "kernel_plan",
     "clear_plan_memory_cache",
     "unplanned_labels",
 ]
@@ -120,9 +115,6 @@ __all__ = [
 #: Bump whenever the plan compiler's emitted algebra changes; stale files
 #: are recompiled and overwritten, never loaded blindly.
 PLAN_CACHE_VERSION = 1
-
-#: Accepted values of ``SWConfig.plan_fuse``.
-PLAN_FUSE_MODES = ("exact", "algebraic")
 
 #: Registry ops the plan compiler consumes into fused stages.  This must
 #: be the whole registry — the lint test asserts it, so a newly registered
@@ -223,40 +215,15 @@ def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 # ------------------------------------------------------------- plan stages
+@dataclass(slots=True)
 class PlanStage:
-    """One step of a fused program: a fast closure + optional dispatch route.
+    """One step of a fused program: its one zero-dispatch closure ``fast(ctx)``."""
 
-    ``fast(ctx)`` is the zero-dispatch path.  ``routed(ctx)`` (when set)
-    re-enters :meth:`KernelRegistry.dispatch` for the stage's operator; the
-    executor takes it only when a *split* placement is active for
-    ``pattern``, so split semantics (band reconciliation, metrics) are
-    preserved under plans.
-    """
-
-    __slots__ = ("name", "kind", "op", "pattern", "fast", "routed")
-
-    def __init__(
-        self,
-        name: str,
-        fast: Callable,
-        kind: str = "elementwise",
-        op: str | None = None,
-        pattern: str | None = None,
-        routed: Callable | None = None,
-    ) -> None:
-        self.name = name
-        self.kind = kind
-        self.op = op
-        self.pattern = pattern
-        self.fast = fast
-        self.routed = routed
-
-
-def _split_routed(stage: PlanStage) -> bool:
-    if stage.routed is None or stage.pattern is None:
-        return False
-    p = active_placement(stage.pattern)
-    return p is not None and getattr(p, "device", None) == "split"
+    name: str
+    fast: Callable
+    kind: str = "elementwise"
+    op: str | None = None
+    pattern: str | None = None
 
 
 # ---------------------------------------------------------- composed cache
@@ -279,7 +246,6 @@ def plan_key(config) -> tuple:
     """The config fields that change a compiled plan's structure or algebra."""
     return (
         config.backend,
-        getattr(config, "plan_fuse", "exact"),
         bool(config.advection_only),
         int(config.thickness_adv_order),
         float(config.coef_3rd_order),
@@ -314,7 +280,6 @@ class ExecutionPlan:
     def __init__(
         self,
         mesh,
-        fuse: str,
         tend_stages: list[PlanStage],
         diag_stages: list[PlanStage],
         compile_recon: Callable[[object], list[PlanStage]],
@@ -323,7 +288,6 @@ class ExecutionPlan:
         batch: int = 0,
     ) -> None:
         self._mesh = weakref.ref(mesh)
-        self.fuse = fuse
         #: 0 for a serial plan; N > 0 when the stages run over (n, N) blocks.
         self.batch = int(batch)
         self._tend = tend_stages
@@ -343,10 +307,8 @@ class ExecutionPlan:
     # ------------------------------------------------------------ executor
     def _run(self, stages: list[PlanStage], ctx: dict) -> None:
         tracer = get_tracer()
-        routed = placements_active()
         if tracer.enabled:
             for st in stages:
-                fn = st.routed if (routed and _split_routed(st)) else st.fast
                 with tracer.span(
                     st.name,
                     category="plan",
@@ -354,19 +316,13 @@ class ExecutionPlan:
                     op=st.op or "-",
                     pattern=st.pattern or "-",
                 ):
-                    fn(ctx)
-        elif routed:
-            for st in stages:
-                (st.routed if _split_routed(st) else st.fast)(ctx)
+                    st.fast(ctx)
         else:
             for st in stages:
                 st.fast(ctx)
 
     def _ctx(self, **runtime) -> dict:
-        ctx = dict(self._buffers)
-        ctx["mesh"] = self._mesh()
-        ctx.update(runtime)
-        return ctx
+        return {**self._buffers, **runtime}
 
     # ------------------------------------------------------- kernel bodies
     def tend(self, state, diag, b_cell) -> tuple[np.ndarray, np.ndarray]:
@@ -462,7 +418,7 @@ class ExecutionPlan:
 
     def describe(self) -> str:
         """A deterministic, human-readable stage table (used by the docs)."""
-        lines = [f"ExecutionPlan fuse={self.fuse} composed={list(self.composed)}"]
+        lines = [f"ExecutionPlan composed={list(self.composed)}"]
         for segment, stages in self.stages().items():
             lines.append(f"{segment}:")
             for st in stages:
@@ -490,14 +446,12 @@ class _Compiler:
         "E1", "F1", "G1", "A4", "X6",
     )
 
-    def __init__(self, mesh, config, registry, batch: int = 0) -> None:
+    def __init__(self, mesh, config, batch: int = 0) -> None:
         self.mesh = mesh
         self.config = config
-        self.registry = registry
-        self.fuse = getattr(config, "plan_fuse", "exact")
         #: 0 compiles the serial plan; N > 0 compiles over (n, N) blocks.
         self.batch = int(batch)
-        n_cells, n_edges, n_vertices = mesh.nCells, mesh.nEdges, mesh.nVertices
+        n_cells, n_edges = mesh.nCells, mesh.nEdges
         shape = self._shape
         self.buffers: dict[str, np.ndarray] = {
             "tend_h": np.zeros(shape(n_cells)),
@@ -508,9 +462,6 @@ class _Compiler:
         self._e2 = np.zeros(shape(n_edges))
         self._e3 = np.zeros(shape(n_edges))
         self._c1 = np.zeros(shape(n_cells))
-        self._v1 = np.zeros(shape(n_vertices))
-        if config.thickness_adv_order > 2:
-            self._d2 = np.zeros(shape(2 * n_edges))
         self.composed: list[str] = []
 
     def _shape(self, n: int):
@@ -529,17 +480,34 @@ class _Compiler:
     def matrix(self, name: str) -> sp.csr_matrix:
         return sparse_operator(self.mesh, name)
 
-    def _route(self, op: str, out_key: str, *in_keys: str) -> Callable:
-        """A routed closure: registry dispatch copied into the plan buffer."""
-        reg = self.registry
+    @staticmethod
+    def _composable(sched, intermediates: tuple[str, ...]) -> bool:
+        """May a linear chain through ``intermediates`` fold into one matrix?
 
-        def routed(ctx):
-            res = reg.dispatch(
-                op, ctx["mesh"], *(ctx[k] for k in in_keys), backend="sparse"
-            )
-            np.copyto(ctx[out_key], res)
+        Each intermediate must be a seam the scheduler's single-consumer
+        oracle certifies, or a value no graph edge carries (internal to one
+        Table I node) that the caller does not observe either.
+        """
+        from ..dataflow.schedule import single_consumer_vars
 
-        return routed
+        instances = [sched.graph.instance(node) for node in sched.graph.order]
+        carried = {var for i in instances for var in (*i.inputs, *i.outputs)}
+        seams = single_consumer_vars(sched.graph, protected=_PROTECTED_VARS)
+        return all(
+            var in seams or (var not in carried and var not in _PROTECTED_VARS)
+            for var in intermediates
+        )
+
+    def _h_edge_composes(self, sched) -> bool:
+        # Only the 4th-order combine has input-independent coefficients;
+        # order 3's sign(u) never composes.
+        return self.config.thickness_adv_order == 4 and self._composable(
+            sched, ("d2fdx2_cell1", "d2fdx2_cell2")
+        )
+
+    def _composed(self, name: str, build: Callable[[], sp.csr_matrix]):
+        self.composed.append(name)
+        return _composed_operator(self.mesh, name, build)
 
     # ----------------------------------------------------------- emitters
     def compile_kernel(self, sched, kernel: str) -> list[PlanStage]:
@@ -564,19 +532,10 @@ class _Compiler:
             _matvec(M, e1, c1)
             np.negative(c1, out=ctx["tend_h"])
 
-        reg = self.registry
-
-        def routed(ctx):
-            res = reg.dispatch(
-                "flux_divergence", ctx["mesh"], ctx["u"], ctx["h_edge"],
-                backend="sparse",
-            )
-            np.negative(res, out=ctx["tend_h"])
-
         return [
             PlanStage(
                 "flux_divergence", fast, kind="matvec",
-                op="flux_divergence", pattern="A1", routed=routed,
+                op="flux_divergence", pattern="A1",
             )
         ]
 
@@ -606,9 +565,6 @@ class _Compiler:
             PlanStage(
                 "coriolis_edge_term", cor_fast, kind="matvec",
                 op="coriolis_edge_term", pattern="B1",
-                routed=self._route(
-                    "coriolis_edge_term", "tend_u", "u", "h_edge", "pv_edge"
-                ),
             )
         ]
 
@@ -646,134 +602,76 @@ class _Compiler:
             )
 
         if self.config.hyperviscosity != 0.0:
-            stages.append(self._hyperviscosity_stage())
+            stages.append(self._hyperviscosity_stage(sched))
         return stages
 
-    def _hyperviscosity_stage(self) -> PlanStage:
+    def _hyperviscosity_stage(self, sched) -> PlanStage:
+        # del4 = (grad_c . div - grad_v . curl)(del2_u): the four matvecs
+        # after del2_u composed into one matrix.  Its intermediates (div2,
+        # vort2) are internal to the B1 pricing, so the oracle allows it.
+        if not self._composable(sched, ("div2", "vort2")):
+            raise ValueError(
+                "the del4 intermediates div2/vort2 are observed: the chain "
+                "cannot compose and the plan has no unfused del4 stage"
+            )
+        mesh = self.mesh
         Mgc = self.matrix("edge_gradient_of_cell")
         Mgv = self.matrix("edge_gradient_of_vertex")
         hv = self.config.hyperviscosity
-        e1, e2, e3, c1, v1 = self._e1, self._e2, self._e3, self._c1, self._v1
-        reg = self.registry
+        e1, e2 = self._e1, self._e2
 
-        if self.fuse == "algebraic":
-            # del4 = (grad_c . div - grad_v . curl)(del2_u): four matvecs
-            # composed into one matrix.  The intermediates (div2, vort2,
-            # their gradients) are internal to the B1 pricing — nothing
-            # observes them — so the composition is legal; it is *not*
-            # bitwise (matrix products reassociate the row sums).
-            mesh = self.mesh
+        def build():
+            return sp.csr_matrix(
+                Mgc @ sparse_operator(mesh, "cell_divergence")
+                - Mgv @ sparse_operator(mesh, "vertex_curl")
+            )
 
-            def build():
-                d4 = (Mgc @ sparse_operator(mesh, "cell_divergence")) - (
-                    Mgv @ sparse_operator(mesh, "vertex_curl")
-                )
-                return sp.csr_matrix(d4)
-
-            D4 = _composed_operator(mesh, "del4", build)
-            self.composed.append("del4")
-
-            def fast(ctx):
-                _matvec(Mgc, ctx["divergence"], e1)
-                _matvec(Mgv, ctx["vorticity"], e2)
-                np.subtract(e1, e2, out=e1)  # del2_u
-                _matvec(D4, e1, e2)  # del4_u in one composed matvec
-                np.multiply(e2, hv, out=e2)
-                np.subtract(ctx["tend_u"], e2, out=ctx["tend_u"])
-
-            return PlanStage("del4_dissipation", fast, kind="composed")
-
-        Mdiv = self.matrix("cell_divergence")
-        Mcurl = self.matrix("vertex_curl")
+        D4 = self._composed("del4", build)
 
         def fast(ctx):
             _matvec(Mgc, ctx["divergence"], e1)
             _matvec(Mgv, ctx["vorticity"], e2)
             np.subtract(e1, e2, out=e1)  # del2_u
-            _matvec(Mdiv, e1, c1)  # div2
-            _matvec(Mcurl, e1, v1)  # vort2
-            _matvec(Mgc, c1, e2)
-            _matvec(Mgv, v1, e3)
-            np.subtract(e2, e3, out=e2)  # del4_u
+            _matvec(D4, e1, e2)  # del4_u in one composed matvec
             np.multiply(e2, hv, out=e2)
             np.subtract(ctx["tend_u"], e2, out=ctx["tend_u"])
 
-        def routed(ctx):
-            # Mirror the unfused dispatch sequence so A3/H1 split
-            # placements keep their band semantics inside the del4 chain.
-            mesh = ctx["mesh"]
-            del2 = reg.dispatch(
-                "edge_gradient_of_cell", mesh, ctx["divergence"], backend="sparse"
-            ) - reg.dispatch(
-                "edge_gradient_of_vertex", mesh, ctx["vorticity"], backend="sparse"
-            )
-            div2 = reg.dispatch("cell_divergence", mesh, del2, backend="sparse")
-            vort2 = reg.dispatch("vertex_curl", mesh, del2, backend="sparse")
-            del4 = reg.dispatch(
-                "edge_gradient_of_cell", mesh, div2, backend="sparse"
-            ) - reg.dispatch(
-                "edge_gradient_of_vertex", mesh, vort2, backend="sparse"
-            )
-            np.multiply(del4, hv, out=e2)
-            np.subtract(ctx["tend_u"], e2, out=ctx["tend_u"])
-
-        return PlanStage(
-            "del4_dissipation", fast, kind="matvec", pattern="A3,H1", routed=routed
-        )
+        return PlanStage("del4_dissipation", fast, kind="composed")
 
     def _emit_C1(self, sched) -> list[PlanStage]:
-        if self.config.thickness_adv_order == 2:
-            return []
-        if self.fuse == "algebraic" and self._h_edge_composable(sched):
-            return []  # folded into the composed D1 operator
+        if self.config.thickness_adv_order == 2 or self._h_edge_composes(sched):
+            return []  # nothing to correct, or folded into the composed D1
         Md2 = self.matrix("d2fdx2")
-        d2 = self._d2
+        d2 = self._d2 = np.zeros(self._shape(2 * self.mesh.nEdges))  # read by D1
 
         def fast(ctx):
             _matvec(Md2, ctx["h"], d2)
 
-        # Tuple-valued and no_split in the registry: never routed.
         return [PlanStage("d2fdx2", fast, kind="matvec", op="d2fdx2")]
 
     def _emit_C2(self, sched) -> list[PlanStage]:
         return []  # computed by the fused C1 sweep (one two-row matvec)
 
-    def _h_edge_composable(self, sched) -> bool:
-        """Fusion legality of mean∘d2fdx2 composition into one operator.
-
-        Only the 4th-order combine is linear with input-independent
-        coefficients; the scheduler must also certify the ``d2fdx2_cell*``
-        intermediates as single-consumer (nothing else ever reads them).
-        """
-        if self.config.thickness_adv_order != 4:
-            return False  # order 3's sign(u) coefficients are input-dependent
-        from ..dataflow.schedule import single_consumer_vars
-
-        seams = single_consumer_vars(sched.graph, protected=_PROTECTED_VARS)
-        return {"d2fdx2_cell1", "d2fdx2_cell2"} <= seams
-
     def _emit_D1(self, sched) -> list[PlanStage]:
         order = self.config.thickness_adv_order
-        Mmean = self.matrix("cell_to_edge_mean")
-        reg = self.registry
-
-        if order > 2 and self.fuse == "algebraic" and self._h_edge_composable(sched):
+        if self._h_edge_composes(sched):
             mesh = self.mesh
             dc2_half = (mesh.metrics.dcEdge**2 / 12.0) * 0.5
 
             def build():
+                Mmean = sparse_operator(mesh, "cell_to_edge_mean")
                 Md2 = sparse_operator(mesh, "d2fdx2")
                 S = Md2[0::2] + Md2[1::2]  # d2_1 + d2_2 rows per edge
                 return sp.csr_matrix(Mmean - sp.diags(dc2_half) @ S)
 
-            H4 = _composed_operator(self.mesh, "h_edge_order4", build)
-            self.composed.append("h_edge_order4")
+            H4 = self._composed("h_edge_order4", build)
 
             def fast(ctx):
                 _matvec(H4, ctx["h"], ctx["h_edge"])
 
             return [PlanStage("h_edge_order4", fast, kind="composed")]
 
+        Mmean = self.matrix("cell_to_edge_mean")
         stages = [
             PlanStage(
                 "cell_to_edge_mean",
@@ -781,7 +679,6 @@ class _Compiler:
                 kind="matvec",
                 op="cell_to_edge_mean",
                 pattern="D1",
-                routed=self._route("cell_to_edge_mean", "h_edge", "h"),
             )
         ]
         if order == 2:
@@ -826,7 +723,6 @@ class _Compiler:
             PlanStage(
                 "kinetic_energy", fast, kind="matvec",
                 op="kinetic_energy", pattern="A2",
-                routed=self._route("kinetic_energy", "ke", "u"),
             )
         ]
 
@@ -836,10 +732,7 @@ class _Compiler:
         def fast(ctx):
             _matvec(M, ctx[in_key], ctx[out_key])
 
-        return PlanStage(
-            name, fast, kind="matvec", op=op, pattern=pattern,
-            routed=self._route(op, out_key, in_key),
-        )
+        return PlanStage(name, fast, kind="matvec", op=op, pattern=pattern)
 
     def _emit_A3(self, sched) -> list[PlanStage]:
         return [
@@ -858,7 +751,6 @@ class _Compiler:
 
     def _emit_E1(self, sched) -> list[PlanStage]:
         M = self.matrix("vertex_from_cells_kite")
-        reg = self.registry
 
         if self.batch:
             # Batched stability semantics: a non-positive h_vertex is a
@@ -890,19 +782,10 @@ class _Compiler:
             _matvec(M, ctx["h"], ctx["h_vertex"])
             pv_vertex(ctx)
 
-        def routed(ctx):
-            np.copyto(
-                ctx["h_vertex"],
-                reg.dispatch(
-                    "vertex_from_cells_kite", ctx["mesh"], ctx["h"], backend="sparse"
-                ),
-            )
-            pv_vertex(ctx)
-
         return [
             PlanStage(
                 "pv_vertex", fast, kind="matvec",
-                op="vertex_from_cells_kite", pattern="E1", routed=routed,
+                op="vertex_from_cells_kite", pattern="E1",
             )
         ]
 
@@ -939,22 +822,16 @@ class _Compiler:
 
     def _emit_A4(self, sched) -> list[PlanStage]:
         M = self.matrix("velocity_reconstruction")
-        reg = self.registry
 
         def fast(ctx):
             # A batched (3n, N) product reshapes to (n, 3, N): column k is
             # the serial (n, 3) reconstruction of member k, bit for bit.
             ctx["U"] = _triples(M @ ctx["u"])
 
-        def routed(ctx):
-            ctx["U"] = reg.dispatch(
-                "velocity_reconstruction", ctx["mesh"], ctx["u"], backend="sparse"
-            )
-
         return [
             PlanStage(
                 "velocity_reconstruction", fast, kind="matvec",
-                op="velocity_reconstruction", pattern="A4", routed=routed,
+                op="velocity_reconstruction", pattern="A4",
             )
         ]
 
@@ -973,7 +850,7 @@ class _Compiler:
         return [PlanStage("tangent_rotation", fast)]
 
 
-def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
+def compile_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
     """Compile the fused :class:`ExecutionPlan` for ``(mesh, config)``.
 
     Requires ``config.backend == "sparse"`` (the plan closes over the CSR
@@ -983,22 +860,15 @@ def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     kernels call.
     """
     from ..dataflow.schedule import schedule_substep
-    from .registry import default_registry
 
     if config.backend != "sparse":
         raise ValueError(
             "execution plans require backend='sparse' "
             f"(got backend={config.backend!r})"
         )
-    fuse = getattr(config, "plan_fuse", "exact")
-    if fuse not in PLAN_FUSE_MODES:
-        raise ValueError(
-            f"plan_fuse must be one of {PLAN_FUSE_MODES}, got {fuse!r}"
-        )
     if int(batch) < 0:
         raise ValueError(f"batch must be >= 0 (0 compiles serial), got {batch!r}")
-    reg = registry if registry is not None else default_registry()
-    comp = _Compiler(mesh, config, reg, batch=batch)
+    comp = _Compiler(mesh, config, batch=batch)
     sched1 = schedule_substep(config, stage=1)
     sched4 = schedule_substep(config, stage=4)
     tend = comp.compile_kernel(sched1, "compute_tend")
@@ -1007,12 +877,11 @@ def compile_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     def compile_recon(mesh) -> list[PlanStage]:
         # Takes the mesh as an argument: a closure over it would pin the
         # mesh the memoized plan only references weakly.
-        recon = _Compiler(mesh, config, reg, batch=batch)
+        recon = _Compiler(mesh, config, batch=batch)
         return recon.compile_kernel(sched4, "mpas_reconstruct")
 
     return ExecutionPlan(
         mesh,
-        fuse=fuse,
         tend_stages=tend,
         diag_stages=diag,
         compile_recon=compile_recon,
@@ -1034,7 +903,7 @@ class _ThreadPlans(threading.local):
 _PLANS = _ThreadPlans()
 
 
-def compiled_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
+def compiled_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
     """The calling thread's memoized plan for ``(mesh, config)``.
 
     Compiled at most once per thread and keyed by :func:`plan_key` (plus
@@ -1049,10 +918,24 @@ def compiled_plan(mesh, config, registry=None, batch: int = 0) -> ExecutionPlan:
     key = plan_key(config) + (int(batch),)
     plan = plans.get(key)
     if plan is None:
-        plan = compile_plan(mesh, config, registry=registry, batch=batch)
+        plan = compile_plan(mesh, config, batch=batch)
         plans[key] = plan
-        get_registry().counter("engine.plan.compile", fuse=plan.fuse).inc()
+        get_registry().counter("engine.plan.compile").inc()
     return plan
+
+
+def kernel_plan(mesh, config, batch: int = 0) -> ExecutionPlan | None:
+    """The plan an Algorithm-1 kernel executes, or ``None`` for the unfused
+    per-op path: without ``config.plan``, and while a split placement is
+    active (the per-op dispatch implements band splitting; a plan stage has
+    one program).  A batched state runs only the plan: it raises instead."""
+    runs = config.plan and not split_active()
+    if batch and not runs:
+        raise ValueError(
+            "batched (n, N) states run only the compiled plan: set plan=True "
+            "(requires backend='sparse') and step them outside split placements"
+        )
+    return compiled_plan(mesh, config, batch=batch) if runs else None
 
 
 def clear_plan_memory_cache() -> None:

@@ -69,7 +69,7 @@ import scipy.sparse as sp
 
 from ..mesh.cache import cache_dir
 from ..mesh.mesh import Mesh
-from ..resilience.integrity import checked_load, seal
+from ..resilience.integrity import checked_load, publish
 
 __all__ = [
     "OPERATOR_CACHE_VERSION",
@@ -364,8 +364,7 @@ def _write_archive(path: Path, stamps: dict, m: sp.csr_matrix) -> None:
         shape=np.array(m.shape),
         **{k: np.array(v) for k, v in stamps.items()},
     )
-    os.replace(tmp, path)
-    seal(path)
+    publish(tmp, path)
 
 
 def _cached_operator(

@@ -45,7 +45,7 @@ __all__ = [
     "use_placements",
     "active_placement",
     "active_placements",
-    "placements_active",
+    "split_active",
     "run_split",
 ]
 
@@ -53,14 +53,11 @@ __all__ = [
 _ACTIVE: dict[str, object] = {}
 
 
-def placements_active() -> bool:
-    """True when any placement is installed (the plan executor's fast check).
-
-    The fused-plan executor (:mod:`repro.engine.plan`) bypasses the
-    per-dispatch placement lookup entirely; this single truthiness test is
-    what keeps that legal — when it is False no stage can need routing.
-    """
-    return bool(_ACTIVE)
+def split_active() -> bool:
+    """True while any *split* placement is installed: the Algorithm-1 kernels
+    then leave the compiled plan for the per-op path that splits bands
+    (:func:`repro.engine.plan.kernel_plan`)."""
+    return any(getattr(p, "device", None) == "split" for p in _ACTIVE.values())
 
 
 def active_placements() -> dict[str, object]:

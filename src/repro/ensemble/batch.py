@@ -14,11 +14,11 @@ __all__ = ["BatchedIntegrator"]
 
 
 class BatchedIntegrator(RK4Integrator):
-    def __init__(self, mesh, config, b_cell, f_vertex, n_members, registry=None):
+    def __init__(self, mesh, config, b_cell, f_vertex, n_members):
         if config.backend != "sparse":
             raise ValueError(f"batching requires backend='sparse' (got {config.backend!r})")
         if int(n_members) < 1:
             raise ValueError(f"n_members must be >= 1, got {n_members!r}")
         config = dataclasses.replace(config, plan=True)
-        super().__init__(mesh, config, b_cell, f_vertex, registry=registry)
-        compiled_plan(mesh, config, registry=registry, batch=int(n_members))  # warm
+        super().__init__(mesh, config, b_cell, f_vertex)
+        compiled_plan(mesh, config, batch=int(n_members))  # warm

@@ -12,10 +12,11 @@ once, block 0 on the calling thread and the others on persistent pinned
 worker threads with a compiled plan of their own (:func:`_sweep`), and the
 caller then judges every member.  Columns are independent, so the split
 moves no bit.  The integrator always executes with ``plan=True``, even
-for configs with ``plan=False``: the default ``plan_fuse="exact"`` program
-replays the unfused sparse backend's arithmetic bitwise, so members of a
-``backend="sparse"`` run match their serial unfused reference exactly as
-well.  Divergence handling reuses the resilience stack's policy knobs:
+for configs with ``plan=False``: outside composed chains (order-4
+``h_edge``, del4) the plan replays the unfused sparse backend's arithmetic
+bitwise, so members of such a ``backend="sparse"`` run match their serial
+unfused reference exactly as well.  Divergence handling reuses the
+resilience stack's policy knobs:
 
 ``guard_policy="halt"`` (default)
     A member whose column goes non-finite or trips the ``E1`` stability
@@ -47,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine.split import placements_active
 from ..mesh.mesh import Mesh
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
@@ -217,7 +217,6 @@ class EnsembleRun:
         case: TestCase,
         config: SWConfig,
         initial_states: list[State] | None = None,
-        registry=None,
     ) -> None:
         if config.ensemble < 1:
             raise ValueError(
@@ -232,7 +231,6 @@ class EnsembleRun:
         self.mesh = mesh
         self.case = case
         self.config = config
-        self.registry = registry
         self._explicit_states = initial_states
 
     # ------------------------------------------------------------- plumbing
@@ -279,14 +277,13 @@ class EnsembleRun:
         states, b = self._member_states()
         f_vertex = self._f_vertex()
         integ = RK4Integrator(
-            self.mesh, dataclasses.replace(config, plan=True), b, f_vertex,
-            registry=self.registry,
+            self.mesh, dataclasses.replace(config, plan=True), b, f_vertex
         )
         # One contiguous member block per usable CPU, stepped concurrently
         # (columns are independent: a block is bitwise its columns of the whole
-        # batch).  The tracer and split placements are single-threaded: one block.
+        # batch).  The tracer is single-threaded: one block.
         cpus = _usable_cpus()
-        if get_tracer().enabled or placements_active():
+        if get_tracer().enabled:
             cpus = cpus[:1]
         n_blocks = min(len(cpus), n)
         spans = [(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
@@ -445,13 +442,12 @@ def run_ensemble(
     steps: int,
     invariant_interval: int = 0,
     initial_states: list[State] | None = None,
-    registry=None,
 ) -> EnsembleResult:
     """Build and execute one :class:`EnsembleRun` (the package-level entry).
 
     The public, token-friendly wrapper (case names, ``days``, mesh levels)
     is :func:`repro.api.run_ensemble`.
     """
-    return EnsembleRun(
-        mesh, case, config, initial_states=initial_states, registry=registry
-    ).execute(steps, invariant_interval=invariant_interval)
+    return EnsembleRun(mesh, case, config, initial_states=initial_states).execute(
+        steps, invariant_interval=invariant_interval
+    )

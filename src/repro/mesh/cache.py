@@ -23,10 +23,11 @@ Cache contract
 from __future__ import annotations
 
 import os
+import threading
 from pathlib import Path
 
 from ..constants import EARTH_RADIUS
-from ..resilience.integrity import checked_load, seal
+from ..resilience.integrity import checked_load, publish
 from .mesh import CACHE_FORMAT_VERSION, Mesh, MeshFormatError
 
 __all__ = [
@@ -95,10 +96,11 @@ def cached_mesh(
     if mesh is None:
         mesh = Mesh.build(level, lloyd_iterations=lloyd_iterations, radius=radius)
         if use_disk:
-            tmp = path.with_suffix(".tmp.npz")
+            # A temporary name per writer (pid + thread): two interpreters
+            # building one level must not rename each other's file away.
+            tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp.npz")
             mesh.save(tmp)
-            os.replace(tmp, path)
-            seal(path)
+            publish(tmp, path)
     if use_disk:
         # Mark the mesh as having a persistent disk identity so dependent
         # caches (e.g. the sparse-operator cache) may persist alongside it.

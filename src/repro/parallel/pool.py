@@ -85,7 +85,7 @@ __all__ = ["PoolShallowWater", "WorkerPoolError"]
 
 #: Seconds a worker waits at a halo sync before declaring it broken.  A
 #: *floor*: the effective timeout also allows ``TIMEOUT_SAFETY`` times the
-#: slowest observed compute interval (:meth:`_BoardTransport._timeout`).
+#: slowest observed compute interval (:meth:`_BoardTransport.refresh_timeout`).
 DEFAULT_BARRIER_TIMEOUT = 120.0
 
 
@@ -106,7 +106,7 @@ class _BoardTransport(HaloTransport):
     ``halo.sync`` span per exchange.
     """
 
-    #: Slowest observed compute intervals a sync allows (:meth:`_timeout`).
+    #: Slowest observed compute intervals a sync allows (:meth:`refresh_timeout`).
     TIMEOUT_SAFETY = 4.0
 
     def __init__(
@@ -115,7 +115,7 @@ class _BoardTransport(HaloTransport):
         self.rank = rank
         self.shared = shared
         self.board = board
-        self.base_timeout = float(timeout)
+        self.base_timeout = self.timeout = float(timeout)
         self.lm = lm
         self.providers, self.consumers = providers, consumers
         self.points: dict[str, tuple] = {}
@@ -145,12 +145,15 @@ class _BoardTransport(HaloTransport):
         self.seq = 0  # kept exchanges completed since the last global load
         self.board.rejoin()
 
-    def _timeout(self) -> float:
-        # A sync is declared broken only after the slowest rank has had
-        # several times its worst observed compute interval to arrive: a long
-        # overlap window must never read as a dead peer.  Cross-rank maximum:
-        # a fast rank cannot observe how long its slowest peer computes.
-        return max(
+    def refresh_timeout(self) -> None:
+        """Fix this step's sync timeout (once per step, not per wait).
+
+        A sync is declared broken only after the slowest rank has had
+        several times its worst observed compute interval to arrive: a long
+        overlap window must never read as a dead peer.  Cross-rank maximum:
+        a fast rank cannot observe how long its slowest peer computes.
+        """
+        self.timeout = max(
             self.base_timeout, self.TIMEOUT_SAFETY * self.board.max_observed()
         )
 
@@ -168,7 +171,7 @@ class _BoardTransport(HaloTransport):
         self.seq += 1
         t0 = time.perf_counter()
         self.board.await_acked(
-            self.consumers, self.seq - self.shared.n_buffers, self._timeout()
+            self.consumers, self.seq - self.shared.n_buffers, self.timeout
         )
         self.shared.publish_owned(self.lm, state, seq=self.seq, fields=entry[0])
         self.board.mark_published(self.rank, self.seq)
@@ -179,7 +182,7 @@ class _BoardTransport(HaloTransport):
         name, state, seq, t0, t_pub = token
         fields, cell_idx, edge_idx, nbytes = self.points[name]
         t1 = time.perf_counter()
-        self.board.await_published(self.providers, seq, self._timeout())
+        self.board.await_published(self.providers, seq, self.timeout)
         self.shared.refresh_halo(
             self.lm, state, seq=seq, fields=fields,
             cell_idx=cell_idx, edge_idx=edge_idx,
@@ -285,6 +288,8 @@ def _worker_main(
                         step_no += 1
                         if kill_at_step is not None and step_no == kill_at_step:
                             os._exit(3)  # simulated worker crash (tests)
+                        # Every rank's previous observe is on the board by now.
+                        sync.refresh_timeout()
                         t_step = time.perf_counter()
                         with trace_span("pool_step", category="pool", step=step_no):
                             (state,), (diag,) = rk4_step(

@@ -20,8 +20,10 @@ Validation is a CRC *sidecar*: :func:`seal` writes ``<file>.crc`` holding
 the byte length and CRC-32 of the published file, and :func:`verify` checks
 both on read.  A sidecar (rather than an in-archive footer) keeps the
 ``.npz`` payload bit-identical to what numpy's archive writer produced —
-``np.load`` stays the single reader — and the replace-file-then-replace-
-sidecar window degrades safely: a mismatch quarantines and rebuilds.
+``np.load`` stays the single reader.  :func:`publish` renames and seals
+under an exclusive ``flock`` of the cache directory and :func:`checked_load`
+reads under a shared one, so no reader in any process sees one writer's
+file beside another writer's sidecar.
 Legacy entries written before this layer carry no sidecar; they are loaded
 on a best-effort basis and quarantined only if actually unreadable.
 
@@ -37,9 +39,11 @@ engine's process-startup path can use them freely.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import threading
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 from ..obs.metrics import get_registry
@@ -47,6 +51,7 @@ from ..obs.metrics import get_registry
 __all__ = [
     "SIDECAR_SUFFIX",
     "QUARANTINE_DIRNAME",
+    "publish",
     "seal",
     "verify",
     "quarantine",
@@ -96,6 +101,26 @@ def seal(path: str | Path) -> Path:
     tmp.write_text(f"crc32 {length} {crc:08x}\n", encoding="ascii")
     os.replace(tmp, sidecar)
     return sidecar
+
+
+@contextmanager
+def _directory_lock(path: Path, exclusive: bool):
+    """``flock`` the directory holding ``path`` (released when the fd closes)."""
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+        yield
+    finally:
+        os.close(fd)
+
+
+def publish(tmp: str | Path, path: str | Path) -> None:
+    """Rename a fully written ``tmp`` onto ``path`` and seal it, atomically
+    with respect to :func:`checked_load` in any process."""
+    path = Path(path)
+    with _directory_lock(path, exclusive=True):
+        os.replace(tmp, path)
+        seal(path)
 
 
 def verify(path: str | Path) -> bool | None:
@@ -170,13 +195,14 @@ def checked_load(path: str | Path, loader, kind: str, stale: tuple = ()):
     path = Path(path)
     if not path.exists():
         return None
-    if verify(path) is False:
-        quarantine(path, kind, reason="sidecar mismatch")
-        return None
-    try:
-        return loader(path)
-    except stale:
-        return None
-    except Exception:
-        quarantine(path, kind, reason="unreadable")
-        return None
+    with _directory_lock(path, exclusive=False):
+        if verify(path) is False:
+            quarantine(path, kind, reason="sidecar mismatch")
+            return None
+        try:
+            return loader(path)
+        except stale:
+            return None
+        except Exception:
+            quarantine(path, kind, reason="unreadable")
+            return None

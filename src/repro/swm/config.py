@@ -101,12 +101,9 @@ class SWConfig:
     #: Execute substeps through a fused per-mesh :class:`~repro.engine.plan.
     #: ExecutionPlan` (requires ``backend="sparse"``): the RK kernels run as
     #: compiled stage programs with zero per-op dispatch, bitwise identical
-    #: to the unfused sparse backend.
+    #: to the unfused sparse backend except where a linear chain composes
+    #: into one matrix (order-4 ``h_edge``, del4: ~1e-12).
     plan: bool = False
-    #: Plan fusion mode: ``"exact"`` replays the unfused arithmetic bitwise;
-    #: ``"algebraic"`` additionally composes linear-operator chains into
-    #: single matrices (equivalent to ~1e-12, not bitwise).
-    plan_fuse: str = "exact"
     #: Halo synchronization schedule of the decomposed modes: ``"dataflow"``
     #: runs the comm-avoiding schedule derived from the step graph by
     #: :func:`repro.dataflow.schedule.derive_halo_schedule` — provably-clean
@@ -149,7 +146,7 @@ class SWConfig:
 
     #: Fields this class used to have.  Manifests and restart files written
     #: before their removal still carry them; :meth:`from_dict` drops them.
-    RETIRED_FIELDS = ("ensemble_mode",)
+    RETIRED_FIELDS = ("ensemble_mode", "plan_fuse")
 
     def __post_init__(self) -> None:
         self.validate()
@@ -224,13 +221,6 @@ class SWConfig:
             raise ValueError(
                 "plan=True requires backend='sparse' (plans fuse the "
                 f"precompiled CSR operators), got backend={self.backend!r}"
-            )
-        from ..engine.plan import PLAN_FUSE_MODES  # deferred: import-light
-
-        if self.plan_fuse not in PLAN_FUSE_MODES:
-            raise ValueError(
-                f"plan_fuse must be one of {PLAN_FUSE_MODES}, "
-                f"got {self.plan_fuse!r}"
             )
         if int(self.ensemble) != self.ensemble or self.ensemble < 0:
             raise ValueError(

@@ -44,17 +44,11 @@ def compute_solve_diagnostics(
         Batched ``(n, N)`` states only: receives per-member stability flags
         instead of a raise (:meth:`repro.engine.plan.ExecutionPlan.diagnostics`).
     """
-    if config.plan:
-        from ..engine.plan import compiled_plan
+    from ..engine.plan import kernel_plan
 
-        return compiled_plan(
-            mesh, config, batch=state.n_members or 0
-        ).diagnostics(state, f_vertex, unstable=unstable)
-    if state.n_members is not None:
-        raise ValueError(
-            "batched (n, N) states execute through the compiled plan: "
-            "set plan=True (requires backend='sparse')"
-        )
+    plan = kernel_plan(mesh, config, batch=state.n_members or 0)
+    if plan is not None:
+        return plan.diagnostics(state, f_vertex, unstable=unstable)
     h, u = state.h, state.u
     backend = config.backend
 

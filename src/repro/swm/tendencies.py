@@ -46,15 +46,14 @@ def compute_tend(
     b_cell : (nCells,) array
         Bottom topography.
     """
-    if config.plan:
-        # Fused path: one compiled stage program per (mesh, config), no
-        # per-op dispatch.  Placed here (not in the integrator) so serial,
-        # lockstep, pool and split callers all take it.
-        from ..engine.plan import compiled_plan
+    # Fused path: one compiled stage program per (mesh, config), no per-op
+    # dispatch.  Decided here (not in the integrator) so serial, lockstep
+    # and pool callers all take it.
+    from ..engine.plan import kernel_plan
 
-        return compiled_plan(mesh, config, batch=state.n_members or 0).tend(
-            state, diag, b_cell
-        )
+    plan = kernel_plan(mesh, config, batch=state.n_members or 0)
+    if plan is not None:
+        return plan.tend(state, diag, b_cell)
     backend = config.backend
     # Pattern A1: mass tendency, gather over the edges of each cell.
     with pattern_span("A1", mesh, backend=backend):

@@ -177,7 +177,7 @@ class RK4Integrator:
             # the first step does not pay compilation inside the timed loop.
             from ..engine.plan import compiled_plan
 
-            compiled_plan(mesh, config, registry=registry)
+            compiled_plan(mesh, config)
 
     def diagnostics_for(
         self, state: State, unstable: np.ndarray | None = None
@@ -199,15 +199,15 @@ class RK4Integrator:
         """Cell-centre velocity vectors of ``u`` (Algorithm 1, line 12)."""
         config = self.config
         with kernel_span("mpas_reconstruct", backend=config.backend):
-            if config.plan:
-                # Looked up per call (not cached on self): a config
-                # mutation such as the rollback handler halving dt maps to
-                # a different plan key and must recompile transparently.
-                from ..engine.plan import compiled_plan
+            # Looked up per call (not cached on self): a config mutation such
+            # as the rollback handler halving dt maps to a different plan key
+            # and must recompile transparently.
+            from ..engine.plan import kernel_plan
 
-                return compiled_plan(
-                    self.mesh, config, batch=u.shape[1] if u.ndim == 2 else 0
-                ).reconstruct(u)
+            batch = u.shape[1] if u.ndim == 2 else 0
+            plan = kernel_plan(self.mesh, config, batch=batch)
+            if plan is not None:
+                return plan.reconstruct(u)
             return self._mpas_reconstruct(self.mesh, u, backend=config.backend)
 
     def step(

@@ -147,6 +147,38 @@ class TestIntegrityPrimitives:
         assert not path.exists()
         assert _quarantined(registry, "k") == 1.0
 
+    def test_reader_never_sees_a_file_before_its_seal(self, tmp_path, monkeypatch):
+        """``publish`` renames and seals as one step to ``checked_load``: a
+        reader arriving in between (in any process) waits for the seal
+        instead of quarantining the good file against the old sidecar."""
+        import threading
+        import time
+
+        import repro.resilience.integrity as integrity
+
+        path = tmp_path / "entry.npz"
+        path.write_bytes(b"old payload")
+        seal(path)
+        renamed = threading.Event()
+
+        def slow_seal(p):
+            renamed.set()
+            time.sleep(0.2)
+            return seal(p)
+
+        monkeypatch.setattr(integrity, "seal", slow_seal)
+        tmp = tmp_path / "entry.tmp"
+        tmp.write_bytes(b"new payload of another length")
+        writer = threading.Thread(target=integrity.publish, args=(tmp, path))
+        writer.start()
+        assert renamed.wait(10)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            got = checked_load(path, lambda p: p.read_bytes(), "k")
+        writer.join()
+        assert got == b"new payload of another length"
+        assert _quarantined(registry, "k") == 0.0
+
 
 # ------------------------------------------------------ operator archives
 class TestOperatorSelfHeal:
@@ -209,10 +241,7 @@ class TestPlanSelfHeal:
         from repro.swm.config import SWConfig
 
         mesh = cached_mesh(2, lloyd_iterations=0)
-        cfg = SWConfig(
-            dt=60.0, backend="sparse", plan=True, plan_fuse="algebraic",
-            thickness_adv_order=4,
-        )
+        cfg = SWConfig(dt=60.0, backend="sparse", plan=True, thickness_adv_order=4)
         compiled_plan(mesh, cfg)
         path = operator_cache_path(mesh, "plan_h_edge_order4")
         assert path.exists()
@@ -253,8 +282,9 @@ class TestMeshSelfHeal:
 
 # ------------------------------------------------------ concurrent writers
 class TestConcurrentWriters:
-    """Two writers of one cache entry (same process): each publishes from a
-    temporary name of its own, so neither renames the other's file away."""
+    """Two writers of one cache entry (threads or interpreters): each
+    publishes from a temporary name of its own, so neither renames the
+    other's file away."""
 
     @staticmethod
     def _same_csr(a, b) -> bool:
@@ -312,3 +342,58 @@ class TestConcurrentWriters:
         assert len(built) == 4
         assert all(self._same_csr(built[0], m) for m in built[1:])
         assert not list(cache_sandbox.rglob("*.tmp*"))
+
+    def test_two_interpreters_building_one_mesh(self, tmp_path, monkeypatch):
+        """Two processes miss one uncached level-2 mesh at once, build it,
+        publish it at the same moment (each waits for the other before it
+        saves) and re-read it while the other may still be publishing: both
+        succeed, the sealed archive verifies and nothing is quarantined."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.mesh.cache import mesh_cache_path
+
+        meet = tmp_path / "meet"
+        meet.mkdir()
+        cache = tmp_path / "cache"
+        code = (
+            "import os, time\n"
+            "from repro.mesh.cache import cached_mesh, clear_memory_cache\n"
+            "from repro.mesh.mesh import Mesh\n"
+            "from repro.obs.metrics import get_registry\n"
+            "save, meet = Mesh.save, sys.argv[1]\n"
+            "def met(self, path):\n"
+            "    open(os.path.join(meet, str(os.getpid())), 'w').close()\n"
+            "    deadline = time.monotonic() + 60\n"
+            "    while len(os.listdir(meet)) < 2 and time.monotonic() < deadline:\n"
+            "        time.sleep(0.0005)\n"
+            "    save(self, path)\n"
+            "Mesh.save = met\n"
+            "for _ in range(5):\n"
+            "    clear_memory_cache()\n"
+            "    mesh = cached_mesh(2)\n"
+            "series = get_registry().series('resilience.cache.quarantined')\n"
+            "print(mesh.nCells, int(sum(s.value for s in series)))\n"
+        )
+        env = {
+            "PYTHONPATH": str(Path(__file__).parent.parent / "src"),
+            "PATH": "/usr/bin:/bin",
+            "REPRO_CACHE_DIR": str(cache),
+        }
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", "import sys\n" + code, str(meet)],
+                env=env, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            )
+            for _ in range(2)
+        ]
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err[-2000:]
+            assert out.split() == ["162", "0"]
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        assert verify(mesh_cache_path(2)) is True
+        assert not list(cache.rglob("*.tmp*"))
+        assert not (cache / QUARANTINE_DIRNAME).exists()

@@ -390,9 +390,9 @@ class TestRetiredConfigFields:
             run_.commit_checkpoint(entry["step"], path)
 
     @staticmethod
-    def _interrupted(mesh, directory: Path) -> SWConfig:
+    def _interrupted(mesh, directory: Path, **overrides) -> SWConfig:
         """A 6-step run crashed at step 4 (checkpoints 0 and 2 committed)."""
-        cfg = _cfg(mesh, checkpoint_interval=2)
+        cfg = _cfg(mesh, checkpoint_interval=2, **overrides)
         with use_fault_plan(_crash_plan(4)):
             with pytest.raises(FaultInjected):
                 run("galewsky", mesh=mesh, config=cfg, steps=6, run_dir=directory)
@@ -409,6 +409,26 @@ class TestRetiredConfigFields:
             (d / MANIFEST_NAME).read_text()
         )["config"]
         DurableRun.open(d).validate_compatible(config=cfg)  # a job re-attaching
+        resumed = run(resume=d, mesh=mesh3)
+        assert np.array_equal(resumed.state.h, ref.state.h)
+        assert np.array_equal(resumed.state.u, ref.state.u)
+        assert _committed_steps(d) == [0, 2, 4, 6]
+
+    @pytest.mark.parametrize("fuse", ["exact", "algebraic"])
+    def test_directory_carrying_plan_fuse_resumes_bitwise(
+        self, mesh3, tmp_path, fuse
+    ):
+        """Either stored fusion mode resumes under the one composing plan."""
+        d = tmp_path / "run"
+        cfg = self._interrupted(
+            mesh3, d, backend="sparse", plan=True, thickness_adv_order=4
+        )
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        self._age(d, plan_fuse=fuse)
+        stored = json.loads((d / MANIFEST_NAME).read_text())["config"]
+        assert stored["plan_fuse"] == fuse
+        assert SWConfig.from_dict(stored) == cfg
+        DurableRun.open(d).validate_compatible(config=cfg)
         resumed = run(resume=d, mesh=mesh3)
         assert np.array_equal(resumed.state.h, ref.state.h)
         assert np.array_equal(resumed.state.u, ref.state.u)
@@ -434,7 +454,10 @@ class TestRetiredConfigFields:
     def test_stored_static_schedule_stays_static(self):
         cfg = SWConfig.from_dict(self.PRE_PR21_CONFIG)
         assert cfg.halo_schedule == "static" != SWConfig.halo_schedule
-        assert dataclasses.asdict(cfg) == self.PRE_PR21_CONFIG
+        assert dataclasses.asdict(cfg) == {
+            k: v for k, v in self.PRE_PR21_CONFIG.items()
+            if k not in SWConfig.RETIRED_FIELDS
+        }
 
     @pytest.mark.parametrize("backend", ["scatter", "codegen"])
     def test_stored_retired_backend_is_refused_by_name(self, backend):

@@ -197,24 +197,23 @@ class TestGoldenMatrix:
 
     @pytest.mark.parametrize("case", CASES)
     def test_backends_share_one_trajectory(self, case):
-        """The pinned files agree: plan == sparse bitwise, numpy to ~1e-13.
+        """The pinned files agree to ~1e-13: numpy and plan against sparse.
 
-        The plan executor fuses the *same* CSR operators the sparse
-        backend applies, so their trajectories must be identical to the
-        bit; the numpy backend sums fluxes in a different association
-        order and is allowed round-off-level divergence only.
+        The golden configs run order 4, whose ``h_edge`` chain the plan
+        composes into one matrix (reassociated row sums), and the numpy
+        backend sums fluxes in a different association order: both are
+        allowed round-off-level divergence only.
         """
         if REGEN:
             pytest.skip("regenerating")
         goldens = {b: _load_golden(case, b) for b in BACKENDS}
-        assert goldens["numpy"]["dt"] == goldens["sparse"]["dt"]
-        for key in ("dt", *KEYS):
-            assert goldens["plan"][key] == goldens["sparse"][key], key
-        for key in KEYS:
-            ref = [float.fromhex(x) for x in goldens["numpy"][key]]
-            got = [float.fromhex(x) for x in goldens["sparse"][key]]
-            for a, b in zip(ref, got):
-                assert abs(a - b) <= 1e-13 * abs(a), key
+        for other in ("numpy", "plan"):
+            assert goldens[other]["dt"] == goldens["sparse"]["dt"]
+            for key in KEYS:
+                ref = [float.fromhex(x) for x in goldens["sparse"][key]]
+                got = [float.fromhex(x) for x in goldens[other][key]]
+                for a, b in zip(ref, got):
+                    assert abs(a - b) <= 1e-13 * abs(a), (other, key)
 
     def test_matrix_trips_on_one_ulp(self):
         """A single-ulp perturbation anywhere in a trajectory is caught.

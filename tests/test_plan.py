@@ -6,11 +6,13 @@ Contracts pinned here:
   halo exchanges segment the fused program, and the single-consumer
   analysis (the fusion-legality oracle) never offers a protected kernel
   output as a fusion seam;
-* plan-vs-unfused **bitwise** equivalence — every fused kernel (tend,
-  diagnostics, reconstruct) reproduces the unfused sparse backend bit for
-  bit, per kernel on icosahedral and random SCVT meshes across the
-  physics options, and end-to-end over 10 Galewsky RK steps in serial,
-  split and 4-rank pool execution;
+* plan-vs-unfused equivalence — every fused kernel (tend, diagnostics,
+  reconstruct) reproduces the unfused sparse backend bit for bit, per
+  kernel on icosahedral and random SCVT meshes across the physics options,
+  except where a linear chain composes (order-4 ``h_edge``, del4: within
+  1e-12); end-to-end over 10 Galewsky RK steps, serial, split and 4-rank
+  pool are bitwise equal to each other, and split placements run the
+  unfused per-op path bit for bit;
 * the plan cache — per-mesh memoization keyed by the structure-affecting
   config fields (a dt change recompiles), composed matrices round-trip
   through the versioned disk archive and a version-stamp mismatch
@@ -18,8 +20,8 @@ Contracts pinned here:
 * the registry lint — every Algorithm-1 operator is consumed by a plan
   emitter (no stage is a fallback), and every scheduled Table I label has
   an emitter or a whitelist entry;
-* the algebraic mode — composition happens exactly where the legality
-  oracle allows it, and stays within 1e-12 of the exact plan.
+* composition — it happens exactly where the legality oracle allows it,
+  and stays within 1e-12 of the unfused sparse backend.
 """
 
 from __future__ import annotations
@@ -71,10 +73,22 @@ CONFIGS = {
     "hyperviscous": dict(thickness_adv_order=4, hyperviscosity=1.0e13),
 }
 
+#: The configs whose plans compose a chain, and the tolerance that buys.
+COMPOSED_TOL = {"order4": 1e-12, "hyperviscous": 1e-12}
+
 
 def _cfg(plan=False, **kw):
     kw.setdefault("dt", 60.0)
     return SWConfig(backend="sparse", plan=plan, **kw)
+
+
+def _assert_close(a, b, tol, what=""):
+    """Bitwise for ``tol == 0``, else within ``tol`` of ``a``'s scale."""
+    if tol == 0.0:
+        assert np.array_equal(a, b), what
+    else:
+        scale = max(np.max(np.abs(a)), 1.0)
+        assert np.max(np.abs(a - b)) <= tol * scale, what
 
 
 def _galewsky_inputs(mesh):
@@ -160,9 +174,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="backend='sparse'"):
             SWConfig(dt=60.0, backend="numpy", plan=True)
 
-    def test_bad_fuse_mode_rejected(self):
-        with pytest.raises(ValueError, match="plan_fuse"):
-            SWConfig(dt=60.0, backend="sparse", plan=True, plan_fuse="magic")
+    def test_fuse_mode_is_no_longer_a_field(self):
+        """Composition is a compile-time fact, not an option; stored configs
+        that carry the retired knob still load."""
+        with pytest.raises(TypeError, match="plan_fuse"):
+            SWConfig(dt=60.0, backend="sparse", plan=True, plan_fuse="algebraic")
+        cfg = SWConfig.from_dict({"dt": 60.0, "plan_fuse": "exact"})
+        assert cfg == SWConfig(dt=60.0)
 
     def test_compile_rejects_non_sparse(self, mesh3):
         with pytest.raises(ValueError, match="sparse"):
@@ -170,18 +188,21 @@ class TestConfigValidation:
 
 
 # ------------------------------------------------- per-kernel bitwise laws
-def _assert_kernels_bitwise(mesh, kw):
+def _assert_kernels_bitwise(mesh, kw, tol=0.0):
+    """Plan == unfused sparse per kernel: bitwise, or within ``tol`` for a
+    config whose plan composes a chain."""
     state, b_cell, f_vertex = _galewsky_inputs(mesh)
     ref_cfg = _cfg(**kw)
     plan_cfg = _cfg(plan=True, **kw)
+    assert bool(compiled_plan(mesh, plan_cfg).composed) == (tol != 0.0)
     diag = compute_solve_diagnostics(mesh, state, f_vertex, ref_cfg)
     pd = compute_solve_diagnostics(mesh, state, f_vertex, plan_cfg)
     for f in DIAG_FIELDS:
-        assert np.array_equal(getattr(diag, f), getattr(pd, f)), f
+        _assert_close(getattr(diag, f), getattr(pd, f), tol, f)
     th, tu = compute_tend(mesh, state, diag, b_cell, ref_cfg)
     pth, ptu = compute_tend(mesh, state, pd, b_cell, plan_cfg)
-    assert np.array_equal(th, pth)
-    assert np.array_equal(tu, ptu)
+    _assert_close(th, pth, tol, "tend_h")
+    _assert_close(tu, ptu, tol, "tend_u")
     r = mpas_reconstruct(mesh, state.u, backend="sparse")
     pr = compiled_plan(mesh, plan_cfg).reconstruct(state.u)
     for f in RECON_FIELDS:
@@ -191,7 +212,7 @@ def _assert_kernels_bitwise(mesh, kw):
 class TestKernelBitwise:
     @pytest.mark.parametrize("name", list(CONFIGS))
     def test_icosahedral(self, mesh3, name):
-        _assert_kernels_bitwise(mesh3, CONFIGS[name])
+        _assert_kernels_bitwise(mesh3, CONFIGS[name], COMPOSED_TOL.get(name, 0.0))
 
     @pytest.mark.parametrize("seed", [11, 23])
     def test_random_scvt(self, seed):
@@ -249,10 +270,32 @@ class TestKernelBitwise:
         with pytest.raises(FloatingPointError, match="unstable"):
             compute_solve_diagnostics(mesh3, bad, f_vertex, _cfg(plan=True))
 
+    def test_batched_state_under_split_placement_raises(self, mesh3):
+        """Batched states run only the plan, and the plan does not split:
+        a split placement is refused, not silently ignored."""
+        state, b_cell, f_vertex = _galewsky_inputs(mesh3)
+        block = State.stack([state, state])
+        cfg = _cfg(plan=True)
+        with use_placements({"A3": Placement("split", 0.5)}):
+            with pytest.raises(ValueError, match="split"):
+                compute_solve_diagnostics(mesh3, block, f_vertex, cfg)
+            with pytest.raises(ValueError, match="split"):
+                RK4Integrator(mesh3, cfg, b_cell, f_vertex).reconstruct(block.u)
+            # A serial state under the same placement takes the per-op path.
+            compute_solve_diagnostics(mesh3, state, f_vertex, cfg)
+
 
 # ---------------------------------------------------- end-to-end 10 steps
+SPLIT_EVERYWHERE = {
+    lab: Placement(device="split", cpu_fraction=0.43)
+    for lab in ("A1", "A2", "A3", "A4", "B1", "B2", "D1", "E1", "F1", "G1", "H1")
+}
+
+
 class TestAcceptanceRun:
-    """10 Galewsky RK steps: plan bitwise == unfused sparse in all modes."""
+    """10 Galewsky RK steps: plan bitwise == unfused sparse in all modes
+    where nothing composes; with composition, serial == lockstep == pool
+    bitwise and within 1e-12 of unfused sparse."""
 
     @pytest.fixture(scope="class")
     def galewsky_states(self, mesh3):
@@ -266,13 +309,13 @@ class TestAcceptanceRun:
         )
         return {"dt": dt, "h": ref.state.h, "u": ref.state.u}
 
-    def _run(self, mesh3, dt, **kw):
+    def _run(self, mesh3, dt, plan=True, **kw):
         from repro import api
 
         case = api.resolve_case("galewsky")
         return api.run(
             case, mesh=mesh3,
-            config=api.SWConfig(dt=dt, backend="sparse", plan=True, **kw),
+            config=api.SWConfig(dt=dt, backend="sparse", plan=plan, **kw),
             steps=10,
         )
 
@@ -282,13 +325,7 @@ class TestAcceptanceRun:
         assert np.array_equal(result.state.u, galewsky_states["u"])
 
     def test_split_bitwise(self, mesh3, galewsky_states):
-        labels = (
-            "A1", "A2", "A3", "A4", "B1", "B2", "D1", "E1", "F1", "G1", "H1"
-        )
-        placements = {
-            lab: Placement(device="split", cpu_fraction=0.43) for lab in labels
-        }
-        with use_placements(placements):
+        with use_placements(SPLIT_EVERYWHERE):
             result = self._run(mesh3, galewsky_states["dt"])
         assert np.array_equal(result.state.h, galewsky_states["h"])
         assert np.array_equal(result.state.u, galewsky_states["u"])
@@ -299,6 +336,51 @@ class TestAcceptanceRun:
         )
         assert np.array_equal(result.state.h, galewsky_states["h"])
         assert np.array_equal(result.state.u, galewsky_states["u"])
+
+    COMPOSED = dict(thickness_adv_order=4, hyperviscosity=1.0e13)
+
+    def test_composed_modes_bitwise(self, mesh3, galewsky_states):
+        """Composed matrices built on each rank's renumbered LocalMesh keep
+        the serial plan's bits; the plan stays within 1e-12 of unfused."""
+        dt = galewsky_states["dt"]
+        serial = self._run(mesh3, dt, **self.COMPOSED)
+        for mode in ("lockstep", "pool"):
+            got = self._run(mesh3, dt, parallel=mode, ranks=4, **self.COMPOSED)
+            assert np.array_equal(got.state.h, serial.state.h), mode
+            assert np.array_equal(got.state.u, serial.state.u), mode
+        unfused = self._run(mesh3, dt, plan=False, **self.COMPOSED)
+        _assert_close(unfused.state.h, serial.state.h, 1e-12, "h")
+        _assert_close(unfused.state.u, serial.state.u, 1e-12, "u")
+
+    def test_composed_split_runs_unfused_bitwise(self, mesh3, galewsky_states):
+        dt = galewsky_states["dt"]
+        unfused = self._run(mesh3, dt, plan=False, **self.COMPOSED)
+        with use_placements(SPLIT_EVERYWHERE):
+            split = self._run(mesh3, dt, **self.COMPOSED)
+        assert np.array_equal(split.state.h, unfused.state.h)
+        assert np.array_equal(split.state.u, unfused.state.u)
+
+    def test_composed_random_scvt_decomposition_bitwise(self):
+        from repro.geometry import lloyd_relax, normalize
+        from repro.mesh import Mesh
+        from repro.parallel import DecomposedShallowWater
+        from repro.swm import ShallowWaterModel, steady_zonal_flow, suggested_dt
+
+        rng = np.random.default_rng(11)
+        pts = lloyd_relax(normalize(rng.standard_normal((120, 3))), iterations=60)
+        mesh = Mesh.from_points(pts.points, name="plan-random120-composed")
+        case = steady_zonal_flow()
+        cfg = _cfg(
+            plan=True, dt=suggested_dt(mesh, case, 9.80616, cfl=0.4), **self.COMPOSED
+        )
+        serial = ShallowWaterModel(mesh, cfg)
+        serial.initialize(case)
+        res = serial.run(steps=3)
+        dec = DecomposedShallowWater(mesh, 2, case, cfg)
+        dec.run(3)
+        gathered = dec.gather_state()
+        assert np.array_equal(gathered.h, res.state.h)
+        assert np.array_equal(gathered.u, res.state.u)
 
 
 # ------------------------------------------------------------- plan cache
@@ -317,10 +399,7 @@ class TestPlanCache:
 
         clear_memory_cache()
         mesh = cached_mesh(2, lloyd_iterations=0, use_disk=True)
-        cfg = _cfg(
-            plan=True, plan_fuse="algebraic", thickness_adv_order=4,
-            hyperviscosity=1.0e13,
-        )
+        cfg = _cfg(plan=True, thickness_adv_order=4, hyperviscosity=1.0e13)
         a = compiled_plan(mesh, cfg)
         assert set(a.composed) == {"del4", "h_edge_order4"}
         for name in a.composed:
@@ -339,9 +418,7 @@ class TestPlanCache:
 
         clear_memory_cache()
         mesh = cached_mesh(2, lloyd_iterations=0, use_disk=True)
-        cfg = _cfg(
-            plan=True, plan_fuse="algebraic", thickness_adv_order=4,
-        )
+        cfg = _cfg(plan=True, thickness_adv_order=4)
         compiled_plan(mesh, cfg)
         path = operator_cache_path(mesh, "plan_h_edge_order4")
         stale = dict(np.load(path))
@@ -363,7 +440,7 @@ class TestPlanCache:
         clear_memory_cache()
 
     def test_memory_only_for_undisk_meshes(self, mesh3, plan_cache):
-        cfg = _cfg(plan=True, plan_fuse="algebraic", thickness_adv_order=4)
+        cfg = _cfg(plan=True, thickness_adv_order=4)
         plan = compiled_plan(mesh3, cfg)
         # mesh3 is the session fixture: its archives live in the *real*
         # cache dir; under the redirected dir nothing may appear unless the
@@ -454,18 +531,18 @@ class TestPlansArePerThread:
             assert np.array_equal(got.u, ref.u)
 
 
-# ---------------------------------------------------------- algebraic mode
+# ------------------------------------------------------------ composition
 class TestAlgebraicFusion:
+    """Composition is decided by the compiler, not an option: exactly the
+    chains the legality oracle certifies fold into one matrix."""
+
     def test_nothing_to_compose_on_default_config(self, mesh3):
-        plan = compiled_plan(mesh3, _cfg(plan=True, plan_fuse="algebraic"))
-        assert plan.composed == ()
+        assert compiled_plan(mesh3, _cfg(plan=True)).composed == ()
 
     def test_order3_never_composes(self, mesh3):
         # sign(u)-dependent coefficients: composition is illegal.
-        plan = compiled_plan(
-            mesh3, _cfg(plan=True, plan_fuse="algebraic", thickness_adv_order=3)
-        )
-        assert "h_edge_order4" not in plan.composed
+        plan = compiled_plan(mesh3, _cfg(plan=True, thickness_adv_order=3))
+        assert plan.composed == ()
 
     @pytest.mark.parametrize(
         "kw", [dict(thickness_adv_order=4),
@@ -473,20 +550,33 @@ class TestAlgebraicFusion:
         ids=["order4", "order4+del4"],
     )
     def test_composed_within_1e12_of_exact(self, mesh3, kw):
-        state, b_cell, f_vertex = _galewsky_inputs(mesh3)
-        exact_cfg = _cfg(plan=True, **kw)
-        alg_cfg = _cfg(plan=True, plan_fuse="algebraic", **kw)
-        d_exact = compute_solve_diagnostics(mesh3, state, f_vertex, exact_cfg)
-        d_alg = compute_solve_diagnostics(mesh3, state, f_vertex, alg_cfg)
-        for f in DIAG_FIELDS:
-            a, b = getattr(d_exact, f), getattr(d_alg, f)
-            scale = max(np.max(np.abs(a)), 1.0)
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale, f
-        t_exact = compute_tend(mesh3, state, d_exact, b_cell, exact_cfg)
-        t_alg = compute_tend(mesh3, state, d_exact, b_cell, alg_cfg)
-        for a, b in zip(t_exact, t_alg):
-            scale = max(np.max(np.abs(a)), 1.0)
-            assert np.max(np.abs(a - b)) <= 1e-12 * scale
+        """Composed plan against the unfused sparse kernels."""
+        expected = {"h_edge_order4"} | ({"del4"} if "hyperviscosity" in kw else set())
+        assert set(compiled_plan(mesh3, _cfg(plan=True, **kw)).composed) == expected
+        _assert_kernels_bitwise(mesh3, kw, tol=1e-12)
+
+    def test_composition_follows_the_oracle(self, mesh3, monkeypatch):
+        """del4 composes at any order; a chain whose intermediate the caller
+        observes does not compose — order 4 then replays the unfused
+        kernels bit for bit, and del4 (which has no unfused stage) refuses
+        to compile."""
+        import repro.engine.plan as plan_module
+
+        hv = dict(hyperviscosity=1.0e13)
+        assert compiled_plan(mesh3, _cfg(plan=True, **hv)).composed == ("del4",)
+        protected = plan_module._PROTECTED_VARS
+        monkeypatch.setattr(
+            plan_module, "_PROTECTED_VARS", protected | {"d2fdx2_cell1"}
+        )
+        assert compile_plan(mesh3, _cfg(plan=True, thickness_adv_order=4)).composed == ()
+        clear_plan_memory_cache()
+        try:
+            _assert_kernels_bitwise(mesh3, dict(thickness_adv_order=4))
+            monkeypatch.setattr(plan_module, "_PROTECTED_VARS", protected | {"div2"})
+            with pytest.raises(ValueError, match="del4"):
+                compile_plan(mesh3, _cfg(plan=True, **hv))
+        finally:
+            clear_plan_memory_cache()
 
 
 # ----------------------------------------------------------- observability
