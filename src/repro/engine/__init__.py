@@ -3,7 +3,6 @@
 The one way kernels execute.  See :mod:`repro.engine.registry` for the
 dispatch mechanics, :mod:`repro.engine.backends` for the two built-in
 backends (``numpy`` / ``sparse``),
-:mod:`repro.engine.split` for split execution across two logical devices,
 and :mod:`repro.engine.plan` for fused per-mesh execution plans compiled
 from the Fig. 4 dataflow graph (``SWConfig(plan=True)``).
 
@@ -22,7 +21,6 @@ from .registry import (
     dispatch,
     reset_default_registry,
 )
-from .split import active_placements, use_placements
 
 __all__ = [
     "BACKENDS",
@@ -32,6 +30,4 @@ __all__ = [
     "default_registry",
     "dispatch",
     "reset_default_registry",
-    "active_placements",
-    "use_placements",
 ]

@@ -58,7 +58,7 @@ OPS: tuple[OpSpec, ...] = (
     OpSpec("velocity_reconstruction", "A4", "A", "conn.edgesOnCell"),
     OpSpec("coriolis_edge_term", "B1", "B", "tri.edgesOnEdge"),
     OpSpec("tangential_velocity", "B2", "B", "tri.edgesOnEdge"),
-    # Fused C1,C2 sweep: tuple-valued, so the split executor refuses it.
+    # Fused C1,C2 sweep: tuple-valued, so no row cut partitions it.
     OpSpec("d2fdx2", "C1,C2", "C", None, no_split=True),
     OpSpec("cell_to_edge_mean", "D1", "D", "conn.cellsOnEdge"),
     OpSpec("vertex_from_cells_kite", "E1", "E", "conn.cellsOnVertex"),

@@ -1,14 +1,14 @@
 """Fused per-mesh execution plans compiled from the Fig. 4 dataflow graph.
 
 Dispatching the 14 operators one at a time pays, per call, a registry
-lookup, a placement probe, a metrics timer, a fault site and a fresh output
-allocation.  For ``backend="sparse"`` this module removes all of that:
-:func:`compile_plan` topologically schedules an RK substep from the
-data-flow diagram (:mod:`repro.dataflow.schedule`) and emits one
-:class:`ExecutionPlan` per ``(mesh, config)`` — a flat list of closures
-over the cached CSR operators and preallocated scratch buffers.  That
-includes the bilinear ``coriolis_edge_term`` (B1), emitted as the two
-matvecs + four elementwise ops of :class:`repro.engine.sparse.CoriolisOp`.
+lookup, a metrics timer, a fault site and a fresh output allocation.  For
+``backend="sparse"`` this module removes all of that: :func:`compile_plan`
+topologically schedules an RK substep from the data-flow diagram
+(:mod:`repro.dataflow.schedule`) and emits one :class:`ExecutionPlan` per
+``(mesh, config)`` — a flat list of closures over the cached CSR operators
+and preallocated scratch buffers.  That includes the bilinear
+``coriolis_edge_term`` (B1), emitted as the two matvecs + four elementwise
+ops of :class:`repro.engine.sparse.CoriolisOp`.
 
 Composition
 -----------
@@ -49,11 +49,8 @@ The plan exposes one entry point per Algorithm-1 kernel it fuses
 :meth:`~ExecutionPlan.reconstruct`) rather than one whole-substep program:
 the halo exchanges of Fig. 4 are barriers between those segments
 (:class:`repro.dataflow.schedule.Segment`), and the decomposed executors
-must run them.  Each stage has exactly one program: while a split
-placement is active (:func:`repro.engine.split.use_placements`) the kernels
-do not run the plan at all but the unfused per-op path, which implements
-band splitting (:func:`kernel_plan`).  When the tracer is enabled, every
-stage runs under a ``category="plan"`` span.
+must run them.  Each stage has exactly one program.  When the tracer is
+enabled, every stage runs under a ``category="plan"`` span.
 
 Buffer discipline: the two tendency outputs live in plan-owned buffers
 reused across calls (safe: every consumer reads them before the next
@@ -95,7 +92,6 @@ import scipy.sparse as sp
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .sparse import _cached_operator, _triples, sparse_operator
-from .split import split_active
 
 __all__ = [
     "PLAN_CACHE_VERSION",
@@ -926,16 +922,14 @@ def compiled_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
 
 def kernel_plan(mesh, config, batch: int = 0) -> ExecutionPlan | None:
     """The plan an Algorithm-1 kernel executes, or ``None`` for the unfused
-    per-op path: without ``config.plan``, and while a split placement is
-    active (the per-op dispatch implements band splitting; a plan stage has
-    one program).  A batched state runs only the plan: it raises instead."""
-    runs = config.plan and not split_active()
-    if batch and not runs:
+    per-op path without ``config.plan``.  A batched state runs only the
+    plan: it raises instead."""
+    if batch and not config.plan:
         raise ValueError(
             "batched (n, N) states run only the compiled plan: set plan=True "
-            "(requires backend='sparse') and step them outside split placements"
+            "(requires backend='sparse')"
         )
-    return compiled_plan(mesh, config, batch=batch) if runs else None
+    return compiled_plan(mesh, config, batch=batch) if config.plan else None
 
 
 def clear_plan_memory_cache() -> None:

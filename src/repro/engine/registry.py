@@ -36,7 +36,6 @@ from typing import Callable
 from ..obs.metrics import get_registry as _get_metrics
 from ..resilience.faults import FaultInjected, fault_site
 from ..resilience.recovery import active_recovery_policy
-from .split import active_placement
 
 __all__ = [
     "BACKENDS",
@@ -74,10 +73,10 @@ class OpEntry:
         Point types of the gathered inputs and of the output.
     stencil : callable or None
         ``stencil(mesh) -> (n_out, lanes) int array`` returning the gather
-        table (−1 on padded lanes); required for split execution.
+        table (−1 on padded lanes): the boundary band a row cut needs.
     no_split : bool
-        Marks operators whose output shape or access pattern the split
-        executor cannot partition (e.g. tuple-valued sweeps).
+        Marks operators whose output a row cut does not partition (e.g.
+        tuple-valued sweeps).
     impls : dict
         backend name -> callable ``fn(mesh, *fields)``.
     """
@@ -198,11 +197,7 @@ class KernelRegistry:
 
     # -------------------------------------------------------------- dispatch
     def dispatch(self, op: str, mesh, *fields, backend: str = DEFAULT_BACKEND):
-        """Execute ``op`` on ``mesh`` under ``backend``.
-
-        Honours an active split :class:`~repro.hybrid.executor.Placement`
-        for the operator's pattern label (see
-        :func:`repro.engine.split.use_placements`), and records an
+        """Execute ``op`` on ``mesh`` under ``backend``, recording an
         ``engine.op`` timer tagged ``(op, pattern, backend)``.
 
         Every dispatch is the ``engine.dispatch`` fault site: a faulted call
@@ -213,15 +208,10 @@ class KernelRegistry:
         """
         entry = self.op(op)
         fn = entry.resolve(backend)
-        placement = active_placement(entry.pattern) if entry.pattern else None
         timer = _get_metrics().timer(
             "engine.op", op=op, pattern=entry.pattern or "-", backend=backend
         )
         with timer.time():
-            if placement is not None and getattr(placement, "device", None) == "split":
-                from .split import run_split
-
-                return run_split(entry, fn, backend, mesh, fields, placement)
             try:
                 fault_site("engine.dispatch", op=op, backend=backend)
                 return fn(mesh, *fields)

@@ -434,61 +434,31 @@ class CompiledOp:
         self.post = post
         self.__name__ = f"sparse_{op}"
 
-    def operator(self, mesh: Mesh) -> sp.csr_matrix:
-        return sparse_operator(mesh, self.matrix_op)
-
-    def _apply(self, m: sp.csr_matrix, fields, rows: slice = slice(None)):
-        """Evaluate against ``m``: the operator, or its ``rows`` slice."""
+    def __call__(self, mesh: Mesh, *fields):
+        m = sparse_operator(mesh, self.matrix_op)
         y = m @ (self.pre(*fields) if self.pre is not None else fields[0])
         return self.post(y) if self.post is not None else y
 
-    def __call__(self, mesh: Mesh, *fields):
-        return self._apply(self.operator(mesh), fields)
 
-
-class SliceableOp(CompiledOp):
-    """A :class:`CompiledOp` the split executor can row-slice.
-
-    ``apply_rows`` computes only the output rows in ``rows`` (a slice over
-    output *points*) by slicing the CSR's rows before the matvec.  CSR
-    matvec processes each row independently, so ``M[rows] @ x`` is bitwise
-    identical to ``(M @ x)[rows]`` — the boundary-band reconciliation of
-    :mod:`repro.engine.split` stays bitwise-stable while the inactive
-    device's rows are never computed.  ``block`` maps output points to
-    matrix rows (3 for the vector-valued reconstruction).
-    """
-
-    def __init__(self, op: str, matrix_op: str, pre=None, post=None, block: int = 1):
-        super().__init__(op, matrix_op, pre=pre, post=post)
-        self.block = block
-
-    def apply_rows(self, mesh: Mesh, fields, rows: slice):
-        m = self.operator(mesh)
-        sub = m[rows.start * self.block : rows.stop * self.block]
-        return self._apply(sub, fields, rows)
-
-
-class CoriolisOp(SliceableOp):
+class CoriolisOp(CompiledOp):
     """B1 as two matvecs of the TRiSK stencil ``K`` (``tangential_velocity``).
 
     ``0.5 * (q * (K f) + K (f * q))`` with ``f = u * h_edge``, in exactly
     this evaluation order: the plan's B1 stage issues the same ufunc
     sequence into its buffers, so fused and unfused stay bitwise identical.
-    Each output row reads only its own ``q`` and its own row of ``K``, so
-    row slicing commutes with the evaluation as for any matvec.
     """
 
     def __init__(self) -> None:
         super().__init__("coriolis_edge_term", "tangential_velocity")
 
-    def _apply(self, K: sp.csr_matrix, fields, rows: slice = slice(None)):
-        u_edge, h_edge, pv_edge = fields
+    def __call__(self, mesh: Mesh, u_edge, h_edge, pv_edge):
+        K = sparse_operator(mesh, self.matrix_op)
         # In place — the bits of the expression above, a * b being b * a —
         # because each temporary saved is an mmap'd 240 kB array at level 5.
         flux = u_edge * h_edge
         out = K @ flux
         flux *= pv_edge
-        out *= pv_edge[rows]
+        out *= pv_edge
         out += K @ flux
         out *= 0.5
         return out
@@ -520,20 +490,16 @@ def build_sparse_impls() -> dict[str, Callable]:
         "vertex_from_cells_kite",
         "cell_from_vertices_kite",
     ):
-        impls[op] = SliceableOp(op, op)
-    impls["flux_divergence"] = SliceableOp(
+        impls[op] = CompiledOp(op, op)
+    impls["flux_divergence"] = CompiledOp(
         "flux_divergence", "cell_divergence", pre=lambda u, h: u * h
     )
-    impls["kinetic_energy"] = SliceableOp(
+    impls["kinetic_energy"] = CompiledOp(
         "kinetic_energy", "kinetic_energy", pre=lambda u: u * u
     )
-    impls["velocity_reconstruction"] = SliceableOp(
-        "velocity_reconstruction",
-        "velocity_reconstruction",
-        post=_triples,
-        block=3,
+    impls["velocity_reconstruction"] = CompiledOp(
+        "velocity_reconstruction", "velocity_reconstruction", post=_triples
     )
     impls["coriolis_edge_term"] = CoriolisOp()
-    # Tuple-valued (and no_split in the registry): plain CompiledOp.
     impls["d2fdx2"] = CompiledOp("d2fdx2", "d2fdx2", post=_pair)
     return impls

@@ -69,6 +69,11 @@ class Gauge:
         return {"value": self.value}
 
 
+#: Serializes every timer update: the ensemble's member-block threads observe
+#: the same ``engine.plan`` timers, and an unlocked ``max`` can lose a sample.
+_TIMER_LOCK = threading.Lock()
+
+
 class Timer:
     """Observation statistics (count / total / min / max / mean)."""
 
@@ -84,19 +89,21 @@ class Timer:
         self.max = -math.inf
 
     def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        self.min = min(self.min, seconds)
-        self.max = max(self.max, seconds)
+        with _TIMER_LOCK:
+            self.count += 1
+            self.total += seconds
+            self.min = min(self.min, seconds)
+            self.max = max(self.max, seconds)
 
     def absorb(self, count: int, total: float, min_s: float, max_s: float) -> None:
         """Fold another timer's statistics into this one (cross-process merge)."""
         if count <= 0:
             return
-        self.count += int(count)
-        self.total += total
-        self.min = min(self.min, min_s)
-        self.max = max(self.max, max_s)
+        with _TIMER_LOCK:
+            self.count += int(count)
+            self.total += total
+            self.min = min(self.min, min_s)
+            self.max = max(self.max, max_s)
 
     @contextmanager
     def time(self) -> Iterator[None]:

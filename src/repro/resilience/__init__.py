@@ -7,8 +7,8 @@ device; this package makes that design *survivable*.  Four pieces:
   layer, driven by seeded :class:`~repro.resilience.faults.FaultPlan`\\ s
   (deterministic or probabilistic), so failures are testable on demand.
 * :mod:`~repro.resilience.recovery` — the bounded-retry policy each layer
-  consults when a site fires: backend re-dispatch + numpy fallback, split
-  degraded mode, halo retry with backoff, transfer rescheduling.
+  consults when a site fires: backend re-dispatch + numpy fallback, halo
+  retry with backoff, transfer rescheduling.
 * :mod:`~repro.resilience.guards` — numerical watchdogs (NaN/Inf scans,
   invariant-drift limits, a CFL monitor) inside the stepping loop.
 * :mod:`~repro.resilience.checkpoint` — interval-based restart files with

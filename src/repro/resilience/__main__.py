@@ -11,15 +11,13 @@ to the fault-free run:
 
 1. ``engine.dispatch`` faults — one recovered by a same-backend retry, one
    by the counted ``numpy`` fallback;
-2. an ``engine.split.device`` failure mid-pattern — the survivor re-executes
-   the dead device's rows and the placement degrades to single-device;
-3. ``halo.exchange`` faults in the 2-rank decomposed run — bounded retries;
-4. ``hybrid.transfer`` faults in the simulated executor — rescheduled, the
+2. ``halo.exchange`` faults in the 2-rank decomposed run — bounded retries;
+3. ``hybrid.transfer`` faults in the simulated executor — rescheduled, the
    failed attempts occupying their PCIe channel (timeline still validates);
-5. the numerical watchdog — an unstable ``dt`` is caught by the CFL guard
+4. the numerical watchdog — an unstable ``dt`` is caught by the CFL guard
    and either halts with a diagnostic or rolls back to the auto-checkpoint
    with ``dt`` halving, per the configured policy;
-6. a durable run (level 3, a checkpoint every step) dies of an injected
+5. a durable run (level 3, a checkpoint every step) dies of an injected
    ``process.crash``, is resumed from its manifest, lands bitwise on the
    fault-free state, and every manifest digest matches its file.
 
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import ExitStack
 
 import numpy as np
 
@@ -57,9 +54,8 @@ def _base_config(mesh, case, **overrides):
     return SWConfig(**kwargs)
 
 
-def _run_model(level: int, steps: int, plan=None, placements=None, **overrides):
+def _run_model(level: int, steps: int, plan=None, **overrides):
     """Integrate the Galewsky jet; returns the final ``(h, u)``."""
-    from ..engine.split import use_placements
     from ..mesh.cache import cached_mesh
     from ..swm.galewsky import galewsky_jet
     from ..swm.model import ShallowWaterModel
@@ -68,11 +64,7 @@ def _run_model(level: int, steps: int, plan=None, placements=None, **overrides):
     case = galewsky_jet()
     model = ShallowWaterModel(mesh, _base_config(mesh, case, **overrides))
     model.initialize(case)
-    with ExitStack() as stack:
-        if placements is not None:
-            stack.enter_context(use_placements(placements))
-        if plan is not None:
-            stack.enter_context(use_fault_plan(plan))
+    with use_fault_plan(plan):  # None: fault-free
         model.run(steps=steps)
     return model.state.h.copy(), model.state.u.copy()
 
@@ -117,28 +109,6 @@ def _scenario_dispatch(level: int, reference) -> bool:
     return ok & _check(
         "  plan fired", plan.total_fires == 3, f"{plan.total_fires} fires"
     )
-
-
-def _scenario_split(level: int, reference) -> bool:
-    from ..hybrid.executor import Placement
-
-    plan = FaultPlan(
-        [
-            FaultSpec(
-                "engine.split.device", at=(2,), match={"device": "mic"}, max_fires=1
-            )
-        ],
-        seed=2,
-    )
-    got = _run_model(
-        level,
-        SELFTEST_STEPS,
-        plan=plan,
-        placements={"A1": Placement("split", 0.5)},
-    )
-    ok = _bitwise("split-device failure", got, reference)
-    degraded = _counter_total("resilience.split.degraded") > 0
-    return ok & _check("  degraded to survivor", degraded)
 
 
 def _scenario_halo(level: int) -> bool:
@@ -304,7 +274,6 @@ def _selftest(level: int) -> int:
         reference = _run_model(level, SELFTEST_STEPS)
 
         ok = _scenario_dispatch(level, reference)
-        ok &= _scenario_split(level, reference)
         ok &= _scenario_halo(level)
         ok &= _scenario_transfer()
         ok &= _scenario_watchdog(level)
@@ -316,7 +285,6 @@ def _selftest(level: int) -> int:
         injected = _counter_total("resilience.fault.injected")
         recovered = (
             _counter_total("resilience.recovery.")
-            + _counter_total("resilience.split.")
             + _counter_total("resilience.checkpoint.rollback")
         )
         ok &= _check(

@@ -12,10 +12,6 @@ Every place in the execution stack where hardware can fail is a named
 ``engine.dispatch``
     One backend kernel dispatch (:meth:`repro.engine.KernelRegistry.
     dispatch`), tagged ``op`` and ``backend``.
-``engine.split.device``
-    One device's share of a split execution (:func:`repro.engine.split.
-    run_split`), tagged ``op`` and ``device`` — the "MIC died mid-pattern"
-    scenario of degraded-mode recovery.
 ``halo.exchange``
     One halo exchange of the multi-rank runner
     (:class:`repro.parallel.runner.DecomposedShallowWater`), tagged
@@ -24,9 +20,8 @@ Every place in the execution stack where hardware can fail is a named
     One PCIe transfer of the simulated hybrid executor
     (:class:`repro.hybrid.executor.HybridExecutor`), tagged ``dst``.
 ``process.crash``
-    One integration step about to start (the serial run loop of
-    :meth:`repro.swm.model.ShallowWaterModel.run` and the durable
-    decomposed loop of :mod:`repro.resilience.durable`), tagged ``step``.
+    One integration step about to start in the one run loop,
+    :meth:`repro.swm.model.ShallowWaterModel.run`, tagged ``step``.
     The chaos site: with ``action="kill"`` the fire is not an exception
     but a real ``SIGKILL`` of the current process — the crash-consistency
     tests use it to die mid-integration and prove that resuming from the
@@ -68,7 +63,6 @@ __all__ = [
 #: Every fault site wired into the execution stack.
 KNOWN_SITES: tuple[str, ...] = (
     "engine.dispatch",
-    "engine.split.device",
     "halo.exchange",
     "hybrid.transfer",
     "process.crash",
@@ -111,7 +105,7 @@ class FaultSpec:
     match : dict
         Tag filters: the spec only considers calls whose tags contain every
         ``key: value`` pair (compared as strings), e.g.
-        ``{"device": "mic"}`` or ``{"op": "flux_divergence"}``.
+        ``{"ranks": 4}`` or ``{"op": "flux_divergence"}``.
     action : str
         What a fire does.  ``"raise"`` (default) raises
         :class:`FaultInjected` for the recovery layers to catch.

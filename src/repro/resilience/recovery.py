@@ -7,9 +7,6 @@ because the *mechanisms* live where the state lives:
   (:meth:`repro.engine.KernelRegistry.dispatch`).  A retry that succeeds is
   bitwise-invisible; a fallback changes backend (counted as
   ``resilience.recovery.fallback``) and is correct to backend tolerance.
-* split execution re-runs a failed device's rows on the survivor and
-  demotes the placement to single-device — degraded mode
-  (:func:`repro.engine.split.run_split`).
 * halo exchanges retry with exponential backoff, the simulated backoff
   seconds accounted into ``resilience.halo.backoff_s``
   (:class:`repro.parallel.runner.DecomposedShallowWater`).
@@ -47,9 +44,6 @@ class RecoveryPolicy:
     backend_fallback : bool
         After retries are exhausted, resolve the ``numpy`` implementation
         and run that (counted under ``resilience.recovery.fallback``).
-    split_degrade : bool
-        After a split-device failure, demote the placement to the surviving
-        device for subsequent dispatches (degraded mode).
     halo_retries : int
         Re-attempts of a faulted halo exchange before giving up.
     halo_backoff_s : float
@@ -62,7 +56,6 @@ class RecoveryPolicy:
 
     backend_retries: int = 1
     backend_fallback: bool = True
-    split_degrade: bool = True
     halo_retries: int = 2
     halo_backoff_s: float = 0.0
     transfer_retries: int = 2

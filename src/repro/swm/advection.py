@@ -123,7 +123,7 @@ def d2fdx2_raw(mesh: Mesh, h_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The fused C1,C2 sweep alone (no span): ``(d2fdx2_cell1, d2fdx2_cell2)``.
 
     Registered as the ``numpy`` implementation of the ``d2fdx2`` operator;
-    tuple-valued, so the split executor refuses to partition it.
+    tuple-valued, so it is marked ``no_split`` (no row cut partitions it).
     """
     coeffs = advection_coefficients(mesh)
     # One vectorized sweep evaluates both Table I instances (C1 and C2);

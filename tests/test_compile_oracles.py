@@ -9,6 +9,12 @@ icosahedral mesh, on a random SCVT (heptagons included) and on a rank-local
 index trick would break first) — because every compiled operator, golden
 file and decomposed-equals-serial guarantee downstream hangs off these
 arrays.
+
+The paper's adjustable host/device split (Fig. 4b) is simulated by
+:mod:`repro.hybrid`; its one numerical contract is checked here against the
+real CSR operators: a contiguous row cut of any registered pattern, each
+half computed from its owned inputs plus the reconciled boundary band,
+stitches bitwise to the unsplit result.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import default_registry, dispatch
+from repro.engine.sparse import sparse_operator
 from repro.geometry import lloyd_relax, normalize
 from repro.geometry.sphere import tangent_basis, tangent_plane_coords
 from repro.mesh import Mesh
@@ -25,15 +33,20 @@ from repro.swm.operators import plan_for
 from repro.swm.reconstruct import reconstruction_matrices
 
 
+@pytest.fixture(scope="module")
+def random_scvt():
+    rng = np.random.default_rng(23)
+    points = lloyd_relax(normalize(rng.standard_normal((120, 3))), iterations=60)
+    return Mesh.from_points(points.points, name="random120-23")
+
+
 @pytest.fixture(scope="module", params=["icos3", "random", "local"])
-def mesh(request, mesh3):
+def mesh(request, mesh3, random_scvt):
     if request.param == "icos3":
         return mesh3
     if request.param == "local":
         return build_local_mesh(mesh3, partition_cells(mesh3, 3), 1)
-    rng = np.random.default_rng(23)
-    points = lloyd_relax(normalize(rng.standard_normal((120, 3))), iterations=60)
-    return Mesh.from_points(points.points, name="random120-23")
+    return random_scvt
 
 
 def _reconstruction_matrices_loop(mesh) -> np.ndarray:
@@ -109,3 +122,75 @@ def test_advection_coefficients_equal_the_per_side_loop(mesh):
     cells, weights = _advection_coefficients_loop(mesh)
     assert np.array_equal(coeffs.cells, cells)
     assert np.array_equal(coeffs.weights, weights)
+
+
+# ------------------------------------------------ row cuts of every pattern
+#: Every registered operator a contiguous row cut partitions (13 of 14: the
+#: tuple-valued C1,C2 sweep is ``no_split``).
+SPLITTABLE_OPS = [
+    entry.op for entry in map(default_registry().op, default_registry().ops())
+    if entry.stencil is not None and not entry.no_split
+]
+
+#: Inputs per operator; all of the operator's input point type.
+_ARITY = {"flux_divergence": 2, "coriolis_edge_term": 3}
+
+
+@pytest.fixture(scope="module", params=["icos3", "random"])
+def cut_mesh(request, mesh3, random_scvt):
+    return mesh3 if request.param == "icos3" else random_scvt
+
+
+def _cut_rows(op: str, mesh, fields, rows: slice, n_out: int) -> np.ndarray:
+    """Output ``rows`` of ``op`` from the CSR operator's row slice alone."""
+    impl = default_registry().op(op).resolve("sparse")
+    m = sparse_operator(mesh, impl.matrix_op)
+    block = m.shape[0] // n_out  # 3 matrix rows per cell for the reconstruction
+    sub = m[rows.start * block : rows.stop * block]
+    if op == "coriolis_edge_term":
+        # B1 in CoriolisOp's order; each row reads only its own pv_edge.
+        u, h_edge, pv_edge = fields
+        flux = u * h_edge
+        out = sub @ flux
+        flux *= pv_edge
+        out *= pv_edge[rows]
+        out += sub @ flux
+        out *= 0.5
+        return out
+    y = sub @ (impl.pre(*fields) if impl.pre is not None else fields[0])
+    return impl.post(y) if impl.post is not None else y
+
+
+@pytest.mark.parametrize("op", SPLITTABLE_OPS)
+@pytest.mark.parametrize("fraction", [0.25, 0.37, 0.5, 0.8])
+def test_row_cut_stitches_bitwise(cut_mesh, fraction, op):
+    """Cut output and input points at ``floor(f * n)``; each half sees only
+    its own inputs plus the boundary band its gather table reaches across
+    the cut, everything else zero.  The two halves concatenate to exactly
+    the unsplit dispatch."""
+    entry = default_registry().op(op)
+    n_out = entry.output_point.count(cut_mesh)
+    n_in = entry.input_point.count(cut_mesh)
+    rng = np.random.default_rng(2015)
+    fields = [rng.standard_normal(n_in) for _ in range(_ARITY.get(op, 1))]
+    want = dispatch(op, cut_mesh, *fields, backend="sparse")
+
+    table = np.asarray(entry.stencil(cut_mesh))
+    cut_out, cut_in = int(fraction * n_out), int(fraction * n_in)
+    halves = []
+    for rows, owned in (
+        (slice(0, cut_out), slice(0, cut_in)),
+        (slice(cut_out, n_out), slice(cut_in, n_in)),
+    ):
+        gathered = table[rows]
+        needed = np.unique(gathered[gathered >= 0])
+        band = needed[(needed < owned.start) | (needed >= owned.stop)]
+        assert band.size > 0  # the cut crosses the mesh
+        local = []
+        for field in fields:
+            copy = np.zeros_like(field)
+            copy[owned] = field[owned]
+            copy[band] = field[band]
+            local.append(copy)
+        halves.append(_cut_rows(op, cut_mesh, local, rows, n_out))
+    assert np.array_equal(np.concatenate(halves), want)

@@ -1,10 +1,10 @@
-"""Tests of the execution engine: registry, split execution, layer consistency.
+"""Tests of the execution engine: registry and layer consistency.
 
 The engine is the one dispatch point for every stencil operator; these tests
-pin its contracts — registration semantics, backend completeness, the
+pin its contracts — registration semantics, backend completeness and the
 three-layer consistency between the data-flow builder / Table I catalog /
-registry, and the bitwise identity of split execution across two logical
-devices.
+registry.  The row-cut contract of the paper's host/device split is an
+oracle in ``tests/test_compile_oracles.py``.
 """
 
 from __future__ import annotations
@@ -13,17 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.engine import (
-    BACKENDS,
-    KernelRegistry,
-    default_registry,
-    dispatch,
-    use_placements,
-)
-from repro.hybrid.executor import Placement
+from repro.engine import BACKENDS, KernelRegistry, default_registry, dispatch
 from repro.obs.metrics import MetricsRegistry, use_registry
 
 
@@ -132,141 +124,6 @@ class TestLayerConsistency:
             entry = reg.op_for_label(label)
             for backend in BACKENDS:
                 assert callable(entry.resolve(backend))
-
-
-# Ops exercised by the split executor: (op, field point types).
-_SPLIT_OPS = [
-    ("flux_divergence", ("edge", "edge")),
-    ("kinetic_energy", ("edge",)),
-    ("cell_divergence", ("edge",)),
-    ("velocity_reconstruction", ("edge",)),
-    ("coriolis_edge_term", ("edge", "edge", "edge")),
-    ("tangential_velocity", ("edge",)),
-    ("cell_to_edge_mean", ("cell",)),
-    ("vertex_from_cells_kite", ("cell",)),
-    ("cell_from_vertices_kite", ("vertex",)),
-    ("vertex_to_edge_mean", ("vertex",)),
-    ("vertex_curl", ("edge",)),
-    ("edge_gradient_of_cell", ("cell",)),
-    ("edge_gradient_of_vertex", ("vertex",)),
-]
-
-
-def _fields(mesh, kinds, rng):
-    n = {"cell": mesh.nCells, "edge": mesh.nEdges, "vertex": mesh.nVertices}
-    return tuple(rng.standard_normal(n[kind]) for kind in kinds)
-
-
-class TestSplitExecution:
-    @pytest.mark.parametrize("op,kinds", _SPLIT_OPS, ids=[o for o, _ in _SPLIT_OPS])
-    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.8])
-    def test_bitwise_identical_to_unsplit(self, mesh3, rng, op, kinds, fraction):
-        fields = _fields(mesh3, kinds, rng)
-        label = default_registry().op(op).pattern or op
-        base = dispatch(op, mesh3, *fields)
-        with use_placements({label: Placement("split", fraction)}):
-            split = dispatch(op, mesh3, *fields)
-        assert np.array_equal(base, split)
-
-    def test_split_honours_backend(self, mesh3, rng):
-        u, h = _fields(mesh3, ("edge", "edge"), rng)
-        base = dispatch("flux_divergence", mesh3, u, h, backend="sparse")
-        with use_placements({"A1": Placement("split", 0.4)}):
-            split = dispatch("flux_divergence", mesh3, u, h, backend="sparse")
-        assert np.array_equal(base, split)
-
-    def test_band_points_counted(self, mesh3, rng):
-        (u,) = _fields(mesh3, ("edge",), rng)
-        metrics = MetricsRegistry()
-        with use_registry(metrics), use_placements({"A3": Placement("split", 0.5)}):
-            dispatch("cell_divergence", mesh3, u)
-        bands = metrics.series("engine.split.band_points")
-        assert {s.tags["device"] for s in bands} == {"cpu", "mic"}
-        # The cut crosses the mesh, so both devices need a nonempty band.
-        assert all(s.value > 0 for s in bands)
-        (gauge,) = metrics.series("engine.split.cpu_fraction")
-        assert gauge.value == 0.5
-
-    def test_no_split_operator_refuses(self, mesh3, rng):
-        h = rng.standard_normal(mesh3.nCells)
-        with use_placements({"C1": Placement("split", 0.5)}):
-            with pytest.raises(ValueError, match="does not support split"):
-                dispatch("d2fdx2", mesh3, h)
-
-    def test_single_device_placements_are_ignored(self, mesh3, rng):
-        (u,) = _fields(mesh3, ("edge",), rng)
-        base = dispatch("cell_divergence", mesh3, u)
-        with use_placements({"A3": Placement("cpu")}):
-            got = dispatch("cell_divergence", mesh3, u)
-        assert np.array_equal(base, got)
-
-    def test_placements_restored_after_context(self):
-        from repro.engine import active_placements
-
-        assert active_placements() == {}
-        with use_placements({"A1": Placement("split", 0.5)}):
-            assert "A1" in active_placements()
-        assert active_placements() == {}
-
-    def test_compute_tend_split_bitwise(self, mesh3):
-        """The acceptance check: compute_tend split across two logical
-        devices is bitwise identical to unsplit execution."""
-        from repro.constants import GRAVITY
-        from repro.swm.config import SWConfig
-        from repro.swm.galewsky import galewsky_jet
-        from repro.swm.model import suggested_dt
-        from repro.swm.testcases import initialize
-        from repro.swm.timestep import RK4Integrator
-
-        case = galewsky_jet()
-        config = SWConfig(
-            dt=suggested_dt(mesh3, case, GRAVITY), thickness_adv_order=4
-        )
-        state, b_cell = initialize(mesh3, case)
-        integ = RK4Integrator(
-            mesh3, config, b_cell, config.coriolis(mesh3.metrics.latVertex)
-        )
-        diag = integ.diagnostics_for(state)
-        compute_tend = default_registry().kernel("compute_tend")
-
-        tend_h, tend_u = compute_tend(mesh3, state, diag, b_cell, config)
-        placements = {
-            "A1": Placement("split", 0.37),
-            "B1": Placement("split", 0.37),
-        }
-        with use_placements(placements):
-            split_h, split_u = compute_tend(mesh3, state, diag, b_cell, config)
-        assert np.array_equal(tend_h, split_h)
-        assert np.array_equal(tend_u, split_u)
-
-    def test_full_step_under_split_diagnostics(self, mesh3):
-        """A whole RK-4 step with every splittable diagnostic pattern split
-        stays bitwise identical to the unsplit step."""
-        from repro.constants import GRAVITY
-        from repro.swm.config import SWConfig
-        from repro.swm.galewsky import galewsky_jet
-        from repro.swm.model import suggested_dt
-        from repro.swm.testcases import initialize
-        from repro.swm.timestep import RK4Integrator
-
-        case = galewsky_jet()
-        config = SWConfig(
-            dt=suggested_dt(mesh3, case, GRAVITY), thickness_adv_order=2
-        )
-        state, b_cell = initialize(mesh3, case)
-        integ = RK4Integrator(
-            mesh3, config, b_cell, config.coriolis(mesh3.metrics.latVertex)
-        )
-        diag = integ.diagnostics_for(state)
-        base = integ.step(state, diag)
-        placements = {
-            label: Placement("split", 0.61)
-            for label in ("A1", "A2", "A3", "A4", "B1", "B2", "D1", "E1", "F1", "G1", "H1")
-        }
-        with use_placements(placements):
-            split = integ.step(state, diag)
-        assert np.array_equal(base.state.h, split.state.h)
-        assert np.array_equal(base.state.u, split.state.u)
 
 
 class TestCLI:

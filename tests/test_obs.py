@@ -200,6 +200,53 @@ class TestMetrics:
         assert len(series) == n_series
         assert [s.value for s in series] == [float(n_threads)] * n_series
 
+    def test_timer_keeps_every_sample_across_threads(self):
+        """One thread observes a single extreme value while another hammers
+        small ones into the same timer: count, min and max stay exact.
+
+        The interleaving that loses a sample is pinned instead of waited
+        for: a profile hook stops the hammering thread once, right after it
+        has computed ``max`` and before it stores it, and lets the other
+        thread observe the extreme.  An unlocked read-modify-write then
+        writes the stale maximum back; a locked one keeps the other thread
+        out until the store (the hook's wait times out)."""
+        import sys
+        import threading
+
+        from repro.obs.metrics import Timer
+
+        timer = Timer("t", {})
+        n_small = 100
+        go, done = threading.Event(), threading.Event()
+
+        def pause_after_max(frame, event, arg):
+            if event == "c_return" and arg is max and timer.count > n_small // 2:
+                if not go.is_set():
+                    go.set()
+                    done.wait(timeout=0.2)
+
+        def hammer():
+            sys.setprofile(pause_after_max)
+            try:
+                for _ in range(n_small):
+                    timer.observe(1.0)
+            finally:
+                sys.setprofile(None)
+
+        def extreme():
+            go.wait(timeout=30)
+            timer.observe(1e9)
+            done.set()
+
+        threads = [threading.Thread(target=f) for f in (extreme, hammer)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert go.is_set(), "the hook never paused the hammering thread"
+        assert (timer.count, timer.min, timer.max) == (n_small + 1, 1.0, 1e9)
+
 
 # ---------------------------------------------------------- traced run content
 class TestInstrumentation:

@@ -10,9 +10,8 @@ Contracts pinned here:
   reconstruct) reproduces the unfused sparse backend bit for bit, per
   kernel on icosahedral and random SCVT meshes across the physics options,
   except where a linear chain composes (order-4 ``h_edge``, del4: within
-  1e-12); end-to-end over 10 Galewsky RK steps, serial, split and 4-rank
-  pool are bitwise equal to each other, and split placements run the
-  unfused per-op path bit for bit;
+  1e-12); end-to-end over 10 Galewsky RK steps, serial and 4-rank pool
+  are bitwise equal to each other;
 * the plan cache — per-mesh memoization keyed by the structure-affecting
   config fields (a dt change recompiles), composed matrices round-trip
   through the versioned disk archive and a version-stamp mismatch
@@ -34,7 +33,7 @@ from repro.dataflow.schedule import (
     single_consumer_vars,
     topological_order,
 )
-from repro.engine import default_registry, use_placements
+from repro.engine import default_registry
 from repro.engine.plan import (
     PLAN_CACHE_VERSION,
     PLAN_LOCAL_LABELS,
@@ -46,7 +45,6 @@ from repro.engine.plan import (
     unplanned_labels,
 )
 from repro.engine.sparse import clear_operator_memory_cache, operator_cache_path
-from repro.hybrid.executor import Placement
 from repro.swm.config import SWConfig
 from repro.swm.diagnostics import compute_solve_diagnostics
 from repro.swm.model import initialize
@@ -270,28 +268,23 @@ class TestKernelBitwise:
         with pytest.raises(FloatingPointError, match="unstable"):
             compute_solve_diagnostics(mesh3, bad, f_vertex, _cfg(plan=True))
 
-    def test_batched_state_under_split_placement_raises(self, mesh3):
-        """Batched states run only the plan, and the plan does not split:
-        a split placement is refused, not silently ignored."""
+    def test_batched_state_without_plan_raises(self, mesh3):
+        """Batched states run only the plan: the unfused per-op path refuses
+        them with the fix in the message, not a shape error."""
         state, b_cell, f_vertex = _galewsky_inputs(mesh3)
         block = State.stack([state, state])
-        cfg = _cfg(plan=True)
-        with use_placements({"A3": Placement("split", 0.5)}):
-            with pytest.raises(ValueError, match="split"):
-                compute_solve_diagnostics(mesh3, block, f_vertex, cfg)
-            with pytest.raises(ValueError, match="split"):
-                RK4Integrator(mesh3, cfg, b_cell, f_vertex).reconstruct(block.u)
-            # A serial state under the same placement takes the per-op path.
-            compute_solve_diagnostics(mesh3, state, f_vertex, cfg)
+        cfg = _cfg()
+        with pytest.raises(ValueError, match="plan=True"):
+            compute_solve_diagnostics(mesh3, block, f_vertex, cfg)
+        with pytest.raises(ValueError, match="plan=True"):
+            compute_tend(mesh3, block, None, b_cell, cfg)
+        with pytest.raises(ValueError, match="plan=True"):
+            RK4Integrator(mesh3, cfg, b_cell, f_vertex).reconstruct(block.u)
+        # The same config steps a serial state on the per-op path.
+        compute_solve_diagnostics(mesh3, state, f_vertex, cfg)
 
 
 # ---------------------------------------------------- end-to-end 10 steps
-SPLIT_EVERYWHERE = {
-    lab: Placement(device="split", cpu_fraction=0.43)
-    for lab in ("A1", "A2", "A3", "A4", "B1", "B2", "D1", "E1", "F1", "G1", "H1")
-}
-
-
 class TestAcceptanceRun:
     """10 Galewsky RK steps: plan bitwise == unfused sparse in all modes
     where nothing composes; with composition, serial == lockstep == pool
@@ -324,12 +317,6 @@ class TestAcceptanceRun:
         assert np.array_equal(result.state.h, galewsky_states["h"])
         assert np.array_equal(result.state.u, galewsky_states["u"])
 
-    def test_split_bitwise(self, mesh3, galewsky_states):
-        with use_placements(SPLIT_EVERYWHERE):
-            result = self._run(mesh3, galewsky_states["dt"])
-        assert np.array_equal(result.state.h, galewsky_states["h"])
-        assert np.array_equal(result.state.u, galewsky_states["u"])
-
     def test_pool_bitwise(self, mesh3, galewsky_states):
         result = self._run(
             mesh3, galewsky_states["dt"], parallel="pool", ranks=4
@@ -351,14 +338,6 @@ class TestAcceptanceRun:
         unfused = self._run(mesh3, dt, plan=False, **self.COMPOSED)
         _assert_close(unfused.state.h, serial.state.h, 1e-12, "h")
         _assert_close(unfused.state.u, serial.state.u, 1e-12, "u")
-
-    def test_composed_split_runs_unfused_bitwise(self, mesh3, galewsky_states):
-        dt = galewsky_states["dt"]
-        unfused = self._run(mesh3, dt, plan=False, **self.COMPOSED)
-        with use_placements(SPLIT_EVERYWHERE):
-            split = self._run(mesh3, dt, **self.COMPOSED)
-        assert np.array_equal(split.state.h, unfused.state.h)
-        assert np.array_equal(split.state.u, unfused.state.u)
 
     def test_composed_random_scvt_decomposition_bitwise(self):
         from repro.geometry import lloyd_relax, normalize

@@ -18,10 +18,8 @@ import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
-from repro.engine import default_registry, dispatch, use_placements
+from repro.engine import dispatch
 from repro.engine.registry import KernelRegistry
-from repro.engine.split import active_placements, run_split
-from repro.hybrid.executor import Placement
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.resilience import (
     FaultInjected,
@@ -110,14 +108,12 @@ class TestFaultPlan:
         assert fired == 2 and plan.total_fires == 2
 
     def test_match_filters_tags(self):
-        plan = FaultPlan(
-            [FaultSpec("engine.split.device", at=(1,), match={"device": "mic"})]
-        )
-        plan.check("engine.split.device", device="cpu")  # no match, no count
+        plan = FaultPlan([FaultSpec("halo.exchange", at=(1,), match={"ranks": 4})])
+        plan.check("halo.exchange", ranks=2)  # no match, no count
         with pytest.raises(FaultInjected) as exc:
-            plan.check("engine.split.device", device="mic")
-        assert exc.value.site == "engine.split.device"
-        assert exc.value.tags == {"device": "mic"}
+            plan.check("halo.exchange", ranks=4)
+        assert exc.value.site == "halo.exchange"
+        assert exc.value.tags == {"ranks": 4}
 
     def test_reset_rewinds(self):
         plan = FaultPlan([FaultSpec("halo.exchange", at=(1,), max_fires=1)])
@@ -205,84 +201,6 @@ class TestDispatchRecovery:
         assert plan.total_fires >= 1
         assert np.array_equal(ref.state.h, faulted.state.h)
         assert np.array_equal(ref.state.u, faulted.state.u)
-
-
-# -------------------------------------------------------------- split recovery
-class TestSplitRecovery:
-    def test_device_failure_redone_bitwise_and_degraded(self, mesh3, edge_field):
-        base = dispatch("cell_divergence", mesh3, edge_field)
-        plan = FaultPlan(
-            [FaultSpec("engine.split.device", at=(1,), match={"device": "mic"},
-                       max_fires=1)]
-        )
-        metrics = MetricsRegistry()
-        placement = Placement("split", 0.5)
-        with use_registry(metrics), use_placements({"A3": placement}):
-            with use_fault_plan(plan):
-                got = dispatch("cell_divergence", mesh3, edge_field)
-            # Degraded mode: the label now routes to the survivor alone.
-            demoted = active_placements()["A3"]
-            assert demoted.device == "cpu"
-            again = dispatch("cell_divergence", mesh3, edge_field)
-        assert np.array_equal(base, got)
-        assert np.array_equal(base, again)
-        (degraded,) = metrics.series("resilience.split.degraded")
-        assert degraded.value == 1
-        assert metrics.series("resilience.split.redo")
-        # Leaving the block restores the pre-degradation routing.
-        assert active_placements() == {}
-
-    def test_both_devices_failing_is_unrecoverable(self, mesh3, edge_field):
-        plan = FaultPlan(
-            [FaultSpec("engine.split.device", probability=1.0, max_fires=2)]
-        )
-        with use_placements({"A3": Placement("split", 0.5)}), use_fault_plan(plan):
-            with pytest.raises(FaultInjected):
-                dispatch("cell_divergence", mesh3, edge_field)
-
-    def test_degrade_disabled_propagates(self, mesh3, edge_field):
-        plan = FaultPlan(
-            [FaultSpec("engine.split.device", at=(1,), match={"device": "cpu"})]
-        )
-        policy = RecoveryPolicy(split_degrade=False)
-        with use_placements({"A3": Placement("split", 0.5)}):
-            with use_fault_plan(plan), use_recovery_policy(policy):
-                with pytest.raises(FaultInjected):
-                    dispatch("cell_divergence", mesh3, edge_field)
-
-    def test_active_placements_returns_copy(self):
-        with use_placements({"A1": Placement("split", 0.5)}):
-            snapshot = active_placements()
-            snapshot.clear()
-            snapshot["A9"] = Placement("cpu")
-            assert set(active_placements()) == {"A1"}
-
-    def test_degenerate_single_output_runs_unsplit(self, mesh3):
-        from repro.engine.registry import OpEntry
-
-        class _Points:
-            def __init__(self, n):
-                self.n = n
-
-            def count(self, mesh):
-                return self.n
-
-        calls = []
-
-        def fn(mesh, x):
-            calls.append(1)
-            return np.array([x.sum()])
-
-        entry = OpEntry(
-            op="scalar_sum",
-            input_point=_Points(5),
-            output_point=_Points(1),
-            stencil=lambda mesh: np.arange(5)[None, :],
-        )
-        x = np.arange(5.0)
-        out = run_split(entry, fn, "numpy", None, (x,), Placement("split", 0.5))
-        assert np.array_equal(out, np.array([10.0]))
-        assert len(calls) == 1  # one unsplit execution, not two empty shares
 
 
 # --------------------------------------------------------------- halo recovery

@@ -1,4 +1,4 @@
-"""The sparse backend: compiled CSR operators, the operator cache, split/pool.
+"""The sparse backend: compiled CSR operators, the operator cache, pool.
 
 Contracts pinned here:
 
@@ -10,13 +10,12 @@ Contracts pinned here:
   recompile (and restamp) instead of loading, and meshes without a
   persistent disk identity never write operator files;
 * decomposition stability — each compiled row sums in lane order, so owned
-  rows of a rank-local mesh are bitwise identical to the global rows, and a
-  split dispatch is bitwise identical to the unsplit one;
+  rows of a rank-local mesh are bitwise identical to the global rows (a row
+  cut of every pattern is an oracle in test_compile_oracles.py);
 * the acceptance run — a 10-step Galewsky integration under ``sparse``
-  agrees with ``numpy`` to <= 1e-12 serially, and split execution of every
-  splittable pattern reproduces the serial sparse states bitwise.  (The
-  4-rank pool leg lives in test_public_api.py's bitwise pool test, now
-  parametrized over ``sparse``.)
+  agrees with ``numpy`` to <= 1e-12 serially.  (The 4-rank pool leg lives
+  in test_public_api.py's bitwise pool test, now parametrized over
+  ``sparse``.)
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import default_registry, dispatch, use_placements
+from repro.engine import default_registry, dispatch
 from repro.engine.sparse import (
     OPERATOR_CACHE_VERSION,
     classify_op,
@@ -33,25 +32,24 @@ from repro.engine.sparse import (
     operator_cache_path,
     sparse_operator,
 )
-from repro.hybrid.executor import Placement
 from repro.obs.metrics import MetricsRegistry, use_registry
 
-# (op, Table I label, input point kinds) for every sparse-registered op.
+# (op, input point kinds) for every sparse-registered op.
 _SPARSE_OPS = [
-    ("flux_divergence", "A1", ("edge", "edge")),
-    ("kinetic_energy", "A2", ("edge",)),
-    ("cell_divergence", "A3", ("edge",)),
-    ("velocity_reconstruction", "A4", ("edge",)),
-    ("coriolis_edge_term", "B1", ("edge", "edge", "edge")),
-    ("tangential_velocity", "B2", ("edge",)),
-    ("cell_to_edge_mean", "D1", ("cell",)),
-    ("vertex_from_cells_kite", "E1", ("cell",)),
-    ("cell_from_vertices_kite", "F1", ("vertex",)),
-    ("vertex_to_edge_mean", "G1", ("vertex",)),
-    ("vertex_curl", "H1", ("edge",)),
-    ("edge_gradient_of_cell", None, ("cell",)),
-    ("edge_gradient_of_vertex", None, ("vertex",)),
-    ("d2fdx2", "C1,C2", ("cell",)),
+    ("flux_divergence", ("edge", "edge")),
+    ("kinetic_energy", ("edge",)),
+    ("cell_divergence", ("edge",)),
+    ("velocity_reconstruction", ("edge",)),
+    ("coriolis_edge_term", ("edge", "edge", "edge")),
+    ("tangential_velocity", ("edge",)),
+    ("cell_to_edge_mean", ("cell",)),
+    ("vertex_from_cells_kite", ("cell",)),
+    ("cell_from_vertices_kite", ("vertex",)),
+    ("vertex_to_edge_mean", ("vertex",)),
+    ("vertex_curl", ("edge",)),
+    ("edge_gradient_of_cell", ("cell",)),
+    ("edge_gradient_of_vertex", ("vertex",)),
+    ("d2fdx2", ("cell",)),
 ]
 
 
@@ -78,7 +76,7 @@ class TestClassification:
     def test_classification_matches_registrations(self):
         reg = default_registry()
         assert reg.ops("sparse") == reg.ops()
-        assert sorted(op for op, _, _ in _SPARSE_OPS) == reg.ops()
+        assert sorted(op for op, _ in _SPARSE_OPS) == reg.ops()
 
     def test_bilinear_ops_are_pre(self):
         assert classify_op("flux_divergence") == "pre"
@@ -217,9 +215,9 @@ class TestOperatorCache:
 
 class TestDecompositionStability:
     @pytest.mark.parametrize(
-        "op,label,kinds", _SPARSE_OPS, ids=[o for o, _, _ in _SPARSE_OPS]
+        "op,kinds", _SPARSE_OPS, ids=[o for o, _ in _SPARSE_OPS]
     )
-    def test_owned_rows_bitwise_on_local_mesh(self, mesh3, rng, op, label, kinds):
+    def test_owned_rows_bitwise_on_local_mesh(self, mesh3, rng, op, kinds):
         """Lane-ordered CSR rows make local owned rows bitwise == global."""
         from repro.parallel.halo import build_local_mesh
         from repro.parallel.partition import partition_cells
@@ -257,23 +255,9 @@ class TestDecompositionStability:
                 np.asarray(ga)[gmap[:n_owned]], np.asarray(la)[:n_owned]
             )
 
-    @pytest.mark.parametrize(
-        "op,label,kinds",
-        [(o, lab, k) for o, lab, k in _SPARSE_OPS if lab not in (None, "C1,C2")],
-        ids=[o for o, lab, _ in _SPARSE_OPS if lab not in (None, "C1,C2")],
-    )
-    def test_split_dispatch_bitwise(self, mesh3, rng, op, label, kinds):
-        """CSR row slicing keeps split execution bitwise == unsplit."""
-        fields = _fields(mesh3, kinds, rng)
-        want = np.asarray(dispatch(op, mesh3, *fields, backend="sparse"))
-        placement = Placement(device="split", cpu_fraction=0.37)
-        with use_placements({label: placement}):
-            got = np.asarray(dispatch(op, mesh3, *fields, backend="sparse"))
-        assert np.array_equal(got, want)
-
 
 class TestAcceptanceRun:
-    """10 Galewsky RK steps: sparse vs numpy <= 1e-12; split bitwise."""
+    """10 Galewsky RK steps: sparse vs numpy <= 1e-12."""
 
     @pytest.fixture(scope="class")
     def galewsky_states(self, mesh3):
@@ -288,7 +272,6 @@ class TestAcceptanceRun:
                 config=api.SWConfig(dt=dt, backend=backend), steps=10,
             )
             out[backend] = (result.state.h, result.state.u)
-        out["dt"] = dt
         return out
 
     def test_serial_agrees_with_numpy(self, galewsky_states):
@@ -296,21 +279,3 @@ class TestAcceptanceRun:
         h, u = galewsky_states["sparse"]
         assert np.max(np.abs(h - h_ref)) / np.max(np.abs(h_ref)) <= 1e-12
         assert np.max(np.abs(u - u_ref)) / np.max(np.abs(u_ref)) <= 1e-12
-
-    def test_split_run_bitwise_equals_serial(self, mesh3, galewsky_states):
-        from repro import api
-
-        case = api.resolve_case("galewsky")
-        labels = [lab for _, lab, _ in _SPARSE_OPS if lab not in (None, "C1,C2")]
-        placements = {
-            lab: Placement(device="split", cpu_fraction=0.43) for lab in labels
-        }
-        with use_placements(placements):
-            result = api.run(
-                case, mesh=mesh3,
-                config=api.SWConfig(dt=galewsky_states["dt"], backend="sparse"),
-                steps=10,
-            )
-        h_ref, u_ref = galewsky_states["sparse"]
-        assert np.array_equal(result.state.h, h_ref)
-        assert np.array_equal(result.state.u, u_ref)
