@@ -8,8 +8,6 @@ the critical path.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .graph import DataFlowGraph
 
 __all__ = [
@@ -30,9 +28,8 @@ def topological_levels(dfg: DataFlowGraph) -> dict[str, int]:
     that all previous levels completed.
     """
     levels: dict[str, int] = {}
-    for node in nx.topological_sort(dfg.graph):
-        data = dfg.graph.nodes[node]
-        if data["kind"] == "source":
+    for node in dfg.topological_sort():
+        if dfg.nodes[node]["kind"] == "source":
             levels[node] = -1
             continue
         preds = dfg.predecessors_compute(node)
@@ -61,7 +58,7 @@ def critical_path(
     """
 
     def node_cost(n: str) -> float:
-        if dfg.graph.nodes[n]["kind"] == "source":
+        if dfg.nodes[n]["kind"] == "source":
             return 0.0
         if cost is None:
             return 1.0
@@ -69,20 +66,15 @@ def critical_path(
 
     dist: dict[str, float] = {}
     best_pred: dict[str, str | None] = {}
-    for node in nx.topological_sort(dfg.graph):
-        preds = list(dfg.graph.predecessors(node))
-        if preds:
-            p = max(preds, key=lambda q: dist[q])
-            dist[node] = dist[p] + node_cost(node)
-            best_pred[node] = p
-        else:
-            dist[node] = node_cost(node)
-            best_pred[node] = None
+    for node in dfg.topological_sort():
+        p = max(dfg.pred[node], key=dist.__getitem__, default=None)
+        dist[node] = (0.0 if p is None else dist[p]) + node_cost(node)
+        best_pred[node] = p
     end = max(dist, key=lambda n: dist[n])
     path = []
     cur: str | None = end
     while cur is not None:
-        if dfg.graph.nodes[cur]["kind"] != "source":
+        if dfg.nodes[cur]["kind"] != "source":
             path.append(cur)
         cur = best_pred[cur]
     return dist[end], path[::-1]
@@ -122,24 +114,13 @@ def sync_point_usage(dfg: DataFlowGraph) -> dict[str, dict[str, dict]]:
     usage: dict[str, dict[str, dict]] = {}
     for node in dfg.halo_nodes():
         per_var: dict[str, dict] = {}
-        for var in dfg.graph.nodes[node]["variables"]:
-            producer = next(
-                (
-                    a
-                    for a, _, d in dfg.graph.in_edges(node, data=True)
-                    if d.get("variable") == var
-                ),
-                None,
-            )
-            kind = dfg.graph.nodes[producer]["kind"] if producer else "source"
-            readers = tuple(
-                sorted(
-                    b
-                    for _, b, d in dfg.graph.out_edges(node, data=True)
-                    if d.get("variable") == var
-                    and dfg.graph.nodes[b]["kind"] == "compute"
-                )
-            )
+        for var in dfg.nodes[node]["variables"]:
+            producer = next((a for a, v in dfg.pred[node].items() if v == var), None)
+            kind = dfg.nodes[producer]["kind"] if producer else "source"
+            readers = tuple(sorted(
+                b for b, v in dfg.succ[node].items()
+                if v == var and dfg.nodes[b]["kind"] == "compute"
+            ))
             per_var[var] = {
                 "producer": producer,
                 "dirty": kind == "compute",
@@ -158,7 +139,6 @@ def independent_sets(dfg: DataFlowGraph, nodes: list[str]) -> bool:
     """
     node_set = set(nodes)
     for n in nodes:
-        reachable = nx.descendants(dfg.graph, n)
-        if reachable & node_set:
+        if dfg.descendants(n) & node_set:
             return False
     return True

@@ -96,9 +96,15 @@ def _append_stage(
             dfg.add_halo_exchange(f"post@s{stage}", _PROVIS_VARS)
 
 
-def _add_sources(dfg: DataFlowGraph) -> None:
+def _build(config: SWConfig | None, stages, with_halo: bool) -> DataFlowGraph:
+    grouped = instances_by_kernel(build_catalog(config))
+    dfg = DataFlowGraph()
     for var in _STATE_VARS + _ACC_VARS + _PROVIS_VARS + _DIAG_VARS:
         dfg.add_source(var)
+    for stage in stages:
+        _append_stage(dfg, grouped, stage, with_halo)
+    dfg.validate()
+    return dfg
 
 
 def build_stage_graph(
@@ -107,24 +113,11 @@ def build_stage_graph(
     with_halo: bool = True,
 ) -> DataFlowGraph:
     """Data-flow diagram of a single RK substage."""
-    catalog = build_catalog(config)
-    grouped = instances_by_kernel(catalog)
-    dfg = DataFlowGraph()
-    _add_sources(dfg)
-    _append_stage(dfg, grouped, stage, with_halo)
-    dfg.validate()
-    return dfg
+    return _build(config, (stage,), with_halo)
 
 
 def build_step_graph(
     config: SWConfig | None = None, with_halo: bool = True
 ) -> DataFlowGraph:
     """Data-flow diagram of one full RK-4 step (all four substages)."""
-    catalog = build_catalog(config)
-    grouped = instances_by_kernel(catalog)
-    dfg = DataFlowGraph()
-    _add_sources(dfg)
-    for stage in (1, 2, 3, 4):
-        _append_stage(dfg, grouped, stage, with_halo)
-    dfg.validate()
-    return dfg
+    return _build(config, (1, 2, 3, 4), with_halo)

@@ -3,7 +3,7 @@
 Section III-B: "the identified patterns are used as building blocks to
 compose a data-flow diagram ... organized like a circuit diagram, with the
 data flow being the electric current and the computation patterns being the
-circuit components".  Here the diagram is a :class:`networkx.DiGraph` whose
+circuit components".  Here the diagram is a small directed graph whose
 nodes are pattern-instance occurrences and whose edges carry the variable
 that flows between them.
 
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..patterns.catalog import PatternInstance
 
 __all__ = ["DataFlowGraph", "HALO_NODE_PREFIX", "SOURCE_PREFIX"]
@@ -35,25 +33,43 @@ class DataFlowGraph:
 
     Attributes
     ----------
-    graph : networkx.DiGraph
-        Node names are instance occurrence ids (e.g. ``"s1:B1"``), source
-        names (``"in:h"``) or halo-exchange names (``"halo:provis_u@s2"``).
-        Compute nodes carry their :class:`PatternInstance` in the
-        ``instance`` attribute; edges carry ``variable``.
+    nodes : dict of str -> dict
+        Every node's attributes, in insertion order.  Node names are
+        instance occurrence ids (e.g. ``"s1:B1"``), source names (``"in:h"``)
+        or halo-exchange names (``"halo:provis_u@s2"``); ``kind`` is
+        ``"compute"`` (carrying its :class:`PatternInstance` as
+        ``instance``), ``"source"`` or ``"halo"``.
+    succ, pred : dict of str -> dict of str -> str
+        Successors and predecessors: ``succ[a][b] == pred[b][a]`` is the
+        variable edge ``a -> b`` carries (the last one wired when two
+        variables flow between one pair).
     order : list of str
         Compute nodes in program order.
     """
 
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    nodes: dict[str, dict] = field(default_factory=dict)
+    succ: dict[str, dict[str, str | None]] = field(default_factory=dict)
+    pred: dict[str, dict[str, str | None]] = field(default_factory=dict)
     order: list[str] = field(default_factory=list)
     _producers: dict[str, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------- building
+    def _add_node(self, node: str, **attrs) -> None:
+        self.nodes.setdefault(node, {}).update(attrs)
+        self.succ.setdefault(node, {})
+        self.pred.setdefault(node, {})
+
+    def add_edge(self, a: str, b: str, variable: str | None = None) -> None:
+        """Wire ``a -> b`` carrying ``variable``, adding either node if new."""
+        self._add_node(a)
+        self._add_node(b)
+        self.succ[a][b] = self.pred[b][a] = variable
+
     def add_source(self, variable: str) -> str:
         """Declare a stage-input variable (available before the stage runs)."""
         node = f"{SOURCE_PREFIX}{variable}"
-        if node not in self.graph:
-            self.graph.add_node(node, kind="source", variable=variable)
+        if node not in self.nodes:
+            self._add_node(node, kind="source", variable=variable)
         self._producers[variable] = node
         return node
 
@@ -65,62 +81,92 @@ class DataFlowGraph:
         depends on the exchange, exactly like the red-arrow nodes of Fig. 4.
         """
         node = f"{HALO_NODE_PREFIX}{name}"
-        self.graph.add_node(node, kind="halo", variables=variables)
+        self._add_node(node, kind="halo", variables=variables)
         for var in variables:
-            producer = self._producers.get(var)
-            if producer is None:
-                producer = self.add_source(var)
-            self.graph.add_edge(producer, node, variable=var)
+            producer = self._producers.get(var) or self.add_source(var)
+            self.add_edge(producer, node, var)
             self._producers[var] = node
         return node
 
     def add_instance(self, occurrence: str, instance: PatternInstance) -> str:
         """Append a pattern instance in program order, wiring its reads."""
-        if occurrence in self.graph:
+        if occurrence in self.nodes:
             raise ValueError(f"duplicate occurrence id {occurrence}")
-        self.graph.add_node(occurrence, kind="compute", instance=instance)
+        self._add_node(occurrence, kind="compute", instance=instance)
         self.order.append(occurrence)
         for var in instance.inputs:
-            producer = self._producers.get(var)
-            if producer is None:
-                producer = self.add_source(var)
+            producer = self._producers.get(var) or self.add_source(var)
             # Self-update (e.g. X1 reading tend_u it will overwrite) wires to
             # the previous producer, which the dict still holds at this point.
-            self.graph.add_edge(producer, occurrence, variable=var)
+            self.add_edge(producer, occurrence, var)
         for var in instance.outputs:
             self._producers[var] = occurrence
         return occurrence
 
     # -------------------------------------------------------------- queries
     def compute_nodes(self) -> list[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d["kind"] == "compute"]
+        return [n for n, d in self.nodes.items() if d["kind"] == "compute"]
 
     def halo_nodes(self) -> list[str]:
-        return [n for n, d in self.graph.nodes(data=True) if d["kind"] == "halo"]
+        return [n for n, d in self.nodes.items() if d["kind"] == "halo"]
 
     def instance(self, node: str) -> PatternInstance:
-        data = self.graph.nodes[node]
+        data = self.nodes[node]
         if data["kind"] != "compute":
             raise KeyError(f"{node} is not a compute node")
         return data["instance"]
 
-    def producer_of(self, variable: str) -> str | None:
-        """Final producer of a variable after the whole graph ran."""
-        return self._producers.get(variable)
+    def edges(self) -> list[tuple[str, str, str | None]]:
+        """``(a, b, variable)`` of every edge, in insertion order."""
+        return [(a, b, var) for a, out in self.succ.items() for b, var in out.items()]
+
+    def ancestors(self, node: str) -> set[str]:
+        return self._reach(node, self.pred)
+
+    def descendants(self, node: str) -> set[str]:
+        return self._reach(node, self.succ)
+
+    @staticmethod
+    def _reach(node: str, adjacency: dict[str, dict]) -> set[str]:
+        seen, stack = {node}, [node]
+        while stack:
+            for nbr in adjacency[stack.pop()]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        return seen - {node}
+
+    def topological_sort(self) -> list[str]:
+        """Kahn's order one generation at a time, ties in insertion order.
+
+        This is ``networkx.topological_sort``'s order exactly: the
+        simulated executor schedules greedily in this order, so another
+        valid order would change the Fig. 4b / 7 timelines.
+        """
+        indegree = {n: len(p) for n, p in self.pred.items()}
+        generation = [n for n, d in indegree.items() if d == 0]
+        out: list[str] = []
+        while generation:
+            out += generation
+            ready = []
+            for node in generation:
+                for child in self.succ[node]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        ready.append(child)
+            generation = ready
+        if len(out) < len(self.nodes):
+            stuck = sorted(n for n, d in indegree.items() if d)
+            raise ValueError(f"data-flow diagram has a cycle through {stuck}")
+        return out
 
     def validate(self) -> None:
         """The diagram must be acyclic (it encodes one pass of Algorithm 1)."""
-        if not nx.is_directed_acyclic_graph(self.graph):
-            cycle = nx.find_cycle(self.graph)
-            raise ValueError(f"data-flow diagram has a cycle: {cycle}")
+        self.topological_sort()
 
     def predecessors_compute(self, node: str) -> list[str]:
         """Compute/halo predecessors (skipping source nodes)."""
-        return [
-            p
-            for p in self.graph.predecessors(node)
-            if self.graph.nodes[p]["kind"] != "source"
-        ]
+        return [p for p in self.pred[node] if self.nodes[p]["kind"] != "source"]
 
     def to_dot(self, include_sources: bool = False) -> str:
         """Render the diagram as Graphviz DOT (the Figure 4 artwork).
@@ -160,14 +206,13 @@ class DataFlowGraph:
                 f'  "{node}" [label="Exchange halo", shape=octagon, color=red];'
             )
         if include_sources:
-            for n, d in sorted(self.graph.nodes(data=True)):
+            for n, d in sorted(self.nodes.items()):
                 if d["kind"] == "source":
                     lines.append(f'  "{n}" [label="{d["variable"]}", shape=plaintext];')
-        edges = []
-        for a, b, data in self.graph.edges(data=True):
-            if not include_sources and self.graph.nodes[a]["kind"] == "source":
-                continue
-            edges.append((a, b, data.get("variable", "")))
+        edges = [
+            (a, b, var or "") for a, b, var in self.edges()
+            if include_sources or self.nodes[a]["kind"] != "source"
+        ]
         for a, b, var in sorted(edges):
             lines.append(f'  "{a}" -> "{b}" [label="{var}", fontsize=8];')
         lines.append("}")

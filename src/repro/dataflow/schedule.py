@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..swm.config import SWConfig
 from .build import build_stage_graph
 from .graph import DataFlowGraph
@@ -54,7 +52,7 @@ def topological_order(dfg: DataFlowGraph) -> list[str]:
     builder and the implementation disagree about Algorithm 1.
     """
     position = {node: i for i, node in enumerate(dfg.order)}
-    for a, b in dfg.graph.edges():
+    for a, b, _ in dfg.edges():
         if a in position and b in position and position[a] >= position[b]:
             raise ValueError(
                 f"program order is not topological: {a!r} -> {b!r} goes backwards"
@@ -97,14 +95,6 @@ class SubstepSchedule:
         return [self.graph.instance(n).label for n in self.nodes()]
 
 
-def _halo_ancestors(dfg: DataFlowGraph, node: str) -> tuple[str, ...]:
-    halos = [
-        a for a in nx.ancestors(dfg.graph, node)
-        if dfg.graph.nodes[a]["kind"] == "halo"
-    ]
-    return tuple(sorted(halos))
-
-
 def schedule_substep(
     config: SWConfig | None = None,
     stage: int = 1,
@@ -121,7 +111,9 @@ def schedule_substep(
     segments: list[tuple[tuple[str, ...], list[str]]] = []
     by_barriers: dict[tuple[str, ...], list[str]] = {}
     for node in order:
-        barriers = _halo_ancestors(dfg, node)
+        barriers = tuple(sorted(
+            a for a in dfg.ancestors(node) if dfg.nodes[a]["kind"] == "halo"
+        ))
         nodes = by_barriers.get(barriers)
         if nodes is None:
             nodes = []
@@ -336,8 +328,7 @@ def variable_liveness(dfg: DataFlowGraph) -> dict[str, tuple[str | None, str]]:
     """
     position = {node: i for i, node in enumerate(dfg.order)}
     live: dict[str, tuple[str | None, str]] = {}
-    for a, b, data in dfg.graph.edges(data=True):
-        var = data.get("variable")
+    for a, b, var in dfg.edges():
         if var is None or b not in position:
             continue
         producer = a if a in position else None
@@ -368,8 +359,7 @@ def single_consumer_vars(
     """
     consumers: dict[str, set[str]] = {}
     compute = set(dfg.order)
-    for a, b, data in dfg.graph.edges(data=True):
-        var = data.get("variable")
+    for a, b, var in dfg.edges():
         if var is None:
             continue
         if b in compute:

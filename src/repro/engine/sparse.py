@@ -352,11 +352,12 @@ def _read_archive(path: Path, stamps: dict, kind: str) -> sp.csr_matrix | None:
 
 
 def _write_archive(path: Path, stamps: dict, m: sp.csr_matrix) -> None:
-    """The one writer of the ``.npz`` format.  Each writer publishes from a
-    temporary name of its own (pid + thread id): two writers of one entry
-    built equal matrices, and the last rename wins."""
+    """The one writer of the ``.npz`` format, stored, not deflated (float64
+    does not deflate).  Each writer publishes from a temporary name of its
+    own (pid + thread id): two writers of one entry built equal matrices,
+    and the last rename wins."""
     tmp = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp.npz")
-    np.savez_compressed(
+    np.savez(
         tmp,
         data=m.data,
         indices=m.indices,

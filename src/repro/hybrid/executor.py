@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from ..dataflow.graph import DataFlowGraph
 from ..machine.interconnect import TransferModel
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -116,7 +114,7 @@ class Timeline:
                 key = t.name.split("[")[0]
                 starts[key] = min(starts.get(key, float("inf")), t.start)
         for node, finish in self.node_finish.items():
-            for succ in dfg.graph.successors(node):
+            for succ in dfg.succ[node]:
                 if succ in starts and starts[succ] < self.node_finish[node] - 1e-12:
                     # Direct value flow may be satisfied by a partial result
                     # only for split->split chains; those are checked by the
@@ -366,17 +364,15 @@ class HybridExecutor:
                 split_fraction=f, split_ready={"cpu": t_cpu, "mic": t_mic}
             )
 
-        for node in nx.topological_sort(dfg.graph):
-            data = dfg.graph.nodes[node]
+        for node in dfg.topological_sort():
+            data = dfg.nodes[node]
             kind = data["kind"]
             if kind == "source":
-                for _, _, edata in dfg.graph.out_edges(node, data=True):
-                    residency(edata["variable"])
+                for var in dfg.succ[node].values():
+                    residency(var)
                 continue
 
-            in_vars = sorted(
-                {e["variable"] for _, _, e in dfg.graph.in_edges(node, data=True)}
-            )
+            in_vars = sorted(set(dfg.pred[node].values()))
 
             if kind == "halo":
                 deps = [need_full(v, "cpu", ) for v in in_vars]

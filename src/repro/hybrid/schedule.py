@@ -143,11 +143,8 @@ def pattern_level_assignment(
         # Single-device candidates.
         candidates: list[tuple[float, Placement, dict[str, float]]] = []
         for dev in ("cpu", "mic"):
-            start = max(avail[dev], ready)
-            end = start + times[node][dev]
-            new_avail = dict(avail)
-            new_avail[dev] = end
-            candidates.append((end, Placement(dev), new_avail))
+            end = max(avail[dev], ready) + times[node][dev]
+            candidates.append((end, Placement(dev), {**avail, dev: end}))
         best_end, best_placement, best_avail = min(candidates, key=lambda c: c[0])
 
         if allow_splits and inst.splittable:

@@ -87,10 +87,6 @@ def decompose(total_cells: int, n_procs: int, halo_layers: int = 2) -> LocalProb
     return LocalProblem(owned_cells=owned, halo_cells=int(math.ceil(ring * halo_layers)))
 
 
-def _cpu_serial_model() -> CostModel:
-    return CostModel(PAPER_NODE.cpu, cpu_profiles()["serial"])
-
-
 def _cpu_parallel_model() -> CostModel:
     return CostModel(PAPER_NODE.cpu, cpu_profiles(PAPER_NODE.cpu.cores)["openmp"])
 
@@ -107,7 +103,7 @@ def serial_step_time(counts, halo_time: float = 0.0) -> float:
     Figure 2, for multi-process runs).
     """
     dfg = build_step_graph(_perf_config())
-    model = _cpu_serial_model()
+    model = CostModel(PAPER_NODE.cpu, cpu_profiles()["serial"])
     total = 0.0
     for node in dfg.compute_nodes():
         inst = dfg.instance(node)
@@ -133,15 +129,15 @@ def hybrid_step_time(
     if mode == "pattern":
         # The Fig. 4b adjustable design: EFT placement with the catalog's
         # splittable instances divided so both devices finish together.
-        assignments = [pattern_level_assignment(dfg, times, min_split_gain=0.0)]
+        assignment = pattern_level_assignment(dfg, times, min_split_gain=0.0)
     elif mode == "split-all":
         # Ablation: every pattern split at one balanced fraction (a full
         # host/device domain decomposition).
-        assignments = [static_split_assignment(dfg, times)]
+        assignment = static_split_assignment(dfg, times)
     elif mode == "kernel":
-        assignments = [kernel_level_assignment(dfg, times, greedy=False)]
+        assignment = kernel_level_assignment(dfg, times, greedy=False)
     elif mode == "cpu":
-        assignments = [cpu_only_assignment(dfg)]
+        assignment = cpu_only_assignment(dfg)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     transfer = TransferModel(
@@ -151,12 +147,8 @@ def hybrid_step_time(
     executor = HybridExecutor(
         dfg, times, counts, transfer=transfer, halo_time=halo_time
     )
-    timeline = None
-    for assignment in assignments:
-        candidate = executor.run(assignment)
-        candidate.validate_no_overlap()
-        if timeline is None or candidate.makespan < timeline.makespan:
-            timeline = candidate
+    timeline = executor.run(assignment)
+    timeline.validate_no_overlap()
     if return_timeline:
         return timeline.makespan, timeline
     return timeline.makespan

@@ -183,9 +183,9 @@ class Mesh:
 
     # ----------------------------------------------------------------- I/O
     def save(self, path: str | Path) -> None:
-        """Serialize to a compressed ``.npz`` archive."""
+        """Serialize to a stored (not deflated) ``.npz`` archive."""
         conn, met, tri = self.connectivity, self.metrics, self.trisk
-        np.savez_compressed(
+        np.savez(
             Path(path),
             format_version=np.array(CACHE_FORMAT_VERSION),
             name=np.array(self.name),

@@ -280,6 +280,90 @@ class TestMeshSelfHeal:
         assert list((path.parent / QUARANTINE_DIRNAME).glob("*.npz"))
 
 
+# ------------------------------------------------- stored archive format
+def _members(path) -> dict:
+    with np.load(path) as d:
+        return {k: d[k] for k in d.files}
+
+
+def _compression(path) -> set[int]:
+    import zipfile
+
+    with zipfile.ZipFile(path) as z:
+        return {info.compress_type for info in z.infolist()}
+
+
+class TestStoredArchives:
+    """Cache archives are written stored (float64 does not deflate, and
+    inflating cost every cold start); entries written deflated by earlier
+    revisions load as they are."""
+
+    def test_fresh_writes_are_stored(self, cache_sandbox):
+        import zipfile
+
+        from repro.engine.plan import compiled_plan
+        from repro.engine.sparse import operator_cache_path, sparse_operator
+        from repro.mesh.cache import cached_mesh, mesh_cache_path
+        from repro.swm.config import SWConfig
+
+        mesh = cached_mesh(2, lloyd_iterations=0)
+        sparse_operator(mesh, "cell_divergence", use_disk=True)
+        cfg = SWConfig(dt=60.0, backend="sparse", plan=True, thickness_adv_order=4)
+        assert "h_edge_order4" in compiled_plan(mesh, cfg).composed
+        for path in (
+            mesh_cache_path(2, lloyd_iterations=0),
+            operator_cache_path(mesh, "cell_divergence"),
+            operator_cache_path(mesh, "plan_h_edge_order4"),
+        ):
+            assert _compression(path) == {zipfile.ZIP_STORED}, path.name
+
+    def test_deflated_sealed_archives_load_without_rebuild(
+        self, cache_sandbox, monkeypatch
+    ):
+        import zipfile
+
+        import repro.engine.sparse as sparse
+        from repro.mesh.cache import cached_mesh, clear_memory_cache, mesh_cache_path
+        from repro.mesh.mesh import Mesh
+
+        mesh = cached_mesh(2, lloyd_iterations=0)
+        op = sparse.sparse_operator(mesh, "vertex_curl", use_disk=True)
+        paths = (
+            mesh_cache_path(2, lloyd_iterations=0),
+            sparse.operator_cache_path(mesh, "vertex_curl"),
+        )
+        written = {}
+        for path in paths:  # rewrite each entry the way earlier revisions did
+            written[path] = _members(path)
+            path.unlink()
+            np.savez_compressed(path, **written[path])
+            seal(path)
+            assert _compression(path) == {zipfile.ZIP_DEFLATED}
+        clear_memory_cache()
+        sparse.clear_operator_memory_cache()
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("a cached entry was rebuilt")
+
+        monkeypatch.setattr(Mesh, "build", no_rebuild)
+        monkeypatch.setitem(sparse._COMPILERS, "vertex_curl", no_rebuild)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            loaded = cached_mesh(2, lloyd_iterations=0)
+            curl = sparse.sparse_operator(loaded, "vertex_curl", use_disk=True)
+        assert not list(registry.series("resilience.cache.quarantined"))
+        loaded.save(cache_sandbox / "resaved.npz")
+        resaved = _members(cache_sandbox / "resaved.npz")
+        assert resaved.keys() == written[paths[0]].keys()
+        for key, value in written[paths[0]].items():
+            assert np.array_equal(resaved[key], value), key
+        for key in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(curl, key), getattr(op, key))
+        for path in paths:  # loaded as they are, not rewritten
+            assert _compression(path) == {zipfile.ZIP_DEFLATED}
+            assert verify(path) is True
+
+
 # ------------------------------------------------------ concurrent writers
 class TestConcurrentWriters:
     """Two writers of one cache entry (threads or interpreters): each

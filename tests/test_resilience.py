@@ -336,6 +336,36 @@ class TestWatchdog:
         # (tangential velocity adds a little over the cell-centre estimate).
         assert 0.3 < cfl < 0.8
 
+    @pytest.mark.parametrize("which", ["icos3", "random"])
+    def test_cfl_speed_is_within_two_ulp_of_hypot(self, mesh3, which):
+        """One sqrt of the largest ``u*u + v*v`` stands in for the largest
+        ``hypot(u, v)``: on the model's own fields and on random ones."""
+        from types import SimpleNamespace
+
+        from repro.geometry import lloyd_relax, normalize
+        from repro.mesh import Mesh
+
+        rng = np.random.default_rng(23)
+        if which == "icos3":
+            mesh = mesh3
+        else:
+            pts = lloyd_relax(normalize(rng.standard_normal((120, 3))), iterations=60)
+            mesh = Mesh.from_points(pts.points, name="random120-23")
+        model = _model(mesh)
+        # gravity 0, dt 1 and a unit edge leave the Courant number == the speed.
+        unit = SimpleNamespace(metrics=SimpleNamespace(dcEdge=np.ones(1)))
+        fields = [(model.state.u, model.diagnostics.v)] + [
+            tuple(rng.standard_normal((2, mesh.nEdges)) * 10.0 ** rng.uniform(-3, 3))
+            for _ in range(50)
+        ]
+        for u, v in fields:
+            speed = cfl_number(
+                unit, SimpleNamespace(h=model.state.h, u=u),
+                SimpleNamespace(v=v), model.b_cell, 0.0, 1.0,
+            )
+            ref = float(np.max(np.hypot(u, v)))
+            assert abs(speed - ref) <= 2 * np.spacing(ref)
+
     def test_mass_drift_guard(self, mesh3):
         model = _model(mesh3)
         watchdog = Watchdog(mesh3, model.b_cell, GRAVITY, mass_drift=1e-6)
