@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..obs.metrics import get_registry as _get_metrics
-from ..resilience.faults import FaultInjected, fault_site
-from ..resilience.recovery import active_recovery_policy
 
 __all__ = [
     "BACKENDS",
@@ -198,54 +196,14 @@ class KernelRegistry:
     # -------------------------------------------------------------- dispatch
     def dispatch(self, op: str, mesh, *fields, backend: str = DEFAULT_BACKEND):
         """Execute ``op`` on ``mesh`` under ``backend``, recording an
-        ``engine.op`` timer tagged ``(op, pattern, backend)``.
-
-        Every dispatch is the ``engine.dispatch`` fault site: a faulted call
-        is retried on the same backend (``RecoveryPolicy.backend_retries``
-        times — a successful retry is bitwise-invisible), then re-resolved
-        to the ``numpy`` implementation (``backend_fallback``); both escapes
-        are counted under ``resilience.recovery.*``.
-        """
+        ``engine.op`` timer tagged ``(op, pattern, backend)``."""
         entry = self.op(op)
         fn = entry.resolve(backend)
         timer = _get_metrics().timer(
             "engine.op", op=op, pattern=entry.pattern or "-", backend=backend
         )
         with timer.time():
-            try:
-                fault_site("engine.dispatch", op=op, backend=backend)
-                return fn(mesh, *fields)
-            except FaultInjected as exc:
-                return self._recover_dispatch(entry, fn, backend, mesh, fields, exc)
-
-    def _recover_dispatch(self, entry, fn, backend, mesh, fields, exc):
-        """Bounded same-backend retries, then the counted ``numpy`` fallback.
-
-        Only :class:`~repro.resilience.faults.FaultInjected` lands here — a
-        real kernel bug (``ValueError``, ``FloatingPointError``) propagates
-        on the first attempt instead of being retried into oblivion.  The
-        fallback itself runs outside the fault site: it is the escape hatch
-        and must not be re-faulted.
-        """
-        policy = active_recovery_policy()
-        metrics = _get_metrics()
-        for _ in range(policy.backend_retries):
-            metrics.counter(
-                "resilience.recovery.retry", site="engine.dispatch", op=entry.op
-            ).inc()
-            try:
-                fault_site("engine.dispatch", op=entry.op, backend=backend)
-                return fn(mesh, *fields)
-            except FaultInjected as retry_exc:
-                exc = retry_exc
-        if policy.backend_fallback:
-            fallback = entry.impls.get(DEFAULT_BACKEND)
-            if fallback is not None:
-                metrics.counter(
-                    "resilience.recovery.fallback", op=entry.op, backend=backend
-                ).inc()
-                return fallback(mesh, *fields)
-        raise exc
+            return fn(mesh, *fields)
 
 
 # --------------------------------------------------------- default registry

@@ -35,11 +35,13 @@ from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import Tracer, get_tracer
 from ..patterns.classify import point_of
 from ..resilience.faults import FaultInjected, fault_site
-from ..resilience.recovery import active_recovery_policy
 
 __all__ = ["Placement", "Assignment", "Task", "Timeline", "HybridExecutor", "DEVICES"]
 
 DEVICES = ("cpu", "mic")
+
+#: Re-schedules of a faulted simulated PCIe transfer before it propagates.
+TRANSFER_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,7 @@ class HybridExecutor:
 
             Each transfer is one ``hybrid.transfer`` fault site (a flaky
             PCIe exchange).  A faulted transfer is rescheduled up to
-            ``RecoveryPolicy.transfer_retries`` times; the failed attempt
+            :data:`TRANSFER_RETRIES` times; the failed attempt
             occupies its channel for the full duration — like a wire-level
             retry would — and its traffic is accounted separately as
             ``resilience.transfer.wasted_bytes``.
@@ -283,7 +285,7 @@ class HybridExecutor:
                     fault_site("hybrid.transfer", dst=dst)
                     break
                 except FaultInjected:
-                    if attempt >= active_recovery_policy().transfer_retries:
+                    if attempt >= TRANSFER_RETRIES:
                         raise
                     end = start + dur
                     avail[channel] = end

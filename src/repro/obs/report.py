@@ -271,9 +271,8 @@ def _series_rows(registry: MetricsRegistry, prefix: str) -> list[list[str]]:
 
 
 def resilience_rows(registry: MetricsRegistry) -> list[list[str]]:
-    """Every fault/recovery series: injected faults, retries, fallbacks,
-    degradations, backoff, checkpoints, watchdog violations and
-    quarantined cache entries.
+    """Every fault/recovery series: injected faults, retries, respawns,
+    checkpoints, watchdog violations and quarantined cache entries.
 
     Covers the ``resilience.*`` namespace written by the fault plans
     (:mod:`repro.resilience.faults`), the per-layer recovery mechanisms,

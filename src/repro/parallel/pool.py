@@ -39,7 +39,7 @@ abort word sends the surviving workers out of their waits to report back
 (a stuck but living peer is caught by the sync timeout instead); the
 parent then restores the last committed global state into the shared segment,
 respawns the dead ranks, reloads every worker and retries the batch —
-bounded by ``RecoveryPolicy.halo_retries`` (a dead worker is a lost halo
+bounded by ``SWConfig.halo_retries`` (a dead worker is a lost halo
 peer), counted under ``resilience.pool.*``.  A successful retry is
 bitwise-invisible, like every other recovery in this repo.  A *numerical*
 failure is not a dead worker: a rank whose step raises
@@ -236,8 +236,6 @@ def _worker_main(
     rank sets; the step is :func:`repro.swm.timestep.rk4_step`.
     """
     t_start = time.perf_counter()
-    from ..resilience.recovery import use_recovery_policy
-
     # A SIGKILLed parent cannot tell its workers anything, and under the
     # fork start method each later worker inherits the pipe write-ends of
     # the earlier ones — so no worker ever sees EOF on its command pipe
@@ -277,56 +275,55 @@ def _worker_main(
         "pool.worker.ready_s", transport=type(sync).__name__, schedule=schedule.mode
     ).set(time.perf_counter() - t_start)
     conn.send(("ready", rank))
-    with use_recovery_policy(config.recovery_policy()):
-        while True:
-            msg = conn.recv()
-            cmd = msg[0]
-            if cmd == "steps":
-                n = msg[1]
-                try:
-                    for _ in range(n):
-                        step_no += 1
-                        if kill_at_step is not None and step_no == kill_at_step:
-                            os._exit(3)  # simulated worker crash (tests)
-                        # Every rank's previous observe is on the board by now.
-                        sync.refresh_timeout()
-                        t_step = time.perf_counter()
-                        with trace_span("pool_step", category="pool", step=step_no):
-                            (state,), (diag,) = rk4_step(
-                                [integ], [state], [diag], transport=sync
-                            )
-                        board.observe(rank, time.perf_counter() - t_step)
-                        registry.counter("pool.worker.steps").inc()
-                    conn.send(("ok", n))
-                except threading.BrokenBarrierError:
-                    conn.send(("broken", step_no))
-                except FloatingPointError as exc:
-                    # The model blew up, the worker did not: report the
-                    # cause instead of dying with it.
-                    conn.send(("failed", step_no, str(exc)))
-            elif cmd == "load":
-                state = shared.read_local(lm)
-                diag = integ.diagnostics_for(state)
-                step_no = msg[1]
-                sync.rewind()  # the board was reset with the reload
-                kill_at_step = None  # a test kill fires at most once per spawn
-                conn.send(("loaded", rank))
-            elif cmd == "obs":
-                tracer = get_tracer()
-                conn.send((
-                    "obs",
-                    registry.snapshot(),
-                    [s.to_dict() for s in tracer.finished()],
-                ))
-                registry.clear()
-                sync.bind_counters()
-                tracer.clear()
-            elif cmd == "stop":
-                conn.send(("bye", rank))
-                break
-            else:  # pragma: no cover - protocol error
-                conn.send(("error", f"unknown command {cmd!r}"))
-                break
+    while True:
+        msg = conn.recv()
+        cmd = msg[0]
+        if cmd == "steps":
+            n = msg[1]
+            try:
+                for _ in range(n):
+                    step_no += 1
+                    if kill_at_step is not None and step_no == kill_at_step:
+                        os._exit(3)  # simulated worker crash (tests)
+                    # Every rank's previous observe is on the board by now.
+                    sync.refresh_timeout()
+                    t_step = time.perf_counter()
+                    with trace_span("pool_step", category="pool", step=step_no):
+                        (state,), (diag,) = rk4_step(
+                            [integ], [state], [diag], transport=sync
+                        )
+                    board.observe(rank, time.perf_counter() - t_step)
+                    registry.counter("pool.worker.steps").inc()
+                conn.send(("ok", n))
+            except threading.BrokenBarrierError:
+                conn.send(("broken", step_no))
+            except FloatingPointError as exc:
+                # The model blew up, the worker did not: report the
+                # cause instead of dying with it.
+                conn.send(("failed", step_no, str(exc)))
+        elif cmd == "load":
+            state = shared.read_local(lm)
+            diag = integ.diagnostics_for(state)
+            step_no = msg[1]
+            sync.rewind()  # the board was reset with the reload
+            kill_at_step = None  # a test kill fires at most once per spawn
+            conn.send(("loaded", rank))
+        elif cmd == "obs":
+            tracer = get_tracer()
+            conn.send((
+                "obs",
+                registry.snapshot(),
+                [s.to_dict() for s in tracer.finished()],
+            ))
+            registry.clear()
+            sync.bind_counters()
+            tracer.clear()
+        elif cmd == "stop":
+            conn.send(("bye", rank))
+            break
+        else:  # pragma: no cover - protocol error
+            conn.send(("error", f"unknown command {cmd!r}"))
+            break
     shared.close()
     board.close()
     conn.close()

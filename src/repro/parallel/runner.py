@@ -33,7 +33,6 @@ from ..mesh.mesh import Mesh
 from ..obs.metrics import get_registry
 from ..obs.trace import trace_span
 from ..resilience.faults import FaultInjected, fault_site
-from ..resilience.recovery import active_recovery_policy
 from ..swm.config import SWConfig
 from ..swm.model import ShallowWaterModel
 from ..swm.state import Diagnostics, State
@@ -92,10 +91,19 @@ class DecomposedShallowWater(HaloTransport):
                     f_vertex_global[lm.vertices_global],
                 )
             )
+        meshes = [rk.mesh for rk in self.ranks]
+        # Each cell and edge has exactly one owner, so a gather writes every
+        # global point once and needs no fill value to detect a gap.
+        cells = np.concatenate([lm.cells_global[: lm.n_owned_cells] for lm in meshes])
+        edges = np.concatenate([lm.edges_global[: lm.n_owned_edges] for lm in meshes])
+        if not (
+            np.array_equal(np.sort(cells), np.arange(mesh.nCells))
+            and np.array_equal(np.sort(edges), np.arange(mesh.nEdges))
+        ):
+            raise AssertionError("ownership does not cover the mesh")
         self.load_state(global_state)
         self.exchange_count = 0
         self.schedule = halo_schedule_for(config)
-        meshes = [rk.mesh for rk in self.ranks]
         # Per kept sync point: each rank's halo indices within the point's
         # ring depth, and the bytes refreshing them moves.
         self._sync_idx: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -131,34 +139,25 @@ class DecomposedShallowWater(HaloTransport):
 
         Each executed exchange is one ``halo.exchange`` fault site (a
         dropped MPI message).  A faulted exchange is re-attempted up to
-        ``RecoveryPolicy.halo_retries`` times with exponential backoff; the
-        simulated backoff seconds are accounted into the
-        ``resilience.halo.backoff_s`` counter so the scaling step model can
-        price recovery, not just success.  Retries exhausted, the injected
+        ``config.halo_retries`` times, each counted under
+        ``resilience.recovery.retry``.  Retries exhausted, the injected
         fault propagates — a halo the ranks never agree on is not
         recoverable by degradation.
         """
         point = self.schedule.entry(sync)
         if point is None:
             return  # elided by the schedule: provably clean
-        attempt = 0
-        while True:
+        for attempt in range(self.config.halo_retries + 1):
             try:
                 fault_site("halo.exchange", ranks=self.n_ranks)
                 break
             except FaultInjected:
-                policy = active_recovery_policy()
-                if attempt >= policy.halo_retries:
+                if attempt == self.config.halo_retries:
                     raise
-                registry = get_registry()
-                registry.counter(
+                get_registry().counter(
                     "resilience.recovery.retry", site="halo.exchange",
                     ranks=self.n_ranks,
                 ).inc()
-                registry.counter(
-                    "resilience.halo.backoff_s", ranks=self.n_ranks
-                ).inc(policy.halo_backoff_s * 2.0**attempt)
-                attempt += 1
         fields = point.fields
         skip = self._skip_refresh
         if skip is not None and skip[0] == sync:
@@ -168,12 +167,7 @@ class DecomposedShallowWater(HaloTransport):
             "halo_exchange", category="halo", sync=sync,
             ranks=self.n_ranks, bytes_est=bytes_moved,
         ):
-            gh = np.empty(self.mesh.nCells)
-            gu = np.empty(self.mesh.nEdges)
-            for rk, st in zip(self.ranks, states):
-                lm = rk.mesh
-                gh[lm.cells_global[: lm.n_owned_cells]] = st.h[: lm.n_owned_cells]
-                gu[lm.edges_global[: lm.n_owned_edges]] = st.u[: lm.n_owned_edges]
+            gh, gu = self._gather(states)
             for r, (rk, st) in enumerate(zip(self.ranks, states)):
                 lm = rk.mesh
                 cell_idx, edge_idx = self._sync_idx[sync][r]
@@ -232,14 +226,21 @@ class DecomposedShallowWater(HaloTransport):
         ]
 
     # ------------------------------------------------------------- gathering
-    def gather_state(self) -> State:
-        """Assemble the global state from the owned slices of all ranks."""
-        gh = np.full(self.mesh.nCells, np.nan)
-        gu = np.full(self.mesh.nEdges, np.nan)
-        for rk, st in zip(self.ranks, self.states):
+    def _gather(self, states: list[State]) -> tuple[np.ndarray, np.ndarray]:
+        """Global ``h``/``u`` from the owned slices of ``states`` (ownership
+        covers the mesh: checked once in ``__init__``)."""
+        gh = np.empty(self.mesh.nCells)
+        gu = np.empty(self.mesh.nEdges)
+        for rk, st in zip(self.ranks, states):
             lm = rk.mesh
             gh[lm.cells_global[: lm.n_owned_cells]] = st.h[: lm.n_owned_cells]
             gu[lm.edges_global[: lm.n_owned_edges]] = st.u[: lm.n_owned_edges]
-        if np.any(np.isnan(gh)) or np.any(np.isnan(gu)):
-            raise AssertionError("ownership does not cover the mesh")
+        return gh, gu
+
+    def gather_state(self) -> State:
+        """Assemble the global state from the owned slices of all ranks.
+
+        A non-finite value gathers like any other, so the run loop's
+        watchdog sees it and names it, as it does for a serial run."""
+        gh, gu = self._gather(self.states)
         return State(h=gh, u=gu)

@@ -1,14 +1,14 @@
 """Fault-tolerant runtime: injection, recovery, watchdogs, auto-checkpoints.
 
 The paper's pattern-level granularity lets work move freely between host and
-device; this package makes that design *survivable*.  Four pieces:
+device; this package makes that design *survivable*:
 
 * :mod:`~repro.resilience.faults` — named fault sites in every execution
   layer, driven by seeded :class:`~repro.resilience.faults.FaultPlan`\\ s
   (deterministic or probabilistic), so failures are testable on demand.
-* :mod:`~repro.resilience.recovery` — the bounded-retry policy each layer
-  consults when a site fires: backend re-dispatch + numpy fallback, halo
-  retry with backoff, transfer rescheduling.
+  Each layer recovers where its state lives, under a retry budget it reads
+  itself: a halo exchange and a pool respawn from ``SWConfig.halo_retries``,
+  a simulated transfer from ``hybrid.executor.TRANSFER_RETRIES``.
 * :mod:`~repro.resilience.guards` — numerical watchdogs (NaN/Inf scans,
   invariant-drift limits, a CFL monitor) inside the stepping loop.
 * :mod:`~repro.resilience.checkpoint` — interval-based restart files with
@@ -20,9 +20,8 @@ device; this package makes that design *survivable*.  Four pieces:
   (manifest + committed checkpoints) and bitwise resume after a real
   process death, in serial and pool mode.
 
-This ``__init__`` re-exports only the import-light fault/recovery/integrity
-machinery (the engine registry imports it on every process start); import
-``repro.resilience.guards`` / ``repro.resilience.checkpoint`` /
+This ``__init__`` re-exports only the import-light fault/integrity machinery;
+import ``repro.resilience.guards`` / ``repro.resilience.checkpoint`` /
 ``repro.resilience.durable`` directly for the pieces that pull in the
 shallow-water core.
 
@@ -40,7 +39,6 @@ from .faults import (
     use_fault_plan,
 )
 from .integrity import checked_load, quarantine, seal, verify
-from .recovery import RecoveryPolicy, active_recovery_policy, use_recovery_policy
 
 __all__ = [
     "KNOWN_SITES",
@@ -50,9 +48,6 @@ __all__ = [
     "active_fault_plan",
     "fault_site",
     "use_fault_plan",
-    "RecoveryPolicy",
-    "active_recovery_policy",
-    "use_recovery_policy",
     "seal",
     "verify",
     "quarantine",

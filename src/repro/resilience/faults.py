@@ -1,7 +1,7 @@
 """Deterministic fault injection: named sites, seeded plans, counted fires.
 
-A production run of the paper's pattern-level design must survive a device
-dropping out mid-kernel, a flaky PCIe transfer or a lost halo exchange.  The
+A production run of the paper's pattern-level design must survive a flaky
+PCIe transfer, a lost halo exchange or the process itself dying.  The
 precondition for *testing* that survival is the ability to make those
 failures happen on demand — deterministically, so a recovered run can be
 compared bitwise against a fault-free one.
@@ -9,9 +9,6 @@ compared bitwise against a fault-free one.
 Every place in the execution stack where hardware can fail is a named
 *fault site* (:data:`KNOWN_SITES`):
 
-``engine.dispatch``
-    One backend kernel dispatch (:meth:`repro.engine.KernelRegistry.
-    dispatch`), tagged ``op`` and ``backend``.
 ``halo.exchange``
     One halo exchange of the multi-rank runner
     (:class:`repro.parallel.runner.DecomposedShallowWater`), tagged
@@ -62,7 +59,6 @@ __all__ = [
 
 #: Every fault site wired into the execution stack.
 KNOWN_SITES: tuple[str, ...] = (
-    "engine.dispatch",
     "halo.exchange",
     "hybrid.transfer",
     "process.crash",
@@ -105,7 +101,7 @@ class FaultSpec:
     match : dict
         Tag filters: the spec only considers calls whose tags contain every
         ``key: value`` pair (compared as strings), e.g.
-        ``{"ranks": 4}`` or ``{"op": "flux_divergence"}``.
+        ``{"ranks": 4}`` or ``{"step": 3}``.
     action : str
         What a fire does.  ``"raise"`` (default) raises
         :class:`FaultInjected` for the recovery layers to catch.
@@ -216,7 +212,7 @@ def fault_site(site: str, **tags) -> None:
     """Declare one fault-site call; raises :class:`FaultInjected` if it fires.
 
     The unconditional hot-path cost is one global read and one ``None``
-    check — cheap enough to leave in every dispatch.
+    check — cheap enough to leave in every step.
     """
     if _PLAN is not None:
         _PLAN.check(site, **tags)

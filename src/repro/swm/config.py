@@ -58,10 +58,9 @@ class SWConfig:
     ranks : int
         Number of decomposed ranks for the ``"lockstep"``/``"pool"`` modes
         (must stay 1 for ``"serial"``).
-    backend_retries, halo_retries, halo_backoff_s, transfer_retries
-        Bounded-retry knobs of the recovery policy installed for the
-        duration of a model run (see :class:`repro.resilience.recovery.
-        RecoveryPolicy` for each knob's meaning).
+    halo_retries : int
+        Re-attempts of a faulted lockstep halo exchange, and respawns of
+        dead pool workers, before the run gives up.
     guard_interval : int
         Run the numerical watchdog every this many steps (0 disables it);
         1 gives the per-step NaN/Inf scan.  Every executor is guarded: the
@@ -114,10 +113,7 @@ class SWConfig:
     halo_schedule: str = "dataflow"
     parallel: str = "serial"
     ranks: int = 1
-    backend_retries: int = 1
     halo_retries: int = 2
-    halo_backoff_s: float = 0.0
-    transfer_retries: int = 2
     guard_interval: int = 0
     guard_policy: str = "halt"
     guard_mass_drift: float = 0.0
@@ -146,7 +142,10 @@ class SWConfig:
 
     #: Fields this class used to have.  Manifests and restart files written
     #: before their removal still carry them; :meth:`from_dict` drops them.
-    RETIRED_FIELDS = ("ensemble_mode", "plan_fuse")
+    RETIRED_FIELDS = (
+        "ensemble_mode", "plan_fuse",
+        "backend_retries", "halo_backoff_s", "transfer_retries",
+    )
 
     def __post_init__(self) -> None:
         self.validate()
@@ -174,15 +173,11 @@ class SWConfig:
                 f"guard_policy must be 'halt' or 'rollback', got {self.guard_policy!r}"
             )
         for name in (
-            "backend_retries", "halo_retries", "transfer_retries",
-            "guard_interval", "checkpoint_interval", "max_rollbacks",
+            "halo_retries", "guard_interval", "checkpoint_interval", "max_rollbacks",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        for name in (
-            "halo_backoff_s", "guard_mass_drift", "guard_energy_drift",
-            "guard_cfl_max",
-        ):
+        for name in ("guard_mass_drift", "guard_energy_drift", "guard_cfl_max"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.halo_schedule not in self.HALO_SCHEDULES:
@@ -261,18 +256,6 @@ class SWConfig:
         """
         return cls(
             **{k: v for k, v in stored.items() if k not in cls.RETIRED_FIELDS}
-        )
-
-    def recovery_policy(self):
-        """The :class:`~repro.resilience.recovery.RecoveryPolicy` these knobs
-        describe (installed by :meth:`repro.swm.model.ShallowWaterModel.run`)."""
-        from ..resilience.recovery import RecoveryPolicy  # deferred: import-light
-
-        return RecoveryPolicy(
-            backend_retries=self.backend_retries,
-            halo_retries=self.halo_retries,
-            halo_backoff_s=self.halo_backoff_s,
-            transfer_retries=self.transfer_retries,
         )
 
     def coriolis(self, lat: np.ndarray) -> np.ndarray:

@@ -246,9 +246,7 @@ class ShallowWaterModel:
         write with the ``(bytes, sha256)`` the writer returned — the durable
         manifest's commit hook, which therefore never re-reads the file.
 
-        The run executes under the recovery policy built from the config's
-        retry knobs (:meth:`SWConfig.recovery_policy`).  With
-        ``config.guard_interval > 0`` the numerical watchdog
+        With ``config.guard_interval > 0`` the numerical watchdog
         (:class:`repro.resilience.guards.Watchdog`) checks the new state
         every that many steps; a violation either raises
         :class:`~repro.resilience.guards.NumericalBlowup` (``guard_policy ==
@@ -271,7 +269,6 @@ class ShallowWaterModel:
         from ..resilience.checkpoint import AutoCheckpointer
         from ..resilience.faults import fault_site
         from ..resilience.guards import NumericalBlowup, Watchdog
-        from ..resilience.recovery import use_recovery_policy
 
         config = self.config
         total = start_step + steps
@@ -317,53 +314,52 @@ class ShallowWaterModel:
             elapsed_at_ckpt[checkpointer.last_step] = 0.0
         elapsed = 0.0
         rollbacks = 0
-        with use_recovery_policy(config.recovery_policy()):
-            while self.step < total:
-                done = self.step
-                stop = min([total] + [(done // k + 1) * k for k in observed if k])
-                for step in range(done + 1, stop + 1):
-                    fault_site("process.crash", step=step)
-                report = None
-                try:
-                    self.advance(stop - done)
-                except FloatingPointError as exc:
-                    # A violently unstable step fails *inside* the RK stages
-                    # before any end-of-step guard can see it.
-                    if watchdog is None:
-                        raise
-                    report = watchdog.in_step_failure(stop, exc)
-                else:
-                    elapsed += (stop - done) * config.dt
-                    if watchdog is not None and stop % config.guard_interval == 0:
-                        report = watchdog.check(
-                            stop, self.state, self.diagnostics, config.dt
-                        )
-                if report is not None:
-                    if (
-                        config.guard_policy != "rollback"
-                        or checkpointer is None
-                        or rollbacks >= config.max_rollbacks
-                    ):
-                        raise NumericalBlowup(report)
-                    # Abandon the poisoned trajectory: state, invariant
-                    # records and the clock all rewind to the checkpoint.
-                    self.step = checkpointer.rollback()
-                    config.dt /= 2.0
-                    rollbacks += 1
-                    while history_steps and history_steps[-1] > self.step:
-                        history_steps.pop()
-                        history.pop()
-                    elapsed = elapsed_at_ckpt[self.step]
-                    continue
-                if invariant_interval and stop % invariant_interval == 0:
-                    record(stop)
-                if checkpointer is not None and checkpointer.maybe_save(stop):
-                    elapsed_at_ckpt[stop] = elapsed
-                    committed()
-                if callback is not None:
-                    callback(stop, StepResult(
-                        self.state, self.diagnostics, self.reconstruction()
-                    ))
+        while self.step < total:
+            done = self.step
+            stop = min([total] + [(done // k + 1) * k for k in observed if k])
+            for step in range(done + 1, stop + 1):
+                fault_site("process.crash", step=step)
+            report = None
+            try:
+                self.advance(stop - done)
+            except FloatingPointError as exc:
+                # A violently unstable step fails *inside* the RK stages
+                # before any end-of-step guard can see it.
+                if watchdog is None:
+                    raise
+                report = watchdog.in_step_failure(stop, exc)
+            else:
+                elapsed += (stop - done) * config.dt
+                if watchdog is not None and stop % config.guard_interval == 0:
+                    report = watchdog.check(
+                        stop, self.state, self.diagnostics, config.dt
+                    )
+            if report is not None:
+                if (
+                    config.guard_policy != "rollback"
+                    or checkpointer is None
+                    or rollbacks >= config.max_rollbacks
+                ):
+                    raise NumericalBlowup(report)
+                # Abandon the poisoned trajectory: state, invariant
+                # records and the clock all rewind to the checkpoint.
+                self.step = checkpointer.rollback()
+                config.dt /= 2.0
+                rollbacks += 1
+                while history_steps and history_steps[-1] > self.step:
+                    history_steps.pop()
+                    history.pop()
+                elapsed = elapsed_at_ckpt[self.step]
+                continue
+            if invariant_interval and stop % invariant_interval == 0:
+                record(stop)
+            if checkpointer is not None and checkpointer.maybe_save(stop):
+                elapsed_at_ckpt[stop] = elapsed
+                committed()
+            if callback is not None:
+                callback(stop, StepResult(
+                    self.state, self.diagnostics, self.reconstruction()
+                ))
         if self.executor is not None:
             self.executor.merge_observability()
         if history_steps[-1] != total:

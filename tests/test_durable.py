@@ -434,6 +434,30 @@ class TestRetiredConfigFields:
         assert np.array_equal(resumed.state.u, ref.state.u)
         assert _committed_steps(d) == [0, 2, 4, 6]
 
+    @pytest.mark.parametrize(
+        "mode", [{}, {"parallel": "lockstep", "ranks": 2}], ids=["serial", "lockstep"]
+    )
+    def test_directory_carrying_retired_retry_knobs_resumes_bitwise(
+        self, mesh3, tmp_path, mode
+    ):
+        """``backend_retries``, ``halo_backoff_s`` and ``transfer_retries``
+        changed nothing a run computed; stored non-default values load and
+        resume, and the constructor no longer takes them."""
+        d = tmp_path / "run"
+        cfg = self._interrupted(mesh3, d, **mode)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        self._age(d, backend_retries=3, halo_backoff_s=0.25, transfer_retries=5)
+        stored = json.loads((d / MANIFEST_NAME).read_text())["config"]
+        assert stored["transfer_retries"] == 5
+        assert SWConfig.from_dict(stored) == cfg
+        DurableRun.open(d).validate_compatible(config=cfg)
+        resumed = run(resume=d, mesh=mesh3)
+        assert np.array_equal(resumed.state.h, ref.state.h)
+        assert np.array_equal(resumed.state.u, ref.state.u)
+        assert _committed_steps(d) == [0, 2, 4, 6]
+        with pytest.raises(TypeError, match="backend_retries"):
+            SWConfig(dt=1.0, backend_retries=1)
+
     #: ``manifest["config"]`` exactly as the commit before the static
     #: schedule stopped being the default and ``scatter`` / ``codegen``
     #: stopped being backends wrote it, for a 2-rank pool run.

@@ -18,18 +18,8 @@ import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
-from repro.engine import dispatch
-from repro.engine.registry import KernelRegistry
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.resilience import (
-    FaultInjected,
-    FaultPlan,
-    FaultSpec,
-    RecoveryPolicy,
-    active_recovery_policy,
-    use_fault_plan,
-    use_recovery_policy,
-)
+from repro.resilience import FaultInjected, FaultPlan, FaultSpec, use_fault_plan
 from repro.resilience.checkpoint import AutoCheckpointer
 from repro.resilience.guards import NumericalBlowup, Watchdog, cfl_number
 from repro.swm.config import SWConfig
@@ -58,23 +48,23 @@ class TestFaultPlan:
 
     def test_spec_must_fire(self):
         with pytest.raises(ValueError, match="never fires"):
-            FaultSpec("engine.dispatch")
+            FaultSpec("halo.exchange")
 
     def test_one_based_indices(self):
         with pytest.raises(ValueError, match="1-based"):
-            FaultSpec("engine.dispatch", at=(0,))
+            FaultSpec("halo.exchange", at=(0,))
 
     def test_probability_range(self):
         with pytest.raises(ValueError, match="probability"):
-            FaultSpec("engine.dispatch", probability=1.5)
+            FaultSpec("halo.exchange", probability=1.5)
 
     def test_deterministic_at_indices(self):
-        plan = FaultPlan([FaultSpec("engine.dispatch", at=(2, 4))])
+        plan = FaultPlan([FaultSpec("halo.exchange", at=(2, 4))])
         fired = []
         with use_fault_plan(plan):
             for i in range(1, 6):
                 try:
-                    plan.check("engine.dispatch", op="x")
+                    plan.check("halo.exchange", ranks=2)
                     fired.append(False)
                 except FaultInjected:
                     fired.append(True)
@@ -128,79 +118,7 @@ class TestFaultPlan:
         from repro.resilience import active_fault_plan, fault_site
 
         assert active_fault_plan() is None
-        fault_site("engine.dispatch", op="anything")  # must not raise
-
-
-# ----------------------------------------------------------- dispatch recovery
-class TestDispatchRecovery:
-    def test_transient_fault_retried_bitwise(self, mesh3, edge_field):
-        base = dispatch("cell_divergence", mesh3, edge_field)
-        plan = FaultPlan(
-            [FaultSpec("engine.dispatch", at=(1,), max_fires=1,
-                       match={"op": "cell_divergence"})]
-        )
-        metrics = MetricsRegistry()
-        with use_registry(metrics), use_fault_plan(plan):
-            got = dispatch("cell_divergence", mesh3, edge_field)
-        assert np.array_equal(base, got)
-        (retry,) = metrics.series("resilience.recovery.retry")
-        assert retry.value == 1
-        assert not metrics.series("resilience.recovery.fallback")
-
-    def test_persistent_fault_falls_back_to_numpy(self, mesh3, edge_field):
-        base = dispatch("cell_divergence", mesh3, edge_field)  # numpy
-        plan = FaultPlan(
-            [FaultSpec("engine.dispatch", at=(1, 2), max_fires=2,
-                       match={"op": "cell_divergence"})]
-        )
-        metrics = MetricsRegistry()
-        with use_registry(metrics), use_fault_plan(plan):
-            got = dispatch("cell_divergence", mesh3, edge_field, backend="sparse")
-        assert np.array_equal(base, got)  # the fallback *is* numpy
-        (fallback,) = metrics.series("resilience.recovery.fallback")
-        assert fallback.value == 1 and fallback.tags["backend"] == "sparse"
-
-    def test_unrecoverable_fault_propagates(self, mesh3, edge_field):
-        plan = FaultPlan(
-            [FaultSpec("engine.dispatch", probability=1.0,
-                       match={"op": "cell_divergence"})]
-        )
-        policy = RecoveryPolicy(backend_retries=0, backend_fallback=False)
-        with use_fault_plan(plan), use_recovery_policy(policy):
-            with pytest.raises(FaultInjected):
-                dispatch("cell_divergence", mesh3, edge_field)
-
-    def test_real_errors_are_not_retried(self, mesh3):
-        reg = KernelRegistry()
-        calls = []
-
-        def broken(mesh):
-            calls.append(1)
-            raise ValueError("a genuine bug, not a fault")
-
-        reg.register("boom", "numpy", broken)
-        plan = FaultPlan([FaultSpec("engine.dispatch", at=(99,))])
-        with use_fault_plan(plan):
-            with pytest.raises(ValueError, match="genuine bug"):
-                reg.dispatch("boom", mesh3)
-        assert len(calls) == 1  # exactly one attempt: no retry loop
-
-    def test_ten_step_run_bitwise_under_faults(self, mesh3):
-        ref = _model(mesh3)
-        ref.run(steps=10)
-        plan = FaultPlan(
-            [
-                FaultSpec("engine.dispatch", at=(5,), max_fires=1),
-                FaultSpec("engine.dispatch", probability=0.002, max_fires=3),
-            ],
-            seed=11,
-        )
-        faulted = _model(mesh3)
-        with use_fault_plan(plan):
-            faulted.run(steps=10)
-        assert plan.total_fires >= 1
-        assert np.array_equal(ref.state.h, faulted.state.h)
-        assert np.array_equal(ref.state.u, faulted.state.u)
+        fault_site("halo.exchange", ranks=2)  # must not raise
 
 
 # --------------------------------------------------------------- halo recovery
@@ -230,14 +148,6 @@ class TestHaloRecovery:
         (retry,) = metrics.series("resilience.recovery.retry")
         assert retry.tags["site"] == "halo.exchange"
 
-    def test_backoff_accounted(self, mesh3):
-        plan = FaultPlan([FaultSpec("halo.exchange", at=(1, 2), max_fires=2)])
-        metrics = MetricsRegistry()
-        with use_registry(metrics):
-            self._decomposed(mesh3, 1, plan, halo_retries=2, halo_backoff_s=0.5)
-        (backoff,) = metrics.series("resilience.halo.backoff_s")
-        assert backoff.value == pytest.approx(0.5 + 1.0)  # 0.5 * (2**0 + 2**1)
-
     def test_retries_exhausted_raises(self, mesh3):
         plan = FaultPlan([FaultSpec("halo.exchange", probability=1.0)])
         with pytest.raises(FaultInjected):
@@ -247,9 +157,10 @@ class TestHaloRecovery:
     def test_lockstep_run_honours_the_configs_retry_knobs(
         self, mesh3, tmp_path, durable
     ):
-        """Regression: the lockstep drivers never installed
-        ``config.recovery_policy()``, so ``halo_retries=0`` was ignored and
-        a dropped exchange was silently retried under the process default."""
+        """Regression: the lockstep drivers read the retry budget from a
+        process-global policy they never installed, so ``halo_retries=0`` was
+        ignored and a dropped exchange was silently retried under the
+        default.  The runner now reads ``config.halo_retries`` itself."""
         from repro.api import run
 
         config = SWConfig(
@@ -575,31 +486,6 @@ class TestCheckpointRoundTripBackends:
         resumed.run(steps=3)
         assert np.array_equal(resumed.state.h, full.state.h)
         assert np.array_equal(resumed.state.u, full.state.u)
-
-
-# ------------------------------------------------------------ policy plumbing
-class TestRecoveryPolicy:
-    def test_defaults_installed(self):
-        policy = active_recovery_policy()
-        assert policy.backend_retries >= 0 and policy.backend_fallback
-
-    def test_context_restores(self):
-        before = active_recovery_policy()
-        with use_recovery_policy(RecoveryPolicy(halo_retries=9)) as p:
-            assert active_recovery_policy() is p
-        assert active_recovery_policy() is before
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RecoveryPolicy(backend_retries=-1)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(halo_backoff_s=-0.5)
-
-    def test_config_builds_policy(self):
-        cfg = SWConfig(dt=1.0, backend_retries=3, halo_backoff_s=0.25)
-        policy = cfg.recovery_policy()
-        assert policy.backend_retries == 3
-        assert policy.halo_backoff_s == 0.25
 
 
 # ------------------------------------------------------------------------ CLI

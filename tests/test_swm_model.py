@@ -70,12 +70,17 @@ class TestTC2Accuracy:
         assert err.linf < 5e-3
 
     def test_error_converges_with_resolution(self, mesh3, mesh4):
-        errs = {}
-        for mesh in (mesh3, mesh4):
-            model = _tc2_model(mesh)
-            model.run(days=1.0)
-            errs[mesh.nCells] = model.exact_error().l2
-        assert errs[2562] < 0.7 * errs[642]
+        """One day of TC2 on icos-3 and icos-4, on the per-op path and on the
+        compiled plan the workloads run: the order gate of
+        ``benchmarks/test_convergence.py``, in tier 1."""
+        for config in ({}, {"backend": "sparse", "plan": True}):
+            l2 = []
+            for mesh in (mesh3, mesh4):
+                model = _tc2_model(mesh, **config)
+                model.run(days=1.0)
+                l2.append(model.exact_error().l2)
+            assert l2[1] < 0.7 * l2[0], config
+            assert 0.5 < np.log2(l2[0] / l2[1]) < 2.5, config
 
     def test_mass_energy_conservation(self, mesh3):
         model = _tc2_model(mesh3)
