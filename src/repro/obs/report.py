@@ -373,15 +373,20 @@ def render_halo_report(tracer: Tracer, title: str) -> str:
 def pool_startup_line(tracer: Tracer, registry: MetricsRegistry) -> str | None:
     """What a pool run paid before its first step, on one line: the
     ``pool.spawn`` span with its children, then each worker's own
-    ``pool.worker.ready_s``.  ``None`` when the run spawned no pool."""
+    ``pool.worker.ready_s`` and the ``pool.worker.local_mesh_s`` inside it.
+    ``None`` when the run spawned no pool."""
     spawn = next((s for s in tracer.finished() if s.name == "pool.spawn"), None)
     if spawn is None:
         return None
     phases = ", ".join(
         f"{c.name} {c.duration * 1e3:.0f} ms" for c in tracer.children(spawn)
     )
+    mesh_s = {
+        s.tags.get("rank"): s.value for s in registry.series("pool.worker.local_mesh_s")
+    }
     ready = ", ".join(
-        f"rank {s.tags.get('rank')} {s.value * 1e3:.0f} ms"
+        f"rank {s.tags.get('rank')} {s.value * 1e3:.0f} ms (local mesh "
+        f"{mesh_s[s.tags.get('rank')] * 1e3:.0f} ms)"
         for s in registry.series("pool.worker.ready_s")
     )
     return (

@@ -7,8 +7,9 @@ high-order thickness advection and the APVM potential-vorticity chain are
 prognostic state to be exchanged, exactly like the production code: halo
 values of diagnostics are recomputed locally rather than communicated).
 
-A :class:`LocalMesh` is a self-contained restriction of the global mesh to
-the local point sets, using the same ``Connectivity`` / ``Metrics`` /
+A :class:`LocalIndexPlan` says which global points a rank holds; a
+:class:`LocalMesh` adds the self-contained restriction of the global mesh to
+those point sets, using the same ``Connectivity`` / ``Metrics`` /
 ``TriskWeights`` containers so every kernel of :mod:`repro.swm` runs on it
 unchanged.  Connectivity entries that point outside the local set (possible
 only on the outermost halo ring, whose outputs are never consumed) are
@@ -31,10 +32,12 @@ from ..mesh.metrics import Metrics
 from ..mesh.trisk import TriskWeights
 
 __all__ = [
+    "LocalIndexPlan",
     "LocalMesh",
     "build_local_mesh",
     "halo_layers_required",
     "exchange_bytes",
+    "local_index_plan",
     "ring_halo_indices",
     "schedule_exchange_bytes",
 ]
@@ -53,13 +56,11 @@ def halo_layers_required(thickness_adv_order: int, apvm: bool) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class LocalMesh:
-    """One rank's restriction of the global mesh (duck-types ``Mesh``)."""
+class LocalIndexPlan:
+    """Which global points one rank holds, in local order, without geometry
+    (the pool parent's per-rank record; each worker builds the mesh)."""
 
     rank: int
-    connectivity: Connectivity
-    metrics: Metrics
-    trisk: TriskWeights
 
     # Local -> global index maps; owned points first.
     cells_global: np.ndarray
@@ -72,8 +73,28 @@ class LocalMesh:
     # Ring id per local point: 0 = owned, k = k-th ghost ring.  Halo edges
     # on the partition boundary carry ring 0 (they touch an owned cell);
     # a ring-limited exchange must still refresh them.
-    cell_rings: np.ndarray = None  # type: ignore[assignment]
-    edge_rings: np.ndarray = None  # type: ignore[assignment]
+    cell_rings: np.ndarray
+    edge_rings: np.ndarray
+
+    #: The ranks owning any of this rank's halo cells or edges.
+    providers: tuple[int, ...]
+
+    @property
+    def n_halo_cells(self) -> int:
+        return self.cells_global.size - self.n_owned_cells
+
+    @property
+    def n_halo_edges(self) -> int:
+        return self.edges_global.size - self.n_owned_edges
+
+
+@dataclass(frozen=True, eq=False)
+class LocalMesh(LocalIndexPlan):
+    """One rank's restriction of the global mesh (duck-types ``Mesh``)."""
+
+    connectivity: Connectivity
+    metrics: Metrics
+    trisk: TriskWeights
 
     @property
     def nCells(self) -> int:
@@ -95,17 +116,9 @@ class LocalMesh:
     def radius(self) -> float:
         return self.metrics.radius
 
-    @property
-    def n_halo_cells(self) -> int:
-        return self.nCells - self.n_owned_cells
-
-    @property
-    def n_halo_edges(self) -> int:
-        return self.nEdges - self.n_owned_edges
-
 
 def ring_halo_indices(
-    lm: LocalMesh, rings: int
+    lm: LocalIndexPlan, rings: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local halo indices a depth-``rings`` exchange must refresh.
 
@@ -118,13 +131,11 @@ def ring_halo_indices(
     """
     cr, er = lm.cell_rings, lm.edge_rings
     cell_idx = np.flatnonzero((cr >= 1) & (cr <= rings))
-    edge_idx = lm.n_owned_edges + np.flatnonzero(
-        er[lm.n_owned_edges:] <= rings
-    )
+    edge_idx = lm.n_owned_edges + np.flatnonzero(er[lm.n_owned_edges:] <= rings)
     return cell_idx, edge_idx
 
 
-def exchange_bytes(local_meshes: "list[LocalMesh]") -> float:
+def exchange_bytes(local_meshes: "list[LocalIndexPlan]") -> float:
     """Bytes one prognostic halo exchange moves across all ranks.
 
     Each exchange refreshes the halo values of ``h`` (cells) and ``u``
@@ -132,12 +143,10 @@ def exchange_bytes(local_meshes: "list[LocalMesh]") -> float:
     red synchronization arrow of Figure 2.  Diagnostics are recomputed
     redundantly and move nothing.
     """
-    return 8.0 * sum(
-        lm.n_halo_cells + lm.n_halo_edges for lm in local_meshes
-    )
+    return 8.0 * sum(lm.n_halo_cells + lm.n_halo_edges for lm in local_meshes)
 
 
-def schedule_exchange_bytes(local_meshes: "list[LocalMesh]", schedule) -> float:
+def schedule_exchange_bytes(local_meshes: "list[LocalIndexPlan]", schedule) -> float:
     """Bytes one RK step moves across all ranks under a ``HaloSchedule``.
 
     Counts, for every kept sync point, only the fields it names and only
@@ -148,16 +157,10 @@ def schedule_exchange_bytes(local_meshes: "list[LocalMesh]", schedule) -> float:
     """
     total = 0.0
     for lm in local_meshes:
-        per_depth: dict[int, tuple[int, int]] = {}
         for point in schedule.points:
-            if point.rings not in per_depth:
-                ci, ei = ring_halo_indices(lm, point.rings)
-                per_depth[point.rings] = (int(ci.size), int(ei.size))
-            n_cells, n_edges = per_depth[point.rings]
-            fields = point.fields
+            cells, edges = ring_halo_indices(lm, point.rings)
             total += 8.0 * (
-                (n_cells if "h" in fields else 0)
-                + (n_edges if "u" in fields else 0)
+                cells.size * ("h" in point.fields) + edges.size * ("u" in point.fields)
             )
     return total
 
@@ -179,12 +182,12 @@ def _halo_rings(mesh: Mesh, owned: np.ndarray, layers: int) -> list[np.ndarray]:
     return rings
 
 
-def build_local_mesh(
+def local_index_plan(
     mesh: Mesh, owner: np.ndarray, rank: int, halo_layers: int = 3
-) -> LocalMesh:
-    """Restrict ``mesh`` to the cells owned by ``rank`` plus its halo."""
-    conn, met, tri = mesh.connectivity, mesh.metrics, mesh.trisk
-
+) -> LocalIndexPlan:
+    """The points of ``mesh`` that ``rank`` holds: its owned cells plus
+    ``halo_layers`` ghost rings, and the edges and vertices of those cells."""
+    conn = mesh.connectivity
     owned_cells = np.flatnonzero(owner == rank)
     if owned_cells.size == 0:
         raise ValueError(f"rank {rank} owns no cells")
@@ -221,6 +224,33 @@ def build_local_mesh(
     )
     edge_rings = np.min(edge_cell_rings, axis=1)
 
+    providers = np.unique(np.concatenate([
+        owner[cells_global[owned_cells.size :]],
+        edge_owner[edges_global[n_owned_edges:]],
+    ]))
+    return LocalIndexPlan(
+        rank=rank,
+        cells_global=cells_global,
+        edges_global=edges_global,
+        vertices_global=vertices_global,
+        n_owned_cells=int(owned_cells.size),
+        n_owned_edges=n_owned_edges,
+        n_owned_vertices=n_owned_vertices,
+        cell_rings=cell_rings,
+        edge_rings=edge_rings,
+        providers=tuple(providers.tolist()),
+    )
+
+
+def build_local_mesh(
+    mesh: Mesh, owner: np.ndarray, rank: int, halo_layers: int = 3
+) -> LocalMesh:
+    """Restrict ``mesh`` to the points :func:`local_index_plan` gives ``rank``."""
+    conn, met, tri = mesh.connectivity, mesh.metrics, mesh.trisk
+    plan = local_index_plan(mesh, owner, rank, halo_layers)
+    cells_global, edges_global = plan.cells_global, plan.edges_global
+    vertices_global = plan.vertices_global
+
     n_cells = cells_global.size
     n_edges = edges_global.size
     n_vertices = vertices_global.size
@@ -236,7 +266,8 @@ def build_local_mesh(
         """Remap a global index table to local ids, FILL-preserving.
 
         ``fallback`` (broadcastable to ``table``'s shape) substitutes
-        out-of-partition references; it must itself be a valid local id.
+        out-of-partition references: a valid local id, or ``FILL`` to
+        leave them for the caller to patch.
         """
         out = np.where(table >= 0, g2l[np.clip(table, 0, None)], FILL)
         missing = (table >= 0) & (out < 0)
@@ -252,8 +283,7 @@ def build_local_mesh(
     cellsOnCell = remap(conn.cellsOnCell[cells_global], cell_g2l, loc)
 
     # ---------------------------------------------------------------- edges
-    coe_global = conn.cellsOnEdge[edges_global]
-    coe = np.where(coe_global >= 0, cell_g2l[np.clip(coe_global, 0, None)], FILL)
+    coe = remap(conn.cellsOnEdge[edges_global], cell_g2l, FILL)
     # A local edge always touches at least one local cell; a missing second
     # cell (outermost ring) falls back to the present one.
     have0 = coe[:, 0] >= 0
@@ -265,25 +295,18 @@ def build_local_mesh(
     verticesOnEdge = remap(conn.verticesOnEdge[edges_global], vertex_g2l, 0)
 
     # -------------------------------------------------------------- vertices
-    vloc = np.arange(n_vertices)[:, None]
-    cov_rows = conn.cellsOnVertex[vertices_global]
-    cov = np.where(cov_rows >= 0, cell_g2l[np.clip(cov_rows, 0, None)], FILL)
+    cov = remap(conn.cellsOnVertex[vertices_global], cell_g2l, FILL)
     # Fallback for missing cells: the first local cell on the vertex.
     first_local = np.max(cov, axis=1)  # at least one is local (>= 0)
     if np.any(first_local < 0):
         raise AssertionError("local vertex with no local cell")
     cov = np.where(cov >= 0, cov, first_local[:, None])
-    eov_rows = conn.edgesOnVertex[vertices_global]
-    eov = np.where(eov_rows >= 0, edge_g2l[np.clip(eov_rows, 0, None)], FILL)
+    eov = remap(conn.edgesOnVertex[vertices_global], edge_g2l, FILL)
     first_local_e = np.max(eov, axis=1)
     eov = np.where(eov >= 0, eov, first_local_e[:, None])
 
     # ------------------------------------------------------------- TRiSK
-    eoe_rows = tri.edgesOnEdge[edges_global]
-    eoe = np.where(eoe_rows >= 0, edge_g2l[np.clip(eoe_rows, 0, None)], FILL)
-    eloc = np.arange(n_edges)[:, None]
-    missing_eoe = (eoe_rows >= 0) & (eoe < 0)
-    eoe = np.where(missing_eoe, np.broadcast_to(eloc, eoe.shape), eoe)
+    eoe = remap(tri.edgesOnEdge[edges_global], edge_g2l, np.arange(n_edges)[:, None])
 
     local_conn = Connectivity(
         n_cells=n_cells,
@@ -327,16 +350,6 @@ def build_local_mesh(
         weightsOnEdge=tri.weightsOnEdge[edges_global],
     )
     return LocalMesh(
-        rank=rank,
-        connectivity=local_conn,
-        metrics=local_metrics,
-        trisk=local_trisk,
-        cells_global=cells_global,
-        edges_global=edges_global,
-        vertices_global=vertices_global,
-        n_owned_cells=int(owned_cells.size),
-        n_owned_edges=n_owned_edges,
-        n_owned_vertices=n_owned_vertices,
-        cell_rings=cell_rings,
-        edge_rings=edge_rings,
+        connectivity=local_conn, metrics=local_metrics, trisk=local_trisk,
+        **vars(plan),
     )

@@ -3,49 +3,33 @@
 :class:`PoolShallowWater` is the concurrent sibling of
 :class:`~repro.parallel.runner.DecomposedShallowWater`: the same
 partitioning, the same per-rank local meshes, the same Algorithm-1 step —
-but each rank lives in its own persistent worker process and genuinely
-steps in parallel, the paper's MPI+OpenMP execution model realized with
-``multiprocessing``.  Selected via ``SWConfig(parallel="pool", ranks=P)``
-through :func:`repro.api.run`.
+but each rank lives in its own persistent worker process, builds its own
+local mesh there and genuinely steps in parallel, the paper's MPI+OpenMP
+execution model realized with ``multiprocessing``.  Selected via
+``SWConfig(parallel="pool", ranks=P)`` through :func:`repro.api.run`.
 
 Execution contract (enforced by the test suite): **the owned portion of
-every rank's state is bitwise identical to the serial run**.  This holds
-because each worker runs the one step program
-(:func:`repro.swm.timestep.rk4_step`) on one
-:class:`~repro.swm.timestep.RK4Integrator` built over the same
-:class:`~repro.parallel.halo.LocalMesh` the lockstep runner uses, and this
-module only supplies that program's halo transport: values move by pure
-slice copies through a :class:`~repro.parallel.shm.SharedState` segment at
-exactly the Algorithm-1 synchronization points.
-
-Both halo schedules run through one transport (:class:`_BoardTransport`)
-over a double-buffered segment and the publish/acknowledge counters of a
-:class:`~repro.parallel.shm.SyncBoard`; no rank ever parks on a barrier.
-Each kept exchange is split around compute — a rank publishes its owned
-slices the moment the substate exists (``begin``), the step program runs
-the RK accumulation while its peers drain the exchange, and the halo is
-acquired at the last point before it is read (``finish``).  The two
-schedules differ only in the :class:`~repro.dataflow.schedule.HaloSchedule`
-value handed to the transport, which says which of the 8 sync points exist
-and what they move: under the default ``SWConfig(halo_schedule="dataflow")``
-(:func:`repro.dataflow.schedule.derive_halo_schedule`) only those whose
-halo the step graph cannot prove clean, moving only the variables the
-schedule names; under ``halo_schedule="static"`` all of them at full
-payload.  The owned state is bitwise identical to the serial run under both.
+every rank's state is bitwise identical to the serial run**, under both
+halo schedules.  Each worker runs the one step program
+(:func:`repro.swm.timestep.rk4_step`) on the same
+:class:`~repro.parallel.halo.LocalMesh` the lockstep runner builds, and
+this module only supplies that program's halo transport
+(:class:`_BoardTransport`): pure slice copies through a double-buffered
+:class:`~repro.parallel.shm.SharedState` segment, ordered by the
+publish/acknowledge counters of a :class:`~repro.parallel.shm.SyncBoard`
+(no rank ever parks on a barrier), at the sync points the
+:class:`~repro.dataflow.schedule.HaloSchedule` keeps.
 
 Worker death (a crashed process, an ``os._exit`` mid-step) is recoverable:
-the parent sees the process exit at once and resets the sync board, whose
-abort word sends the surviving workers out of their waits to report back
-(a stuck but living peer is caught by the sync timeout instead); the
-parent then restores the last committed global state into the shared segment,
-respawns the dead ranks, reloads every worker and retries the batch —
-bounded by ``SWConfig.halo_retries`` (a dead worker is a lost halo
-peer), counted under ``resilience.pool.*``.  A successful retry is
-bitwise-invisible, like every other recovery in this repo.  A *numerical*
-failure is not a dead worker: a rank whose step raises
-``FloatingPointError`` acks ``("failed", step, message)``, and the parent
-closes the pool and raises ``FloatingPointError`` naming rank, step and
-cause — once, with no respawn (the same input would fail the same way).
+the parent sees the exit at once and resets the sync board, whose abort
+word sends the survivors out of their waits (a stuck but living peer is
+caught by the sync timeout instead); it then restores the last committed
+global state, respawns the dead ranks, reloads every worker and retries
+the batch — bounded by ``SWConfig.halo_retries``, counted under
+``resilience.pool.*``, and bitwise-invisible.  A rank whose step raises
+``FloatingPointError`` acks ``("failed", step, message)``, and one that
+raises during start-up acks ``("error", text)``: either closes the pool
+and raises once, with no respawn (the same input would fail the same way).
 
 Per-worker observability is private (each worker installs a fresh metrics
 registry and tracer at startup) and is merged into the parent's process-wide
@@ -58,6 +42,7 @@ import multiprocessing
 import os
 import threading
 import time
+import traceback
 from multiprocessing import connection
 
 import numpy as np
@@ -75,6 +60,7 @@ from .halo import (
     build_local_mesh,
     exchange_bytes,
     halo_layers_required,
+    local_index_plan,
     ring_halo_indices,
     schedule_exchange_bytes,
 )
@@ -121,10 +107,8 @@ class _BoardTransport(HaloTransport):
         self.points: dict[str, tuple] = {}
         for p in schedule.points:
             cell_idx, edge_idx = ring_halo_indices(lm, p.rings)
-            nbytes = 8.0 * (
-                (cell_idx.size if "h" in p.fields else 0)
-                + (edge_idx.size if "u" in p.fields else 0)
-            )
+            nbytes = 8.0 * cell_idx.size * ("h" in p.fields)
+            nbytes += 8.0 * edge_idx.size * ("u" in p.fields)
             self.points[p.name] = (p.fields, cell_idx, edge_idx, nbytes)
         self.bind_counters()
         self.rewind()
@@ -211,7 +195,9 @@ def _worker_main(
     shared: SharedState,
     board: SyncBoard,
     barrier_timeout: float,
-    lm,
+    mesh: Mesh,
+    owner: np.ndarray,
+    halo_layers: int,
     b_cell: np.ndarray,
     f_vertex: np.ndarray,
     config: SWConfig,
@@ -222,14 +208,16 @@ def _worker_main(
 ) -> None:
     """Persistent worker loop: own rank state, obey parent commands.
 
-    Commands (over the pipe): ``("steps", n)`` advance ``n`` RK-4 steps,
-    acked ``("ok", n)``, ``("broken", at_step)`` after a broken sync, or
-    ``("failed", at_step, message)`` when the step itself raised
-    ``FloatingPointError``;
-    ``("load", base_step)`` re-slice the local state from the shared
-    segment (post-recovery resynchronization); ``("obs",)`` ship-and-clear
-    this worker's metrics snapshot and finished tracer spans; ``("stop",)``
-    exit.  The parent reads states out of the shared segment, never a pipe.
+    Start-up builds this rank's local mesh, integrator and first
+    diagnostics, acked ``("ready", rank)`` — or ``("error", text)`` if it
+    raised.  Commands (over the pipe): ``("steps", n)`` advance ``n`` RK-4
+    steps, acked ``("ok", n)``, ``("broken", at_step)`` after a broken sync,
+    or ``("failed", at_step, message)`` when the step itself raised
+    ``FloatingPointError``; ``("load", base_step)`` re-slice the local
+    state from the shared segment (post-recovery resynchronization);
+    ``("obs",)`` ship-and-clear this worker's metrics snapshot and finished
+    tracer spans; ``("stop",)`` exit.  The parent reads states out of the
+    shared segment, never a pipe.
 
     A :class:`_BoardTransport` drives the kept sync points of ``schedule``
     (static or dataflow) against the ``neighbors = (providers, consumers)``
@@ -260,13 +248,22 @@ def _worker_main(
     set_registry(registry)
     set_tracer(Tracer(enabled=trace_enabled))
 
-    integ = RK4Integrator(lm, config, b_cell, f_vertex)
-    sync = _BoardTransport(
-        rank, shared, board, barrier_timeout, lm, schedule, *neighbors
-    )
-    t_diag = time.perf_counter()
-    state = shared.read_local(lm)
-    diag = integ.diagnostics_for(state)
+    try:
+        t_mesh = time.perf_counter()
+        lm = build_local_mesh(mesh, owner, rank, halo_layers=halo_layers)
+        registry.gauge("pool.worker.local_mesh_s").set(time.perf_counter() - t_mesh)
+        integ = RK4Integrator(
+            lm, config, b_cell[lm.cells_global], f_vertex[lm.vertices_global]
+        )
+        sync = _BoardTransport(
+            rank, shared, board, barrier_timeout, lm, schedule, *neighbors
+        )
+        t_diag = time.perf_counter()
+        state = shared.read_local(lm)
+        diag = integ.diagnostics_for(state)
+    except Exception:  # the parent closes the pool and raises the text
+        conn.send(("error", traceback.format_exc()))
+        return
     # Seed the adaptive-timeout estimate before any peer can wait on this
     # rank: the startup diagnostics is one full compute interval.
     board.observe(rank, time.perf_counter() - t_diag)
@@ -364,14 +361,15 @@ class PoolShallowWater:
             halo_layers = halo_layers_required(
                 config.thickness_adv_order, config.apvm_upwinding != 0.0
             )
+        self.halo_layers = halo_layers
         kill_at = kill_at or {}
-        # One span: four named children; the rest (IC, segments) is self time.
+        # One span: three named children; the rest (IC, segments) is self time.
         with trace_span("pool.spawn", category="pool", ranks=n_ranks):
             with trace_span("partition", category="pool"):
                 self.owner = partition_cells(mesh, n_ranks, method=partition_method)
-            with trace_span("local_mesh", category="pool"):
-                self.local_meshes = [
-                    build_local_mesh(mesh, self.owner, r, halo_layers=halo_layers)
+                # Index plans only: each worker builds its own local mesh.
+                plans = [
+                    local_index_plan(mesh, self.owner, r, halo_layers)
                     for r in range(n_ranks)
                 ]
 
@@ -396,7 +394,12 @@ class PoolShallowWater:
                 "fork" if "fork" in methods else "spawn"
             )
             self._board = SyncBoard.create(n_ranks, self._ctx)
-            self._neighbors = self._neighbor_ranks()
+            # Per rank: whose publishes it awaits before reading its halo,
+            # and whose acks before overwriting a buffer (full halo depth).
+            self._neighbors = [
+                (p.providers, tuple(q.rank for q in plans if p.rank in q.providers))
+                for p in plans
+            ]
             self._workers: list = [None] * n_ranks
             self._conns: list = [None] * n_ranks
             self._closed = False
@@ -406,7 +409,7 @@ class PoolShallowWater:
             registry = get_registry()
             registry.gauge(
                 "halo.bytes_per_exchange", ranks=n_ranks, mode="pool"
-            ).set(exchange_bytes(self.local_meshes))
+            ).set(exchange_bytes(plans))
             registry.gauge(
                 "halo.exchanges_per_step", ranks=n_ranks, mode="pool",
                 schedule=self.schedule.mode,
@@ -414,7 +417,7 @@ class PoolShallowWater:
             registry.gauge(
                 "halo.bytes_per_step", ranks=n_ranks, mode="pool",
                 schedule=self.schedule.mode,
-            ).set(schedule_exchange_bytes(self.local_meshes, self.schedule))
+            ).set(schedule_exchange_bytes(plans, self.schedule))
             self._respawns = registry.counter("resilience.pool.respawn", ranks=n_ranks)
             self._retries = registry.counter(
                 "resilience.recovery.retry", site="pool.step", ranks=n_ranks
@@ -424,33 +427,11 @@ class PoolShallowWater:
                 for r in range(n_ranks):
                     self._spawn(r, kill_at.get(r))
             with trace_span("ready", category="pool"):
-                self._await("ready", range(n_ranks))
-
-    def _neighbor_ranks(self) -> list[tuple[tuple, tuple]]:
-        """Per-rank ``(providers, consumers)`` sets for the sync board.
-
-        ``providers[r]`` are the ranks owning any of rank *r*'s halo
-        points (whose publishes *r* must await before reading);
-        ``consumers[r]`` are the ranks whose halo includes any of *r*'s
-        owned points (whose acks *r* must await before overwriting a
-        buffer).  Computed at the full halo depth, which bounds every
-        ring-limited subset a schedule can refresh.
-        """
-        edge_owner = np.full(self.mesh.nEdges, -1, dtype=np.int64)
-        for r, lm in enumerate(self.local_meshes):
-            edge_owner[lm.edges_global[: lm.n_owned_edges]] = r
-        providers: list[tuple] = []
-        for r, lm in enumerate(self.local_meshes):
-            owners = np.concatenate([
-                self.owner[lm.cells_global[lm.n_owned_cells :]],
-                edge_owner[lm.edges_global[lm.n_owned_edges :]],
-            ])
-            owners = np.unique(owners[(owners >= 0) & (owners != r)])
-            providers.append(tuple(owners.tolist()))
-        return [
-            (providers[r], tuple(q for q in range(self.n_ranks) if r in providers[q]))
-            for r in range(self.n_ranks)
-        ]
+                dead = self._await("ready", range(n_ranks))
+            if dead:
+                codes = {r: self._workers[r].exitcode for r in dead}
+                self.close()
+                raise WorkerPoolError(f"ranks exited before ready (exit codes {codes})")
 
     # ----------------------------------------------------------- process mgmt
     def _spawn(self, rank: int, kill_at_step: int | None = None) -> None:
@@ -459,11 +440,9 @@ class PoolShallowWater:
             target=_worker_main,
             args=(
                 rank, child_conn, self._shared, self._board,
-                self.barrier_timeout, self.local_meshes[rank],
-                self.b_cell[self.local_meshes[rank].cells_global],
-                self.f_vertex[self.local_meshes[rank].vertices_global],
-                self.config, self.schedule, self._neighbors[rank],
-                get_tracer().enabled, kill_at_step,
+                self.barrier_timeout, self.mesh, self.owner, self.halo_layers,
+                self.b_cell, self.f_vertex, self.config, self.schedule,
+                self._neighbors[rank], get_tracer().enabled, kill_at_step,
             ),
             daemon=True,
             name=f"repro-pool-rank{rank}",
@@ -482,7 +461,9 @@ class PoolShallowWater:
         wait (recovery latency is detection latency, not the sync timeout).
         A ``("failed", step, message)`` ack is a numerical failure, not a
         death: the pool is torn down at once (peers may be blocked on the
-        failed rank's next publish) and ``FloatingPointError`` raised.
+        failed rank's next publish) and ``FloatingPointError`` raised.  An
+        ``("error", text)`` ack — a worker that raised during start-up —
+        tears it down the same way and raises :class:`WorkerPoolError`.
         """
         pending = set(ranks)
         dead: list[int] = []
@@ -498,10 +479,12 @@ class PoolShallowWater:
                     msg = conn.recv() if conn.poll() else ("exited",)
                 except (EOFError, OSError):
                     msg = ("exited",)
-                if msg[0] == "failed":
+                if msg[0] in ("failed", "error"):
                     for proc in self._workers:
                         proc.terminate()
                     self.close()
+                    if msg[0] == "error":
+                        raise WorkerPoolError(f"pool rank {r} raised:\n{msg[1]}")
                     raise FloatingPointError(
                         f"pool rank {r} failed at step {msg[1]}: {msg[2]}"
                     )
@@ -630,28 +613,26 @@ class PoolShallowWater:
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Stop the workers and release the shared segment (idempotent)."""
+        """Stop the workers and release the shared segment (idempotent).
+
+        Every live worker is told to stop before any is joined, so the
+        ranks shut down concurrently."""
         if self._closed:
             return
         self._closed = True
-        for r in range(self.n_ranks):
-            proc, conn = self._workers[r], self._conns[r]
-            if proc is None:
-                continue
+        started = [(p, c) for p, c in zip(self._workers, self._conns) if p is not None]
+        for proc, conn in started:
             try:
                 if proc.is_alive():
                     conn.send(("stop",))
-                    conn.poll(5.0)
-            except (BrokenPipeError, OSError):
+            except OSError:  # the worker died since the check
                 pass
+        for proc, conn in started:
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            conn.close()
         self._shared.close()
         self._shared.unlink()
         self._board.close()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -610,7 +611,9 @@ class TestCLI:
         startup = out.index("Pool start-up: ")
         assert startup < out.index("Measured kernel cost breakdown")
         line = out[startup:].splitlines()[0]
-        for part in ("partition", "local_mesh", "fork", "ready", "rank 0", "rank 1"):
-            assert part in line
+        phases = line[line.index("(") + 1 : line.index(")")]
+        assert [p.split()[0] for p in phases.split(", ")] == ["partition", "fork", "ready"]
+        for rank in (0, 1):
+            assert re.search(rf"rank {rank} \d+ ms \(local mesh \d+ ms\)", line)
         # one row per sync point the default (dataflow) schedule keeps
         assert "post@s1" in out and "post@s4" in out and "pre@s1" not in out

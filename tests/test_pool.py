@@ -9,18 +9,25 @@ by bounded respawn without perturbing a single bit.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import os
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
 
+import repro.parallel.pool as pool_module
 from repro.constants import GRAVITY
+from repro.geometry import lloyd_relax, normalize
+from repro.mesh import Mesh
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.parallel import (
     DecomposedShallowWater,
+    LocalMesh,
     PoolShallowWater,
     SharedState,
     WorkerPoolError,
@@ -303,18 +310,19 @@ class TestPoolObservability:
                     pool.run(1)
         (spawn,) = [s for s in tracer.finished() if s.name == "pool.spawn"]
         children = tracer.children(spawn)
-        assert [c.name for c in children] == [
-            "partition", "local_mesh", "fork", "ready"
-        ]
+        # the parent builds no local mesh: each worker builds its own
+        assert [c.name for c in children] == ["partition", "fork", "ready"]
         assert sum(c.duration for c in children) <= spawn.duration
-        ready = {
-            s.tags["rank"]: s.value for s in registry.series("pool.worker.ready_s")
-        }
-        assert set(ready) == {0, 1}
-        # a worker is ready (compile + first diagnostics) inside the
-        # parent's fork + ready window
-        window = sum(c.duration for c in children[2:])
+        ready, local_mesh = (
+            {s.tags["rank"]: s.value for s in registry.series(name)}
+            for name in ("pool.worker.ready_s", "pool.worker.local_mesh_s")
+        )
+        assert set(ready) == set(local_mesh) == {0, 1}
+        # a worker is ready (local mesh + compile + first diagnostics)
+        # inside the parent's fork + ready window
+        window = sum(c.duration for c in children[1:])
         assert all(0.0 < seconds <= window for seconds in ready.values())
+        assert all(0.0 < local_mesh[r] < ready[r] for r in ready)
 
     def test_both_schedules_run_one_transport_and_time_their_waits(self, mesh3):
         case = steady_zonal_flow()
@@ -668,3 +676,166 @@ class TestAdaptiveTimeout:
         assert respawns == 0
         assert np.array_equal(pres.state.h, res.state.h)
         assert np.array_equal(pres.state.u, res.state.u)
+
+
+# ------------------------------------------------------------------ start-up
+def _leftovers() -> tuple[list[str], set[str]]:
+    """Live pool workers, and the shared-memory segments on this host."""
+    workers = [
+        p.name for p in multiprocessing.active_children()
+        if p.name.startswith("repro-pool-")
+    ]
+    segments = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+    return workers, segments
+
+
+class TestPoolStartup:
+    """Every worker builds its own local mesh; the parent keeps the
+    partition, and what fails in a worker before ``ready`` reaches the
+    caller at construction with nothing left running."""
+
+    @pytest.mark.parametrize(
+        "how,message",
+        [
+            ("raises", r"(?s)pool rank 1 raised:\nTraceback.*"
+                       r"RuntimeError: no integrator on rank 1"),
+            ("exits", r"exited before ready \(exit codes \{1: 7\}\)"),
+        ],
+        ids=["raises", "exits"],
+    )
+    def test_a_worker_failing_before_ready_closes_the_pool(
+        self, mesh3, monkeypatch, how, message
+    ):
+        real = pool_module.RK4Integrator
+
+        def integrator(lm, *args):
+            if lm.rank == 1:
+                if how == "exits":
+                    os._exit(7)
+                raise RuntimeError("no integrator on rank 1")
+            return real(lm, *args)
+
+        # workers fork after the patch, so they inherit it
+        monkeypatch.setattr(pool_module, "RK4Integrator", integrator)
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        _, segments = _leftovers()
+        with pytest.raises(WorkerPoolError, match=message):
+            PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=TIMEOUT)
+        workers, after = _leftovers()
+        assert workers == [] and after <= segments
+
+    def test_an_empty_rank_is_refused_before_any_fork(self, mesh3, monkeypatch):
+        monkeypatch.setattr(
+            pool_module, "partition_cells",
+            lambda mesh, n_ranks, method: np.zeros(mesh.nCells, dtype=np.int64),
+        )
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        _, segments = _leftovers()
+        with pytest.raises(ValueError, match=r"^rank 1 owns no cells$"):
+            PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=TIMEOUT)
+        workers, after = _leftovers()
+        assert workers == [] and after <= segments
+
+    def test_the_parent_holds_no_local_mesh(self, mesh3):
+        """Nothing reachable from a live pool is a ``LocalMesh``: the
+        parent's share of a rank is its partition entry and index plan,
+        and the plans are dropped once the neighbour sets are derived."""
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        opaque = (type, types.ModuleType, types.FunctionType)
+        with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=TIMEOUT) as pool:
+            seen, todo, found = set(), [pool], []
+            while todo:
+                obj = todo.pop()
+                if id(obj) in seen or isinstance(obj, opaque):
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, LocalMesh):
+                    found.append(obj.rank)
+                todo.extend(gc.get_referents(obj))
+            pool.run(1)
+        assert found == []
+        assert len(seen) > 100  # the walk reached the pool's members
+
+
+@pytest.fixture(scope="module")
+def random_scvt():
+    rng = np.random.default_rng(23)
+    points = lloyd_relax(normalize(rng.standard_normal((120, 3))), iterations=60)
+    return Mesh.from_points(points.points, name="random120-23")
+
+
+def _oracle_neighbors(mesh, owner, local_meshes):
+    """Per-rank ``(providers, consumers)`` read off parent-built local
+    meshes, the way the pool derived them before its workers built their
+    own: providers own a halo point of the rank, consumers have one of
+    its owned points in their halo."""
+    edge_owner = np.full(mesh.nEdges, -1, dtype=np.int64)
+    for r, lm in enumerate(local_meshes):
+        edge_owner[lm.edges_global[: lm.n_owned_edges]] = r
+    providers = []
+    for r, lm in enumerate(local_meshes):
+        owners = np.concatenate([
+            owner[lm.cells_global[lm.n_owned_cells :]],
+            edge_owner[lm.edges_global[lm.n_owned_edges :]],
+        ])
+        owners = np.unique(owners[(owners >= 0) & (owners != r)])
+        providers.append(tuple(owners.tolist()))
+    return [
+        (providers[r], tuple(q for q in range(len(local_meshes)) if r in providers[q]))
+        for r in range(len(local_meshes))
+    ]
+
+
+def _oracle_halo_bytes(local_meshes, schedule) -> dict[str, float]:
+    """The two halo byte gauges, counted on parent-built local meshes."""
+    per_exchange = 8.0 * sum(
+        lm.nCells - lm.n_owned_cells + lm.nEdges - lm.n_owned_edges
+        for lm in local_meshes
+    )
+    per_step = 0.0
+    for lm in local_meshes:
+        for point in schedule.points:
+            cells = np.count_nonzero((lm.cell_rings >= 1) & (lm.cell_rings <= point.rings))
+            edges = np.count_nonzero(lm.edge_rings[lm.n_owned_edges :] <= point.rings)
+            per_step += 8.0 * (
+                cells * ("h" in point.fields) + edges * ("u" in point.fields)
+            )
+    return {"halo.bytes_per_exchange": per_exchange, "halo.bytes_per_step": per_step}
+
+
+class TestParentDerivedTopology:
+    """The parent derives the sync-board neighbour sets and the halo byte
+    gauges from index plans alone; they equal what parent-built local
+    meshes give."""
+
+    @pytest.mark.parametrize("schedule", ["static", "dataflow"])
+    @pytest.mark.parametrize("order,layers", [(2, 2), (4, 3)])
+    @pytest.mark.parametrize("n_ranks", [2, 3, 4])
+    @pytest.mark.parametrize("which", ["icos3", "random"])
+    def test_neighbors_and_halo_bytes_match_local_meshes(
+        self, mesh3, random_scvt, which, n_ranks, order, layers, schedule
+    ):
+        mesh = mesh3 if which == "icos3" else random_scvt
+        case = steady_zonal_flow()
+        cfg = SWConfig(
+            dt=suggested_dt(mesh, case, GRAVITY, cfl=0.6),
+            thickness_adv_order=order, apvm_upwinding=0.0, halo_schedule=schedule,
+        )
+        with use_registry(MetricsRegistry()) as registry:
+            with PoolShallowWater(
+                mesh, n_ranks, case, cfg, barrier_timeout=TIMEOUT
+            ) as pool:
+                assert pool.halo_layers == layers
+        local_meshes = [
+            build_local_mesh(mesh, pool.owner, r, halo_layers=layers)
+            for r in range(n_ranks)
+        ]
+        assert pool._neighbors == _oracle_neighbors(mesh, pool.owner, local_meshes)
+        gauges = {
+            s.name: s.value for s in registry.series()
+            if s.name in ("halo.bytes_per_exchange", "halo.bytes_per_step")
+        }
+        assert gauges == _oracle_halo_bytes(local_meshes, pool.schedule)
