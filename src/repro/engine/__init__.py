@@ -7,7 +7,7 @@ and :mod:`repro.engine.plan` for fused per-mesh execution plans compiled
 from the Fig. 4 dataflow graph (``SWConfig(plan=True)``).
 
 Importing this package is deliberately light (no backend modules are
-loaded, and ``plan``/``sparse`` — which pull scipy — are imported lazily);
+loaded, and ``plan``/``sparse`` are imported lazily);
 the default registry is built lazily on first dispatch.  Run
 ``python -m repro.engine --selftest`` for an end-to-end smoke check.
 """

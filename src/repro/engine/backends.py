@@ -8,8 +8,8 @@ passes then attach implementations:
   plus the A4 gather of :mod:`repro.swm.reconstruct` and the fused C1,C2
   sweep of :mod:`repro.swm.advection`); also what a faulted dispatch
   recovers onto.
-* ``sparse`` — fixed-sparsity stencils compiled once per mesh into
-  ``scipy.sparse`` CSR operators and applied as matvecs
+* ``sparse`` — fixed-sparsity stencils compiled once per mesh into CSR
+  arrays applied by scipy's compiled matvec kernel
   (:mod:`repro.engine.sparse`), memoized in a two-level in-memory +
   versioned on-disk operator cache.  The bilinear B1 runs as
   ``0.5 * (q * (K f) + K (f * q))``, two matvecs of the TRiSK stencil ``K``.

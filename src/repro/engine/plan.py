@@ -13,69 +13,42 @@ ops of :class:`repro.engine.sparse.CoriolisOp`.
 Composition
 -----------
 Every stage executes the floating-point expressions of the unfused sparse
-backend — same matvecs against the same lane-ordered CSR matrices, same
-elementwise ufunc sequence — only without the per-dispatch overhead, and
-writing into reused scratch buffers (``out=``, which does not change a
-ufunc's arithmetic); those stages are **bitwise identical** to the unfused
-backend.  The one exception is decided at compile time, not by an option:
-a chain of linear operators with input-independent coefficients whose
-intermediates the scheduler's single-consumer oracle certifies (nothing
-else observes them) is composed into one matrix — today the 4th-order
-``h_edge`` operator and the del4 hyperviscosity chain.  Composition
-reassociates the row sums, so a composed stage agrees with the unfused
-backend to ~1e-12 relative, not bitwise; the order-3 upwinded correction
-never composes because its ``sign(u)`` coefficients depend on the input.
+backend (same matvecs, same ufunc sequence, into reused ``out=`` buffers):
+those stages are **bitwise identical** to it.  The one exception is decided
+at compile time: a chain of linear operators with input-independent
+coefficients whose intermediates the scheduler's single-consumer oracle
+certifies is composed into one matrix — the 4th-order ``h_edge`` operator
+and the del4 chain — which reassociates the row sums (~1e-12 relative).
+Composing runs in ``scipy.sparse``, imported only when a composed matrix
+misses the cache (:func:`import_composer`).
 
 Caching
 -------
-Plans are memoized **per thread** and per mesh (a ``threading.local``
-holding a ``WeakKeyDictionary``), keyed by the structure-affecting config
-fields (:func:`plan_key`): a plan owns scratch buffers, so two threads
-stepping one ``(mesh, config)`` — the ensemble's member blocks — each
-compile their own.  The CSR operators a plan closes over are shared,
-read-only, by every thread's plan: they come from the two-level operator
-cache (:func:`repro.engine.sparse.sparse_operator`: memory + versioned
-``.npz`` on disk).  Composed matrices go through
-the same archive reader/writer as the operator ``"plan_<name>"`` with
-:data:`PLAN_CACHE_VERSION` stamped alongside the operator format version —
-a version bump or mesh edit invalidates them exactly like the operators.
-The ``mpas_reconstruct`` stages (and the A4 operator's per-cell fits)
-compile on the first :meth:`~ExecutionPlan.reconstruct` / ``describe``.
+Plans are memoized **per thread** and per mesh, keyed by :func:`plan_key`:
+a plan owns scratch buffers and is not re-entrant, so two threads stepping
+one ``(mesh, config)`` each compile their own over the same shared CSR
+operators (:func:`repro.engine.sparse.sparse_operator`).  Composed matrices
+are the operator archive ``"plan_<name>"`` stamped :data:`PLAN_CACHE_VERSION`.
+The ``mpas_reconstruct`` stages compile on first use.
 
 Execution semantics
 -------------------
-The plan exposes one entry point per Algorithm-1 kernel it fuses
-(:meth:`ExecutionPlan.tend`, :meth:`~ExecutionPlan.diagnostics`,
-:meth:`~ExecutionPlan.reconstruct`) rather than one whole-substep program:
-the halo exchanges of Fig. 4 are barriers between those segments
-(:class:`repro.dataflow.schedule.Segment`), and the decomposed executors
-must run them.  Each stage has exactly one program.  When the tracer is
-enabled, every stage runs under a ``category="plan"`` span.
-
-Buffer discipline: the two tendency outputs live in plan-owned buffers
-reused across calls (safe: every consumer reads them before the next
-``tend`` call, and ``enforce_boundary_edge`` mutating them in place is the
-contract); Diagnostics and Reconstruction outputs are freshly allocated
-per call because callers retain them (run results, watchdogs, rollback
-checkpoints).  A plan is not re-entrant across threads, which is why
-:func:`compiled_plan` hands every thread its own.
+One entry point per Algorithm-1 kernel (:meth:`ExecutionPlan.tend`,
+:meth:`~ExecutionPlan.diagnostics`, :meth:`~ExecutionPlan.reconstruct`):
+the halo exchanges of Fig. 4 are barriers between those segments, and the
+decomposed executors run them.  With the tracer enabled every stage runs
+under a ``category="plan"`` span.  The two tendency outputs live in
+plan-owned buffers reused across calls; Diagnostics and Reconstruction
+outputs are allocated per call because callers retain them.
 
 Batched plans
 -------------
-``compile_plan(..., batch=N)`` emits the same stage program over
-``(n, N)`` field blocks: every buffer gains a trailing *member* axis and
-every CSR matvec becomes one matrix–matrix product against the whole
-block (scipy's ``csr_matvecs`` kernel).  That kernel accumulates each
-output row over the stored entries in exactly the order ``csr_matvec``
-does, per column — so **column k of a batched stage is bitwise identical
-to the serial stage applied to column k**, which is the foundation the
-ensemble engine (:mod:`repro.ensemble`) builds its per-member
-reproducibility contract on.  No stage loops over members (B1's two
-matvecs run on the member block like every other stage); the ``E1``
-stability check flags diverging members into a caller-provided mask
-instead of raising, so one poisoned member cannot stall the batch.
-Batched plans are memoized next to the serial ones, keyed by
-``plan_key(config) + (batch,)``.
+``compile_plan(..., batch=N)`` emits the same program over ``(n, N)`` member
+blocks: each matvec is one ``csr_matvecs`` call, which sums each row in the
+order ``csr_matvec`` does, per column — so **column k of a batched stage is
+bitwise the serial stage on column k** (the ensemble's per-member
+contract).  The ``E1`` check flags diverging members into a caller mask
+instead of raising.  Keyed by ``plan_key(config) + (batch,)``.
 """
 
 from __future__ import annotations
@@ -87,11 +60,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .sparse import _cached_operator, _triples, sparse_operator
+from .sparse import (
+    CSR,
+    _cached_operator,
+    _matvec,
+    _triples,
+    scipy_sparse,
+    sparse_operator,
+)
 
 __all__ = [
     "PLAN_CACHE_VERSION",
@@ -102,6 +81,7 @@ __all__ = [
     "plan_key",
     "compile_plan",
     "compiled_plan",
+    "import_composer",
     "kernel_plan",
     "clear_plan_memory_cache",
     "unplanned_labels",
@@ -162,54 +142,6 @@ _UNSTABLE_MSG = (
 )
 
 
-# ------------------------------------------------------------ fast matvec
-def _probe_kernel(name: str, x: np.ndarray):
-    """scipy's raw ``csr_matvec`` / ``csr_matvecs`` kernel, verified bitwise
-    against ``M @ x`` on the probe vector (1-D) or member block (2-D) ``x``.
-
-    ``M @ x`` allocates a zero output and accumulates into it with exactly
-    this kernel, so zeroing a reused buffer and calling it directly is
-    bitwise identical while skipping the per-call allocation.  The
-    multi-vector kernel walks each output row's stored entries in the same
-    order as the single-vector one, so every column of a batched product is
-    bitwise the serial matvec of that column — the batched plan's per-member
-    reproducibility contract.  Any scipy that does not expose (or changes)
-    a kernel falls back to ``M @ x``.
-    """
-    try:
-        from scipy.sparse import _sparsetools
-
-        fn = getattr(_sparsetools, name)
-    except (ImportError, AttributeError):  # pragma: no cover - scipy variant
-        return None
-    m = sp.csr_matrix(np.arange(12.0).reshape(3, 4) / 7.0)
-    out = np.zeros((3,) + x.shape[1:])
-    try:
-        fn(*m.shape, *x.shape[1:], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
-    except Exception:  # pragma: no cover - scipy variant
-        return None
-    return fn if np.array_equal(out, m @ x) else None
-
-
-_CSR_MATVEC = _probe_kernel("csr_matvec", np.linspace(-1.0, 1.0, 4))
-_CSR_MATVECS = _probe_kernel("csr_matvecs", np.linspace(-1.0, 1.0, 8).reshape(4, 2))
-
-
-def _matvec(m: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[:] = m @ x`` into a preallocated buffer, bitwise-identical.
-
-    Accepts a 1-D vector or a 2-D ``(n, N)`` member block; either way each
-    column matches the serial ``m @ column`` bit for bit.
-    """
-    fn = _CSR_MATVECS if x.ndim == 2 else _CSR_MATVEC
-    if fn is None or not (x.flags.c_contiguous and out.flags.c_contiguous):
-        out[:] = m @ x
-        return out
-    out.fill(0.0)
-    fn(*m.shape, *x.shape[1:], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
-    return out
-
-
 # ------------------------------------------------------------- plan stages
 @dataclass(slots=True)
 class PlanStage:
@@ -223,18 +155,29 @@ class PlanStage:
 
 
 # ---------------------------------------------------------- composed cache
-_COMPOSED_MEM: "weakref.WeakKeyDictionary[object, dict[str, sp.csr_matrix]]" = (
+_COMPOSED_MEM: "weakref.WeakKeyDictionary[object, dict[str, CSR]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _composed_operator(mesh, name: str, build: Callable[[], sp.csr_matrix]):
+def _composed_operator(mesh, name: str, build: Callable[[], CSR]):
     """A composed matrix behind the operator cache's two levels: the archive
     is the operator ``"plan_<name>"``, stamped :data:`PLAN_CACHE_VERSION`."""
     return _cached_operator(
         _COMPOSED_MEM, mesh, f"plan_{name}", build,
         kind="plan", plan_version=PLAN_CACHE_VERSION,
     )
+
+
+def import_composer(config) -> None:
+    """Import ``scipy.sparse`` now if a plan for ``config`` composes a matrix
+    (order-4 ``h_edge``, del4).  A pool parent calls this before it forks:
+    rank-local meshes miss the composed cache at every spawn, and each
+    worker would otherwise import the package (~80 ms) on its own."""
+    if config.plan and (
+        config.thickness_adv_order == 4 or config.hyperviscosity != 0.0
+    ):
+        scipy_sparse()
 
 
 # ------------------------------------------------------------ the compiler
@@ -473,7 +416,7 @@ class _Compiler:
         """
         return v[:, None] if self.batch else v
 
-    def matrix(self, name: str) -> sp.csr_matrix:
+    def matrix(self, name: str) -> CSR:
         return sparse_operator(self.mesh, name)
 
     @staticmethod
@@ -501,7 +444,7 @@ class _Compiler:
             sched, ("d2fdx2_cell1", "d2fdx2_cell2")
         )
 
-    def _composed(self, name: str, build: Callable[[], sp.csr_matrix]):
+    def _composed(self, name: str, build: Callable[[], CSR]):
         self.composed.append(name)
         return _composed_operator(self.mesh, name, build)
 
@@ -617,9 +560,11 @@ class _Compiler:
         e1, e2 = self._e1, self._e2
 
         def build():
-            return sp.csr_matrix(
-                Mgc @ sparse_operator(mesh, "cell_divergence")
-                - Mgv @ sparse_operator(mesh, "vertex_curl")
+            sp = scipy_sparse()  # composing is the one use of the package
+            div = sparse_operator(mesh, "cell_divergence").to_scipy()
+            curl = sparse_operator(mesh, "vertex_curl").to_scipy()
+            return CSR.from_scipy(
+                sp.csr_matrix(Mgc.to_scipy() @ div - Mgv.to_scipy() @ curl)
             )
 
         D4 = self._composed("del4", build)
@@ -655,10 +600,11 @@ class _Compiler:
             dc2_half = (mesh.metrics.dcEdge**2 / 12.0) * 0.5
 
             def build():
-                Mmean = sparse_operator(mesh, "cell_to_edge_mean")
-                Md2 = sparse_operator(mesh, "d2fdx2")
+                sp = scipy_sparse()  # composing is the one use of the package
+                Mmean = sparse_operator(mesh, "cell_to_edge_mean").to_scipy()
+                Md2 = sparse_operator(mesh, "d2fdx2").to_scipy()
                 S = Md2[0::2] + Md2[1::2]  # d2_1 + d2_2 rows per edge
-                return sp.csr_matrix(Mmean - sp.diags(dc2_half) @ S)
+                return CSR.from_scipy(sp.csr_matrix(Mmean - sp.diags(dc2_half) @ S))
 
             H4 = self._composed("h_edge_order4", build)
 

@@ -17,8 +17,8 @@ Two backends ship (see :mod:`repro.engine.backends`):
     The production gather-form operators of :mod:`repro.swm.operators`
     (Algorithms 3/4 — label matrices, branch-free padding).
 ``sparse``
-    Fixed-sparsity stencils compiled once per mesh into ``scipy.sparse``
-    CSR operators and applied as matvecs (:mod:`repro.engine.sparse`),
+    Fixed-sparsity stencils compiled once per mesh into CSR operators and
+    applied by scipy's compiled matvec kernel (:mod:`repro.engine.sparse`),
     with a two-level in-memory + versioned on-disk operator cache.
 
 Both implement every operator; asking for an implementation that was never

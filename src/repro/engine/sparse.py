@@ -6,58 +6,40 @@ each of them a *linear* map from the gathered input field to the output
 field — i.e. a sparse matrix–vector product with an operator that depends
 only on the mesh.  This module takes that observation literally: every
 compilable registry operator is compiled **once per mesh** into a
-``scipy.sparse`` CSR matrix carrying the same weights the ``numpy`` gather
+:class:`CSR` operator carrying the same weights the ``numpy`` gather
 backend uses (label matrices, inverse areas, TRiSK weights), and a dispatch
 is then a single ``M @ x`` — no per-call index gathers, no ``(n, lanes)``
-temporaries.
+temporaries.  A :class:`CSR` is scipy's three arrays and a shape, built
+with numpy alone; ``M @ x`` runs scipy's compiled ``csr_matvec`` /
+``csr_matvecs`` kernel, loaded from its extension file.  A warm run never
+imports ``scipy.sparse`` (~80 ms, ~22 MB and 75 modules in a fresh
+interpreter): only composing a matrix that misses the cache does.
 
-Compilability classification
-----------------------------
-``matvec``
-    Pure linear stencils: one CSR matvec (11 of the 14 registry ops,
-    including the block-row ``velocity_reconstruction`` and the two-row
-    ``d2fdx2`` sweep).
-``pre``
-    Bilinear stencils whose nonlinearity is *point-local on the input
-    side*: an elementwise product followed by a matvec
-    (``flux_divergence`` = divergence of ``u*h``, ``kinetic_energy`` =
-    weighted sum of ``u*u``).
-``bilinear``
-    ``coriolis_edge_term`` (B1) multiplies each output edge's own PV with
-    every gathered neighbour, so no single matrix computes it — but it is
-    bilinear: ``sum_j w_ej f_j (q_e + q_j)/2 = (q_e (K f)_e + (K (f q))_e)/2``
-    with ``f = u * h_edge`` and ``K`` the already-compiled
-    ``tangential_velocity`` operator.  Two matvecs of ``K`` plus four
-    elementwise ops in one fixed order (:class:`CoriolisOp`), so all 14
-    registry ops are registered and nothing falls back to ``numpy``.
+Compilability: ``matvec`` ops are one CSR matvec (11 of the 14 registry
+ops, including the block-row ``velocity_reconstruction`` and the two-row
+``d2fdx2`` sweep); ``pre`` ops multiply point-local inputs first
+(``flux_divergence`` = divergence of ``u*h``, ``kinetic_energy`` = weighted
+sum of ``u*u``); the ``bilinear`` B1 is
+``sum_j w_ej f_j (q_e + q_j)/2 = (q_e (K f)_e + (K (f q))_e)/2`` with
+``f = u * h_edge`` and ``K`` the ``tangential_velocity`` operator, two
+matvecs of ``K`` plus four elementwise ops in one fixed order
+(:class:`CoriolisOp`).  All 14 registry ops are registered.
 
-The operator cache
-------------------
-Compiled operators are memoized at two levels:
-
-* **memory** — a per-process ``WeakKeyDictionary`` keyed by the mesh
-  object, so repeated dispatches (and every RK substage) reuse the same
-  CSR instance and the cache dies with the mesh;
-* **disk** — one versioned ``.npz`` per ``(mesh, operator)`` under
-  ``cache_dir()/operators/`` (the same root as the mesh cache of
-  :mod:`repro.mesh.cache`), keyed by a content fingerprint of the mesh
-  arrays the compilers read.  Files carry
-  :data:`OPERATOR_CACHE_VERSION`; a stale or unstamped file is recompiled
-  and overwritten, never loaded blindly, and a mesh edit changes the
-  fingerprint so old operators can never be served for a new mesh.
-
-Disk persistence is automatic only for meshes with a persistent identity
-of their own (built by :func:`repro.mesh.cache.cached_mesh`, which marks
-them ``info["disk_cached"]``); ad-hoc meshes — random test SCVTs, the
-rank-local submeshes of the process pool — compile into memory only,
-mirroring the mesh cache's own policy.  Pool workers therefore rebuild
-their operators after :meth:`KernelRegistry.__reduce__` reconstructs the
-registry, hitting the disk cache when the mesh has one.
+Operators are cached at two levels: a per-process ``WeakKeyDictionary`` on
+the mesh object (the same CSR instance on every dispatch), and one
+versioned ``.npz`` per ``(mesh, operator)`` under ``cache_dir()/operators/``
+keyed by a content fingerprint of the mesh arrays the compilers read; a
+stale or unstamped file is recompiled and overwritten, never loaded
+blindly.  Only meshes :func:`repro.mesh.cache.cached_mesh` marked
+``info["disk_cached"]`` persist; ad-hoc meshes — random test SCVTs, the
+pool's rank-local submeshes — compile into memory only.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import threading
 import weakref
@@ -65,17 +47,18 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..mesh.cache import cache_dir
 from ..mesh.mesh import Mesh
 from ..resilience.integrity import checked_load, publish
 
 __all__ = [
+    "CSR",
     "OPERATOR_CACHE_VERSION",
     "classify_op",
     "mesh_fingerprint",
     "operator_cache_path",
+    "scipy_sparse",
     "sparse_operator",
     "clear_operator_memory_cache",
     "build_sparse_impls",
@@ -86,23 +69,132 @@ __all__ = [
 OPERATOR_CACHE_VERSION = 1
 
 
+# ------------------------------------------------------------------ kernels
+def scipy_sparse():
+    """The ``scipy.sparse`` package, imported on first call: composing a
+    matrix (:mod:`repro.engine.plan`, on a cache miss) is what needs it."""
+    import scipy.sparse
+
+    return scipy.sparse
+
+
+def _load_sparsetools():
+    """scipy's compiled ``_sparsetools`` extension, loaded from its file.
+
+    ``find_spec`` of the top-level name runs no ``__init__``: this costs
+    ~0.4 ms and 0.2 MB where the package costs ~80 ms and 22 MB.  A scipy
+    laid out differently falls back to the package."""
+    scipy = importlib.util.find_spec("scipy")
+    for root in scipy.submodule_search_locations if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "sparse", f"_sparsetools{suffix}")
+            if path.is_file():
+                spec = importlib.util.spec_from_file_location(
+                    "scipy.sparse._sparsetools", path
+                )
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module
+    from scipy.sparse import _sparsetools  # pragma: no cover - other layouts
+
+    return _sparsetools
+
+
+_SPARSETOOLS = _load_sparsetools()
+
+
+def _probe_kernel(name: str, x: np.ndarray):
+    """``_sparsetools.<name>`` if, on the probe vector (1-D) or member block
+    (2-D) ``x``, it sums each row's stored entries sequentially in storage
+    order, bit for bit; else ``None``.  That order is what keeps lane-ordered
+    rows invariant under the pool's renumbering and column k of a batched
+    product equal to the serial matvec of column k.  The probe rows hold
+    unsorted columns and a duplicate."""
+    indptr = np.array([0, 3, 5, 9], dtype=np.int32)
+    indices = np.array([2, 0, 3, 1, 1, 3, 0, 2, 0], dtype=np.int32)
+    data = np.arange(1.0, 10.0) / 7.0
+    out = np.zeros((3,) + x.shape[1:])
+    try:
+        fn = getattr(_SPARSETOOLS, name)
+        fn(3, 4, *x.shape[1:], indptr, indices, data, x.ravel(), out.ravel())
+    except (AttributeError, TypeError, ValueError):  # pragma: no cover
+        return None
+    want = np.zeros_like(out)
+    for row in range(3):
+        for k in range(indptr[row], indptr[row + 1]):
+            want[row] += data[k] * x[indices[k]]
+    return fn if np.array_equal(out, want) else None
+
+
+_CSR_MATVEC = _probe_kernel("csr_matvec", np.linspace(-1.0, 1.0, 4))
+_CSR_MATVECS = _probe_kernel("csr_matvecs", np.linspace(-1.0, 1.0, 8).reshape(4, 2))
+
+
+def _matvec(m: CSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:] = m @ x`` into a preallocated buffer, bit for bit.
+
+    ``M @ x`` zeroes an output and runs the same kernel into it, so a reused
+    buffer saves the allocation and nothing else.  A 1-D ``x`` runs
+    ``csr_matvec``, an ``(n, N)`` member block ``csr_matvecs``; a kernel
+    that failed the probe leaves the product to ``scipy.sparse``.
+    """
+    fn = _CSR_MATVECS if x.ndim == 2 else _CSR_MATVEC
+    if fn is None:  # pragma: no cover - a scipy whose kernel changed
+        out[:] = m.to_scipy() @ x
+    elif x.flags.c_contiguous and out.flags.c_contiguous:
+        out.fill(0.0)
+        fn(*m.shape, *x.shape[1:], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
+    else:
+        out[:] = m @ x
+    return out
+
+
+class CSR:
+    """A compressed-sparse-row operator: scipy's ``data`` / ``indices`` /
+    ``indptr`` arrays and ``shape``, applied by scipy's compiled kernel.
+
+    ``M @ x`` on a real vector or ``(n, N)`` block gives the bits
+    ``scipy.sparse.csr_matrix @ x`` gives.  :meth:`to_scipy` wraps the same
+    arrays for the cold paths that compose matrices.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape) -> None:
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot apply a {self.shape} operator to {x.shape}")
+        return _matvec(self, x, np.empty((self.shape[0],) + x.shape[1:]))
+
+    def to_scipy(self):
+        return scipy_sparse().csr_matrix(
+            (self.data, self.indices, self.indptr), shape=self.shape
+        )
+
+    @classmethod
+    def from_scipy(cls, m) -> CSR:
+        return cls(m.data, m.indices, m.indptr, m.shape)
+
+
 # ----------------------------------------------------------------- compilers
-def _lanes_csr(n_in, cols, weights, valid=None) -> sp.csr_matrix:
+def _lanes_csr(n_in, cols, weights, valid=None) -> CSR:
     """CSR operator from a padded gather table.
 
     ``cols``/``weights`` are ``(n_out, lanes)`` arrays (the Algorithm-4
     label-matrix form: padded lanes clamped to column 0 with weight 0);
-    ``valid`` masks the live lanes.
-
-    The CSR arrays are assembled directly (never through COO, whose
-    ``tocsr`` canonicalizes) so each row stores its entries in **lane
-    order**, not sorted by column.  CSR matvec accumulates each row
-    sequentially in storage order, so a row's floating-point summation
-    order is the lane order — invariant under the pool's rank-local
-    renumbering, which keeps a decomposed run bitwise identical to the
-    serial one (a column-sorted matrix would permute the sum when local
-    column ids reorder).  Duplicate ``(row, col)`` pairs are kept and
-    accumulate in the matvec, matching the gather semantics exactly.
+    ``valid`` masks the live lanes.  Each row stores its entries in **lane
+    order**, not sorted by column (never through COO's canonicalizing
+    ``tocsr``): the matvec sums a row in storage order, so the sum is
+    invariant under the pool's rank-local renumbering and a decomposed run
+    stays bitwise serial.  Duplicate ``(row, col)`` pairs are kept.
     """
     cols = np.asarray(cols)
     if valid is None:
@@ -110,12 +202,14 @@ def _lanes_csr(n_in, cols, weights, valid=None) -> sp.csr_matrix:
     return _rows_csr(cols, np.broadcast_to(weights, cols.shape), valid, n_in)
 
 
-def _rows_csr(cols, weights, valid, n_in) -> sp.csr_matrix:
+def _rows_csr(cols, weights, valid, n_in) -> CSR:
     """Non-canonical CSR from ``(..., lanes)`` tables, flattened row-major.
 
     Leading axes are flattened into matrix rows (row-major, so a
     ``(n, 3, lanes)`` block table yields rows ``3c + i``); the last axis is
-    the per-row lane order, preserved verbatim in storage.
+    the per-row lane order, preserved verbatim in storage.  The index dtype
+    follows scipy's rule (``int32`` while the shape and nnz fit), so the
+    arrays and archives are those ``scipy.sparse.csr_matrix`` built.
     """
     lanes = cols.shape[-1]
     cols2 = cols.reshape(-1, lanes)
@@ -123,102 +217,33 @@ def _rows_csr(cols, weights, valid, n_in) -> sp.csr_matrix:
     counts = np.count_nonzero(valid2, axis=1)
     indptr = np.zeros(cols2.shape[0] + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    m = sp.csr_matrix(
-        (weights.reshape(-1, lanes)[valid2], cols2[valid2], indptr),
-        shape=(cols2.shape[0], n_in),
-    )
-    return m
-
-
-def _compile_cell_divergence(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
-
-    p = plan_for(mesh)
-    valid = mesh.connectivity.edgesOnCell >= 0
-    return _lanes_csr(
-        mesh.nEdges, p.eoc_safe, p.sign_dv * p.inv_area_cell[:, None], valid
+    shape = (cols2.shape[0], n_in)
+    index = np.int32 if max(*shape, indptr[-1]) <= np.iinfo(np.int32).max else np.int64
+    return CSR(
+        weights.reshape(-1, lanes)[valid2],
+        cols2[valid2].astype(index),
+        indptr.astype(index),
+        shape,
     )
 
 
-def _compile_kinetic_energy(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
+def _gathered(build: Callable) -> Callable[[Mesh], CSR]:
+    """A compiler over the mesh's numpy gather tables (``plan_for``)."""
 
-    p = plan_for(mesh)
-    valid = mesh.connectivity.edgesOnCell >= 0
-    return _lanes_csr(
-        mesh.nEdges, p.eoc_safe, p.ke_weight * p.inv_area_cell[:, None], valid
-    )
+    def compile_(mesh: Mesh) -> CSR:
+        from ..swm.operators import plan_for
 
+        return build(mesh, plan_for(mesh))
 
-def _compile_vertex_curl(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
-
-    p = plan_for(mesh)
-    return _lanes_csr(mesh.nEdges, p.eov, p.sign_dc * p.inv_area_tri[:, None])
+    return compile_
 
 
-def _compile_tangential_velocity(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
-
-    p = plan_for(mesh)
-    valid = mesh.trisk.edgesOnEdge >= 0
-    return _lanes_csr(mesh.nEdges, p.eoe_safe, p.woe, valid)
+def _pair_csr(n_in, a, b, wa, wb) -> CSR:
+    """Two-lane rows ``wa * x[a] + wb * x[b]`` (edge means and gradients)."""
+    return _lanes_csr(n_in, np.stack([a, b], axis=1), np.stack([wa, wb], axis=1))
 
 
-def _compile_cell_to_edge_mean(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
-
-    p = plan_for(mesh)
-    cols = np.stack([p.c0, p.c1], axis=1)
-    weights = np.full(cols.shape, 0.5)
-    return _lanes_csr(mesh.nCells, cols, weights)
-
-
-def _compile_vertex_to_edge_mean(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
-
-    p = plan_for(mesh)
-    cols = np.stack([p.v0, p.v1], axis=1)
-    weights = np.full(cols.shape, 0.5)
-    return _lanes_csr(mesh.nVertices, cols, weights)
-
-
-def _compile_edge_gradient_of_cell(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
-
-    p = plan_for(mesh)
-    cols = np.stack([p.c0, p.c1], axis=1)
-    weights = np.stack([-p.inv_dc, p.inv_dc], axis=1)
-    return _lanes_csr(mesh.nCells, cols, weights)
-
-
-def _compile_edge_gradient_of_vertex(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
-
-    p = plan_for(mesh)
-    cols = np.stack([p.v0, p.v1], axis=1)
-    weights = np.stack([-p.inv_dv, p.inv_dv], axis=1)
-    return _lanes_csr(mesh.nVertices, cols, weights)
-
-
-def _compile_vertex_from_cells_kite(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
-
-    p = plan_for(mesh)
-    return _lanes_csr(mesh.nCells, p.cov, p.kite * p.inv_area_tri[:, None])
-
-
-def _compile_cell_from_vertices_kite(mesh: Mesh) -> sp.csr_matrix:
-    from ..swm.operators import plan_for
-
-    p = plan_for(mesh)
-    valid = mesh.connectivity.verticesOnCell >= 0
-    return _lanes_csr(
-        mesh.nVertices, p.voc_safe, p.kite_on_cell * p.inv_area_cell[:, None], valid
-    )
-
-
-def _compile_velocity_reconstruction(mesh: Mesh) -> sp.csr_matrix:
+def _compile_velocity_reconstruction(mesh: Mesh) -> CSR:
     """Block-row operator: rows ``3c + i`` give component ``i`` at cell ``c``."""
     from ..swm.reconstruct import reconstruction_matrices
 
@@ -231,7 +256,7 @@ def _compile_velocity_reconstruction(mesh: Mesh) -> sp.csr_matrix:
     return _rows_csr(cols, mats, valid, conn.n_edges)
 
 
-def _compile_d2fdx2(mesh: Mesh) -> sp.csr_matrix:
+def _compile_d2fdx2(mesh: Mesh) -> CSR:
     """Two-row operator: rows ``2e + s`` give side ``s`` of edge ``e``."""
     from ..swm.advection import advection_coefficients
 
@@ -245,17 +270,40 @@ def _compile_d2fdx2(mesh: Mesh) -> sp.csr_matrix:
 #: operator-matrix name -> compiler.  ``flux_divergence`` reuses the
 #: ``cell_divergence`` matrix (it is the divergence of the point-local
 #: product ``u*h``), so it has no entry of its own.
-_COMPILERS: dict[str, Callable[[Mesh], sp.csr_matrix]] = {
-    "cell_divergence": _compile_cell_divergence,
-    "kinetic_energy": _compile_kinetic_energy,
-    "vertex_curl": _compile_vertex_curl,
-    "tangential_velocity": _compile_tangential_velocity,
-    "cell_to_edge_mean": _compile_cell_to_edge_mean,
-    "vertex_to_edge_mean": _compile_vertex_to_edge_mean,
-    "edge_gradient_of_cell": _compile_edge_gradient_of_cell,
-    "edge_gradient_of_vertex": _compile_edge_gradient_of_vertex,
-    "vertex_from_cells_kite": _compile_vertex_from_cells_kite,
-    "cell_from_vertices_kite": _compile_cell_from_vertices_kite,
+_COMPILERS: dict[str, Callable[[Mesh], CSR]] = {
+    "cell_divergence": _gathered(lambda mesh, p: _lanes_csr(
+        mesh.nEdges, p.eoc_safe, p.sign_dv * p.inv_area_cell[:, None],
+        mesh.connectivity.edgesOnCell >= 0,
+    )),
+    "kinetic_energy": _gathered(lambda mesh, p: _lanes_csr(
+        mesh.nEdges, p.eoc_safe, p.ke_weight * p.inv_area_cell[:, None],
+        mesh.connectivity.edgesOnCell >= 0,
+    )),
+    "vertex_curl": _gathered(lambda mesh, p: _lanes_csr(
+        mesh.nEdges, p.eov, p.sign_dc * p.inv_area_tri[:, None]
+    )),
+    "tangential_velocity": _gathered(lambda mesh, p: _lanes_csr(
+        mesh.nEdges, p.eoe_safe, p.woe, mesh.trisk.edgesOnEdge >= 0
+    )),
+    "cell_to_edge_mean": _gathered(lambda mesh, p: _pair_csr(
+        mesh.nCells, p.c0, p.c1, np.full(p.c0.shape, 0.5), np.full(p.c1.shape, 0.5)
+    )),
+    "vertex_to_edge_mean": _gathered(lambda mesh, p: _pair_csr(
+        mesh.nVertices, p.v0, p.v1, np.full(p.v0.shape, 0.5), np.full(p.v1.shape, 0.5)
+    )),
+    "edge_gradient_of_cell": _gathered(lambda mesh, p: _pair_csr(
+        mesh.nCells, p.c0, p.c1, -p.inv_dc, p.inv_dc
+    )),
+    "edge_gradient_of_vertex": _gathered(lambda mesh, p: _pair_csr(
+        mesh.nVertices, p.v0, p.v1, -p.inv_dv, p.inv_dv
+    )),
+    "vertex_from_cells_kite": _gathered(lambda mesh, p: _lanes_csr(
+        mesh.nCells, p.cov, p.kite * p.inv_area_tri[:, None]
+    )),
+    "cell_from_vertices_kite": _gathered(lambda mesh, p: _lanes_csr(
+        mesh.nVertices, p.voc_safe, p.kite_on_cell * p.inv_area_cell[:, None],
+        mesh.connectivity.verticesOnCell >= 0,
+    )),
     "velocity_reconstruction": _compile_velocity_reconstruction,
     "d2fdx2": _compile_d2fdx2,
 }
@@ -273,7 +321,7 @@ def classify_op(op: str) -> str:
 
 
 # --------------------------------------------------------------------- cache
-_MEMORY_OPS: "weakref.WeakKeyDictionary[Mesh, dict[str, sp.csr_matrix]]" = (
+_MEMORY_OPS: "weakref.WeakKeyDictionary[Mesh, dict[str, CSR]]" = (
     weakref.WeakKeyDictionary()
 )
 _FINGERPRINTS: "weakref.WeakKeyDictionary[Mesh, str]" = weakref.WeakKeyDictionary()
@@ -333,25 +381,23 @@ def clear_operator_memory_cache() -> None:
     _MEMORY_OPS.clear()
 
 
-def _read_archive(path: Path, stamps: dict, kind: str) -> sp.csr_matrix | None:
+def _read_archive(path: Path, stamps: dict, kind: str) -> CSR | None:
     """Load one archive; ``None`` when a stamp (format version, fingerprint)
     is missing or stale (rebuild in place) *or* on corruption — a damaged
     archive is quarantined by the integrity layer
     (``resilience.cache.quarantined`` tagged ``kind``), never raised to the
     dispatch path."""
 
-    def read(p: Path) -> sp.csr_matrix | None:
+    def read(p: Path) -> CSR | None:
         with np.load(p) as d:
             if any(k not in d.files or d[k].item() != v for k, v in stamps.items()):
                 return None
-            return sp.csr_matrix(
-                (d["data"], d["indices"], d["indptr"]), shape=tuple(d["shape"])
-            )
+            return CSR(d["data"], d["indices"], d["indptr"], d["shape"])
 
     return checked_load(path, read, kind=kind)
 
 
-def _write_archive(path: Path, stamps: dict, m: sp.csr_matrix) -> None:
+def _write_archive(path: Path, stamps: dict, m: CSR) -> None:
     """The one writer of the ``.npz`` format, stored, not deflated (float64
     does not deflate).  Each writer publishes from a temporary name of its
     own (pid + thread id): two writers of one entry built equal matrices,
@@ -399,9 +445,7 @@ def _cached_operator(
     return m
 
 
-def sparse_operator(
-    mesh: Mesh, op: str, use_disk: bool | None = None
-) -> sp.csr_matrix:
+def sparse_operator(mesh: Mesh, op: str, use_disk: bool | None = None) -> CSR:
     """The compiled CSR operator of ``op`` on ``mesh``, built at most once.
 
     ``use_disk=None`` (the default) persists to disk only for meshes the

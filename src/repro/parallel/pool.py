@@ -48,6 +48,7 @@ from multiprocessing import connection
 import numpy as np
 
 from ..dataflow.schedule import halo_schedule_for
+from ..engine.plan import import_composer
 from ..mesh.mesh import Mesh
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.trace import Tracer, get_tracer, set_tracer, trace_span
@@ -423,14 +424,17 @@ class PoolShallowWater:
                 "resilience.recovery.retry", site="pool.step", ranks=n_ranks
             )
 
+            import_composer(config)  # once here, not in every forked worker
             with trace_span("fork", category="pool"):
                 for r in range(n_ranks):
                     self._spawn(r, kill_at.get(r))
             with trace_span("ready", category="pool"):
                 dead = self._await("ready", range(n_ranks))
             if dead:
-                codes = {r: self._workers[r].exitcode for r in dead}
+                # A sentinel fires before the process is reaped: close()
+                # joins every worker, and only then is an exit code final.
                 self.close()
+                codes = {r: self._workers[r].exitcode for r in dead}
                 raise WorkerPoolError(f"ranks exited before ready (exit codes {codes})")
 
     # ----------------------------------------------------------- process mgmt

@@ -200,7 +200,7 @@ class TestOperatorSelfHeal:
         registry = MetricsRegistry()
         with use_registry(registry):
             rebuilt = sparse_operator(mesh, "cell_divergence", use_disk=True)
-        assert (good != rebuilt).nnz == 0
+        assert (good.to_scipy() != rebuilt.to_scipy()).nnz == 0
         assert _quarantined(registry, "operator") == 1.0
         assert list((path.parent / QUARANTINE_DIRNAME).glob("*.npz"))
         # The rebuilt archive is sealed and loads cleanly again.
@@ -223,7 +223,7 @@ class TestOperatorSelfHeal:
         path.with_name(path.name + ".crc").unlink()  # pre-integrity entry
         clear_operator_memory_cache()
         loaded = sparse_operator(mesh, "vertex_curl", use_disk=True)
-        assert (good != loaded).nnz == 0
+        assert (good.to_scipy() != loaded.to_scipy()).nnz == 0
 
 
 # ---------------------------------------------------------- plan archives
@@ -406,19 +406,17 @@ class TestConcurrentWriters:
     def test_threads_composing_one_plan_matrix(
         self, cache_sandbox, monkeypatch, on_threads
     ):
-        import scipy.sparse as sp
-
         import repro.engine.plan as plan
-        from repro.engine.sparse import sparse_operator
+        from repro.engine.sparse import CSR, sparse_operator
         from repro.mesh.cache import cached_mesh
 
         mesh = cached_mesh(3, lloyd_iterations=0)
-        grad = sparse_operator(mesh, "edge_gradient_of_cell")
-        div = sparse_operator(mesh, "cell_divergence")
+        grad = sparse_operator(mesh, "edge_gradient_of_cell").to_scipy()
+        div = sparse_operator(mesh, "cell_divergence").to_scipy()
         monkeypatch.setattr(plan, "_COMPOSED_MEM", self._NoMemo())
         built, errors = on_threads(
             lambda i: plan._composed_operator(
-                mesh, "grad_div", lambda: sp.csr_matrix(grad @ div)
+                mesh, "grad_div", lambda: CSR.from_scipy((grad @ div).tocsr())
             ),
             4,
         )

@@ -8,7 +8,9 @@ icosahedral mesh, on a random SCVT (heptagons included) and on a rank-local
 ``LocalMesh`` (whose remapped, fallback-padded connectivity is where an
 index trick would break first) — because every compiled operator, golden
 file and decomposed-equals-serial guarantee downstream hangs off these
-arrays.
+arrays.  The operators themselves are built with numpy alone and applied
+by scipy's kernel loaded from its file; ``scipy.sparse`` is the oracle for
+both, arrays and dtypes, and ``csr_matrix @ x`` on vectors and blocks.
 
 The paper's adjustable host/device split (Fig. 4b) is simulated by
 :mod:`repro.hybrid`; its one numerical contract is checked here against the
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.engine import default_registry, dispatch
+from repro.engine import sparse
 from repro.engine.sparse import sparse_operator
 from repro.geometry import lloyd_relax, normalize
 from repro.geometry.sphere import tangent_basis, tangent_plane_coords
@@ -124,6 +127,44 @@ def test_advection_coefficients_equal_the_per_side_loop(mesh):
     assert np.array_equal(coeffs.weights, weights)
 
 
+# ------------------------------------- operators without scipy.sparse
+@pytest.mark.parametrize("name", sorted(sparse._COMPILERS))
+def test_numpy_built_operators_equal_scipys_construction(mesh, name):
+    """The compilers build the CSR arrays with numpy alone; scipy built them
+    from int64 index arrays with its own index-dtype rule, and every array,
+    dtype and shape must come out the same (archives depend on it)."""
+    import scipy.sparse as sp
+
+    m = sparse._COMPILERS[name](mesh)
+    ref = sp.csr_matrix(
+        (m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)),
+        shape=m.shape,
+    )
+    assert m.shape == ref.shape
+    for key in ("data", "indices", "indptr"):
+        got, want = getattr(m, key), getattr(ref, key)
+        assert got.dtype == want.dtype, key
+        assert np.array_equal(got, want), key
+
+
+@pytest.mark.parametrize("name", sorted(sparse._COMPILERS))
+def test_path_loaded_kernels_equal_scipy_matvec(mesh, name):
+    """``M @ x`` and the plan's in-place matvec run the kernels loaded from
+    the extension file; they equal ``scipy.sparse.csr_matrix @ x`` bit for
+    bit on vectors and on ``(n, 3)`` member blocks.  (That a run loads them
+    without the package is the hygiene test's fresh interpreter.)"""
+    import scipy.sparse as sp
+
+    assert None not in (sparse._CSR_MATVEC, sparse._CSR_MATVECS)  # passed the probe
+    m = sparse.sparse_operator(mesh, name)
+    ref = sp.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+    rng = np.random.default_rng(30)
+    for x in (rng.standard_normal(m.shape[1]), rng.standard_normal((m.shape[1], 3))):
+        want = ref @ x
+        assert np.array_equal(m @ x, want)
+        assert np.array_equal(sparse._matvec(m, x, np.full(want.shape, np.nan)), want)
+
+
 # ------------------------------------------------ row cuts of every pattern
 #: Every registered operator a contiguous row cut partitions (13 of 14: the
 #: tuple-valued C1,C2 sweep is ``no_split``).
@@ -146,7 +187,7 @@ def _cut_rows(op: str, mesh, fields, rows: slice, n_out: int) -> np.ndarray:
     impl = default_registry().op(op).resolve("sparse")
     m = sparse_operator(mesh, impl.matrix_op)
     block = m.shape[0] // n_out  # 3 matrix rows per cell for the reconstruction
-    sub = m[rows.start * block : rows.stop * block]
+    sub = m.to_scipy()[rows.start * block : rows.stop * block]
     if op == "coriolis_edge_term":
         # B1 in CoriolisOp's order; each row reads only its own pv_edge.
         u, h_edge, pv_edge = fields

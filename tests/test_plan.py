@@ -470,7 +470,7 @@ class TestPlansArePerThread:
     def test_two_threads_get_two_plans_over_the_same_operators(
         self, mesh3, plan_cache, on_threads
     ):
-        import scipy.sparse as sp
+        from repro.engine.sparse import CSR
 
         cfg = _cfg(plan=True, thickness_adv_order=3, apvm_upwinding=0.5)
         mine = compiled_plan(mesh3, cfg)
@@ -479,7 +479,7 @@ class TestPlansArePerThread:
         plans = [mine, *theirs]
         assert len({id(p) for p in plans}) == 3
         assert compiled_plan(mesh3, cfg) is mine  # still memoized, per thread
-        operators = [{id(m) for m in self._captured(p, sp.csr_matrix)} for p in plans]
+        operators = [{id(m) for m in self._captured(p, CSR)} for p in plans]
         assert operators[0] and operators[0] == operators[1] == operators[2]
         buffers = [self._captured(p, np.ndarray) for p in plans]
         assert buffers[0]

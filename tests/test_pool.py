@@ -725,6 +725,24 @@ class TestPoolStartup:
         workers, after = _leftovers()
         assert workers == [] and after <= segments
 
+    def test_an_exited_rank_always_reports_its_exit_code(self, mesh3, monkeypatch):
+        """A rank's sentinel fires before the process is reaped; its exit code
+        is read after the join, so it is 7 in every one of 20 constructions
+        (reading it first gave ``{1: None}`` in about 1 of 5)."""
+        real = pool_module.RK4Integrator
+
+        def integrator(lm, *args):
+            if lm.rank == 1:
+                os._exit(7)
+            return real(lm, *args)
+
+        monkeypatch.setattr(pool_module, "RK4Integrator", integrator)
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        for _ in range(20):
+            with pytest.raises(WorkerPoolError, match=r"\(exit codes \{1: 7\}\)$"):
+                PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=TIMEOUT)
+
     def test_an_empty_rank_is_refused_before_any_fork(self, mesh3, monkeypatch):
         monkeypatch.setattr(
             pool_module, "partition_cells",
