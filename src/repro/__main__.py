@@ -18,8 +18,8 @@ name or alias (``galewsky``, ``tc5``, ``dambreak``, ...), a Williamson
 number, or a ``perturbed:<base>:<member>:<seed>`` token
 (``python -m repro cases`` lists them all); ``--parallel``/``--ranks``
 select the executor (serial, lockstep, or the shared-memory process pool),
-and ``--ensemble N`` batches N perturbed-IC members through one execution
-plan (:func:`repro.api.run_ensemble`), printing the per-member verdict
+and ``--ensemble N`` steps N perturbed-IC members lockstep on every usable
+CPU (:func:`repro.api.run_ensemble`), printing the per-member verdict
 table.  ``jobs submit`` registers a durable run directory without
 integrating; ``jobs status`` / ``jobs result`` work from any process.
 The per-subsystem CLIs (``python -m repro.engine --selftest``, ...) keep
@@ -83,7 +83,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
     mesh = build_mesh(args.level)
     dt = suggested_dt(mesh, case, GRAVITY, cfl=args.cfl)
     # --plan and --ensemble imply the sparse backend (plans fuse its CSR
-    # operators; ensembles batch them); an explicit contradictory
+    # operators; ensembles run the plan); an explicit contradictory
     # --backend is rejected by SWConfig.validate.
     backend = args.backend or (
         "sparse" if (args.plan or args.ensemble) else "numpy"
@@ -122,7 +122,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         print(
             f"TC{case.number} ({case.name}): ensemble of "
             f"{ens.n_members} members, {ens.steps} steps of {dt:.0f} s "
-            f"on {mesh.nCells} cells [lockstep batch, backend={backend}"
+            f"on {mesh.nCells} cells [lockstep, backend={backend}"
             f"{'+plan' if config.plan else ''}]"
         )
         print(ens.summary_table())
@@ -392,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ensemble", type=int, default=0,
-        help="batch N perturbed-IC members lockstep through one execution "
-        "plan (implies --backend sparse); prints the per-member table",
+        help="step N perturbed-IC members lockstep, one block of them per "
+        "usable CPU (implies --backend sparse); prints the per-member table",
     )
     p.add_argument(
         "--perturb-seed", type=int, default=0,

@@ -30,8 +30,8 @@ the execution entry points are thin consumers of it:
     same :class:`~repro.swm.model.RunResult` and produce bitwise-identical
     prognostic state, invariant records and guard verdicts.
 :func:`run_ensemble`
-    N perturbed-IC members advanced lockstep through one batched execution
-    plan (:mod:`repro.ensemble`); member ``k`` is bitwise identical to a
+    N perturbed-IC members advanced lockstep, each through the serial plan
+    (:mod:`repro.ensemble`); member ``k`` is bitwise identical to a
     serial :func:`run` of the same member.
 :func:`submit` / :func:`status` / :func:`result`
     The job queue (:mod:`repro.jobs`): deduplicating deferred execution,
@@ -362,12 +362,12 @@ def run_ensemble(
     perturb_amplitude: float | None = None,
     initial_states=None,
 ):
-    """Integrate N perturbed-IC ensemble members lockstep through one plan.
+    """Integrate N perturbed-IC ensemble members lockstep on every usable CPU.
 
     Accepts the same tokens as :func:`run` plus the ensemble knobs
     (``ensemble``/``perturb_seed``/``perturb_amplitude`` override the
     corresponding ``config.ensemble*`` fields; a default config comes out
-    ``backend="sparse"`` as batching requires).  Member ``k`` of the
+    ``backend="sparse"`` as the plan requires).  Member ``k`` of the
     result is **bitwise identical** to a serial :func:`run` started from
     :func:`repro.ensemble.member_initial_state` with the same seed.
 

@@ -46,9 +46,10 @@ Batched plans
 ``compile_plan(..., batch=N)`` emits the same program over ``(n, N)`` member
 blocks: each matvec is one ``csr_matvecs`` call, which sums each row in the
 order ``csr_matvec`` does, per column — so **column k of a batched stage is
-bitwise the serial stage on column k** (the ensemble's per-member
-contract).  The ``E1`` check flags diverging members into a caller mask
-instead of raising.  Keyed by ``plan_key(config) + (batch,)``.
+bitwise the serial stage on column k**, and the ``E1`` check raises as
+the serial one does.  Keyed by ``plan_key(config) + (batch,)``.  No run
+path compiles one (ensemble members step through serial plans); the
+benchmark probes of ``benchmarks/e2e`` still do.
 """
 
 from __future__ import annotations
@@ -281,14 +282,8 @@ class ExecutionPlan:
             self._run(self._tend, ctx)
             return ctx["tend_h"], ctx["tend_u"]
 
-    def diagnostics(self, state, f_vertex, unstable=None):
-        """Fused ``compute_solve_diagnostics``: the post-exchange segment.
-
-        For a batched plan ``unstable`` may be an ``(N,)`` bool array: the
-        ``E1`` stability guard OR-s per-member non-positive ``h_vertex``
-        flags into it instead of raising, so one diverging member cannot
-        stall the batch.  ``None`` keeps the serial raise semantics.
-        """
+    def diagnostics(self, state, f_vertex):
+        """Fused ``compute_solve_diagnostics``: the post-exchange segment."""
         from ..swm.state import Diagnostics
 
         n_cells, n_edges, n_vertices = self._n
@@ -316,8 +311,6 @@ class ExecutionPlan:
                 pv_cell=np.empty(shp(n_cells)),
                 pv_edge=np.empty(shp(n_edges)),
             )
-            if unstable is not None:
-                ctx["unstable"] = unstable
             self._run(self._diag, ctx)
             return Diagnostics(
                 h_edge=ctx["h_edge"],
@@ -694,35 +687,12 @@ class _Compiler:
     def _emit_E1(self, sched) -> list[PlanStage]:
         M = self.matrix("vertex_from_cells_kite")
 
-        if self.batch:
-            # Batched stability semantics: a non-positive h_vertex is a
-            # *per-member* event.  With an ``unstable`` mask in the ctx the
-            # offending members are flagged (OR-ed in) and the divide runs
-            # under errstate so their columns go inf/nan without stalling
-            # or perturbing the healthy columns (columns are independent);
-            # without a mask the serial raise is preserved.
-            def pv_vertex(ctx):
-                hv = ctx["h_vertex"]
-                bad = np.any(hv <= 0.0, axis=0)
-                if bad.any():
-                    flags = ctx.get("unstable")
-                    if flags is None:
-                        raise FloatingPointError(_UNSTABLE_MSG)
-                    np.logical_or(flags, bad, out=flags)
-                np.add(ctx["f"], ctx["vorticity"], out=ctx["pv_vertex"])
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    np.divide(ctx["pv_vertex"], hv, out=ctx["pv_vertex"])
-        else:
-            def pv_vertex(ctx):
-                hv = ctx["h_vertex"]
-                if np.any(hv <= 0.0):
-                    raise FloatingPointError(_UNSTABLE_MSG)
-                np.add(ctx["f"], ctx["vorticity"], out=ctx["pv_vertex"])
-                np.divide(ctx["pv_vertex"], hv, out=ctx["pv_vertex"])
-
         def fast(ctx):
-            _matvec(M, ctx["h"], ctx["h_vertex"])
-            pv_vertex(ctx)
+            hv = _matvec(M, ctx["h"], ctx["h_vertex"])
+            if np.any(hv <= 0.0):
+                raise FloatingPointError(_UNSTABLE_MSG)
+            np.add(ctx["f"], ctx["vorticity"], out=ctx["pv_vertex"])
+            np.divide(ctx["pv_vertex"], hv, out=ctx["pv_vertex"])
 
         return [
             PlanStage(

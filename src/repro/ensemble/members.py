@@ -4,10 +4,10 @@ Each member perturbs the test case's discretized thickness field with a
 relative Gaussian perturbation ``h * (1 + amplitude * xi)``, drawn from an
 rng stream seeded by ``[ensemble_seed, member]`` — so member ``k``'s
 initial condition depends only on ``(case, mesh, seed, amplitude, k)``,
-never on the ensemble width or the execution mode.  The batched driver and
+never on the ensemble width or the execution mode.  The ensemble driver and
 the serial reference path both build their ICs through these functions,
-which is what makes "member ``k`` of the batch equals the same-seed serial
-run" hold bitwise from step 0.
+which is what makes "member ``k`` of the ensemble equals the same-seed
+serial run" hold bitwise from step 0.
 """
 
 from __future__ import annotations

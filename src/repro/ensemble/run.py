@@ -1,40 +1,37 @@
 """The lockstep ensemble driver: N members, one step program, per-member
 verdicts.
 
-:class:`EnsembleRun` packs N perturbed-IC members into batched states
-(``State.stack``) and advances them with the plain
-:class:`~repro.swm.timestep.RK4Integrator` — the one step program is
-shape-agnostic over the trailing member axis and runs every kernel through
-the batched execution plan — keeping per-member invariant trajectories and
-watchdog verdicts.  The members are split into one contiguous column block
-per usable CPU (``os.sched_getaffinity``); each step advances the blocks at
-once, block 0 on the calling thread and the others on persistent pinned
-worker threads with a compiled plan of their own (:func:`_sweep`), and the
-caller then judges every member.  Columns are independent, so the split
-moves no bit.  The integrator always executes with ``plan=True``, even
-for configs with ``plan=False``: outside composed chains (order-4
-``h_edge``, del4) the plan replays the unfused sparse backend's arithmetic
-bitwise, so members of such a ``backend="sparse"`` run match their serial
-unfused reference exactly as well.  Divergence handling reuses the
-resilience stack's policy knobs:
+:class:`EnsembleRun` advances N perturbed-IC members in lockstep, each its
+own serial :class:`~repro.swm.state.State` stepped by
+:func:`~repro.swm.timestep.rk4_step` on a serial compiled plan, and keeps
+per-member invariant trajectories and watchdog verdicts.  The members are
+split into one contiguous block per usable CPU (``os.sched_getaffinity``);
+each step advances the blocks at once, block 0 on the calling thread and
+the others on persistent pinned worker threads with a compiled plan of
+their own (:func:`_sweep`), each thread stepping the live members of its
+block one after another; the caller then judges every member.  A member's
+step is its serial step wherever it runs, so the split moves no bit.  The
+integrator always executes with ``plan=True``, even for configs with
+``plan=False``: outside composed chains (order-4 ``h_edge``, del4) the plan
+replays the unfused sparse backend's arithmetic bitwise, so members of such
+a ``backend="sparse"`` run match their serial unfused reference exactly as
+well.  Divergence handling reuses the resilience stack's policy knobs:
 
 ``guard_policy="halt"`` (default)
-    A member whose column goes non-finite or trips the ``E1`` stability
-    guard is *quarantined*: its verdict becomes ``"diverged"``, its result
-    slot ``None``, and the batch keeps stepping — columns are independent
-    under every batched stage, so the poison cannot spread.
+    A member that goes non-finite or trips the ``E1`` stability guard is
+    *quarantined*: its verdict becomes ``"diverged"``, its result slot
+    ``None``, and it is never stepped again while the others go on.
 ``guard_policy="rollback"``
-    The diverged member is *detached*: its column is restored from the
+    The diverged member is *detached*: its state is restored from the
     newest in-memory snapshot (taken every ``checkpoint_interval`` steps,
     or the IC), ``dt`` is halved for that member alone, and it finishes as
     a serial :class:`~repro.swm.model.ShallowWaterModel` continuation —
-    the PR 3 rollback semantics, applied per member, while the healthy
-    members never stall.
+    the PR 3 rollback semantics, applied per member.
 
 Healthy members are returned as ordinary per-member
 :class:`~repro.swm.model.RunResult`\\ s whose state/diagnostics/invariants
-are **bitwise identical** to a serial run of the same member (the batched
-plan's per-column contract plus the shared IC builders of
+are **bitwise identical** to a serial run of the same member (each member
+is stepped by the serial program from the shared IC builders of
 :mod:`~repro.ensemble.members`) — e.g. ``repro.api.run`` of the
 ``"perturbed:<base>:<k>:<seed>"`` scenario token.
 """
@@ -45,13 +42,14 @@ import dataclasses
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from ..mesh.mesh import Mesh
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..resilience.guards import NumericalBlowup, member_finite_mask
+from ..resilience.guards import NumericalBlowup
 from ..swm.config import SWConfig
 from ..swm.error import Invariants, invariants
 from ..swm.model import RunResult, ShallowWaterModel
@@ -155,10 +153,29 @@ def _usable_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def _advance(integ: RK4Integrator, packed: State, diag, unstable):
-    """One RK-4 step of one member block (the task a block's thread runs)."""
-    (packed,), (diag,) = rk4_step([integ], [packed], [diag], unstable=unstable)
-    return packed, diag
+def _advance(integ: RK4Integrator, members: list) -> list:
+    """Step each ``(state, diag)`` of a block in turn (the task a block's
+    thread runs).
+
+    A member takes one RK-4 step, or gets its first diagnostics when its
+    ``diag`` is ``None``, on the calling thread's own serial plan.  Its slot
+    in ``members`` is emptied first, so its old fields can be freed as soon
+    as it is stepped.  A member whose call trips the E1 guard
+    (``FloatingPointError``) comes back as ``None``; the members after it
+    are stepped all the same.
+    """
+    out = []
+    for j, (state, diag) in enumerate(members):
+        members[j] = None
+        try:
+            if diag is None:
+                out.append((state, integ.diagnostics_for(state)))
+            else:
+                (state,), (diag,) = rk4_step([integ], [state], [diag])
+                out.append((state, diag))
+        except FloatingPointError:
+            out.append(None)
+    return out
 
 
 #: CPU -> the one-thread executor pinned to it, created on first use and kept:
@@ -265,8 +282,8 @@ class EnsembleRun:
         """Advance all members ``steps`` steps; one verdict per member.
 
         The one step loop outside :meth:`ShallowWaterModel.run`: judging
-        members one by one (a diverged column is quarantined or detached,
-        the batch keeps stepping) is a different contract from the
+        members one by one (a diverged member is quarantined or detached,
+        the others keep stepping) is a different contract from the
         watchdog's halt-or-rollback of a whole run.
         """
         if steps < 1:
@@ -275,25 +292,19 @@ class EnsembleRun:
         config = self.config
         n = config.ensemble
         states, b = self._member_states()
+        diags: list = [None] * n
         f_vertex = self._f_vertex()
         integ = RK4Integrator(
             self.mesh, dataclasses.replace(config, plan=True), b, f_vertex
         )
         # One contiguous member block per usable CPU, stepped concurrently
-        # (columns are independent: a block is bitwise its columns of the whole
-        # batch).  The tracer is single-threaded: one block.
+        # (no member's step reads another member).  The tracer is
+        # single-threaded: one block.
         cpus = _usable_cpus()
         if get_tracer().enabled:
             cpus = cpus[:1]
         n_blocks = min(len(cpus), n)
         spans = [(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
-        #: member -> (its block, its column there)
-        home = [(i, k - lo) for i, (lo, hi) in enumerate(spans) for k in range(lo, hi)]
-        packed = [State.stack(states[lo:hi]) for lo, hi in spans]
-        unstable = np.zeros(n, dtype=bool)
-        flags = [unstable[lo:hi] for lo, hi in spans]  # views into the one mask
-        del states
-        diag = _sweep(cpus, integ.diagnostics_for, packed, flags)
 
         alive = np.ones(n, dtype=bool)
         failed_step = [None] * n
@@ -302,29 +313,47 @@ class EnsembleRun:
         history_steps: list[int] = []
         detached: dict[int, RunResult | None] = {}
 
+        def sweep() -> list[int]:
+            """Advance every live member in place and return them in order; a
+            member the E1 guard stopped is left ``None``."""
+            blocks = [[k for k in range(lo, hi) if alive[k]] for lo, hi in spans]
+            members = [[(states[k], diags[k]) for k in block] for block in blocks]
+            stepped = [k for block in blocks for k in block]
+            # The block lists keep the only references, so a block thread
+            # frees a member's old fields as soon as it has stepped it.
+            for k in stepped:
+                states[k] = diags[k] = None
+            outcomes = _sweep(cpus, _advance, [integ] * n_blocks, members)
+            for k, member in zip(stepped, chain.from_iterable(outcomes)):
+                if member is not None:
+                    states[k], diags[k] = member
+            return stepped
+
         def record(step: int) -> None:
             history_steps.append(step)
             for k in np.flatnonzero(alive):
-                i, col = home[k]
                 histories[k].append(
-                    invariants(
-                        self.mesh, packed[i].member(col), diag[i].member(col), b,
-                        config.gravity,
-                    )
+                    invariants(self.mesh, states[k], diags[k], b, config.gravity)
                 )
 
-        def judge(step: int) -> None:
-            poisoned = np.concatenate([member_finite_mask(p) for p in packed])
-            for k in np.flatnonzero((unstable | poisoned) & alive):
+        def judge(step: int, stepped: list[int]) -> None:
+            for k in stepped:
+                state = states[k]
+                if (
+                    state is not None
+                    and np.isfinite(state.h).all()
+                    and np.isfinite(state.u).all()
+                ):
+                    continue
                 alive[k] = False
                 failed_step[k] = step
+                states[k] = diags[k] = None
                 get_registry().counter(
-                    "ensemble.member.diverged", member=str(int(k))
+                    "ensemble.member.diverged", member=str(k)
                 ).inc()
                 if config.guard_policy == "rollback":
-                    i, col = home[k]
-                    detached[int(k)] = self._detach(
-                        int(k), snapshot_step, snapshot[i].member(col), b,
+                    detached[k] = self._detach(
+                        k, snapshot_step, snapshot[k], b,
                         f_vertex, steps, invariant_interval, verdict_detail,
                     )
                 else:
@@ -333,21 +362,18 @@ class EnsembleRun:
                         f"at step {step} (guard_policy='halt')"
                     )
 
-        # In-memory rollback anchors (every block's columns); refreshed on
-        # the serial checkpoint cadence.
-        snapshot_step = 0
-        snapshot = [p.copy() for p in packed]
-        judge(0)
+        # In-memory rollback anchors, refreshed on the serial checkpoint
+        # cadence.  References suffice: a step never writes its input state.
+        snapshot_step, snapshot = 0, list(states)
+        judge(0, sweep())
         record(0)
         step_timer = get_registry().timer("ensemble.step")
         for step in range(1, steps + 1):
             with step_timer.time():
-                packed, diag = map(list, zip(*_sweep(
-                    cpus, _advance, [integ] * n_blocks, packed, diag, flags
-                )))
-            judge(step)
+                stepped = sweep()
+            judge(step, stepped)
             if config.checkpoint_interval and step % config.checkpoint_interval == 0:
-                snapshot_step, snapshot = step, [p.copy() for p in packed]
+                snapshot_step, snapshot = step, list(states)
             if invariant_interval and step % invariant_interval == 0:
                 record(step)
         if history_steps[-1] != steps:
@@ -356,23 +382,16 @@ class EnsembleRun:
 
         results: list[RunResult | None] = [None] * n
         verdicts: list[MemberVerdict] = []
-        for i, (lo, hi) in enumerate(spans):
-            recon = integ.reconstruct(packed[i].u)
-            for k in np.flatnonzero(alive[lo:hi]) + lo:
-                get_registry().counter(
-                    "ensemble.member.steps", member=str(k)
-                ).inc(steps)
-                results[k] = RunResult(
-                    state=packed[i].member(k - lo),
-                    diagnostics=diag[i].member(k - lo),
-                    reconstruction=recon.member(k - lo),
-                    steps=steps,
-                    elapsed_seconds=steps * config.dt,
-                    invariant_history=histories[k],
-                )
-            # The members hold contiguous copies: drop the block's arrays
-            # before the next block's copies are made.
-            packed[i] = diag[i] = recon = None
+        for k in np.flatnonzero(alive):
+            get_registry().counter("ensemble.member.steps", member=str(k)).inc(steps)
+            results[k] = RunResult(
+                state=states[k],
+                diagnostics=diags[k],
+                reconstruction=integ.reconstruct(states[k].u),
+                steps=steps,
+                elapsed_seconds=steps * config.dt,
+                invariant_history=histories[k],
+            )
         for k in range(n):
             status = "ok" if alive[k] else "diverged"
             if detached.get(k) is not None:
@@ -400,9 +419,8 @@ class EnsembleRun:
         """Finish one diverged member serially from its last snapshot.
 
         The PR 3 rollback semantics applied per member: restore the
-        member's column (``snapshot``, a serial state), halve its (private)
-        ``dt`` and integrate the remaining steps through the serial model —
-        the batch never waits.
+        member's ``snapshot`` state, halve its (private) ``dt`` and
+        integrate the remaining steps through the serial model.
         Returns ``None`` when the continuation blows up too.
         """
         remaining = steps - snapshot_step

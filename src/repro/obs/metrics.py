@@ -31,6 +31,12 @@ def _series_key(name: str, tags: dict) -> tuple:
     return (name, tuple(sorted((k, str(v)) for k, v in tags.items())))
 
 
+#: Serializes every counter and timer update: the ensemble's member-block
+#: threads touch the same series (``engine.plan.compile``, the ``engine.plan``
+#: timers), and an unlocked read-modify-write can lose an update.
+_UPDATE_LOCK = threading.Lock()
+
+
 class Counter:
     """Monotonically increasing total (bytes moved, exchanges performed)."""
 
@@ -45,7 +51,8 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
-        self.value += amount
+        with _UPDATE_LOCK:
+            self.value += amount
 
     def snapshot(self) -> dict:
         return {"value": self.value}
@@ -69,11 +76,6 @@ class Gauge:
         return {"value": self.value}
 
 
-#: Serializes every timer update: the ensemble's member-block threads observe
-#: the same ``engine.plan`` timers, and an unlocked ``max`` can lose a sample.
-_TIMER_LOCK = threading.Lock()
-
-
 class Timer:
     """Observation statistics (count / total / min / max / mean)."""
 
@@ -89,7 +91,7 @@ class Timer:
         self.max = -math.inf
 
     def observe(self, seconds: float) -> None:
-        with _TIMER_LOCK:
+        with _UPDATE_LOCK:
             self.count += 1
             self.total += seconds
             self.min = min(self.min, seconds)
@@ -99,7 +101,7 @@ class Timer:
         """Fold another timer's statistics into this one (cross-process merge)."""
         if count <= 0:
             return
-        with _TIMER_LOCK:
+        with _UPDATE_LOCK:
             self.count += int(count)
             self.total += total
             self.min = min(self.min, min_s)

@@ -46,21 +46,7 @@ __all__ = [
     "NumericalBlowup",
     "Watchdog",
     "cfl_number",
-    "member_finite_mask",
 ]
-
-
-def member_finite_mask(state) -> np.ndarray:
-    """Per-member finite scan of a batched state: ``(N,)`` bool, True = bad.
-
-    The batched counterpart of the watchdog's ``finite`` guard: columns are
-    independent under every batched stage, so a poisoned member shows up
-    only in its own column and the ensemble driver can quarantine it
-    without stalling (or perturbing) the healthy members.
-    """
-    bad_h = ~np.isfinite(state.h).all(axis=0)
-    bad_u = ~np.isfinite(state.u).all(axis=0)
-    return bad_h | bad_u
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ def compute_solve_diagnostics(
     state: State,
     f_vertex: np.ndarray,
     config: SWConfig,
-    unstable: np.ndarray | None = None,
 ) -> Diagnostics:
     """Compute all diagnostic fields from ``state``.
 
@@ -40,15 +39,12 @@ def compute_solve_diagnostics(
         Coriolis parameter at vorticity points.
     config : SWConfig
         ``apvm_upwinding`` and ``thickness_adv_order`` are honoured here.
-    unstable : (N,) bool array, optional
-        Batched ``(n, N)`` states only: receives per-member stability flags
-        instead of a raise (:meth:`repro.engine.plan.ExecutionPlan.diagnostics`).
     """
     from ..engine.plan import kernel_plan
 
     plan = kernel_plan(mesh, config, batch=state.n_members or 0)
     if plan is not None:
-        return plan.diagnostics(state, f_vertex, unstable=unstable)
+        return plan.diagnostics(state, f_vertex)
     h, u = state.h, state.u
     backend = config.backend
 

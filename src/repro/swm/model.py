@@ -402,7 +402,7 @@ class ShallowWaterModel:
     ) -> "ShallowWaterModel":
         """A runnable model primed with an arbitrary prognostic state.
 
-        The ensemble driver uses this to detach one member from a batch
+        The ensemble driver uses this to detach one member from the lockstep
         (serial reference runs, rollback continuations): the returned model
         behaves exactly like one that reached ``state`` by integration,
         because the end-of-step diagnostics are a pure function of the

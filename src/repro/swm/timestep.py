@@ -17,8 +17,8 @@ line  kernel                         role
 ====  =============================  ====================================
 
 :func:`rk4_step` is the only place in the package where the four RK stages
-are written out.  Serial, ensemble (the member axis of a batched state),
-lockstep and both pool schedules all execute it; they differ in how many
+are written out.  Serial, ensemble (one member at a time on each block
+thread), lockstep and both pool schedules all execute it; they differ in how many
 ranks they hand it and in the :class:`HaloTransport` that moves halo values
 at the eight synchronization points.
 """
@@ -179,20 +179,10 @@ class RK4Integrator:
 
             compiled_plan(mesh, config)
 
-    def diagnostics_for(
-        self, state: State, unstable: np.ndarray | None = None
-    ) -> Diagnostics:
-        """Diagnostics consistent with an arbitrary state (e.g. the IC).
-
-        ``unstable`` — an ``(N,)`` bool array, batched states only —
-        collects per-member stability flags instead of raising (see
-        :meth:`repro.engine.plan.ExecutionPlan.diagnostics`).
-        """
-        # Passed only when given, so a substituted four-argument kernel
-        # keeps driving serial states.
-        extra = {} if unstable is None else {"unstable": unstable}
+    def diagnostics_for(self, state: State) -> Diagnostics:
+        """Diagnostics consistent with an arbitrary state (e.g. the IC)."""
         return self._compute_solve_diagnostics(
-            self.mesh, state, self.f_vertex, self.config, **extra
+            self.mesh, state, self.f_vertex, self.config
         )
 
     def reconstruct(self, u: np.ndarray) -> Reconstruction:
@@ -210,15 +200,13 @@ class RK4Integrator:
                 return plan.reconstruct(u)
             return self._mpas_reconstruct(self.mesh, u, backend=config.backend)
 
-    def step(
-        self, state: State, diag: Diagnostics, unstable: np.ndarray | None = None
-    ) -> StepResult:
+    def step(self, state: State, diag: Diagnostics) -> StepResult:
         """Advance one full time step (Algorithm 1, inner loop).
 
         ``diag`` must be consistent with ``state`` (as produced by the
         previous step, or by :meth:`diagnostics_for` for the first one).
         """
-        (acc,), (new_diag,) = rk4_step([self], [state], [diag], unstable=unstable)
+        (acc,), (new_diag,) = rk4_step([self], [state], [diag])
         return StepResult(
             state=acc, diagnostics=new_diag, reconstruction=self.reconstruct(acc.u)
         )
@@ -229,7 +217,6 @@ def rk4_step(
     states: list[State],
     diags: list[Diagnostics],
     transport: HaloTransport = _SERIAL,
-    unstable: np.ndarray | None = None,
 ) -> tuple[list[State], list[Diagnostics]]:
     """The RK-4 step program: Algorithm 1 lines 2-11, written once.
 
@@ -247,8 +234,6 @@ def rk4_step(
     The accumulation is independent of the provisional state, so running it
     inside the exchange window moves no bit relative to Algorithm 1's
     textual order.
-
-    ``unstable`` passes through to the diagnostics of batched states.
     """
     config = ranks[0].config
     dt, backend = config.dt, config.backend
@@ -298,5 +283,5 @@ def rk4_step(
             with kernel_span(
                 "compute_solve_diagnostics", stage=stage, backend=backend
             ):
-                provis_diag.append(rk.diagnostics_for(pv, unstable))
+                provis_diag.append(rk.diagnostics_for(pv))
     return acc, provis_diag

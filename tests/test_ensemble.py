@@ -1,7 +1,7 @@
-"""Batched ensemble engine: bitwise member identity and divergence isolation.
+"""Ensemble engine: bitwise member identity and divergence isolation.
 
 The acceptance contract of the ensemble layer is sharp: member ``k`` of a
-batched lockstep run must be **bitwise identical** to a serial run of the
+lockstep ensemble run must be **bitwise identical** to a serial run of the
 same member — same seed, same perturbation, same steps — under both the
 unfused sparse backend and the fused plan executor.  Everything else
 (quarantine, detach, summaries) is checked around that invariant: a
@@ -27,7 +27,6 @@ from repro.ensemble import (
 from repro.ensemble.run import EnsembleRun, run_ensemble
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
-from repro.resilience.guards import member_finite_mask
 from repro.swm.model import ShallowWaterModel
 from repro.swm.state import State
 from repro.swm.timestep import RK4Integrator
@@ -115,12 +114,6 @@ class TestBatchedState:
         states, _ = ensemble_initial_states(mesh3, case, 1, SEED, AMPLITUDE)
         with pytest.raises(ValueError, match="batched state"):
             states[0].member(0)
-
-    def test_finite_mask_flags_only_the_poisoned_column(self, mesh3, case):
-        states, _ = ensemble_initial_states(mesh3, case, N, SEED, AMPLITUDE)
-        states[1].u[3] = np.nan
-        mask = member_finite_mask(State.stack(states))
-        assert mask.tolist() == [False, True, False]
 
 
 # ---------------------------------------------------------- bitwise identity
@@ -274,22 +267,6 @@ class TestIntegratorOverMemberAxis:
                     ref.reconstruction.uReconstructZonal,
                 )
 
-    def test_unstable_mask_isolates_a_poisoned_column(self, mesh3, case, dt):
-        states, _ = ensemble_initial_states(mesh3, case, N, SEED, AMPLITUDE)
-        clean = [s.copy() for s in states]
-        states[1].h *= -1.0  # finite, non-positive: trips E1 in column 1 only
-        batched, _, _ = self._integrators(mesh3, case, dt)
-        unstable = np.zeros(N, dtype=bool)
-        packed = State.stack(states)
-        diag = batched.diagnostics_for(packed, unstable=unstable)
-        out = batched.step(packed, diag, unstable=unstable)
-        assert unstable.tolist() == [False, True, False]
-        ref_packed = State.stack(clean)
-        ref = batched.step(ref_packed, batched.diagnostics_for(ref_packed))
-        for k in (0, 2):
-            assert np.array_equal(out.state.member(k).h, ref.state.member(k).h)
-            assert np.array_equal(out.state.member(k).u, ref.state.member(k).u)
-
     def test_batched_state_without_plan_is_rejected(self, mesh3, case, dt):
         states, b = ensemble_initial_states(mesh3, case, 2, SEED, AMPLITUDE)
         integ = RK4Integrator(
@@ -387,6 +364,50 @@ class TestMemberBlocks:
             assert np.array_equal(res.members[k].state.h, serial_refs(k).state.h)
             assert np.array_equal(res.members[k].state.u, serial_refs(k).state.u)
 
+    def test_block_threads_compile_serial_plans_only(
+        self, mesh3, case, dt, monkeypatch
+    ):
+        """Members step through serial plans: on two CPUs no thread compiles
+        a batched one, and a fresh block thread compiles a serial one."""
+        import threading
+
+        import repro.engine.plan as plan
+
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
+        monkeypatch.setattr(ensemble_run, "_WORKERS", {})
+        real_compile = plan.compile_plan
+        calls = []
+
+        def spy(mesh, config, batch=0):
+            calls.append((batch, threading.current_thread() is threading.main_thread()))
+            return real_compile(mesh, config, batch=batch)
+
+        monkeypatch.setattr(plan, "compile_plan", spy)
+        run_ensemble(mesh3, case, _config(dt, ensemble=4), 2)
+        assert [batch for batch, _ in calls if batch != 0] == []
+        assert (0, False) in calls  # a block thread compiled its own
+
+    def test_a_member_quarantined_at_step_0_is_never_stepped(
+        self, mesh3, case, dt, monkeypatch
+    ):
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
+        states, _ = ensemble_initial_states(mesh3, case, N, SEED, AMPLITUDE)
+        states[1].h[:] = np.nan
+        poisoned = []  # one entry per member step: was the member the NaN one?
+        real_step = ensemble_run.rk4_step
+
+        def spy(ranks, block, diags):
+            poisoned.append(bool(np.isnan(block[0].h).any()))
+            return real_step(ranks, block, diags)
+
+        monkeypatch.setattr(ensemble_run, "rk4_step", spy)
+        res = EnsembleRun(
+            mesh3, case, _config(dt, guard_policy="halt"), initial_states=states,
+        ).execute(STEPS)
+        assert res.verdicts[1].failed_step == 0
+        assert len(poisoned) == (N - 1) * STEPS
+        assert not any(poisoned)
+
     def test_traced_run_sweeps_on_the_caller(self, mesh3, case, dt, monkeypatch):
         """The tracer is single-threaded: a traced ensemble is one block on
         the calling thread, and its span tree is well nested."""
@@ -415,7 +436,8 @@ class TestMemberBlocks:
             ]
             for a, b in zip(kids, kids[1:]):
                 assert a.end <= b.start
-        assert sum(s.name == "compute_tend" for s in spans) == 2 * 4
+        # members x steps x RK stages: every member is stepped on its own.
+        assert sum(s.name == "compute_tend" for s in spans) == 4 * 2 * 4
 
     def test_a_raising_block_restores_affinity_and_reaches_the_caller(self):
         class Boom(Exception):

@@ -236,9 +236,9 @@ class TestGoldenMatrix:
 class TestGoldenEnsembleAndResume:
     def test_ensemble_mean_matches_golden(self, mesh3):
         """``galewsky_jet-l3-ensemble.json`` pins the 4-member ensemble-
-        *mean* invariant trajectory (fixed seed, lockstep batch).  This
-        guards the whole batched stack — member ICs, the ``(n, N)`` matvec
-        path, the fused batch plan — with one file."""
+        *mean* invariant trajectory (fixed seed, lockstep).  This guards
+        the whole ensemble stack — member ICs, the member blocks on their
+        threads, each member's serial plan — with one file."""
         from repro.api import run_ensemble
 
         n_members = 4

@@ -248,6 +248,47 @@ class TestMetrics:
         assert go.is_set(), "the hook never paused the hammering thread"
         assert (timer.count, timer.min, timer.max) == (n_small + 1, 1.0, 1e9)
 
+    def test_counter_keeps_every_increment_across_threads(self):
+        """Two threads increment one counter (the ensemble's block threads
+        share ``engine.plan.compile``): the total stays exact.
+
+        The losing interleaving is pinned as in the timer test: one thread's
+        ``value += amount`` pauses once, after it has read ``value`` and
+        before it stores the sum, and lets the other thread increment.  An
+        unlocked read-modify-write then stores the stale sum; a locked one
+        keeps the other thread out until the store (the pause times out)."""
+        import threading
+
+        from repro.obs.metrics import Counter
+
+        counter = Counter("c", {})
+        go, done = threading.Event(), threading.Event()
+
+        class Paused(float):
+            # ``float + Paused`` calls this reflected add first (a subclass
+            # overriding it wins), so it runs between the read and the store.
+            def __radd__(self, other):
+                go.set()
+                done.wait(timeout=0.2)
+                return float(other) + float(self)
+
+        def paused():
+            counter.inc(Paused(1.0))
+
+        def other():
+            go.wait(timeout=30)
+            counter.inc(1.0)
+            done.set()
+
+        threads = [threading.Thread(target=f) for f in (other, paused)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert go.is_set(), "the increment never paused"
+        assert counter.value == 2.0
+
 
 # ---------------------------------------------------------- traced run content
 class TestInstrumentation:
