@@ -83,11 +83,12 @@ def _cmd_run(args: argparse.Namespace) -> None:
     mesh = build_mesh(args.level)
     dt = suggested_dt(mesh, case, GRAVITY, cfl=args.cfl)
     # --plan and --ensemble imply the sparse backend (plans fuse its CSR
-    # operators; ensembles run the plan); an explicit contradictory
+    # operators), and --ensemble the plan on it; an explicit contradictory
     # --backend is rejected by SWConfig.validate.
     backend = args.backend or (
         "sparse" if (args.plan or args.ensemble) else "numpy"
     )
+    plan = args.plan or bool(args.ensemble and backend == "sparse")
     from repro.swm import scenarios
 
     sc = scenarios.scenario_for(case)
@@ -96,7 +97,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         thickness_adv_order=args.order,
         advection_only=bool(sc is not None and sc.advection_only),
         backend=backend,
-        plan=args.plan,
+        plan=plan,
         parallel=args.parallel,
         ranks=args.ranks,
         halo_schedule=args.halo_schedule,
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ensemble", type=int, default=0,
         help="step N perturbed-IC members lockstep, one block of them per "
-        "usable CPU (implies --backend sparse); prints the per-member table",
+        "usable CPU (implies --backend sparse --plan); prints the per-member table",
     )
     p.add_argument(
         "--perturb-seed", type=int, default=0,

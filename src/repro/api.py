@@ -30,9 +30,9 @@ the execution entry points are thin consumers of it:
     same :class:`~repro.swm.model.RunResult` and produce bitwise-identical
     prognostic state, invariant records and guard verdicts.
 :func:`run_ensemble`
-    N perturbed-IC members advanced lockstep, each through the serial plan
-    (:mod:`repro.ensemble`); member ``k`` is bitwise identical to a
-    serial :func:`run` of the same member.
+    N perturbed-IC members advanced lockstep, each a serial run of the
+    config (:mod:`repro.ensemble`); member ``k`` is bitwise identical to a
+    serial :func:`run` of the same member under the same config.
 :func:`submit` / :func:`status` / :func:`result`
     The job queue (:mod:`repro.jobs`): deduplicating deferred execution,
     durable (checkpoint-backed) when the request carries a ``run_dir`` —
@@ -57,7 +57,7 @@ from .swm.error import ErrorNorms, Invariants, error_norms
 from .swm import scenarios as _scenarios
 from .swm.model import RunResult, ShallowWaterModel, suggested_dt
 from .swm.state import State
-from .swm.testcases import TEST_CASES, TestCase
+from .swm.testcases import TestCase
 
 __all__ = [
     "SWConfig",
@@ -82,17 +82,6 @@ __all__ = [
     "status",
     "result",
 ]
-
-#: Williamson-numbered case aliases accepted by :func:`resolve_case`
-#: (a derived view; the source of truth is :data:`repro.swm.scenarios.
-#: SCENARIOS` — kept for backwards compatibility with pre-registry callers).
-CASE_NAMES = {
-    alias: sc.number
-    for sc in _scenarios.SCENARIOS
-    if sc.number is not None and sc.number in TEST_CASES
-    for alias in sc.all_names
-}
-
 
 def build_mesh(
     level: int = 3,
@@ -366,10 +355,11 @@ def run_ensemble(
 
     Accepts the same tokens as :func:`run` plus the ensemble knobs
     (``ensemble``/``perturb_seed``/``perturb_amplitude`` override the
-    corresponding ``config.ensemble*`` fields; a default config comes out
-    ``backend="sparse"`` as the plan requires).  Member ``k`` of the
+    corresponding ``config.ensemble*`` fields; a default config runs the
+    plan, ``backend="sparse", plan=True``).  Member ``k`` of the
     result is **bitwise identical** to a serial :func:`run` started from
-    :func:`repro.ensemble.member_initial_state` with the same seed.
+    :func:`repro.ensemble.member_initial_state` with the same seed and
+    config.
 
     Returns an :class:`~repro.ensemble.run.EnsembleResult` — one
     :class:`RunResult` (or ``None``) plus one verdict per member.
@@ -391,7 +381,8 @@ def run_ensemble(
         from .constants import GRAVITY
 
         config = SWConfig(
-            dt=suggested_dt(rmesh, rcase, GRAVITY), backend="sparse", **overrides
+            dt=suggested_dt(rmesh, rcase, GRAVITY), backend="sparse", plan=True,
+            **overrides,
         )
         mesh = rmesh
     elif overrides:

@@ -31,7 +31,7 @@ def _step_state(level: int, backend: str, plan: bool = False):
     from ..swm.config import SWConfig
     from ..swm.galewsky import galewsky_jet
     from ..swm.model import suggested_dt
-    from ..swm.testcases import initialize
+    from ..swm.testcases import coriolis_at_vertices, initialize
     from ..swm.timestep import RK4Integrator
 
     mesh = cached_mesh(level)
@@ -43,7 +43,7 @@ def _step_state(level: int, backend: str, plan: bool = False):
         plan=plan,
     )
     state, b_cell = initialize(mesh, case)
-    f_vertex = config.coriolis(mesh.metrics.latVertex)
+    f_vertex = coriolis_at_vertices(mesh, case, config)
     integ = RK4Integrator(mesh, config, b_cell, f_vertex)
     diag = integ.diagnostics_for(state)
     result = integ.step(state, diag)

@@ -43,13 +43,11 @@ outputs are allocated per call because callers retain them.
 
 Batched plans
 -------------
-``compile_plan(..., batch=N)`` emits the same program over ``(n, N)`` member
-blocks: each matvec is one ``csr_matvecs`` call, which sums each row in the
-order ``csr_matvec`` does, per column — so **column k of a batched stage is
-bitwise the serial stage on column k**, and the ``E1`` check raises as
-the serial one does.  Keyed by ``plan_key(config) + (batch,)``.  No run
-path compiles one (ensemble members step through serial plans); the
-benchmark probes of ``benchmarks/e2e`` still do.
+``compile_plan(..., batch=N)`` returns the memoized serial plan wrapped in a
+column loop (:class:`repro.ensemble.batch.ColumnPlan`): each member column
+runs the serial program, so column k is member k's serial result by
+construction.  No run path builds one; the benchmark probes of
+``benchmarks/e2e`` still do.
 """
 
 from __future__ import annotations
@@ -225,11 +223,8 @@ class ExecutionPlan:
         compile_recon: Callable[[object], list[PlanStage]],
         buffers: dict[str, np.ndarray],
         composed: tuple[str, ...],
-        batch: int = 0,
     ) -> None:
         self._mesh = weakref.ref(mesh)
-        #: 0 for a serial plan; N > 0 when the stages run over (n, N) blocks.
-        self.batch = int(batch)
         self._tend = tend_stages
         self._diag = diag_stages
         self._compile_recon = compile_recon
@@ -268,11 +263,10 @@ class ExecutionPlan:
     def tend(self, state, diag, b_cell) -> tuple[np.ndarray, np.ndarray]:
         """Fused ``compute_tend``: the (A1, B1) segment of the schedule."""
         with get_registry().timer("engine.plan", segment="tend").time():
-            b = b_cell[:, None] if (self.batch and b_cell.ndim == 1) else b_cell
             ctx = self._ctx(
                 h=state.h,
                 u=state.u,
-                b=b,
+                b=b_cell,
                 h_edge=diag.h_edge,
                 ke=diag.ke,
                 pv_edge=diag.pv_edge,
@@ -287,29 +281,20 @@ class ExecutionPlan:
         from ..swm.state import Diagnostics
 
         n_cells, n_edges, n_vertices = self._n
-        if self.batch:
-            shp = lambda n: (n, self.batch)  # noqa: E731
-        else:
-            shp = lambda n: n  # noqa: E731
         with get_registry().timer("engine.plan", segment="diagnostics").time():
-            f = (
-                f_vertex[:, None]
-                if (self.batch and f_vertex.ndim == 1)
-                else f_vertex
-            )
             ctx = self._ctx(
                 h=state.h,
                 u=state.u,
-                f=f,
-                h_edge=np.empty(shp(n_edges)),
-                ke=np.empty(shp(n_cells)),
-                vorticity=np.empty(shp(n_vertices)),
-                divergence=np.empty(shp(n_cells)),
-                v=np.empty(shp(n_edges)),
-                h_vertex=np.empty(shp(n_vertices)),
-                pv_vertex=np.empty(shp(n_vertices)),
-                pv_cell=np.empty(shp(n_cells)),
-                pv_edge=np.empty(shp(n_edges)),
+                f=f_vertex,
+                h_edge=np.empty(n_edges),
+                ke=np.empty(n_cells),
+                vorticity=np.empty(n_vertices),
+                divergence=np.empty(n_cells),
+                v=np.empty(n_edges),
+                h_vertex=np.empty(n_vertices),
+                pv_vertex=np.empty(n_vertices),
+                pv_cell=np.empty(n_cells),
+                pv_edge=np.empty(n_edges),
             )
             self._run(self._diag, ctx)
             return Diagnostics(
@@ -378,36 +363,20 @@ class _Compiler:
         "E1", "F1", "G1", "A4", "X6",
     )
 
-    def __init__(self, mesh, config, batch: int = 0) -> None:
+    def __init__(self, mesh, config) -> None:
         self.mesh = mesh
         self.config = config
-        #: 0 compiles the serial plan; N > 0 compiles over (n, N) blocks.
-        self.batch = int(batch)
         n_cells, n_edges = mesh.nCells, mesh.nEdges
-        shape = self._shape
         self.buffers: dict[str, np.ndarray] = {
-            "tend_h": np.zeros(shape(n_cells)),
-            "tend_u": np.zeros(shape(n_edges)),
+            "tend_h": np.zeros(n_cells),
+            "tend_u": np.zeros(n_edges),
         }
         # Scratch arena, reused across steps (sized by the widest stage).
-        self._e1 = np.zeros(shape(n_edges))
-        self._e2 = np.zeros(shape(n_edges))
-        self._e3 = np.zeros(shape(n_edges))
-        self._c1 = np.zeros(shape(n_cells))
+        self._e1 = np.zeros(n_edges)
+        self._e2 = np.zeros(n_edges)
+        self._e3 = np.zeros(n_edges)
+        self._c1 = np.zeros(n_cells)
         self.composed: list[str] = []
-
-    def _shape(self, n: int):
-        return (n, self.batch) if self.batch else (n,)
-
-    def _col(self, v: np.ndarray) -> np.ndarray:
-        """A per-mesh constant vector, as a broadcastable column when batched.
-
-        ``(n,) op (n, N)`` is an invalid numpy broadcast, so every mesh
-        vector a batched stage multiplies a member block with must go in
-        as ``(n, 1)``.  Broadcasting is per-column bitwise identical to
-        the serial elementwise op.
-        """
-        return v[:, None] if self.batch else v
 
     def matrix(self, name: str) -> CSR:
         return sparse_operator(self.mesh, name)
@@ -576,7 +545,7 @@ class _Compiler:
         if self.config.thickness_adv_order == 2 or self._h_edge_composes(sched):
             return []  # nothing to correct, or folded into the composed D1
         Md2 = self.matrix("d2fdx2")
-        d2 = self._d2 = np.zeros(self._shape(2 * self.mesh.nEdges))  # read by D1
+        d2 = self._d2 = np.zeros(2 * self.mesh.nEdges)  # read by D1
 
         def fast(ctx):
             _matvec(Md2, ctx["h"], d2)
@@ -622,7 +591,7 @@ class _Compiler:
         d2 = self._d2
         d2_1, d2_2 = d2[0::2], d2[1::2]
         e1, e2 = self._e1, self._e2
-        dc2_12 = self._col(self.mesh.metrics.dcEdge**2 / 12.0)
+        dc2_12 = self.mesh.metrics.dcEdge**2 / 12.0
         dc2_half = dc2_12 * 0.5
 
         def corr_fast(ctx):
@@ -736,8 +705,6 @@ class _Compiler:
         M = self.matrix("velocity_reconstruction")
 
         def fast(ctx):
-            # A batched (3n, N) product reshapes to (n, 3, N): column k is
-            # the serial (n, 3) reconstruction of member k, bit for bit.
             ctx["U"] = _triples(M @ ctx["u"])
 
         return [
@@ -751,8 +718,6 @@ class _Compiler:
         from ..geometry.sphere import tangent_basis
 
         east, north = tangent_basis(self.mesh.metrics.xCell)
-        if self.batch:
-            east, north = east[:, :, None], north[:, :, None]
 
         def fast(ctx):
             U = ctx["U"]
@@ -766,21 +731,20 @@ def compile_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
     """Compile the fused :class:`ExecutionPlan` for ``(mesh, config)``.
 
     Requires ``config.backend == "sparse"`` (the plan closes over the CSR
-    operators).  ``batch=N`` compiles the batched variant whose stages run
-    over ``(n, N)`` member blocks (see *Batched plans* in the module
-    docs).  Use :func:`compiled_plan` for the memoizing entry point the
-    kernels call.
+    operators).  ``batch=N`` wraps the memoized serial plan in a column loop
+    (see *Batched plans* in the module docs).  Use :func:`compiled_plan` for
+    the memoizing entry point the kernels call.
     """
     from ..dataflow.schedule import schedule_substep
 
+    if batch:
+        return compiled_plan(mesh, config, batch=batch)
     if config.backend != "sparse":
         raise ValueError(
             "execution plans require backend='sparse' "
             f"(got backend={config.backend!r})"
         )
-    if int(batch) < 0:
-        raise ValueError(f"batch must be >= 0 (0 compiles serial), got {batch!r}")
-    comp = _Compiler(mesh, config, batch=batch)
+    comp = _Compiler(mesh, config)
     sched1 = schedule_substep(config, stage=1)
     sched4 = schedule_substep(config, stage=4)
     tend = comp.compile_kernel(sched1, "compute_tend")
@@ -789,7 +753,7 @@ def compile_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
     def compile_recon(mesh) -> list[PlanStage]:
         # Takes the mesh as an argument: a closure over it would pin the
         # mesh the memoized plan only references weakly.
-        recon = _Compiler(mesh, config, batch=batch)
+        recon = _Compiler(mesh, config)
         return recon.compile_kernel(sched4, "mpas_reconstruct")
 
     return ExecutionPlan(
@@ -799,7 +763,6 @@ def compile_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
         compile_recon=compile_recon,
         buffers=comp.buffers,
         composed=tuple(comp.composed),
-        batch=batch,
     )
 
 
@@ -818,34 +781,32 @@ _PLANS = _ThreadPlans()
 def compiled_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
     """The calling thread's memoized plan for ``(mesh, config)``.
 
-    Compiled at most once per thread and keyed by :func:`plan_key` (plus
-    the batch width), so a config mutation that changes the compiled
-    structure (e.g. the rollback handler halving ``dt``, which is baked
-    into the APVM factor) transparently compiles a fresh plan.  Plans are
-    per-thread because they own scratch buffers; the CSR operators they
-    close over are the same read-only instances on every thread, shared
-    through the operator cache.
+    Compiled at most once per thread and keyed by :func:`plan_key`, so a
+    config mutation that changes the compiled structure (e.g. the rollback
+    handler halving ``dt``, which is baked into the APVM factor)
+    transparently compiles a fresh plan.  Plans are per-thread because they
+    own scratch buffers; the CSR operators they close over are the same
+    read-only instances on every thread, shared through the operator cache.
+    ``batch=N`` wraps that plan in a column loop (see *Batched plans*).
     """
     plans = _PLANS.by_mesh.setdefault(mesh, {})
-    key = plan_key(config) + (int(batch),)
+    key = plan_key(config)
     plan = plans.get(key)
     if plan is None:
-        plan = compile_plan(mesh, config, batch=batch)
+        plan = compile_plan(mesh, config)
         plans[key] = plan
         get_registry().counter("engine.plan.compile").inc()
+    if batch:
+        from ..ensemble.batch import ColumnPlan
+
+        return ColumnPlan(plan)
     return plan
 
 
-def kernel_plan(mesh, config, batch: int = 0) -> ExecutionPlan | None:
+def kernel_plan(mesh, config) -> ExecutionPlan | None:
     """The plan an Algorithm-1 kernel executes, or ``None`` for the unfused
-    per-op path without ``config.plan``.  A batched state runs only the
-    plan: it raises instead."""
-    if batch and not config.plan:
-        raise ValueError(
-            "batched (n, N) states run only the compiled plan: set plan=True "
-            "(requires backend='sparse')"
-        )
-    return compiled_plan(mesh, config, batch=batch) if config.plan else None
+    per-op path without ``config.plan``."""
+    return compiled_plan(mesh, config) if config.plan else None
 
 
 def clear_plan_memory_cache() -> None:

@@ -10,8 +10,8 @@ compilable registry operator is compiled **once per mesh** into a
 backend uses (label matrices, inverse areas, TRiSK weights), and a dispatch
 is then a single ``M @ x`` — no per-call index gathers, no ``(n, lanes)``
 temporaries.  A :class:`CSR` is scipy's three arrays and a shape, built
-with numpy alone; ``M @ x`` runs scipy's compiled ``csr_matvec`` /
-``csr_matvecs`` kernel, loaded from its extension file.  A warm run never
+with numpy alone; ``M @ x`` runs scipy's compiled ``csr_matvec`` kernel,
+loaded from its extension file.  A warm run never
 imports ``scipy.sparse`` (~80 ms, ~22 MB and 75 modules in a fresh
 interpreter): only composing a matrix that misses the cache does.
 
@@ -103,20 +103,19 @@ def _load_sparsetools():
 _SPARSETOOLS = _load_sparsetools()
 
 
-def _probe_kernel(name: str, x: np.ndarray):
-    """``_sparsetools.<name>`` if, on the probe vector (1-D) or member block
-    (2-D) ``x``, it sums each row's stored entries sequentially in storage
-    order, bit for bit; else ``None``.  That order is what keeps lane-ordered
-    rows invariant under the pool's renumbering and column k of a batched
-    product equal to the serial matvec of column k.  The probe rows hold
-    unsorted columns and a duplicate."""
+def _probe_kernel():
+    """``_sparsetools.csr_matvec`` if it sums each row's stored entries
+    sequentially in storage order, bit for bit; else ``None``.  That order
+    is what keeps lane-ordered rows invariant under the pool's renumbering.
+    The probe rows hold unsorted columns and a duplicate."""
     indptr = np.array([0, 3, 5, 9], dtype=np.int32)
     indices = np.array([2, 0, 3, 1, 1, 3, 0, 2, 0], dtype=np.int32)
     data = np.arange(1.0, 10.0) / 7.0
-    out = np.zeros((3,) + x.shape[1:])
+    x = np.linspace(-1.0, 1.0, 4)
+    out = np.zeros(3)
     try:
-        fn = getattr(_SPARSETOOLS, name)
-        fn(3, 4, *x.shape[1:], indptr, indices, data, x.ravel(), out.ravel())
+        fn = _SPARSETOOLS.csr_matvec
+        fn(3, 4, indptr, indices, data, x, out)
     except (AttributeError, TypeError, ValueError):  # pragma: no cover
         return None
     want = np.zeros_like(out)
@@ -126,24 +125,21 @@ def _probe_kernel(name: str, x: np.ndarray):
     return fn if np.array_equal(out, want) else None
 
 
-_CSR_MATVEC = _probe_kernel("csr_matvec", np.linspace(-1.0, 1.0, 4))
-_CSR_MATVECS = _probe_kernel("csr_matvecs", np.linspace(-1.0, 1.0, 8).reshape(4, 2))
+_CSR_MATVEC = _probe_kernel()
 
 
 def _matvec(m: CSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[:] = m @ x`` into a preallocated buffer, bit for bit.
 
     ``M @ x`` zeroes an output and runs the same kernel into it, so a reused
-    buffer saves the allocation and nothing else.  A 1-D ``x`` runs
-    ``csr_matvec``, an ``(n, N)`` member block ``csr_matvecs``; a kernel
-    that failed the probe leaves the product to ``scipy.sparse``.
+    buffer saves the allocation and nothing else.  A kernel that failed the
+    probe leaves the product to ``scipy.sparse``.
     """
-    fn = _CSR_MATVECS if x.ndim == 2 else _CSR_MATVEC
-    if fn is None:  # pragma: no cover - a scipy whose kernel changed
+    if _CSR_MATVEC is None:  # pragma: no cover - a scipy whose kernel changed
         out[:] = m.to_scipy() @ x
     elif x.flags.c_contiguous and out.flags.c_contiguous:
         out.fill(0.0)
-        fn(*m.shape, *x.shape[1:], m.indptr, m.indices, m.data, x.ravel(), out.ravel())
+        _CSR_MATVEC(*m.shape, m.indptr, m.indices, m.data, x, out)
     else:
         out[:] = m @ x
     return out
@@ -153,7 +149,7 @@ class CSR:
     """A compressed-sparse-row operator: scipy's ``data`` / ``indices`` /
     ``indptr`` arrays and ``shape``, applied by scipy's compiled kernel.
 
-    ``M @ x`` on a real vector or ``(n, N)`` block gives the bits
+    ``M @ x`` on a real vector gives the bits
     ``scipy.sparse.csr_matrix @ x`` gives.  :meth:`to_scipy` wraps the same
     arrays for the cold paths that compose matrices.
     """
@@ -170,9 +166,9 @@ class CSR:
 
     def __matmul__(self, x) -> np.ndarray:
         x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+        if x.shape != (self.shape[1],):
             raise ValueError(f"cannot apply a {self.shape} operator to {x.shape}")
-        return _matvec(self, x, np.empty((self.shape[0],) + x.shape[1:]))
+        return _matvec(self, x, np.empty(self.shape[0]))
 
     def to_scipy(self):
         return scipy_sparse().csr_matrix(
@@ -510,15 +506,13 @@ class CoriolisOp(CompiledOp):
 
 
 def _pair(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # A 2-D y is a batched (2n, N) member block: keep the member axis last.
-    d2 = y.reshape(-1, 2) if y.ndim == 1 else y.reshape(-1, 2, y.shape[1])
+    d2 = y.reshape(-1, 2)
     return np.ascontiguousarray(d2[:, 0]), np.ascontiguousarray(d2[:, 1])
 
 
 def _triples(y: np.ndarray) -> np.ndarray:
-    # Block rows 3c + i -> component i of cell c; a 2-D y is a batched
-    # (3n, N) member block reshaped to (n, 3, N).
-    return y.reshape(-1, 3) if y.ndim == 1 else y.reshape(-1, 3, y.shape[1])
+    # Block rows 3c + i -> component i of cell c.
+    return y.reshape(-1, 3)
 
 
 def build_sparse_impls() -> dict[str, Callable]:

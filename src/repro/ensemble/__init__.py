@@ -15,8 +15,8 @@ one block of them per usable CPU, each block on its own thread.
   detached to a serial rollback continuation and never stepped again in
   the lockstep) and produces one :class:`~repro.swm.model.RunResult` per
   member.
-* :mod:`~repro.ensemble.batch` — a constructor the frozen benchmark probes
-  still build; no run path uses it.
+* :mod:`~repro.ensemble.batch` — the column adapter the frozen benchmark
+  probes still build; no run path uses it.
 
 The public entry point is :func:`repro.api.run_ensemble` (CLI:
 ``python -m repro run --ensemble N``).

@@ -7,15 +7,12 @@ own serial :class:`~repro.swm.state.State` stepped by
 per-member invariant trajectories and watchdog verdicts.  The members are
 split into one contiguous block per usable CPU (``os.sched_getaffinity``);
 each step advances the blocks at once, block 0 on the calling thread and
-the others on persistent pinned worker threads with a compiled plan of
-their own (:func:`_sweep`), each thread stepping the live members of its
+the others on persistent pinned worker threads (with a compiled plan of
+their own under ``plan=True``: :func:`_sweep`), each thread stepping the live members of its
 block one after another; the caller then judges every member.  A member's
-step is its serial step wherever it runs, so the split moves no bit.  The
-integrator always executes with ``plan=True``, even for configs with
-``plan=False``: outside composed chains (order-4 ``h_edge``, del4) the plan
-replays the unfused sparse backend's arithmetic bitwise, so members of such
-a ``backend="sparse"`` run match their serial unfused reference exactly as
-well.  Divergence handling reuses the resilience stack's policy knobs:
+step is its serial step wherever it runs, under the config the run was
+given (backend, ``plan``), so the split moves no bit.  Divergence handling
+reuses the resilience stack's policy knobs:
 
 ``guard_policy="halt"`` (default)
     A member that goes non-finite or trips the ``E1`` stability guard is
@@ -54,7 +51,7 @@ from ..swm.config import SWConfig
 from ..swm.error import Invariants, invariants
 from ..swm.model import RunResult, ShallowWaterModel
 from ..swm.state import State
-from ..swm.testcases import TestCase
+from ..swm.testcases import TestCase, coriolis_at_vertices
 from ..swm.timestep import RK4Integrator, rk4_step
 from .members import ensemble_initial_states
 
@@ -251,11 +248,6 @@ class EnsembleRun:
         self._explicit_states = initial_states
 
     # ------------------------------------------------------------- plumbing
-    def _f_vertex(self) -> np.ndarray:
-        if self.case.coriolis is not None:
-            return self.case.coriolis(self.mesh.metrics.xVertex)
-        return self.config.coriolis(self.mesh.metrics.latVertex)
-
     def _member_states(self) -> tuple[list[State], np.ndarray]:
         from ..swm.testcases import initialize
 
@@ -293,10 +285,8 @@ class EnsembleRun:
         n = config.ensemble
         states, b = self._member_states()
         diags: list = [None] * n
-        f_vertex = self._f_vertex()
-        integ = RK4Integrator(
-            self.mesh, dataclasses.replace(config, plan=True), b, f_vertex
-        )
+        f_vertex = coriolis_at_vertices(self.mesh, self.case, config)
+        integ = RK4Integrator(self.mesh, config, b, f_vertex)
         # One contiguous member block per usable CPU, stepped concurrently
         # (no member's step reads another member).  The tracer is
         # single-threaded: one block.

@@ -55,7 +55,7 @@ from ..obs.trace import Tracer, get_tracer, set_tracer, trace_span
 from ..swm.config import SWConfig
 from ..swm.model import ShallowWaterModel
 from ..swm.state import State
-from ..swm.testcases import TestCase, initialize
+from ..swm.testcases import TestCase, coriolis_at_vertices, initialize
 from ..swm.timestep import HaloTransport, RK4Integrator, rk4_step
 from .halo import (
     build_local_mesh,
@@ -375,10 +375,7 @@ class PoolShallowWater:
                 ]
 
             global_state, self.b_cell = initialize(mesh, case)
-            if case.coriolis is not None:
-                self.f_vertex = case.coriolis(mesh.metrics.xVertex)
-            else:
-                self.f_vertex = config.coriolis(mesh.metrics.latVertex)
+            self.f_vertex = coriolis_at_vertices(mesh, case, config)
 
             #: The halo schedule every rank executes (static or dataflow).
             self.schedule = halo_schedule_for(config)

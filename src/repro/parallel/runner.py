@@ -36,7 +36,7 @@ from ..resilience.faults import FaultInjected, fault_site
 from ..swm.config import SWConfig
 from ..swm.model import ShallowWaterModel
 from ..swm.state import Diagnostics, State
-from ..swm.testcases import TestCase, initialize
+from ..swm.testcases import TestCase, coriolis_at_vertices, initialize
 from ..swm.timestep import HaloTransport, RK4Integrator, rk4_step
 from ..dataflow.schedule import halo_schedule_for
 from .halo import (
@@ -73,12 +73,8 @@ class DecomposedShallowWater(HaloTransport):
         self.owner = partition_cells(mesh, n_ranks, method=partition_method)
 
         global_state, global_b = initialize(mesh, case)
-        if case.coriolis is not None:
-            f_vertex_global = case.coriolis(mesh.metrics.xVertex)
-        else:
-            f_vertex_global = config.coriolis(mesh.metrics.latVertex)
         self.b_cell = global_b
-        self.f_vertex = f_vertex_global
+        self.f_vertex = coriolis_at_vertices(mesh, case, config)
 
         #: One integrator per rank, on its local mesh; the ranks' current
         #: states and diagnostics sit alongside in ``states`` / ``diags``.
@@ -88,7 +84,7 @@ class DecomposedShallowWater(HaloTransport):
             self.ranks.append(
                 RK4Integrator(
                     lm, config, global_b[lm.cells_global],
-                    f_vertex_global[lm.vertices_global],
+                    self.f_vertex[lm.vertices_global],
                 )
             )
         meshes = [rk.mesh for rk in self.ranks]

@@ -2,7 +2,7 @@
 
 from .catalog import KERNELS, PatternInstance, build_catalog, instances_by_kernel
 from .classify import VARIABLE_POINTS, classify, point_of
-from .pattern import STENCIL_PATTERNS, LocalPattern, PatternKind, StencilPattern
+from .pattern import STENCIL_PATTERNS, PatternKind, StencilPattern
 from .points import PointType
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "classify",
     "point_of",
     "STENCIL_PATTERNS",
-    "LocalPattern",
     "PatternKind",
     "StencilPattern",
     "PointType",

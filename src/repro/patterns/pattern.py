@@ -32,7 +32,7 @@ from enum import Enum
 
 from .points import PointType
 
-__all__ = ["PatternKind", "StencilPattern", "LocalPattern", "STENCIL_PATTERNS"]
+__all__ = ["PatternKind", "StencilPattern", "STENCIL_PATTERNS"]
 
 
 class PatternKind(Enum):
@@ -104,15 +104,3 @@ STENCIL_PATTERNS: dict[PatternKind, StencilPattern] = {
     PatternKind.G: StencilPattern(PatternKind.G, fan_in=2, halo_depth=1),
     PatternKind.H: StencilPattern(PatternKind.H, fan_in=3, halo_depth=1),
 }
-
-
-@dataclass(frozen=True)
-class LocalPattern:
-    """A pointwise computation on a single point type (X1..X6 of Fig. 4).
-
-    Local computations are embarrassingly parallel — no data dependencies
-    between output points — and are the cheap glue between stencils.
-    """
-
-    name: str
-    point: PointType

@@ -122,9 +122,8 @@ class SWConfig:
     checkpoint_interval: int = 0
     max_rollbacks: int = 3
     #: Ensemble width: 0 runs a single scenario; N > 0 advances N
-    #: perturbed-IC members lockstep through one batched execution plan
-    #: (:mod:`repro.ensemble`).  Requires ``backend="sparse"`` and
-    #: ``parallel="serial"``.
+    #: perturbed-IC members lockstep, each its own serial run under this
+    #: config (:mod:`repro.ensemble`).  Requires ``parallel="serial"``.
     ensemble: int = 0
     #: Base seed of the per-member IC perturbation streams; member ``k``
     #: draws from ``default_rng([ensemble_seed, k])``, so each member's
@@ -220,7 +219,7 @@ class SWConfig:
         if int(self.ensemble) != self.ensemble or self.ensemble < 0:
             raise ValueError(
                 "ensemble must be a non-negative integer "
-                f"(0 disables batching), got {self.ensemble!r}"
+                f"(0 runs a single scenario), got {self.ensemble!r}"
             )
         if int(self.ensemble_seed) != self.ensemble_seed or self.ensemble_seed < 0:
             raise ValueError(
@@ -233,17 +232,11 @@ class SWConfig:
                 f"perturbation; 0 runs identical members), got "
                 f"{self.ensemble_amplitude!r}"
             )
-        if self.ensemble:
-            if self.backend != "sparse":
-                raise ValueError(
-                    "ensemble runs batch the precompiled CSR operators: "
-                    f"set backend='sparse' (got backend={self.backend!r})"
-                )
-            if self.parallel != "serial":
-                raise ValueError(
-                    "ensemble batching is in-process: set parallel='serial' "
-                    f"(got parallel={self.parallel!r})"
-                )
+        if self.ensemble and self.parallel != "serial":
+            raise ValueError(
+                "ensemble members run in-process: set parallel='serial' "
+                f"(got parallel={self.parallel!r})"
+            )
 
     @classmethod
     def from_dict(cls, stored: dict) -> "SWConfig":

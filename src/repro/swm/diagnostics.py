@@ -42,7 +42,7 @@ def compute_solve_diagnostics(
     """
     from ..engine.plan import kernel_plan
 
-    plan = kernel_plan(mesh, config, batch=state.n_members or 0)
+    plan = kernel_plan(mesh, config)
     if plan is not None:
         return plan.diagnostics(state, f_vertex)
     h, u = state.h, state.u

@@ -22,7 +22,7 @@ from ..mesh.mesh import Mesh
 from .config import SWConfig
 from .error import ErrorNorms, Invariants, error_norms, invariants
 from .state import Diagnostics, Reconstruction, State
-from .testcases import TestCase, initialize
+from .testcases import TestCase, coriolis_at_vertices, initialize
 from .timestep import RK4Integrator, StepResult, rk4_step
 
 __all__ = ["ShallowWaterModel", "RunResult", "suggested_dt"]
@@ -184,11 +184,7 @@ class ShallowWaterModel:
         self.case = case
         if self.config.parallel == "serial":
             state, b = initialize(self.mesh, case)
-            if case.coriolis is not None:
-                f_vertex = case.coriolis(self.mesh.metrics.xVertex)
-            else:
-                f_vertex = self.config.coriolis(self.mesh.metrics.latVertex)
-            self._prime(state, b, f_vertex)
+            self._prime(state, b, coriolis_at_vertices(self.mesh, case, self.config))
         else:  # the ranks discretize (globally, then slice)
             self._adopt(self._spawn())
         self.step = 0

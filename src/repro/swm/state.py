@@ -5,12 +5,6 @@ Variable names follow Table I of the paper (which follows the MPAS Fortran):
 the provisional Runge-Kutta substep states; everything in
 :class:`Diagnostics` is recomputed from the (provisional) state each substep
 by ``compute_solve_diagnostics``.
-
-Batched (ensemble) states carry an optional trailing *member* axis: ``h``
-becomes ``(nCells, N)`` and ``u`` becomes ``(nEdges, N)``, one column per
-ensemble member.  :meth:`State.stack` packs N serial states into one block,
-:meth:`State.member` extracts member ``k`` as contiguous column copies, and
-the same accessors exist on :class:`Diagnostics` and :class:`Reconstruction`.
 """
 
 from __future__ import annotations
@@ -24,26 +18,18 @@ __all__ = ["State", "Diagnostics", "Reconstruction"]
 
 @dataclass
 class State:
-    """Prognostic variables: thickness at cells, normal velocity at edges.
+    """Prognostic variables: thickness at cells, normal velocity at edges."""
 
-    With a trailing member axis (``(n, N)`` arrays) the instance is a
-    *batched* ensemble state; :attr:`n_members` is then the batch width.
-    """
-
-    h: np.ndarray  # (nCells,) or (nCells, n_members)
-    u: np.ndarray  # (nEdges,) or (nEdges, n_members)
+    h: np.ndarray  # (nCells,)
+    u: np.ndarray  # (nEdges,)
 
     def copy(self) -> "State":
         return State(h=self.h.copy(), u=self.u.copy())
 
-    @property
-    def n_members(self) -> int | None:
-        """Batch width of a batched state; ``None`` for a serial state."""
-        return self.h.shape[1] if self.h.ndim == 2 else None
-
     @classmethod
     def stack(cls, states: "list[State]") -> "State":
-        """Pack N serial states into one batched ``(n, N)`` state."""
+        """Pack N states into one ``(n, N)`` block (for
+        :class:`repro.ensemble.batch.BatchedIntegrator`)."""
         if not states:
             raise ValueError("cannot stack an empty list of states")
         return cls(
@@ -51,24 +37,11 @@ class State:
             u=np.stack([s.u for s in states], axis=1),
         )
 
-    def member(self, k: int) -> "State":
-        """Member ``k`` of a batched state, as contiguous column copies."""
-        if self.h.ndim != 2:
-            raise ValueError("member() requires a batched state (2-D h/u)")
-        return State(
-            h=np.ascontiguousarray(self.h[:, k]),
-            u=np.ascontiguousarray(self.u[:, k]),
-        )
-
-    def validate_shapes(
-        self, n_cells: int, n_edges: int, n_members: int | None = None
-    ) -> None:
-        want_h = (n_cells,) if n_members is None else (n_cells, n_members)
-        want_u = (n_edges,) if n_members is None else (n_edges, n_members)
-        if self.h.shape != want_h:
-            raise ValueError(f"h has shape {self.h.shape}, expected {want_h}")
-        if self.u.shape != want_u:
-            raise ValueError(f"u has shape {self.u.shape}, expected {want_u}")
+    def validate_shapes(self, n_cells: int, n_edges: int) -> None:
+        if self.h.shape != (n_cells,):
+            raise ValueError(f"h has shape {self.h.shape}, expected {(n_cells,)}")
+        if self.u.shape != (n_edges,):
+            raise ValueError(f"u has shape {self.u.shape}, expected {(n_edges,)}")
 
 
 @dataclass
@@ -106,17 +79,6 @@ class Diagnostics:
     def copy(self) -> "Diagnostics":
         return Diagnostics(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
 
-    def member(self, k: int) -> "Diagnostics":
-        """Member ``k`` of batched diagnostics, as contiguous column copies."""
-        if self.h_edge.ndim != 2:
-            raise ValueError("member() requires batched diagnostics (2-D fields)")
-        return Diagnostics(
-            **{
-                f.name: np.ascontiguousarray(getattr(self, f.name)[:, k])
-                for f in fields(self)
-            }
-        )
-
 
 @dataclass
 class Reconstruction:
@@ -127,14 +89,3 @@ class Reconstruction:
     uReconstructZ: np.ndarray  # (nCells,)
     uReconstructZonal: np.ndarray  # (nCells,)
     uReconstructMeridional: np.ndarray  # (nCells,)
-
-    def member(self, k: int) -> "Reconstruction":
-        """Member ``k`` of a batched reconstruction, as contiguous columns."""
-        if self.uReconstructX.ndim != 2:
-            raise ValueError("member() requires a batched reconstruction")
-        return Reconstruction(
-            **{
-                f.name: np.ascontiguousarray(getattr(self, f.name)[:, k])
-                for f in fields(self)
-            }
-        )

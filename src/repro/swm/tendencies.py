@@ -51,7 +51,7 @@ def compute_tend(
     # and pool callers all take it.
     from ..engine.plan import kernel_plan
 
-    plan = kernel_plan(mesh, config, batch=state.n_members or 0)
+    plan = kernel_plan(mesh, config)
     if plan is not None:
         return plan.tend(state, diag, b_cell)
     backend = config.backend

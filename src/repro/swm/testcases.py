@@ -38,6 +38,7 @@ __all__ = [
     "flow_over_ridge",
     "TEST_CASES",
     "initialize",
+    "coriolis_at_vertices",
 ]
 
 
@@ -401,3 +402,11 @@ def initialize(mesh: Mesh, case: TestCase) -> tuple[State, np.ndarray]:
     state = State(h=h, u=u)
     state.validate_shapes(mesh.nCells, mesh.nEdges)
     return state, b
+
+
+def coriolis_at_vertices(mesh: Mesh, case: TestCase, config) -> np.ndarray:
+    """The Coriolis parameter at vorticity points: the case's own ``f`` when
+    it defines one, else ``config.coriolis`` of the vertex latitudes."""
+    if case.coriolis is not None:
+        return case.coriolis(mesh.metrics.xVertex)
+    return config.coriolis(mesh.metrics.latVertex)

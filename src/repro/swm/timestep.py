@@ -122,10 +122,6 @@ class RK4Integrator:
     run loop and the decomposed executors hand integrators (one per rank,
     built on its :class:`~repro.parallel.halo.LocalMesh`) to :func:`rk4_step`.
 
-    Fields may carry a trailing member axis (``State.stack``): under
-    ``config.plan`` every kernel then runs the batched plan, and column
-    ``k`` of a step is bitwise the serial step of member ``k``.
-
     Parameters
     ----------
     mesh : Mesh
@@ -194,8 +190,7 @@ class RK4Integrator:
             # and must recompile transparently.
             from ..engine.plan import kernel_plan
 
-            batch = u.shape[1] if u.ndim == 2 else 0
-            plan = kernel_plan(self.mesh, config, batch=batch)
+            plan = kernel_plan(self.mesh, config)
             if plan is not None:
                 return plan.reconstruct(u)
             return self._mpas_reconstruct(self.mesh, u, backend=config.backend)

@@ -76,27 +76,16 @@ def vertex_field(mesh3, rng):
     return rng.standard_normal(mesh3.nVertices)
 
 
-def _coriolis_plan_stage(mesh, u, h_edge, q, batch=0):
-    """The compiled plan's B1 stage alone (``batch`` > 0: member column 1
-    of a block whose other columns hold unrelated data)."""
+def _coriolis_plan_stage(mesh, u, h_edge, q):
+    """The compiled plan's B1 stage alone."""
     from repro.engine.plan import compiled_plan
     from repro.swm.config import SWConfig
 
-    plan = compiled_plan(
-        mesh, SWConfig(dt=60.0, backend="sparse", plan=True), batch=batch
-    )
+    plan = compiled_plan(mesh, SWConfig(dt=60.0, backend="sparse", plan=True))
     (stage,) = [s for s in plan.stages()["tend"] if s.op == "coriolis_edge_term"]
-    if batch:
-        noise = np.random.default_rng(7)
-        u, h_edge, q = (
-            np.ascontiguousarray(
-                np.stack([noise.standard_normal(f.shape), f, -f], axis=1)
-            )
-            for f in (u, h_edge, q)
-        )
     out = np.empty_like(u)
     stage.fast({"u": u, "h_edge": h_edge, "pv_edge": q, "tend_u": out})
-    return out[:, 1] if batch else out
+    return out
 
 
 @pytest.fixture(scope="session")
@@ -114,5 +103,4 @@ def coriolis_paths():
         "numpy": via("numpy"),
         "sparse": via("sparse"),
         "plan": _coriolis_plan_stage,
-        "plan-batch-column": lambda mesh, *f: _coriolis_plan_stage(mesh, *f, batch=3),
     }

@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.ensemble.batch as ensemble_batch
 import repro.ensemble.run as ensemble_run
 from repro.api import SWConfig, resolve_case, suggested_dt
 from repro.constants import GRAVITY
@@ -100,20 +101,18 @@ class TestMemberICs:
 
 class TestBatchedState:
     def test_stack_member_round_trip(self, mesh3, case):
+        """``State.stack`` packs members as columns; the probes' adapter
+        unpacks them into contiguous serial states again."""
         states, _ = ensemble_initial_states(mesh3, case, N, SEED, AMPLITUDE)
         packed = State.stack(states)
-        assert packed.n_members == N
         assert packed.h.shape == (mesh3.nCells, N)
-        for k in range(N):
-            got = packed.member(k)
-            assert np.array_equal(got.h, states[k].h)
-            assert np.array_equal(got.u, states[k].u)
-            assert got.h.flags.c_contiguous
-
-    def test_member_requires_batch(self, mesh3, case):
-        states, _ = ensemble_initial_states(mesh3, case, 1, SEED, AMPLITUDE)
-        with pytest.raises(ValueError, match="batched state"):
-            states[0].member(0)
+        assert packed.u.shape == (mesh3.nEdges, N)
+        columns = ensemble_batch._columns(packed)
+        assert len(columns) == N
+        for got, want in zip(columns, states):
+            assert np.array_equal(got.h, want.h)
+            assert np.array_equal(got.u, want.u)
+            assert got.h.flags.c_contiguous and got.u.flags.c_contiguous
 
 
 # ---------------------------------------------------------- bitwise identity
@@ -136,6 +135,30 @@ class TestBitwiseMemberIdentity:
             assert [i.mass for i in got.invariant_history] == [
                 i.mass for i in ref.invariant_history
             ]
+
+    @pytest.mark.parametrize("plan", [False, True], ids=["sparse", "plan"])
+    @pytest.mark.parametrize("order", [2, 4], ids=["order2", "order4"])
+    def test_member_runs_the_config_it_is_given(self, mesh3, dt, order, plan):
+        """``api.run_ensemble`` member k == ``api.run`` of its ``perturbed:``
+        token under the same config: the driver does not swap in the plan
+        (order 4 without it would be the unfused chain against the
+        composed matrix, ~1e-12 apart)."""
+        from repro import api
+
+        cfg = SWConfig(
+            dt=dt, backend="sparse", plan=plan, thickness_adv_order=order
+        )
+        ens = api.run_ensemble(
+            "galewsky", mesh=mesh3, config=cfg, steps=STEPS, ensemble=N,
+            perturb_seed=SEED, perturb_amplitude=AMPLITUDE,
+        )
+        for k, member in enumerate(ens.members):
+            ser = api.run(
+                f"perturbed:galewsky:{k}:{SEED}:{AMPLITUDE}", mesh=mesh3,
+                config=cfg, steps=STEPS,
+            )
+            assert np.array_equal(member.state.h, ser.state.h), f"member {k} h"
+            assert np.array_equal(member.state.u, ser.state.u), f"member {k} u"
 
     def test_serial_mode_equals_lockstep_mode(self, mesh3, dt):
         """Member k of the batch == a serial ``run`` of the seeded
@@ -219,35 +242,27 @@ class TestDivergenceIsolation:
     def test_without_mask_the_batch_raises_like_serial(self, mesh3, case, dt):
         states, _ = ensemble_initial_states(mesh3, case, 2, SEED, AMPLITUDE)
         states[0].h *= -1.0
-        integ = RK4Integrator(
+        integ = BatchedIntegrator(
             mesh3, SWConfig(dt=dt, backend="sparse", plan=True),
-            np.zeros(mesh3.nCells), _f_vertex(mesh3, case),
+            np.zeros(mesh3.nCells), _f_vertex(mesh3, case), 2,
         )
         with pytest.raises(FloatingPointError, match="non-positive h_vertex"):
             integ.diagnostics_for(State.stack(states))
 
 
-# ------------------------------------------- the plain integrator, batched
+# ------------------------------------------------ the probes' column adapter
 class TestIntegratorOverMemberAxis:
-    """``RK4Integrator`` is shape-agnostic over the member axis: the one
-    step program on ``State.stack(members)`` is the per-member serial step,
-    column by column."""
-
-    def _integrators(self, mesh, case, dt):
-        _, b = ensemble_initial_states(mesh, case, 1, SEED, AMPLITUDE)
-        f = _f_vertex(mesh, case)
-        batched = RK4Integrator(
-            mesh, SWConfig(dt=dt, backend="sparse", plan=True), b, f
-        )
-        return batched, b, f
+    """``BatchedIntegrator`` steps ``State.stack(members)`` column by column
+    through the serial integrator: column k of a step is member k's serial
+    step."""
 
     @pytest.mark.parametrize("plan", [False, True], ids=["sparse", "plan"])
     def test_stacked_step_equals_member_steps(self, mesh3, case, dt, plan):
-        states, _ = ensemble_initial_states(mesh3, case, N, SEED, AMPLITUDE)
-        batched, b, f = self._integrators(mesh3, case, dt)
-        serial = RK4Integrator(
-            mesh3, SWConfig(dt=dt, backend="sparse", plan=plan), b, f
-        )
+        states, b = ensemble_initial_states(mesh3, case, N, SEED, AMPLITUDE)
+        f = _f_vertex(mesh3, case)
+        cfg = SWConfig(dt=dt, backend="sparse", plan=plan)
+        batched = BatchedIntegrator(mesh3, cfg, b, f, N)
+        serial = RK4Integrator(mesh3, cfg, b, f)
         packed = State.stack(states)
         diag = batched.diagnostics_for(packed)
         members = [(s, serial.diagnostics_for(s)) for s in states]
@@ -257,23 +272,15 @@ class TestIntegratorOverMemberAxis:
             refs = [serial.step(s, d) for s, d in members]
             members = [(r.state, r.diagnostics) for r in refs]
             for k, ref in enumerate(refs):
-                assert np.array_equal(packed.member(k).h, ref.state.h)
-                assert np.array_equal(packed.member(k).u, ref.state.u)
+                assert np.array_equal(packed.h[:, k], ref.state.h)
+                assert np.array_equal(packed.u[:, k], ref.state.u)
                 assert np.array_equal(
-                    diag.member(k).pv_edge, ref.diagnostics.pv_edge
+                    diag.pv_edge[:, k], ref.diagnostics.pv_edge
                 )
                 assert np.array_equal(
-                    out.reconstruction.member(k).uReconstructZonal,
+                    out.reconstruction.uReconstructZonal[:, k],
                     ref.reconstruction.uReconstructZonal,
                 )
-
-    def test_batched_state_without_plan_is_rejected(self, mesh3, case, dt):
-        states, b = ensemble_initial_states(mesh3, case, 2, SEED, AMPLITUDE)
-        integ = RK4Integrator(
-            mesh3, SWConfig(dt=dt, backend="sparse"), b, _f_vertex(mesh3, case)
-        )
-        with pytest.raises(ValueError, match="plan=True"):
-            integ.diagnostics_for(State.stack(states))
 
 
 # ------------------------------------------------- member blocks on threads
@@ -383,7 +390,7 @@ class TestMemberBlocks:
             return real_compile(mesh, config, batch=batch)
 
         monkeypatch.setattr(plan, "compile_plan", spy)
-        run_ensemble(mesh3, case, _config(dt, ensemble=4), 2)
+        run_ensemble(mesh3, case, _config(dt, ensemble=4, plan=True), 2)
         assert [batch for batch, _ in calls if batch != 0] == []
         assert (0, False) in calls  # a block thread compiled its own
 
@@ -531,10 +538,6 @@ class TestConfigKnobs:
     def test_rejects_negative_amplitude(self, dt):
         with pytest.raises(ValueError, match="relative thickness perturbation"):
             SWConfig(dt=600.0, ensemble_amplitude=-1e-6)
-
-    def test_ensemble_requires_sparse_backend(self, dt):
-        with pytest.raises(ValueError, match="backend='sparse'"):
-            SWConfig(dt=600.0, ensemble=2)
 
     def test_ensemble_requires_serial_executor(self, dt):
         with pytest.raises(ValueError, match="parallel='serial'"):

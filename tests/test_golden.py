@@ -238,7 +238,7 @@ class TestGoldenEnsembleAndResume:
         """``galewsky_jet-l3-ensemble.json`` pins the 4-member ensemble-
         *mean* invariant trajectory (fixed seed, lockstep).  This guards
         the whole ensemble stack — member ICs, the member blocks on their
-        threads, each member's serial plan — with one file."""
+        threads, each member's serial run of the config — with one file."""
         from repro.api import run_ensemble
 
         n_members = 4

@@ -146,10 +146,10 @@ class TestRegistryLint:
     def test_every_op_planned(self):
         assert PLANNED_OPS == set(default_registry().ops())
 
-    @pytest.mark.parametrize("batch", [0, 3], ids=["serial", "batch3"])
-    @pytest.mark.parametrize("name", list(CONFIGS))
-    def test_no_fallback_stage(self, mesh3, name, batch):
-        plan = compile_plan(mesh3, _cfg(plan=True, **CONFIGS[name]), batch=batch)
+    # The "-serial" ids date from when a batched plan had stages of its own.
+    @pytest.mark.parametrize("name", list(CONFIGS), ids=lambda n: f"{n}-serial")
+    def test_no_fallback_stage(self, mesh3, name):
+        plan = compile_plan(mesh3, _cfg(plan=True, **CONFIGS[name]))
         assert "fallback" not in plan.describe()
         kinds = {st.kind for stages in plan.stages().values() for st in stages}
         assert kinds <= {"matvec", "elementwise", "composed"}
@@ -226,8 +226,8 @@ class TestKernelBitwise:
 
     @pytest.mark.parametrize("name", ["default", "order3_apvm", "hyperviscous"])
     def test_batched_column_equals_serial_stage(self, mesh3, name):
-        """Column k of every batched stage (B1's two matvecs included) is
-        bitwise the serial plan applied to member k."""
+        """Column k of the probes' ``batch=N`` adapter is bitwise the serial
+        plan applied to member k."""
         state, b_cell, f_vertex = _galewsky_inputs(mesh3)
         rng = np.random.default_rng(5)
         members = [
@@ -267,21 +267,6 @@ class TestKernelBitwise:
         bad = State(h=np.full_like(state.h, -1.0), u=state.u)
         with pytest.raises(FloatingPointError, match="unstable"):
             compute_solve_diagnostics(mesh3, bad, f_vertex, _cfg(plan=True))
-
-    def test_batched_state_without_plan_raises(self, mesh3):
-        """Batched states run only the plan: the unfused per-op path refuses
-        them with the fix in the message, not a shape error."""
-        state, b_cell, f_vertex = _galewsky_inputs(mesh3)
-        block = State.stack([state, state])
-        cfg = _cfg()
-        with pytest.raises(ValueError, match="plan=True"):
-            compute_solve_diagnostics(mesh3, block, f_vertex, cfg)
-        with pytest.raises(ValueError, match="plan=True"):
-            compute_tend(mesh3, block, None, b_cell, cfg)
-        with pytest.raises(ValueError, match="plan=True"):
-            RK4Integrator(mesh3, cfg, b_cell, f_vertex).reconstruct(block.u)
-        # The same config steps a serial state on the per-op path.
-        compute_solve_diagnostics(mesh3, state, f_vertex, cfg)
 
 
 # ---------------------------------------------------- end-to-end 10 steps

@@ -120,17 +120,6 @@ class TestNoFallback:
             )
         assert {s.tags["backend"] for s in metrics.series("engine.op")} <= {"sparse"}
 
-    def test_batched_column_bitwise_equals_serial(self, mesh3, rng):
-        u, h, pv = (rng.standard_normal((mesh3.nEdges, 3)) for _ in range(3))
-        block = dispatch("coriolis_edge_term", mesh3, u, h, pv, backend="sparse")
-        for k in range(3):
-            col = dispatch(
-                "coriolis_edge_term", mesh3,
-                *(np.ascontiguousarray(f[:, k]) for f in (u, h, pv)),
-                backend="sparse",
-            )
-            assert np.array_equal(block[:, k], col)
-
 
 class TestOperatorCache:
     def test_memory_memoization_returns_same_instance(self, mesh3, op_cache):
