@@ -59,8 +59,8 @@ def _chaos_plan(crash_at: int | None):
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    from repro.api import build_mesh, error_norms, resolve_case, run, suggested_dt
-    from repro.constants import GRAVITY
+    from repro.api import build_mesh, error_norms, resolve_case, run
+    from repro.swm.scenarios import default_config
 
     if args.resume is not None:
         from repro.resilience.durable import ManifestError
@@ -81,7 +81,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     mesh = build_mesh(args.level)
-    dt = suggested_dt(mesh, case, GRAVITY, cfl=args.cfl)
     # --plan and --ensemble imply the sparse backend (plans fuse its CSR
     # operators), and --ensemble the plan on it; an explicit contradictory
     # --backend is rejected by SWConfig.validate.
@@ -89,13 +88,9 @@ def _cmd_run(args: argparse.Namespace) -> None:
         "sparse" if (args.plan or args.ensemble) else "numpy"
     )
     plan = args.plan or bool(args.ensemble and backend == "sparse")
-    from repro.swm import scenarios
-
-    sc = scenarios.scenario_for(case)
-    config = SWConfig(
-        dt=dt,
+    config = default_config(
+        mesh, case, cfl=args.cfl,
         thickness_adv_order=args.order,
-        advection_only=bool(sc is not None and sc.advection_only),
         backend=backend,
         plan=plan,
         parallel=args.parallel,
@@ -106,6 +101,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         ensemble_seed=args.perturb_seed,
         ensemble_amplitude=args.perturb_amplitude,
     )
+    dt = config.dt
     if args.steps is None and args.days is None:
         args.days = case.suggested_days
     case_arg = int(raw) if str(raw).isdigit() else raw
@@ -226,15 +222,15 @@ def _cmd_jobs(args: argparse.Namespace) -> None:
 
     try:
         if args.jobs_command == "submit":
-            from repro.api import RunRequest, build_mesh, resolve_case, suggested_dt
-            from repro.constants import GRAVITY
+            from repro.api import RunRequest, build_mesh, resolve_case
+            from repro.swm.scenarios import default_config
 
             raw = args.case
             case_arg = int(raw) if str(raw).isdigit() else raw
             case = resolve_case(case_arg)
             mesh = build_mesh(args.level)
-            config = SWConfig(
-                dt=suggested_dt(mesh, case, GRAVITY, cfl=args.cfl),
+            config = default_config(
+                mesh, case, cfl=args.cfl,
                 checkpoint_interval=args.checkpoint_interval,
             )
             steps = args.steps

@@ -187,7 +187,7 @@ class RunRequest:
         """The concrete request this one describes (a new object).
 
         Resolves every default: the mesh is built (``level``), the config
-        gains the CFL-safe ``suggested_dt`` for the case and mesh, and
+        is the case's :func:`~repro.swm.scenarios.default_config`, and
         ``days`` collapses into ``steps``.  The case *token* is kept (not
         replaced by the resolved object) so durable runs can persist it.
         Normalizing a normalized request is the identity transformation.
@@ -197,9 +197,7 @@ class RunRequest:
         mesh = self.mesh if self.mesh is not None else build_mesh(self.level)
         config = self.config
         if config is None:
-            from .constants import GRAVITY
-
-            config = SWConfig(dt=suggested_dt(mesh, case, GRAVITY))
+            config = _scenarios.default_config(mesh, case)
         steps = self.steps
         if steps is None:
             from .constants import SECONDS_PER_DAY
@@ -290,7 +288,8 @@ def run(
         Defaults to ``build_mesh(level)``.
     config : SWConfig, optional
         Defaults to a second-order configuration with the CFL-safe
-        ``suggested_dt`` for the case and mesh.  ``config.parallel``
+        ``suggested_dt`` for the case and mesh and the catalogue's
+        ``advection_only``.  ``config.parallel``
         selects the executor; ``config.ranks`` the decomposition width.
     steps, days : exactly one required
         Integration length in RK-4 steps or simulated days.
@@ -378,11 +377,8 @@ def run_ensemble(
             raise ValueError("case is required (or pass resume=...)")
         rcase = resolve_case(case)
         rmesh = mesh if mesh is not None else build_mesh(level)
-        from .constants import GRAVITY
-
-        config = SWConfig(
-            dt=suggested_dt(rmesh, rcase, GRAVITY), backend="sparse", plan=True,
-            **overrides,
+        config = _scenarios.default_config(
+            rmesh, rcase, backend="sparse", plan=True, **overrides
         )
         mesh = rmesh
     elif overrides:

@@ -263,8 +263,7 @@ class EnsembleRun:
         )
 
     def _member_config(self, **overrides) -> SWConfig:
-        """A private config copy for one detached member (never shared: the
-        serial model mutates ``dt`` on rollback)."""
+        """The config of one detached member: a serial run of one."""
         return dataclasses.replace(
             self.config, ensemble=0, parallel="serial", ranks=1, **overrides
         )

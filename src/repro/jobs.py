@@ -293,22 +293,11 @@ def _durable_result(run_dir: Path, mesh=None):
     if run.manifest.get("completed"):
         return _reconstruct_completed(run, mesh)
     if run.manifest["checkpoints"]:
-        # A previous driver made progress and died; roll forward from the
-        # newest committed checkpoint (bitwise identical to never dying).
+        # A previous driver made progress and died: resume rolls forward
+        # from the newest committed checkpoint (bitwise identical to never
+        # dying).  A never-driven directory starts from the initial condition.
         get_registry().counter("jobs.resumed").inc()
-        return resume_durable(
-            run_dir, mesh=mesh, invariant_interval=run.invariant_interval
-        )
-    # Fresh directory: drive the run from step 0 under this manifest.
-    mesh = run.resolve_mesh(mesh)
-    from .api import resolve_case
-    from .resilience.durable import _drive
-    from .swm.config import SWConfig
-
-    config = SWConfig.from_dict(run.manifest["config"])
-    case = resolve_case(run.manifest["case"])
-    total = int(run.manifest["steps"])
-    return _drive(run, mesh, case, config, 0, total, None, run.invariant_interval)
+    return resume_durable(run_dir, mesh=mesh, invariant_interval=run.invariant_interval)
 
 
 def _reconstruct_completed(run, mesh=None):

@@ -425,17 +425,10 @@ def _report_config(mesh, case: str, **overrides) -> SWConfig:
     """The report's default configuration of a scenario token: order-4
     thickness advection at the CFL-safe ``suggested_dt`` (``case`` resolves
     through :mod:`repro.swm.scenarios`, so every alias works)."""
-    from ..constants import GRAVITY
     from ..swm import scenarios
-    from ..swm.model import suggested_dt
 
-    test_case = scenarios.resolve(case)
-    sc = scenarios.scenario_for(test_case)
-    return SWConfig(
-        dt=suggested_dt(mesh, test_case, GRAVITY, cfl=0.5),
-        thickness_adv_order=4,
-        advection_only=bool(sc is not None and sc.advection_only),
-        **overrides,
+    return scenarios.default_config(
+        mesh, scenarios.resolve(case), thickness_adv_order=4, **overrides
     )
 
 

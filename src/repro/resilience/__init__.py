@@ -1,4 +1,4 @@
-"""Fault-tolerant runtime: injection, recovery, watchdogs, auto-checkpoints.
+"""Fault-tolerant runtime: injection, recovery, watchdogs, restart files.
 
 The paper's pattern-level granularity lets work move freely between host and
 device; this package makes that design *survivable*:
@@ -11,8 +11,8 @@ device; this package makes that design *survivable*:
   a simulated transfer from ``hybrid.executor.TRANSFER_RETRIES``.
 * :mod:`~repro.resilience.guards` — numerical watchdogs (NaN/Inf scans,
   invariant-drift limits, a CFL monitor) inside the stepping loop.
-* :mod:`~repro.resilience.checkpoint` — interval-based restart files with
-  in-run rollback, the recovery arm of the watchdog.
+* :mod:`~repro.resilience.checkpoint` — the one restart-file writer; a
+  watchdog rollback needs no file (the run loop keeps its anchor in memory).
 * :mod:`~repro.resilience.integrity` — CRC-sidecar validation and
   quarantine-and-rebuild self-healing for every on-disk cache (mesh,
   operator, plan): a corrupt entry is moved aside and rebuilt, never fatal.

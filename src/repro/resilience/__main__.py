@@ -13,8 +13,8 @@ to the fault-free run:
 2. ``hybrid.transfer`` faults in the simulated executor — rescheduled, the
    failed attempts occupying their PCIe channel (timeline still validates);
 3. the numerical watchdog — an unstable ``dt`` is caught by the CFL guard
-   and either halts with a diagnostic or rolls back to the auto-checkpoint
-   with ``dt`` halving, per the configured policy;
+   and either halts with a diagnostic or rolls back to the run's in-memory
+   anchor with ``dt`` halving, per the configured policy;
 4. a durable run (level 3, a checkpoint every step) dies of an injected
    ``process.crash``, is resumed from its manifest, lands bitwise on the
    fault-free state, and every manifest digest matches its file.

@@ -20,11 +20,12 @@ The on-disk layout of a run directory::
 
 and the crash-consistency protocol:
 
-1. every checkpoint is written atomically by the tree's one restart
-   writer (:func:`repro.resilience.checkpoint.write_restart`: uncompressed
-   ``.npz``, ``*.tmp`` + fsync + ``os.replace``), so a file under its final
-   name is never half-written; the writer returns the byte length and
-   SHA-256 of what it published, taken while writing;
+1. every checkpoint is written by :meth:`DurableRun.checkpoint` — the
+   only caller of ``save_checkpoint`` during a run — through the tree's one
+   restart writer (:func:`repro.resilience.checkpoint.write_restart`:
+   uncompressed ``.npz``, ``*.tmp`` + fsync + ``os.replace``), so a file
+   under its final name is never half-written; the writer returns the byte
+   length and SHA-256 of what it published, taken while writing;
 2. after each checkpoint publish, the manifest is rewritten — also
    atomically — *committing* the checkpoint: step, file name and the
    writer's byte length and SHA-256 enter ``manifest["checkpoints"]``
@@ -48,8 +49,8 @@ checkpoint_interval`` — a resumed run keeps the cadence of the original —
 and the restart contract is bitwise (diagnostics are a pure function of the
 state), a run killed at *any* point and resumed produces the identical
 final state to one that was never interrupted, on every executor: a durable
-run is the model's one run loop with :meth:`DurableRun.commit_checkpoint` as
-its checkpoint hook (decomposed ranks are reloaded from the restored global
+run is the model's one run loop with :meth:`DurableRun.checkpoint` as its
+checkpoint hook (decomposed ranks are reloaded from the restored global
 state via ``load_state``).  The crash-chaos tests prove exactly that with
 real ``SIGKILL``\\ s (the ``process.crash`` fault site).
 
@@ -230,6 +231,12 @@ class DurableRun:
         _atomic_write_json(self.manifest_path, self.manifest)
 
     # ---------------------------------------------------------- checkpoints
+    def checkpoint(self, step: int, model) -> None:
+        """Write ``model``'s state as step ``step``'s restart file and commit
+        it — the run loop's ``on_checkpoint`` hook."""
+        path = self.checkpoint_path / f"auto-{step:08d}.npz"
+        self.commit_checkpoint(step, path, model.save_checkpoint(path))
+
     def commit_checkpoint(self, step: int, path, written=None) -> None:
         """Record a just-published checkpoint file in the manifest.
 
@@ -380,8 +387,8 @@ def _drive(
 ):
     """Integrate ``run`` from ``start_step`` (the restart file ``ckpt``, or
     the initial condition when ``None``) to ``total`` — the one driver of a
-    manifest: the model's run loop with this run's commit as its checkpoint
-    hook, on whichever executor the config names."""
+    manifest: the model's run loop with :meth:`DurableRun.checkpoint` as its
+    checkpoint hook, on whichever executor the config names."""
     from ..swm.model import ShallowWaterModel
 
     if ckpt is None:
@@ -393,19 +400,16 @@ def _drive(
     with model:
         if ckpt is None:
             model.initialize(case)
+            run.checkpoint(start_step, model)
         result = model.run(
             steps=total - start_step,
             start_step=start_step,
             invariant_interval=invariant_interval,
             callback=callback,
-            checkpoint_dir=run.checkpoint_path,
-            checkpoint_keep=10**9,  # durable runs keep every committed file
-            on_checkpoint=run.commit_checkpoint,
+            on_checkpoint=run.checkpoint,
         )
-        committed = run.manifest["checkpoints"]
-        if not committed or committed[-1]["step"] != total:
-            final = run.checkpoint_path / f"auto-{total:08d}.npz"
-            run.commit_checkpoint(total, final, model.save_checkpoint(final))
+        if total > start_step and total % model.config.checkpoint_interval:
+            run.checkpoint(total, model)  # the hook stops short of the horizon
     run.mark_complete()
     return result
 
@@ -456,9 +460,11 @@ def resume_durable(
 
     Everything is restored from the directory: the config and case from
     the manifest, the state from the newest checkpoint whose bytes match
-    their committed digest, the mesh through the cache (pass ``mesh=`` to
-    skip the rebuild — its fingerprint is validated against the manifest).
-    The continued trajectory is bitwise identical to an uninterrupted run.
+    their committed digest (the initial condition when the manifest has
+    committed none: a directory that was created but never driven), the
+    mesh through the cache (pass ``mesh=`` to skip the rebuild — its
+    fingerprint is validated against the manifest).  The continued
+    trajectory is bitwise identical to an uninterrupted run.
     """
     from ..api import resolve_case
 
@@ -474,15 +480,17 @@ def resume_durable(
     mesh = run.resolve_mesh(mesh)
 
     run.clean_uncommitted()
-    found = run.latest_valid_checkpoint()
-    if found is None:
-        raise ManifestError(
-            f"no committed checkpoint in {run.directory} survives "
-            f"validation; the run cannot be resumed — start a fresh run "
-            f"directory"
-        )
-    start_step, ckpt = found
     total = int(run.manifest["steps"])
+    found = (0, None)  # never driven: start from the initial condition
+    if run.manifest["checkpoints"]:
+        found = run.latest_valid_checkpoint()
+        if found is None:
+            raise ManifestError(
+                f"no committed checkpoint in {run.directory} survives "
+                f"validation; the run cannot be resumed — start a fresh run "
+                f"directory"
+            )
+    start_step, ckpt = found
     return _drive(
         run, mesh, case, config, start_step, total, ckpt,
         invariant_interval, callback,

@@ -27,7 +27,7 @@ Three guards run per check, cheapest first:
 A violation is returned as a :class:`GuardReport` naming the guard, the
 offending field, the measured value and the limit — the caller
 (:meth:`repro.swm.model.ShallowWaterModel.run`) decides whether to halt
-(raise :class:`NumericalBlowup`) or roll back to the last auto-checkpoint
+(raise :class:`NumericalBlowup`) or roll back to its in-memory anchor
 with a halved time step.  Every violation is counted as
 ``resilience.guard.violation`` tagged by guard.
 """

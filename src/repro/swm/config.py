@@ -70,7 +70,7 @@ class SWConfig:
         What a watchdog violation does: ``"halt"`` raises
         :class:`~repro.resilience.guards.NumericalBlowup` with a diagnostic
         naming the offending field and step; ``"rollback"`` restores the
-        last auto-checkpoint and halves ``dt`` (requires
+        run's in-memory anchor and halves ``dt`` (requires
         ``checkpoint_interval > 0``; not available with ``parallel="pool"``).
     guard_mass_drift, guard_energy_drift : float
         Relative invariant-drift limits against the first guarded state
@@ -79,7 +79,8 @@ class SWConfig:
         Gravity-wave Courant-number ceiling on the running state
         (0 disables; 1.0 is the textbook stability limit).
     checkpoint_interval : int
-        Automatic restart-file cadence in steps (0 disables).
+        Steps between rollback anchors and, in a durable run, restart files
+        (0 disables both).
     max_rollbacks : int
         Watchdog rollbacks allowed per run before halting anyway.
     """

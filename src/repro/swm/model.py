@@ -13,6 +13,7 @@ run` is the one loop around it, for plain and durable runs alike.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +105,8 @@ class ShallowWaterModel:
 
     def __init__(self, mesh: Mesh, config: SWConfig, executor=None) -> None:
         self.mesh = mesh
-        self.config = config
+        #: A private copy: a rollback halves its ``dt``, never the caller's.
+        self.config = dataclasses.replace(config)
         self.case: TestCase | None = None
         self.b_cell: np.ndarray | None = None
         self.integrator: RK4Integrator | None = None
@@ -129,6 +131,7 @@ class ShallowWaterModel:
         """Drive ``ranks``: their fixed fields are the run's, and the global
         state is gathered from them when somebody reads it."""
         self.executor = ranks
+        self.config = ranks.config  # what the ranks step under
         self._prime(None, ranks.b_cell, ranks.f_vertex)
         self._ranks_current = True
 
@@ -213,19 +216,18 @@ class ShallowWaterModel:
         days: float | None = None,
         invariant_interval: int = 0,
         callback=None,
-        checkpoint_dir=None,
         start_step: int = 0,
-        checkpoint_keep: int | None = None,
         on_checkpoint=None,
     ) -> RunResult:
         """Phase 2: integrate for ``steps`` steps or ``days`` simulated days.
 
         The one run loop, whatever ``config.parallel`` says.  It advances in
         chunks up to the next step somebody observes — multiples of
-        ``invariant_interval`` / ``config.checkpoint_interval``, every step
-        when a ``callback`` or the watchdog is present, otherwise the whole
-        horizon (a plain pool run is one command round trip) — and only then
-        gathers the state, so every observer sees the serial run's values.
+        ``invariant_interval``, of ``config.checkpoint_interval`` when the
+        rollback anchor or ``on_checkpoint`` reads it, every step when a
+        ``callback`` or the watchdog is present, otherwise the whole horizon
+        (a plain pool run is one command round trip) — and only then gathers
+        the state, so every observer sees the serial run's values.
 
         ``invariant_interval > 0`` records the conserved integrals every that
         many steps (plus at start and end).  ``callback(step, result)`` runs
@@ -234,26 +236,25 @@ class ShallowWaterModel:
 
         ``start_step`` labels the current state as already being at that
         step (a resumed run): step numbering, invariant records and the
-        checkpoint cadence all continue from it, so an interrupted run
-        restarted from a checkpoint writes checkpoints at the *same* steps
-        an uninterrupted run would.  ``checkpoint_keep`` overrides the
-        checkpointer's retention (durable runs keep everything);
-        ``on_checkpoint(step, path, written)`` fires after every checkpoint
-        write with the ``(bytes, sha256)`` the writer returned — the durable
-        manifest's commit hook, which therefore never re-reads the file.
+        checkpoint cadence all continue from it.  ``on_checkpoint(step,
+        model)`` fires at every multiple of ``config.checkpoint_interval``
+        after ``start_step``: the durable run's hook
+        (:meth:`repro.resilience.durable.DurableRun.checkpoint`), the only
+        writer of restart files during a run.
 
         With ``config.guard_interval > 0`` the numerical watchdog
         (:class:`repro.resilience.guards.Watchdog`) checks the new state
-        every that many steps; a violation either raises
-        :class:`~repro.resilience.guards.NumericalBlowup` (``guard_policy ==
-        "halt"``, or rollbacks exhausted/unavailable) or restores the newest
-        auto-checkpoint and halves ``dt`` (``"rollback"``).  With
-        ``config.checkpoint_interval > 0`` restart files are written every
-        that many steps (plus at step 0) into ``checkpoint_dir`` (default: a
-        run-scoped temporary directory).  A rollback re-runs the remaining
-        *step count* under the smaller ``dt``, so the simulated horizon
-        shrinks; ``RunResult.elapsed_seconds`` reports the time actually
-        covered by the surviving trajectory.
+        every that many steps.  A violation raises
+        :class:`~repro.resilience.guards.NumericalBlowup` under ``guard_policy
+        == "halt"``, without a ``checkpoint_interval`` or once
+        ``max_rollbacks`` are spent; otherwise (``"rollback"``) the run
+        returns to its in-memory anchor — ``(step, state, simulated time)``,
+        taken at ``start_step`` and at every multiple of
+        ``config.checkpoint_interval`` — and halves ``dt`` on the model's
+        private config.  A rollback re-runs the remaining *step count* under
+        the smaller ``dt``, so the simulated horizon shrinks;
+        ``RunResult.elapsed_seconds`` reports the time actually covered by
+        the surviving trajectory.
         """
         if (steps is None) == (days is None):
             raise ValueError("specify exactly one of steps/days")
@@ -262,7 +263,7 @@ class ShallowWaterModel:
         if self.integrator is None:
             raise RuntimeError("initialize() must be called before run()")
 
-        from ..resilience.checkpoint import AutoCheckpointer
+        from ..obs.metrics import get_registry
         from ..resilience.faults import fault_site
         from ..resilience.guards import NumericalBlowup, Watchdog
 
@@ -273,15 +274,11 @@ class ShallowWaterModel:
             if config.guard_interval
             else None
         )
-        checkpointer = None
-        if config.checkpoint_interval:
-            kw = {} if checkpoint_keep is None else {"keep": checkpoint_keep}
-            checkpointer = AutoCheckpointer(
-                self, config.checkpoint_interval, directory=checkpoint_dir, **kw
-            )
+        anchored = watchdog is not None and config.guard_policy == "rollback"
+        interval = config.checkpoint_interval if anchored or on_checkpoint else 0
         # Intervals at which somebody reads the state (the horizon is one).
         every = int(callback is not None or watchdog is not None)
-        observed = (every, invariant_interval, config.checkpoint_interval)
+        observed = (every, invariant_interval, interval)
 
         history: list[Invariants] = []
         history_steps: list[int] = []
@@ -290,25 +287,11 @@ class ShallowWaterModel:
             history.append(self.invariants())
             history_steps.append(step)
 
-        def committed() -> None:
-            if on_checkpoint is not None:
-                on_checkpoint(
-                    checkpointer.last_step, checkpointer.last_path,
-                    checkpointer.last_written,
-                )
-
         self.step = start_step
         record(start_step)
-        elapsed_at_ckpt: dict[int, float] = {}
-        if checkpointer is not None:
-            # A resumed run must not roll forward onto stale checkpoints a
-            # previous process wrote beyond our restart point.
-            checkpointer.discard_after(start_step)
-            if checkpointer.last_step != start_step:
-                checkpointer.save(start_step)
-                committed()
-            elapsed_at_ckpt[checkpointer.last_step] = 0.0
         elapsed = 0.0
+        # A step never writes its input state: the anchor is a reference.
+        anchor = (start_step, self.state, elapsed) if anchored and interval else None
         rollbacks = 0
         while self.step < total:
             done = self.step
@@ -331,27 +314,25 @@ class ShallowWaterModel:
                         stop, self.state, self.diagnostics, config.dt
                     )
             if report is not None:
-                if (
-                    config.guard_policy != "rollback"
-                    or checkpointer is None
-                    or rollbacks >= config.max_rollbacks
-                ):
+                if anchor is None or rollbacks >= config.max_rollbacks:
                     raise NumericalBlowup(report)
-                # Abandon the poisoned trajectory: state, invariant
-                # records and the clock all rewind to the checkpoint.
-                self.step = checkpointer.rollback()
+                # Abandon the poisoned trajectory: state (which reloads the
+                # ranks), invariant records and the clock rewind together.
+                self.step, self.state, elapsed = anchor
                 config.dt /= 2.0
                 rollbacks += 1
+                get_registry().counter("resilience.checkpoint.rollback").inc()
                 while history_steps and history_steps[-1] > self.step:
                     history_steps.pop()
                     history.pop()
-                elapsed = elapsed_at_ckpt[self.step]
                 continue
             if invariant_interval and stop % invariant_interval == 0:
                 record(stop)
-            if checkpointer is not None and checkpointer.maybe_save(stop):
-                elapsed_at_ckpt[stop] = elapsed
-                committed()
+            if interval and stop % interval == 0:
+                if anchor is not None:
+                    anchor = (stop, self.state, elapsed)
+                if on_checkpoint is not None:
+                    on_checkpoint(stop, self)
             if callback is not None:
                 callback(stop, StepResult(
                     self.state, self.diagnostics, self.reconstruction()

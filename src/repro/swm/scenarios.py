@@ -58,6 +58,7 @@ __all__ = [
     "catalogue",
     "scenario",
     "scenario_for",
+    "default_config",
     "known_names",
     "resolve",
     "canonical_name",
@@ -280,6 +281,22 @@ def scenario_for(case: TestCase | str | int) -> Scenario | None:
             return _BY_NAME.get(base)
         return _BY_NAME.get(name)
     return _BY_NUMBER.get(case)
+
+
+def default_config(mesh, case: TestCase, cfl: float = 0.5, **fields):
+    """The :class:`~repro.swm.config.SWConfig` a case runs under unless told
+    otherwise: the CFL-safe ``suggested_dt`` at ``cfl`` and the catalogue's
+    ``advection_only``; ``fields`` set the rest."""
+    from ..constants import GRAVITY
+    from .config import SWConfig
+    from .model import suggested_dt
+
+    sc = scenario_for(case)
+    return SWConfig(
+        dt=suggested_dt(mesh, case, GRAVITY, cfl=cfl),
+        advection_only=bool(sc is not None and sc.advection_only),
+        **fields,
+    )
 
 
 # ------------------------------------------------------- perturbed-IC family

@@ -226,6 +226,31 @@ class TestDurableJobs:
         assert np.array_equal(res.state.h, direct.state.h)
         assert np.array_equal(res.state.u, direct.state.u)
 
+    def test_resume_drives_a_never_driven_directory(self, mesh3, dt, tmp_path):
+        """``run(resume=d)`` on a directory ``submit`` created starts from the
+        initial condition, and ``result`` drives one through the same call
+        without counting it as a resumed job."""
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
+        direct = run(
+            "tc2", mesh=mesh3,
+            config=SWConfig(dt=dt, checkpoint_interval=2), steps=STEPS,
+        )
+        d, fresh = tmp_path / "job", tmp_path / "fresh"
+        submit(self._request(mesh3, dt, d))
+        submit(self._request(mesh3, dt, fresh, steps=STEPS - 1))
+        jobs.reset()
+        metrics = MetricsRegistry()
+        with use_registry(metrics):
+            resumed = run(resume=d, mesh=mesh3)
+            result(fresh)
+        assert np.array_equal(resumed.state.h, direct.state.h)
+        assert np.array_equal(resumed.state.u, direct.state.u)
+        assert status(d) == status(fresh) == "completed"
+        steps = [c["step"] for c in DurableRun.open(d).manifest["checkpoints"]]
+        assert steps == [0, 2, 4]
+        assert metrics.series("jobs.resumed") == []
+
     def test_evicted_completed_job_reconstructs_bitwise(self, mesh3, dt, tmp_path):
         d = tmp_path / "job"
         h = submit(self._request(mesh3, dt, d))
@@ -309,7 +334,7 @@ class TestDurableJobs:
     def test_partial_run_resumes_from_checkpoint(self, mesh3, dt, tmp_path):
         """A driver that died mid-run left committed checkpoints; result()
         rolls forward from the newest one, bitwise."""
-        from repro.resilience.durable import _drive
+        from repro.resilience.durable import resume_durable
 
         d = tmp_path / "job"
         submit(self._request(mesh3, dt, d))
@@ -317,10 +342,10 @@ class TestDurableJobs:
         # Simulate the dead driver: integrate only half the horizon under
         # the job's manifest, leaving its checkpoints committed.
         drun = DurableRun.open(d)
-        cfg = SWConfig(**drun.manifest["config"])
-        half = STEPS // 2
-        drun.manifest["steps"] = half
-        _drive(drun, mesh3, resolve_case("tc2"), cfg, 0, half, None)
+        drun.manifest["steps"] = STEPS // 2
+        drun.save()
+        resume_durable(d, mesh=mesh3)
+        drun = DurableRun.open(d)
         drun.manifest["steps"] = STEPS
         drun.manifest["completed"] = False
         drun.save()

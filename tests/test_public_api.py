@@ -101,6 +101,23 @@ class TestResolveCase:
 
 
 class TestRunDispatch:
+    def test_default_config_follows_the_catalogue(self):
+        """Regression: the default config ignored the registry's
+        ``advection_only``, so ``run("tc1")`` moved the cosine bell's wind;
+        the request, the ensemble and both CLIs share one default now."""
+        from repro.swm.scenarios import default_config
+
+        request = api.RunRequest(case="tc1", level=2, steps=1).normalize()
+        assert request.config.advection_only
+        assert request.config == default_config(
+            request.mesh, api.resolve_case("tc1")
+        )
+        assert not default_config(request.mesh, api.resolve_case("tc2")).advection_only
+        from repro.swm.testcases import initialize
+
+        u0 = initialize(request.mesh, api.resolve_case("tc1"))[0].u
+        assert np.array_equal(api.run("tc1", level=2, steps=2).state.u, u0)
+
     def test_requires_exactly_one_of_steps_days(self, mesh3):
         cfg = api.SWConfig(dt=600.0)
         with pytest.raises(ValueError, match="steps/days"):
@@ -217,27 +234,51 @@ class TestOneRunLoop:
                 model.run(steps=1)
         assert exc.value.report.guard == "finite"
 
+    ROLLBACK_KNOBS = dict(
+        cfl=0.8, guard_interval=1, guard_cfl_max=0.7,
+        guard_policy="rollback", checkpoint_interval=2,
+    )
+
     def test_lockstep_rollback_equals_serial_rollback(self, mesh3):
         """dt just above the CFL ceiling: one rollback, dt halved, then the
         run completes — the same trajectory on two lockstep ranks."""
-        knobs = dict(
-            cfl=0.8, guard_interval=1, guard_cfl_max=0.7,
-            guard_policy="rollback", checkpoint_interval=2,
-        )
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
         runs = {}
         for mode in ({}, {"parallel": "lockstep", "ranks": 2}):
-            config = self._cfg(mesh3, **knobs, **mode)
+            config = self._cfg(mesh3, **self.ROLLBACK_KNOBS, **mode)
             dt = config.dt
-            runs[len(mode)] = api.run(
-                "galewsky", mesh=mesh3, config=config, steps=self.STEPS,
-                invariant_interval=1,
-            )
-            assert config.dt == dt / 2.0  # rolled back exactly once
+            metrics = MetricsRegistry()
+            with use_registry(metrics):
+                runs[len(mode)] = api.run(
+                    "galewsky", mesh=mesh3, config=config, steps=self.STEPS,
+                    invariant_interval=1,
+                )
+            (rollback,) = metrics.series("resilience.checkpoint.rollback")
+            assert rollback.value == 1  # rolled back exactly once
+            assert config.dt == dt  # on the model's copy, not the caller's
         serial, lockstep = runs[0], runs[2]
         assert np.array_equal(lockstep.state.h, serial.state.h)
         assert np.array_equal(lockstep.state.u, serial.state.u)
         assert lockstep.invariant_history == serial.invariant_history
         assert lockstep.elapsed_seconds == serial.elapsed_seconds
+
+    @pytest.mark.parametrize("mode", [{}, {"parallel": "lockstep", "ranks": 2}])
+    def test_rollback_leaves_the_callers_config_and_request_key(self, mesh3, mode):
+        """Regression: a rollback halved ``dt`` on the config the caller
+        handed in, so the job queue's dedup key of a finished request moved."""
+        import dataclasses
+
+        config = self._cfg(mesh3, **self.ROLLBACK_KNOBS, **mode)
+        fields = dataclasses.asdict(config)
+        request = api.RunRequest(
+            case="galewsky", mesh=mesh3, config=config, steps=self.STEPS
+        )
+        key = request.key()
+        result = api.run("galewsky", mesh=mesh3, config=config, steps=self.STEPS)
+        assert result.elapsed_seconds < self.STEPS * config.dt  # it rolled back
+        assert dataclasses.asdict(config) == fields
+        assert request.key() == key
 
 
 class TestConfigValidation:

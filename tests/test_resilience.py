@@ -1,4 +1,4 @@
-"""Fault injection, per-layer recovery, watchdogs and auto-checkpointing.
+"""Fault injection, per-layer recovery, watchdogs, rollback and restart files.
 
 The acceptance contract of the resilience layer: every *recoverable*
 injected fault is bitwise-invisible (the faulted run's final state equals
@@ -20,11 +20,11 @@ import pytest
 from repro.constants import GRAVITY
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.resilience import FaultInjected, FaultPlan, FaultSpec, use_fault_plan
-from repro.resilience.checkpoint import AutoCheckpointer
 from repro.resilience.guards import NumericalBlowup, Watchdog, cfl_number
 from repro.swm.config import SWConfig
 from repro.swm.galewsky import galewsky_jet
 from repro.swm.model import ShallowWaterModel, suggested_dt
+from repro.swm.state import State
 
 
 def _stable_dt(mesh) -> float:
@@ -361,41 +361,132 @@ class TestWatchdog:
             SWConfig(dt=1.0, halo_retries=-1)
 
 
-# ------------------------------------------------------------- checkpointing
+# ------------------------------------------------- restart files and rollback
+def _poison_once(model, after_step: int):
+    """A run callback that NaNs the state once, after ``after_step``: the next
+    step trips the finite guard, so the run rolls back to its newest anchor."""
+    fired = []
+
+    def callback(step, result):
+        if step == after_step and not fired:
+            fired.append(step)
+            h = result.state.h.copy()
+            h[5] = np.nan
+            model.state = State(h=h, u=result.state.u)
+
+    return callback
+
+
+ROLLBACK = dict(guard_interval=1, guard_policy="rollback", checkpoint_interval=2)
+MODES = [{}, {"parallel": "lockstep", "ranks": 2}]
+
+
 class TestAutoCheckpointer:
-    def test_interval_cadence_and_pruning(self, mesh3, tmp_path):
-        model = _model(mesh3, checkpoint_interval=2)
-        model.run(steps=6, checkpoint_dir=tmp_path)
-        # Saved at 0, 2, 4, 6; keep=2 retains the newest two.
-        files = sorted(p.name for p in tmp_path.glob("auto-*.npz"))
-        assert files == ["auto-00000004.npz", "auto-00000006.npz"]
+    """The two jobs of the deleted ``AutoCheckpointer`` class: the restart
+    writer (which only durable runs call during a run) and the watchdog
+    rollback (an anchor the run loop keeps in memory)."""
+
+    STEPS = 6
+
+    def _rolled_back(self, mesh, **mode):
+        """A run poisoned after step 3: it rolls back to the step-2 anchor."""
+        model = _model(mesh, **ROLLBACK, **mode)
+        metrics = MetricsRegistry()
+        with use_registry(metrics), np.errstate(all="ignore"):
+            result = model.run(steps=self.STEPS, callback=_poison_once(model, 3))
+        return model, result, metrics
 
     def test_rollback_restores_bitwise(self, mesh3):
-        ref = _model(mesh3)
-        ref.run(steps=4)
+        """The anchor is the state the run had at step 2: steps 1 and 2 are
+        not replayed, step 3 and on are, under the halved ``dt``."""
+        dt = _stable_dt(mesh3)
+        model = _model(mesh3, **ROLLBACK)
+        seen = []
+        poison = _poison_once(model, 3)
 
-        model = _model(mesh3)
-        ckpt = AutoCheckpointer(model, interval=2)
-        model.run(steps=2)
-        ckpt.save(2)
-        model.run(steps=2)  # wander off...
-        assert ckpt.rollback() == 2  # ...and rewind
-        model.run(steps=2)  # replay: must land exactly where ref did
-        assert np.array_equal(model.state.h, ref.state.h)
-        assert np.array_equal(model.state.u, ref.state.u)
+        def callback(step, result):
+            seen.append((step, result.state.h.copy()))
+            poison(step, result)
 
-    def test_rollback_without_saves_raises(self, mesh3):
-        model = _model(mesh3)
-        ckpt = AutoCheckpointer(model, interval=1)
-        with pytest.raises(RuntimeError, match="no auto-checkpoint"):
-            ckpt.rollback()
+        with np.errstate(all="ignore"):
+            result = model.run(steps=self.STEPS, callback=callback)
+        assert [step for step, _ in seen] == [1, 2, 3, 3, 4, 5, 6]
+        assert model.config.dt == dt / 2.0
+        # The replayed step 3 differs (half the step), the history was
+        # rewound to the anchor and the clock covers the surviving steps.
+        assert not np.array_equal(seen[2][1], seen[3][1])
+        assert result.elapsed_seconds == pytest.approx(2 * dt + 4 * dt / 2.0)
+        assert len(result.invariant_history) == 2  # start and end
 
-    def test_validation(self, mesh3):
-        model = _model(mesh3)
-        with pytest.raises(ValueError):
-            AutoCheckpointer(model, interval=0)
-        with pytest.raises(ValueError):
-            AutoCheckpointer(model, interval=1, keep=0)
+    @pytest.mark.parametrize("mode", MODES, ids=["serial", "lockstep"])
+    def test_rollback_equals_the_anchor_oracle(self, mesh3, mode):
+        """Bitwise: run to the anchor at ``dt``, the rest at ``dt / 2``."""
+        model, _, metrics = self._rolled_back(mesh3, **mode)
+        (rollback,) = metrics.series("resilience.checkpoint.rollback")
+        assert rollback.value == 1
+        oracle = _model(mesh3, **mode)
+        oracle.run(steps=2)
+        oracle.config.dt /= 2.0
+        # Restart there: the diagnostics depend on dt (APVM), so they are
+        # recomputed from the state, as a restart file would have them.
+        oracle.state = oracle.state
+        oracle.run(steps=self.STEPS - 2)
+        assert np.array_equal(model.state.h, oracle.state.h)
+        assert np.array_equal(model.state.u, oracle.state.u)
+
+    def test_rollback_run_writes_no_file(self, mesh3, monkeypatch):
+        """A plain run's rollback needs no disk: nothing is opened for
+        writing and no restart file is counted."""
+        import builtins
+
+        _model(mesh3, **ROLLBACK).run(steps=1)  # warm every cache first
+        writes = []
+        real_open, real_os_open = builtins.open, os.open
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if set(mode) & set("wax+"):
+                writes.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            if flags & (os.O_WRONLY | os.O_RDWR | os.O_CREAT):
+                writes.append(path)
+            return real_os_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(os, "open", spy_os_open)
+        _, _, metrics = self._rolled_back(mesh3)
+        monkeypatch.undo()
+        assert writes == []
+        (rollback,) = metrics.series("resilience.checkpoint.rollback")
+        assert rollback.value == 1
+        assert sum(s.value for s in metrics.series("resilience.checkpoint.saved")) == 0
+
+    def test_durable_rollback_commits_every_step(self, mesh3, tmp_path):
+        """A durable run that rolls back commits each step once, every file
+        matching its digest, and ends where the plain rollback run ends."""
+        from repro.api import run
+        from repro.resilience.durable import DurableRun
+
+        config = SWConfig(
+            dt=1.6 * _stable_dt(mesh3), guard_interval=1, guard_cfl_max=0.7,
+            guard_policy="rollback", checkpoint_interval=1,
+        )
+        metrics = MetricsRegistry()
+        with use_registry(metrics):
+            durable = run(
+                "galewsky", mesh=mesh3, config=config, steps=self.STEPS,
+                run_dir=tmp_path / "run",
+            )
+        (rollback,) = metrics.series("resilience.checkpoint.rollback")
+        assert rollback.value == 1
+        manifest = DurableRun.open(tmp_path / "run")
+        entries = manifest.manifest["checkpoints"]
+        assert [c["step"] for c in entries] == list(range(self.STEPS + 1))
+        assert all(manifest.entry_matches_file(c) for c in entries)
+        plain = run("galewsky", mesh=mesh3, config=config, steps=self.STEPS)
+        assert np.array_equal(durable.state.h, plain.state.h)
+        assert np.array_equal(durable.state.u, plain.state.u)
 
     def test_torn_write_never_corrupts_published_file(
         self, mesh3, tmp_path, monkeypatch
@@ -430,43 +521,6 @@ class TestAutoCheckpointer:
         ]
         resumed = ShallowWaterModel.from_checkpoint(mesh3, path)
         assert np.array_equal(resumed.state.h, np.load(path)["h"])
-
-    def test_discovers_prior_checkpoints(self, mesh3, tmp_path):
-        """A new checkpointer at an existing directory resumes its ledger."""
-        ref = _model(mesh3)
-        ref.run(steps=4)
-
-        model = _model(mesh3)
-        first = AutoCheckpointer(model, interval=2, directory=tmp_path)
-        model.run(steps=2)
-        first.save(2)
-
-        # A fresh process constructing over the same directory sees the
-        # prior save — and a *.tmp orphan or a .crc sidecar is not a
-        # checkpoint.
-        (tmp_path / "auto-00000009.npz.tmp").write_bytes(b"torn")
-        (tmp_path / "auto-00000002.npz.crc").write_text("crc32 1 00000000\n")
-        model2 = _model(mesh3)
-        ckpt = AutoCheckpointer(model2, interval=2, directory=tmp_path)
-        assert ckpt.last_step == 2
-        assert ckpt.last_path == tmp_path / "auto-00000002.npz"
-        assert ckpt.rollback() == 2
-        model2.run(steps=2)
-        assert np.array_equal(model2.state.h, ref.state.h)
-        assert np.array_equal(model2.state.u, ref.state.u)
-
-    def test_discard_after_drops_future_saves(self, mesh3, tmp_path):
-        model = _model(mesh3)
-        ckpt = AutoCheckpointer(model, interval=1, keep=10, directory=tmp_path)
-        for step in (1, 2, 3):
-            model.run(steps=1)
-            ckpt.save(step)
-        ckpt.discard_after(1)
-        assert ckpt.last_step == 1
-        assert sorted(p.name for p in tmp_path.glob("auto-*.npz")) == [
-            "auto-00000001.npz"
-        ]
-
 
 # ------------------------------------------- checkpoint round-trip (satellite)
 class TestCheckpointRoundTripBackends:
