@@ -20,7 +20,8 @@ coefficients whose intermediates the scheduler's single-consumer oracle
 certifies is composed into one matrix — the 4th-order ``h_edge`` operator
 and the del4 chain — which reassociates the row sums (~1e-12 relative).
 Composing runs in ``scipy.sparse``, imported only when a composed matrix
-misses the cache (:func:`import_composer`).
+misses the cache; a rank's composed matrix is the parent mesh's, restricted
+to its rows like every operator (:mod:`repro.engine.sparse`).
 
 Caching
 -------
@@ -80,7 +81,6 @@ __all__ = [
     "plan_key",
     "compile_plan",
     "compiled_plan",
-    "import_composer",
     "kernel_plan",
     "clear_plan_memory_cache",
     "unplanned_labels",
@@ -159,24 +159,13 @@ _COMPOSED_MEM: "weakref.WeakKeyDictionary[object, dict[str, CSR]]" = (
 )
 
 
-def _composed_operator(mesh, name: str, build: Callable[[], CSR]):
+def _composed_operator(mesh, name: str, build: Callable[[object], CSR]):
     """A composed matrix behind the operator cache's two levels: the archive
     is the operator ``"plan_<name>"``, stamped :data:`PLAN_CACHE_VERSION`."""
     return _cached_operator(
         _COMPOSED_MEM, mesh, f"plan_{name}", build,
         kind="plan", plan_version=PLAN_CACHE_VERSION,
     )
-
-
-def import_composer(config) -> None:
-    """Import ``scipy.sparse`` now if a plan for ``config`` composes a matrix
-    (order-4 ``h_edge``, del4).  A pool parent calls this before it forks:
-    rank-local meshes miss the composed cache at every spawn, and each
-    worker would otherwise import the package (~80 ms) on its own."""
-    if config.plan and (
-        config.thickness_adv_order == 4 or config.hyperviscosity != 0.0
-    ):
-        scipy_sparse()
 
 
 # ------------------------------------------------------------ the compiler
@@ -406,7 +395,7 @@ class _Compiler:
             sched, ("d2fdx2_cell1", "d2fdx2_cell2")
         )
 
-    def _composed(self, name: str, build: Callable[[], CSR]):
+    def _composed(self, name: str, build: Callable[[object], CSR]):
         self.composed.append(name)
         return _composed_operator(self.mesh, name, build)
 
@@ -515,19 +504,18 @@ class _Compiler:
                 "the del4 intermediates div2/vort2 are observed: the chain "
                 "cannot compose and the plan has no unfused del4 stage"
             )
-        mesh = self.mesh
         Mgc = self.matrix("edge_gradient_of_cell")
         Mgv = self.matrix("edge_gradient_of_vertex")
         hv = self.config.hyperviscosity
         e1, e2 = self._e1, self._e2
 
-        def build():
+        def build(mesh):
             sp = scipy_sparse()  # composing is the one use of the package
-            div = sparse_operator(mesh, "cell_divergence").to_scipy()
-            curl = sparse_operator(mesh, "vertex_curl").to_scipy()
-            return CSR.from_scipy(
-                sp.csr_matrix(Mgc.to_scipy() @ div - Mgv.to_scipy() @ curl)
-            )
+            grad_c, grad_v, div, curl = (sparse_operator(mesh, op).to_scipy() for op in (
+                "edge_gradient_of_cell", "edge_gradient_of_vertex",
+                "cell_divergence", "vertex_curl",
+            ))
+            return CSR.from_scipy(sp.csr_matrix(grad_c @ div - grad_v @ curl))
 
         D4 = self._composed("del4", build)
 
@@ -558,11 +546,10 @@ class _Compiler:
     def _emit_D1(self, sched) -> list[PlanStage]:
         order = self.config.thickness_adv_order
         if self._h_edge_composes(sched):
-            mesh = self.mesh
-            dc2_half = (mesh.metrics.dcEdge**2 / 12.0) * 0.5
 
-            def build():
+            def build(mesh):
                 sp = scipy_sparse()  # composing is the one use of the package
+                dc2_half = (mesh.metrics.dcEdge**2 / 12.0) * 0.5
                 Mmean = sparse_operator(mesh, "cell_to_edge_mean").to_scipy()
                 Md2 = sparse_operator(mesh, "d2fdx2").to_scipy()
                 S = Md2[0::2] + Md2[1::2]  # d2_1 + d2_2 rows per edge

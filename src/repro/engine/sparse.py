@@ -11,9 +11,9 @@ backend uses (label matrices, inverse areas, TRiSK weights), and a dispatch
 is then a single ``M @ x`` — no per-call index gathers, no ``(n, lanes)``
 temporaries.  A :class:`CSR` is scipy's three arrays and a shape, built
 with numpy alone; ``M @ x`` runs scipy's compiled ``csr_matvec`` kernel,
-loaded from its extension file.  A warm run never
-imports ``scipy.sparse`` (~80 ms, ~22 MB and 75 modules in a fresh
-interpreter): only composing a matrix that misses the cache does.
+loaded from its extension file.  A warm run never imports ``scipy.sparse``
+(~80 ms, ~22 MB and 75 modules in a fresh interpreter): only composing a
+matrix that misses the cache does.
 
 Compilability: ``matvec`` ops are one CSR matvec (11 of the 14 registry
 ops, including the block-row ``velocity_reconstruction`` and the two-row
@@ -31,8 +31,9 @@ versioned ``.npz`` per ``(mesh, operator)`` under ``cache_dir()/operators/``
 keyed by a content fingerprint of the mesh arrays the compilers read; a
 stale or unstamped file is recompiled and overwritten, never loaded
 blindly.  Only meshes :func:`repro.mesh.cache.cached_mesh` marked
-``info["disk_cached"]`` persist; ad-hoc meshes — random test SCVTs, the
-pool's rank-local submeshes — compile into memory only.
+``info["disk_cached"]`` persist; ad-hoc meshes compile into memory only.
+A decomposed rank compiles no stencil: its operators are its parent mesh's,
+restricted to the rank's rows (:func:`_restrict`).
 """
 
 from __future__ import annotations
@@ -221,6 +222,28 @@ def _rows_csr(cols, weights, valid, n_in) -> CSR:
         indptr.astype(index),
         shape,
     )
+
+
+def _restrict(m: CSR, lm) -> CSR:
+    """Rank ``lm``'s rows of its parent mesh's operator ``m``.
+
+    The rows of the points ``lm`` holds (block rows ``k p + i`` included),
+    columns renumbered to local ids, lanes whose column the rank does not
+    hold dropped, storage order kept: a row whose stencil the rank holds is
+    the global row bit for bit.
+    """
+    rows = lm.rows(np.arange(m.shape[0]))
+    sizes = (lm.parent.nCells, lm.parent.nEdges, lm.parent.nVertices)
+    g2l = lm.local_ids[sizes.index(m.shape[1])]
+    start, count = m.indptr[rows], np.diff(m.indptr)[rows]
+    pos = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+    cols = g2l[m.indices[pos]]
+    keep = cols >= 0
+    kept = np.bincount(np.repeat(np.arange(rows.size), count)[keep], minlength=rows.size)
+    shape = (rows.size, int(g2l.max()) + 1)  # indices as _rows_csr types them
+    index = np.int32 if max(*shape, kept.sum()) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.concatenate([[0], np.cumsum(kept)]).astype(index)
+    return CSR(m.data[pos[keep]], cols[keep].astype(index), indptr, shape)
 
 
 def _gathered(build: Callable) -> Callable[[Mesh], CSR]:
@@ -413,15 +436,20 @@ def _write_archive(path: Path, stamps: dict, m: CSR) -> None:
 def _cached_operator(
     memory, mesh, name, build, use_disk=None, kind="operator", **extra_stamps
 ):
-    """``build()`` behind the two cache levels: ``memory[mesh][name]``, then
-    the archive ``name`` (a composed matrix adds a ``plan_version`` stamp)."""
+    """``build(mesh)`` behind the two cache levels: ``memory[mesh][name]``,
+    then the archive ``name`` (a composed matrix adds a ``plan_version``
+    stamp).  A rank's ``LocalMesh`` restricts its parent's operator instead
+    (:func:`_restrict`), in memory only: no rank compiles a stencil."""
     ops = memory.setdefault(mesh, {})
     m = ops.get(name)
     if m is not None:
         return m
+    parent = getattr(mesh, "parent", None)
+    if parent is not None:
+        m = _cached_operator(memory, parent, name, build, use_disk, kind, **extra_stamps)
+        ops[name] = _restrict(m, mesh)
+        return ops[name]
     if use_disk is None:
-        # Duck-typed meshes (the pool's rank-local LocalMesh) carry no
-        # ``info`` dict and never persist: their operators are memory-only.
         info = getattr(mesh, "info", None)
         use_disk = bool(info.get("disk_cached")) if info is not None else False
     if use_disk:
@@ -434,7 +462,7 @@ def _cached_operator(
         if path.exists():
             m = _read_archive(path, stamps, kind)
     if m is None:
-        m = build()
+        m = build(mesh)
         if use_disk:
             _write_archive(path, stamps, m)
     ops[name] = m
@@ -454,9 +482,7 @@ def sparse_operator(mesh: Mesh, op: str, use_disk: bool | None = None) -> CSR:
             f"operator {op!r} has no sparse compiler; "
             f"compilable: {sorted(_COMPILERS)}"
         )
-    return _cached_operator(
-        _MEMORY_OPS, mesh, op, lambda: _COMPILERS[op](mesh), use_disk
-    )
+    return _cached_operator(_MEMORY_OPS, mesh, op, _COMPILERS[op], use_disk)
 
 
 # ----------------------------------------------------------- backend impls

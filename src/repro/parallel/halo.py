@@ -7,13 +7,13 @@ high-order thickness advection and the APVM potential-vorticity chain are
 prognostic state to be exchanged, exactly like the production code: halo
 values of diagnostics are recomputed locally rather than communicated).
 
-A :class:`LocalIndexPlan` says which global points a rank holds; a
-:class:`LocalMesh` adds the self-contained restriction of the global mesh to
-those point sets, using the same ``Connectivity`` / ``Metrics`` /
-``TriskWeights`` containers so every kernel of :mod:`repro.swm` runs on it
-unchanged.  Connectivity entries that point outside the local set (possible
-only on the outermost halo ring, whose outputs are never consumed) are
-remapped to safe local indices, keeping all arithmetic finite.
+A :class:`LocalIndexPlan` says which global points a rank holds
+(:func:`decompose` computes a mesh's partition and plans once); a
+:class:`LocalMesh` adds the parent mesh, whose operators it slices
+(:mod:`repro.engine.sparse`) and whose geometry it restricts on first read.
+Connectivity entries that point outside the local set (possible only on the
+outermost halo ring, whose outputs are never consumed) are remapped to safe
+local indices, keeping all arithmetic finite.
 
 Point ordering is deterministic: owned points first (in ascending global
 order), then halo points layer by layer — so ``array[:n_owned]`` is always
@@ -22,6 +22,9 @@ the owned slice and equals the corresponding global slice bitwise.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +33,13 @@ from ..mesh.connectivity import FILL, Connectivity
 from ..mesh.mesh import Mesh
 from ..mesh.metrics import Metrics
 from ..mesh.trisk import TriskWeights
+from .partition import partition_cells
 
 __all__ = [
     "LocalIndexPlan",
     "LocalMesh",
     "build_local_mesh",
+    "decompose",
     "halo_layers_required",
     "exchange_bytes",
     "local_index_plan",
@@ -79,42 +84,108 @@ class LocalIndexPlan:
     #: The ranks owning any of this rank's halo cells or edges.
     providers: tuple[int, ...]
 
-    @property
-    def n_halo_cells(self) -> int:
-        return self.cells_global.size - self.n_owned_cells
-
-    @property
-    def n_halo_edges(self) -> int:
-        return self.edges_global.size - self.n_owned_edges
+    n_halo_cells = property(lambda self: self.cells_global.size - self.n_owned_cells)
+    n_halo_edges = property(lambda self: self.edges_global.size - self.n_owned_edges)
 
 
 @dataclass(frozen=True, eq=False)
 class LocalMesh(LocalIndexPlan):
-    """One rank's restriction of the global mesh (duck-types ``Mesh``)."""
+    """One rank's view of its ``parent`` mesh (duck-types ``Mesh``): its
+    sparse operators are the parent's restricted to its rows, and its
+    ``connectivity`` / ``metrics`` / ``trisk`` the parent's restricted on
+    first read (by the numpy backend and tests; a sparse step reads none)."""
 
-    connectivity: Connectivity
-    metrics: Metrics
-    trisk: TriskWeights
+    parent: Mesh
 
-    @property
-    def nCells(self) -> int:
-        return self.connectivity.n_cells
+    nCells = property(lambda self: self.cells_global.size)
+    nEdges = property(lambda self: self.edges_global.size)
+    nVertices = property(lambda self: self.vertices_global.size)
+    maxEdges = property(lambda self: self.parent.maxEdges)
+    radius = property(lambda self: self.parent.radius)
 
-    @property
-    def nEdges(self) -> int:
-        return self.connectivity.n_edges
+    def rows(self, array: np.ndarray) -> np.ndarray:
+        """The held rows of a parent array with ``k`` rows per cell, edge or
+        vertex (``k`` and the kind read off its length; 2e + s for ``k = 2``)."""
+        sizes = (self.parent.nCells, self.parent.nEdges, self.parent.nVertices)
+        held = (self.cells_global, self.edges_global, self.vertices_global)
+        k, i = next((k, i) for k in (1, 2, 3) for i in range(3) if k * sizes[i] == len(array))
+        return array.reshape(sizes[i], -1)[held[i]].reshape(-1, *array.shape[1:])
 
-    @property
-    def nVertices(self) -> int:
-        return self.connectivity.n_vertices
+    @functools.cached_property
+    def local_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Global -> local id of every cell, edge and vertex (-1: not held)."""
+        held = (self.cells_global, self.edges_global, self.vertices_global)
+        sizes = (self.parent.nCells, self.parent.nEdges, self.parent.nVertices)
+        maps = tuple(np.full(n, -1, dtype=np.int64) for n in sizes)
+        for g2l, points in zip(maps, held):
+            g2l[points] = np.arange(points.size)
+        return maps
 
-    @property
-    def maxEdges(self) -> int:
-        return self.connectivity.max_edges
+    @functools.cached_property
+    def connectivity(self) -> Connectivity:
+        """The parent's connectivity on the held points, in local ids."""
+        conn, rows = self.parent.connectivity, self.rows
+        cell_g2l, edge_g2l, vertex_g2l = self.local_ids
 
-    @property
-    def radius(self) -> float:
-        return self.metrics.radius
+        # A local edge always touches at least one local cell; a missing second
+        # cell (outermost ring) falls back to the present one.
+        coe = _remap(rows(conn.cellsOnEdge), cell_g2l, FILL)
+        coe = np.where(coe >= 0, coe, coe[:, ::-1])
+        if np.any(coe < 0):
+            raise AssertionError("local edge with no local cell")
+
+        # Missing cells / edges of a vertex fall back to its first local one.
+        cov = _remap(rows(conn.cellsOnVertex), cell_g2l, FILL)
+        first_local = np.max(cov, axis=1)  # at least one is local (>= 0)
+        if np.any(first_local < 0):
+            raise AssertionError("local vertex with no local cell")
+        cov = np.where(cov >= 0, cov, first_local[:, None])
+        eov = _remap(rows(conn.edgesOnVertex), edge_g2l, FILL)
+        eov = np.where(eov >= 0, eov, np.max(eov, axis=1)[:, None])
+
+        return Connectivity(
+            n_cells=self.nCells,
+            n_edges=self.nEdges,
+            n_vertices=self.nVertices,
+            max_edges=conn.max_edges,
+            nEdgesOnCell=rows(conn.nEdgesOnCell),
+            verticesOnCell=_remap(rows(conn.verticesOnCell), vertex_g2l, 0),
+            edgesOnCell=_remap(rows(conn.edgesOnCell), edge_g2l, 0),
+            cellsOnCell=_remap(
+                rows(conn.cellsOnCell), cell_g2l, np.arange(self.nCells)[:, None]
+            ),
+            cellsOnEdge=coe,
+            verticesOnEdge=_remap(rows(conn.verticesOnEdge), vertex_g2l, 0),
+            cellsOnVertex=cov,
+            edgesOnVertex=eov,
+            edgeSignOnCell=rows(conn.edgeSignOnCell),
+            edgeSignOnVertex=rows(conn.edgeSignOnVertex),
+        )
+
+    @functools.cached_property
+    def metrics(self) -> Metrics:
+        """The parent's metric fields on the held points."""
+        met = self.parent.metrics
+        names = (f.name for f in dataclasses.fields(Metrics) if f.name != "radius")
+        return Metrics(radius=met.radius, **{n: self.rows(getattr(met, n)) for n in names})
+
+    @functools.cached_property
+    def trisk(self) -> TriskWeights:
+        """The parent's TRiSK weights on the held edges, in local ids."""
+        tri, loc = self.parent.trisk, np.arange(self.nEdges)[:, None]
+        eoe = _remap(self.rows(tri.edgesOnEdge), self.local_ids[1], loc)
+        return TriskWeights(self.rows(tri.nEdgesOnEdge), eoe, self.rows(tri.weightsOnEdge))
+
+
+def _remap(table: np.ndarray, g2l: np.ndarray, fallback) -> np.ndarray:
+    """Remap a global index table to local ids, FILL-preserving; ``fallback``
+    (broadcastable to ``table``'s shape) substitutes out-of-partition
+    references: a valid local id, or ``FILL`` for the caller to patch."""
+    out = np.where(table >= 0, g2l[np.clip(table, 0, None)], FILL)
+    missing = (table >= 0) & (out < 0)
+    if np.any(missing):
+        out = np.where(missing, np.broadcast_to(fallback, table.shape), out)
+    return out
 
 
 def ring_halo_indices(
@@ -245,111 +316,36 @@ def local_index_plan(
 def build_local_mesh(
     mesh: Mesh, owner: np.ndarray, rank: int, halo_layers: int = 3
 ) -> LocalMesh:
-    """Restrict ``mesh`` to the points :func:`local_index_plan` gives ``rank``."""
-    conn, met, tri = mesh.connectivity, mesh.metrics, mesh.trisk
-    plan = local_index_plan(mesh, owner, rank, halo_layers)
-    cells_global, edges_global = plan.cells_global, plan.edges_global
-    vertices_global = plan.vertices_global
+    """``rank``'s :class:`LocalMesh`: the points :func:`local_index_plan`
+    gives it, over ``mesh``."""
+    return LocalMesh(parent=mesh, **vars(local_index_plan(mesh, owner, rank, halo_layers)))
 
-    n_cells = cells_global.size
-    n_edges = edges_global.size
-    n_vertices = vertices_global.size
 
-    cell_g2l = np.full(mesh.nCells, -1, dtype=np.int64)
-    cell_g2l[cells_global] = np.arange(n_cells)
-    edge_g2l = np.full(mesh.nEdges, -1, dtype=np.int64)
-    edge_g2l[edges_global] = np.arange(n_edges)
-    vertex_g2l = np.full(mesh.nVertices, -1, dtype=np.int64)
-    vertex_g2l[vertices_global] = np.arange(n_vertices)
+_DECOMPOSITIONS: "weakref.WeakKeyDictionary[Mesh, dict]" = weakref.WeakKeyDictionary()
 
-    def remap(table: np.ndarray, g2l: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-        """Remap a global index table to local ids, FILL-preserving.
 
-        ``fallback`` (broadcastable to ``table``'s shape) substitutes
-        out-of-partition references: a valid local id, or ``FILL`` to
-        leave them for the caller to patch.
-        """
-        out = np.where(table >= 0, g2l[np.clip(table, 0, None)], FILL)
-        missing = (table >= 0) & (out < 0)
-        if np.any(missing):
-            fb = np.broadcast_to(fallback, table.shape)
-            out = np.where(missing, fb, out)
-        return out
-
-    # ---------------------------------------------------------------- cells
-    loc = np.arange(n_cells)[:, None]
-    edgesOnCell = remap(conn.edgesOnCell[cells_global], edge_g2l, 0)
-    verticesOnCell = remap(conn.verticesOnCell[cells_global], vertex_g2l, 0)
-    cellsOnCell = remap(conn.cellsOnCell[cells_global], cell_g2l, loc)
-
-    # ---------------------------------------------------------------- edges
-    coe = remap(conn.cellsOnEdge[edges_global], cell_g2l, FILL)
-    # A local edge always touches at least one local cell; a missing second
-    # cell (outermost ring) falls back to the present one.
-    have0 = coe[:, 0] >= 0
-    have1 = coe[:, 1] >= 0
-    coe[:, 0] = np.where(have0, coe[:, 0], coe[:, 1])
-    coe[:, 1] = np.where(have1, coe[:, 1], coe[:, 0])
-    if np.any(coe < 0):
-        raise AssertionError("local edge with no local cell")
-    verticesOnEdge = remap(conn.verticesOnEdge[edges_global], vertex_g2l, 0)
-
-    # -------------------------------------------------------------- vertices
-    cov = remap(conn.cellsOnVertex[vertices_global], cell_g2l, FILL)
-    # Fallback for missing cells: the first local cell on the vertex.
-    first_local = np.max(cov, axis=1)  # at least one is local (>= 0)
-    if np.any(first_local < 0):
-        raise AssertionError("local vertex with no local cell")
-    cov = np.where(cov >= 0, cov, first_local[:, None])
-    eov = remap(conn.edgesOnVertex[vertices_global], edge_g2l, FILL)
-    first_local_e = np.max(eov, axis=1)
-    eov = np.where(eov >= 0, eov, first_local_e[:, None])
-
-    # ------------------------------------------------------------- TRiSK
-    eoe = remap(tri.edgesOnEdge[edges_global], edge_g2l, np.arange(n_edges)[:, None])
-
-    local_conn = Connectivity(
-        n_cells=n_cells,
-        n_edges=n_edges,
-        n_vertices=n_vertices,
-        max_edges=conn.max_edges,
-        nEdgesOnCell=conn.nEdgesOnCell[cells_global],
-        verticesOnCell=verticesOnCell,
-        edgesOnCell=edgesOnCell,
-        cellsOnCell=cellsOnCell,
-        cellsOnEdge=coe,
-        verticesOnEdge=verticesOnEdge,
-        cellsOnVertex=cov,
-        edgesOnVertex=eov,
-        edgeSignOnCell=conn.edgeSignOnCell[cells_global],
-        edgeSignOnVertex=conn.edgeSignOnVertex[vertices_global],
-    )
-    local_metrics = Metrics(
-        radius=met.radius,
-        xCell=met.xCell[cells_global],
-        xEdge=met.xEdge[edges_global],
-        xVertex=met.xVertex[vertices_global],
-        lonCell=met.lonCell[cells_global],
-        latCell=met.latCell[cells_global],
-        lonEdge=met.lonEdge[edges_global],
-        latEdge=met.latEdge[edges_global],
-        lonVertex=met.lonVertex[vertices_global],
-        latVertex=met.latVertex[vertices_global],
-        areaCell=met.areaCell[cells_global],
-        areaTriangle=met.areaTriangle[vertices_global],
-        kiteAreasOnVertex=met.kiteAreasOnVertex[vertices_global],
-        dcEdge=met.dcEdge[edges_global],
-        dvEdge=met.dvEdge[edges_global],
-        edgeNormal=met.edgeNormal[edges_global],
-        edgeTangent=met.edgeTangent[edges_global],
-        angleEdge=met.angleEdge[edges_global],
-    )
-    local_trisk = TriskWeights(
-        nEdgesOnEdge=tri.nEdgesOnEdge[edges_global],
-        edgesOnEdge=eoe,
-        weightsOnEdge=tri.weightsOnEdge[edges_global],
-    )
-    return LocalMesh(
-        connectivity=local_conn, metrics=local_metrics, trisk=local_trisk,
-        **vars(plan),
-    )
+def decompose(
+    mesh: Mesh, n_ranks: int, halo_layers: int, method: str = "kmeans"
+) -> tuple[np.ndarray, tuple[LocalIndexPlan, ...]]:
+    """``mesh``'s cell owners for ``n_ranks`` ranks and every rank's index plan,
+    computed once per ``(mesh, n_ranks, halo_layers, method)`` and kept, read
+    only, while the mesh lives (the pool and the lockstep runner share them).
+    A decomposition that raises (a rank owning no cells) is not kept."""
+    memo = _DECOMPOSITIONS.setdefault(mesh, {})
+    key = (n_ranks, halo_layers, method)
+    if key not in memo:
+        owner = partition_cells(mesh, n_ranks, method=method)
+        plans = tuple(local_index_plan(mesh, owner, r, halo_layers) for r in range(n_ranks))
+        # Each cell and edge has exactly one owner, so a gather writes every
+        # global point once and needs no fill value to detect a gap.
+        for n, owned in (
+            (mesh.nCells, [p.cells_global[: p.n_owned_cells] for p in plans]),
+            (mesh.nEdges, [p.edges_global[: p.n_owned_edges] for p in plans]),
+        ):
+            if not np.array_equal(np.sort(np.concatenate(owned)), np.arange(n)):
+                raise AssertionError("ownership does not cover the mesh")
+        for array in (owner, *(a for p in plans for a in vars(p).values())):
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+        memo[key] = owner, plans
+    return memo[key]

@@ -2,11 +2,13 @@
 
 :class:`PoolShallowWater` is the concurrent sibling of
 :class:`~repro.parallel.runner.DecomposedShallowWater`: the same
-partitioning, the same per-rank local meshes, the same Algorithm-1 step —
-but each rank lives in its own persistent worker process, builds its own
-local mesh there and genuinely steps in parallel, the paper's MPI+OpenMP
-execution model realized with ``multiprocessing``.  Selected via
-``SWConfig(parallel="pool", ranks=P)`` through :func:`repro.api.run`.
+decomposition, the same per-rank local meshes, the same Algorithm-1 step —
+but each rank lives in its own persistent worker process and genuinely
+steps in parallel, the paper's MPI+OpenMP execution model realized with
+``multiprocessing``.  The parent compiles (or loads) the global operators
+before it forks; a worker slices its rows of them (lanes whose column it
+does not hold dropped).  Selected via ``SWConfig(parallel="pool",
+ranks=P)`` through :func:`repro.api.run`.
 
 Execution contract (enforced by the test suite): **the owned portion of
 every rank's state is bitwise identical to the serial run**, under both
@@ -48,7 +50,8 @@ from multiprocessing import connection
 import numpy as np
 
 from ..dataflow.schedule import halo_schedule_for
-from ..engine.plan import import_composer
+from ..engine.plan import kernel_plan
+from ..engine.sparse import _COMPILERS, sparse_operator
 from ..mesh.mesh import Mesh
 from ..obs.metrics import MetricsRegistry, get_registry, set_registry
 from ..obs.trace import Tracer, get_tracer, set_tracer, trace_span
@@ -58,14 +61,14 @@ from ..swm.state import State
 from ..swm.testcases import TestCase, coriolis_at_vertices, initialize
 from ..swm.timestep import HaloTransport, RK4Integrator, rk4_step
 from .halo import (
-    build_local_mesh,
+    LocalIndexPlan,
+    LocalMesh,
+    decompose,
     exchange_bytes,
     halo_layers_required,
-    local_index_plan,
     ring_halo_indices,
     schedule_exchange_bytes,
 )
-from .partition import partition_cells
 from .shm import SharedState, SyncBoard
 
 __all__ = ["PoolShallowWater", "WorkerPoolError"]
@@ -197,8 +200,7 @@ def _worker_main(
     board: SyncBoard,
     barrier_timeout: float,
     mesh: Mesh,
-    owner: np.ndarray,
-    halo_layers: int,
+    plan: LocalIndexPlan,
     b_cell: np.ndarray,
     f_vertex: np.ndarray,
     config: SWConfig,
@@ -209,7 +211,8 @@ def _worker_main(
 ) -> None:
     """Persistent worker loop: own rank state, obey parent commands.
 
-    Start-up builds this rank's local mesh, integrator and first
+    Start-up builds this rank's local mesh from its index ``plan``, its
+    integrator (slicing the operators the parent compiled) and first
     diagnostics, acked ``("ready", rank)`` — or ``("error", text)`` if it
     raised.  Commands (over the pipe): ``("steps", n)`` advance ``n`` RK-4
     steps, acked ``("ok", n)``, ``("broken", at_step)`` after a broken sync,
@@ -250,12 +253,12 @@ def _worker_main(
     set_tracer(Tracer(enabled=trace_enabled))
 
     try:
-        t_mesh = time.perf_counter()
-        lm = build_local_mesh(mesh, owner, rank, halo_layers=halo_layers)
-        registry.gauge("pool.worker.local_mesh_s").set(time.perf_counter() - t_mesh)
+        t_mesh = time.perf_counter()  # the mesh view and its operator slices
+        lm = LocalMesh(parent=mesh, **vars(plan))
         integ = RK4Integrator(
             lm, config, b_cell[lm.cells_global], f_vertex[lm.vertices_global]
         )
+        registry.gauge("pool.worker.local_mesh_s").set(time.perf_counter() - t_mesh)
         sync = _BoardTransport(
             rank, shared, board, barrier_timeout, lm, schedule, *neighbors
         )
@@ -364,15 +367,13 @@ class PoolShallowWater:
             )
         self.halo_layers = halo_layers
         kill_at = kill_at or {}
-        # One span: three named children; the rest (IC, segments) is self time.
+        # One span: three named children; IC, segments, operators are self time.
         with trace_span("pool.spawn", category="pool", ranks=n_ranks):
             with trace_span("partition", category="pool"):
-                self.owner = partition_cells(mesh, n_ranks, method=partition_method)
                 # Index plans only: each worker builds its own local mesh.
-                plans = [
-                    local_index_plan(mesh, self.owner, r, halo_layers)
-                    for r in range(n_ranks)
-                ]
+                self.owner, self._plans = decompose(
+                    mesh, n_ranks, halo_layers, partition_method
+                )
 
             global_state, self.b_cell = initialize(mesh, case)
             self.f_vertex = coriolis_at_vertices(mesh, case, config)
@@ -395,8 +396,8 @@ class PoolShallowWater:
             # Per rank: whose publishes it awaits before reading its halo,
             # and whose acks before overwriting a buffer (full halo depth).
             self._neighbors = [
-                (p.providers, tuple(q.rank for q in plans if p.rank in q.providers))
-                for p in plans
+                (p.providers, tuple(q.rank for q in self._plans if p.rank in q.providers))
+                for p in self._plans
             ]
             self._workers: list = [None] * n_ranks
             self._conns: list = [None] * n_ranks
@@ -407,7 +408,7 @@ class PoolShallowWater:
             registry = get_registry()
             registry.gauge(
                 "halo.bytes_per_exchange", ranks=n_ranks, mode="pool"
-            ).set(exchange_bytes(plans))
+            ).set(exchange_bytes(self._plans))
             registry.gauge(
                 "halo.exchanges_per_step", ranks=n_ranks, mode="pool",
                 schedule=self.schedule.mode,
@@ -415,13 +416,16 @@ class PoolShallowWater:
             registry.gauge(
                 "halo.bytes_per_step", ranks=n_ranks, mode="pool",
                 schedule=self.schedule.mode,
-            ).set(schedule_exchange_bytes(plans, self.schedule))
+            ).set(schedule_exchange_bytes(self._plans, self.schedule))
             self._respawns = registry.counter("resilience.pool.respawn", ranks=n_ranks)
             self._retries = registry.counter(
                 "resilience.recovery.retry", site="pool.step", ranks=n_ranks
             )
 
-            import_composer(config)  # once here, not in every forked worker
+            # The global operators, compiled or loaded here once: workers slice them.
+            if config.backend == "sparse" and kernel_plan(mesh, config) is None:
+                for op in _COMPILERS.keys() - {"velocity_reconstruction"}:
+                    sparse_operator(mesh, op)
             with trace_span("fork", category="pool"):
                 for r in range(n_ranks):
                     self._spawn(r, kill_at.get(r))
@@ -441,7 +445,7 @@ class PoolShallowWater:
             target=_worker_main,
             args=(
                 rank, child_conn, self._shared, self._board,
-                self.barrier_timeout, self.mesh, self.owner, self.halo_layers,
+                self.barrier_timeout, self.mesh, self._plans[rank],
                 self.b_cell, self.f_vertex, self.config, self.schedule,
                 self._neighbors[rank], get_tracer().enabled, kill_at_step,
             ),

@@ -15,8 +15,8 @@ run**, because
 
 * initial conditions are discretized globally and sliced,
 * every kernel computes each owned output point from the same inputs in the
-  same floating-point order as the serial kernels (the local meshes preserve
-  the per-row neighbour order), and
+  same floating-point order as the serial kernels (a rank's operator rows
+  are the global rows; its local mesh keeps the per-row neighbour order), and
 * halo values of the state are refreshed from their owners at exactly the
   synchronization points of Algorithm 1 / Figure 2 (before ``compute_tend``
   and after ``compute_next_substep_state`` / the final accumulation), while
@@ -40,13 +40,13 @@ from ..swm.testcases import TestCase, coriolis_at_vertices, initialize
 from ..swm.timestep import HaloTransport, RK4Integrator, rk4_step
 from ..dataflow.schedule import halo_schedule_for
 from .halo import (
-    build_local_mesh,
+    LocalMesh,
+    decompose,
     exchange_bytes,
     halo_layers_required,
     ring_halo_indices,
     schedule_exchange_bytes,
 )
-from .partition import partition_cells
 
 __all__ = ["DecomposedShallowWater"]
 
@@ -70,7 +70,7 @@ class DecomposedShallowWater(HaloTransport):
             halo_layers = halo_layers_required(
                 config.thickness_adv_order, config.apvm_upwinding != 0.0
             )
-        self.owner = partition_cells(mesh, n_ranks, method=partition_method)
+        self.owner, plans = decompose(mesh, n_ranks, halo_layers, partition_method)
 
         global_state, global_b = initialize(mesh, case)
         self.b_cell = global_b
@@ -79,24 +79,10 @@ class DecomposedShallowWater(HaloTransport):
         #: One integrator per rank, on its local mesh; the ranks' current
         #: states and diagnostics sit alongside in ``states`` / ``diags``.
         self.ranks: list[RK4Integrator] = []
-        for r in range(n_ranks):
-            lm = build_local_mesh(mesh, self.owner, r, halo_layers=halo_layers)
-            self.ranks.append(
-                RK4Integrator(
-                    lm, config, global_b[lm.cells_global],
-                    self.f_vertex[lm.vertices_global],
-                )
-            )
-        meshes = [rk.mesh for rk in self.ranks]
-        # Each cell and edge has exactly one owner, so a gather writes every
-        # global point once and needs no fill value to detect a gap.
-        cells = np.concatenate([lm.cells_global[: lm.n_owned_cells] for lm in meshes])
-        edges = np.concatenate([lm.edges_global[: lm.n_owned_edges] for lm in meshes])
-        if not (
-            np.array_equal(np.sort(cells), np.arange(mesh.nCells))
-            and np.array_equal(np.sort(edges), np.arange(mesh.nEdges))
-        ):
-            raise AssertionError("ownership does not cover the mesh")
+        for plan in plans:
+            lm = LocalMesh(parent=mesh, **vars(plan))
+            b, f = global_b[lm.cells_global], self.f_vertex[lm.vertices_global]
+            self.ranks.append(RK4Integrator(lm, config, b, f))
         self.load_state(global_state)
         self.exchange_count = 0
         self.schedule = halo_schedule_for(config)
@@ -106,10 +92,10 @@ class DecomposedShallowWater(HaloTransport):
         self._sync_bytes: dict[str, float] = {}
         for point in self.schedule.points:
             self._sync_idx[point.name] = [
-                ring_halo_indices(lm, point.rings) for lm in meshes
+                ring_halo_indices(lm, point.rings) for lm in plans
             ]
             self._sync_bytes[point.name] = schedule_exchange_bytes(
-                meshes, replace(self.schedule, points=(point,))
+                plans, replace(self.schedule, points=(point,))
             )
         #: Oracle hook for the schedule-soundness test: a ``(sync, field)``
         #: pair whose halo refresh is skipped — a needed refresh then shows
@@ -120,7 +106,7 @@ class DecomposedShallowWater(HaloTransport):
         self._halo_bytes = registry.counter("halo.bytes", ranks=n_ranks)
         self._halo_exchanges = registry.counter("halo.exchanges", ranks=n_ranks)
         registry.gauge("halo.bytes_per_exchange", ranks=n_ranks).set(
-            exchange_bytes(meshes)
+            exchange_bytes(plans)
         )
 
     # ------------------------------------------------------------- exchange
@@ -224,7 +210,7 @@ class DecomposedShallowWater(HaloTransport):
     # ------------------------------------------------------------- gathering
     def _gather(self, states: list[State]) -> tuple[np.ndarray, np.ndarray]:
         """Global ``h``/``u`` from the owned slices of ``states`` (ownership
-        covers the mesh: checked once in ``__init__``)."""
+        covers the mesh: :func:`~repro.parallel.halo.decompose` checks it)."""
         gh = np.empty(self.mesh.nCells)
         gu = np.empty(self.mesh.nEdges)
         for rk, st in zip(self.ranks, states):

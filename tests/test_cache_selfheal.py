@@ -416,7 +416,7 @@ class TestConcurrentWriters:
         monkeypatch.setattr(plan, "_COMPOSED_MEM", self._NoMemo())
         built, errors = on_threads(
             lambda i: plan._composed_operator(
-                mesh, "grad_div", lambda: CSR.from_scipy((grad @ div).tocsr())
+                mesh, "grad_div", lambda m: CSR.from_scipy((grad @ div).tocsr())
             ),
             4,
         )

@@ -24,14 +24,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.engine.plan as plan_module
 from repro.engine import default_registry, dispatch
 from repro.engine import sparse
+from repro.engine.plan import compiled_plan
 from repro.engine.sparse import sparse_operator
 from repro.geometry import lloyd_relax, normalize
 from repro.geometry.sphere import tangent_basis, tangent_plane_coords
 from repro.mesh import Mesh
 from repro.parallel import build_local_mesh, partition_cells
 from repro.swm.advection import advection_coefficients
+from repro.swm.config import SWConfig
 from repro.swm.operators import plan_for
 from repro.swm.reconstruct import reconstruction_matrices
 
@@ -234,3 +237,125 @@ def test_row_cut_stitches_bitwise(cut_mesh, fraction, op):
             local.append(copy)
         halves.append(_cut_rows(op, cut_mesh, local, rows, n_out))
     assert np.array_equal(np.concatenate(halves), want)
+
+
+# ------------------------------- a rank's operators are its parent's rows
+#: Every compiled matrix: the ``_COMPILERS`` ops and the plan's composed two.
+RESTRICTED = sorted(sparse._COMPILERS) + ["plan_del4", "plan_h_edge_order4"]
+_COMPOSING = SWConfig(
+    dt=60.0, backend="sparse", plan=True, thickness_adv_order=4, hyperviscosity=1.0e10
+)
+
+
+class _Geometry:
+    """A rank's restricted geometry alone, no parent: operators compile on
+    it from scratch, the way ranks built them before they sliced."""
+
+    def __init__(self, lm):
+        for name in ("nCells", "nEdges", "nVertices", "maxEdges", "radius",
+                     "connectivity", "metrics", "trisk"):
+            setattr(self, name, getattr(lm, name))
+
+
+def _matrix(mesh, name):
+    if name.startswith("plan_"):
+        assert compiled_plan(mesh, _COMPOSING).composed == ("del4", "h_edge_order4")
+        return plan_module._COMPOSED_MEM[mesh][name]
+    return sparse_operator(mesh, name)
+
+
+def _global_rows(m, rows, to_global, n_cols):
+    """``m``'s rows ``rows`` as a ``scipy.sparse`` matrix over global columns,
+    zero lanes dropped, storage order kept."""
+    import scipy.sparse as sp
+
+    sub = sp.csr_matrix((m.data, to_global[m.indices], m.indptr), shape=(m.shape[0], n_cols))
+    sub = sub[rows]
+    sub.eliminate_zeros()
+    return sub
+
+
+def _same(a, b, ordered=True) -> bool:
+    if not ordered:
+        a, b = a.sorted_indices(), b.sorted_indices()
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
+
+
+@pytest.fixture(scope="module")
+def ranks(mesh3, random_scvt):
+    """Every rank of 2, 3 and 4 at halo depths 2 and 3, on both meshes."""
+    return [
+        (lm, _Geometry(lm))
+        for mesh in (mesh3, random_scvt)
+        for n_ranks in (2, 3, 4)
+        for depth in (2, 3)
+        for lm in (
+            build_local_mesh(mesh, partition_cells(mesh, n_ranks), r, depth)
+            for r in range(n_ranks)
+        )
+    ]
+
+
+@pytest.mark.parametrize("name", RESTRICTED)
+def test_held_rows_equal_the_rows_compiled_on_rank_geometry(ranks, name):
+    """A rank's operator is its parent's restricted to its rows.  A row whose
+    stencil (its nonzero lanes) the rank holds is the global row, lane for
+    lane, and so is its matvec.  Off the outermost halo ring (whose weights
+    may read geometry the rank lacks: a kite area looks up cells of a
+    vertex) it also equals — data and matvec — the row compiled from
+    scratch on the rank's restricted geometry; a composed row there holds
+    the same entries in another lane order, so its matvec agrees to
+    rounding.  Every owned row is such a row."""
+    composed = name.startswith("plan_")
+    rng = np.random.default_rng(34)
+    for lm, geometry in ranks:
+        whole, mine, scratch = (_matrix(m, name) for m in (lm.parent, lm, geometry))
+        parent = lm.parent
+        assert mine.shape == scratch.shape
+        sizes = (lm.nCells, lm.nEdges, lm.nVertices)
+        k, kind = next(
+            (k, i) for k in (1, 2, 3) for i in range(3) if k * sizes[i] == mine.shape[0]
+        )
+        col = (parent.nCells, parent.nEdges, parent.nVertices).index(whole.shape[1])
+        to_global = (lm.cells_global, lm.edges_global, lm.vertices_global)[col]
+        ring = np.full(parent.nCells, np.iinfo(np.int64).max)
+        ring[lm.cells_global] = lm.cell_rings
+        point_rings = (
+            lm.cell_rings, lm.edge_rings,
+            ring[parent.connectivity.cellsOnVertex[lm.vertices_global]].min(axis=1),
+        )[kind]
+        n_owned = (lm.n_owned_cells, lm.n_owned_edges, lm.n_owned_vertices)[kind]
+
+        rows = lm.rows(np.arange(whole.shape[0]))
+        g = _global_rows(whole, rows, np.arange(whole.shape[1]), whole.shape[1])
+        lanes_held = lm.local_ids[col][g.indices] >= 0
+        held = np.bincount(
+            np.repeat(np.arange(g.shape[0]), np.diff(g.indptr)), ~lanes_held,
+            minlength=g.shape[0],
+        ) == 0
+        held_rows = np.flatnonzero(held)
+        inner_rows = held_rows[point_rings[held_rows // k] < lm.cell_rings.max()]
+        assert np.array_equal(inner_rows[: n_owned * k], np.arange(n_owned * k))
+        assert held_rows.size > n_owned * k
+
+        n_cols = whole.shape[1]
+        assert _same(_global_rows(mine, held_rows, to_global, n_cols), g[held_rows])
+        x = rng.standard_normal(mine.shape[1])
+        x_global = np.zeros(n_cols)
+        x_global[to_global] = x
+        mine_x = mine @ x
+        assert np.array_equal(mine_x[held_rows], (whole @ x_global)[rows[held_rows]])
+
+        assert _same(
+            _global_rows(scratch, inner_rows, to_global, n_cols),
+            _global_rows(mine, inner_rows, to_global, n_cols),
+            ordered=not composed,
+        ), (name, lm.rank)
+        scratch_x = (scratch @ x)[inner_rows]
+        if composed:
+            np.testing.assert_allclose(
+                scratch_x, mine_x[inner_rows], rtol=1e-12,
+                atol=1e-12 * np.max(np.abs(mine_x[inner_rows])),
+            )
+        else:
+            assert np.array_equal(scratch_x, mine_x[inner_rows]), (name, lm.rank)

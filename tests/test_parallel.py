@@ -116,6 +116,78 @@ class TestLocalMesh:
             build_local_mesh(mesh3, owner, rank=1)
 
 
+class TestDecompositionMemo:
+    """``halo.decompose`` partitions a mesh and plans its ranks once per
+    ``(mesh, ranks, halo depth, method)``; the pool and the lockstep runner
+    share it, and the pool hands each worker its plan."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import weakref
+
+        import repro.parallel.halo as halo
+
+        monkeypatch.setattr(halo, "_DECOMPOSITIONS", weakref.WeakKeyDictionary())
+        calls = {"partition_cells": 0, "local_index_plan": 0}
+        for name in calls:
+            def spy(*args, _real=getattr(halo, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(halo, name, spy)
+        return calls
+
+    def test_a_second_construction_decomposes_nothing(self, mesh3, calls):
+        from repro.parallel import PoolShallowWater
+
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        first = DecomposedShallowWater(mesh3, 3, case, cfg)
+        assert calls == {"partition_cells": 1, "local_index_plan": 3}
+        second = DecomposedShallowWater(mesh3, 3, case, cfg)
+        with PoolShallowWater(mesh3, 3, case, cfg, barrier_timeout=30.0) as pool:
+            pool.run(1)
+        assert calls == {"partition_cells": 1, "local_index_plan": 3}
+        assert pool.owner is second.owner is first.owner
+        assert [rk.mesh.cells_global for rk in second.ranks] == [
+            p.cells_global for p in pool._plans
+        ]
+
+    def test_rank_counts_and_depths_decompose_apart(self, mesh3, calls):
+        from repro.parallel.halo import decompose
+
+        two, three, deep = (
+            decompose(mesh3, r, depth) for r, depth in ((2, 2), (3, 2), (2, 3))
+        )
+        assert calls == {"partition_cells": 3, "local_index_plan": 7}
+        assert len(two[1]) == 2 and len(three[1]) == 3
+        assert not np.array_equal(two[0], three[0])
+        assert np.array_equal(two[0], deep[0])
+        for shallow, wide in zip(two[1], deep[1]):
+            assert wide.cells_global.size > shallow.cells_global.size
+            assert np.array_equal(
+                wide.cells_global[: wide.n_owned_cells],
+                shallow.cells_global[: shallow.n_owned_cells],
+            )
+        assert decompose(mesh3, 2, 2) is two
+        assert not two[0].flags.writeable  # shared: read only
+
+    def test_a_failed_decomposition_is_not_kept(self, mesh3, calls, monkeypatch):
+        import repro.parallel.halo as halo
+
+        spy = halo.partition_cells
+        monkeypatch.setattr(
+            halo, "partition_cells",
+            lambda mesh, n, method: np.zeros(mesh.nCells, dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match=r"^rank 1 owns no cells$"):
+            halo.decompose(mesh3, 2, 2)
+        monkeypatch.setattr(halo, "partition_cells", spy)
+        owner, plans = halo.decompose(mesh3, 2, 2)
+        assert calls["partition_cells"] == 1 and len(plans) == 2
+        assert set(np.unique(owner)) == {0, 1}
+
+
 class TestDecomposedRuns:
     """Pinned to the static schedule, the oracle the dataflow default is
     derived against; tests/test_halo_schedule.py runs lockstep under dataflow."""

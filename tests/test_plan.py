@@ -312,10 +312,29 @@ class TestAcceptanceRun:
     COMPOSED = dict(thickness_adv_order=4, hyperviscosity=1.0e13)
 
     def test_composed_modes_bitwise(self, mesh3, galewsky_states):
-        """Composed matrices built on each rank's renumbered LocalMesh keep
+        """A rank's composed matrices are the serial plan's, restricted to its
+        rows: every row whose stencil the rank holds (every owned one among
+        them) gives the serial matvec's bits, so the decomposed runs keep
         the serial plan's bits; the plan stays within 1e-12 of unfused."""
+        from repro.engine.plan import _COMPOSED_MEM
+        from repro.parallel import build_local_mesh, partition_cells
+
         dt = galewsky_states["dt"]
         serial = self._run(mesh3, dt, **self.COMPOSED)
+        cfg = _cfg(plan=True, dt=dt, **self.COMPOSED)
+        x = np.random.default_rng(4).standard_normal(mesh3.nEdges + mesh3.nCells)
+        for r in range(4):
+            lm = build_local_mesh(mesh3, partition_cells(mesh3, 4), r, halo_layers=3)
+            compiled_plan(lm, cfg)
+            for name, held in (("del4", lm.edges_global), ("h_edge_order4", lm.cells_global)):
+                whole = _COMPOSED_MEM[mesh3][f"plan_{name}"]
+                mine = _COMPOSED_MEM[lm][f"plan_{name}"]
+                x_global = np.zeros(whole.shape[1])
+                x_global[held] = x[held]
+                got, want = mine @ x[held], (whole @ x_global)[lm.edges_global]
+                stencils_held = np.diff(mine.indptr) == np.diff(whole.indptr)[lm.edges_global]
+                assert np.all(stencils_held[: lm.n_owned_edges]), name
+                assert np.array_equal(got[stencils_held], want[stencils_held]), name
         for mode in ("lockstep", "pool"):
             got = self._run(mesh3, dt, parallel=mode, ranks=4, **self.COMPOSED)
             assert np.array_equal(got.state.h, serial.state.h), mode

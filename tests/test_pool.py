@@ -15,10 +15,12 @@ import os
 import threading
 import time
 import types
+import weakref
 
 import numpy as np
 import pytest
 
+import repro.parallel.halo as halo_module
 import repro.parallel.pool as pool_module
 from repro.constants import GRAVITY
 from repro.geometry import lloyd_relax, normalize
@@ -582,6 +584,25 @@ class TestPoolDataflow:
         assert np.array_equal(pres.state.h, res.state.h)
         assert np.array_equal(pres.state.u, res.state.u)
 
+    @pytest.mark.parametrize("halo_schedule", ["static", "dataflow"])
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_sliced_operators_keep_every_order_bitwise(self, mesh3, order, halo_schedule):
+        """Ranks step on row restrictions of the serial plan's operators
+        (composed ones at order 4): pool and lockstep stay bitwise serial at
+        every thickness order under both schedules."""
+        case = galewsky_jet()
+        cfg = SWConfig(
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.5), backend="sparse",
+            plan=True, thickness_adv_order=order, halo_schedule=halo_schedule,
+        )
+        res = _serial(mesh3, case, cfg, steps=3)
+        lockstep = DecomposedShallowWater(mesh3, 3, case, cfg).run(3)
+        with PoolShallowWater(mesh3, 3, case, cfg, barrier_timeout=TIMEOUT) as pool:
+            pres = pool.run(3)
+        for got in (lockstep, pres):
+            assert np.array_equal(got.state.h, res.state.h)
+            assert np.array_equal(got.state.u, res.state.u)
+
     def test_worker_death_recovers_bitwise_under_dataflow(self, mesh3):
         case = steady_zonal_flow()
         cfg = SWConfig(
@@ -744,8 +765,11 @@ class TestPoolStartup:
                 PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=TIMEOUT)
 
     def test_an_empty_rank_is_refused_before_any_fork(self, mesh3, monkeypatch):
+        # The partitioner is called by the decomposition memo, which must not
+        # answer from an earlier test's decomposition of this mesh.
+        monkeypatch.setattr(halo_module, "_DECOMPOSITIONS", weakref.WeakKeyDictionary())
         monkeypatch.setattr(
-            pool_module, "partition_cells",
+            halo_module, "partition_cells",
             lambda mesh, n_ranks, method: np.zeros(mesh.nCells, dtype=np.int64),
         )
         case = steady_zonal_flow()

@@ -494,19 +494,84 @@ def test_retry_budgets_are_read_where_they_apply():
     assert not found, f"the deleted recovery policy is named again: {found}"
 
 
-def test_the_pool_parent_builds_no_local_mesh():
-    """In ``parallel/pool.py`` only ``_worker_main`` names
-    ``build_local_mesh``: each worker builds its own rank's mesh, and the
-    parent derives what it needs from ``halo.local_index_plan``.  Built in
-    the parent, every rank's mesh stayed resident there for the whole run."""
-    def names_the_builder(node) -> bool:
-        return getattr(node, "id", getattr(node, "attr", None)) == "build_local_mesh"
+def test_no_rank_compiles_a_stencil(monkeypatch):
+    """A rank's operators are rows of the global ones (``engine/sparse.
+    _restrict``): under sparse-config pool and lockstep runs, fused or not,
+    every ``_COMPILERS`` call is made in the parent process on the global
+    mesh, never on a ``LocalMesh`` and never in a pool worker.  A fresh
+    mesh makes the parent compile; a spy that raises fails a worker's
+    start-up, which the pool raises as ``WorkerPoolError``."""
+    import os
 
-    found = {
-        where for where in _scopes_containing(names_the_builder)
-        if where[0] == "parallel/pool.py"
-    }
-    assert found == {("parallel/pool.py", "_worker_main")}, sorted(found)
+    import numpy as np
+
+    from repro import api
+    from repro.constants import GRAVITY
+    from repro.engine import sparse
+    from repro.geometry import lloyd_relax, normalize
+    from repro.mesh import Mesh
+    from repro.parallel import LocalMesh
+
+    rng = np.random.default_rng(34)
+    points = lloyd_relax(normalize(rng.standard_normal((150, 3))), iterations=30)
+    mesh = Mesh.from_points(points.points, name="no-rank-compiles")
+    parent, calls = os.getpid(), []
+
+    def spy(name, compile_):
+        def compiled(m):
+            if os.getpid() != parent or isinstance(m, LocalMesh):
+                raise AssertionError(f"a rank compiled {name}")
+            calls.append(name)
+            return compile_(m)
+
+        return compiled
+
+    for name, compile_ in list(sparse._COMPILERS.items()):
+        monkeypatch.setitem(sparse._COMPILERS, name, spy(name, compile_))
+    case = api.resolve_case("tc2")
+    dt = api.suggested_dt(mesh, case, GRAVITY, cfl=0.5)
+    for plan in (True, False):
+        for parallel in ("pool", "lockstep"):
+            config = api.SWConfig(
+                dt=dt, backend="sparse", plan=plan, parallel=parallel, ranks=3,
+                thickness_adv_order=4, hyperviscosity=1.0e10,
+            )
+            api.run(case, mesh=mesh, config=config, steps=2)
+    assert "tangential_velocity" in calls and "d2fdx2" in calls
+
+
+def test_the_pool_parent_builds_no_local_mesh():
+    """The pool parent holds index plans only, from ``halo.decompose``: in
+    ``parallel/pool.py`` only ``_worker_main`` names ``LocalMesh``, and no
+    scope names ``build_local_mesh``, ``local_index_plan`` or
+    ``partition_cells``.  After a pool run (composed matrices included) no
+    ``LocalMesh`` keys the parent's operator, composed-matrix or plan
+    caches: it built no rank geometry and no rank operator."""
+    from repro.api import SWConfig, resolve_case, run
+    from repro.engine import plan, sparse
+    from repro.mesh.cache import cached_mesh
+    from repro.parallel import LocalMesh
+
+    def names(*words):
+        def match(node) -> bool:
+            return getattr(node, "id", getattr(node, "attr", None)) in words
+
+        return {w for w in _scopes_containing(match) if w[0] == "parallel/pool.py"}
+
+    assert names("LocalMesh") == {("parallel/pool.py", "_worker_main")}
+    assert names("build_local_mesh", "local_index_plan", "partition_cells") == set()
+
+    def rank_keys() -> set[int]:
+        caches = (sparse._MEMORY_OPS, plan._COMPOSED_MEM, plan._PLANS.by_mesh)
+        return {id(k) for c in caches for k in c.keys() if isinstance(k, LocalMesh)}
+
+    before = rank_keys()
+    config = SWConfig(
+        dt=60.0, backend="sparse", plan=True, parallel="pool", ranks=2,
+        thickness_adv_order=4, hyperviscosity=1.0e10,
+    )
+    run(resolve_case("tc2"), mesh=cached_mesh(2), config=config, steps=2)
+    assert rank_keys() <= before
 
 
 def test_importing_the_api_loads_no_mesh_builder_or_graph_library(tmp_path):
@@ -514,10 +579,12 @@ def test_importing_the_api_loads_no_mesh_builder_or_graph_library(tmp_path):
     ``scipy.sparse`` (80 ms, 22 MB) only to compose a matrix the cache
     misses, and ``networkx`` by nothing: the Fig. 4 diagram keeps its own
     adjacency.  Every run pays whatever it imports as ``setup_s``, so a
-    fresh interpreter runs two level-2 steps serially, on a 2-rank pool, as
-    a 2-member ensemble and durably (at order 4, its composed matrix
-    cached) on a cached mesh, then lists what came in — importing the API
-    alone misses the plan compile and pool spawn."""
+    fresh interpreter runs two level-2 steps serially, on a 2-rank pool at
+    orders 2 and 4, as a 2-member ensemble and durably (at order 4) on a
+    cached mesh, its composed matrix cached, then lists what came in — the
+    order-4 pool parent loads that matrix and its ranks slice it, so nobody
+    composes; importing the API alone misses the plan compile and pool
+    spawn."""
     import sys
 
     from repro.engine.plan import clear_plan_memory_cache, compiled_plan
@@ -540,6 +607,8 @@ plan = dict(dt=dt, backend="sparse", plan=True)
 api.run("galewsky", mesh=mesh, config=SWConfig(**plan), steps=2)
 api.run("galewsky", mesh=mesh, steps=2,
         config=SWConfig(**plan, parallel="pool", ranks=2))
+api.run("galewsky", mesh=mesh, steps=2,
+        config=SWConfig(**plan, parallel="pool", ranks=2, thickness_adv_order=4))
 api.run_ensemble("galewsky", mesh=mesh, config=SWConfig(**plan), steps=2,
                  ensemble=2, perturb_seed=1)
 api.run("galewsky", mesh=mesh, steps=2, run_dir={str(tmp_path / "durable")!r},
@@ -559,11 +628,11 @@ print([m for m in ('scipy.spatial', 'scipy.sparse', 'networkx') if m in sys.modu
 
 
 def test_pool_workers_import_scipy_sparse_only_through_the_parent(tmp_path):
-    """An order-2 pool worker compiles its rank's operators with numpy and
-    never imports ``scipy.sparse``.  An order-4 pool composes on every
-    rank's mesh, so the parent imports the package once before it forks and
-    the workers inherit it.  A fresh interpreter logs the pid of every
-    process that looks ``scipy.sparse`` up."""
+    """An order-2 pool never imports ``scipy.sparse``.  An order-4 pool on a
+    mesh with no operator archives composes its matrices in the parent,
+    before it forks; its workers slice them and never look the package up.
+    A fresh interpreter logs the pid of every process that looks
+    ``scipy.sparse`` up."""
     import sys
 
     from repro.mesh.cache import cache_dir, cached_mesh
@@ -588,7 +657,9 @@ dt = api.suggested_dt(mesh, api.resolve_case("galewsky"), GRAVITY)
 pool = dict(dt=dt, backend="sparse", plan=True, parallel="pool", ranks=2)
 api.run("galewsky", mesh=mesh, steps=2, config=SWConfig(**pool))
 print(os.path.exists({str(log)!r}))
-api.run("galewsky", mesh=mesh, steps=2, config=SWConfig(**pool, thickness_adv_order=4))
+from repro.mesh.cache import cached_mesh
+fresh = cached_mesh(2, lloyd_iterations=0, use_disk=False)
+api.run("galewsky", mesh=fresh, steps=2, config=SWConfig(**pool, thickness_adv_order=4))
 print(os.getpid())
 """
     result = subprocess.run(
@@ -608,9 +679,8 @@ print(os.getpid())
 def test_scipy_sparse_is_imported_only_to_compose():
     """Under ``src/repro`` one function imports ``scipy.sparse``
     (``engine/sparse.scipy_sparse``), and it is called only by the two
-    compose builders, the conversion they use and the pool parent's
-    pre-fork import; the kernel loader falls back to the package when the
-    extension file is not where it looks.  A warm run calls the compiled
+    compose builders and the conversion they use; the kernel loader falls
+    back to the package when the extension file is not where it looks.  A warm run calls the compiled
     kernels and never pays the package's 80 ms and 22 MB."""
     import ast
 
@@ -635,7 +705,6 @@ def test_scipy_sparse_is_imported_only_to_compose():
     }
     assert _scopes_containing(calls_it) == {
         ("engine/sparse.py", "CSR.to_scipy"),
-        ("engine/plan.py", "import_composer"),
         ("engine/plan.py", "_Compiler._emit_D1"),
         ("engine/plan.py", "_Compiler._hyperviscosity_stage"),
     }

@@ -175,6 +175,8 @@ class TestOperatorCache:
         assert np.any(m.data != 0.0)  # recompiled, not the poisoned load
 
     def test_rank_local_meshes_stay_memory_only(self, mesh3, op_cache):
+        """A rank's operator is its parent's, restricted in memory: the one
+        archive a rank's dispatch leaves is the parent mesh's own."""
         from repro.parallel.halo import build_local_mesh
         from repro.parallel.partition import partition_cells
 
@@ -183,7 +185,9 @@ class TestOperatorCache:
         rng = np.random.default_rng(0)
         dispatch("cell_divergence", lm, rng.standard_normal(lm.nEdges),
                  backend="sparse")
-        assert not list((op_cache / "operators").glob("*.npz"))
+        assert list((op_cache / "operators").glob("*.npz")) == [
+            operator_cache_path(mesh3, "cell_divergence")
+        ]
 
     def test_disk_policy_follows_mesh_identity(self, op_cache):
         from repro.mesh import cached_mesh, clear_memory_cache
@@ -207,7 +211,9 @@ class TestDecompositionStability:
         "op,kinds", _SPARSE_OPS, ids=[o for o, _ in _SPARSE_OPS]
     )
     def test_owned_rows_bitwise_on_local_mesh(self, mesh3, rng, op, kinds):
-        """Lane-ordered CSR rows make local owned rows bitwise == global."""
+        """A rank's operator keeps the global rows whose stencil it holds
+        (every owned row among them), lane order included: their outputs
+        are bitwise the global ones."""
         from repro.parallel.halo import build_local_mesh
         from repro.parallel.partition import partition_cells
 
@@ -237,12 +243,21 @@ class TestDecompositionStability:
             "vertex": lm.n_owned_vertices,
         }[out_kind]
         gmap = gmaps[out_kind]
+        matrix_op = default_registry().op(op).resolve("sparse").matrix_op
+        whole, mine = (sparse_operator(m, matrix_op) for m in (mesh3, lm))
+        # A held row lost no lane to the restriction; a point is held when
+        # all its block rows are.
+        rows_held = np.diff(mine.indptr) == np.diff(whole.indptr)[
+            lm.rows(np.arange(whole.shape[0]))
+        ]
+        held = rows_held.reshape(gmap.size, -1).all(axis=1)
+        assert held[:n_owned].all() and held.sum() > n_owned
         g_arrays = g if isinstance(g, tuple) else (g,)
         l_arrays = l if isinstance(l, tuple) else (l,)
         for ga, la in zip(g_arrays, l_arrays):
-            assert np.array_equal(
-                np.asarray(ga)[gmap[:n_owned]], np.asarray(la)[:n_owned]
-            )
+            la = np.asarray(la).reshape(gmap.size, -1)
+            ga = np.asarray(ga).reshape(-1, la.shape[1])[gmap]
+            assert np.array_equal(ga[held], la[held])
 
 
 class TestAcceptanceRun:
