@@ -248,12 +248,13 @@ def _execute(req: RunRequest, callback=None) -> RunResult:
             "repro.api.run_ensemble (or `python -m repro run --ensemble N`)"
         )
     if req.run_dir is not None:
-        from .resilience.durable import run_durable
+        from .resilience.durable import DurableRun, durable_config, resume_durable
 
-        return run_durable(
-            req.run_dir, req.case_token, req.mesh, config, req.steps,
-            invariant_interval=req.invariant_interval, callback=callback,
+        DurableRun.create(
+            req.run_dir, req.case_token, req.mesh, durable_config(config),
+            req.steps, req.invariant_interval,
         )
+        return resume_durable(req.run_dir, req.mesh, req.invariant_interval, callback)
     with ShallowWaterModel(req.mesh, config) as model:
         model.initialize(resolve_case(req.case))
         return model.run(

@@ -22,12 +22,12 @@ This module is that surface, three functions over
     a partially-run directory resumes from its newest committed
     checkpoint, and a *completed* job whose in-memory result is gone
     (process restart, or retention — below) reconstructs it from the final
-    checkpoint — the manifest is the source of truth, not this process's
-    memory.
+    checkpoint — the run directory is the source of truth, not this
+    process's memory.
 
 Durability is opt-in per request: a ``run_dir`` on the request routes the
-job through the PR 8 :mod:`~repro.resilience.durable` machinery (manifest
-+ committed checkpoints), and :func:`status`/:func:`result` accept the
+job through :mod:`~repro.resilience.durable` (manifest, commit journal and
+checkpoints), and :func:`status`/:func:`result` accept the
 bare run directory in place of a handle, so a fresh process can pick up a
 job it never submitted.  Requests without ``run_dir`` live only in this
 process (fine for scripts and tests, gone on restart).
@@ -49,7 +49,6 @@ trajectory.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -243,30 +242,23 @@ def _run_now(req):
 
 def _ensure_manifest(req, run_dir: Path) -> None:
     """Create the durable run directory now (or attach to a matching one)."""
-    from .resilience.durable import DurableRun, ManifestError
+    from .resilience.durable import MANIFEST_NAME, DurableRun, ManifestError, durable_config
 
-    config = req.config
-    if config.checkpoint_interval < 1:
-        # Mirror run_durable: a durable run without checkpoints would be
-        # an ordinary run with extra paperwork.
-        config = dataclasses.replace(config, checkpoint_interval=1)
-    if (run_dir / "manifest.json").exists():
+    config = durable_config(req.config)
+    if (run_dir / MANIFEST_NAME).exists():
         existing = DurableRun.open(run_dir)
         existing.validate_compatible(
             config=config, mesh=req.mesh, case_token=req.case_token
         )
-        if int(existing.manifest["steps"]) != int(req.steps):
-            raise ManifestError(
-                f"job horizon {req.steps} does not match the durable run in "
-                f"{run_dir} (manifest: {existing.manifest['steps']}); point "
-                f"the request at a fresh directory"
-            )
-        if existing.invariant_interval != req.invariant_interval:
-            raise ManifestError(
-                f"invariant_interval {req.invariant_interval} does not match "
-                f"the durable run in {run_dir} (manifest: "
-                f"{existing.invariant_interval}); use a fresh directory"
-            )
+        for what, recorded, given in (
+            ("job horizon", existing.manifest["steps"], req.steps),
+            ("invariant_interval", existing.invariant_interval, req.invariant_interval),
+        ):
+            if int(recorded) != int(given):
+                raise ManifestError(
+                    f"{what} {given} does not match the durable run in {run_dir} "
+                    f"(manifest: {recorded}); point the request at a fresh directory"
+                )
         return
     DurableRun.create(
         run_dir, req.case_token, req.mesh, config, req.steps, req.invariant_interval
@@ -276,12 +268,10 @@ def _ensure_manifest(req, run_dir: Path) -> None:
 def _durable_status(run_dir: Path) -> str:
     from .resilience.durable import DurableRun
 
-    run = DurableRun.open(run_dir)
-    if run.manifest.get("completed"):
+    manifest = DurableRun.open(run_dir).manifest
+    if manifest.get("completed"):
         return "completed"
-    if run.manifest["checkpoints"]:
-        return "running"
-    return "pending"
+    return "running" if manifest["checkpoints"] else "pending"
 
 
 def _durable_result(run_dir: Path, mesh=None):
@@ -320,18 +310,15 @@ def _reconstruct_completed(run, mesh=None):
     from .swm.testcases import initialize
 
     total = int(run.manifest["steps"])
-    found = run.latest_valid_checkpoint()
-    if found is None or found[0] != total:
-        at = "none" if found is None else f"step {found[0]}"
+    mesh = run.resolve_mesh(mesh)
+    step, final = run.restore(mesh)
+    if step != total:
         raise ManifestError(
             f"the completed run in {run.directory} has no valid final "
-            f"checkpoint (newest: {at}, want step {total}); the result "
-            f"cannot be reconstructed"
+            f"checkpoint (newest: step {step}, want step {total}); the "
+            f"result cannot be reconstructed"
         )
-    _, ckpt = found
-    mesh = run.resolve_mesh(mesh)
     get_registry().counter("jobs.reconstructed").inc()
-    final = ShallowWaterModel.from_checkpoint(mesh, ckpt)
     case = resolve_case(run.manifest["case"])
     start = ShallowWaterModel.from_state(
         mesh, final.config, case, initialize(mesh, case)[0],

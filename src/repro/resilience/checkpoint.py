@@ -1,20 +1,19 @@
 """Restart files: the one writer.
 
-:func:`write_restart` is the only function in the tree that lays out a
-restart archive; :meth:`repro.swm.model.ShallowWaterModel.save_checkpoint`
-publishes through it, for every executor, and during a run only a durable
-run calls that (:meth:`repro.resilience.durable.DurableRun.checkpoint`) — a
-watchdog rollback returns to a state the run loop keeps in memory.  The
-file is an *uncompressed* ``.npz`` (``h``, ``u``,
-``b_cell``, ``f_vertex``, ``config``): float64 mantissas do not compress —
-zlib spent 25 ms to turn 577 KB into 466 KB at level 5 — and ``np.load``
-reads stored and deflated members alike, so restart files written by
-earlier revisions keep loading.  The archive is built in memory, hashed
-there and written once, so the writer hands its caller the byte length and
-SHA-256 of exactly what it published and nothing has to read the file back.
-Every published file counts into ``resilience.checkpoint.saved`` /
-``resilience.checkpoint.bytes`` and the ``resilience.checkpoint.write_s``
-timer.
+:func:`publish` is the tree's one crash-atomic publisher of run files —
+restart archives, a durable run's fixed-fields file and its manifest — and
+:func:`write_restart` the one layout of a restart archive, behind
+:meth:`repro.swm.model.ShallowWaterModel.save_checkpoint`; during a run
+only a durable run calls that (:meth:`repro.resilience.durable.DurableRun.
+checkpoint`).  The archive is an *uncompressed* ``.npz`` of ``h``, ``u``
+and ``config``, plus ``b_cell`` / ``f_vertex`` in a self-contained file (a
+durable run stores those once per directory: 577 KB → 328 KB per level-5
+step).  Float64 mantissas do not compress — zlib spent 25 ms to turn 577 KB
+into 466 KB — and ``np.load`` reads stored and deflated members alike, so
+older restart files keep loading.  Bytes are built and hashed in memory and
+written once: the caller gets the length and SHA-256 of what was published
+without reading it back.  Restart files count into
+``resilience.checkpoint.saved`` / ``.bytes`` and the ``.write_s`` timer.
 """
 
 from __future__ import annotations
@@ -30,38 +29,43 @@ import numpy as np
 
 from ..obs.metrics import get_registry
 
-__all__ = ["write_restart"]
+__all__ = ["archive", "publish", "write_restart"]
 
 
-def write_restart(path, state, b_cell, f_vertex, config) -> tuple[int, str]:
-    """Atomically publish one restart file; return its ``(bytes, sha256)``.
+def archive(**members) -> memoryview:
+    """The bytes of an uncompressed ``.npz`` holding ``members``."""
+    buffer = io.BytesIO()
+    np.savez(buffer, **members)
+    return buffer.getbuffer()
 
-    Crash-atomic: the archive goes to a ``*.tmp`` sibling, is flushed and
-    fsynced, then published with ``os.replace`` — a reader sees the old file
-    or the new file under ``path``, never a torn one.  The digest is taken
-    from the in-memory archive before the single write, so it is the digest
-    of the published bytes without a second pass over the file.
+
+def publish(path, data) -> tuple[int, str]:
+    """Atomically publish ``data`` under ``path``; return its ``(bytes, sha256)``.
+
+    The bytes go to a ``*.tmp`` sibling, are fsynced, then renamed over
+    ``path`` with ``os.replace``: a reader sees the old file or the new one,
+    never a torn one.  The digest is taken from memory before the write.
     """
     path = Path(path)
+    digest = hashlib.sha256(data).hexdigest()
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    return len(data), digest
+
+
+def write_restart(path, state, config, **fixed) -> tuple[int, str]:
+    """Publish one restart file (``state``, ``config`` and the ``fixed``
+    fields given, if any); return its ``(bytes, sha256)``."""
     registry = get_registry()
     with registry.timer("resilience.checkpoint.write_s").time():
-        archive = io.BytesIO()
-        np.savez(
-            archive,
-            h=state.h,
-            u=state.u,
-            b_cell=b_cell,
-            f_vertex=f_vertex,
+        written = publish(path, archive(
+            h=state.h, u=state.u, **fixed,
             config=np.array(json.dumps(dataclasses.asdict(config))),
-        )
-        data = archive.getbuffer()
-        digest = hashlib.sha256(data).hexdigest()
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        ))
     registry.counter("resilience.checkpoint.saved").inc()
-    registry.counter("resilience.checkpoint.bytes").inc(data.nbytes)
-    return data.nbytes, digest
+    registry.counter("resilience.checkpoint.bytes").inc(written[0])
+    return written

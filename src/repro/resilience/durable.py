@@ -3,61 +3,60 @@
 A run that matters is a run that can die — OOM-killed, preempted, power
 lost — and be *continued*, not restarted.  Delmas & Soulaïmani (PAPERS.md)
 treat restart files as first-class artifacts of production SWE runs; this
-module gives the reproduction the same property on top of the existing
-restart-file machinery (:meth:`repro.swm.model.ShallowWaterModel.
-save_checkpoint`), with one extra guarantee: **the newest complete
-checkpoint is always discoverable from the disk alone**, no matter where in
-the write sequence the process died.
+module gives the reproduction the same property on top of the one restart
+writer (:mod:`repro.resilience.checkpoint`), with one extra guarantee:
+**the newest complete checkpoint is always discoverable from the disk
+alone**, no matter where in the write sequence the process died.
 
-The on-disk layout of a run directory::
+The on-disk layout of a run directory (``manifest_version`` 2)::
 
     <run_dir>/
-        manifest.json           # the single source of truth
+        manifest.json           # config, case, mesh, horizon (+ compacted commits)
+        journal.jsonl           # one fsynced commit record per line
+        fields.npz              # b_cell, f_vertex: published once per run
         checkpoints/
-            auto-00000000.npz   # committed restart files
-            auto-00000005.npz
+            auto-00000000.npz   # h, u, config of a committed step
             quarantine/         # torn checkpoints, moved aside on resume
 
 and the crash-consistency protocol:
 
-1. every checkpoint is written by :meth:`DurableRun.checkpoint` — the
-   only caller of ``save_checkpoint`` during a run — through the tree's one
-   restart writer (:func:`repro.resilience.checkpoint.write_restart`:
-   uncompressed ``.npz``, ``*.tmp`` + fsync + ``os.replace``), so a file
-   under its final name is never half-written; the writer returns the byte
-   length and SHA-256 of what it published, taken while writing;
-2. after each checkpoint publish, the manifest is rewritten — also
-   atomically — *committing* the checkpoint: step, file name and the
-   writer's byte length and SHA-256 enter ``manifest["checkpoints"]``
-   without the file being read back (only a file this process did not
-   write is measured with ``stat`` + :func:`sha256_file`);
-3. resume trusts only the manifest: uncommitted checkpoint files (published
-   in the window before the manifest write, or mid-write ``*.tmp`` debris)
-   are deleted, committed files are re-hashed and quarantined if they do
-   not match their recorded digest, and the run continues from the newest
-   checkpoint that survives.
+1. every file is published by :func:`repro.resilience.checkpoint.publish`
+   (``*.tmp`` + fsync + ``os.replace``), which returns its byte length and
+   SHA-256: nothing is torn under its final name, nothing is read back;
+2. :meth:`DurableRun.checkpoint` publishes a step file, then *commits* it
+   by appending one fsynced line (step, file, bytes, SHA-256) to the
+   journal — two fsyncs, before step *s+1* starts; the run's first commit
+   publishes ``fields.npz`` before its step file and records both in one
+   append;
+3. ``manifest.json`` is published by :meth:`DurableRun.create` and, every
+   commit folded in, by :meth:`DurableRun.mark_complete`; in between no
+   synced file is replaced or unlinked (on ext4 mounted ``discard`` each
+   such replace blocked about 40 ms);
+4. committed is what :meth:`DurableRun.open` reads: the manifest with the
+   journal folded in, in order — a later line for a step wins, an
+   unterminated final line (a crash mid-append) is ignored and cut before
+   the next append, any other unreadable line is a :class:`ManifestError`;
+5. resume deletes uncommitted step files and ``*.tmp`` debris, re-hashes
+   committed files (quarantining any that no longer match) and continues
+   from the newest survivor (:meth:`DurableRun.restore`).
 
-Every commit is synchronous — checkpoint *s* is durable (file fsynced,
-then manifest fsynced: two fsyncs) before step *s+1* starts.  Group commit
-and a write-behind thread would be cheaper and were declined: both trade
-away exactly that ordering, which is safety, not overhead.  What a commit
-still costs beyond its fsync is the whole-manifest rewrite, O(committed
-checkpoints) — an append-only journal is the follow-up.
+Group commit and a write-behind thread would be cheaper and were declined:
+both trade away the ordering of 2, which is safety, not overhead.
+Version-1 directories (manifest rewritten per commit, step files carrying
+``b_cell`` / ``f_vertex``) resume bitwise: such a step file is restored
+from itself, and the manifest is republished as version 2 before the
+directory's first journal line.
 
-Because checkpoints land at fixed multiples of ``config.
-checkpoint_interval`` — a resumed run keeps the cadence of the original —
-and the restart contract is bitwise (diagnostics are a pure function of the
-state), a run killed at *any* point and resumed produces the identical
-final state to one that was never interrupted, on every executor: a durable
-run is the model's one run loop with :meth:`DurableRun.checkpoint` as its
-checkpoint hook (decomposed ranks are reloaded from the restored global
-state via ``load_state``).  The crash-chaos tests prove exactly that with
-real ``SIGKILL``\\ s (the ``process.crash`` fault site).
-
-Entry points: :func:`run_durable` (fresh run into a directory),
-:func:`resume_durable` (continue one), surfaced as
-``repro.api.run(run_dir=... / resume=...)`` and ``python -m repro run
---run-dir/--resume``.
+Checkpoints land at fixed multiples of ``config.checkpoint_interval`` and
+the restart contract is bitwise (diagnostics are a pure function of the
+state), so a run killed at *any* point and resumed ends in the identical
+state to one never interrupted, on every executor: a durable run is the
+model's one run loop with :meth:`DurableRun.checkpoint` as its checkpoint
+hook.  The crash-chaos tests prove it with real ``SIGKILL``\\ s (the
+``process.crash`` fault site).  A fresh run is :meth:`DurableRun.create`
+and then :func:`resume_durable` of the directory nobody drove yet, surfaced
+as ``repro.api.run(run_dir=... / resume=...)``, ``repro.jobs`` and
+``python -m repro run --run-dir/--resume``.
 """
 
 from __future__ import annotations
@@ -68,8 +67,11 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 from ..obs.metrics import get_registry
 from ..swm.config import SWConfig
+from .checkpoint import archive, publish
 from .integrity import quarantine
 
 __all__ = [
@@ -77,12 +79,13 @@ __all__ = [
     "MANIFEST_NAME",
     "ManifestError",
     "DurableRun",
-    "run_durable",
     "resume_durable",
 ]
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
+JOURNAL_NAME = "journal.jsonl"
+FIELDS_NAME = "fields.npz"
 CHECKPOINT_DIRNAME = "checkpoints"
 
 
@@ -94,27 +97,15 @@ class ManifestError(RuntimeError):
     """
 
 
-def sha256_file(path: str | Path, chunk: int = 1 << 20) -> str:
-    """Streamed SHA-256 hex digest of a file."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while True:
-            block = fh.read(chunk)
-            if not block:
-                break
-            h.update(block)
-    return h.hexdigest()
+def sha256_file(path: str | Path) -> str:
+    """SHA-256 hex digest of a file (restart files are read whole)."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Publish a JSON document with temp-write + fsync + ``os.replace``."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+def durable_config(config: SWConfig) -> SWConfig:
+    """``config`` as a run directory records it: at least one step between
+    checkpoints (a durable run without any is a plain run with paperwork)."""
+    return dataclasses.replace(config, checkpoint_interval=max(1, config.checkpoint_interval))
 
 
 def _mesh_identity(mesh) -> dict:
@@ -131,11 +122,8 @@ def _mesh_identity(mesh) -> dict:
     info = getattr(mesh, "info", None) or {}
     level = info.get("level")
     name = str(getattr(mesh, "name", ""))
-    if level is None and name.startswith("icos"):
-        try:
-            level = int(name[4:])
-        except ValueError:
-            level = None
+    if level is None and name.startswith("icos") and name[4:].isdigit():
+        level = int(name[4:])
     return {
         "fingerprint": mesh_fingerprint(mesh),
         "name": name,
@@ -151,15 +139,12 @@ class DurableRun:
     def __init__(self, directory: Path, manifest: dict) -> None:
         self.directory = Path(directory)
         self.manifest = manifest
+        self._torn: int | None = None  # where a torn final journal line starts
 
     # ------------------------------------------------------------ lifecycle
     @property
     def checkpoint_path(self) -> Path:
         return self.directory / CHECKPOINT_DIRNAME
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.directory / MANIFEST_NAME
 
     @classmethod
     def create(
@@ -171,7 +156,7 @@ class DurableRun:
         ``invariant_interval`` is recorded for drivers that know only the
         directory (``jobs.result(run_dir)``)."""
         directory = Path(directory)
-        if (directory / MANIFEST_NAME).exists():
+        if any((directory / name).exists() for name in (MANIFEST_NAME, JOURNAL_NAME)):
             raise ManifestError(
                 f"{directory} already holds a durable run; resume it with "
                 f"repro.api.run(resume={str(directory)!r}) / "
@@ -196,7 +181,8 @@ class DurableRun:
 
     @classmethod
     def open(cls, directory) -> "DurableRun":
-        """Attach to an existing run directory."""
+        """Attach to an existing run directory: its manifest with the
+        journal folded in."""
         directory = Path(directory)
         path = directory / MANIFEST_NAME
         if not path.exists():
@@ -214,38 +200,95 @@ class DurableRun:
                 f"directory by hand"
             ) from exc
         version = manifest.get("manifest_version")
-        if version != MANIFEST_VERSION:
+        if version not in (1, MANIFEST_VERSION):
             raise ManifestError(
                 f"manifest {path} has version {version!r}, this build "
-                f"understands {MANIFEST_VERSION}; resume with the matching "
-                f"code revision or start a fresh run directory"
+                f"understands 1 and {MANIFEST_VERSION}; resume with the "
+                f"matching code revision or start a fresh run directory"
             )
-        return cls(directory, manifest)
+        run = cls(directory, manifest)
+        run._replay()
+        return run
 
     @property
     def invariant_interval(self) -> int:
         return int(self.manifest.get("invariant_interval", 0))  # absent: old
 
     def save(self) -> None:
-        """Atomically publish the current manifest."""
-        _atomic_write_json(self.manifest_path, self.manifest)
+        """Atomically publish the manifest, every commit folded in."""
+        text = json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
+        publish(self.directory / MANIFEST_NAME, text.encode())
+
+    def _replay(self) -> None:
+        """Fold the journal's commit records into the manifest, in order."""
+        path = self.directory / JOURNAL_NAME
+        if not path.exists():
+            return
+        raw = path.read_bytes()
+        *lines, tail = raw.split(b"\n")  # tail: b"" unless an append was torn
+        records = []
+        for number, line in enumerate(lines, 1):
+            try:
+                records.append(json.loads(line))
+            except ValueError as exc:
+                raise ManifestError(
+                    f"line {number} of {path} was damaged after it was "
+                    f"committed ({exc}); restore the run directory from a "
+                    f"copy, or start a fresh one"
+                ) from exc
+        self._fold(records)
+        self._torn = len(raw) - len(tail) if tail else None
+
+    def _fold(self, records: list[dict]) -> None:
+        """Apply commit records: a later entry for a step replaces it."""
+        by_step = {c["step"]: c for c in self.manifest["checkpoints"]}
+        for record in records:
+            if "step" in record:
+                by_step[record["step"]] = record
+            else:
+                self.manifest["fields"] = record
+        self.manifest["checkpoints"] = [by_step[s] for s in sorted(by_step)]
+
+    def _append(self, records: list[dict]) -> None:
+        """Commit ``records``: one fsynced append to the journal."""
+        if self.manifest["manifest_version"] != MANIFEST_VERSION:
+            # A version-1 directory: code that cannot read the journal
+            # must refuse it from now on, not miss the commits in it.
+            self.manifest["manifest_version"] = MANIFEST_VERSION
+            self.save()
+        data = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        with open(self.directory / JOURNAL_NAME, "ab") as fh:
+            if self._torn is not None:
+                fh.truncate(self._torn)  # a crash tore the last line
+                self._torn = None
+            fh.write(data.encode())
+            fh.flush()
+            os.fsync(fh.fileno())
+        self._fold(records)
 
     # ---------------------------------------------------------- checkpoints
     def checkpoint(self, step: int, model) -> None:
         """Write ``model``'s state as step ``step``'s restart file and commit
-        it — the run loop's ``on_checkpoint`` hook."""
+        it — the run loop's ``on_checkpoint`` hook.  The run directory's
+        first commit publishes the fixed fields file before it."""
+        fields = None
+        if "fields" not in self.manifest:
+            size, digest = publish(self.directory / FIELDS_NAME, archive(
+                b_cell=model.b_cell, f_vertex=model.integrator.f_vertex
+            ))
+            fields = {"file": FIELDS_NAME, "bytes": size, "sha256": digest}
         path = self.checkpoint_path / f"auto-{step:08d}.npz"
-        self.commit_checkpoint(step, path, model.save_checkpoint(path))
+        written = model.save_checkpoint(path, fields=False)
+        self.commit_checkpoint(step, path, written, fields)
 
-    def commit_checkpoint(self, step: int, path, written=None) -> None:
-        """Record a just-published checkpoint file in the manifest.
+    def commit_checkpoint(self, step: int, path, written=None, fields=None) -> None:
+        """Record a just-published checkpoint file (and the ``fields``
+        record, if given) in one journal append: the commit point.
 
-        The commit point of the protocol: only after this returns is the
-        checkpoint reachable by a future resume.  ``written`` is the
-        ``(bytes, sha256)`` the restart writer returned for ``path``; a
-        bare path (a file this process did not write) is measured here
-        with ``stat`` + :func:`sha256_file`.  Re-committing a step (a
-        resumed run re-saving its restart point) replaces the entry.
+        ``written`` is the ``(bytes, sha256)`` the restart writer returned
+        for ``path``; a bare path (a file this process did not write) is
+        measured here with ``stat`` + :func:`sha256_file`.  Re-committing a
+        step supersedes its entry.
         """
         path = Path(path)
         with get_registry().timer("resilience.durable.commit_s").time():
@@ -256,10 +299,40 @@ class DurableRun:
                 "bytes": int(size),
                 "sha256": digest,
             }
-            kept = [c for c in self.manifest["checkpoints"] if c["step"] != step]
-            kept.append(entry)
-            self.manifest["checkpoints"] = sorted(kept, key=lambda c: c["step"])
-            self.save()
+            self._append([fields, entry] if fields else [entry])
+
+    def restore(self, mesh, case=None):
+        """``(step, model)`` of the newest committed checkpoint that survives
+        validation: the one restore path of a resume and of a completed
+        job's result.  The file's config, not the manifest's: a mid-run dt
+        halving survives the restart.  A step file that carries ``b_cell``
+        / ``f_vertex`` (version 1, or a self-contained ``save_checkpoint``
+        file) is restored from itself, any other from the run's fields file
+        once that matches its committed digest.
+        """
+        from ..swm.model import ShallowWaterModel
+
+        found = self.latest_valid_checkpoint()
+        if found is None:
+            raise ManifestError(
+                f"no committed checkpoint in {self.directory} survives "
+                f"validation; the run cannot be resumed — start a fresh run "
+                f"directory"
+            )
+
+        def fixed() -> dict:
+            record, fields = self.manifest.get("fields"), self.directory / FIELDS_NAME
+            if not (record and fields.exists() and self.entry_matches_file(record)):
+                raise ManifestError(
+                    f"the fields file {fields} (b_cell and f_vertex of every "
+                    f"step file of the run) is missing, uncommitted or does "
+                    f"not match its committed digest; restore the run "
+                    f"directory from a copy, or start a fresh one"
+                )
+            with np.load(fields) as held:
+                return dict(held)
+
+        return found[0], ShallowWaterModel.from_checkpoint(mesh, found[1], case, fixed)
 
     def latest_valid_checkpoint(self) -> tuple[int, Path] | None:
         """The newest committed checkpoint whose bytes match the manifest.
@@ -280,37 +353,32 @@ class DurableRun:
 
     def entry_matches_file(self, entry: dict) -> bool:
         """Whether a manifest entry's byte length and SHA-256 are those of
-        the file it names (which must exist)."""
-        path = self.checkpoint_path / entry["file"]
+        the file it names (which must exist): a step file, or the fields
+        file (the entry without a step)."""
+        path = (self.checkpoint_path if "step" in entry else self.directory) / entry["file"]
         return (
             path.stat().st_size == entry["bytes"]
             and sha256_file(path) == entry["sha256"]
         )
 
     def clean_uncommitted(self) -> list[Path]:
-        """Delete checkpoint files the manifest never committed.
+        """Delete checkpoint files that were never committed.
 
-        A crash between publishing ``auto-N.npz`` and rewriting the
-        manifest leaves a complete-looking file that the run never vouched
+        A crash between publishing ``auto-N.npz`` and appending its journal
+        line leaves a complete-looking file that the run never vouched
         for; a resumed process must not discover and roll forward onto it.
         ``*.tmp`` debris from a crash mid-write goes too.
         """
         committed = {c["file"] for c in self.manifest["checkpoints"]}
-        removed: list[Path] = []
-        cdir = self.checkpoint_path
-        if not cdir.exists():
-            return removed
-        for path in sorted(cdir.glob("auto-*.npz")):
-            if path.name not in committed:
-                path.unlink(missing_ok=True)
-                removed.append(path)
-        for path in sorted(cdir.glob("*.tmp")):
+        found = [*self.checkpoint_path.glob("auto-*.npz"), *self.checkpoint_path.glob("*.tmp")]
+        removed = sorted(path for path in found if path.name not in committed)
+        for path in removed:
             path.unlink(missing_ok=True)
-            removed.append(path)
         return removed
 
     def mark_complete(self) -> None:
-        """Stamp the run finished (resume will refuse it thereafter)."""
+        """Stamp the run finished (resume refuses it thereafter) and publish
+        the compacted manifest; the journal stays (folding it is idempotent)."""
         self.manifest["completed"] = True
         self.save()
 
@@ -355,7 +423,6 @@ class DurableRun:
                 f"{self.directory} (manifest: {self.manifest['case']!r})"
             )
 
-
     def resolve_mesh(self, mesh=None):
         """The mesh of this run: ``mesh`` when handed one, else rebuilt
         through the cache from the manifest's level/lloyd/radius hints —
@@ -380,76 +447,7 @@ class DurableRun:
         return mesh
 
 
-# ----------------------------------------------------------------- driver
-def _drive(
-    run: DurableRun, mesh, case, config: SWConfig, start_step: int, total: int,
-    ckpt: Path | None, invariant_interval: int = 0, callback=None,
-):
-    """Integrate ``run`` from ``start_step`` (the restart file ``ckpt``, or
-    the initial condition when ``None``) to ``total`` — the one driver of a
-    manifest: the model's run loop with :meth:`DurableRun.checkpoint` as its
-    checkpoint hook, on whichever executor the config names."""
-    from ..swm.model import ShallowWaterModel
-
-    if ckpt is None:
-        model = ShallowWaterModel(mesh, config)
-    else:
-        # The file's config, not the manifest's: a mid-run dt halving
-        # survives the restart.
-        model = ShallowWaterModel.from_checkpoint(mesh, ckpt, case)
-    with model:
-        if ckpt is None:
-            model.initialize(case)
-            run.checkpoint(start_step, model)
-        result = model.run(
-            steps=total - start_step,
-            start_step=start_step,
-            invariant_interval=invariant_interval,
-            callback=callback,
-            on_checkpoint=run.checkpoint,
-        )
-        if total > start_step and total % model.config.checkpoint_interval:
-            run.checkpoint(total, model)  # the hook stops short of the horizon
-    run.mark_complete()
-    return result
-
-
 # ------------------------------------------------------------ entry points
-def run_durable(
-    directory,
-    case_token,
-    mesh,
-    config: SWConfig,
-    steps: int,
-    invariant_interval: int = 0,
-    callback=None,
-):
-    """Start a fresh durable run in ``directory`` and integrate ``steps``.
-
-    ``case_token`` must be a case *name or Williamson number* (something
-    :func:`repro.api.resolve_case` can re-resolve at resume time); an
-    ad-hoc :class:`TestCase` object cannot be stored in a manifest.  A
-    ``config.checkpoint_interval`` of 0 is bumped to 1 — a durable run
-    without checkpoints would be an ordinary run with extra paperwork.
-    """
-    from ..api import resolve_case
-
-    if not isinstance(case_token, (str, int)):
-        raise ManifestError(
-            "durable runs need the case as a name or Williamson number "
-            "(resolvable again at resume time), not a TestCase object"
-        )
-    case = resolve_case(case_token)
-    if config.checkpoint_interval < 1:
-        config = dataclasses.replace(config, checkpoint_interval=1)
-    run = DurableRun.create(
-        directory, case_token, mesh, config, steps, invariant_interval
-    )
-    return _drive(
-        run, mesh, case, config, 0, steps, None, invariant_interval, callback
-    )
-
-
 def resume_durable(
     directory,
     mesh=None,
@@ -459,14 +457,16 @@ def resume_durable(
     """Continue the durable run in ``directory`` to its recorded horizon.
 
     Everything is restored from the directory: the config and case from
-    the manifest, the state from the newest checkpoint whose bytes match
-    their committed digest (the initial condition when the manifest has
-    committed none: a directory that was created but never driven), the
-    mesh through the cache (pass ``mesh=`` to skip the rebuild — its
-    fingerprint is validated against the manifest).  The continued
-    trajectory is bitwise identical to an uninterrupted run.
+    the manifest, the state by :meth:`DurableRun.restore` (the initial
+    condition when nothing is committed yet: a directory that was created
+    but never driven), the mesh through the cache (pass ``mesh=`` to skip
+    the rebuild — its fingerprint is validated against the manifest).  The
+    model's one run loop integrates to the horizon, on whichever executor
+    the config names, with :meth:`DurableRun.checkpoint` as its checkpoint
+    hook: bitwise the trajectory of an uninterrupted run.
     """
     from ..api import resolve_case
+    from ..swm.model import ShallowWaterModel
 
     run = DurableRun.open(directory)
     if run.manifest.get("completed"):
@@ -475,23 +475,28 @@ def resume_durable(
             f"{run.manifest['steps']} steps; start a fresh run directory "
             f"to integrate further"
         )
-    config = SWConfig.from_dict(run.manifest["config"])
     case = resolve_case(run.manifest["case"])
     mesh = run.resolve_mesh(mesh)
 
     run.clean_uncommitted()
     total = int(run.manifest["steps"])
-    found = (0, None)  # never driven: start from the initial condition
-    if run.manifest["checkpoints"]:
-        found = run.latest_valid_checkpoint()
-        if found is None:
-            raise ManifestError(
-                f"no committed checkpoint in {run.directory} survives "
-                f"validation; the run cannot be resumed — start a fresh run "
-                f"directory"
-            )
-    start_step, ckpt = found
-    return _drive(
-        run, mesh, case, config, start_step, total, ckpt,
-        invariant_interval, callback,
-    )
+    driven = bool(run.manifest["checkpoints"])
+    if driven:
+        start, model = run.restore(mesh, case)
+    else:  # never driven: start from the initial condition
+        start, model = 0, ShallowWaterModel(mesh, SWConfig.from_dict(run.manifest["config"]))
+    with model:
+        if not driven:
+            model.initialize(case)
+            run.checkpoint(start, model)
+        result = model.run(
+            steps=total - start,
+            start_step=start,
+            invariant_interval=invariant_interval,
+            callback=callback,
+            on_checkpoint=run.checkpoint,
+        )
+        if total > start and total % model.config.checkpoint_interval:
+            run.checkpoint(total, model)  # the hook stops short of the horizon
+    run.mark_complete()
+    return result

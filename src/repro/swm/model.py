@@ -392,7 +392,7 @@ class ShallowWaterModel:
         return model
 
     # ------------------------------------------------------------ checkpoints
-    def save_checkpoint(self, path) -> tuple[int, str]:
+    def save_checkpoint(self, path, fields: bool = True) -> tuple[int, str]:
         """Write a restart file: prognostic state + the run's fixed fields.
 
         The continuation contract (tested): restoring and running N steps is
@@ -400,6 +400,8 @@ class ShallowWaterModel:
         the end-of-step diagnostics are a pure function of the state, so
         only ``h``, ``u``, ``b``, ``f`` and the configuration need storing
         (exactly MPAS's restart-stream content for this core).
+        ``fields=False`` leaves out the never-changing ``b`` and ``f`` — a
+        durable run's step files, whose run directory holds them once.
 
         The write is crash-atomic and single-pass — see
         :func:`repro.resilience.checkpoint.write_restart`, whose
@@ -409,26 +411,28 @@ class ShallowWaterModel:
 
         if self.state is None:
             raise RuntimeError("nothing to checkpoint: initialize() first")
-        return write_restart(
-            path, self.state, self.b_cell, self.integrator.f_vertex, self.config
-        )
+        fixed = {"b_cell": self.b_cell, "f_vertex": self.integrator.f_vertex}
+        return write_restart(path, self.state, self.config, **(fixed if fields else {}))
 
     @classmethod
     def from_checkpoint(
-        cls, mesh: Mesh, path, case: TestCase | None = None
+        cls, mesh: Mesh, path, case: TestCase | None = None, fixed=None
     ) -> "ShallowWaterModel":
         """Rebuild a runnable model from a restart file (same mesh).
 
         ``case`` is what a decomposed configuration re-derives its ranks
         from when the run continues; the restored state is loaded into them.
+        A file without ``b_cell`` / ``f_vertex`` (a durable run's step file)
+        takes them from ``fixed()``: restore it with
+        :meth:`repro.resilience.durable.DurableRun.restore`.
         """
         import json
-        from pathlib import Path
 
-        with np.load(Path(path)) as data:
+        with np.load(path) as data:
             config = SWConfig.from_dict(json.loads(str(data["config"])))
             state = State(h=data["h"].copy(), u=data["u"].copy())
-            b_cell, f_vertex = data["b_cell"].copy(), data["f_vertex"].copy()
+            held = data if "b_cell" in data.files else fixed()
+            b_cell, f_vertex = held["b_cell"].copy(), held["f_vertex"].copy()
         return cls.from_state(mesh, config, case, state, b_cell, f_vertex)
 
     # ----------------------------------------------------------- finalization

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,8 @@ from repro.api import resolve_case, run, suggested_dt
 from repro.constants import GRAVITY
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.resilience.durable import (
+    FIELDS_NAME,
+    JOURNAL_NAME,
     MANIFEST_NAME,
     DurableRun,
     ManifestError,
@@ -60,18 +63,33 @@ def _crash_plan(step: int) -> FaultPlan:
 
 
 def _committed_steps(directory: Path) -> list[int]:
-    manifest = json.loads((directory / MANIFEST_NAME).read_text())
-    return [c["step"] for c in manifest["checkpoints"]]
+    """Committed: the manifest with the journal folded in."""
+    return [c["step"] for c in DurableRun.open(directory).manifest["checkpoints"]]
 
 
 def _assert_manifest_describes_files(directory: Path) -> None:
     """Digest-on-write == digest-of-file, for every committed checkpoint."""
-    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    manifest = DurableRun.open(directory).manifest
     assert manifest["checkpoints"]
     for entry in manifest["checkpoints"]:
         path = directory / "checkpoints" / entry["file"]
         assert entry["bytes"] == path.stat().st_size, entry
         assert entry["sha256"] == sha256_file(path), entry
+
+
+def _crashed(mesh, directory: Path, at: int, steps: int = 6) -> SWConfig:
+    """A durable run (a checkpoint every 2 steps) crashed as step ``at``
+    starts; returns its config."""
+    cfg = _cfg(mesh, checkpoint_interval=2)
+    with use_fault_plan(_crash_plan(at)):
+        with pytest.raises(FaultInjected):
+            run("galewsky", mesh=mesh, config=cfg, steps=steps, run_dir=directory)
+    return cfg
+
+
+def _assert_bitwise(result, ref) -> None:
+    assert np.array_equal(result.state.h, ref.state.h)
+    assert np.array_equal(result.state.u, ref.state.u)
 
 
 def _subprocess_env() -> dict:
@@ -308,9 +326,10 @@ class TestWritePath:
         assert committed == [0, 1, 2, 3, 4]
         assert calls["write"] == len(committed)
         assert calls["reread"] == 0
-        # Two per checkpoint (file, manifest) plus the manifest's first
-        # publish by create() and its last by mark_complete().
-        assert calls["fsync"] == 2 * len(committed) + 2
+        # Two per checkpoint (file, journal line), the fields file the
+        # first commit publishes, and the manifest's two publishes: by
+        # create() and, compacted, by mark_complete().
+        assert calls["fsync"] == 2 * len(committed) + 3
 
     @pytest.mark.parametrize(
         "parallel,ranks", [("serial", 1), ("lockstep", 2), ("pool", 2)]
@@ -365,6 +384,253 @@ class TestWritePath:
         assert np.array_equal(resumed.state.u, ref.state.u)
         assert _committed_steps(d) == [2, 4]
         _assert_manifest_describes_files(d)
+
+
+class TestJournal:
+    """A commit is one fsynced journal line; ``manifest.json`` is published
+    by ``create`` and, compacted, at completion.  Each crash window below is
+    built on disk by hand and resumes to the uninterrupted state bitwise —
+    except a journal damaged in the middle, which is refused."""
+
+    def test_manifest_is_published_twice_and_nothing_synced_is_replaced(
+        self, mesh3, tmp_path, monkeypatch
+    ):
+        replaced, unlinked = [], []
+        real_replace, real_unlink = os.replace, os.unlink
+
+        def spy_replace(src, dst):
+            replaced.append((Path(dst).name, Path(dst).exists()))
+            return real_replace(src, dst)
+
+        def spy_unlink(path, *args, **kwargs):
+            unlinked.append(Path(path).name)
+            return real_unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", spy_replace)
+        monkeypatch.setattr(os, "unlink", spy_unlink)
+        d = tmp_path / "run"
+        run("galewsky", mesh=mesh3, config=_cfg(mesh3, checkpoint_interval=1),
+            steps=4, run_dir=d)
+        monkeypatch.undo()
+
+        names = [name for name, _ in replaced]
+        assert names.count(MANIFEST_NAME) == 2  # was steps + 3
+        assert names.count(FIELDS_NAME) == 1
+        # The one replace of an existing file is the compacted manifest.
+        assert [name for name, existed in replaced if existed] == [MANIFEST_NAME]
+        assert unlinked == []
+        with np.load(d / "checkpoints" / "auto-00000001.npz") as data:
+            assert sorted(data.files) == ["config", "h", "u"]
+        with np.load(d / FIELDS_NAME) as data:
+            assert sorted(data.files) == ["b_cell", "f_vertex"]
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        assert manifest["manifest_version"] == 2 and manifest["completed"]
+        assert [c["step"] for c in manifest["checkpoints"]] == [0, 1, 2, 3, 4]
+
+    def test_torn_last_journal_line_is_ignored_and_cut(self, mesh3, tmp_path):
+        d = tmp_path / "run"
+        cfg = _crashed(mesh3, d, at=5)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        journal = d / JOURNAL_NAME
+        journal.write_bytes(journal.read_bytes()[:-20])  # step 4's line, torn
+        assert _committed_steps(d) == [0, 2]
+        _assert_bitwise(run(resume=d, mesh=mesh3), ref)
+        assert _committed_steps(d) == [0, 2, 4, 6]
+        # The torn tail was cut before the next append, not glued to it.
+        lines = journal.read_text().splitlines()
+        assert [json.loads(line).get("step") for line in lines] == [
+            None, 0, 2, 4, 6
+        ]
+        _assert_manifest_describes_files(d)
+
+    def test_corrupt_middle_line_is_refused(self, mesh3, tmp_path):
+        from repro import jobs
+
+        d = tmp_path / "run"
+        _crashed(mesh3, d, at=5)
+        journal = d / JOURNAL_NAME
+        lines = journal.read_bytes().split(b"\n")  # fields, 0, 2, 4, ""
+        lines[2] = lines[2].replace(b'"step"', b'"st\x00p', 1)
+        journal.write_bytes(b"\n".join(lines))
+        with pytest.raises(ManifestError, match="line 3 of .*journal"):
+            DurableRun.open(d)
+        with pytest.raises(ManifestError, match="restore the run directory"):
+            run(resume=d, mesh=mesh3)
+        with pytest.raises(ManifestError):
+            jobs.status(d)
+
+    def test_step_file_without_journal_line_is_deleted(self, mesh3, tmp_path):
+        d = tmp_path / "run"
+        cfg = _crashed(mesh3, d, at=4)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        checkpoints = d / "checkpoints"
+        stray = checkpoints / "auto-00000004.npz"  # published, never journaled
+        shutil.copyfile(checkpoints / "auto-00000002.npz", stray)
+        assert _committed_steps(d) == [0, 2]
+        assert DurableRun.open(d).clean_uncommitted() == [stray]
+        shutil.copyfile(checkpoints / "auto-00000002.npz", stray)
+        _assert_bitwise(run(resume=d, mesh=mesh3), ref)
+        _assert_manifest_describes_files(d)
+
+    def test_fields_file_without_record_is_published_again(self, mesh3, tmp_path):
+        from repro.swm.model import ShallowWaterModel
+
+        cfg = _cfg(mesh3, checkpoint_interval=2)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        d = tmp_path / "run"
+        DurableRun.create(d, "galewsky", mesh3, cfg, 6)
+        # Died after publishing the fields file, before its journal line:
+        # wrong content proves the unrecorded file is not trusted.
+        zeros = np.zeros(1)
+        np.savez(d / FIELDS_NAME, b_cell=zeros, f_vertex=zeros)
+        _assert_bitwise(run(resume=d, mesh=mesh3), ref)
+        step, restored = DurableRun.open(d).restore(mesh3)
+        truth = ShallowWaterModel(mesh3, cfg)
+        truth.initialize(resolve_case("galewsky"))
+        assert step == 6
+        assert np.array_equal(restored.integrator.f_vertex, truth.integrator.f_vertex)
+        assert np.array_equal(restored.b_cell, truth.b_cell)
+
+    def test_every_step_committed_but_not_compacted(self, mesh3, tmp_path):
+        from repro import jobs
+
+        cfg = _cfg(mesh3, checkpoint_interval=2)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        d = tmp_path / "run"
+        DurableRun.create(d, "galewsky", mesh3, cfg, 6)
+        created = (d / MANIFEST_NAME).read_bytes()
+        run(resume=d, mesh=mesh3)  # drives the never-driven directory
+        (d / MANIFEST_NAME).write_bytes(created)  # died before compaction
+        assert jobs.status(d) == "running"
+        assert _committed_steps(d) == [0, 2, 4, 6]
+        _assert_bitwise(run(resume=d, mesh=mesh3), ref)
+        assert json.loads((d / MANIFEST_NAME).read_text())["completed"]
+        _assert_manifest_describes_files(d)
+
+    def test_missing_or_damaged_fields_file_is_refused(self, mesh3, tmp_path):
+        d = tmp_path / "run"
+        _crashed(mesh3, d, at=5)
+        fields = d / FIELDS_NAME
+        fields.write_bytes(fields.read_bytes()[:100])
+        with pytest.raises(ManifestError, match="fields file .* restore the run"):
+            run(resume=d, mesh=mesh3)
+        fields.unlink()
+        with pytest.raises(ManifestError, match="fields file"):
+            run(resume=d, mesh=mesh3)
+
+    def test_a_second_interpreter_reads_a_live_run(self, mesh3, tmp_path):
+        """The read half of a second process: while the driver is held
+        after its step-2 commit, another interpreter sees the run running
+        with exactly the committed steps."""
+        import threading
+
+        d = tmp_path / "run"
+        held, release = threading.Event(), threading.Event()
+
+        def hold(step, _result):
+            if step == 2:
+                held.set()
+                release.wait(120)
+
+        driver = threading.Thread(target=run, args=("galewsky",), kwargs=dict(
+            mesh=mesh3, config=_cfg(mesh3, checkpoint_interval=1), steps=4,
+            run_dir=d, callback=hold,
+        ))
+        driver.start()
+        try:
+            assert held.wait(120)
+            probe = subprocess.run(
+                [sys.executable, "-c", (
+                    "import json, sys\n"
+                    "from repro import jobs\n"
+                    "from repro.resilience.durable import DurableRun\n"
+                    "d = sys.argv[1]\n"
+                    "steps = [c['step'] for c in DurableRun.open(d).manifest['checkpoints']]\n"
+                    "print(json.dumps([jobs.status(d), steps]))\n"
+                ), str(d)],
+                capture_output=True, text=True, timeout=120, env=_subprocess_env(),
+            )
+        finally:
+            release.set()
+            driver.join(120)
+        assert not driver.is_alive()
+        assert probe.returncode == 0, probe.stderr[-2000:]
+        assert json.loads(probe.stdout) == ["running", [0, 1, 2]]
+        assert _committed_steps(d) == [0, 1, 2, 3, 4]
+
+
+def _version1_directory(mesh, directory: Path, cfg, steps: int, upto: int) -> None:
+    """A run directory as a version-1 build left it: five-array ``np.savez``
+    step files for steps ``0, 2, .., upto`` and a full manifest committing
+    them, no journal and no fields file."""
+    from repro.swm.model import ShallowWaterModel
+
+    DurableRun.create(directory, "galewsky", mesh, cfg, steps)
+    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    manifest["manifest_version"] = 1
+    model = ShallowWaterModel(mesh, cfg)
+    model.initialize(resolve_case("galewsky"))
+    for step in range(0, upto + 1, cfg.checkpoint_interval):
+        if step:
+            model.run(steps=cfg.checkpoint_interval)
+        path = directory / "checkpoints" / f"auto-{step:08d}.npz"
+        np.savez(
+            path, h=model.state.h, u=model.state.u, b_cell=model.b_cell,
+            f_vertex=model.integrator.f_vertex,
+            config=np.array(json.dumps(dataclasses.asdict(model.config))),
+        )
+        manifest["checkpoints"].append({
+            "step": step, "file": path.name,
+            "bytes": path.stat().st_size, "sha256": sha256_file(path),
+        })
+    manifest["completed"] = upto == steps
+    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2))
+
+
+class TestVersion1Directories:
+    def test_crashed_version1_directory_resumes_and_is_upgraded_once(
+        self, mesh3, tmp_path, monkeypatch
+    ):
+        cfg = _cfg(mesh3, checkpoint_interval=2)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        d = tmp_path / "run"
+        _version1_directory(mesh3, d, cfg, steps=6, upto=2)  # crashed at 4
+        assert _committed_steps(d) == [0, 2]
+
+        published = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            published.append(Path(dst).name)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        resumed = run(resume=d, mesh=mesh3)
+        monkeypatch.undo()
+
+        _assert_bitwise(resumed, ref)
+        # Upgraded once, before the first journal line; compacted once.
+        assert published.count(MANIFEST_NAME) == 2
+        manifest = json.loads((d / MANIFEST_NAME).read_text())
+        assert manifest["manifest_version"] == 2 and manifest["completed"]
+        assert _committed_steps(d) == [0, 2, 4, 6]
+        _assert_manifest_describes_files(d)
+        with np.load(d / "checkpoints" / "auto-00000002.npz") as old:
+            assert "b_cell" in old.files
+        with np.load(d / "checkpoints" / "auto-00000004.npz") as new:
+            assert "b_cell" not in new.files
+
+    def test_completed_version1_directory_answers_result(self, mesh3, tmp_path):
+        from repro import jobs
+        from repro.api import result
+
+        cfg = _cfg(mesh3, checkpoint_interval=2)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        d = tmp_path / "run"
+        _version1_directory(mesh3, d, cfg, steps=6, upto=6)
+        jobs.reset()
+        assert jobs.status(d) == "completed"
+        _assert_bitwise(result(d), ref)
 
 
 class TestRetiredConfigFields:
