@@ -15,7 +15,6 @@ from .schedule import (
     schedule_substep,
     single_consumer_vars,
     topological_order,
-    variable_liveness,
 )
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "schedule_substep",
     "single_consumer_vars",
     "topological_order",
-    "variable_liveness",
     "concurrency_profile",
     "critical_path",
     "independent_sets",

@@ -10,8 +10,6 @@ plan needs (:mod:`repro.engine.plan`):
   fused program must not cross (a decomposed rank cannot read a neighbour's
   provisional state before the exchange ran), so compute nodes are grouped
   into segments by the set of exchanges they transitively depend on;
-* **liveness** — the definition point and last use of every variable, the
-  input for scratch-buffer reuse;
 * **single-consumer variables** — intermediates read by exactly one
   downstream instance and never escaping the substep.  These are the only
   edges across which two linear operators may legally be composed into one
@@ -31,7 +29,6 @@ __all__ = [
     "SubstepSchedule",
     "schedule_substep",
     "topological_order",
-    "variable_liveness",
     "single_consumer_vars",
     "SYNC_POINT_NAMES",
     "STATIC_SYNC_WHITELIST",
@@ -317,31 +314,6 @@ def halo_schedule_for(config: SWConfig) -> HaloSchedule:
     if config.halo_schedule == "dataflow":
         return derive_halo_schedule(config)
     return static_halo_schedule(config)
-
-
-def variable_liveness(dfg: DataFlowGraph) -> dict[str, tuple[str | None, str]]:
-    """``variable -> (producer, last consumer)`` over the compute nodes.
-
-    ``producer`` is ``None`` for stage inputs (source-node variables).  A
-    variable produced but never read again within the substep is its own
-    last consumer — it is a kernel output and must survive the segment.
-    """
-    position = {node: i for i, node in enumerate(dfg.order)}
-    live: dict[str, tuple[str | None, str]] = {}
-    for a, b, var in dfg.edges():
-        if var is None or b not in position:
-            continue
-        producer = a if a in position else None
-        prev = live.get(var)
-        if prev is None or position[b] > position.get(prev[1], -1):
-            live[var] = (producer if producer is not None else (prev[0] if prev else None), b)
-        elif producer is not None and prev[0] is None:
-            live[var] = (producer, prev[1])
-    for node in dfg.order:
-        for var in dfg.instance(node).outputs:
-            if var not in live:
-                live[var] = (node, node)
-    return live
 
 
 def single_consumer_vars(

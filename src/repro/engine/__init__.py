@@ -19,7 +19,6 @@ from .registry import (
     OpEntry,
     default_registry,
     dispatch,
-    reset_default_registry,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "OpEntry",
     "default_registry",
     "dispatch",
-    "reset_default_registry",
 ]

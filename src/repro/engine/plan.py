@@ -42,6 +42,11 @@ under a ``category="plan"`` span.  The two tendency outputs live in
 plan-owned buffers reused across calls; Diagnostics and Reconstruction
 outputs are allocated per call because callers retain them.
 
+From :data:`HELPER_MIN_NNZ` entries of ``K`` on, B1 and B2 start their
+kernels, and one ``K`` product of each runs on the lane that
+:func:`repro.engine.lanes.second_core` engaged for the calling thread until
+a ``join`` stage, or inline without one: the same bits either way.
+
 Batched plans
 -------------
 ``compile_plan(..., batch=N)`` returns the memoized serial plan wrapped in a
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import threading
+import time
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -63,6 +69,7 @@ import numpy as np
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
+from .lanes import engaged
 from .sparse import (
     CSR,
     _cached_operator,
@@ -90,6 +97,10 @@ __all__ = [
 #: Bump whenever the plan compiler's emitted algebra changes; stale files
 #: are recompiled and overwritten, never loaded blindly.
 PLAN_CACHE_VERSION = 1
+
+#: Fewest entries of ``K`` whose products go to the second core: ~100 us of
+#: matvec against ~30 us for a lane to start.  Level 5 has 307,140; <= 4 inline.
+HELPER_MIN_NNZ = 150_000
 
 #: Registry ops the plan compiler consumes into fused stages.  This must
 #: be the whole registry — the lint test asserts it, so a newly registered
@@ -151,6 +162,21 @@ class PlanStage:
     kind: str = "elementwise"
     op: str | None = None
     pattern: str | None = None
+    helper: str = ""  # "start" / "join": work on the second core
+
+
+def _start(lane, fn, *args) -> None:
+    if lane is None:
+        fn(*args)
+    else:
+        lane.submit(fn, *args)
+
+
+def _join(lane) -> None:
+    if lane is not None:
+        start = time.perf_counter()
+        lane.join()
+        get_registry().counter("engine.plan.lane.wait_s").inc(time.perf_counter() - start)
 
 
 # ---------------------------------------------------------- composed cache
@@ -220,6 +246,7 @@ class ExecutionPlan:
         self._buffers = buffers
         self.composed = composed
         self._n = (mesh.nCells, mesh.nEdges, mesh.nVertices)
+        self.helped = any(st.helper for st in tend_stages + diag_stages)
 
     @functools.cached_property
     def _recon(self) -> list[PlanStage]:
@@ -246,7 +273,7 @@ class ExecutionPlan:
                 st.fast(ctx)
 
     def _ctx(self, **runtime) -> dict:
-        return {**self._buffers, **runtime}
+        return {**self._buffers, "lane": engaged(), **runtime}
 
     # ------------------------------------------------------- kernel bodies
     def tend(self, state, diag, b_cell) -> tuple[np.ndarray, np.ndarray]:
@@ -331,6 +358,7 @@ class ExecutionPlan:
                 lines.append(
                     f"  {st.name:24s} {st.kind:11s} "
                     f"op={st.op or '-'} pattern={st.pattern or '-'}"
+                    + (f" helper={st.helper}" if st.helper else "")
                 )
         return "\n".join(lines)
 
@@ -365,6 +393,10 @@ class _Compiler:
         self._e2 = np.zeros(n_edges)
         self._e3 = np.zeros(n_edges)
         self._c1 = np.zeros(n_cells)
+        # With HELPER_MIN_NNZ entries in K, B1 starts before A1 and the second
+        # core reads e1 meanwhile: A1's flux and B1's f q get a buffer of their own.
+        self.helped = self.matrix("tangential_velocity").nnz >= HELPER_MIN_NNZ
+        self._e4 = np.zeros(n_edges) if self.helped else self._e1
         self.composed: list[str] = []
 
     def matrix(self, name: str) -> CSR:
@@ -401,7 +433,7 @@ class _Compiler:
 
     # ----------------------------------------------------------- emitters
     def compile_kernel(self, sched, kernel: str) -> list[PlanStage]:
-        stages: list[PlanStage] = []
+        emitted: list[tuple[str, list[PlanStage]]] = []
         for node in sched.nodes_for_kernel(kernel):
             label = sched.graph.instance(node).label
             emit = getattr(self, f"_emit_{label}".replace(",", "_"), None)
@@ -410,16 +442,33 @@ class _Compiler:
                     f"no plan emitter for Table I label {label!r} "
                     f"(node {node!r}); add one or whitelist it"
                 )
-            stages.extend(emit(sched))
-        return stages
+            emitted.append((node, emit(sched)))
+        # A node's second-core work starts the kernel and is joined before the
+        # node's other stages, or else before the first node reading its outputs;
+        # the graph must certify it independent of all the caller runs meanwhile.
+        at = next((i for i, (_, sts) in enumerate(emitted) if sts[:1]
+                   and sts[0].helper == "start"), None)
+        if at is not None:
+            from ..dataflow.analysis import independent_sets
+
+            graph, (node, (start, *rest)) = sched.graph, emitted.pop(at)
+            out = set(graph.instance(node).outputs)
+            until = at if rest else next((i for i, (n, _) in enumerate(emitted)
+                                          if out & set(graph.instance(n).inputs)), len(emitted))
+            if not all(independent_sets(graph, [node, n]) for n, _ in emitted[:until]):
+                raise ValueError(f"{node} depends on a node it would run beside")
+            join = PlanStage(f"join_{start.name}", lambda ctx: _join(ctx["lane"]),
+                             kind="join", helper="join")
+            emitted[:until] = [(node, [start]), *emitted[:until], (node, [join, *rest])]
+        return [st for _, stages in emitted for st in stages]
 
     def _emit_A1(self, sched) -> list[PlanStage]:
         M = self.matrix("cell_divergence")
-        e1, c1 = self._e1, self._c1
+        e4, c1 = self._e4, self._c1
 
         def fast(ctx):
-            np.multiply(ctx["u"], ctx["h_edge"], out=e1)
-            _matvec(M, e1, c1)
+            np.multiply(ctx["u"], ctx["h_edge"], out=e4)
+            _matvec(M, e4, c1)
             np.negative(c1, out=ctx["tend_h"])
 
         return [
@@ -438,25 +487,32 @@ class _Compiler:
 
         # 0.5 * (q * (K f) + K (f * q)) with f = u * h_edge: the ufunc
         # sequence of :class:`repro.engine.sparse.CoriolisOp`, into buffers.
+        # With a helper K f runs there; compile_kernel then moves the start
+        # stage first and joins before the sum.
         K = self.matrix("tangential_velocity")
-        e1, e2, e3 = self._e1, self._e2, self._e3
+        e1, e2, e3, fq, helped = self._e1, self._e2, self._e3, self._e4, self.helped
 
-        def cor_fast(ctx):
-            q = ctx["pv_edge"]
+        def cor_start(ctx):
             np.multiply(ctx["u"], ctx["h_edge"], out=e1)
-            _matvec(K, e1, e2)
-            np.multiply(e1, q, out=e1)
-            _matvec(K, e1, e3)
-            np.multiply(q, e2, out=e2)
+            _start(ctx["lane"] if helped else None, _matvec, K, e1, e2)
+            np.multiply(e1, ctx["pv_edge"], out=fq)
+            _matvec(K, fq, e3)
+
+        def cor_sum(ctx):
+            np.multiply(ctx["pv_edge"], e2, out=e2)
             np.add(e2, e3, out=e2)
             np.multiply(e2, 0.5, out=ctx["tend_u"])
 
-        stages = [
-            PlanStage(
-                "coriolis_edge_term", cor_fast, kind="matvec",
-                op="coriolis_edge_term", pattern="B1",
-            )
-        ]
+        def cor_fast(ctx):
+            cor_start(ctx)
+            cor_sum(ctx)
+
+        cor = PlanStage("coriolis_edge_term", cor_fast, kind="matvec",
+                        op="coriolis_edge_term", pattern="B1")
+        stages = [cor]
+        if helped:
+            cor.fast, cor.helper = cor_start, "start"
+            stages.append(PlanStage("coriolis_sum", cor_sum))
 
         Mgc = self.matrix("edge_gradient_of_cell")
         g = self.config.gravity
@@ -634,11 +690,12 @@ class _Compiler:
         return [self._plain_matvec("vorticity", "vertex_curl", "H1", "vorticity", "u")]
 
     def _emit_B2(self, sched) -> list[PlanStage]:
-        return [
-            self._plain_matvec(
-                "tangential_velocity", "tangential_velocity", "B2", "v", "u"
-            )
-        ]
+        stage = self._plain_matvec("tangential_velocity", "tangential_velocity", "B2", "v", "u")
+        K = self.matrix("tangential_velocity")
+        if self.helped:  # compile_kernel moves it first and adds the join
+            stage.fast = lambda ctx: _start(ctx["lane"], _matvec, K, ctx["u"], ctx["v"])
+            stage.helper = "start"
+        return [stage]
 
     def _emit_E1(self, sched) -> list[PlanStage]:
         M = self.matrix("vertex_from_cells_kite")

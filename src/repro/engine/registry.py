@@ -41,7 +41,6 @@ __all__ = [
     "OpEntry",
     "KernelRegistry",
     "default_registry",
-    "reset_default_registry",
     "dispatch",
 ]
 
@@ -218,12 +217,6 @@ def default_registry() -> KernelRegistry:
 
         _DEFAULT = build_default_registry()
     return _DEFAULT
-
-
-def reset_default_registry() -> None:
-    """Drop the cached default registry (tests that mutate registrations)."""
-    global _DEFAULT
-    _DEFAULT = None
 
 
 def dispatch(op: str, mesh, *fields, backend: str = DEFAULT_BACKEND):

@@ -7,12 +7,13 @@ own serial :class:`~repro.swm.state.State` stepped by
 per-member invariant trajectories and watchdog verdicts.  The members are
 split into one contiguous block per usable CPU (``os.sched_getaffinity``);
 each step advances the blocks at once, block 0 on the calling thread and
-the others on persistent pinned worker threads (with a compiled plan of
-their own under ``plan=True``: :func:`_sweep`), each thread stepping the live members of its
-block one after another; the caller then judges every member.  A member's
-step is its serial step wherever it runs, under the config the run was
-given (backend, ``plan``), so the split moves no bit.  Divergence handling
-reuses the resilience stack's policy knobs:
+the others on the persistent pinned lanes of :mod:`repro.engine.lanes`
+(with a compiled plan of their own under ``plan=True``: :func:`_sweep`),
+each thread stepping the live members of its block one after another; the
+caller then judges every member.  A member's step is its serial step
+wherever it runs, under the config the run was given (backend, ``plan``),
+so the split moves no bit.  Divergence handling reuses the resilience
+stack's policy knobs:
 
 ``guard_policy="halt"`` (default)
     A member that goes non-finite or trips the ``E1`` stability guard is
@@ -37,12 +38,12 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
+from ..engine.lanes import claimed
 from ..mesh.mesh import Mesh
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
@@ -175,39 +176,26 @@ def _advance(integ: RK4Integrator, members: list) -> list:
     return out
 
 
-#: CPU -> the one-thread executor pinned to it, created on first use and kept:
-#: a fresh unpinned thread shares the caller's core longer than a short run lasts.
-_WORKERS: dict = {}
-
-
 def _sweep(cpus: list[int], task, *columns) -> list:
     """``list(map(task, *columns))`` with the calls running at once.
 
     Call 0 runs on the calling thread, pinned to ``cpus[0]`` until every
     call is done (its previous affinity is restored even when one raises);
-    call ``i`` runs on the persistent worker thread pinned to ``cpus[i]``.  An
-    exception reaches the caller unchanged, after the other calls finished.
+    call ``i`` runs on the lane pinned to ``cpus[i]``
+    (:func:`repro.engine.lanes.claimed`), or on the caller too while another
+    thread holds that lane.  An exception reaches the caller unchanged,
+    after the other calls finished.
     """
     jobs = list(zip(*columns))
     if len(jobs) == 1:
         return [task(*jobs[0])]
-    before = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {cpus[0]})
-    try:
-        futures = []
-        for cpu, job in zip(cpus[1:], jobs[1:]):
-            if cpu not in _WORKERS:
-                _WORKERS[cpu] = ThreadPoolExecutor(
-                    1, f"ensemble-cpu{cpu}", os.sched_setaffinity, (0, {cpu})
-                )
-            futures.append(_WORKERS[cpu].submit(task, *job))
-        try:
-            first = task(*jobs[0])
-        finally:
-            wait(futures)
-        return [first] + [future.result() for future in futures]
-    finally:
-        os.sched_setaffinity(0, before)
+    with claimed(cpus[: len(jobs)]) as lanes:
+        if lanes is None:
+            return [task(*job) for job in jobs]
+        for lane, job in zip(lanes, jobs[1:]):
+            lane.submit(task, *job)
+        first = task(*jobs[0])
+        return [first] + [lane.join() for lane in lanes]
 
 
 class EnsembleRun:

@@ -24,11 +24,6 @@ from .icosahedron import (
     subdivision_level_for,
 )
 from .cvt import LloydResult, centroidality_residual, lloyd_relax
-from .density import (
-    DensityFunction,
-    radial_refinement,
-    weighted_lloyd_relax,
-)
 
 __all__ = [
     "arc_length",
@@ -51,9 +46,6 @@ __all__ = [
     "resolution_km",
     "subdivision_level_for",
     "LloydResult",
-    "DensityFunction",
-    "radial_refinement",
-    "weighted_lloyd_relax",
     "centroidality_residual",
     "lloyd_relax",
 ]

@@ -198,10 +198,15 @@ class ShallowWaterModel:
         if self.executor is None and self.config.parallel != "serial":
             self.executor = self._spawn()
         if self.executor is None:
+            from ..engine.lanes import second_core
+            from ..engine.plan import kernel_plan
+
             state, diag = self.state, self.diagnostics
-            for _ in range(steps):
-                (state,), (diag,) = rk4_step([self.integrator], [state], [diag])
-                self._state, self._diag = state, diag
+            plan = kernel_plan(self.mesh, self.config)
+            with second_core(plan is not None and plan.helped):  # its K products
+                for _ in range(steps):
+                    (state,), (diag,) = rk4_step([self.integrator], [state], [diag])
+                    self._state, self._diag = state, diag
         else:
             if not self._ranks_current:
                 self.executor.load_state(self._state, step=self.step)

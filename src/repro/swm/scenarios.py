@@ -55,7 +55,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "PERTURBED_PREFIX",
-    "catalogue",
     "scenario",
     "scenario_for",
     "default_config",
@@ -234,11 +233,6 @@ _BY_NUMBER: dict[int, Scenario] = {
     for sc in SCENARIOS
     if sc.number is not None and sc.number in TEST_CASES
 }
-
-
-def catalogue() -> tuple[Scenario, ...]:
-    """Every registered scenario, in presentation order."""
-    return SCENARIOS
 
 
 def known_names() -> list[str]:

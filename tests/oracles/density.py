@@ -8,9 +8,10 @@ Gunzburger 2008, for d=2: h ~ rho^(-1/(d+2))).
 
 The paper evaluates only quasi-uniform meshes (Table III), but the whole
 pattern machinery is resolution-agnostic; this module provides the
-refinement substrate so the reproduction covers the "across scales" part of
-the model family too.  The test suite runs the shallow-water core on a
-regionally-refined mesh and checks stability and conservation.
+refinement substrate so the tests cover the "across scales" part of the
+model family too: they run the shallow-water core on a regionally-refined
+mesh and check stability and conservation.  No run path builds such a mesh,
+so the builder lives with the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .sphere import arc_length, normalize, spherical_triangle_area
+from repro.geometry.sphere import arc_length, normalize, spherical_triangle_area
 
 __all__ = ["DensityFunction", "radial_refinement", "weighted_lloyd_relax"]
 
@@ -39,7 +40,7 @@ def radial_refinement(
     with a smooth tanh transition of the given width.  The local spacing
     ratio between the refined and coarse regions is ``amplification**(1/4)``.
     """
-    from .sphere import lonlat_to_xyz
+    from repro.geometry.sphere import lonlat_to_xyz
 
     centre = lonlat_to_xyz(np.array(center_lonlat[0]), np.array(center_lonlat[1]))
 

@@ -15,6 +15,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.engine.lanes as lanes
 import repro.ensemble.batch as ensemble_batch
 import repro.ensemble.run as ensemble_run
 from repro.api import SWConfig, resolve_case, suggested_dt
@@ -381,7 +382,7 @@ class TestMemberBlocks:
         import repro.engine.plan as plan
 
         monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
-        monkeypatch.setattr(ensemble_run, "_WORKERS", {})
+        monkeypatch.setattr(lanes, "_LANES", {})
         real_compile = plan.compile_plan
         calls = []
 
@@ -422,8 +423,8 @@ class TestMemberBlocks:
         def no_workers(*args, **kwargs):
             raise AssertionError("a traced run started a worker thread")
 
-        monkeypatch.setattr(ensemble_run, "ThreadPoolExecutor", no_workers)
-        monkeypatch.setattr(ensemble_run, "_WORKERS", {})
+        monkeypatch.setattr(lanes, "Lane", no_workers)
+        monkeypatch.setattr(lanes, "_LANES", {})
         tracer = Tracer()
         with use_tracer(tracer):
             run_ensemble(mesh3, case, _config(dt, ensemble=4), 2)

