@@ -17,6 +17,7 @@ __all__ = [
     "total_work",
     "independent_sets",
     "sync_point_usage",
+    "earliest_finish_schedule",
 ]
 
 
@@ -142,3 +143,57 @@ def independent_sets(dfg: DataFlowGraph, nodes: list[str]) -> bool:
         if dfg.descendants(n) & node_set:
             return False
     return True
+
+
+def earliest_finish_schedule(
+    order,
+    predecessors,
+    times: dict,
+    devices: tuple[str, str] = ("cpu", "mic"),
+    splittable=lambda node: False,
+    min_split_gain: float = 0.15,
+) -> tuple[dict, dict]:
+    """Earliest-finish-time list schedule of a DAG on two devices (Fig. 4b).
+
+    ``order`` is a topological order, ``predecessors(node)`` the nodes it
+    waits for (absent from ``order``: ready at 0), ``times[node][device]``
+    its run time there.  Each node goes, in order, to the device that
+    finishes it first (the first device on a tie); a ``splittable(node)``
+    is divided so both devices finish together,
+
+        avail_0 + f * t_0 = avail_1 + (1 - f) * t_1,
+
+    when that beats the best single device by ``min_split_gain``
+    (relative).  Returns ``{node: (device, f)}`` — ``("split", f)`` with
+    ``f`` the first device's share, ``f = 0`` otherwise — and
+    ``{node: finish time}``.  This is the one scheduler: the simulated
+    hybrid node (:func:`repro.hybrid.schedule.pattern_level_assignment`)
+    and the plan compiler's two lanes (:mod:`repro.engine.plan`) both run it.
+    """
+    first, second = devices
+    avail = {first: 0.0, second: 0.0}
+    finish: dict = {}
+    placed: dict = {}
+    for node in order:
+        ready = max((finish.get(p, 0.0) for p in predecessors(node)), default=0.0)
+        candidates = []
+        for dev in devices:
+            end = max(avail[dev], ready) + times[node][dev]
+            candidates.append((end, (dev, 0.0), {**avail, dev: end}))
+        best_end, best_placement, best_avail = min(candidates, key=lambda c: c[0])
+
+        if splittable(node):
+            t_0, t_1 = times[node][first], times[node][second]
+            s_0, s_1 = max(avail[first], ready), max(avail[second], ready)
+            denom = t_0 + t_1
+            if denom > 0.0:
+                f = (s_1 - s_0 + t_1) / denom
+                if 0.02 < f < 0.98:
+                    end = s_0 + f * t_0  # == s_1 + (1 - f) * t_1
+                    if end < best_end * (1.0 - min_split_gain):
+                        best_end, best_placement = end, ("split", f)
+                        best_avail = {first: end, second: end}
+        placed[node] = best_placement
+        avail = best_avail
+        finish[node] = best_end
+    return placed, finish

@@ -16,8 +16,8 @@ passes then attach implementations:
 
 Both implement all 14 operators, and a lint-style test asserts it: a newly
 added operator must implement both.  The Algorithm 2 loop/scatter forms
-(:mod:`repro.swm.reference`) and the kernels compiled from
-:data:`repro.patterns.codegen.BUILTIN_SPECS` are not backends: the tests
+(``tests/oracles/reference.py``) and the kernels compiled from
+:data:`tests.oracles.codegen.BUILTIN_SPECS` are not backends: the tests
 call them directly, as the oracles the operators are checked against.
 
 The Algorithm-1 kernel drivers are registered by name alongside, so the

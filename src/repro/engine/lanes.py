@@ -1,6 +1,6 @@
 """One pinned thread per CPU, the only threads the numerical core starts: the
-ensemble's member blocks (:func:`repro.ensemble.run._sweep`) and a serial
-plan's independent ``K`` products (:func:`second_core`) run on them.  A
+ensemble's member blocks (:func:`repro.ensemble.run._sweep`) and the stages
+a serial plan places on its second lane (:func:`second_core`) run on them.  A
 handoff is a lock release and acquire each way (13 - 17 us a round trip on 2
 vCPUs); scipy's ``csr_matvec`` releases the interpreter lock meanwhile."""
 
@@ -79,7 +79,7 @@ _ENGAGED, _FORKED = threading.local(), False
 
 
 def engaged() -> Lane | None:
-    """The lane the calling thread's plan hands its ``K`` products to."""
+    """The lane the calling thread's plan hands its lane stages to."""
     return getattr(_ENGAGED, "lane", None)
 
 

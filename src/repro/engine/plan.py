@@ -42,10 +42,15 @@ under a ``category="plan"`` span.  The two tendency outputs live in
 plan-owned buffers reused across calls; Diagnostics and Reconstruction
 outputs are allocated per call because callers retain them.
 
-From :data:`HELPER_MIN_NNZ` entries of ``K`` on, B1 and B2 start their
-kernels, and one ``K`` product of each runs on the lane that
-:func:`repro.engine.lanes.second_core` engaged for the calling thread until
-a ``join`` stage, or inline without one: the same bits either way.
+Two lanes
+---------
+Every stage declares what it ``reads`` and ``writes``; the kernel's stage
+DAG follows from the hazards, and the paper's pattern-level scheduler
+(:func:`repro.dataflow.analysis.earliest_finish_schedule`, no splits) places
+each stage on the caller or on the second lane by a deterministic proxy
+cost.  From :data:`HELPER_MIN_NNZ` entries of ``K`` on, the placed program
+runs on the lane :func:`repro.engine.lanes.second_core` engaged for the
+calling thread; otherwise the same stages run inline: the same bits.
 
 Batched plans
 -------------
@@ -62,6 +67,7 @@ import functools
 import threading
 import time
 import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,7 +96,6 @@ __all__ = [
     "compiled_plan",
     "kernel_plan",
     "clear_plan_memory_cache",
-    "unplanned_labels",
 ]
 
 #: Format version of compiled-plan disk artifacts (the composed matrices).
@@ -98,9 +103,17 @@ __all__ = [
 #: are recompiled and overwritten, never loaded blindly.
 PLAN_CACHE_VERSION = 1
 
-#: Fewest entries of ``K`` whose products go to the second core: ~100 us of
-#: matvec against ~30 us for a lane to start.  Level 5 has 307,140; <= 4 inline.
+#: Fewest entries of ``K`` from which a plan is placed on two lanes: a
+#: ``K`` product is then ~100 us against ~30 us for a lane to start.  Level 5
+#: has 307,140; levels <= 4 run one lane.
 HELPER_MIN_NNZ = 150_000
+
+#: Proxy cost of one stage handed to the lane, in the units of
+#: :attr:`PlanStage.cost` (about 1 ns each on 2 vCPUs): ~31 us for a lane to
+#: start plus ~14 us for the round trip, and the slowdown of two matvecs
+#: running at once.  Of 45,000 and 60,000, the two that place level 5
+#: differently, 60,000 measured faster (EXPERIMENTS.md "PR 45").
+HANDOFF_COST = 60_000
 
 #: Registry ops the plan compiler consumes into fused stages.  This must
 #: be the whole registry — the lint test asserts it, so a newly registered
@@ -155,28 +168,135 @@ _UNSTABLE_MSG = (
 # ------------------------------------------------------------- plan stages
 @dataclass(slots=True)
 class PlanStage:
-    """One step of a fused program: its one zero-dispatch closure ``fast(ctx)``."""
+    """One step of a fused program: its zero-dispatch closure ``fast(ctx)``,
+    the ctx keys it ``reads`` and ``writes``, its proxy ``cost``, the Fig. 4
+    ``node`` it was emitted for and its ``lane`` (0: the caller)."""
 
     name: str
     fast: Callable
     kind: str = "elementwise"
     op: str | None = None
     pattern: str | None = None
-    helper: str = ""  # "start" / "join": work on the second core
+    reads: tuple[str, ...] = ()
+    writes: tuple[str, ...] = ()
+    cost: int = 0
+    node: str = ""
+    lane: int = 0
 
 
-def _start(lane, fn, *args) -> None:
-    if lane is None:
-        fn(*args)
-    else:
-        lane.submit(fn, *args)
+def _run_group(stages: tuple, ctx: dict) -> None:  # on the lane
+    for st in stages:
+        st.fast(ctx)
 
 
 def _join(lane) -> None:
-    if lane is not None:
-        start = time.perf_counter()
-        lane.join()
-        get_registry().counter("engine.plan.lane.wait_s").inc(time.perf_counter() - start)
+    start = time.perf_counter()
+    lane.join()
+    get_registry().counter("engine.plan.lane.wait_s").inc(time.perf_counter() - start)
+
+
+def _hazards(stages: list[PlanStage], scratch) -> list[set[int]]:
+    """Each stage's predecessors: the last writer of every key it reads or
+    writes, and every reader of a key it writes since that key's last write.
+    A scratch buffer must be written before it is read."""
+    writer: dict[str, int] = {}
+    readers: dict[str, list[int]] = {}
+    preds: list[set[int]] = []
+    for i, st in enumerate(stages):
+        unwritten = [k for k in st.reads if k in scratch and k not in writer]
+        if unwritten:
+            raise ValueError(f"stage {st.name} reads {unwritten} before any stage writes it")
+        before = {writer[k] for k in (*st.reads, *st.writes) if k in writer}
+        for key in st.writes:
+            before.update(readers.get(key, ()))
+        before.discard(i)
+        preds.append(before)
+        for key in st.reads:
+            readers.setdefault(key, []).append(i)
+        for key in st.writes:
+            writer[key], readers[key] = i, []
+    return preds
+
+
+def _certify(graph, stages: list[PlanStage], preds: list[set[int]]) -> None:
+    """Cross-check the hazard DAG against the Fig. 4 graph: wherever
+    ``independent_sets`` finds two of the kernel's nodes ordered, a stage of
+    the later node descends from a stage of the earlier one."""
+    from ..dataflow.analysis import independent_sets
+
+    ancestors: list[set[int]] = []
+    for p in preds:
+        ancestors.append(set(p).union(*(ancestors[j] for j in p)))
+    by_node: dict[str, list[int]] = {}
+    for i, st in enumerate(stages):
+        by_node.setdefault(st.node, []).append(i)
+    nodes = list(by_node)
+    for k, a in enumerate(nodes):
+        for b in nodes[k + 1:]:
+            if not independent_sets(graph, [a, b]) and not any(
+                i in ancestors[j] for i in by_node[a] for j in by_node[b]
+            ):
+                raise ValueError(f"{b} depends on {a}, but no stage of it reads what {a} writes")
+
+
+class _Kernel(list):
+    """One Algorithm-1 kernel's stages in program order, placed.
+
+    ``program`` is ``None`` on one lane.  On two it is the caller's order:
+    a :class:`PlanStage` runs on the caller, a tuple is a group of stages
+    submitted to the lane once the previous one is joined and its inputs
+    exist, ``None`` joins it before the first stage that depends on it."""
+
+    def __init__(self, stages: list[PlanStage], preds: list[set[int]], lanes: int) -> None:
+        from ..dataflow.analysis import earliest_finish_schedule
+
+        super().__init__(stages)
+        self.program = None
+        self.makespans = (sum(st.cost for st in stages),) * 2
+        if lanes < 2:
+            return
+        placed, finish = earliest_finish_schedule(
+            range(len(stages)), preds.__getitem__,
+            {i: {"caller": st.cost, "lane": st.cost + HANDOFF_COST}
+             for i, st in enumerate(stages)},
+            devices=("caller", "lane"),
+        )
+        for i, st in enumerate(stages):
+            st.lane = int(placed[i][0] == "lane")
+        self.makespans = (self.makespans[0], int(max(finish.values(), default=0)))
+        self.program = _program(stages, preds)
+
+
+def _program(stages: list[PlanStage], preds: list[set[int]]) -> list:
+    """The caller's order for placed ``stages`` (see :class:`_Kernel`)."""
+    caller = [i for i, st in enumerate(stages) if not st.lane]
+    at = {i: k for k, i in enumerate(caller)}
+    groups: list[tuple[int, list[int]]] = []  # (caller position, stages)
+    for i, st in enumerate(stages):
+        if st.lane:
+            due = max((at[p] + 1 for p in preds[i] if p in at), default=0)
+            if groups and due <= groups[-1][0]:
+                groups[-1][1].append(i)
+            else:
+                groups.append((due, [i]))
+    program: list = []
+    running: set[int] = set()
+    for k in range(len(caller) + 1):
+        if groups and groups[0][0] == k:
+            if running:
+                program.append(None)
+            _, members = groups.pop(0)
+            program.append(tuple(stages[i] for i in members))
+            running = set(members)
+        if k == len(caller):
+            break
+        if running & preds[caller[k]]:
+            program.append(None)
+            running = set()
+        program.append(stages[caller[k]])
+    if running:
+        program.append(None)
+    return program
 
 
 # ---------------------------------------------------------- composed cache
@@ -210,32 +330,15 @@ def plan_key(config) -> tuple:
     )
 
 
-def unplanned_labels(config=None) -> set[str]:
-    """Scheduled Table I labels with neither a plan emitter nor a whitelist.
-
-    Empty for the shipped model; a new catalog instance must either gain an
-    emitter in :class:`_Compiler` or join :data:`PLAN_LOCAL_LABELS`.
-    """
-    from ..dataflow.schedule import schedule_substep
-
-    handled = set(_Compiler.EMITTED_LABELS) | set(PLAN_LOCAL_LABELS)
-    labels: set[str] = set()
-    for stage in (1, 4):
-        sched = schedule_substep(config, stage=stage)
-        for node in sched.nodes():
-            labels.add(sched.graph.instance(node).label)
-    return {lab for lab in labels if lab not in handled}
-
-
 class ExecutionPlan:
     """A compiled, fused RK-substep program for one ``(mesh, config)``."""
 
     def __init__(
         self,
         mesh,
-        tend_stages: list[PlanStage],
-        diag_stages: list[PlanStage],
-        compile_recon: Callable[[object], list[PlanStage]],
+        tend_stages: _Kernel,
+        diag_stages: _Kernel,
+        compile_recon: Callable[[object], _Kernel],
         buffers: dict[str, np.ndarray],
         composed: tuple[str, ...],
     ) -> None:
@@ -246,20 +349,21 @@ class ExecutionPlan:
         self._buffers = buffers
         self.composed = composed
         self._n = (mesh.nCells, mesh.nEdges, mesh.nVertices)
-        self.helped = any(st.helper for st in tend_stages + diag_stages)
+        self.lanes = 1 if tend_stages.program is None else 2
 
     @functools.cached_property
-    def _recon(self) -> list[PlanStage]:
+    def _recon(self) -> _Kernel:
         # On first use: ``mpas_reconstruct`` is not part of the RK step and a
         # decomposed rank never runs it, so neither its stages nor the
         # per-cell fits behind the A4 operator are compiled with the plan.
         return self._compile_recon(self._mesh())
 
     # ------------------------------------------------------------ executor
-    def _run(self, stages: list[PlanStage], ctx: dict) -> None:
+    def _run(self, kernel: _Kernel, ctx: dict) -> None:
         tracer = get_tracer()
-        if tracer.enabled:
-            for st in stages:
+        lane = ctx["lane"]
+        if tracer.enabled:  # single-threaded: every stage inline, in a span
+            for st in kernel:
                 with tracer.span(
                     st.name,
                     category="plan",
@@ -268,9 +372,23 @@ class ExecutionPlan:
                     pattern=st.pattern or "-",
                 ):
                     st.fast(ctx)
-        else:
-            for st in stages:
+        elif lane is None or kernel.program is None:
+            for st in kernel:
                 st.fast(ctx)
+        else:
+            try:
+                for item in kernel.program:
+                    if item is None:
+                        _join(lane)
+                    elif item.__class__ is tuple:
+                        lane.submit(_run_group, item, ctx)
+                    else:
+                        item.fast(ctx)
+            except BaseException:
+                if lane.busy:  # the caller's exception is the one to keep
+                    with suppress(BaseException):
+                        lane.join()
+                raise
 
     def _ctx(self, **runtime) -> dict:
         return {**self._buffers, "lane": engaged(), **runtime}
@@ -343,6 +461,7 @@ class ExecutionPlan:
 
     # ------------------------------------------------------- introspection
     def stages(self) -> dict[str, list[PlanStage]]:
+        """Each kernel's stages in program order (the order one lane runs)."""
         return {
             "tend": list(self._tend),
             "diagnostics": list(self._diag),
@@ -350,17 +469,28 @@ class ExecutionPlan:
         }
 
     def describe(self) -> str:
-        """A deterministic, human-readable stage table (used by the docs)."""
+        """A deterministic, human-readable stage table (used by the docs).
+
+        On two lanes each kernel is listed in the caller's order: its header
+        gives the proxy makespan on one lane and on two, every stage its
+        lane, and a ``join`` row is where the caller waits for the lane."""
         lines = [f"ExecutionPlan composed={list(self.composed)}"]
-        for segment, stages in self.stages().items():
-            lines.append(f"{segment}:")
-            for st in stages:
-                lines.append(
-                    f"  {st.name:24s} {st.kind:11s} "
-                    f"op={st.op or '-'} pattern={st.pattern or '-'}"
-                    + (f" helper={st.helper}" if st.helper else "")
-                )
+        kernels = {"tend": self._tend, "diagnostics": self._diag, "reconstruct": self._recon}
+        for segment, kernel in kernels.items():
+            if kernel.program is None:
+                lines.append(f"{segment}:")
+                lines += [_row(st) for st in kernel]
+                continue
+            one, two = kernel.makespans
+            lines.append(f"{segment}: proxy makespan {one:,} on one lane, {two:,} on two")
+            for item in kernel.program:
+                for st in item if item.__class__ is tuple else (item,):
+                    lines.append("  join" if st is None else f"{_row(st)} lane={st.lane}")
         return "\n".join(lines)
+
+
+def _row(st: PlanStage) -> str:
+    return f"  {st.name:24s} {st.kind:11s} op={st.op or '-'} pattern={st.pattern or '-'}"
 
 
 class _Compiler:
@@ -370,7 +500,8 @@ class _Compiler:
     order, so the fused program is exactly the dataflow diagram's
     topological schedule.  Every closure captures matrices, buffers and
     scalars — never the mesh or the compiler — so a cached plan does not
-    keep its (weakly referenced) mesh alive.
+    keep its (weakly referenced) mesh alive.  Each scratch buffer is issued
+    once, by name (:meth:`buffer`), and belongs to the stages that declare it.
     """
 
     #: Labels this compiler can emit stages for (the lint's other half is
@@ -383,24 +514,38 @@ class _Compiler:
     def __init__(self, mesh, config) -> None:
         self.mesh = mesh
         self.config = config
-        n_cells, n_edges = mesh.nCells, mesh.nEdges
+        self.nc, self.ne, self.nv = mesh.nCells, mesh.nEdges, mesh.nVertices
         self.buffers: dict[str, np.ndarray] = {
-            "tend_h": np.zeros(n_cells),
-            "tend_u": np.zeros(n_edges),
+            "tend_h": np.zeros(self.nc),
+            "tend_u": np.zeros(self.ne),
         }
-        # Scratch arena, reused across steps (sized by the widest stage).
-        self._e1 = np.zeros(n_edges)
-        self._e2 = np.zeros(n_edges)
-        self._e3 = np.zeros(n_edges)
-        self._c1 = np.zeros(n_cells)
-        # With HELPER_MIN_NNZ entries in K, B1 starts before A1 and the second
-        # core reads e1 meanwhile: A1's flux and B1's f q get a buffer of their own.
-        self.helped = self.matrix("tangential_velocity").nnz >= HELPER_MIN_NNZ
-        self._e4 = np.zeros(n_edges) if self.helped else self._e1
+        self._issued: dict[str, np.ndarray] = {}  # the current kernel's scratch
+        self._spare: dict[int, list[np.ndarray]] = {}  # earlier kernels' scratch
+        self.lanes = 2 if self.matrix("tangential_velocity").nnz >= HELPER_MIN_NNZ else 1
         self.composed: list[str] = []
 
     def matrix(self, name: str) -> CSR:
         return sparse_operator(self.mesh, name)
+
+    def buffer(self, name: str, n: int) -> np.ndarray:
+        """The scratch buffer ``name`` of the kernel being compiled: a ctx
+        key its stages declare.  Kernels never run at once, so the arrays of
+        the kernels compiled before it are issued again, under new names."""
+        if name not in self._issued:
+            if name in self.buffers:
+                raise ValueError(f"scratch buffer {name!r} belongs to another kernel")
+            spare = self._spare.get(n)
+            self._issued[name] = self.buffers[name] = spare.pop() if spare else np.zeros(n)
+        return self._issued[name]
+
+    @staticmethod
+    def stage(name, fast, reads, writes, matrices=(), passes=(), **kw) -> PlanStage:
+        """A stage whose proxy cost is its matrices' entries and rows plus
+        half a vector length per ufunc pass: the weights a least-squares fit
+        of level 5's inline stage times gives (EXPERIMENTS.md "PR 45")."""
+        cost = sum(M.nnz + M.shape[0] for M in matrices) + sum(passes) // 2
+        return PlanStage(name, fast, reads=tuple(reads), writes=tuple(writes),
+                         cost=int(cost), **kw)
 
     @staticmethod
     def _composable(sched, intermediates: tuple[str, ...]) -> bool:
@@ -432,8 +577,11 @@ class _Compiler:
         return _composed_operator(self.mesh, name, build)
 
     # ----------------------------------------------------------- emitters
-    def compile_kernel(self, sched, kernel: str) -> list[PlanStage]:
-        emitted: list[tuple[str, list[PlanStage]]] = []
+    def compile_kernel(self, sched, kernel: str) -> _Kernel:
+        """Emit the kernel's stages, derive their hazard DAG, certify it
+        against the Fig. 4 graph and place it on :attr:`lanes` lanes."""
+        stages: list[PlanStage] = []
+        self._issued = {}
         for node in sched.nodes_for_kernel(kernel):
             label = sched.graph.instance(node).label
             emit = getattr(self, f"_emit_{label}".replace(",", "_"), None)
@@ -442,116 +590,124 @@ class _Compiler:
                     f"no plan emitter for Table I label {label!r} "
                     f"(node {node!r}); add one or whitelist it"
                 )
-            emitted.append((node, emit(sched)))
-        # A node's second-core work starts the kernel and is joined before the
-        # node's other stages, or else before the first node reading its outputs;
-        # the graph must certify it independent of all the caller runs meanwhile.
-        at = next((i for i, (_, sts) in enumerate(emitted) if sts[:1]
-                   and sts[0].helper == "start"), None)
-        if at is not None:
-            from ..dataflow.analysis import independent_sets
-
-            graph, (node, (start, *rest)) = sched.graph, emitted.pop(at)
-            out = set(graph.instance(node).outputs)
-            until = at if rest else next((i for i, (n, _) in enumerate(emitted)
-                                          if out & set(graph.instance(n).inputs)), len(emitted))
-            if not all(independent_sets(graph, [node, n]) for n, _ in emitted[:until]):
-                raise ValueError(f"{node} depends on a node it would run beside")
-            join = PlanStage(f"join_{start.name}", lambda ctx: _join(ctx["lane"]),
-                             kind="join", helper="join")
-            emitted[:until] = [(node, [start]), *emitted[:until], (node, [join, *rest])]
-        return [st for _, stages in emitted for st in stages]
+            for st in emit(sched):
+                st.node = node
+                stages.append(st)
+        preds = _hazards(stages, self._issued)
+        _certify(sched.graph, stages, preds)
+        for array in self._issued.values():
+            self._spare.setdefault(array.size, []).append(array)
+        return _Kernel(stages, preds, self.lanes)
 
     def _emit_A1(self, sched) -> list[PlanStage]:
         M = self.matrix("cell_divergence")
-        e4, c1 = self._e4, self._c1
+        flux, div = self.buffer("flux", self.ne), self.buffer("flux_divergence", self.nc)
+
+        def flux_fast(ctx):  # u * h_edge, B1's too
+            np.multiply(ctx["u"], ctx["h_edge"], out=flux)
 
         def fast(ctx):
-            np.multiply(ctx["u"], ctx["h_edge"], out=e4)
-            _matvec(M, e4, c1)
-            np.negative(c1, out=ctx["tend_h"])
+            _matvec(M, flux, div)
+            np.negative(div, out=ctx["tend_h"])
 
         return [
-            PlanStage(
-                "flux_divergence", fast, kind="matvec",
-                op="flux_divergence", pattern="A1",
-            )
+            self.stage("edge_flux", flux_fast, ("u", "h_edge"), ("flux",),
+                       passes=(self.ne,)),
+            self.stage("flux_divergence", fast, ("flux",), ("flux_divergence", "tend_h"),
+                       (M,), (self.nc,), kind="matvec", op="flux_divergence", pattern="A1"),
         ]
 
     def _emit_B1(self, sched) -> list[PlanStage]:
+        ne, nc = self.ne, self.nc
         if self.config.advection_only:
             def freeze(ctx):
                 ctx["tend_u"].fill(0.0)
 
-            return [PlanStage("freeze_u", freeze, kind="elementwise")]
+            return [self.stage("freeze_u", freeze, (), ("tend_u",), passes=(ne,))]
 
         # 0.5 * (q * (K f) + K (f * q)) with f = u * h_edge: the ufunc
-        # sequence of :class:`repro.engine.sparse.CoriolisOp`, into buffers.
-        # With a helper K f runs there; compile_kernel then moves the start
-        # stage first and joins before the sum.
+        # sequence of :class:`repro.engine.sparse.CoriolisOp`, into buffers;
+        # each product of K is a stage of its own.
         K = self.matrix("tangential_velocity")
-        e1, e2, e3, fq, helped = self._e1, self._e2, self._e3, self._e4, self.helped
+        flux = self.buffer("flux", ne)
+        kf, fq, kfq = (self.buffer(n, ne) for n in ("K_flux", "flux_pv", "K_flux_pv"))
 
-        def cor_start(ctx):
-            np.multiply(ctx["u"], ctx["h_edge"], out=e1)
-            _start(ctx["lane"] if helped else None, _matvec, K, e1, e2)
-            np.multiply(e1, ctx["pv_edge"], out=fq)
-            _matvec(K, fq, e3)
+        def kf_fast(ctx):
+            _matvec(K, flux, kf)
 
-        def cor_sum(ctx):
-            np.multiply(ctx["pv_edge"], e2, out=e2)
-            np.add(e2, e3, out=e2)
-            np.multiply(e2, 0.5, out=ctx["tend_u"])
+        def fq_fast(ctx):
+            np.multiply(flux, ctx["pv_edge"], out=fq)
+
+        def kfq_fast(ctx):
+            _matvec(K, fq, kfq)
 
         def cor_fast(ctx):
-            cor_start(ctx)
-            cor_sum(ctx)
+            tend_u = ctx["tend_u"]
+            np.multiply(ctx["pv_edge"], kf, out=tend_u)
+            np.add(tend_u, kfq, out=tend_u)
+            np.multiply(tend_u, 0.5, out=tend_u)
 
-        cor = PlanStage("coriolis_edge_term", cor_fast, kind="matvec",
-                        op="coriolis_edge_term", pattern="B1")
-        stages = [cor]
-        if helped:
-            cor.fast, cor.helper = cor_start, "start"
-            stages.append(PlanStage("coriolis_sum", cor_sum))
+        stages = [
+            self.stage("coriolis_K_flux", kf_fast, ("flux",), ("K_flux",), (K,),
+                       kind="matvec", op="tangential_velocity"),
+            self.stage("coriolis_flux_pv", fq_fast, ("flux", "pv_edge"), ("flux_pv",),
+                       passes=(ne,)),
+            self.stage("coriolis_K_flux_pv", kfq_fast, ("flux_pv",), ("K_flux_pv",), (K,),
+                       kind="matvec", op="tangential_velocity"),
+            self.stage("coriolis_edge_term", cor_fast, ("pv_edge", "K_flux", "K_flux_pv"),
+                       ("tend_u",), passes=(ne, ne, ne),
+                       op="coriolis_edge_term", pattern="B1"),
+        ]
 
+        # Every other term of tend_u goes into a buffer of its own, and a
+        # sum stage folds it in: the terms can run beside each other.
         Mgc = self.matrix("edge_gradient_of_cell")
         g = self.config.gravity
-        c1 = self._c1
+        bc, bern = self.buffer("bernoulli", nc), self.buffer("bernoulli_gradient", ne)
 
         def bern_fast(ctx):
-            np.add(ctx["h"], ctx["b"], out=c1)
-            np.multiply(c1, g, out=c1)
-            np.add(ctx["ke"], c1, out=c1)
-            _matvec(Mgc, c1, e1)
-            np.subtract(ctx["tend_u"], e1, out=ctx["tend_u"])
+            np.add(ctx["h"], ctx["b"], out=bc)
+            np.multiply(bc, g, out=bc)
+            np.add(ctx["ke"], bc, out=bc)
+            _matvec(Mgc, bc, bern)
 
-        stages.append(
-            PlanStage(
-                "bernoulli_gradient", bern_fast, kind="matvec",
-                op="edge_gradient_of_cell",
-            )
-        )
+        def bern_sum(ctx):
+            np.subtract(ctx["tend_u"], bern, out=ctx["tend_u"])
+
+        stages += [
+            self.stage("bernoulli_gradient", bern_fast, ("h", "b", "ke"),
+                       ("bernoulli", "bernoulli_gradient"), (Mgc,), (nc, nc, nc),
+                       kind="matvec", op="edge_gradient_of_cell"),
+            self.stage("bernoulli_sum", bern_sum, ("tend_u", "bernoulli_gradient"),
+                       ("tend_u",), passes=(ne,)),
+        ]
 
         if self.config.viscosity != 0.0:
             Mgv = self.matrix("edge_gradient_of_vertex")
             visc = self.config.viscosity
+            d_u, d_v = self.buffer("del2_u", ne), self.buffer("del2_v", ne)
 
             def visc_fast(ctx):
-                _matvec(Mgc, ctx["divergence"], e1)
-                _matvec(Mgv, ctx["vorticity"], e2)
-                np.subtract(e1, e2, out=e1)
-                np.multiply(e1, visc, out=e1)
-                np.add(ctx["tend_u"], e1, out=ctx["tend_u"])
+                _matvec(Mgc, ctx["divergence"], d_u)
+                _matvec(Mgv, ctx["vorticity"], d_v)
+                np.subtract(d_u, d_v, out=d_u)
+                np.multiply(d_u, visc, out=d_u)
 
-            stages.append(
-                PlanStage("del2_dissipation", visc_fast, kind="matvec")
-            )
+            def visc_sum(ctx):
+                np.add(ctx["tend_u"], d_u, out=ctx["tend_u"])
+
+            stages += [
+                self.stage("del2_dissipation", visc_fast, ("divergence", "vorticity"),
+                           ("del2_u", "del2_v"), (Mgc, Mgv), (ne, ne), kind="matvec"),
+                self.stage("del2_sum", visc_sum, ("tend_u", "del2_u"), ("tend_u",),
+                           passes=(ne,)),
+            ]
 
         if self.config.hyperviscosity != 0.0:
-            stages.append(self._hyperviscosity_stage(sched))
+            stages += self._hyperviscosity_stage(sched)
         return stages
 
-    def _hyperviscosity_stage(self, sched) -> PlanStage:
+    def _hyperviscosity_stage(self, sched) -> list[PlanStage]:
         # del4 = (grad_c . div - grad_v . curl)(del2_u): the four matvecs
         # after del2_u composed into one matrix.  Its intermediates (div2,
         # vort2) are internal to the B1 pricing, so the oracle allows it.
@@ -563,7 +719,7 @@ class _Compiler:
         Mgc = self.matrix("edge_gradient_of_cell")
         Mgv = self.matrix("edge_gradient_of_vertex")
         hv = self.config.hyperviscosity
-        e1, e2 = self._e1, self._e2
+        d_u, d_v = self.buffer("del4_u", self.ne), self.buffer("del4_v", self.ne)
 
         def build(mesh):
             sp = scipy_sparse()  # composing is the one use of the package
@@ -576,31 +732,40 @@ class _Compiler:
         D4 = self._composed("del4", build)
 
         def fast(ctx):
-            _matvec(Mgc, ctx["divergence"], e1)
-            _matvec(Mgv, ctx["vorticity"], e2)
-            np.subtract(e1, e2, out=e1)  # del2_u
-            _matvec(D4, e1, e2)  # del4_u in one composed matvec
-            np.multiply(e2, hv, out=e2)
-            np.subtract(ctx["tend_u"], e2, out=ctx["tend_u"])
+            _matvec(Mgc, ctx["divergence"], d_u)
+            _matvec(Mgv, ctx["vorticity"], d_v)
+            np.subtract(d_u, d_v, out=d_u)  # del2_u
+            _matvec(D4, d_u, d_v)  # del4_u in one composed matvec
+            np.multiply(d_v, hv, out=d_v)
 
-        return PlanStage("del4_dissipation", fast, kind="composed")
+        def hv_sum(ctx):
+            np.subtract(ctx["tend_u"], d_v, out=ctx["tend_u"])
+
+        return [
+            self.stage("del4_dissipation", fast, ("divergence", "vorticity"),
+                       ("del4_u", "del4_v"), (Mgc, Mgv, D4), (self.ne, self.ne),
+                       kind="composed"),
+            self.stage("del4_sum", hv_sum, ("tend_u", "del4_v"), ("tend_u",),
+                       passes=(self.ne,)),
+        ]
 
     def _emit_C1(self, sched) -> list[PlanStage]:
         if self.config.thickness_adv_order == 2 or self._h_edge_composes(sched):
             return []  # nothing to correct, or folded into the composed D1
         Md2 = self.matrix("d2fdx2")
-        d2 = self._d2 = np.zeros(2 * self.mesh.nEdges)  # read by D1
+        d2 = self.buffer("d2fdx2", 2 * self.ne)  # read by D1
 
         def fast(ctx):
             _matvec(Md2, ctx["h"], d2)
 
-        return [PlanStage("d2fdx2", fast, kind="matvec", op="d2fdx2")]
+        return [self.stage("d2fdx2", fast, ("h",), ("d2fdx2",), (Md2,),
+                           kind="matvec", op="d2fdx2")]
 
     def _emit_C2(self, sched) -> list[PlanStage]:
         return []  # computed by the fused C1 sweep (one two-row matvec)
 
     def _emit_D1(self, sched) -> list[PlanStage]:
-        order = self.config.thickness_adv_order
+        order, ne = self.config.thickness_adv_order, self.ne
         if self._h_edge_composes(sched):
 
             def build(mesh):
@@ -616,24 +781,24 @@ class _Compiler:
             def fast(ctx):
                 _matvec(H4, ctx["h"], ctx["h_edge"])
 
-            return [PlanStage("h_edge_order4", fast, kind="composed")]
+            return [self.stage("h_edge_order4", fast, ("h",), ("h_edge",), (H4,),
+                               kind="composed")]
 
         Mmean = self.matrix("cell_to_edge_mean")
         stages = [
-            PlanStage(
+            self.stage(
                 "cell_to_edge_mean",
                 lambda ctx, M=Mmean: _matvec(M, ctx["h"], ctx["h_edge"]),
-                kind="matvec",
-                op="cell_to_edge_mean",
-                pattern="D1",
+                ("h",), ("h_edge",), (Mmean,),
+                kind="matvec", op="cell_to_edge_mean", pattern="D1",
             )
         ]
         if order == 2:
             return stages
 
-        d2 = self._d2
+        d2 = self.buffer("d2fdx2", 2 * ne)
         d2_1, d2_2 = d2[0::2], d2[1::2]
-        e1, e2 = self._e1, self._e2
+        e1, e2 = self.buffer("h_edge_corr", ne), self.buffer("h_edge_upwind", ne)
         dc2_12 = self.mesh.metrics.dcEdge**2 / 12.0
         dc2_half = dc2_12 * 0.5
 
@@ -642,7 +807,8 @@ class _Compiler:
             np.multiply(e1, dc2_half, out=e1)
             np.subtract(ctx["h_edge"], e1, out=ctx["h_edge"])
 
-        stages.append(PlanStage("h_edge_correction", corr_fast))
+        stages.append(self.stage("h_edge_correction", corr_fast, ("d2fdx2", "h_edge"),
+                                 ("h_edge_corr", "h_edge"), passes=(ne, ne, ne)))
         if order == 3:
             coef = self.config.coef_3rd_order
 
@@ -655,23 +821,22 @@ class _Compiler:
                 np.multiply(e2, e1, out=e2)
                 np.add(ctx["h_edge"], e2, out=ctx["h_edge"])
 
-            stages.append(PlanStage("h_edge_upwind3", upwind_fast))
+            stages.append(self.stage(
+                "h_edge_upwind3", upwind_fast, ("u", "d2fdx2", "h_edge"),
+                ("h_edge_corr", "h_edge_upwind", "h_edge"), passes=(ne,) * 7,
+            ))
         return stages
 
     def _emit_A2(self, sched) -> list[PlanStage]:
         M = self.matrix("kinetic_energy")
-        e1 = self._e1
+        u2 = self.buffer("u_squared", self.ne)
 
         def fast(ctx):
-            np.multiply(ctx["u"], ctx["u"], out=e1)
-            _matvec(M, e1, ctx["ke"])
+            np.multiply(ctx["u"], ctx["u"], out=u2)
+            _matvec(M, u2, ctx["ke"])
 
-        return [
-            PlanStage(
-                "kinetic_energy", fast, kind="matvec",
-                op="kinetic_energy", pattern="A2",
-            )
-        ]
+        return [self.stage("kinetic_energy", fast, ("u",), ("u_squared", "ke"), (M,),
+                           (self.ne,), kind="matvec", op="kinetic_energy", pattern="A2")]
 
     def _plain_matvec(self, name, op, pattern, out_key, in_key) -> PlanStage:
         M = self.matrix(op)
@@ -679,7 +844,8 @@ class _Compiler:
         def fast(ctx):
             _matvec(M, ctx[in_key], ctx[out_key])
 
-        return PlanStage(name, fast, kind="matvec", op=op, pattern=pattern)
+        return self.stage(name, fast, (in_key,), (out_key,), (M,),
+                          kind="matvec", op=op, pattern=pattern)
 
     def _emit_A3(self, sched) -> list[PlanStage]:
         return [
@@ -690,12 +856,9 @@ class _Compiler:
         return [self._plain_matvec("vorticity", "vertex_curl", "H1", "vorticity", "u")]
 
     def _emit_B2(self, sched) -> list[PlanStage]:
-        stage = self._plain_matvec("tangential_velocity", "tangential_velocity", "B2", "v", "u")
-        K = self.matrix("tangential_velocity")
-        if self.helped:  # compile_kernel moves it first and adds the join
-            stage.fast = lambda ctx: _start(ctx["lane"], _matvec, K, ctx["u"], ctx["v"])
-            stage.helper = "start"
-        return [stage]
+        return [self._plain_matvec(
+            "tangential_velocity", "tangential_velocity", "B2", "v", "u"
+        )]
 
     def _emit_E1(self, sched) -> list[PlanStage]:
         M = self.matrix("vertex_from_cells_kite")
@@ -707,12 +870,10 @@ class _Compiler:
             np.add(ctx["f"], ctx["vorticity"], out=ctx["pv_vertex"])
             np.divide(ctx["pv_vertex"], hv, out=ctx["pv_vertex"])
 
-        return [
-            PlanStage(
-                "pv_vertex", fast, kind="matvec",
-                op="vertex_from_cells_kite", pattern="E1",
-            )
-        ]
+        return [self.stage(
+            "pv_vertex", fast, ("h", "f", "vorticity"), ("h_vertex", "pv_vertex"), (M,),
+            (self.nv,) * 3, kind="matvec", op="vertex_from_cells_kite", pattern="E1",
+        )]
 
     def _emit_F1(self, sched) -> list[PlanStage]:
         return [
@@ -731,18 +892,30 @@ class _Compiler:
             Mgv = self.matrix("edge_gradient_of_vertex")
             Mgc = self.matrix("edge_gradient_of_cell")
             factor = self.config.apvm_upwinding * self.config.dt
-            e1, e2 = self._e1, self._e2
+            gv, gc = self.buffer("apvm_grad_v", self.ne), self.buffer("apvm_grad_c", self.ne)
+
+            def grad_v(ctx):
+                _matvec(Mgv, ctx["pv_vertex"], gv)
+
+            def grad_c(ctx):
+                _matvec(Mgc, ctx["pv_cell"], gc)
 
             def apvm_fast(ctx):
-                _matvec(Mgv, ctx["pv_vertex"], e1)
-                _matvec(Mgc, ctx["pv_cell"], e2)
-                np.multiply(ctx["v"], e1, out=e1)
-                np.multiply(ctx["u"], e2, out=e2)
-                np.add(e1, e2, out=e1)
-                np.multiply(e1, factor, out=e1)
-                np.subtract(ctx["pv_edge"], e1, out=ctx["pv_edge"])
+                np.multiply(ctx["v"], gv, out=gv)
+                np.multiply(ctx["u"], gc, out=gc)
+                np.add(gv, gc, out=gv)
+                np.multiply(gv, factor, out=gv)
+                np.subtract(ctx["pv_edge"], gv, out=ctx["pv_edge"])
 
-            stages.append(PlanStage("apvm_upwinding", apvm_fast, kind="matvec"))
+            stages += [
+                self.stage("apvm_grad_pv_vertex", grad_v, ("pv_vertex",), ("apvm_grad_v",),
+                           (Mgv,), kind="matvec", op="edge_gradient_of_vertex"),
+                self.stage("apvm_grad_pv_cell", grad_c, ("pv_cell",), ("apvm_grad_c",),
+                           (Mgc,), kind="matvec", op="edge_gradient_of_cell"),
+                self.stage("apvm_upwinding", apvm_fast,
+                           ("v", "u", "apvm_grad_v", "apvm_grad_c", "pv_edge"),
+                           ("apvm_grad_v", "apvm_grad_c", "pv_edge"), passes=(self.ne,) * 5),
+            ]
         return stages
 
     def _emit_A4(self, sched) -> list[PlanStage]:
@@ -751,12 +924,8 @@ class _Compiler:
         def fast(ctx):
             ctx["U"] = _triples(M @ ctx["u"])
 
-        return [
-            PlanStage(
-                "velocity_reconstruction", fast, kind="matvec",
-                op="velocity_reconstruction", pattern="A4",
-            )
-        ]
+        return [self.stage("velocity_reconstruction", fast, ("u",), ("U",), (M,),
+                           kind="matvec", op="velocity_reconstruction", pattern="A4")]
 
     def _emit_X6(self, sched) -> list[PlanStage]:
         from ..geometry.sphere import tangent_basis
@@ -768,7 +937,8 @@ class _Compiler:
             ctx["zonal"] = np.sum(U * east, axis=1)
             ctx["meridional"] = np.sum(U * north, axis=1)
 
-        return [PlanStage("tangent_rotation", fast)]
+        return [self.stage("tangent_rotation", fast, ("U",), ("zonal", "meridional"),
+                           passes=(6 * self.nc,))]
 
 
 def compile_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
@@ -794,7 +964,7 @@ def compile_plan(mesh, config, batch: int = 0) -> ExecutionPlan:
     tend = comp.compile_kernel(sched1, "compute_tend")
     diag = comp.compile_kernel(sched1, "compute_solve_diagnostics")
 
-    def compile_recon(mesh) -> list[PlanStage]:
+    def compile_recon(mesh) -> _Kernel:
         # Takes the mesh as an argument: a closure over it would pin the
         # mesh the memoized plan only references weakly.
         recon = _Compiler(mesh, config)

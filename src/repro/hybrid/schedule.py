@@ -17,6 +17,7 @@ produce an :class:`~repro.hybrid.executor.Assignment`:
 
 from __future__ import annotations
 
+from ..dataflow.analysis import earliest_finish_schedule
 from ..dataflow.graph import DataFlowGraph
 from ..machine.cost import CostModel
 from .executor import Assignment, Placement
@@ -119,7 +120,8 @@ def pattern_level_assignment(
 ) -> Assignment:
     """Instance-granularity placement with adjustable splits (Figure 4b).
 
-    Earliest-finish-time list scheduling over the program order; for
+    Earliest-finish-time list scheduling over the program order
+    (:func:`repro.dataflow.analysis.earliest_finish_schedule`); for
     splittable instances the cpu fraction ``f`` is chosen so both devices
     finish simultaneously:
 
@@ -131,39 +133,12 @@ def pattern_level_assignment(
     introduced ... without destroying the completeness of the pattern
     structure".
     """
-    avail = {"cpu": 0.0, "mic": 0.0}
-    finish: dict[str, float] = {}
-    assignment: Assignment = {}
-    for node in dfg.order:
-        inst = dfg.instance(node)
-        ready = max(
-            (finish.get(p, 0.0) for p in dfg.predecessors_compute(node)),
-            default=0.0,
-        )
-        # Single-device candidates.
-        candidates: list[tuple[float, Placement, dict[str, float]]] = []
-        for dev in ("cpu", "mic"):
-            end = max(avail[dev], ready) + times[node][dev]
-            candidates.append((end, Placement(dev), {**avail, dev: end}))
-        best_end, best_placement, best_avail = min(candidates, key=lambda c: c[0])
-
-        if allow_splits and inst.splittable:
-            t_cpu, t_mic = times[node]["cpu"], times[node]["mic"]
-            s_cpu = max(avail["cpu"], ready)
-            s_mic = max(avail["mic"], ready)
-            denom = t_cpu + t_mic
-            if denom > 0.0:
-                f = (s_mic - s_cpu + t_mic) / denom
-                if 0.02 < f < 0.98:
-                    end = s_cpu + f * t_cpu  # == s_mic + (1 - f) * t_mic
-                    if end < best_end * (1.0 - min_split_gain):
-                        best_end = end
-                        best_placement = Placement("split", cpu_fraction=f)
-                        best_avail = {"cpu": end, "mic": end}
-        assignment[node] = best_placement
-        avail = best_avail
-        finish[node] = best_end
-    return assignment
+    placed, _ = earliest_finish_schedule(
+        dfg.order, dfg.predecessors_compute, times,
+        splittable=lambda node: allow_splits and dfg.instance(node).splittable,
+        min_split_gain=min_split_gain,
+    )
+    return {node: Placement(dev, cpu_fraction=f) for node, (dev, f) in placed.items()}
 
 
 def balanced_fraction(

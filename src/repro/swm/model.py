@@ -203,7 +203,7 @@ class ShallowWaterModel:
 
             state, diag = self.state, self.diagnostics
             plan = kernel_plan(self.mesh, self.config)
-            with second_core(plan is not None and plan.helped):  # its K products
+            with second_core(plan is not None and plan.lanes == 2):  # its lane stages
                 for _ in range(steps):
                     (state,), (diag,) = rk4_step([self.integrator], [state], [diag])
                     self._state, self._diag = state, diag

@@ -6,7 +6,7 @@ type (Algorithm 3), with signs and padding folded into precomputed label
 matrices (Algorithm 4).  In NumPy this is also the fast form — a fancy-index
 gather plus a row reduction — whereas the original edge-order *scatter* form
 (Algorithm 2) needs ``np.add.at``.  Both forms exist in the code base: the
-scatter/loop references live in :mod:`repro.swm.reference` and
+scatter/loop references live in ``tests/oracles/reference.py`` and
 :mod:`repro.reduction`, and the equivalence is covered by tests.
 
 An :class:`OperatorPlan` caches, per mesh, the padded index and label-matrix

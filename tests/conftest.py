@@ -77,14 +77,18 @@ def vertex_field(mesh3, rng):
 
 
 def _coriolis_plan_stage(mesh, u, h_edge, q):
-    """The compiled plan's B1 stage alone."""
+    """The compiled plan's B1 stages alone: the edge flux ``u * h_edge``,
+    the two products with ``K`` and their sum."""
     from repro.engine.plan import compiled_plan
     from repro.swm.config import SWConfig
 
     plan = compiled_plan(mesh, SWConfig(dt=60.0, backend="sparse", plan=True))
-    (stage,) = [s for s in plan.stages()["tend"] if s.op == "coriolis_edge_term"]
+    stages = [s for s in plan.stages()["tend"]
+              if s.name == "edge_flux" or s.name.startswith("coriolis")]
+    assert stages[-1].op == "coriolis_edge_term"
     out = np.empty_like(u)
-    stage.fast({"u": u, "h_edge": h_edge, "pv_edge": q, "tend_u": out})
+    for stage in stages:
+        stage.fast({"u": u, "h_edge": h_edge, "pv_edge": q, "tend_u": out})
     return out
 
 

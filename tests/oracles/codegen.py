@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from ..mesh.mesh import Mesh
-from .pattern import PatternKind
+from repro.mesh.mesh import Mesh
+from repro.patterns.pattern import PatternKind
 
 __all__ = ["StencilSpec", "generate_source", "compile_kernel", "BUILTIN_SPECS"]
 
@@ -75,7 +75,7 @@ _TEMPLATE = '''\
 def {name}(mesh, field):
     """Generated {letter}-pattern kernel: {output} <- {input} (Algorithm 4 shape).
 
-    Auto-generated by repro.patterns.codegen; do not edit.
+    Auto-generated by tests.oracles.codegen; do not edit.
     """
     import numpy as np
     conn = mesh.connectivity

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.patterns import PatternKind
-from repro.patterns.codegen import (
+from tests.oracles.codegen import (
     BUILTIN_SPECS,
     StencilSpec,
     compile_kernel,

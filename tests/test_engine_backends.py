@@ -3,8 +3,8 @@ agree with the oracles kept beside them.
 
 The correctness contract: selecting a backend changes *how* a pattern
 executes, never *what* it computes.  The oracles are not backends — the
-Algorithm 2 loop/scatter forms of :mod:`repro.swm.reference` and the kernels
-compiled from :data:`repro.patterns.codegen.BUILTIN_SPECS` are called here
+Algorithm 2 loop/scatter forms of :mod:`tests.oracles.reference` and the kernels
+compiled from :data:`tests.oracles.codegen.BUILTIN_SPECS` are called here
 directly.  Gather vs scatter reassociates the reductions, so those agree to
 round-off; the compiled kernels the seed suite proves bitwise-equal must stay
 bitwise-equal.  The full-model check integrates the Galewsky jet under each
@@ -20,11 +20,11 @@ from repro.constants import GRAVITY
 from repro.engine import BACKENDS, dispatch
 from repro.geometry import lloyd_relax, normalize
 from repro.mesh import Mesh
-from repro.patterns.codegen import BUILTIN_SPECS, compile_kernel
-from repro.swm import reference as ref
+from tests.oracles import reference as ref
+from tests.oracles.codegen import BUILTIN_SPECS, compile_kernel
 
 # Reassociation tolerance for gather-vs-scatter reductions (matches the
-# operator seed tests comparing repro.swm.reference to repro.swm.operators).
+# operator seed tests comparing tests.oracles.reference to repro.swm.operators).
 RTOL = 1e-11
 
 # (op, input point types) for every registered stencil operator.

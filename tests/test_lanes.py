@@ -1,13 +1,18 @@
-"""The second core: a serial plan's independent ``K`` products on a pinned lane.
+"""Two lanes: a serial plan's stages placed on the caller and a pinned lane.
 
 Level 3's ``K`` is far below ``HELPER_MIN_NNZ``, so every test here lowers
-the constant to force the compiler to mark the products, and compares a run
-whose plan hands them to the lane with the same run inline.  Contracts:
+the constant to compile two-lane plans (and scales ``HANDOFF_COST`` by level
+3's sixteenth of level 5's points, which gives every config below the lane
+groups it gets at level 5), and compares a run whose plan hands stage
+groups to the lane with the same run inline.  Contracts:
 
-* bitwise: helper == inline over 5 steps across orders 2 / 3 / 4 (composed),
-  APVM on and off, del2 / del4, ``advection_only`` and tc5 topography;
-* an E1 failure with ``v = K u`` in flight joins the lane, restores the
-  caller's affinity and leaves the next run working;
+* bitwise: two lanes == inline over 5 steps across orders 2 / 3 / 4
+  (composed), APVM on and off, del2 / del4, ``advection_only`` and tc5;
+* every stage writes only what it declares (undeclared inputs read-only);
+* mass is conserved to round-off and the Coriolis term does no work on the
+  two-lane plan too;
+* an E1 failure with a lane group in flight, or on the lane itself, joins
+  the lane, restores the caller's affinity and leaves the next run working;
 * only ``ShallowWaterModel.advance``'s serial branch engages the lane: not a
   forked child, a pool rank, a traced run or an ensemble block thread;
 * serial runs on more threads than cores share one lane without a lost
@@ -21,6 +26,7 @@ import dataclasses
 import os
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +40,7 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.swm.config import SWConfig
 from repro.swm.model import ShallowWaterModel
+from repro.swm.operators import coriolis_edge_term
 
 pytestmark = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2, reason="the lane needs a second usable CPU"
@@ -42,9 +49,10 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture()
 def forced(monkeypatch):
-    """Plans compiled with every ``K`` product marked for the second core;
-    yields the names of the functions handed to any lane."""
+    """Two-lane plans at level 3, placed as at level 5; yields the names of
+    the functions handed to any lane."""
     monkeypatch.setattr(plan, "HELPER_MIN_NNZ", 1)
+    monkeypatch.setattr(plan, "HANDOFF_COST", plan.HANDOFF_COST // 16)
     plan.clear_plan_memory_cache()
     handed = []
     real_submit = lanes.Lane.submit
@@ -85,38 +93,107 @@ CASES = {
 def test_helper_equals_inline_bitwise(mesh3, forced, monkeypatch, name):
     case, kw = CASES[name]
     config = _config(mesh3, case, **kw)
-    described = plan.compiled_plan(mesh3, config).describe()
-    # B1 starts the tendencies and is joined after A1, before its sum; v = K u
-    # starts the diagnostics and is joined before its first reader.
-    assert kw.get("advection_only") or "tend:\n  coriolis_edge_term " in described
-    assert kw.get("advection_only") or "A1\n  join_coriolis_edge_term " in described
-    reader = "apvm_upwinding" if config.apvm_upwinding else "reconstruct:"
-    assert "diagnostics:\n  tangential_velocity " in described
-    join = described.index("join_tangential_velocity")
-    assert described.index("pv_cell") < join < described.index(reader)
+    compiled = plan.compiled_plan(mesh3, config)
+    assert compiled.lanes == 2
+    described = compiled.describe()
+    assert "lane=1" in described and "\n  join\n" in described
     registry = MetricsRegistry()
     with use_registry(registry):
-        helped = run(case, mesh=mesh3, config=config, steps=5)
-    assert "_matvec" in forced  # the lane ran products...
+        laned = run(case, mesh=mesh3, config=config, steps=5)
+    assert "_run_group" in forced  # the lane ran stage groups...
     assert registry.series("engine.plan.lane.wait_s")  # ...and the joins were timed
     forced.clear()
     _inline(monkeypatch)
     inline = run(case, mesh=mesh3, config=config, steps=5)
     assert forced == []
     for field in ("h", "u"):
-        assert np.array_equal(getattr(helped.state, field), getattr(inline.state, field))
+        assert np.array_equal(getattr(laned.state, field), getattr(inline.state, field))
     for field in ("v", "pv_edge", "h_edge"):
         assert np.array_equal(
-            getattr(helped.diagnostics, field), getattr(inline.diagnostics, field)
+            getattr(laned.diagnostics, field), getattr(inline.diagnostics, field)
         )
 
 
-def test_levels_up_to_4_run_inline(mesh3, monkeypatch):
-    """At the shipped constant nothing at level <= 4 is marked (level 3 has
-    a quarter of level 4's entries), so a run there neither claims the lane
-    nor pins its caller."""
+@pytest.fixture(scope="module")
+def galewsky3(mesh3):
+    """The model the write check feeds every config's stages from: one
+    initialized galewsky state and its diagnostics."""
     config = _config(mesh3, "galewsky")
-    assert "helper=" not in plan.compiled_plan(mesh3, config).describe()
+    model = ShallowWaterModel(mesh3, config)
+    model.initialize(resolve_case("galewsky"))
+    return model
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_every_stage_writes_only_what_it_declares(mesh3, galewsky3, name):
+    """Each stage runs with every array it does not declare written made
+    read-only, so an undeclared write raises.  (Kernels share scratch
+    arrays under different names, so arrays are told apart by identity.)
+    Which values flow does not matter here, so one state serves every
+    config, and each config's memoized plan is the one checked."""
+    case, kw = CASES[name]
+    state, diag = galewsky3.state, galewsky3.diagnostics
+    fields = {k: getattr(diag, k).copy() for k in (
+        "h_edge", "ke", "vorticity", "divergence", "v",
+        "h_vertex", "pv_vertex", "pv_cell", "pv_edge",
+    )}
+    inputs = {
+        "tend": {"h": state.h.copy(), "u": state.u.copy(),
+                 "b": galewsky3.b_cell.copy(), **fields},
+        "diagnostics": {"h": state.h.copy(), "u": state.u.copy(),
+                        "f": galewsky3.integrator.f_vertex.copy(), **fields},
+        "reconstruct": {"u": state.u.copy()},
+    }
+    compiled = plan.compiled_plan(mesh3, _config(mesh3, case, **kw))
+    for segment, stages in compiled.stages().items():
+        ctx = {**compiled._buffers, **inputs[segment]}
+        for stage in stages:
+            written = {id(ctx[key]) for key in stage.writes if key in ctx}
+            frozen = [a for a in ctx.values()
+                      if isinstance(a, np.ndarray) and id(a) not in written]
+            for array in frozen:
+                array.flags.writeable = False
+            try:
+                stage.fast(ctx)
+            finally:
+                for array in frozen:
+                    array.flags.writeable = True
+
+
+def test_two_lanes_conserve_mass_and_coriolis_does_no_work(mesh3, forced, rng):
+    config = _config(mesh3, "galewsky")
+    model = ShallowWaterModel(mesh3, config)
+    model.initialize(resolve_case("galewsky"))
+    m0 = np.sum(model.state.h * mesh3.areaCell)
+    model.advance(5)
+    assert "_run_group" in forced
+    assert abs(np.sum(model.state.h * mesh3.areaCell) - m0) / m0 < 1e-13
+
+    # With h + b = 0 and ke = 0 the Bernoulli term vanishes: tend_u is B1.
+    u = rng.standard_normal(mesh3.nEdges)
+    h_edge = rng.uniform(0.5, 2.0, mesh3.nEdges)
+    q = rng.standard_normal(mesh3.nEdges)
+    h, zero_c = np.ones(mesh3.nCells), np.zeros(mesh3.nCells)
+    diag = SimpleNamespace(h_edge=h_edge, ke=zero_c, pv_edge=q,
+                           divergence=zero_c, vorticity=np.zeros(mesh3.nVertices))
+    forced.clear()
+    with lanes.second_core():
+        _, term = plan.compiled_plan(mesh3, config).tend(
+            SimpleNamespace(h=h, u=u), diag, -h)
+    assert forced == ["_run_group"]
+    scale = np.sum((u * h_edge) ** 2 * mesh3.dcEdge * mesh3.dvEdge)
+    assert abs(np.sum(u * h_edge * term * mesh3.dcEdge * mesh3.dvEdge)) < 1e-10 * scale
+    reference = coriolis_edge_term(mesh3, u, h_edge, q)
+    assert np.max(np.abs(term - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_levels_up_to_4_run_inline(mesh3, monkeypatch):
+    """At the shipped constant a plan at level <= 4 runs one lane (level 3
+    has a quarter of level 4's entries), so a run there neither claims the
+    lane nor pins its caller."""
+    config = _config(mesh3, "galewsky")
+    compiled = plan.compiled_plan(mesh3, config)
+    assert compiled.lanes == 1 and "lane=" not in compiled.describe()
     assert 4 * plan.sparse_operator(mesh3, "tangential_velocity").nnz < plan.HELPER_MIN_NNZ
     claims = []
     monkeypatch.setattr(lanes, "claimed", lambda cpus: claims.append(cpus))
@@ -125,9 +202,24 @@ def test_levels_up_to_4_run_inline(mesh3, monkeypatch):
 
 
 def test_a_guard_failure_with_a_product_in_flight(mesh3, forced, monkeypatch):
-    """E1 raises while ``v = K u`` runs on the lane: the exit joins it,
-    restores the caller's affinity, and the next run is the inline one."""
+    """E1 raises on the caller while ``K u`` runs on the lane: the lane is
+    joined, the caller's affinity restored, and the next run is the inline
+    one."""
+    _guard_failure(mesh3, forced, monkeypatch, e1_on_lane=False)
+
+
+def test_a_guard_failure_on_the_lane(mesh3, forced, monkeypatch):
+    """With a cheaper handoff E1 itself runs on the lane and raises at the
+    join."""
+    monkeypatch.setattr(plan, "HANDOFF_COST", plan.HANDOFF_COST // 2)
+    _guard_failure(mesh3, forced, monkeypatch, e1_on_lane=True)
+
+
+def _guard_failure(mesh3, forced, monkeypatch, e1_on_lane):
     config = _config(mesh3, "galewsky")
+    on_lane = {st.name: st.lane for st in plan.compiled_plan(mesh3, config)._diag}
+    assert on_lane["pv_vertex"] == e1_on_lane
+    assert e1_on_lane or on_lane["tangential_velocity"]
     model = ShallowWaterModel(mesh3, config)
     model.initialize(resolve_case("galewsky"))
     bad = model.state.copy()
@@ -147,13 +239,13 @@ def test_a_guard_failure_with_a_product_in_flight(mesh3, forced, monkeypatch):
             assert lane is not None
             assert os.sched_getaffinity(0) != before or len(before) == 1
             model.integrator.diagnostics_for(bad)
-    assert forced == ["_matvec"] and busy_at_join == [True]
+    assert forced == ["_run_group"] and busy_at_join == [True]
     assert not lane.busy and lanes.engaged() is None
     assert os.sched_getaffinity(0) == before
-    helped = run("galewsky", mesh=mesh3, config=config, steps=2)
+    laned = run("galewsky", mesh=mesh3, config=config, steps=2)
     _inline(monkeypatch)
     inline = run("galewsky", mesh=mesh3, config=config, steps=2)
-    assert np.array_equal(helped.state.u, inline.state.u)
+    assert np.array_equal(laned.state.u, inline.state.u)
 
 
 def test_a_forked_child_never_engages(mesh3, forced):
@@ -188,12 +280,12 @@ def test_a_traced_run_runs_inline(mesh3, forced):
     with use_tracer(Tracer()):
         traced = run("galewsky", mesh=mesh3, config=config, steps=2)
     assert forced == []
-    helped = run("galewsky", mesh=mesh3, config=config, steps=2)
-    assert forced and np.array_equal(traced.state.u, helped.state.u)
+    laned = run("galewsky", mesh=mesh3, config=config, steps=2)
+    assert forced and np.array_equal(traced.state.u, laned.state.u)
 
 
 def test_ensemble_block_threads_never_engage(mesh3, forced, monkeypatch):
-    """The lanes step member blocks and no block hands a product on: an
+    """The lanes step member blocks and no block hands a stage on: an
     engaged lane belongs to the thread that engaged it."""
     cpus = sorted(os.sched_getaffinity(0))[:2]
     monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: cpus)
@@ -214,7 +306,7 @@ def test_ensemble_block_threads_never_engage(mesh3, forced, monkeypatch):
 def test_threads_contending_for_the_lane_stay_bitwise(mesh3, forced):
     config = _config(mesh3, "galewsky")
     reference = run("galewsky", mesh=mesh3, config=config, steps=3).state.u
-    assert "_matvec" in forced
+    assert "_run_group" in forced
     results, errors = [], []
 
     def worker():

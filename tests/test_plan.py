@@ -35,6 +35,7 @@ from repro.dataflow.schedule import (
 )
 from repro.engine import default_registry
 from repro.engine.plan import (
+    _Compiler,
     PLAN_CACHE_VERSION,
     PLAN_LOCAL_LABELS,
     PLANNED_OPS,
@@ -42,7 +43,6 @@ from repro.engine.plan import (
     compile_plan,
     compiled_plan,
     plan_key,
-    unplanned_labels,
 )
 from repro.engine.sparse import clear_operator_memory_cache, operator_cache_path
 from repro.swm.config import SWConfig
@@ -139,6 +139,17 @@ class TestSchedule:
         )
         assert "pv_cell" not in protected
         assert protected <= free
+
+
+def unplanned_labels(config=None) -> set[str]:
+    """Scheduled Table I labels with neither a plan emitter nor a whitelist:
+    a new catalog instance must gain an emitter in ``_Compiler`` or join
+    ``PLAN_LOCAL_LABELS``."""
+    handled = set(_Compiler.EMITTED_LABELS) | set(PLAN_LOCAL_LABELS)
+    return {
+        schedule_substep(config, stage=stage).graph.instance(node).label
+        for stage in (1, 4) for node in schedule_substep(config, stage=stage).nodes()
+    } - handled
 
 
 # -------------------------------------------------------------------- lint

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.swm import reference as ref
+from tests.oracles import reference as ref
 from repro.swm.operators import (
     cell_divergence,
     cell_from_vertices_kite,
