@@ -1,7 +1,7 @@
 """Shared benchmark-harness utilities (table/series renderers, paper data)."""
 
 from .paper import FIG6_PAPER, FIG7_PAPER, FIG9_PAPER, TABLE_III_PAPER
-from .tables import fmt_speedup, fmt_time, render_series, render_table
+from .tables import fmt_speedup, fmt_time, render_table
 
 __all__ = [
     "FIG6_PAPER",
@@ -10,6 +10,5 @@ __all__ = [
     "TABLE_III_PAPER",
     "fmt_speedup",
     "fmt_time",
-    "render_series",
     "render_table",
 ]

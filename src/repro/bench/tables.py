@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["render_table", "render_series", "fmt_time", "fmt_speedup"]
+__all__ = ["render_table", "fmt_time", "fmt_speedup"]
 
 
 def fmt_time(seconds: float) -> str:
@@ -42,18 +42,3 @@ def render_table(
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(
-    title: str,
-    x_label: str,
-    xs: Sequence[object],
-    series: dict[str, Sequence[float]],
-    fmt=fmt_time,
-) -> str:
-    """Figure data as a table: one row per x, one column per series."""
-    headers = [x_label, *series.keys()]
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x, *(fmt(series[name][i]) for name in series)])
-    return render_table(title, headers, rows)

@@ -39,8 +39,11 @@ One entry point per Algorithm-1 kernel (:meth:`ExecutionPlan.tend`,
 the halo exchanges of Fig. 4 are barriers between those segments, and the
 decomposed executors run them.  With the tracer enabled every stage runs
 under a ``category="plan"`` span.  The two tendency outputs live in
-plan-owned buffers reused across calls; Diagnostics and Reconstruction
-outputs are allocated per call because callers retain them.
+plan-owned buffers reused across calls.  Diagnostics are written into the
+``out`` a caller passes — the RK substeps pass the plan's own
+:attr:`~ExecutionPlan.scratch`, which also holds their provisional state and
+increments — and into fresh arrays otherwise; Reconstruction outputs are
+allocated per call because callers retain them.
 
 Two lanes
 ---------
@@ -358,6 +361,17 @@ class ExecutionPlan:
         # per-cell fits behind the A4 operator are compiled with the plan.
         return self._compile_recon(self._mesh())
 
+    @functools.cached_property
+    def scratch(self) -> tuple:
+        """``(provisional State, increment State, Diagnostics)``: the buffers
+        :func:`repro.swm.timestep.rk4_step` reuses in every RK substep on this
+        plan's thread (the final state and diagnostics stay fresh)."""
+        from ..swm.state import Diagnostics, State
+
+        nc, ne, nv = self._n
+        return (State(np.zeros(nc), np.zeros(ne)), State(np.zeros(nc), np.zeros(ne)),
+                Diagnostics.allocate(nc, ne, nv))
+
     # ------------------------------------------------------------ executor
     def _run(self, kernel: _Kernel, ctx: dict) -> None:
         tracer = get_tracer()
@@ -410,38 +424,17 @@ class ExecutionPlan:
             self._run(self._tend, ctx)
             return ctx["tend_h"], ctx["tend_u"]
 
-    def diagnostics(self, state, f_vertex):
-        """Fused ``compute_solve_diagnostics``: the post-exchange segment."""
+    def diagnostics(self, state, f_vertex, out=None):
+        """Fused ``compute_solve_diagnostics``: the post-exchange segment,
+        written into ``out``'s arrays (fresh ones when ``out`` is ``None``)."""
         from ..swm.state import Diagnostics
 
-        n_cells, n_edges, n_vertices = self._n
+        if out is None:
+            out = Diagnostics.allocate(*self._n, alloc=np.empty)
         with get_registry().timer("engine.plan", segment="diagnostics").time():
-            ctx = self._ctx(
-                h=state.h,
-                u=state.u,
-                f=f_vertex,
-                h_edge=np.empty(n_edges),
-                ke=np.empty(n_cells),
-                vorticity=np.empty(n_vertices),
-                divergence=np.empty(n_cells),
-                v=np.empty(n_edges),
-                h_vertex=np.empty(n_vertices),
-                pv_vertex=np.empty(n_vertices),
-                pv_cell=np.empty(n_cells),
-                pv_edge=np.empty(n_edges),
-            )
+            ctx = self._ctx(h=state.h, u=state.u, f=f_vertex, **vars(out))
             self._run(self._diag, ctx)
-            return Diagnostics(
-                h_edge=ctx["h_edge"],
-                ke=ctx["ke"],
-                vorticity=ctx["vorticity"],
-                divergence=ctx["divergence"],
-                v=ctx["v"],
-                h_vertex=ctx["h_vertex"],
-                pv_vertex=ctx["pv_vertex"],
-                pv_cell=ctx["pv_cell"],
-                pv_edge=ctx["pv_edge"],
-            )
+        return out
 
     def reconstruct(self, u_edge):
         """Fused ``mpas_reconstruct``: the (A4, X6) segment of stage 4."""

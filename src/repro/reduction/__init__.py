@@ -7,10 +7,7 @@ from .branchfree import (
 )
 from .irregular import irregular_reduction_loop, scatter_add_signed
 from .planner import (
-    divergence_branchfree_loop,
-    divergence_gather_loop,
     divergence_gather_vectorized,
-    divergence_scatter_loop,
     divergence_scatter_vectorized,
 )
 from .refactored import refactored_reduction_loop
@@ -21,10 +18,7 @@ __all__ = [
     "gather_label_matrix",
     "irregular_reduction_loop",
     "scatter_add_signed",
-    "divergence_branchfree_loop",
-    "divergence_gather_loop",
     "divergence_gather_vectorized",
-    "divergence_scatter_loop",
     "divergence_scatter_vectorized",
     "refactored_reduction_loop",
 ]

@@ -2,9 +2,9 @@
 
 These wrap the abstract reduction kernels with real mesh connectivity and
 the divergence metric factors, giving apples-to-apples implementations of
-the same physical operator (flux divergence, scaled) in every loop shape the
-paper discusses.  The benchmark harness measures them against each other;
-the test suite asserts their numerical equivalence.
+the same physical operator (flux divergence, scaled): the vectorized
+scatter and gather forms Fig. 6 measures.  The literal loops live with the
+tests (``tests/oracles/reduction.py``), which assert their equivalence.
 """
 
 from __future__ import annotations
@@ -15,15 +15,11 @@ import numpy as np
 
 from ..mesh.mesh import Mesh
 from .branchfree import build_label_matrix, gather_label_matrix
-from .irregular import irregular_reduction_loop, scatter_add_signed
-from .refactored import refactored_reduction_loop
+from .irregular import scatter_add_signed
 
 __all__ = [
-    "divergence_scatter_loop",
     "divergence_scatter_vectorized",
-    "divergence_gather_loop",
     "divergence_gather_vectorized",
-    "divergence_branchfree_loop",
 ]
 
 _LABELS: "weakref.WeakKeyDictionary[Mesh, tuple[np.ndarray, np.ndarray]]" = (
@@ -46,42 +42,10 @@ def _labels(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return entry
 
 
-def divergence_scatter_loop(mesh: Mesh, u_edge: np.ndarray) -> np.ndarray:
-    """Algorithm 2, literal loop."""
-    acc = irregular_reduction_loop(
-        mesh.nCells, mesh.connectivity.cellsOnEdge, _weighted(mesh, u_edge)
-    )
-    return acc / mesh.metrics.areaCell
-
-
 def divergence_scatter_vectorized(mesh: Mesh, u_edge: np.ndarray) -> np.ndarray:
     """Algorithm 2, ``np.add.at`` scatter."""
     acc = scatter_add_signed(
         mesh.nCells, mesh.connectivity.cellsOnEdge, _weighted(mesh, u_edge)
-    )
-    return acc / mesh.metrics.areaCell
-
-
-def divergence_gather_loop(mesh: Mesh, u_edge: np.ndarray) -> np.ndarray:
-    """Algorithm 3, literal loop with the conditional branch."""
-    conn = mesh.connectivity
-    acc = refactored_reduction_loop(
-        mesh.nCells,
-        conn.cellsOnEdge,
-        conn.edgesOnCell,
-        conn.nEdgesOnCell,
-        _weighted(mesh, u_edge),
-    )
-    return acc / mesh.metrics.areaCell
-
-
-def divergence_branchfree_loop(mesh: Mesh, u_edge: np.ndarray) -> np.ndarray:
-    """Algorithm 4, literal loop with the label matrix."""
-    from .branchfree import branch_free_reduction_loop
-
-    label, eoc_safe = _labels(mesh)
-    acc = branch_free_reduction_loop(
-        label, eoc_safe, mesh.connectivity.nEdgesOnCell, _weighted(mesh, u_edge)
     )
     return acc / mesh.metrics.areaCell
 

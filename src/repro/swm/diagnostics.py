@@ -27,6 +27,7 @@ def compute_solve_diagnostics(
     state: State,
     f_vertex: np.ndarray,
     config: SWConfig,
+    out: Diagnostics | None = None,
 ) -> Diagnostics:
     """Compute all diagnostic fields from ``state``.
 
@@ -39,12 +40,16 @@ def compute_solve_diagnostics(
         Coriolis parameter at vorticity points.
     config : SWConfig
         ``apvm_upwinding`` and ``thickness_adv_order`` are honoured here.
+    out : Diagnostics, optional
+        Arrays a plan writes the result into and returns (the RK substeps
+        pass their plan's scratch); without a plan, or without ``out``, the
+        result is in fresh arrays.
     """
     from ..engine.plan import kernel_plan
 
     plan = kernel_plan(mesh, config)
     if plan is not None:
-        return plan.diagnostics(state, f_vertex)
+        return plan.diagnostics(state, f_vertex, out=out)
     h, u = state.h, state.u
     backend = config.backend
 

@@ -18,6 +18,8 @@ procedure of the original paper.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..constants import EARTH_RADIUS, GRAVITY, OMEGA
@@ -49,10 +51,15 @@ def _jet_profile(lat: np.ndarray) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=8)
 def _balanced_depth_table(
     radius: float, omega: float, g: float, n: int = 20001
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(lat grid, balanced h) by integrating the gradient relation."""
+    """(lat grid, balanced h) by integrating the gradient relation.
+
+    A pure function of its arguments, memoized (each case build, and
+    ``api.run`` builds one twice, would pay the 20,001-point quadrature
+    again); the arrays are read-only because every caller shares them."""
     lat = np.linspace(-np.pi / 2.0, np.pi / 2.0, n)
     u = _jet_profile(lat)
     f = 2.0 * omega * np.sin(lat)
@@ -64,7 +71,9 @@ def _balanced_depth_table(
     # Shift so the area-weighted global mean is MEAN_DEPTH.
     weights = np.cos(lat)
     mean = np.sum(h * weights) / np.sum(weights)
-    return lat, h - mean + MEAN_DEPTH
+    h = h - mean + MEAN_DEPTH
+    lat.flags.writeable = h.flags.writeable = False
+    return lat, h
 
 
 def galewsky_jet(

@@ -60,7 +60,6 @@ __all__ = [
     "default_config",
     "known_names",
     "resolve",
-    "canonical_name",
     "perturbed_case",
 ]
 
@@ -375,19 +374,3 @@ def resolve(case: TestCase | str | int) -> TestCase:
             return _parse_perturbed(name)
         return scenario(name).build()
     return scenario(case).build()
-
-
-def canonical_name(case: TestCase | str | int) -> str:
-    """The stable identity a case token resolves to (the job-dedup name).
-
-    Catalogue aliases collapse to the canonical scenario name; perturbed
-    tokens resolve to their parameter-encoding case name; built cases
-    report their own name.
-    """
-    if isinstance(case, TestCase):
-        return case.name
-    if isinstance(case, str) and case.strip().lower().startswith(
-        f"{PERTURBED_PREFIX}:"
-    ):
-        return _parse_perturbed(case.strip().lower()).name
-    return scenario(case).name

@@ -63,17 +63,19 @@ class Diagnostics:
     pv_edge: np.ndarray  # (nEdges,)
 
     @classmethod
-    def allocate(cls, n_cells: int, n_edges: int, n_vertices: int) -> "Diagnostics":
+    def allocate(
+        cls, n_cells: int, n_edges: int, n_vertices: int, alloc=np.zeros
+    ) -> "Diagnostics":
         return cls(
-            h_edge=np.zeros(n_edges),
-            ke=np.zeros(n_cells),
-            vorticity=np.zeros(n_vertices),
-            divergence=np.zeros(n_cells),
-            v=np.zeros(n_edges),
-            h_vertex=np.zeros(n_vertices),
-            pv_vertex=np.zeros(n_vertices),
-            pv_cell=np.zeros(n_cells),
-            pv_edge=np.zeros(n_edges),
+            h_edge=alloc(n_edges),
+            ke=alloc(n_cells),
+            vorticity=alloc(n_vertices),
+            divergence=alloc(n_cells),
+            v=alloc(n_edges),
+            h_vertex=alloc(n_vertices),
+            pv_vertex=alloc(n_vertices),
+            pv_cell=alloc(n_cells),
+            pv_edge=alloc(n_edges),
         )
 
     def copy(self) -> "Diagnostics":

@@ -65,24 +65,34 @@ class StepResult:
 
 
 def compute_next_substep_state(
-    state: State, tend_h: np.ndarray, tend_u: np.ndarray, weight_dt: float
+    state: State, tend_h: np.ndarray, tend_u: np.ndarray, weight_dt: float,
+    out: State | None = None,
 ) -> State:
-    """Provisional state for the next RK stage (local X-type computation)."""
+    """Provisional state for the next RK stage (local X-type computation):
+    ``state + weight_dt * tend``, into ``out``'s arrays or fresh ones."""
+    if out is None:
+        out = State(h=np.empty_like(state.h), u=np.empty_like(state.u))
     with pattern_span("X2", n_points=state.h.size):
-        h = state.h + weight_dt * tend_h
+        np.multiply(tend_h, weight_dt, out=out.h)
+        np.add(state.h, out.h, out=out.h)
     with pattern_span("X3", n_points=state.u.size):
-        u = state.u + weight_dt * tend_u
-    return State(h=h, u=u)
+        np.multiply(tend_u, weight_dt, out=out.u)
+        np.add(state.u, out.u, out=out.u)
+    return out
 
 
 def accumulative_update(
-    acc: State, tend_h: np.ndarray, tend_u: np.ndarray, weight_dt: float
+    acc: State, tend_h: np.ndarray, tend_u: np.ndarray, weight_dt: float,
+    scratch: State | None = None,
 ) -> None:
-    """Accumulate the RK-weighted tendency into ``acc`` in place."""
+    """Accumulate the RK-weighted tendency into ``acc`` in place; the
+    increments go through ``scratch``'s arrays when given."""
     with pattern_span("X4", n_points=acc.h.size):
-        acc.h += weight_dt * tend_h
+        inc = np.multiply(tend_h, weight_dt, out=None if scratch is None else scratch.h)
+        np.add(acc.h, inc, out=acc.h)
     with pattern_span("X5", n_points=acc.u.size):
-        acc.u += weight_dt * tend_u
+        inc = np.multiply(tend_u, weight_dt, out=None if scratch is None else scratch.u)
+        np.add(acc.u, inc, out=acc.u)
 
 
 class HaloTransport:
@@ -175,10 +185,11 @@ class RK4Integrator:
 
             compiled_plan(mesh, config)
 
-    def diagnostics_for(self, state: State) -> Diagnostics:
-        """Diagnostics consistent with an arbitrary state (e.g. the IC)."""
+    def diagnostics_for(self, state: State, out: Diagnostics | None = None) -> Diagnostics:
+        """Diagnostics consistent with an arbitrary state (e.g. the IC);
+        a plan writes them into ``out`` when given."""
         return self._compute_solve_diagnostics(
-            self.mesh, state, self.f_vertex, self.config
+            self.mesh, state, self.f_vertex, self.config, out=out
         )
 
     def reconstruct(self, u: np.ndarray) -> Reconstruction:
@@ -229,17 +240,35 @@ def rk4_step(
     The accumulation is independent of the provisional state, so running it
     inside the exchange window moves no bit relative to Algorithm 1's
     textual order.
+
+    Substeps 1-3 write their provisional state, increments and diagnostics
+    into the rank's plan :attr:`~repro.engine.plan.ExecutionPlan.scratch`
+    (``None`` without a plan: the kernels allocate).  Plans are per thread
+    and per mesh, so every rank and every thread has its own buffers.
     """
+    from ..engine.plan import kernel_plan
+
     config = ranks[0].config
     dt, backend = config.dt, config.backend
-    provis = [s.copy() for s in states]
+    scratch = []
+    for rk in ranks:
+        plan = kernel_plan(rk.mesh, config)
+        scratch.append((None, None, None) if plan is None else plan.scratch)
+    provis = []
+    for s, (pv, _, _) in zip(states, scratch):
+        if pv is None:
+            provis.append(s.copy())
+        else:
+            np.copyto(pv.h, s.h)
+            np.copyto(pv.u, s.u)
+            provis.append(pv)
     provis_diag = list(diags)
     acc = [s.copy() for s in states]
 
     def accumulate(stage, tends, weight_dt):
-        for rk, a, (tend_h, tend_u) in zip(ranks, acc, tends):
+        for rk, a, (tend_h, tend_u), (_, inc, _) in zip(ranks, acc, tends, scratch):
             with kernel_span("accumulative_update", stage=stage, backend=backend):
-                rk._accumulative_update(a, tend_h, tend_u, weight_dt)
+                rk._accumulative_update(a, tend_h, tend_u, weight_dt, scratch=inc)
 
     for stage in range(4):
         token = transport.begin(f"pre@s{stage + 1}", provis)
@@ -256,12 +285,12 @@ def rk4_step(
         if stage < 3:
             w_sub = RK_SUBSTEP_WEIGHTS[stage] * dt
             provis = []
-            for rk, s, (tend_h, tend_u) in zip(ranks, states, tends):
+            for rk, s, (tend_h, tend_u), (pv, _, _) in zip(ranks, states, tends, scratch):
                 with kernel_span(
                     "compute_next_substep_state", stage=stage, backend=backend
                 ):
                     provis.append(
-                        rk._compute_next_substep_state(s, tend_h, tend_u, w_sub)
+                        rk._compute_next_substep_state(s, tend_h, tend_u, w_sub, out=pv)
                     )
             token = transport.begin(f"post@s{stage + 1}", provis)
             accumulate(stage, tends, w_acc)
@@ -274,9 +303,10 @@ def rk4_step(
         if token is not None:
             transport.finish(token)
         provis_diag = []
-        for rk, pv in zip(ranks, provis):
+        for rk, pv, (_, _, out) in zip(ranks, provis, scratch):
             with kernel_span(
                 "compute_solve_diagnostics", stage=stage, backend=backend
             ):
-                provis_diag.append(rk.diagnostics_for(pv))
+                # The last stage's diagnostics are the step's result: fresh.
+                provis_diag.append(rk.diagnostics_for(pv, out=out if stage < 3 else None))
     return acc, provis_diag

@@ -8,9 +8,9 @@ from repro.bench import (
     TABLE_III_PAPER,
     fmt_speedup,
     fmt_time,
-    render_series,
     render_table,
 )
+from tests.oracles.harness import render_series
 
 
 class TestFormatting:

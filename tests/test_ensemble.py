@@ -296,15 +296,15 @@ def serial_refs(mesh3, dt):
     """Member k's serial ``api.run`` of its ``perturbed:`` token, on demand."""
     from repro.api import run
 
-    refs: dict[int, object] = {}
+    refs: dict[tuple[int, bool], object] = {}
 
-    def ref(k: int):
-        if k not in refs:
-            refs[k] = run(
+    def ref(k: int, plan: bool = False):
+        if (k, plan) not in refs:
+            refs[k, plan] = run(
                 f"perturbed:galewsky:{k}:{SEED}:{AMPLITUDE}", mesh=mesh3,
-                config=SWConfig(dt=dt, backend="sparse"), steps=3,
+                config=SWConfig(dt=dt, backend="sparse", plan=plan), steps=3,
             )
-        return refs[k]
+        return refs[k, plan]
 
     return ref
 
@@ -333,6 +333,25 @@ class TestMemberBlocks:
             assert np.array_equal(
                 member.reconstruction.uReconstructZonal,
                 ref.reconstruction.uReconstructZonal,
+            )
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_plan_blocks_stepping_at_once_equal_serial_runs(
+        self, mesh3, case, dt, serial_refs, monkeypatch, cpus
+    ):
+        """Every block thread steps its members with the one shared
+        integrator, through its own plan: the RK-substep buffers belong to
+        the thread's plan, so no block reads another's provisional state."""
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(cpus))
+        n = 4
+        ens = run_ensemble(mesh3, case, _config(dt, ensemble=n, plan=True), 3)
+        assert [v.status for v in ens.verdicts] == ["ok"] * n
+        for k, member in enumerate(ens.members):
+            ref = serial_refs(k, plan=True)
+            assert np.array_equal(member.state.h, ref.state.h), f"member {k} h"
+            assert np.array_equal(member.state.u, ref.state.u), f"member {k} u"
+            assert np.array_equal(
+                member.diagnostics.pv_edge, ref.diagnostics.pv_edge
             )
 
     @pytest.mark.parametrize("policy", ["halt", "rollback"])

@@ -52,6 +52,12 @@ class TestBalancedDepth:
         north = h[np.searchsorted(lat, PHI1 + 0.05)]
         assert north < south - 500.0
 
+    def test_table_is_memoized_and_read_only(self):
+        """``galewsky_jet`` builds share one table, which nobody may edit."""
+        first = _balanced_depth_table(6.371e6, OMEGA, GRAVITY)
+        assert _balanced_depth_table(6.371e6, OMEGA, GRAVITY) is first
+        assert not any(a.flags.writeable for a in first)
+
     def test_flat_outside_jet(self):
         lat, h = _balanced_depth_table(6.371e6, OMEGA, GRAVITY)
         southern = h[lat < -0.5]

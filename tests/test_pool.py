@@ -672,9 +672,9 @@ class TestAdaptiveTimeout:
         kernels = default_registry()._kernels
         real = kernels["compute_solve_diagnostics"]
 
-        def skewed(lm, state, f_vertex, config):
+        def skewed(lm, state, f_vertex, config, **kw):
             time.sleep(0.25 * getattr(lm, "rank", 0))
-            return real(lm, state, f_vertex, config)
+            return real(lm, state, f_vertex, config, **kw)
 
         case = steady_zonal_flow()
         cfg = SWConfig(

@@ -8,10 +8,7 @@ import pytest
 from repro.reduction import (
     branch_free_reduction_loop,
     build_label_matrix,
-    divergence_branchfree_loop,
-    divergence_gather_loop,
     divergence_gather_vectorized,
-    divergence_scatter_loop,
     divergence_scatter_vectorized,
     gather_label_matrix,
     irregular_reduction_loop,
@@ -19,6 +16,11 @@ from repro.reduction import (
     scatter_add_signed,
 )
 from repro.swm.operators import cell_divergence
+from tests.oracles.reduction import (
+    divergence_branchfree_loop,
+    divergence_gather_loop,
+    divergence_scatter_loop,
+)
 
 
 class TestAbstractForms:

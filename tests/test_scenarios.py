@@ -26,13 +26,13 @@ from repro.constants import GRAVITY
 from repro.swm import scenarios
 from repro.swm.scenarios import (
     SCENARIOS,
-    canonical_name,
     known_names,
     perturbed_case,
     scenario,
     scenario_for,
 )
 from repro.swm.testcases import TEST_CASES, initialize
+from tests.oracles.harness import canonical_name
 
 
 class TestRegistryRoundTrip:

@@ -194,6 +194,85 @@ class TestRK4:
         assert np.array_equal(state.h, before)  # input untouched
         assert result.state.h is not state.h
 
+    @pytest.mark.parametrize("parallel", ["serial", "lockstep", "pool"])
+    def test_step_contract_under_an_instrumented_registry(
+        self, mesh3, tmp_path, monkeypatch, parallel
+    ):
+        """What ``rk4_step`` promises on every executor, watched through an
+        instrumented ``compute_tend`` (the way the benchmark probe wraps the
+        kernels): its inputs stay bitwise, its state and diagnostics are
+        fresh arrays the next step leaves alone, and substeps 2-4 read the
+        same provisional arrays from step to step (the plan's buffers).
+        Each process appends its verdicts to one file, so forked pool ranks
+        report too."""
+        import os
+        from collections import Counter
+
+        import repro.engine
+        import repro.parallel.pool
+        import repro.parallel.runner
+        import repro.swm.model
+        from repro.api import resolve_case, run
+        from repro.engine.backends import build_default_registry
+        from repro.swm import timestep
+
+        log = tmp_path / "verdicts"
+        registry = build_default_registry()
+        real_tend, real_kernel = registry.kernel("compute_tend"), registry.kernel
+        received = []  # every (state, diag) compute_tend got, kept alive
+
+        def tend(mesh, state, diag, *rest):
+            received.append((state, diag))
+            return real_tend(mesh, state, diag, *rest)
+
+        registry.kernel = lambda name: tend if name == "compute_tend" else real_kernel(name)
+        monkeypatch.setattr(repro.engine, "default_registry", lambda: registry)
+
+        def arrays(*fields):
+            return [a for f in fields for a in vars(f).values()]
+
+        def same(xs, ys):
+            return all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+        last = {}
+
+        def note(ok, what):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {'ok' if ok else 'FAIL'} {what}\n")
+
+        def checked(ranks, states, diags, *args, **kwargs):
+            inputs = arrays(*states, *diags)
+            before = [a.copy() for a in inputs]
+            first = len(received)
+            out = timestep.rk4_step(ranks, states, diags, *args, **kwargs)
+            provisional = arrays(*(f for call in received[first + len(ranks):] for f in call))
+            results = arrays(*out[0], *out[1])
+            note(same(inputs, before), "inputs")
+            note(not any(np.shares_memory(r, x) for r in results
+                         for x in inputs + provisional), "fresh")
+            if last:
+                note(same(*last["results"]), "untouched")
+                note(all(x is y for x, y in zip(provisional, last["provisional"])),
+                     "reused")
+            last.update(results=(results, [r.copy() for r in results]),
+                        provisional=provisional)
+            return out
+
+        for module in (repro.swm.model, repro.parallel.runner, repro.parallel.pool):
+            monkeypatch.setattr(module, "rk4_step", checked)
+        case = resolve_case("galewsky")
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY), backend="sparse",
+                       plan=True, parallel=parallel, ranks=1 if parallel == "serial" else 2)
+        run(case, mesh=mesh3, config=cfg, steps=3)
+        verdicts = [line.split() for line in log.read_text().splitlines()]
+        assert [v for v in verdicts if v[1] != "ok"] == []
+        processes = 2 if parallel == "pool" else 1
+        assert Counter(v[2] for v in verdicts) == {
+            "inputs": 3 * processes, "fresh": 3 * processes,
+            "untouched": 2 * processes, "reused": 2 * processes,
+        }
+        assert len({v[0] for v in verdicts}) == processes
+
     def test_convergence_in_dt(self, mesh3):
         """RK-4: halving dt leaves the 1-step-vs-2-half-steps gap ~ dt^5."""
         case = steady_zonal_flow()
