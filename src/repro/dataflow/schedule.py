@@ -148,8 +148,8 @@ SYNC_POINT_NAMES: tuple[str, ...] = (
 #: unsound without tripping the test.
 STATIC_SYNC_WHITELIST: dict[str, str] = {
     "pre@s1": (
-        "step-entry freshness invariant: the stage-1 provisional state is a "
-        "copy of the accepted state, whose halo was exchanged at post@s4 of "
+        "step-entry freshness invariant: the stage-1 provisional state is "
+        "the accepted state, whose halo was exchanged at post@s4 of "
         "the previous step (or seeded globally before the first step and "
         "after every recovery reload); no compute node writes it in between"
     ),

@@ -411,9 +411,9 @@ class EnsembleRun:
             return None
         tracer = get_tracer()
         with tracer.span("ensemble.detach", category="ensemble", member=member):
-            # from_state primes the diagnostics, which raises right here if
-            # the snapshot itself is already poisoned (divergence before the
-            # first refresh) — the member is then unrecoverable.
+            # The run computes the snapshot's diagnostics before step 1 and
+            # raises here if the snapshot is already poisoned (divergence
+            # before the first refresh) — the member is then unrecoverable.
             try:
                 model = ShallowWaterModel.from_state(
                     self.mesh, config, self.case, snapshot, b, f_vertex,

@@ -21,7 +21,6 @@ from .icosahedron import (
     icosahedral_count,
     icosahedral_points,
     resolution_km,
-    subdivision_level_for,
 )
 from .cvt import LloydResult, centroidality_residual, lloyd_relax
 
@@ -44,7 +43,6 @@ __all__ = [
     "icosahedral_count",
     "icosahedral_points",
     "resolution_km",
-    "subdivision_level_for",
     "LloydResult",
     "centroidality_residual",
     "lloyd_relax",

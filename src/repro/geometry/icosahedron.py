@@ -29,7 +29,6 @@ __all__ = [
     "base_icosahedron",
     "icosahedral_points",
     "icosahedral_count",
-    "subdivision_level_for",
     "resolution_km",
 ]
 
@@ -94,18 +93,6 @@ def icosahedral_count(level: int) -> int:
     if level < 0:
         raise ValueError("subdivision level must be non-negative")
     return 10 * 4**level + 2
-
-
-def subdivision_level_for(n_points: int) -> int:
-    """Inverse of :func:`icosahedral_count`; raises for non-geodesic counts."""
-    level = 0
-    while icosahedral_count(level) < n_points:
-        level += 1
-    if icosahedral_count(level) != n_points:
-        raise ValueError(
-            f"{n_points} is not an icosahedral count (10 * 4**k + 2)"
-        )
-    return level
 
 
 def resolution_km(level: int, radius_m: float = 6_371_220.0) -> float:

@@ -165,6 +165,9 @@ class _BoardTransport(HaloTransport):
         self.board.mark_published(self.rank, self.seq)
         return (name, state, self.seq, t0, time.perf_counter())
 
+    def writes(self, name: str) -> bool:
+        return name in self.points
+
     def finish(self, token) -> None:
         """Acquire the peers' slices: refresh the halo of ``begin``'s state."""
         name, state, seq, t0, t_pub = token

@@ -166,6 +166,9 @@ class DecomposedShallowWater(HaloTransport):
         """The lockstep halo transport: the whole exchange, in place, now."""
         self._exchange(states, sync)
 
+    def writes(self, sync: str) -> bool:
+        return self.schedule.entry(sync) is not None
+
     def step(self) -> None:
         """One RK-4 step across all ranks (the shared step program)."""
         self.states, self.diags = rk4_step(

@@ -1,24 +1,18 @@
-"""Irregular-reduction refactorings (Algorithms 2-4 of the paper)."""
+"""Irregular-reduction refactorings (Algorithms 2-4 of the paper); the
+literal loops of the three algorithms are the test oracles of
+``tests/oracles/reduction.py``."""
 
-from .branchfree import (
-    branch_free_reduction_loop,
-    build_label_matrix,
-    gather_label_matrix,
-)
-from .irregular import irregular_reduction_loop, scatter_add_signed
+from .branchfree import build_label_matrix, gather_label_matrix
+from .irregular import scatter_add_signed
 from .planner import (
     divergence_gather_vectorized,
     divergence_scatter_vectorized,
 )
-from .refactored import refactored_reduction_loop
 
 __all__ = [
-    "branch_free_reduction_loop",
     "build_label_matrix",
     "gather_label_matrix",
-    "irregular_reduction_loop",
     "scatter_add_signed",
     "divergence_gather_vectorized",
     "divergence_scatter_vectorized",
-    "refactored_reduction_loop",
 ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["build_label_matrix", "branch_free_reduction_loop", "gather_label_matrix"]
+__all__ = ["build_label_matrix", "gather_label_matrix"]
 
 
 def build_label_matrix(
@@ -40,23 +40,6 @@ def build_label_matrix(
     own_cell = np.arange(edges_on_cell.shape[0])[:, None]
     label = np.where(cells_on_edge[eoc_safe, 0] == own_cell, 1.0, -1.0)
     return np.where(valid, label, 0.0), eoc_safe
-
-
-def branch_free_reduction_loop(
-    label: np.ndarray,
-    eoc_safe: np.ndarray,
-    n_edges_on_cell: np.ndarray,
-    x_edge: np.ndarray,
-) -> np.ndarray:
-    """Literal Algorithm 4 (loop form): ``Y(i) += L(i,j) * X(eoc(i,j))``."""
-    n_cells = label.shape[0]
-    y = np.zeros(n_cells, dtype=np.float64)
-    for icell in range(n_cells):
-        acc = 0.0
-        for j in range(int(n_edges_on_cell[icell])):
-            acc += label[icell, j] * x_edge[eoc_safe[icell, j]]
-        y[icell] = acc
-    return y
 
 
 def gather_label_matrix(

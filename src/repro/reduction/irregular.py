@@ -11,29 +11,15 @@ The paper's example (verbatim, translated to Python):
 
 The loop traverses edge data but writes back in cell order — two threads
 handling different edges of the same cell race on ``Y``.  This module keeps
-both the literal Python loop and its NumPy analogue
-(:func:`scatter_add_signed` via ``np.add.at``, the unbuffered scatter).
+its NumPy analogue (:func:`scatter_add_signed` via ``np.add.at``, the
+unbuffered scatter); the literal loop is a test oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["irregular_reduction_loop", "scatter_add_signed"]
-
-
-def irregular_reduction_loop(
-    n_cells: int, cells_on_edge: np.ndarray, x_edge: np.ndarray
-) -> np.ndarray:
-    """Literal Algorithm 2: accumulate edge values into cells with +/- signs."""
-    y = np.zeros(n_cells, dtype=np.float64)
-    n_edges = cells_on_edge.shape[0]
-    for iedge in range(n_edges):
-        cell1 = cells_on_edge[iedge, 0]
-        cell2 = cells_on_edge[iedge, 1]
-        y[cell1] += x_edge[iedge]
-        y[cell2] -= x_edge[iedge]
-    return y
+__all__ = ["scatter_add_signed"]
 
 
 def scatter_add_signed(

@@ -6,7 +6,7 @@ from .advection import (
     d2fdx2_on_edges,
     h_edge_high_order,
 )
-from .boundary import boundary_edge_mask, enforce_boundary_edge
+from .boundary import enforce_boundary_edge
 from .config import SWConfig
 from .diagnostics import compute_solve_diagnostics
 from .galewsky import galewsky_jet
@@ -44,7 +44,6 @@ __all__ = [
     "advection_coefficients",
     "d2fdx2_on_edges",
     "h_edge_high_order",
-    "boundary_edge_mask",
     "enforce_boundary_edge",
     "SWConfig",
     "compute_solve_diagnostics",

@@ -10,25 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mesh.mesh import Mesh
 from ..obs.instrument import pattern_span
 
-__all__ = ["boundary_edge_mask", "enforce_boundary_edge"]
-
-
-def boundary_edge_mask(mesh: Mesh, cell_mask: np.ndarray | None = None) -> np.ndarray:
-    """Boolean mask of boundary edges.
-
-    With ``cell_mask`` (True = active cell), an edge is a boundary edge when
-    its two cells have different activity; without one, the closed sphere has
-    no boundary and the mask is all-False.
-    """
-    if cell_mask is None:
-        return np.zeros(mesh.nEdges, dtype=bool)
-    cell_mask = np.asarray(cell_mask, dtype=bool)
-    c0 = mesh.connectivity.cellsOnEdge[:, 0]
-    c1 = mesh.connectivity.cellsOnEdge[:, 1]
-    return cell_mask[c0] != cell_mask[c1]
+__all__ = ["enforce_boundary_edge"]
 
 
 def enforce_boundary_edge(tend_u: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ run` is the one loop around it, for plain and durable runs alike.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,8 +125,8 @@ class ShallowWaterModel:
     def _prime(self, state: State | None, b_cell, f_vertex) -> None:
         self.integrator = RK4Integrator(self.mesh, self.config, b_cell, f_vertex)
         self.b_cell = self.integrator.b_cell
-        self._state = state
-        self._diag = None if state is None else self.integrator.diagnostics_for(state)
+        # Diagnostics are computed where they are first read (run: inside its lane).
+        self._state, self._diag = state, None
 
     def _adopt(self, ranks) -> None:
         """Drive ``ranks``: their fixed fields are the run's, and the global
@@ -193,17 +194,25 @@ class ShallowWaterModel:
         self.step = 0
         return self.state
 
+    def _lane(self):
+        """The serial executor's second lane (:func:`~repro.engine.lanes.
+        second_core`) when its plan has stages to hand over; a decomposed
+        run engages none (a pinned pool parent would pin its ranks too)."""
+        from ..engine.lanes import second_core
+        from ..engine.plan import kernel_plan
+
+        if self.config.parallel != "serial":
+            return nullcontext()
+        plan = kernel_plan(self.mesh, self.config)
+        return second_core(plan is not None and plan.lanes == 2)
+
     def advance(self, steps: int) -> None:
         """Advance ``steps`` RK-4 steps on the executor ``config.parallel`` names."""
         if self.executor is None and self.config.parallel != "serial":
             self.executor = self._spawn()
         if self.executor is None:
-            from ..engine.lanes import second_core
-            from ..engine.plan import kernel_plan
-
-            state, diag = self.state, self.diagnostics
-            plan = kernel_plan(self.mesh, self.config)
-            with second_core(plan is not None and plan.lanes == 2):  # its lane stages
+            with self._lane():  # a no-op inside run(), which holds it already
+                state, diag = self.state, self.diagnostics
                 for _ in range(steps):
                     (state,), (diag,) = rk4_step([self.integrator], [state], [diag])
                     self._state, self._diag = state, diag
@@ -285,68 +294,70 @@ class ShallowWaterModel:
         every = int(callback is not None or watchdog is not None)
         observed = (every, invariant_interval, interval)
 
-        history: list[Invariants] = []
-        history_steps: list[int] = []
+        # One lane engagement per run: IC diagnostics, every chunk, the result.
+        with self._lane():
+            history: list[Invariants] = []
+            history_steps: list[int] = []
 
-        def record(step: int) -> None:
-            history.append(self.invariants())
-            history_steps.append(step)
+            def record(step: int) -> None:
+                history.append(self.invariants())
+                history_steps.append(step)
 
-        self.step = start_step
-        record(start_step)
-        elapsed = 0.0
-        # A step never writes its input state: the anchor is a reference.
-        anchor = (start_step, self.state, elapsed) if anchored and interval else None
-        rollbacks = 0
-        while self.step < total:
-            done = self.step
-            stop = min([total] + [(done // k + 1) * k for k in observed if k])
-            for step in range(done + 1, stop + 1):
-                fault_site("process.crash", step=step)
-            report = None
-            try:
-                self.advance(stop - done)
-            except FloatingPointError as exc:
-                # A violently unstable step fails *inside* the RK stages
-                # before any end-of-step guard can see it.
-                if watchdog is None:
-                    raise
-                report = watchdog.in_step_failure(stop, exc)
-            else:
-                elapsed += (stop - done) * config.dt
-                if watchdog is not None and stop % config.guard_interval == 0:
-                    report = watchdog.check(
-                        stop, self.state, self.diagnostics, config.dt
-                    )
-            if report is not None:
-                if anchor is None or rollbacks >= config.max_rollbacks:
-                    raise NumericalBlowup(report)
-                # Abandon the poisoned trajectory: state (which reloads the
-                # ranks), invariant records and the clock rewind together.
-                self.step, self.state, elapsed = anchor
-                config.dt /= 2.0
-                rollbacks += 1
-                get_registry().counter("resilience.checkpoint.rollback").inc()
-                while history_steps and history_steps[-1] > self.step:
-                    history_steps.pop()
-                    history.pop()
-                continue
-            if invariant_interval and stop % invariant_interval == 0:
-                record(stop)
-            if interval and stop % interval == 0:
-                if anchor is not None:
-                    anchor = (stop, self.state, elapsed)
-                if on_checkpoint is not None:
-                    on_checkpoint(stop, self)
-            if callback is not None:
-                callback(stop, StepResult(
-                    self.state, self.diagnostics, self.reconstruction()
-                ))
-        if self.executor is not None:
-            self.executor.merge_observability()
-        if history_steps[-1] != total:
-            record(total)
-        return self.result(steps, elapsed, history)
+            self.step = start_step
+            record(start_step)
+            elapsed = 0.0
+            # A step never writes its input state: the anchor is a reference.
+            anchor = (start_step, self.state, elapsed) if anchored and interval else None
+            rollbacks = 0
+            while self.step < total:
+                done = self.step
+                stop = min([total] + [(done // k + 1) * k for k in observed if k])
+                for step in range(done + 1, stop + 1):
+                    fault_site("process.crash", step=step)
+                report = None
+                try:
+                    self.advance(stop - done)
+                except FloatingPointError as exc:
+                    # A violently unstable step fails *inside* the RK stages
+                    # before any end-of-step guard can see it.
+                    if watchdog is None:
+                        raise
+                    report = watchdog.in_step_failure(stop, exc)
+                else:
+                    elapsed += (stop - done) * config.dt
+                    if watchdog is not None and stop % config.guard_interval == 0:
+                        report = watchdog.check(
+                            stop, self.state, self.diagnostics, config.dt
+                        )
+                if report is not None:
+                    if anchor is None or rollbacks >= config.max_rollbacks:
+                        raise NumericalBlowup(report)
+                    # Abandon the poisoned trajectory: state (which reloads the
+                    # ranks), invariant records and the clock rewind together.
+                    self.step, self.state, elapsed = anchor
+                    config.dt /= 2.0
+                    rollbacks += 1
+                    get_registry().counter("resilience.checkpoint.rollback").inc()
+                    while history_steps and history_steps[-1] > self.step:
+                        history_steps.pop()
+                        history.pop()
+                    continue
+                if invariant_interval and stop % invariant_interval == 0:
+                    record(stop)
+                if interval and stop % interval == 0:
+                    if anchor is not None:
+                        anchor = (stop, self.state, elapsed)
+                    if on_checkpoint is not None:
+                        on_checkpoint(stop, self)
+                if callback is not None:
+                    callback(stop, StepResult(
+                        self.state, self.diagnostics, self.reconstruction()
+                    ))
+            if self.executor is not None:
+                self.executor.merge_observability()
+            if history_steps[-1] != total:
+                record(total)
+            return self.result(steps, elapsed, history)
 
     def result(
         self, steps: int, elapsed_seconds: float, history: list[Invariants]

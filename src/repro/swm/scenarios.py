@@ -36,6 +36,7 @@ Resolution entry points::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -337,6 +338,7 @@ def perturbed_case(
     )
 
 
+@functools.lru_cache(maxsize=64)
 def _parse_perturbed(token: str) -> TestCase:
     parts = token.split(":")
     if len(parts) not in (4, 5):
@@ -364,13 +366,19 @@ def resolve(case: TestCase | str | int) -> TestCase:
     resolve_case`, the CLI case arguments and the obs report all route
     here.  Accepts catalogue names and aliases (:func:`known_names`),
     Williamson numbers, parametric ``"perturbed:..."`` tokens, and built
-    :class:`TestCase` objects (returned unchanged).
+    :class:`TestCase` objects (returned unchanged).  The same catalogue
+    entry or token resolves to the same (frozen) object every time, so
+    :func:`~repro.swm.testcases.initialize` discretizes it once per mesh.
     """
     if isinstance(case, TestCase):
         return case
     if isinstance(case, str):
-        name = case.strip().lower()
-        if name.startswith(f"{PERTURBED_PREFIX}:"):
-            return _parse_perturbed(name)
-        return scenario(name).build()
-    return scenario(case).build()
+        case = case.strip().lower()
+        if case.startswith(f"{PERTURBED_PREFIX}:"):
+            return _parse_perturbed(case)
+    return _built(scenario(case))
+
+
+@functools.cache
+def _built(entry: Scenario) -> TestCase:
+    return entry.build()

@@ -118,6 +118,10 @@ class HaloTransport:
     def finish(self, token) -> None:
         raise RuntimeError("no halo exchange is in flight")
 
+    def writes(self, sync: str) -> bool:
+        """Whether the exchange at ``sync`` writes the states it is handed."""
+        return False
+
 
 _SERIAL = HaloTransport()
 
@@ -245,6 +249,8 @@ def rk4_step(
     into the rank's plan :attr:`~repro.engine.plan.ExecutionPlan.scratch`
     (``None`` without a plan: the kernels allocate).  Plans are per thread
     and per mesh, so every rank and every thread has its own buffers.
+    Stage 1 reads the input states themselves, copied first only where the
+    transport :meth:`~HaloTransport.writes` them at ``pre@s1``.
     """
     from ..engine.plan import kernel_plan
 
@@ -254,14 +260,16 @@ def rk4_step(
     for rk in ranks:
         plan = kernel_plan(rk.mesh, config)
         scratch.append((None, None, None) if plan is None else plan.scratch)
-    provis = []
-    for s, (pv, _, _) in zip(states, scratch):
-        if pv is None:
-            provis.append(s.copy())
-        else:
-            np.copyto(pv.h, s.h)
-            np.copyto(pv.u, s.u)
-            provis.append(pv)
+    provis = list(states)  # stage 1 only reads them ...
+    if transport.writes("pre@s1"):  # ... unless its halo is refreshed there
+        provis = []
+        for s, (pv, _, _) in zip(states, scratch):
+            if pv is None:
+                provis.append(s.copy())
+            else:
+                np.copyto(pv.h, s.h)
+                np.copyto(pv.u, s.u)
+                provis.append(pv)
     provis_diag = list(diags)
     acc = [s.copy() for s in states]
 

@@ -10,9 +10,9 @@ from repro.geometry import (
     icosahedral_count,
     icosahedral_points,
     resolution_km,
-    subdivision_level_for,
 )
 from repro.geometry.sphere import spherical_triangle_area
+from tests.oracles.mesh import subdivision_level_for
 
 
 class TestBaseIcosahedron:

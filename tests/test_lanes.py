@@ -13,8 +13,9 @@ groups to the lane with the same run inline.  Contracts:
   two-lane plan too;
 * an E1 failure with a lane group in flight, or on the lane itself, joins
   the lane, restores the caller's affinity and leaves the next run working;
-* only ``ShallowWaterModel.advance``'s serial branch engages the lane: not a
-  forked child, a pool rank, a traced run or an ensemble block thread;
+* only ``ShallowWaterModel``'s serial executor engages the lane, once per
+  ``run`` (IC diagnostics, every chunk, the result): not a forked child, a
+  pool rank, a traced run or an ensemble block thread;
 * serial runs on more threads than cores share one lane without a lost
   handoff: whichever thread holds it, every run is the inline one.
 """
@@ -199,6 +200,38 @@ def test_levels_up_to_4_run_inline(mesh3, monkeypatch):
     monkeypatch.setattr(lanes, "claimed", lambda cpus: claims.append(cpus))
     run("galewsky", mesh=mesh3, config=config, steps=2)
     assert claims == []
+
+
+def test_a_run_engages_the_lane_once_and_before_its_first_step(
+    mesh3, forced, monkeypatch
+):
+    """A run observed every step (a callback, as a durable run's checkpoint
+    hook) advances in one-step chunks under one claim, and the IC's
+    diagnostics already hand their groups to the lane."""
+    import repro.swm.model as model_module
+
+    claims, at_first_step = [], []
+    real_claimed, real_step = lanes.claimed, model_module.rk4_step
+
+    def claimed(cpus):
+        claims.append(cpus)
+        return real_claimed(cpus)
+
+    def step(*args, **kwargs):
+        at_first_step.append(at_first_step[0] if at_first_step else len(forced))
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(lanes, "claimed", claimed)
+    monkeypatch.setattr(model_module, "rk4_step", step)
+    seen = []
+    laned = run("galewsky", mesh=mesh3, config=_config(mesh3, "galewsky"), steps=4,
+                callback=lambda k, result: seen.append(k))
+    assert seen == [1, 2, 3, 4] and len(claims) == 1
+    assert at_first_step[0] > 0  # groups handed over before step 1
+    _inline(monkeypatch)
+    inline = run("galewsky", mesh=mesh3, config=_config(mesh3, "galewsky"), steps=4)
+    assert np.array_equal(laned.state.u, inline.state.u)
+    assert np.array_equal(laned.state.h, inline.state.h)
 
 
 def test_a_guard_failure_with_a_product_in_flight(mesh3, forced, monkeypatch):

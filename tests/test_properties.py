@@ -86,9 +86,11 @@ class TestReductionProperties:
         from repro.reduction import (
             build_label_matrix,
             gather_label_matrix,
+            scatter_add_signed,
+        )
+        from tests.oracles.reduction import (
             irregular_reduction_loop,
             refactored_reduction_loop,
-            scatter_add_signed,
         )
 
         n_edges = data.draw(st.integers(1, 60))

@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 from repro.reduction import (
-    branch_free_reduction_loop,
     build_label_matrix,
     divergence_gather_vectorized,
     divergence_scatter_vectorized,
     gather_label_matrix,
-    irregular_reduction_loop,
-    refactored_reduction_loop,
     scatter_add_signed,
 )
 from repro.swm.operators import cell_divergence
 from tests.oracles.reduction import (
+    branch_free_reduction_loop,
     divergence_branchfree_loop,
     divergence_gather_loop,
     divergence_scatter_loop,
+    irregular_reduction_loop,
+    refactored_reduction_loop,
 )
 
 

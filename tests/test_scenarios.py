@@ -106,6 +106,29 @@ class TestRegistryRoundTrip:
         assert len(keys) == 4
 
 
+class TestStableCases:
+    """A catalogue entry or token resolves to the same frozen object every
+    time, so ``initialize`` reuses its discretization across calls."""
+
+    def test_every_spelling_of_an_entry_is_one_object(self):
+        for sc in SCENARIOS:
+            spellings = [*sc.all_names, sc.name.upper(), f" {sc.name} "]
+            assert len({id(resolve_case(n)) for n in spellings}) == 1, sc.name
+        for number in TEST_CASES:
+            assert resolve_case(number) is resolve_case(scenario(number).name)
+
+    def test_a_token_resolves_to_one_object_per_spelling(self):
+        token = "perturbed:galewsky:2:7"
+        assert resolve_case(token) is resolve_case(token.upper())
+        assert resolve_case(token) is not resolve_case("perturbed:galewsky:3:7")
+        assert resolve_case(token).name == resolve_case(token + ":1e-06").name
+
+    def test_a_built_case_is_returned_unchanged(self):
+        built = perturbed_case("galewsky", 2, 7)
+        assert resolve_case(built) is built
+        assert built is not resolve_case("perturbed:galewsky:2:7")
+
+
 class TestPerturbedFamily:
     def test_matches_ensemble_member_bitwise(self, mesh3):
         from repro.ensemble.members import member_initial_state
@@ -135,6 +158,8 @@ class TestPerturbedFamily:
         first, _ = initialize(mesh3, case)
         second, _ = initialize(mesh3, case)
         assert np.array_equal(first.h, second.h)
+        xc = mesh3.metrics.xCell
+        assert np.array_equal(case.thickness(xc), case.thickness(xc))
 
     def test_token_spelling(self):
         case = resolve_case("perturbed:galewsky:2:7")

@@ -12,7 +12,6 @@ from repro.swm import (
     RK4Integrator,
     SWConfig,
     State,
-    boundary_edge_mask,
     compute_solve_diagnostics,
     compute_tend,
     enforce_boundary_edge,
@@ -20,6 +19,7 @@ from repro.swm import (
     steady_zonal_flow,
     suggested_dt,
 )
+from tests.oracles.mesh import boundary_edge_mask
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +194,9 @@ class TestRK4:
         assert np.array_equal(state.h, before)  # input untouched
         assert result.state.h is not state.h
 
-    @pytest.mark.parametrize("parallel", ["serial", "lockstep", "pool"])
+    @pytest.mark.parametrize(
+        "parallel", ["serial", "lockstep", "pool", "lockstep-static", "pool-static"]
+    )
     def test_step_contract_under_an_instrumented_registry(
         self, mesh3, tmp_path, monkeypatch, parallel
     ):
@@ -203,7 +205,8 @@ class TestRK4:
         kernels): its inputs stay bitwise, its state and diagnostics are
         fresh arrays the next step leaves alone, and substeps 2-4 read the
         same provisional arrays from step to step (the plan's buffers).
-        Each process appends its verdicts to one file, so forked pool ranks
+        ``-static`` runs the static halo schedule, whose ``pre@s1`` refresh
+        writes the state stage 1 reads.  Each process appends its verdicts to one file, so forked pool ranks
         report too."""
         import os
         from collections import Counter
@@ -244,7 +247,14 @@ class TestRK4:
             inputs = arrays(*states, *diags)
             before = [a.copy() for a in inputs]
             first = len(received)
-            out = timestep.rk4_step(ranks, states, diags, *args, **kwargs)
+            locked = [a for a in inputs if a.flags.writeable]
+            for a in locked:  # a write into an input raises, same value or not
+                a.flags.writeable = False
+            try:
+                out = timestep.rk4_step(ranks, states, diags, *args, **kwargs)
+            finally:
+                for a in locked:
+                    a.flags.writeable = True
             provisional = arrays(*(f for call in received[first + len(ranks):] for f in call))
             results = arrays(*out[0], *out[1])
             note(same(inputs, before), "inputs")
@@ -261,8 +271,10 @@ class TestRK4:
         for module in (repro.swm.model, repro.parallel.runner, repro.parallel.pool):
             monkeypatch.setattr(module, "rk4_step", checked)
         case = resolve_case("galewsky")
+        parallel, _, schedule = parallel.partition("-")
         cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY), backend="sparse",
-                       plan=True, parallel=parallel, ranks=1 if parallel == "serial" else 2)
+                       plan=True, parallel=parallel, ranks=1 if parallel == "serial" else 2,
+                       halo_schedule=schedule or "dataflow")
         run(case, mesh=mesh3, config=cfg, steps=3)
         verdicts = [line.split() for line in log.read_text().splitlines()]
         assert [v for v in verdicts if v[1] != "ok"] == []

@@ -14,6 +14,7 @@ from repro.swm import (
     rossby_haurwitz,
     steady_zonal_flow,
 )
+from repro.swm.scenarios import known_names, resolve
 
 
 class TestRegistry:
@@ -142,3 +143,142 @@ class TestErrorNorms:
         field = ref + rng.standard_normal(mesh3.nCells) * 0.01
         norms = error_norms(mesh3, field, ref)
         assert norms.linf >= norms.l2 >= norms.l1 > 0
+
+
+def _discretized(mesh, case):
+    """The discretization ``initialize`` memoizes, computed afresh."""
+    met = mesh.metrics
+    u = np.sum(case.velocity(met.xEdge) * met.edgeNormal, axis=1)
+    return case.thickness(met.xCell), u, case.topography(met.xCell)
+
+
+@pytest.fixture()
+def ic_memo(monkeypatch):
+    """An empty initial-condition memo for the test."""
+    import weakref
+
+    from repro.swm import testcases
+
+    memo = weakref.WeakKeyDictionary()
+    monkeypatch.setattr(testcases, "_IC_MEMO", memo)
+    return memo
+
+
+def _counting_case(base, calls):
+    """A hand-built case over ``base`` that counts its thickness samples."""
+    import dataclasses
+
+    def thickness(points):
+        calls.append(1)
+        return base.thickness(points)
+
+    return dataclasses.replace(base, thickness=thickness)
+
+
+class TestInitialConditionMemo:
+    """``initialize`` discretizes a ``(mesh, case)`` once; every call gets
+    fresh, writable copies of what it keeps read only."""
+
+    @pytest.mark.parametrize(
+        "token", sorted(known_names()) + ["perturbed:galewsky:3:7"]
+    )
+    def test_every_case_discretizes_bitwise_equal_twice(self, mesh3, ic_memo, token):
+        case = resolve(token)
+        assert resolve(token) is case
+        miss = initialize(mesh3, case)
+        assert case in ic_memo[mesh3]
+        hit = initialize(mesh3, resolve(token))
+        for want, got_miss, got_hit in zip(
+            _discretized(mesh3, case), (miss[0].h, miss[0].u, miss[1]),
+            (hit[0].h, hit[0].u, hit[1]),
+        ):
+            assert np.array_equal(got_miss, want) and np.array_equal(got_hit, want)
+
+    def test_a_hit_samples_nothing(self, mesh3, ic_memo):
+        calls = []
+        case = _counting_case(steady_zonal_flow(), calls)
+        initialize(mesh3, case)
+        initialize(mesh3, case)
+        assert calls == [1]
+
+    def test_returned_arrays_are_fresh_and_writable(self, mesh3, ic_memo):
+        case = isolated_mountain()
+        state, b = initialize(mesh3, case)
+        kept = ic_memo[mesh3][case]
+        for got, memo in zip((state.h, state.u, b), kept):
+            assert got.flags.writeable and not memo.flags.writeable
+            assert not np.shares_memory(got, memo)
+            got[:] = -1.0
+        again, b_again = initialize(mesh3, case)
+        want = _discretized(mesh3, case)
+        for got, expected in zip((again.h, again.u, b_again), want):
+            assert np.array_equal(got, expected)
+        for memo, expected in zip(kept, want):
+            assert np.array_equal(memo, expected)
+
+    def test_a_hand_built_case_reusing_a_catalogue_name_gets_its_own_ic(
+        self, mesh3, ic_memo
+    ):
+        import dataclasses
+
+        base = resolve("tc2")
+        deeper = dataclasses.replace(base, thickness=lambda p: 2.0 * base.thickness(p))
+        assert deeper.name == base.name
+        h_base = initialize(mesh3, base)[0].h
+        h_deeper = initialize(mesh3, deeper)[0].h
+        assert np.array_equal(h_deeper, 2.0 * h_base)
+        assert np.array_equal(initialize(mesh3, base)[0].h, h_base)
+
+    def test_the_memo_keeps_no_mesh_alive(self, ic_memo):
+        import gc
+        import weakref
+
+        from repro.geometry import icosahedral_points
+        from repro.mesh import Mesh
+
+        mesh = Mesh.from_points(icosahedral_points(1), name="ic-memo-icos1")
+        initialize(mesh, steady_zonal_flow())
+        assert len(ic_memo) == 1
+        ref = weakref.ref(mesh)
+        del mesh
+        gc.collect()
+        assert ref() is None and len(ic_memo) == 0
+
+    def test_the_memo_is_bounded(self, mesh3, ic_memo):
+        from repro.swm.testcases import IC_MEMO_SIZE
+
+        calls = []
+        cases = [_counting_case(steady_zonal_flow(), calls) for _ in range(IC_MEMO_SIZE + 2)]
+        for case in cases:
+            initialize(mesh3, case)
+        assert len(ic_memo[mesh3]) == IC_MEMO_SIZE and len(calls) == len(cases)
+        initialize(mesh3, cases[-1])  # the most recent is kept ...
+        assert len(calls) == len(cases)
+        initialize(mesh3, cases[0])  # ... the oldest was dropped
+        assert len(calls) == len(cases) + 1
+        assert len(ic_memo[mesh3]) == IC_MEMO_SIZE
+
+    def test_an_ic_whose_diagnostics_fail_raises_before_step_1(
+        self, mesh3, ic_memo, monkeypatch
+    ):
+        import dataclasses
+
+        from repro import api
+        from repro.swm import model
+
+        steps = []
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return rk4_step(*args, **kwargs)
+
+        rk4_step = model.rk4_step
+        monkeypatch.setattr(model, "rk4_step", counted)
+        dry = dataclasses.replace(
+            steady_zonal_flow(), thickness=lambda p: np.zeros(len(p))
+        )
+        for plan in (False, True):
+            cfg = api.SWConfig(dt=100.0, backend="sparse", plan=plan)
+            with pytest.raises(FloatingPointError, match="h_vertex"):
+                api.run(dry, mesh=mesh3, config=cfg, steps=2)
+        assert steps == []
