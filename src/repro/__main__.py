@@ -7,7 +7,6 @@ Commands
 ``golden``    regenerate or check the golden-run regression registry
 ``jobs``      submit / inspect / collect durable jobs (``repro.jobs``)
 ``mesh``      build (and cache) an SCVT mesh, print its quality report
-``selftest``  run the engine / resilience / observability selftests
 ``report``    per-pattern cost report (forwards to ``repro.obs.report``)
 ``schedule``  show the hybrid schedules and speedups for a mesh size
 ``ladder``    print the Figure 6 optimization ladder
@@ -22,8 +21,7 @@ and ``--ensemble N`` steps N perturbed-IC members lockstep on every usable
 CPU (:func:`repro.api.run_ensemble`), printing the per-member verdict
 table.  ``jobs submit`` registers a durable run directory without
 integrating; ``jobs status`` / ``jobs result`` work from any process.
-The per-subsystem CLIs (``python -m repro.engine --selftest``, ...) keep
-working; ``selftest`` and ``report`` are the aggregated front door.
+The test suite (``python -m pytest``) is the one way to check the package.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.engine import BACKENDS
 from repro.swm.config import SWConfig
 
 
@@ -88,19 +87,22 @@ def _cmd_run(args: argparse.Namespace) -> None:
         "sparse" if (args.plan or args.ensemble) else "numpy"
     )
     plan = args.plan or bool(args.ensemble and backend == "sparse")
-    config = default_config(
-        mesh, case, cfl=args.cfl,
-        thickness_adv_order=args.order,
-        backend=backend,
-        plan=plan,
-        parallel=args.parallel,
-        ranks=args.ranks,
-        halo_schedule=args.halo_schedule,
-        checkpoint_interval=args.checkpoint_interval,
-        ensemble=args.ensemble,
-        ensemble_seed=args.perturb_seed,
-        ensemble_amplitude=args.perturb_amplitude,
-    )
+    try:
+        config = default_config(
+            mesh, case, cfl=args.cfl,
+            thickness_adv_order=args.order,
+            backend=backend,
+            plan=plan,
+            parallel=args.parallel,
+            ranks=args.ranks,
+            halo_schedule=args.halo_schedule,
+            checkpoint_interval=args.checkpoint_interval,
+            ensemble=args.ensemble,
+            ensemble_seed=args.perturb_seed,
+            ensemble_amplitude=args.perturb_amplitude,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     dt = config.dt
     if args.steps is None and args.days is None:
         args.days = case.suggested_days
@@ -108,10 +110,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
     if args.ensemble:
         from repro.api import run_ensemble
 
-        try:
-            config.validate()
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
         ens = run_ensemble(
             case_arg, mesh=mesh, config=config,
             steps=args.steps, days=args.days, invariant_interval=1,
@@ -255,30 +253,6 @@ def _cmd_jobs(args: argparse.Namespace) -> None:
         raise SystemExit(str(exc)) from None
 
 
-def _cmd_selftest(args: argparse.Namespace) -> None:
-    from repro.engine.__main__ import main as engine_main
-    from repro.obs.report import main as report_main
-    from repro.resilience.__main__ import main as resilience_main
-
-    level = ["--level", str(args.level)]
-    failures = 0
-    for name, entry in (
-        ("engine", engine_main),
-        ("resilience", resilience_main),
-        ("observability", report_main),
-    ):
-        if args.only is not None and args.only != name:
-            continue
-        print(f"=== {name} selftest ===")
-        rc = entry(["--selftest", *level])
-        if rc:
-            failures += 1
-        print()
-    if failures:
-        raise SystemExit(f"{failures} selftest(s) failed")
-    print("all selftests passed")
-
-
 def _cmd_report(argv: list[str]) -> None:
     from repro.obs.report import main as report_main
 
@@ -347,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfl", type=float, default=0.6)
     p.add_argument("--order", type=int, default=2, choices=(2, 3, 4))
     p.add_argument(
-        "--backend", default=None,
-        help="engine execution backend (numpy/sparse); "
-        "defaults to numpy, or sparse under --plan",
+        "--backend", default=None, choices=BACKENDS,
+        help="engine execution backend; defaults to numpy, or sparse under "
+        "--plan",
     )
     p.add_argument(
         "--plan", action="store_true",
@@ -447,13 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     js.add_argument("--run-dir", required=True)
     js.set_defaults(func=_cmd_jobs)
-
-    p = sub.add_parser("selftest", help="engine/resilience/obs selftests")
-    p.add_argument("--level", type=int, default=3)
-    p.add_argument(
-        "--only", choices=("engine", "resilience", "observability"), default=None
-    )
-    p.set_defaults(func=_cmd_selftest)
 
     sub.add_parser(
         "report",

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["render_table", "fmt_time", "fmt_speedup"]
+__all__ = ["render_table", "fmt_time"]
 
 
 def fmt_time(seconds: float) -> str:
@@ -18,10 +18,6 @@ def fmt_time(seconds: float) -> str:
     if seconds >= 1e-3:
         return f"{seconds * 1e3:.2f} ms"
     return f"{seconds * 1e6:.1f} us"
-
-
-def fmt_speedup(x: float) -> str:
-    return f"{x:.2f}x"
 
 
 def render_table(

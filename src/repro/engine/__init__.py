@@ -8,8 +8,7 @@ from the Fig. 4 dataflow graph (``SWConfig(plan=True)``).
 
 Importing this package is deliberately light (no backend modules are
 loaded, and ``plan``/``sparse`` are imported lazily);
-the default registry is built lazily on first dispatch.  Run
-``python -m repro.engine --selftest`` for an end-to-end smoke check.
+the default registry is built lazily on first dispatch.
 """
 
 from .registry import (

@@ -2,14 +2,9 @@
 
 from .sphere import (
     arc_length,
-    arc_midpoint,
-    chord_length,
-    is_ccw,
     lonlat_to_xyz,
     normalize,
     polygon_centroid,
-    rotate,
-    rotation_matrix,
     spherical_polygon_area,
     spherical_triangle_area,
     tangent_basis,
@@ -26,14 +21,9 @@ from .cvt import LloydResult, centroidality_residual, lloyd_relax
 
 __all__ = [
     "arc_length",
-    "arc_midpoint",
-    "chord_length",
-    "is_ccw",
     "lonlat_to_xyz",
     "normalize",
     "polygon_centroid",
-    "rotate",
-    "rotation_matrix",
     "spherical_polygon_area",
     "spherical_triangle_area",
     "tangent_basis",

@@ -20,18 +20,13 @@ import numpy as np
 __all__ = [
     "normalize",
     "arc_length",
-    "chord_length",
     "lonlat_to_xyz",
     "xyz_to_lonlat",
     "spherical_triangle_area",
     "spherical_polygon_area",
     "polygon_centroid",
-    "arc_midpoint",
     "tangent_basis",
-    "rotation_matrix",
-    "rotate",
     "tangent_plane_coords",
-    "is_ccw",
 ]
 
 
@@ -64,13 +59,6 @@ def arc_length(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sin_d = np.linalg.norm(cross, axis=-1)
     cos_d = np.sum(a * b, axis=-1)
     return np.arctan2(sin_d, cos_d)
-
-
-def chord_length(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Straight-line (3D chord) distance between points on the sphere."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return np.linalg.norm(a - b, axis=-1)
 
 
 def lonlat_to_xyz(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
@@ -163,11 +151,6 @@ def polygon_centroid(vertices: np.ndarray) -> np.ndarray:
     return normalize(centroid)
 
 
-def arc_midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Midpoint of the minor great-circle arc between ``a`` and ``b``."""
-    return normalize(np.asarray(a, dtype=np.float64) + np.asarray(b, dtype=np.float64))
-
-
 def tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Local unit ``(east, north)`` tangent vectors at point(s) ``p``.
 
@@ -187,21 +170,6 @@ def tangent_basis(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     east = east / norm
     north = np.cross(p, east)
     return east, north
-
-
-def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix for rotation by ``angle`` about ``axis``."""
-    axis = normalize(np.asarray(axis, dtype=np.float64))
-    x, y, z = axis
-    c, s = np.cos(angle), np.sin(angle)
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
-
-
-def rotate(points: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate points about ``axis`` by ``angle`` (right-hand rule)."""
-    mat = rotation_matrix(axis, angle)
-    return np.asarray(points, dtype=np.float64) @ mat.T
 
 
 def tangent_plane_coords(origin: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -224,8 +192,3 @@ def tangent_plane_coords(origin: np.ndarray, points: np.ndarray) -> np.ndarray:
     theta = np.arctan2(rho, z)
     scale = np.where(rho > 1e-300, theta / np.where(rho > 1e-300, rho, 1.0), 1.0)
     return np.stack([x * scale, y * scale], axis=-1)
-
-
-def is_ccw(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """True where the triangle ``(a, b, c)`` winds CCW seen from outside."""
-    return spherical_triangle_area(a, b, c) > 0.0

@@ -9,7 +9,7 @@ from .cache import (
     mesh_cache_path,
 )
 from .connectivity import FILL, Connectivity, build_connectivity
-from .mesh import MESH_FAMILY, Mesh, mesh_family_counts
+from .mesh import MESH_FAMILY, Mesh
 from .metrics import Metrics, build_metrics
 from .permute import rotate_cell_rings
 from .quality import MeshQuality, assess_quality
@@ -22,7 +22,6 @@ __all__ = [
     "build_connectivity",
     "MESH_FAMILY",
     "Mesh",
-    "mesh_family_counts",
     "Metrics",
     "build_metrics",
     "MeshQuality",

@@ -24,7 +24,6 @@ from .voronoi import extract_voronoi
 __all__ = [
     "Mesh",
     "MESH_FAMILY",
-    "mesh_family_counts",
     "CACHE_FORMAT_VERSION",
     "MeshFormatError",
 ]
@@ -50,11 +49,6 @@ MESH_FAMILY: dict[str, int] = {
     "30km": 8,
     "15km": 9,
 }
-
-
-def mesh_family_counts() -> dict[str, int]:
-    """Cell counts of the Table III mesh family (plus coarser test sizes)."""
-    return {name: 10 * 4**lvl + 2 for name, lvl in MESH_FAMILY.items()}
 
 
 @dataclass(frozen=True, eq=False)

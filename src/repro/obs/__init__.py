@@ -12,8 +12,7 @@ The measurement layer every perf decision in this repo rests on (see
   trace-event output;
 * :mod:`repro.obs.report` — per-pattern measured-vs-modeled cost tables
   joining the tracer with :mod:`repro.machine.cost`, plus the
-  ``python -m repro.obs.report`` CLI (``--selftest`` smoke-tests the whole
-  chain).
+  ``python -m repro.obs.report`` CLI.
 """
 
 from .instrument import kernel_span, pattern_span

@@ -11,7 +11,6 @@ a simulated Xeon, the measurement times NumPy, but both must agree on
 
 Run it::
 
-    python -m repro.obs.report --selftest
     python -m repro.obs.report --case galewsky --steps 10 \\
         --chrome trace.json --jsonl run.jsonl --kernels
 """
@@ -20,12 +19,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..engine import BACKENDS
 from ..swm.config import SWConfig
-from .export import read_jsonl, validate_chrome_trace, write_chrome_trace, write_jsonl
+from .export import validate_chrome_trace, write_chrome_trace, write_jsonl
 from .instrument import pattern_info
 from .metrics import MetricsRegistry, get_registry, use_registry
 from .trace import SpanRecord, Tracer, use_tracer
@@ -480,59 +479,6 @@ def run_traced(
 
 
 # ------------------------------------------------------------------------ CLI
-def _selftest() -> int:
-    """End-to-end smoke: trace a 2-step run, export, validate, round-trip."""
-    from ..patterns.catalog import build_catalog
-
-    tracer, registry, mesh, config = run_traced("galewsky", level=2, steps=2)
-    rows = measured_vs_modeled(tracer, mesh, config)
-    missing = [
-        inst.label
-        for inst in build_catalog(config)
-        for row in [next(r for r in rows if r.label == inst.label)]
-        if row.measured_s <= 0.0
-    ]
-    if missing:
-        print(f"selftest FAILED: no measured time for patterns {missing}")
-        return 1
-
-    backend_rows = backend_cost_rows(registry)
-    if not backend_rows:
-        print("selftest FAILED: no engine.op dispatch series recorded")
-        return 1
-    bad = [r for r in backend_rows if r.backend != config.backend or r.calls <= 0]
-    if bad:
-        print(f"selftest FAILED: engine.op rows with wrong backend tag: {bad}")
-        return 1
-
-    with tempfile.TemporaryDirectory() as tmp:
-        chrome = Path(tmp) / "trace.json"
-        jsonl = Path(tmp) / "run.jsonl"
-        n_events = write_chrome_trace(tracer, chrome, registry)
-        validate_chrome_trace(chrome)
-        n_records = write_jsonl(tracer, jsonl, registry)
-        spans, metrics = read_jsonl(jsonl)
-        if len(spans) != len(tracer.finished()):
-            print("selftest FAILED: JSONL span round-trip lost records")
-            return 1
-        if pattern_self_times(spans) != pattern_self_times(tracer.spans):
-            print("selftest FAILED: JSONL round-trip changed pattern costs")
-            return 1
-
-    print(render_cost_report(
-        rows,
-        f"Selftest: measured vs modeled per-pattern cost "
-        f"({mesh.nCells} cells, 2 steps)",
-    ))
-    print(
-        f"obs selftest OK: {len(tracer.finished())} spans, "
-        f"{len(registry)} metric series, {n_events} trace events, "
-        f"{n_records} JSONL records, {len(backend_rows)} engine.op series, "
-        f"max |drift| = {max(abs(r.drift_pp) for r in rows):.1f} pp"
-    )
-    return 0
-
-
 def _overhead(case: str, level: int, steps: int) -> float:
     """Wall-time ratio of a traced over an untraced run (same steps)."""
     import time
@@ -562,8 +508,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.obs.report",
         description="Trace a shallow-water run and report per-pattern costs.",
     )
-    parser.add_argument("--selftest", action="store_true",
-                        help="fast end-to-end smoke test (exporters included)")
     parser.add_argument("--case", default="galewsky",
                         help="scenario name, alias, Williamson number, or "
                              "perturbed:<base>:<member>:<seed> token "
@@ -580,8 +524,8 @@ def main(argv: list[str] | None = None) -> int:
                              "printed for --parallel lockstep|pool)")
     parser.add_argument("--overhead", action="store_true",
                         help="measure tracing overhead (traced/untraced ratio)")
-    parser.add_argument("--backend", default="numpy",
-                        help="engine execution backend (numpy/sparse)")
+    parser.add_argument("--backend", default="numpy", choices=BACKENDS,
+                        help="engine execution backend")
     parser.add_argument("--parallel", default="serial",
                         choices=("serial", "lockstep", "pool"),
                         help="executor; non-serial runs add the per-sync-"
@@ -602,8 +546,17 @@ def main(argv: list[str] | None = None) -> int:
                              "print the per-member summary table")
     args = parser.parse_args(argv)
 
-    if args.selftest:
-        return _selftest()
+    from ..mesh import cached_mesh
+
+    # An unknown case or contradictory flags end here, whichever mode runs.
+    try:
+        config = _report_config(
+            cached_mesh(args.level), args.case, backend=args.backend,
+            parallel=args.parallel, ranks=args.ranks,
+            halo_schedule=args.halo_schedule,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
     if args.ensemble:
         from ..api import run_ensemble
@@ -629,8 +582,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.compare_backends:
-        from ..engine import BACKENDS
-
         all_rows: list[BackendCost] = []
         for backend in BACKENDS:
             _, registry, mesh, _ = run_traced(
@@ -646,9 +597,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     tracer, registry, mesh, config = run_traced(
-        args.case, args.level, args.steps, backend=args.backend,
-        parallel=args.parallel, ranks=args.ranks,
-        halo_schedule=args.halo_schedule, run_dir=args.run_dir,
+        args.case, args.level, args.steps, config=config, run_dir=args.run_dir,
     )
     rows = measured_vs_modeled(tracer, mesh, config)
     print(render_cost_report(

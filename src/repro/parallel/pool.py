@@ -40,6 +40,7 @@ registry/tracer when the run loop finishes, tagged ``rank=r``.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import threading
@@ -220,8 +221,9 @@ def _worker_main(
     raised.  Commands (over the pipe): ``("steps", n)`` advance ``n`` RK-4
     steps, acked ``("ok", n)``, ``("broken", at_step)`` after a broken sync,
     or ``("failed", at_step, message)`` when the step itself raised
-    ``FloatingPointError``; ``("load", base_step)`` re-slice the local
-    state from the shared segment (post-recovery resynchronization);
+    ``FloatingPointError``; ``("load", base_step, dt)`` re-slice the local
+    state from the shared segment under the parent's ``dt`` (recovery and
+    rollback resynchronization);
     ``("obs",)`` ship-and-clear this worker's metrics snapshot and finished
     tracer spans; ``("stop",)`` exit.  The parent reads states out of the
     shared segment, never a pipe.
@@ -306,6 +308,7 @@ def _worker_main(
                 # cause instead of dying with it.
                 conn.send(("failed", step_no, str(exc)))
         elif cmd == "load":
+            integ.config = dataclasses.replace(integ.config, dt=msg[2])
             state = shared.read_local(lm)
             diag = integ.diagnostics_for(state)
             step_no = msg[1]
@@ -468,13 +471,16 @@ class PoolShallowWater:
         resets the board, whose abort word sends every survivor out of its
         wait (recovery latency is detection latency, not the sync timeout).
         A ``("failed", step, message)`` ack is a numerical failure, not a
-        death: the pool is torn down at once (peers may be blocked on the
-        failed rank's next publish) and ``FloatingPointError`` raised.  An
-        ``("error", text)`` ack — a worker that raised during start-up —
-        tears it down the same way and raises :class:`WorkerPoolError`.
+        death: the board is reset at once (peers may be blocked on the
+        failed rank's next publish), the other acks are collected and
+        ``FloatingPointError`` raised; the pool stays up, so a watchdog
+        rollback can :meth:`load_state` its anchor.  An ``("error", text)``
+        ack — a worker that raised during start-up — tears the pool down
+        and raises :class:`WorkerPoolError`.
         """
         pending = set(ranks)
         dead: list[int] = []
+        failure = None
         while pending:
             waitable = {}
             for r in pending:
@@ -487,19 +493,22 @@ class PoolShallowWater:
                     msg = conn.recv() if conn.poll() else ("exited",)
                 except (EOFError, OSError):
                     msg = ("exited",)
-                if msg[0] in ("failed", "error"):
+                if msg[0] == "error":
                     for proc in self._workers:
                         proc.terminate()
                     self.close()
-                    if msg[0] == "error":
-                        raise WorkerPoolError(f"pool rank {r} raised:\n{msg[1]}")
-                    raise FloatingPointError(
+                    raise WorkerPoolError(f"pool rank {r} raised:\n{msg[1]}")
+                if msg[0] == "failed" and failure is None:
+                    self._board.reset()
+                    failure = FloatingPointError(
                         f"pool rank {r} failed at step {msg[1]}: {msg[2]}"
                     )
-                if msg[0] != expected:
+                elif msg[0] != expected and failure is None:
                     if not dead:
                         self._board.reset()
                     dead.append(r)
+        if failure is not None:
+            raise failure
         return dead
 
     def _broadcast(self, message: tuple, ranks=None) -> None:
@@ -524,7 +533,7 @@ class PoolShallowWater:
         if still_dead:
             raise WorkerPoolError(f"respawned ranks died again: {still_dead}")
         survivors = [r for r in range(self.n_ranks) if r not in set(dead)]
-        self._broadcast(("load", self._steps_done), survivors)
+        self._broadcast(("load", self._steps_done, self.config.dt), survivors)
         lost = self._await("loaded", survivors)
         if lost:
             raise WorkerPoolError(f"ranks lost during recovery reload: {lost}")
@@ -544,14 +553,15 @@ class PoolShallowWater:
         self._run_steps(steps)
 
     def load_state(self, state: State, step: int = 0) -> None:
-        """Replace the global state on every rank (resume support).
+        """Replace the global state on every rank (resume and rollback).
 
         Writes ``state`` into the shared segment, rewinds the exchange
         bookkeeping (every buffer of the double-buffered segment gets the
         new state, so buffer selection restarts cleanly at seq 0) and has
-        each worker re-slice its local state — the same resynchronization
-        the worker-death recovery performs, driven here by a restored
-        checkpoint instead of a snapshot.
+        each worker re-slice its local state under ``config.dt`` (a
+        rollback has halved it) — the same resynchronization the
+        worker-death recovery performs, driven here by a restored
+        checkpoint or rollback anchor instead of a snapshot.
         """
         if self._closed:
             raise WorkerPoolError("pool is closed")
@@ -560,7 +570,7 @@ class PoolShallowWater:
         self._board.reset()
         self._snapshot = self._shared.read_global()
         self._steps_done = step
-        self._broadcast(("load", step))
+        self._broadcast(("load", step, self.config.dt))
         lost = self._await("loaded", range(self.n_ranks))
         if lost:
             raise WorkerPoolError(f"ranks lost during state load: {lost}")

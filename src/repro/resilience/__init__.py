@@ -24,9 +24,6 @@ This ``__init__`` re-exports only the import-light fault/integrity machinery;
 import ``repro.resilience.guards`` / ``repro.resilience.checkpoint`` /
 ``repro.resilience.durable`` directly for the pieces that pull in the
 shallow-water core.
-
-Run ``python -m repro.resilience --selftest`` for the end-to-end proof:
-a faulted Galewsky run recovering to a bitwise-identical final state.
 """
 
 from .faults import (

@@ -29,7 +29,7 @@ that is a single module-global ``None`` check.  A :class:`FaultPlan`
 (installed with :func:`use_fault_plan`) matches each call against its
 :class:`FaultSpec` entries and raises :class:`FaultInjected` when one fires
 — either at exact 1-based call indices (``at=(3,)``, the reproducible mode
-the selftest uses) or with per-call probability ``p`` from a seeded
+the recovery tests use) or with per-call probability ``p`` from a seeded
 generator.  Every fire is counted into the metrics registry as
 ``resilience.fault.injected`` tagged by site, so the cost report can show
 exactly what was thrown at a run.
@@ -143,7 +143,7 @@ class FaultPlan:
     """A seeded set of :class:`FaultSpec` entries, checked at every site call.
 
     Two plans built with the same specs and seed fire identically — the
-    property that lets the selftest prove bitwise-identical recovery.
+    property that lets a test prove bitwise-identical recovery.
     """
 
     def __init__(self, specs: Sequence[FaultSpec], seed: int = 0) -> None:

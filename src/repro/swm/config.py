@@ -70,8 +70,8 @@ class SWConfig:
         What a watchdog violation does: ``"halt"`` raises
         :class:`~repro.resilience.guards.NumericalBlowup` with a diagnostic
         naming the offending field and step; ``"rollback"`` restores the
-        run's in-memory anchor and halves ``dt`` (requires
-        ``checkpoint_interval > 0``; not available with ``parallel="pool"``).
+        run's in-memory anchor and halves ``dt`` on every executor
+        (requires ``checkpoint_interval > 0``).
     guard_mass_drift, guard_energy_drift : float
         Relative invariant-drift limits against the first guarded state
         (0 disables each).
@@ -196,17 +196,6 @@ class SWConfig:
             raise ValueError(
                 f"ranks={self.ranks} needs a decomposed mode: "
                 "set parallel='pool' or parallel='lockstep'"
-            )
-        if (
-            self.guard_interval
-            and self.guard_policy == "rollback"
-            and self.parallel == "pool"
-        ):
-            raise ValueError(
-                "guard_policy='rollback' needs parallel='serial' or 'lockstep': "
-                "pool workers hold their own copy of the config, so the halved "
-                "dt of a rollback would not reach them (guard_policy='halt' "
-                "works under parallel='pool')"
             )
         from ..engine import BACKENDS  # deferred: config must stay import-light
 

@@ -37,3 +37,7 @@ def render_series(
     headers = [x_label, *series.keys()]
     rows = [[x, *(fmt(series[name][i]) for name in series)] for i, x in enumerate(xs)]
     return render_table(title, headers, rows)
+
+
+def fmt_speedup(x: float) -> str:
+    return f"{x:.2f}x"

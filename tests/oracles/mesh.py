@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.icosahedron import icosahedral_count
-from repro.mesh.mesh import Mesh
+from repro.mesh.mesh import MESH_FAMILY, Mesh
 
 
 def boundary_edge_mask(mesh: Mesh, cell_mask: np.ndarray | None = None) -> np.ndarray:
@@ -33,3 +33,8 @@ def subdivision_level_for(n_points: int) -> int:
             f"{n_points} is not an icosahedral count (10 * 4**k + 2)"
         )
     return level
+
+
+def mesh_family_counts() -> dict[str, int]:
+    """Cell counts of the Table III mesh family (plus coarser test sizes)."""
+    return {name: 10 * 4**lvl + 2 for name, lvl in MESH_FAMILY.items()}

@@ -6,11 +6,10 @@ from repro.bench import (
     FIG6_PAPER,
     FIG7_PAPER,
     TABLE_III_PAPER,
-    fmt_speedup,
     fmt_time,
     render_table,
 )
-from tests.oracles.harness import render_series
+from tests.oracles.harness import fmt_speedup, render_series
 
 
 class TestFormatting:

@@ -228,6 +228,7 @@ class TestSerialDurable:
         manifest = json.loads((d / MANIFEST_NAME).read_text())
         assert manifest["completed"] is True
         assert _committed_steps(d) == [0, 2, 4, 6]
+        _assert_manifest_describes_files(d)
 
     def test_resume_rebuilds_mesh_from_manifest(self, mesh3, tmp_path):
         """resume= alone suffices: the mesh comes back through the cache."""

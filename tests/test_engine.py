@@ -9,10 +9,6 @@ oracle in ``tests/test_compile_oracles.py``.
 
 from __future__ import annotations
 
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.engine import BACKENDS, KernelRegistry, default_registry, dispatch
@@ -124,17 +120,3 @@ class TestLayerConsistency:
             entry = reg.op_for_label(label)
             for backend in BACKENDS:
                 assert callable(entry.resolve(backend))
-
-
-class TestCLI:
-    def test_selftest_subprocess(self):
-        src = Path(__file__).parent.parent / "src"
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.engine", "--selftest"],
-            capture_output=True,
-            text=True,
-            timeout=600,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-        )
-        assert result.returncode == 0, result.stdout + result.stderr[-2000:]
-        assert "engine selftest OK" in result.stdout

@@ -166,10 +166,11 @@ class TestOperatorEquivalence:
 
 class TestFullModelEquivalence:
     """The acceptance run: a Galewsky RK-4 integration under each backend
-    selected purely through ``SWConfig.backend`` agrees to <= 1e-12."""
+    selected purely through ``SWConfig.backend`` agrees to <= 1e-12, at
+    order 3 and at order 4 (whose ``h_edge`` chain the plan composes)."""
 
-    @pytest.fixture(scope="class")
-    def run_states(self):
+    @pytest.fixture(scope="class", params=[3, 4], ids=["order3", "order4"])
+    def run_states(self, request):
         from repro.mesh import cached_mesh
         from repro.swm.config import SWConfig
         from repro.swm.galewsky import galewsky_jet
@@ -181,7 +182,7 @@ class TestFullModelEquivalence:
         for backend in BACKENDS:
             config = SWConfig(
                 dt=suggested_dt(mesh, case, GRAVITY),
-                thickness_adv_order=3,
+                thickness_adv_order=request.param,
                 backend=backend,
             )
             model = ShallowWaterModel(mesh, config)

@@ -182,11 +182,27 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "pent=12" in out
 
-    def test_run_rejects_unknown_case(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--case", "99"],
+            ["run", "--backend", "foo"],
+            ["run", "--ranks", "2"],
+            ["run", "--plan", "--backend", "numpy"],
+            ["report", "--backend", "foo"],
+            ["report", "--ranks", "2"],
+            ["report", "--compare-backends", "--case", "tc99"],
+        ],
+        ids=" ".join,
+    )
+    def test_run_rejects_unknown_case(self, argv):
+        """An unknown case or contradictory flags end in a one-line
+        ``SystemExit``, not a ``ValueError`` traceback."""
         from repro.__main__ import main
 
-        with pytest.raises(SystemExit):
-            main(["run", "--case", "99"])
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--level", "2", "--steps", "1"])
+        assert exc.value.code != 0
 
 
 class TestConfigValidation:

@@ -14,8 +14,8 @@ from repro.mesh import (
     cached_mesh,
     clear_memory_cache,
     mesh_cache_path,
-    mesh_family_counts,
 )
+from tests.oracles.mesh import mesh_family_counts
 
 
 class TestBuild:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
+from repro.engine import BACKENDS
 from repro.obs import (
     NULL_SPAN,
     MetricsRegistry,
@@ -431,6 +432,20 @@ class TestReport:
         text = render_cost_report(rows, "test")
         assert "drift pp" in text and "B1" in text
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_engine_op_rows_carry_the_configs_backend(self, backend):
+        """Every ``engine.op`` dispatch series of a traced run names the
+        backend its config selected, and was called."""
+        from repro.obs.report import backend_cost_rows, run_traced
+
+        _, registry, _, config = run_traced(
+            "galewsky", level=2, steps=2, backend=backend
+        )
+        rows = backend_cost_rows(registry)
+        assert rows and config.backend == backend
+        assert {r.backend for r in rows} == {backend}
+        assert all(r.calls > 0 for r in rows)
+
     def test_occurrences_per_step(self):
         occ = occurrences_per_step(None)
         # Algorithm 1: 4 RK stages; 3 provisional states; 1 reconstruction.
@@ -633,14 +648,6 @@ class TestDecomposedKernelSpans:
 
 # ------------------------------------------------------------------ CLI smoke
 class TestCLI:
-    def test_selftest_smoke(self, capsys):
-        from repro.obs.report import main
-
-        assert main(["--selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "obs selftest OK" in out
-        assert "measured vs modeled" in out
-
     def test_pool_report_leads_its_kernel_table_with_the_startup_line(self, capsys):
         from repro.obs.report import main
 

@@ -17,9 +17,9 @@ from repro.geometry import (
     arc_length,
     normalize,
     polygon_centroid,
-    rotate,
     spherical_triangle_area,
 )
+from tests.oracles.sphere import rotate
 
 unit_vectors = hnp.arrays(
     np.float64,

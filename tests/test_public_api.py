@@ -239,31 +239,58 @@ class TestOneRunLoop:
         guard_policy="rollback", checkpoint_interval=2,
     )
 
-    def test_lockstep_rollback_equals_serial_rollback(self, mesh3):
-        """dt just above the CFL ceiling: one rollback, dt halved, then the
-        run completes — the same trajectory on two lockstep ranks."""
+    #: What trips the rollback, and the guard that reports it: dt just above
+    #: the CFL ceiling (an end-of-step guard), or dt at CFL 4, which fails
+    #: inside the RK stages before any end-of-step guard (on a pool: inside
+    #: a worker).
+    TRIGGERS = {
+        "cfl_guard": (ROLLBACK_KNOBS, "cfl"),
+        "failed_step": (
+            dict(cfl=4.0, guard_interval=1, guard_policy="rollback",
+                 checkpoint_interval=2),
+            "instability",
+        ),
+    }
+
+    def _rolled_back(self, mesh, trigger, **mode):
+        """One rollback, dt halved, then the run completes.  Returns the
+        result; the caller's config is intact."""
         from repro.obs.metrics import MetricsRegistry, use_registry
 
-        runs = {}
-        for mode in ({}, {"parallel": "lockstep", "ranks": 2}):
-            config = self._cfg(mesh3, **self.ROLLBACK_KNOBS, **mode)
-            dt = config.dt
-            metrics = MetricsRegistry()
-            with use_registry(metrics):
-                runs[len(mode)] = api.run(
-                    "galewsky", mesh=mesh3, config=config, steps=self.STEPS,
-                    invariant_interval=1,
-                )
-            (rollback,) = metrics.series("resilience.checkpoint.rollback")
-            assert rollback.value == 1  # rolled back exactly once
-            assert config.dt == dt  # on the model's copy, not the caller's
-        serial, lockstep = runs[0], runs[2]
-        assert np.array_equal(lockstep.state.h, serial.state.h)
-        assert np.array_equal(lockstep.state.u, serial.state.u)
-        assert lockstep.invariant_history == serial.invariant_history
-        assert lockstep.elapsed_seconds == serial.elapsed_seconds
+        knobs, guard = self.TRIGGERS[trigger]
+        config = self._cfg(mesh, **knobs, **mode)
+        dt = config.dt
+        metrics = MetricsRegistry()
+        with use_registry(metrics), np.errstate(all="ignore"):
+            result = api.run(
+                "galewsky", mesh=mesh, config=config, steps=self.STEPS,
+                invariant_interval=1,
+            )
+        (rollback,) = metrics.series("resilience.checkpoint.rollback")
+        assert rollback.value == 1  # rolled back exactly once
+        (violation,) = metrics.series("resilience.guard.violation")
+        assert violation.tags["guard"] == guard
+        assert config.dt == dt  # on the model's copy, not the caller's
+        return result
 
-    @pytest.mark.parametrize("mode", [{}, {"parallel": "lockstep", "ranks": 2}])
+    @pytest.mark.parametrize("trigger", sorted(TRIGGERS))
+    @pytest.mark.parametrize("parallel,ranks", DECOMPOSED)
+    def test_decomposed_rollback_equals_serial_rollback(
+        self, mesh3, parallel, ranks, trigger
+    ):
+        """The same trajectory on two ranks: a pool's workers take the
+        halved dt with the anchor state they reload, and a step that fails
+        inside a worker leaves the pool up for that reload."""
+        serial = self._rolled_back(mesh3, trigger)
+        got = self._rolled_back(mesh3, trigger, parallel=parallel, ranks=ranks)
+        assert np.array_equal(got.state.h, serial.state.h)
+        assert np.array_equal(got.state.u, serial.state.u)
+        assert got.invariant_history == serial.invariant_history
+        assert got.elapsed_seconds == serial.elapsed_seconds
+
+    @pytest.mark.parametrize(
+        "mode", [{}, *({"parallel": p, "ranks": r} for p, r in DECOMPOSED)]
+    )
     def test_rollback_leaves_the_callers_config_and_request_key(self, mesh3, mode):
         """Regression: a rollback halved ``dt`` on the config the caller
         handed in, so the job queue's dedup key of a finished request moved."""
@@ -309,19 +336,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="parallel='pool'"):
             api.SWConfig(dt=600.0, ranks=4)
 
-    def test_rejects_rollback_in_the_pool(self):
-        """The one mode/guard combination still refused: pool workers hold
-        their own config copy, so a rollback's halved dt would not reach
-        them.  Halting guards work everywhere, rollback under lockstep."""
-        guards = dict(guard_interval=1, guard_cfl_max=0.01, checkpoint_interval=2)
-        api.SWConfig(dt=600.0, parallel="pool", ranks=2, **guards)
+    @pytest.mark.parametrize("parallel,ranks", [("serial", 1), *DECOMPOSED])
+    @pytest.mark.parametrize("policy", ["halt", "rollback"])
+    def test_every_guard_policy_on_every_executor(self, parallel, ranks, policy):
+        """No mode/guard combination is refused: the pool's workers take a
+        rollback's halved dt with the state they reload."""
         api.SWConfig(
-            dt=600.0, parallel="lockstep", ranks=2, guard_policy="rollback", **guards
+            dt=600.0, parallel=parallel, ranks=ranks, guard_interval=1,
+            guard_cfl_max=0.01, checkpoint_interval=2, guard_policy=policy,
         )
-        with pytest.raises(ValueError, match="rollback.*lockstep"):
-            api.SWConfig(
-                dt=600.0, parallel="pool", ranks=2, guard_policy="rollback", **guards
-            )
 
     @pytest.mark.parametrize("field", ["halo_retries"])
     def test_rejects_negative_retry_knobs(self, field):

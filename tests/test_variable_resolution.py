@@ -39,7 +39,7 @@ class TestDensityFunction:
         rho = radial_refinement(CENTRE, 0.5, 0.2, amplification=4.0)
         centre = lonlat_to_xyz(np.array(CENTRE[0]), np.array(CENTRE[1]))
         # Sample along a meridian away from the centre.
-        from repro.geometry import rotate
+        from tests.oracles.sphere import rotate
 
         pts = np.stack([rotate(centre, [0.0, 0.0, 1.0], a) for a in np.linspace(0, 2, 15)])
         values = rho(pts)
