@@ -30,9 +30,9 @@ the execution entry points are thin consumers of it:
     same :class:`~repro.swm.model.RunResult` and produce bitwise-identical
     prognostic state, invariant records and guard verdicts.
 :func:`run_ensemble`
-    N perturbed-IC members advanced lockstep, each a serial run of the
-    config (:mod:`repro.ensemble`); member ``k`` is bitwise identical to a
-    serial :func:`run` of the same member under the same config.
+    N perturbed-IC members stepped on every usable CPU, each a serial run
+    of the config (:mod:`repro.ensemble`); member ``k`` is bitwise identical
+    to a serial :func:`run` of the same member under the same config.
 :func:`submit` / :func:`status` / :func:`result`
     The job queue (:mod:`repro.jobs`): deduplicating deferred execution,
     durable (checkpoint-backed) when the request carries a ``run_dir`` —
@@ -351,7 +351,7 @@ def run_ensemble(
     perturb_amplitude: float | None = None,
     initial_states=None,
 ):
-    """Integrate N perturbed-IC ensemble members lockstep on every usable CPU.
+    """Integrate N perturbed-IC ensemble members on every usable CPU.
 
     Accepts the same tokens as :func:`run` plus the ensemble knobs
     (``ensemble``/``perturb_seed``/``perturb_amplitude`` override the

@@ -1,8 +1,9 @@
 """One pinned thread per CPU, the only threads the numerical core starts: the
-ensemble's member blocks (:func:`repro.ensemble.run._sweep`) and the stages
-a serial plan places on its second lane (:func:`second_core`) run on them.  A
-handoff is a lock release and acquire each way (13 - 17 us a round trip on 2
-vCPUs); scipy's ``csr_matvec`` releases the interpreter lock meanwhile."""
+ensemble's member-step workers (:func:`repro.ensemble.run._sweep`) and the
+stages a serial plan places on its second lane (:func:`second_core`) run on
+them.  A handoff is a lock release and acquire each way (13 - 17 us a round
+trip on 2 vCPUs); scipy's ``csr_matvec`` releases the interpreter lock
+meanwhile."""
 
 from __future__ import annotations
 

@@ -1,30 +1,30 @@
-"""The lockstep ensemble driver: N members, one step program, per-member
-verdicts.
+"""The ensemble run loop: N members, one step program, per-member verdicts.
 
-:class:`EnsembleRun` advances N perturbed-IC members in lockstep, each its
-own serial :class:`~repro.swm.state.State` stepped by
+:class:`EnsembleRun` advances N perturbed-IC members, each its own serial
+:class:`~repro.swm.state.State` stepped by
 :func:`~repro.swm.timestep.rk4_step` on a serial compiled plan, and keeps
-per-member invariant trajectories and watchdog verdicts.  The members are
-split into one contiguous block per usable CPU (``os.sched_getaffinity``);
-each step advances the blocks at once, block 0 on the calling thread and
-the others on the persistent pinned lanes of :mod:`repro.engine.lanes`
-(with a compiled plan of their own under ``plan=True``: :func:`_sweep`),
-each thread stepping the live members of its block one after another; the
-caller then judges every member.  A member's step is its serial step
-wherever it runs, under the config the run was given (backend, ``plan``),
-so the split moves no bit.  Divergence handling reuses the resilience
-stack's policy knobs:
+per-member invariant trajectories and watchdog verdicts.  A member is a chain
+of tasks: its IC diagnostics, each RK-4 step (with its finite / E1 verdict,
+invariant record and rollback anchor), then its reconstruction.  One worker
+per usable CPU (``os.sched_getaffinity``: the caller and the persistent
+pinned lanes of :mod:`repro.engine.lanes`, :func:`_sweep`) takes the next
+task of the member with the fewest finished tasks that no other worker
+holds, so members never wait for each other and a call has one join.  A
+member's task is its serial step whichever CPU runs it, under the config the
+run was given (backend, ``plan``), so the schedule moves no bit.  After the
+join the caller settles the verdicts in member order.  Divergence handling
+reuses the resilience stack's policy knobs:
 
 ``guard_policy="halt"`` (default)
     A member that goes non-finite or trips the ``E1`` stability guard is
     *quarantined*: its verdict becomes ``"diverged"``, its result slot
     ``None``, and it is never stepped again while the others go on.
 ``guard_policy="rollback"``
-    The diverged member is *detached*: its state is restored from the
-    newest in-memory snapshot (taken every ``checkpoint_interval`` steps,
-    or the IC), ``dt`` is halved for that member alone, and it finishes as
-    a serial :class:`~repro.swm.model.ShallowWaterModel` continuation —
-    the PR 3 rollback semantics, applied per member.
+    The diverged member is *detached*: its state is restored from its
+    newest in-memory anchor (taken every ``checkpoint_interval`` steps, or
+    the IC), ``dt`` is halved for that member alone, and it finishes as a
+    serial :class:`~repro.swm.model.ShallowWaterModel` continuation — the
+    serial run's rollback semantics, applied per member.
 
 Healthy members are returned as ordinary per-member
 :class:`~repro.swm.model.RunResult`\\ s whose state/diagnostics/invariants
@@ -38,12 +38,14 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
+import time
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from ..engine.lanes import claimed
+from ..engine.lanes import claimed, second_core
+from ..engine.plan import kernel_plan
 from ..mesh.mesh import Mesh
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
@@ -92,7 +94,7 @@ class EnsembleResult:
         return [k for k, r in enumerate(self.members) if r is not None]
 
     def mean_invariants(self) -> list[Invariants]:
-        """Ensemble-mean invariant trajectory over the lockstep survivors.
+        """Ensemble-mean invariant trajectory over the ``"ok"`` members.
 
         Averages record-by-record across the ``"ok"`` members (detached
         continuations record on their own clock and are excluded).
@@ -147,59 +149,37 @@ class EnsembleResult:
 
 
 def _usable_cpus() -> list[int]:
-    """The CPUs this thread may run on: the one input to the block count."""
+    """The CPUs this thread may run on: the one input to the worker count."""
     return sorted(os.sched_getaffinity(0))
 
 
-def _advance(integ: RK4Integrator, members: list) -> list:
-    """Step each ``(state, diag)`` of a block in turn (the task a block's
-    thread runs).
+def _sweep(cpus: list[int], work, lane_wanted: bool) -> None:
+    """Run ``work(i)`` for every ``i < len(cpus)`` at once.
 
-    A member takes one RK-4 step, or gets its first diagnostics when its
-    ``diag`` is ``None``, on the calling thread's own serial plan.  Its slot
-    in ``members`` is emptied first, so its old fields can be freed as soon
-    as it is stepped.  A member whose call trips the E1 guard
-    (``FloatingPointError``) comes back as ``None``; the members after it
-    are stepped all the same.
-    """
-    out = []
-    for j, (state, diag) in enumerate(members):
-        members[j] = None
-        try:
-            if diag is None:
-                out.append((state, integ.diagnostics_for(state)))
-            else:
-                (state,), (diag,) = rk4_step([integ], [state], [diag])
-                out.append((state, diag))
-        except FloatingPointError:
-            out.append(None)
-    return out
-
-
-def _sweep(cpus: list[int], task, *columns) -> list:
-    """``list(map(task, *columns))`` with the calls running at once.
-
-    Call 0 runs on the calling thread, pinned to ``cpus[0]`` until every
+    ``work(0)`` runs on the calling thread, pinned to ``cpus[0]`` until every
     call is done (its previous affinity is restored even when one raises);
-    call ``i`` runs on the lane pinned to ``cpus[i]``
-    (:func:`repro.engine.lanes.claimed`), or on the caller too while another
-    thread holds that lane.  An exception reaches the caller unchanged,
-    after the other calls finished.
+    ``work(i)`` runs on the lane pinned to ``cpus[i]``
+    (:func:`repro.engine.lanes.claimed`).  While another thread holds one of
+    those lanes only ``work(0)`` runs.  A lone ``work(0)`` runs with the
+    caller's second lane engaged for its plan when ``lane_wanted``
+    (:func:`repro.engine.lanes.second_core`).  An exception reaches the
+    caller unchanged, after the other calls returned.
     """
-    jobs = list(zip(*columns))
-    if len(jobs) == 1:
-        return [task(*jobs[0])]
-    with claimed(cpus[: len(jobs)]) as lanes:
-        if lanes is None:
-            return [task(*job) for job in jobs]
-        for lane, job in zip(lanes, jobs[1:]):
-            lane.submit(task, *job)
-        first = task(*jobs[0])
-        return [first] + [lane.join() for lane in lanes]
+    if len(cpus) > 1:
+        with claimed(cpus) as lanes:
+            if lanes is not None:
+                for i, lane in enumerate(lanes, 1):
+                    lane.submit(work, i)
+                work(0)
+                for lane in lanes:
+                    lane.join()
+                return
+    with second_core(lane_wanted):
+        work(0)
 
 
 class EnsembleRun:
-    """Driver for one ensemble: build members, advance lockstep, judge them.
+    """One ensemble run: build members, step them on every CPU, judge them.
 
     Parameters
     ----------
@@ -267,119 +247,123 @@ class EnsembleRun:
         """
         if steps < 1:
             raise ValueError(f"steps must be >= 1, got {steps!r}")
-        get_registry().gauge("ensemble.members").set(self.config.ensemble)
+        registry = get_registry()
+        registry.gauge("ensemble.members").set(self.config.ensemble)
         config = self.config
         n = config.ensemble
         states, b = self._member_states()
         diags: list = [None] * n
         f_vertex = coriolis_at_vertices(self.mesh, self.case, config)
         integ = RK4Integrator(self.mesh, config, b, f_vertex)
-        # One contiguous member block per usable CPU, stepped concurrently
-        # (no member's step reads another member).  The tracer is
-        # single-threaded: one block.
-        cpus = _usable_cpus()
-        if get_tracer().enabled:
-            cpus = cpus[:1]
-        n_blocks = min(len(cpus), n)
-        spans = [(i * n // n_blocks, (i + 1) * n // n_blocks) for i in range(n_blocks)]
+        # One worker per usable CPU (no member's step reads another member);
+        # the tracer is single-threaded: one worker.
+        cpus = _usable_cpus()[: 1 if get_tracer().enabled else n]
+        workers = len(cpus)
 
-        alive = np.ones(n, dtype=bool)
-        failed_step = [None] * n
-        verdict_detail = [""] * n
+        # Member k's task done[k]: 0 its IC diagnostics, 1 .. steps its RK-4
+        # steps, steps + 1 its reconstruction.
+        done, held = [0] * n, [False] * n
+        failed_step: list[int | None] = [None] * n
         histories: list[list[Invariants]] = [[] for _ in range(n)]
-        history_steps: list[int] = []
-        detached: dict[int, RunResult | None] = {}
+        results: list[RunResult | None] = [None] * n
+        # In-memory rollback anchors (step, state), refreshed on the serial
+        # checkpoint cadence.  References suffice: a step never writes its
+        # input state.
+        rollback = config.guard_policy == "rollback"
+        anchors = [(0, state) for state in states] if rollback else []
+        step_timer = registry.timer("ensemble.member_step")
+        lock, stopped = threading.Lock(), []
 
-        def sweep() -> list[int]:
-            """Advance every live member in place and return them in order; a
-            member the E1 guard stopped is left ``None``."""
-            blocks = [[k for k in range(lo, hi) if alive[k]] for lo, hi in spans]
-            members = [[(states[k], diags[k]) for k in block] for block in blocks]
-            stepped = [k for block in blocks for k in block]
-            # The block lists keep the only references, so a block thread
-            # frees a member's old fields as soon as it has stepped it.
-            for k in stepped:
-                states[k] = diags[k] = None
-            outcomes = _sweep(cpus, _advance, [integ] * n_blocks, members)
-            for k, member in zip(stepped, chain.from_iterable(outcomes)):
-                if member is not None:
-                    states[k], diags[k] = member
-            return stepped
-
-        def record(step: int) -> None:
-            history_steps.append(step)
-            for k in np.flatnonzero(alive):
+        def run_task(k: int) -> None:
+            """Run member ``k``'s next task on the calling thread's plan."""
+            task, state = done[k], states[k]
+            if task > steps:
+                results[k] = RunResult(
+                    state=state,
+                    diagnostics=diags[k],
+                    reconstruction=integ.reconstruct(state.u),
+                    steps=steps,
+                    elapsed_seconds=steps * config.dt,
+                    invariant_history=histories[k],
+                )
+                return
+            try:
+                if task == 0:
+                    diags[k] = integ.diagnostics_for(state)
+                else:
+                    start = time.perf_counter()
+                    (state,), (diags[k],) = rk4_step([integ], [state], [diags[k]])
+                    step_timer.observe(time.perf_counter() - start)
+                    states[k] = state
+            except FloatingPointError:  # the E1 guard
+                state = None
+            if state is None or not (
+                np.isfinite(state.h).all() and np.isfinite(state.u).all()
+            ):
+                failed_step[k], states[k], diags[k] = task, None, None
+                return
+            interval = config.checkpoint_interval
+            if rollback and task and interval and task % interval == 0:
+                anchors[k] = (task, state)
+            if task in (0, steps) or (
+                invariant_interval and task % invariant_interval == 0
+            ):
                 histories[k].append(
-                    invariants(self.mesh, states[k], diags[k], b, config.gravity)
+                    invariants(self.mesh, state, diags[k], b, config.gravity)
                 )
 
-        def judge(step: int, stepped: list[int]) -> None:
-            for k in stepped:
-                state = states[k]
-                if (
-                    state is not None
-                    and np.isfinite(state.h).all()
-                    and np.isfinite(state.u).all()
-                ):
-                    continue
-                alive[k] = False
-                failed_step[k] = step
-                states[k] = diags[k] = None
-                get_registry().counter(
-                    "ensemble.member.diverged", member=str(k)
-                ).inc()
-                if config.guard_policy == "rollback":
-                    detached[k] = self._detach(
-                        k, snapshot_step, snapshot[k], b,
-                        f_vertex, steps, invariant_interval, verdict_detail,
+        def work(worker: int) -> None:
+            """Run member tasks until no member is ready: the live member
+            with the fewest finished tasks that no other worker holds, ties
+            to the worker's own contiguous block, then to the lowest index."""
+            lo, hi = worker * n // workers, (worker + 1) * n // workers
+            k = None
+            try:
+                while True:
+                    with lock:
+                        if k is not None:
+                            done[k], held[k] = done[k] + 1, False
+                        ready = [
+                            j for j in range(n) if not held[j]
+                            and failed_step[j] is None and done[j] <= steps + 1
+                        ]
+                        if stopped or not ready:
+                            return
+                        k = min(ready, key=lambda j: (done[j], not lo <= j < hi, j))
+                        held[k] = True
+                    run_task(k)
+            except BaseException:
+                stopped.append(worker)  # the other workers take no more tasks
+                raise
+
+        plan = kernel_plan(self.mesh, config)
+        _sweep(cpus, work, plan is not None and plan.lanes == 2)
+
+        verdicts: list[MemberVerdict] = []
+        detail = [""] * n
+        for k, step in enumerate(failed_step):
+            status = "ok"
+            if step is None:
+                registry.counter("ensemble.member.steps", member=str(k)).inc(steps)
+            else:
+                registry.counter("ensemble.member.diverged", member=str(k)).inc()
+                status = "diverged"
+                if rollback:
+                    results[k] = self._detach(
+                        k, *anchors[k], b, f_vertex, steps, invariant_interval,
+                        detail,
                     )
+                    status = "diverged" if results[k] is None else "recovered"
                 else:
-                    verdict_detail[k] = (
+                    detail[k] = (
                         "member went non-finite or non-positive "
                         f"at step {step} (guard_policy='halt')"
                     )
-
-        # In-memory rollback anchors, refreshed on the serial checkpoint
-        # cadence.  References suffice: a step never writes its input state.
-        snapshot_step, snapshot = 0, list(states)
-        judge(0, sweep())
-        record(0)
-        step_timer = get_registry().timer("ensemble.step")
-        for step in range(1, steps + 1):
-            with step_timer.time():
-                stepped = sweep()
-            judge(step, stepped)
-            if config.checkpoint_interval and step % config.checkpoint_interval == 0:
-                snapshot_step, snapshot = step, list(states)
-            if invariant_interval and step % invariant_interval == 0:
-                record(step)
-        if history_steps[-1] != steps:
-            record(steps)
-        del snapshot
-
-        results: list[RunResult | None] = [None] * n
-        verdicts: list[MemberVerdict] = []
-        for k in np.flatnonzero(alive):
-            get_registry().counter("ensemble.member.steps", member=str(k)).inc(steps)
-            results[k] = RunResult(
-                state=states[k],
-                diagnostics=diags[k],
-                reconstruction=integ.reconstruct(states[k].u),
-                steps=steps,
-                elapsed_seconds=steps * config.dt,
-                invariant_history=histories[k],
-            )
-        for k in range(n):
-            status = "ok" if alive[k] else "diverged"
-            if detached.get(k) is not None:
-                results[k], status = detached[k], "recovered"
-            verdicts.append(
-                MemberVerdict(k, status, failed_step[k], verdict_detail[k])
-            )
+            verdicts.append(MemberVerdict(k, status, step, detail[k]))
         out = EnsembleResult(members=results, verdicts=verdicts, steps=steps)
-        if alive.any():  # the first lockstep survivor's trajectory
-            out.invariant_history = histories[int(np.argmax(alive))]
-        get_registry().gauge("ensemble.survivors").set(len(out.survivors()))
+        if None in failed_step:  # the first healthy member's trajectory
+            out.invariant_history = histories[failed_step.index(None)]
+        registry.gauge("ensemble.survivors").set(len(out.survivors()))
         return out
 
     def _detach(

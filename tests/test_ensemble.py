@@ -11,6 +11,10 @@ diverging member must not perturb the healthy members' bits.
 from __future__ import annotations
 
 import os
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -466,25 +470,33 @@ class TestMemberBlocks:
         # members x steps x RK stages: every member is stepped on its own.
         assert sum(s.name == "compute_tend" for s in spans) == 4 * 2 * 4
 
-    def test_a_raising_block_restores_affinity_and_reaches_the_caller(self):
+    def test_a_raising_task_stops_the_workers_and_reaches_the_caller(
+        self, mesh3, case, dt, monkeypatch
+    ):
         class Boom(Exception):
             pass
 
-        cpus = _cpu_list(2)
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
         before = os.sched_getaffinity(0)
-        for culprit in (0, 1):  # the caller's block, then a worker's
-            boom = Boom(f"block {culprit}")
-            ran = []
+        for on_caller in (True, False):  # the caller's task, then a lane's
+            boom, raised = Boom(f"on the caller: {on_caller}"), []
 
-            def task(block):
-                ran.append(block)
-                if block == culprit:
+            def hook(k, step, out):
+                caller = threading.current_thread() is threading.main_thread()
+                if caller == on_caller and not raised:
+                    raised.append(len(log))
                     raise boom
+                if caller:
+                    time.sleep(0.01)  # the lane takes a member-step early
+                return out
 
-            with pytest.raises(Boom) as caught:
-                ensemble_run._sweep(cpus, task, [0, 1])
+            with monkeypatch.context() as patch, pytest.raises(Boom) as caught:
+                log = _spy_member_steps(patch, hook)
+                run_ensemble(mesh3, case, _config(dt, ensemble=4), 5)
             assert caught.value is boom
-            assert sorted(ran) == [0, 1]  # the other block still finished
+            # At most the other worker's step in flight and one it took
+            # before the raising worker flagged the stop.
+            assert len(log) - raised[0] <= 2 and len(log) < 4 * 5
             assert os.sched_getaffinity(0) == before
 
     def test_a_run_leaves_no_cyclic_garbage(self, mesh3, case, dt, monkeypatch):
@@ -512,6 +524,186 @@ class TestMemberBlocks:
             gc.garbage.clear()
             gc.enable()
         assert leaked == []
+
+
+def _spy_member_steps(monkeypatch, hook=None) -> list:
+    """Log ``(member, step, on_caller)`` as each ensemble member-step starts;
+    ``hook(member, step, out)`` may delay, raise or replace its result."""
+    owner: dict[int, tuple[int, int]] = {}
+    keep: list = []  # every state stays alive, so no id is reused
+    log: list = []
+    real_states, real_step = EnsembleRun._member_states, ensemble_run.rk4_step
+
+    def member_states(self):
+        states, b = real_states(self)
+        keep.extend(states)
+        owner.update((id(s), (k, 0)) for k, s in enumerate(states))
+        return states, b
+
+    def step(ranks, block, diags):
+        k, done = owner[id(block[0])]
+        log.append((k, done + 1, threading.current_thread() is threading.main_thread()))
+        out = real_step(ranks, block, diags)
+        if hook is not None:
+            out = hook(k, done + 1, out)
+        keep.append(out[0][0])
+        owner[id(out[0][0])] = (k, done + 1)
+        return out
+
+    monkeypatch.setattr(EnsembleRun, "_member_states", member_states)
+    monkeypatch.setattr(ensemble_run, "rk4_step", step)
+    return log
+
+
+class TestMemberSteps:
+    """Each worker pulls the next task of the member with the fewest finished
+    tasks; members never wait for each other and every result is the one a
+    single CPU computes."""
+
+    def test_a_slow_caller_leaves_its_block_to_the_other_cpu(
+        self, mesh3, case, dt, serial_refs, monkeypatch
+    ):
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
+        delayed = []
+
+        def hook(k, step, out):
+            if threading.current_thread() is threading.main_thread() and not delayed:
+                delayed.append(k)
+                time.sleep(0.5)
+            return out
+
+        log = _spy_member_steps(monkeypatch, hook)
+        n = 4
+        ens = run_ensemble(mesh3, case, _config(dt, ensemble=n), 3)
+        on_lane = {k for k, _, caller in log if not caller}
+        assert on_lane & {0, 1} and on_lane & {2, 3}  # both blocks
+        assert sorted((k, step) for k, step, _ in log) == [
+            (k, step) for k in range(n) for step in (1, 2, 3)
+        ]
+        for k, member in enumerate(ens.members):
+            ref = serial_refs(k)
+            assert np.array_equal(member.state.h, ref.state.h), f"member {k} h"
+            assert np.array_equal(member.state.u, ref.state.u), f"member {k} u"
+            assert np.array_equal(
+                member.reconstruction.uReconstructZonal,
+                ref.reconstruction.uReconstructZonal,
+            )
+
+    def test_a_member_diverging_out_of_step_gets_its_one_cpu_verdict(
+        self, mesh3, case, dt, monkeypatch
+    ):
+        """Member 1 is slow and goes non-finite at step 3 while the others
+        are on other steps; rolled back to its step-2 anchor it recovers as
+        it does on one CPU."""
+
+        def poison(k, step, out):
+            if k != 1:
+                return out
+            time.sleep(0.05)  # the other members run ahead
+            if step != 3:
+                return out
+            (state,), diags = out
+            state = state.copy()
+            state.h[0] = np.nan
+            return (state,), diags
+
+        config = _config(dt, ensemble=3, guard_policy="rollback", checkpoint_interval=2)
+        runs, logs = {}, {}
+        for cpus in (1, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(cpus))
+                logs[cpus] = _spy_member_steps(patch, poison)
+                runs[cpus] = run_ensemble(mesh3, case, config, 5, invariant_interval=1)
+        log = [(k, step) for k, step, _ in logs[2]]
+        assert any(k != 1 and step > 3 for k, step in log[: log.index((1, 3))])
+        one, two = runs[1], runs[2]
+        assert two.verdicts == one.verdicts
+        assert two.verdicts[1].status == "recovered"
+        assert two.verdicts[1].failed_step == 3
+        assert "rolled back to step 2" in two.verdicts[1].detail
+        assert two.members[1].steps == 3
+        for a, b in zip(one.members, two.members):
+            assert np.array_equal(a.state.h, b.state.h)
+            assert np.array_equal(a.state.u, b.state.u)
+            assert a.invariant_history == b.invariant_history
+        assert two.invariant_history == one.invariant_history
+
+    @pytest.mark.parametrize("policy", ["halt", "rollback"])
+    def test_only_rollback_keeps_the_ic_as_an_anchor(
+        self, mesh3, case, dt, monkeypatch, policy
+    ):
+        """Under ``"halt"`` a member's IC is freed by its first step; under
+        ``"rollback"`` it is the anchor a member that diverges before any
+        checkpoint restarts from, at ``dt / 2``, as a serial run."""
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(1))
+        ic, dead_at_step_2 = [], []
+        real_step = ensemble_run.rk4_step
+
+        def step(ranks, block, diags):
+            if not ic:
+                ic.append((weakref.ref(block[0]), block[0].copy()))
+            else:
+                dead_at_step_2.append(ic[0][0]() is None)
+            out = real_step(ranks, block, diags)
+            if len(dead_at_step_2) == 1:  # step 2 goes non-finite
+                out[0][0].h[0] = np.nan
+            return out
+
+        monkeypatch.setattr(ensemble_run, "rk4_step", step)
+        config = _config(dt, ensemble=1, guard_policy=policy)
+        res = run_ensemble(mesh3, case, config, STEPS, invariant_interval=1)
+        assert dead_at_step_2 == [policy == "halt"]
+        assert res.verdicts[0].failed_step == 2
+        if policy == "halt":
+            assert res.members == [None]
+            return
+        assert res.verdicts[0].status == "recovered"
+        serial_config = SWConfig(dt=dt / 2, backend="sparse")
+        _, b = member_initial_state(mesh3, case, 0, SEED, AMPLITUDE)
+        ref = ShallowWaterModel.from_state(
+            mesh3, serial_config, case, ic[0][1], b, _f_vertex(mesh3, case),
+        ).run(steps=STEPS, invariant_interval=1)
+        assert np.array_equal(res.members[0].state.h, ref.state.h)
+        assert np.array_equal(res.members[0].state.u, ref.state.u)
+        assert res.members[0].invariant_history == ref.invariant_history
+
+    def test_more_workers_than_cores_take_every_member_step_once(
+        self, mesh3, case, dt, serial_refs, monkeypatch
+    ):
+        """Three workers on at most two cores, switching every 10 us: a lost
+        update of the task table would repeat or skip a member-step."""
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(3))
+        log = _spy_member_steps(monkeypatch)
+        n, out = 5, []
+        runner = threading.Thread(
+            target=lambda: out.append(
+                run_ensemble(mesh3, case, _config(dt, ensemble=n), 3)
+            ),
+            daemon=True,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive() and len(out) == 1
+        assert sorted((k, step) for k, step, _ in log) == [
+            (k, step) for k in range(n) for step in (1, 2, 3)
+        ]
+        for k, member in enumerate(out[0].members):
+            assert np.array_equal(member.state.u, serial_refs(k).state.u)
+            assert np.array_equal(member.state.h, serial_refs(k).state.h)
+
+    def test_every_member_step_is_timed(self, mesh3, case, dt, monkeypatch):
+        monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            run_ensemble(mesh3, case, _config(dt, ensemble=3), 4)
+        (timer,) = registry.series("ensemble.member_step")
+        assert timer.count == 3 * 4 and timer.min > 0
+        assert registry.series("ensemble.step") == []
 
 
 # ----------------------------------------------------------- driver plumbing

@@ -13,9 +13,10 @@ groups to the lane with the same run inline.  Contracts:
   two-lane plan too;
 * an E1 failure with a lane group in flight, or on the lane itself, joins
   the lane, restores the caller's affinity and leaves the next run working;
-* only ``ShallowWaterModel``'s serial executor engages the lane, once per
-  ``run`` (IC diagnostics, every chunk, the result): not a forked child, a
-  pool rank, a traced run or an ensemble block thread;
+* only ``ShallowWaterModel``'s serial executor and a lone ensemble worker
+  engage the lane, once per call (IC diagnostics, every step, the result):
+  not a forked child, a pool rank, a traced run or a worker of a
+  multi-worker ensemble;
 * serial runs on more threads than cores share one lane without a lost
   handoff: whichever thread holds it, every run is the inline one.
 """
@@ -234,6 +235,39 @@ def test_a_run_engages_the_lane_once_and_before_its_first_step(
     assert np.array_equal(laned.state.h, inline.state.h)
 
 
+def test_a_lone_member_engages_the_lane_once_and_before_its_first_step(
+    mesh3, forced, monkeypatch
+):
+    """A 1-member ensemble is one worker on the caller and steps on the
+    two-lane plan as its serial run does: one claim, and the IC's
+    diagnostics already hand their groups to the lane."""
+    claims, at_first_step = [], []
+    real_claimed, real_step = lanes.claimed, ensemble_run.rk4_step
+
+    def claimed(cpus):
+        claims.append(cpus)
+        return real_claimed(cpus)
+
+    def step(*args, **kwargs):
+        at_first_step.append(at_first_step[0] if at_first_step else len(forced))
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(lanes, "claimed", claimed)
+    monkeypatch.setattr(ensemble_run, "rk4_step", step)
+    config = _config(mesh3, "galewsky")
+    ens = ensemble_run.run_ensemble(
+        mesh3, resolve_case("galewsky"),
+        dataclasses.replace(config, ensemble=1, ensemble_seed=7), 4,
+    )
+    assert len(claims) == 1 and len(at_first_step) == 4
+    assert at_first_step[0] > 0 and set(forced) == {"_run_group"}
+    _inline(monkeypatch)
+    serial = run("perturbed:galewsky:0:7", mesh=mesh3, config=config, steps=4)
+    (member,) = ens.members
+    assert np.array_equal(member.state.u, serial.state.u)
+    assert np.array_equal(member.state.h, serial.state.h)
+
+
 def test_a_guard_failure_with_a_product_in_flight(mesh3, forced, monkeypatch):
     """E1 raises on the caller while ``K u`` runs on the lane: the lane is
     joined, the caller's affinity restored, and the next run is the inline
@@ -318,15 +352,16 @@ def test_a_traced_run_runs_inline(mesh3, forced):
 
 
 def test_ensemble_block_threads_never_engage(mesh3, forced, monkeypatch):
-    """The lanes step member blocks and no block hands a stage on: an
-    engaged lane belongs to the thread that engaged it."""
+    """The lanes run the ensemble's member-step workers and no worker of a
+    multi-worker run hands a stage on: an engaged lane belongs to the thread
+    that engaged it."""
     cpus = sorted(os.sched_getaffinity(0))[:2]
     monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: cpus)
     config = _config(mesh3, "galewsky")
     ensemble_run.run_ensemble(
         mesh3, resolve_case("galewsky"), dataclasses.replace(config, ensemble=4), 2
     )
-    assert forced and set(forced) == {"_advance"}
+    assert forced and set(forced) == {"work"}
     seen = []
     with lanes.second_core():
         other = threading.Thread(target=lambda: seen.append(lanes.engaged()))
