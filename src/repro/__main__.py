@@ -41,20 +41,15 @@ def _cmd_mesh(args: argparse.Namespace) -> None:
     print(assess_quality(mesh).summary())
 
 
-def _chaos_plan(crash_at: int | None):
-    """The --chaos-crash-at fault plan (or an inert context manager)."""
+def _chaos_crash(step: int | None):
+    """The --chaos-crash-at SIGKILL (or an inert context manager)."""
     import contextlib
 
-    if crash_at is None:
+    if step is None:
         return contextlib.nullcontext()
-    from repro.resilience.faults import FaultPlan, FaultSpec, use_fault_plan
+    from repro.resilience.faults import crash_at
 
-    return use_fault_plan(FaultPlan([
-        FaultSpec(
-            "process.crash", at=(1,), action="kill",
-            match={"step": crash_at},
-        )
-    ]))
+    return crash_at(step, kill=True)
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
@@ -65,7 +60,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         from repro.resilience.durable import ManifestError
 
         try:
-            with _chaos_plan(args.chaos_crash_at):
+            with _chaos_crash(args.chaos_crash_at):
                 result = run(resume=args.resume)
         except ManifestError as exc:
             raise SystemExit(str(exc)) from None
@@ -126,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             drift = abs(mean[-1].mass - mean[0].mass) / abs(mean[0].mass)
             print(f"  ensemble-mean mass drift = {drift:.2e}")
         return
-    with _chaos_plan(args.chaos_crash_at):
+    with _chaos_crash(args.chaos_crash_at):
         result = run(
             case_arg, mesh=mesh, config=config,
             steps=args.steps, days=args.days, run_dir=args.run_dir,

@@ -34,14 +34,10 @@ from ..machine.interconnect import TransferModel
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..obs.trace import Tracer, get_tracer
 from ..patterns.classify import point_of
-from ..resilience.faults import FaultInjected, fault_site
 
 __all__ = ["Placement", "Assignment", "Task", "Timeline", "HybridExecutor", "DEVICES"]
 
 DEVICES = ("cpu", "mic")
-
-#: Re-schedules of a faulted simulated PCIe transfer before it propagates.
-TRANSFER_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -265,43 +261,13 @@ class HybridExecutor:
             return r
 
         def xfer(var_label: str, n_bytes: float, dst: str, earliest: float) -> float:
-            """Schedule a PCIe transfer toward ``dst``; return arrival time.
-
-            Each transfer is one ``hybrid.transfer`` fault site (a flaky
-            PCIe exchange).  A faulted transfer is rescheduled up to
-            :data:`TRANSFER_RETRIES` times; the failed attempt
-            occupies its channel for the full duration — like a wire-level
-            retry would — and its traffic is accounted separately as
-            ``resilience.transfer.wasted_bytes``.
-            """
+            """Schedule a PCIe transfer toward ``dst``; return arrival time."""
             if n_bytes <= 0.0:
                 return earliest
             channel = "pcie_up" if dst == "mic" else "pcie_down"
-            dur = self.transfer.time(n_bytes)
             start = max(avail[channel], earliest)
-            attempt = 0
-            while True:
-                try:
-                    fault_site("hybrid.transfer", dst=dst)
-                    break
-                except FaultInjected:
-                    if attempt >= TRANSFER_RETRIES:
-                        raise
-                    end = start + dur
-                    avail[channel] = end
-                    timeline.tasks.append(
-                        Task(f"xfer!{var_label}->{dst}", channel, start, end, "transfer")
-                    )
-                    registry.counter(
-                        "resilience.recovery.retry", site="hybrid.transfer"
-                    ).inc()
-                    registry.counter(
-                        "resilience.transfer.wasted_bytes", channel=channel
-                    ).inc(n_bytes)
-                    start = end
-                    attempt += 1
             registry.counter("hybrid.pcie.bytes", channel=channel).inc(n_bytes)
-            end = start + dur
+            end = start + self.transfer.time(n_bytes)
             avail[channel] = end
             timeline.tasks.append(
                 Task(f"xfer:{var_label}->{dst}", channel, start, end, "transfer")

@@ -270,26 +270,24 @@ def _series_rows(registry: MetricsRegistry, prefix: str) -> list[list[str]]:
 
 
 def resilience_rows(registry: MetricsRegistry) -> list[list[str]]:
-    """Every fault/recovery series: injected faults, retries, respawns,
-    checkpoints, watchdog violations and quarantined cache entries.
+    """Every recovery series: retries, respawns, checkpoints, watchdog
+    violations and quarantined cache entries.
 
-    Covers the ``resilience.*`` namespace written by the fault plans
-    (:mod:`repro.resilience.faults`), the per-layer recovery mechanisms,
-    the cache integrity layer (``resilience.cache.quarantined``, tagged by
-    cache ``kind``) and the checkpoint path (``resilience.checkpoint.saved``
-    / ``.bytes`` / ``.write_s`` and ``resilience.durable.commit_s``), so one
-    cost report shows what was thrown at a run, how it survived and what
-    its restart files cost.
+    Covers the ``resilience.*`` namespace written by the pool's respawns,
+    the watchdog and rollback, the cache integrity layer
+    (``resilience.cache.quarantined``, tagged by cache ``kind``) and the
+    checkpoint path (``resilience.checkpoint.saved`` / ``.bytes`` /
+    ``.write_s`` and ``resilience.durable.commit_s``), so one cost report
+    shows how a run survived and what its restart files cost.
     """
     return _series_rows(registry, "resilience.")
 
 
 def render_resilience_report(registry: MetricsRegistry, title: str) -> str:
-    """The fault/recovery counter table (empty-safe)."""
+    """The fault/recovery counter table."""
     from ..bench.tables import render_table
 
-    rows = resilience_rows(registry) or [["(no faults injected)", "-", "0"]]
-    return render_table(title, ["series", "tags", "value"], rows)
+    return render_table(title, ["series", "tags", "value"], resilience_rows(registry))
 
 
 # ------------------------------------------------------------ ensemble runs

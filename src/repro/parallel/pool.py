@@ -22,13 +22,13 @@ publish/acknowledge counters of a :class:`~repro.parallel.shm.SyncBoard`
 (no rank ever parks on a barrier), at the sync points the
 :class:`~repro.dataflow.schedule.HaloSchedule` keeps.
 
-Worker death (a crashed process, an ``os._exit`` mid-step) is recoverable:
-the parent sees the exit at once and resets the sync board, whose abort
-word sends the survivors out of their waits (a stuck but living peer is
-caught by the sync timeout instead); it then restores the last committed
-global state, respawns the dead ranks, reloads every worker and retries
-the batch — bounded by ``SWConfig.halo_retries``, counted under
-``resilience.pool.*``, and bitwise-invisible.  A rank whose step raises
+Worker death (a process killed mid-step or while idle between calls) is
+recoverable: the parent sees the exit at once and resets the sync board,
+whose abort word sends the survivors out of their waits (a stuck but
+living peer is caught by the sync timeout instead); it then restores the
+last committed global state, respawns the dead ranks, reloads every
+worker and retries the batch — bounded by ``SWConfig.halo_retries``,
+counted under ``resilience.pool.*``, and bitwise-invisible.  A rank whose step raises
 ``FloatingPointError`` acks ``("failed", step, message)``, and one that
 raises during start-up acks ``("error", text)``: either closes the pool
 and raises once, with no respawn (the same input would fail the same way).
@@ -40,6 +40,7 @@ registry/tracer when the run loop finishes, tagged ``rank=r``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import multiprocessing
 import os
@@ -211,7 +212,6 @@ def _worker_main(
     schedule,
     neighbors: tuple[tuple, tuple],
     trace_enabled: bool,
-    kill_at_step: int | None,
 ) -> None:
     """Persistent worker loop: own rank state, obey parent commands.
 
@@ -289,8 +289,6 @@ def _worker_main(
             try:
                 for _ in range(n):
                     step_no += 1
-                    if kill_at_step is not None and step_no == kill_at_step:
-                        os._exit(3)  # simulated worker crash (tests)
                     # Every rank's previous observe is on the board by now.
                     sync.refresh_timeout()
                     t_step = time.perf_counter()
@@ -313,7 +311,6 @@ def _worker_main(
             diag = integ.diagnostics_for(state)
             step_no = msg[1]
             sync.rewind()  # the board was reset with the reload
-            kill_at_step = None  # a test kill fires at most once per spawn
             conn.send(("loaded", rank))
         elif cmd == "obs":
             tracer = get_tracer()
@@ -347,9 +344,7 @@ class PoolShallowWater:
     context manager, or call :meth:`close` explicitly.
 
     Parameters mirror :class:`~repro.parallel.runner.DecomposedShallowWater`
-    plus ``barrier_timeout`` (how long a sync waits on a silent peer) and the
-    test-only ``kill_at`` mapping ``{rank: step}`` that makes a first-
-    generation worker exit mid-run to exercise the recovery path.
+    plus ``barrier_timeout`` (how long a sync waits on a silent peer).
     """
 
     def __init__(
@@ -361,7 +356,6 @@ class PoolShallowWater:
         halo_layers: int | None = None,
         partition_method: str = "kmeans",
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
-        kill_at: dict[int, int] | None = None,
     ) -> None:
         self.mesh = mesh
         self.config = config
@@ -372,7 +366,6 @@ class PoolShallowWater:
                 config.thickness_adv_order, config.apvm_upwinding != 0.0
             )
         self.halo_layers = halo_layers
-        kill_at = kill_at or {}
         # One span: three named children; IC, segments, operators are self time.
         with trace_span("pool.spawn", category="pool", ranks=n_ranks):
             with trace_span("partition", category="pool"):
@@ -434,7 +427,7 @@ class PoolShallowWater:
                     sparse_operator(mesh, op)
             with trace_span("fork", category="pool"):
                 for r in range(n_ranks):
-                    self._spawn(r, kill_at.get(r))
+                    self._spawn(r)
             with trace_span("ready", category="pool"):
                 dead = self._await("ready", range(n_ranks))
             if dead:
@@ -445,7 +438,7 @@ class PoolShallowWater:
                 raise WorkerPoolError(f"ranks exited before ready (exit codes {codes})")
 
     # ----------------------------------------------------------- process mgmt
-    def _spawn(self, rank: int, kill_at_step: int | None = None) -> None:
+    def _spawn(self, rank: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
@@ -453,7 +446,7 @@ class PoolShallowWater:
                 rank, child_conn, self._shared, self._board,
                 self.barrier_timeout, self.mesh, self._plans[rank],
                 self.b_cell, self.f_vertex, self.config, self.schedule,
-                self._neighbors[rank], get_tracer().enabled, kill_at_step,
+                self._neighbors[rank], get_tracer().enabled,
             ),
             daemon=True,
             name=f"repro-pool-rank{rank}",
@@ -513,7 +506,8 @@ class PoolShallowWater:
 
     def _broadcast(self, message: tuple, ranks=None) -> None:
         for r in ranks if ranks is not None else range(self.n_ranks):
-            self._conns[r].send(message)
+            with contextlib.suppress(ConnectionError):  # died idle: see _await
+                self._conns[r].send(message)
 
     def _recover(self, dead: list[int]) -> None:
         """Respawn dead ranks and rewind everyone to the last committed state."""
@@ -580,8 +574,6 @@ class PoolShallowWater:
             raise WorkerPoolError("pool is closed")
         if steps <= 0:
             raise ValueError("steps must be positive")
-        # A dead worker is a lost halo peer; the respawn budget is the same
-        # knob that bounds lost-message retries in the lockstep runner.
         budget = self.config.halo_retries
         attempt = 0
         while True:
@@ -621,10 +613,11 @@ class PoolShallowWater:
         self._broadcast(("obs",))
         for r in range(self.n_ranks):
             conn = self._conns[r]
-            if not conn.poll(self.barrier_timeout):  # pragma: no cover - hang
+            try:  # a rank that died since its last batch took its metrics along
+                msg = conn.recv() if conn.poll(self.barrier_timeout) else ("hang",)
+            except (EOFError, OSError):
                 continue
-            msg = conn.recv()
-            if msg[0] != "obs":  # pragma: no cover - protocol error
+            if msg[0] != "obs":  # pragma: no cover - hang or protocol error
                 continue
             registry.merge_snapshot(msg[1], rank=r)
             tracer.merge_records(msg[2], rank=r)

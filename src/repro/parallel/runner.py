@@ -32,7 +32,6 @@ import numpy as np
 from ..mesh.mesh import Mesh
 from ..obs.metrics import get_registry
 from ..obs.trace import trace_span
-from ..resilience.faults import FaultInjected, fault_site
 from ..swm.config import SWConfig
 from ..swm.model import ShallowWaterModel
 from ..swm.state import Diagnostics, State
@@ -115,31 +114,13 @@ class DecomposedShallowWater(HaloTransport):
 
         ``sync`` names the Algorithm-1 synchronization point: one the
         :class:`~repro.dataflow.schedule.HaloSchedule` elides returns
-        immediately (no exchange, no fault site); a kept one refreshes the
-        fields its :class:`~repro.dataflow.schedule.SyncPoint` names, at the
-        halo points within its ring depth.
-
-        Each executed exchange is one ``halo.exchange`` fault site (a
-        dropped MPI message).  A faulted exchange is re-attempted up to
-        ``config.halo_retries`` times, each counted under
-        ``resilience.recovery.retry``.  Retries exhausted, the injected
-        fault propagates — a halo the ranks never agree on is not
-        recoverable by degradation.
+        immediately (no exchange); a kept one refreshes the fields its
+        :class:`~repro.dataflow.schedule.SyncPoint` names, at the halo
+        points within its ring depth.
         """
         point = self.schedule.entry(sync)
         if point is None:
             return  # elided by the schedule: provably clean
-        for attempt in range(self.config.halo_retries + 1):
-            try:
-                fault_site("halo.exchange", ranks=self.n_ranks)
-                break
-            except FaultInjected:
-                if attempt == self.config.halo_retries:
-                    raise
-                get_registry().counter(
-                    "resilience.recovery.retry", site="halo.exchange",
-                    ranks=self.n_ranks,
-                ).inc()
         fields = point.fields
         skip = self._skip_refresh
         if skip is not None and skip[0] == sync:

@@ -1,14 +1,13 @@
-"""Fault-tolerant runtime: injection, recovery, watchdogs, restart files.
+"""Fault-tolerant runtime: the chaos crash, watchdogs, restart files, caches.
 
 The paper's pattern-level granularity lets work move freely between host and
 device; this package makes that design *survivable*:
 
-* :mod:`~repro.resilience.faults` — named fault sites in every execution
-  layer, driven by seeded :class:`~repro.resilience.faults.FaultPlan`\\ s
-  (deterministic or probabilistic), so failures are testable on demand.
-  Each layer recovers where its state lives, under a retry budget it reads
-  itself: a halo exchange and a pool respawn from ``SWConfig.halo_retries``,
-  a simulated transfer from ``hybrid.executor.TRANSFER_RETRIES``.
+* :mod:`~repro.resilience.faults` — the chaos crash point the run loop
+  passes once per step: armed, it raises or sends the process ``SIGKILL``,
+  so a durable run's crash-and-resume is testable at a chosen step.  Every
+  other failure is survived where it really happens: a dead pool worker is
+  respawned within ``SWConfig.halo_retries``.
 * :mod:`~repro.resilience.guards` — numerical watchdogs (NaN/Inf scans,
   invariant-drift limits, a CFL monitor) inside the stepping loop.
 * :mod:`~repro.resilience.checkpoint` — the one restart-file writer; a
@@ -20,31 +19,19 @@ device; this package makes that design *survivable*:
   (manifest + committed checkpoints) and bitwise resume after a real
   process death, in serial and pool mode.
 
-This ``__init__`` re-exports only the import-light fault/integrity machinery;
-import ``repro.resilience.guards`` / ``repro.resilience.checkpoint`` /
-``repro.resilience.durable`` directly for the pieces that pull in the
-shallow-water core.
+This ``__init__`` re-exports only the import-light crash point and
+integrity machinery; import ``repro.resilience.guards`` /
+``repro.resilience.checkpoint`` / ``repro.resilience.durable`` directly for
+the pieces that pull in the shallow-water core.
 """
 
-from .faults import (
-    KNOWN_SITES,
-    FaultInjected,
-    FaultPlan,
-    FaultSpec,
-    active_fault_plan,
-    fault_site,
-    use_fault_plan,
-)
+from .faults import FaultInjected, crash_at, crash_point
 from .integrity import checked_load, quarantine, seal, verify
 
 __all__ = [
-    "KNOWN_SITES",
     "FaultInjected",
-    "FaultPlan",
-    "FaultSpec",
-    "active_fault_plan",
-    "fault_site",
-    "use_fault_plan",
+    "crash_at",
+    "crash_point",
     "seal",
     "verify",
     "quarantine",

@@ -52,11 +52,11 @@ the restart contract is bitwise (diagnostics are a pure function of the
 state), so a run killed at *any* point and resumed ends in the identical
 state to one never interrupted, on every executor: a durable run is the
 model's one run loop with :meth:`DurableRun.checkpoint` as its checkpoint
-hook.  The crash-chaos tests prove it with real ``SIGKILL``\\ s (the
-``process.crash`` fault site).  A fresh run is :meth:`DurableRun.create`
-and then :func:`resume_durable` of the directory nobody drove yet, surfaced
-as ``repro.api.run(run_dir=... / resume=...)``, ``repro.jobs`` and
-``python -m repro run --run-dir/--resume``.
+hook.  The crash-chaos tests prove it with real ``SIGKILL``\\ s (the run
+loop's crash point, :mod:`repro.resilience.faults`).  A fresh run is
+:meth:`DurableRun.create` and then :func:`resume_durable` of the directory
+nobody drove yet, surfaced as ``repro.api.run(run_dir=... / resume=...)``,
+``repro.jobs`` and ``python -m repro run --run-dir/--resume``.
 """
 
 from __future__ import annotations

@@ -59,8 +59,8 @@ class SWConfig:
         Number of decomposed ranks for the ``"lockstep"``/``"pool"`` modes
         (must stay 1 for ``"serial"``).
     halo_retries : int
-        Re-attempts of a faulted lockstep halo exchange, and respawns of
-        dead pool workers, before the run gives up.
+        Respawns of dead pool workers (a whole-batch retry each) before
+        the run gives up.
     guard_interval : int
         Run the numerical watchdog every this many steps (0 disables it);
         1 gives the per-step NaN/Inf scan.  Every executor is guarded: the

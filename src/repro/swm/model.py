@@ -278,7 +278,7 @@ class ShallowWaterModel:
             raise RuntimeError("initialize() must be called before run()")
 
         from ..obs.metrics import get_registry
-        from ..resilience.faults import fault_site
+        from ..resilience.faults import crash_point
         from ..resilience.guards import NumericalBlowup, Watchdog
 
         config = self.config
@@ -313,7 +313,7 @@ class ShallowWaterModel:
                 done = self.step
                 stop = min([total] + [(done // k + 1) * k for k in observed if k])
                 for step in range(done + 1, stop + 1):
-                    fault_site("process.crash", step=step)
+                    crash_point(step)
                 report = None
                 try:
                     self.advance(stop - done)

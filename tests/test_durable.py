@@ -38,12 +38,7 @@ from repro.resilience.durable import (
     ManifestError,
     sha256_file,
 )
-from repro.resilience.faults import (
-    FaultInjected,
-    FaultPlan,
-    FaultSpec,
-    use_fault_plan,
-)
+from repro.resilience.faults import FaultInjected, crash_at
 from repro.swm.config import SWConfig
 
 SRC = Path(__file__).parent.parent / "src"
@@ -53,13 +48,6 @@ def _cfg(mesh, **overrides) -> SWConfig:
     case = resolve_case("galewsky")
     dt = suggested_dt(mesh, case, GRAVITY, cfl=0.5)
     return SWConfig(dt=dt, **overrides)
-
-
-def _crash_plan(step: int) -> FaultPlan:
-    """Raise FaultInjected when integration step ``step`` starts."""
-    return FaultPlan(
-        [FaultSpec("process.crash", at=(1,), match={"step": step})]
-    )
 
 
 def _committed_steps(directory: Path) -> list[int]:
@@ -81,9 +69,8 @@ def _crashed(mesh, directory: Path, at: int, steps: int = 6) -> SWConfig:
     """A durable run (a checkpoint every 2 steps) crashed as step ``at``
     starts; returns its config."""
     cfg = _cfg(mesh, checkpoint_interval=2)
-    with use_fault_plan(_crash_plan(at)):
-        with pytest.raises(FaultInjected):
-            run("galewsky", mesh=mesh, config=cfg, steps=steps, run_dir=directory)
+    with crash_at(at), pytest.raises(FaultInjected):
+        run("galewsky", mesh=mesh, config=cfg, steps=steps, run_dir=directory)
     return cfg
 
 
@@ -218,9 +205,8 @@ class TestSerialDurable:
         cfg = _cfg(mesh3, checkpoint_interval=2)
         ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
         d = tmp_path / "run"
-        with use_fault_plan(_crash_plan(4)):
-            with pytest.raises(FaultInjected):
-                run("galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d)
+        with crash_at(4), pytest.raises(FaultInjected):
+            run("galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d)
         assert _committed_steps(d) == [0, 2]  # steps 1-3 ran, 4 never did
         resumed = run(resume=d, mesh=mesh3)
         assert np.array_equal(resumed.state.h, ref.state.h)
@@ -235,9 +221,8 @@ class TestSerialDurable:
         cfg = _cfg(mesh3, checkpoint_interval=2)
         ref = run("galewsky", mesh=mesh3, config=cfg, steps=4)
         d = tmp_path / "run"
-        with use_fault_plan(_crash_plan(3)):
-            with pytest.raises(FaultInjected):
-                run("galewsky", mesh=mesh3, config=cfg, steps=4, run_dir=d)
+        with crash_at(3), pytest.raises(FaultInjected):
+            run("galewsky", mesh=mesh3, config=cfg, steps=4, run_dir=d)
         resumed = run(resume=d)  # no mesh argument
         assert np.array_equal(resumed.state.h, ref.state.h)
 
@@ -259,9 +244,8 @@ class TestSerialDurable:
         cfg = _cfg(mesh3, checkpoint_interval=2)
         ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
         d = tmp_path / "run"
-        with use_fault_plan(_crash_plan(5)):
-            with pytest.raises(FaultInjected):
-                run("galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d)
+        with crash_at(5), pytest.raises(FaultInjected):
+            run("galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d)
         assert _committed_steps(d) == [0, 2, 4]
         newest = d / "checkpoints" / "auto-00000004.npz"
         newest.write_bytes(newest.read_bytes()[:100])  # truncate: torn
@@ -273,9 +257,8 @@ class TestSerialDurable:
     def test_no_surviving_checkpoint_is_actionable(self, mesh3, tmp_path):
         cfg = _cfg(mesh3, checkpoint_interval=2)
         d = tmp_path / "run"
-        with use_fault_plan(_crash_plan(3)):
-            with pytest.raises(FaultInjected):
-                run("galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d)
+        with crash_at(3), pytest.raises(FaultInjected):
+            run("galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d)
         for path in (d / "checkpoints").glob("auto-*.npz"):
             path.unlink()
         with pytest.raises(ManifestError, match="no committed checkpoint"):
@@ -560,6 +543,123 @@ class TestJournal:
         assert _committed_steps(d) == [0, 1, 2, 3, 4]
 
 
+#: A durable level-3 Galewsky run in a child interpreter whose file-size
+#: limit (``RLIMIT_FSIZE``) drops to ``limit`` bytes as step ``at`` is
+#: observed (0: before the run starts).  ``SIGXFSZ`` is ignored, so a write
+#: past the limit fails with ``EFBIG`` instead of killing the child; the
+#: child prints the errno name it failed with.
+_LIMITED_RUN = """
+import errno, resource, signal, sys
+from repro.api import SWConfig, run
+from repro.mesh import cached_mesh
+
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+d, dt, at, limit = sys.argv[1], float(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+mesh = cached_mesh(3)
+
+def cap(step, _result=None):
+    if step == at:
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+
+cap(0)
+try:
+    run("galewsky", mesh=mesh, config=SWConfig(dt=dt, checkpoint_interval=1),
+        steps=6, run_dir=d, callback=cap)
+except OSError as exc:
+    print(errno.errorcode[exc.errno])
+"""
+
+
+class TestRealWriteLimits:
+    """Real OS failures, no injection: a write past ``RLIMIT_FSIZE`` in a
+    child interpreter (only that child is limited, and it writes only
+    under ``tmp_path``).  A read-only run directory would not do: the
+    suite may run as root, which writes through file modes."""
+
+    @staticmethod
+    def _limited(directory: Path, dt: float, at: int, limit: int) -> None:
+        child = subprocess.run(
+            [sys.executable, "-c", _LIMITED_RUN, str(directory), repr(float(dt)),
+             str(at), str(limit)],
+            capture_output=True, text=True, timeout=300, env=_subprocess_env(),
+        )
+        assert child.returncode == 0, child.stderr[-2000:]
+        assert child.stdout.strip() == "EFBIG", child.stdout + child.stderr[-2000:]
+
+    def test_commit_past_the_limit_resumes_bitwise(self, mesh3, tmp_path):
+        """The step-4 publish fails mid-write: the journal ends whole at
+        step 3, the torn temporary is the only debris, and a resume without
+        the limit ends bitwise on the uninterrupted run."""
+        cfg = _cfg(mesh3, checkpoint_interval=1)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        d = tmp_path / "run"
+        limit = 10_000
+        self._limited(d, cfg.dt, at=3, limit=limit)
+        journal = (d / JOURNAL_NAME).read_bytes()
+        assert journal.endswith(b"\n")  # no torn line
+        assert json.loads(journal.splitlines()[-1])["step"] == 3
+        assert _committed_steps(d) == [0, 1, 2, 3]
+        step_files = sorted(p.name for p in (d / "checkpoints").iterdir())
+        assert step_files == [
+            *(f"auto-{s:08d}.npz" for s in range(4)), "auto-00000004.npz.tmp"
+        ]
+        assert (d / "checkpoints" / "auto-00000003.npz").stat().st_size > limit
+        assert (d / "checkpoints" / "auto-00000004.npz.tmp").stat().st_size == limit
+
+        resumed = run(resume=d, mesh=mesh3)
+        _assert_bitwise(resumed, ref)
+        assert _committed_steps(d) == list(range(7))
+        assert not list((d / "checkpoints").glob("*.tmp"))
+        _assert_manifest_describes_files(d)
+
+    def test_create_past_the_limit_leaves_no_manifest(self, mesh3, tmp_path):
+        """``create`` fails publishing its manifest: only the temporary is
+        left, the directory is no durable run, and a run without the limit
+        starts there afresh."""
+        cfg = _cfg(mesh3)
+        d = tmp_path / "run"
+        self._limited(d, cfg.dt, at=0, limit=64)
+        files = sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file())
+        assert files == [MANIFEST_NAME + ".tmp"]
+        with pytest.raises(ManifestError, match=f"no {MANIFEST_NAME}"):
+            run(resume=d, mesh=mesh3)
+        result = run("galewsky", mesh=mesh3, config=cfg, steps=2, run_dir=d)
+        assert result.steps == 2
+        assert json.loads((d / MANIFEST_NAME).read_text())["completed"]
+        assert not (d / (MANIFEST_NAME + ".tmp")).exists()
+
+    @pytest.mark.parametrize(
+        ("limit", "left"),
+        [
+            (2_000, ["fields.npz.tmp", MANIFEST_NAME]),
+            (20_000, ["checkpoints/auto-00000000.npz.tmp", "fields.npz", MANIFEST_NAME]),
+        ],
+        ids=["fields", "step0"],
+    )
+    def test_a_first_write_past_the_limit_resumes_from_the_start(
+        self, mesh3, tmp_path, limit, left
+    ):
+        """The manifest (under 2,000 B at level 3) is published, but the
+        fields file (15,890 B) or the step-0 file (23,434 B) is not: no step
+        is committed, and a resume without the limit runs the whole horizon
+        from the initial condition, bitwise."""
+        cfg = _cfg(mesh3, checkpoint_interval=1)
+        ref = run("galewsky", mesh=mesh3, config=cfg, steps=6)
+        d = tmp_path / "run"
+        self._limited(d, cfg.dt, at=0, limit=limit)
+        files = sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file())
+        assert files == left
+        assert (d / left[0]).stat().st_size == limit
+        assert _committed_steps(d) == []
+
+        resumed = run(resume=d, mesh=mesh3)
+        _assert_bitwise(resumed, ref)
+        assert _committed_steps(d) == list(range(7))
+        assert not list(d.rglob("*.tmp"))
+        _assert_manifest_describes_files(d)
+
+
 def _version1_directory(mesh, directory: Path, cfg, steps: int, upto: int) -> None:
     """A run directory as a version-1 build left it: five-array ``np.savez``
     step files for steps ``0, 2, .., upto`` and a full manifest committing
@@ -660,9 +760,8 @@ class TestRetiredConfigFields:
     def _interrupted(mesh, directory: Path, **overrides) -> SWConfig:
         """A 6-step run crashed at step 4 (checkpoints 0 and 2 committed)."""
         cfg = _cfg(mesh, checkpoint_interval=2, **overrides)
-        with use_fault_plan(_crash_plan(4)):
-            with pytest.raises(FaultInjected):
-                run("galewsky", mesh=mesh, config=cfg, steps=6, run_dir=directory)
+        with crash_at(4), pytest.raises(FaultInjected):
+            run("galewsky", mesh=mesh, config=cfg, steps=6, run_dir=directory)
         return cfg
 
     def test_directory_carrying_ensemble_mode_resumes_bitwise(
@@ -783,9 +882,8 @@ class TestDecomposedDurable:
             mesh3, checkpoint_interval=2, parallel=parallel, ranks=ranks
         )
         d = tmp_path / "run"
-        with use_fault_plan(_crash_plan(5)):
-            with pytest.raises(FaultInjected):
-                run("galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d)
+        with crash_at(5), pytest.raises(FaultInjected):
+            run("galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d)
         assert _committed_steps(d) == [0, 2, 4]
         resumed = run(resume=d, mesh=mesh3)
         assert np.array_equal(resumed.state.h, serial.state.h)
@@ -805,12 +903,11 @@ class TestDecomposedDurable:
         )
         cfg = _cfg(mesh3, checkpoint_interval=2, parallel=parallel, ranks=ranks)
         d = tmp_path / "run"
-        with use_fault_plan(_crash_plan(4)):
-            with pytest.raises(FaultInjected):
-                run(
-                    "galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d,
-                    invariant_interval=1,
-                )
+        with crash_at(4), pytest.raises(FaultInjected):
+            run(
+                "galewsky", mesh=mesh3, config=cfg, steps=6, run_dir=d,
+                invariant_interval=1,
+            )
         assert _committed_steps(d) == [0, 2]
         resumed = run(resume=d, mesh=mesh3, invariant_interval=1)
         assert np.array_equal(resumed.state.h, serial.state.h)

@@ -35,12 +35,7 @@ import pytest
 
 from repro.api import resolve_case, run, suggested_dt
 from repro.constants import GRAVITY
-from repro.resilience.faults import (
-    FaultInjected,
-    FaultPlan,
-    FaultSpec,
-    use_fault_plan,
-)
+from repro.resilience.faults import FaultInjected, crash_at
 from repro.swm.config import SWConfig
 from repro.swm.scenarios import SCENARIOS, scenario
 
@@ -289,14 +284,11 @@ class TestGoldenEnsembleAndResume:
             "galewsky_jet", mesh3, "numpy", checkpoint_interval=2
         )
         d = tmp_path / "run"
-        with use_fault_plan(FaultPlan([
-            FaultSpec("process.crash", at=(1,), match={"step": 6})
-        ])):
-            with pytest.raises(FaultInjected):
-                run(
-                    "galewsky_jet", mesh=mesh3, config=config, steps=STEPS,
-                    run_dir=d, invariant_interval=1,
-                )
+        with crash_at(6), pytest.raises(FaultInjected):
+            run(
+                "galewsky_jet", mesh=mesh3, config=config, steps=STEPS,
+                run_dir=d, invariant_interval=1,
+            )
         resumed = run(resume=d, mesh=mesh3, invariant_interval=1)
         tail = _trajectory(resumed)
         golden = _load_golden("galewsky_jet", "numpy")

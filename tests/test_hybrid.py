@@ -138,6 +138,52 @@ class TestExecutor:
         assert "cpu" in text and "makespan" in text
 
 
+#: What the simulator schedules for one 120-km step under each assignment:
+#: compute / halo / transfer task counts, makespan (s) and PCIe bytes.  The
+#: Fig. 7 - 9 outputs are built from these timelines, so a change to any of
+#: them is a change to the paper's figures.
+PINNED_SCHEDULES = {
+    "cpu_only": ((68, 8, 0), 0.06828033861799215, 0.0),
+    "kernel": ((68, 8, 26), 0.05308941945681114, 16384224.0),
+    "pattern": ((69, 8, 38), 0.04578928208928809, 25782774.571796715),
+    "split": ((136, 8, 159), 0.034215597259884795, 20535752.246316433),
+}
+
+
+class TestPinnedSchedules:
+    @staticmethod
+    def _assignment(name, dfg, times):
+        return {
+            "cpu_only": lambda: cpu_only_assignment(dfg),
+            "kernel": lambda: kernel_level_assignment(dfg, times),
+            "pattern": lambda: pattern_level_assignment(dfg, times),
+            "split": lambda: static_split_assignment(dfg, times, fraction=0.5),
+        }[name]()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SCHEDULES))
+    def test_the_schedule_is_the_pinned_one(self, setup, name):
+        """The timeline is valid and carries exactly the pinned tasks: each
+        transfer is one ``xfer:<var>-><device>`` move, none is repeated or
+        rescheduled beyond what the data flow asks for."""
+        from repro.obs.metrics import MetricsRegistry, use_registry
+
+        dfg, _, times, executor = setup
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            tl = executor.run(self._assignment(name, dfg, times))
+        tl.validate_no_overlap()
+        tl.validate_dependencies(dfg)
+        kinds = [t.kind for t in tl.tasks]
+        counts = tuple(kinds.count(k) for k in ("compute", "halo", "transfer"))
+        (want_counts, want_makespan, want_bytes) = PINNED_SCHEDULES[name]
+        assert counts == want_counts and len(kinds) == sum(counts)
+        assert tl.makespan == pytest.approx(want_makespan, rel=1e-12)
+        pcie = sum(s.value for s in registry.series("hybrid.pcie.bytes"))
+        assert pcie == pytest.approx(want_bytes, rel=1e-12)
+        transfers = [t.name for t in tl.tasks if t.kind == "transfer"]
+        assert all(n.startswith("xfer:") for n in transfers)
+
+
 class TestSchedulers:
     def test_balanced_fraction_range(self, setup):
         dfg, _, times, _ = setup

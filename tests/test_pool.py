@@ -12,6 +12,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import signal
 import threading
 import time
 import types
@@ -26,6 +27,7 @@ from repro.constants import GRAVITY
 from repro.geometry import lloyd_relax, normalize
 from repro.mesh import Mesh
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.report import render_resilience_report
 from repro.obs.trace import Tracer, use_tracer
 from repro.parallel import (
     DecomposedShallowWater,
@@ -60,6 +62,35 @@ def _serial(mesh, case, cfg, steps):
     model = ShallowWaterModel(mesh, cfg)
     model.initialize(case)
     return model.run(steps=steps)
+
+
+def _kill(pool, rank: int) -> None:
+    """A real worker death: SIGKILL the rank's process and reap it."""
+    proc = pool._workers[rank]
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.join(TIMEOUT)
+    assert proc.exitcode == -signal.SIGKILL
+
+
+def _killed_between_calls(mesh, case, cfg):
+    """One step, rank 1 killed while idle, three more steps: the gathered
+    result, the respawn count and the seconds the second call took."""
+    with use_registry(MetricsRegistry()) as registry:
+        with PoolShallowWater(mesh, 2, case, cfg, barrier_timeout=5.0) as pool:
+            pool.run(1)
+            _kill(pool, 1)
+            t0 = time.perf_counter()
+            pres = pool.run(3)
+            took = time.perf_counter() - t0
+    return pres, _respawns(registry), took
+
+
+def _respawns(registry) -> float:
+    return sum(
+        rec["value"]
+        for rec in registry.snapshot()
+        if rec["metric"] == "resilience.pool.respawn"
+    )
 
 
 class TestSharedState:
@@ -203,22 +234,14 @@ class TestPoolRuns:
 
 class TestPoolRecovery:
     def test_worker_death_is_bitwise_invisible(self, mesh3):
+        """A rank that died between two calls is respawned by the next one,
+        which then lands bitwise where an unbroken run lands."""
         case = steady_zonal_flow()
         cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
         res = _serial(mesh3, case, cfg, steps=4)
-        t0 = time.perf_counter()
-        with use_registry(MetricsRegistry()) as registry:
-            with PoolShallowWater(
-                mesh3, 2, case, cfg, barrier_timeout=5.0, kill_at={1: 2}
-            ) as pool:
-                pres = pool.run(4)
-            respawns = sum(
-                rec["value"]
-                for rec in registry.snapshot()
-                if rec["metric"] == "resilience.pool.respawn"
-            )
+        pres, respawns, took = _killed_between_calls(mesh3, case, cfg)
         # the survivor is aborted when the death is seen, not at the timeout
-        assert time.perf_counter() - t0 < RECOVERY_BOUND
+        assert took < RECOVERY_BOUND
         assert respawns >= 1
         assert np.array_equal(pres.state.h, res.state.h)
         assert np.array_equal(pres.state.u, res.state.u)
@@ -228,13 +251,109 @@ class TestPoolRecovery:
         cfg = SWConfig(
             dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6), halo_retries=0
         )
-        t0 = time.perf_counter()
-        with pytest.raises(WorkerPoolError, match="respawn budget"):
-            with PoolShallowWater(
-                mesh3, 2, case, cfg, barrier_timeout=5.0, kill_at={0: 1}
-            ) as pool:
+        with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=5.0) as pool:
+            _kill(pool, 0)
+            t0 = time.perf_counter()
+            with pytest.raises(WorkerPoolError, match="respawn budget"):
                 pool.run(2)
-        assert time.perf_counter() - t0 < RECOVERY_BOUND
+            assert time.perf_counter() - t0 < RECOVERY_BOUND
+            assert pool._closed
+
+    def test_idle_death_without_budget_raises(self, mesh3):
+        """With ``halo_retries=0`` a rank that died between two calls ends
+        the next call with the budget error, not a broken pipe."""
+        case = steady_zonal_flow()
+        cfg = SWConfig(
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6), halo_retries=0
+        )
+        with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=5.0) as pool:
+            pool.run(1)
+            _kill(pool, 1)
+            with pytest.raises(WorkerPoolError, match="respawn budget"):
+                pool.run(3)
+            assert pool._closed
+
+    def test_every_rank_dead_between_calls_recovers_bitwise(self, mesh3):
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        res = _serial(mesh3, case, cfg, steps=4)
+        with use_registry(MetricsRegistry()) as registry:
+            with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=5.0) as pool:
+                pool.run(1)
+                _kill(pool, 0)
+                _kill(pool, 1)
+                pres = pool.run(3)
+            assert _respawns(registry) == 2
+            (row,) = [
+                ln for ln in render_resilience_report(registry, "pool").splitlines()
+                if "resilience.pool.respawn" in ln
+            ]
+            assert row.split("|")[-1].strip() == "2"
+        assert np.array_equal(pres.state.h, res.state.h)
+        assert np.array_equal(pres.state.u, res.state.u)
+
+    def test_the_respawn_budget_is_per_call(self, mesh3):
+        """One retry per call survives one death in each of two calls."""
+        case = steady_zonal_flow()
+        cfg = SWConfig(
+            dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6), halo_retries=1
+        )
+        res = _serial(mesh3, case, cfg, steps=4)
+        with use_registry(MetricsRegistry()) as registry:
+            with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=5.0) as pool:
+                pool.run(1)
+                _kill(pool, 1)
+                pool.run(1)
+                _kill(pool, 0)
+                pres = pool.run(2)
+            (retries,) = registry.series("resilience.recovery.retry")
+            assert retries.value == 2
+        assert np.array_equal(pres.state.h, res.state.h)
+        assert np.array_equal(pres.state.u, res.state.u)
+
+    def test_a_rank_dead_before_the_metrics_merge_is_skipped(self, mesh3):
+        """The merge takes the survivors' metrics; the dead rank's died
+        with it, and the committed state is still whole in the segment."""
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        res = _serial(mesh3, case, cfg, steps=1)
+        with use_registry(MetricsRegistry()) as registry:
+            with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=5.0) as pool:
+                pool.advance(1)
+                _kill(pool, 1)
+                pool.merge_observability()
+                state = pool.gather_state()
+            ranks = {
+                rec["tags"]["rank"]
+                for rec in registry.snapshot()
+                if rec["metric"] == "pool.worker.steps"
+            }
+        assert ranks == {0}
+        assert np.array_equal(state.h, res.state.h)
+        assert np.array_equal(state.u, res.state.u)
+
+    def test_a_death_after_the_last_batch_does_not_fail_the_run(self, mesh3):
+        """A rank killed from the last step's callback, after its batch and
+        before the run loop merges metrics: the run ends with its state,
+        and the next call respawns the rank and goes on bitwise."""
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        two = _serial(mesh3, case, cfg, steps=2)
+        four = _serial(mesh3, case, cfg, steps=4)
+        with PoolShallowWater(mesh3, 2, case, cfg, barrier_timeout=5.0) as pool:
+
+            def kill_at_the_end(step, _result):
+                if step == 2:
+                    _kill(pool, 1)
+
+            model = ShallowWaterModel(mesh3, cfg, executor=pool)
+            pres = model.run(steps=2, callback=kill_at_the_end)
+            assert pres.steps == 2
+            assert np.array_equal(pres.state.h, two.state.h)
+            assert np.array_equal(pres.state.u, two.state.u)
+            pres = pool.run(2)
+        assert np.array_equal(pres.state.h, four.state.h)
+        assert np.array_equal(pres.state.u, four.state.u)
 
     @pytest.mark.parametrize("halo_schedule", ["static", "dataflow"])
     def test_numerical_failure_is_reported_not_respawned(
@@ -612,19 +731,9 @@ class TestPoolDataflow:
             halo_schedule="dataflow",
         )
         res = _serial(mesh3, case, cfg, steps=4)
-        t0 = time.perf_counter()
-        with use_registry(MetricsRegistry()) as registry:
-            with PoolShallowWater(
-                mesh3, 2, case, cfg, barrier_timeout=5.0, kill_at={1: 2}
-            ) as pool:
-                pres = pool.run(4)
-            respawns = sum(
-                rec["value"]
-                for rec in registry.snapshot()
-                if rec["metric"] == "resilience.pool.respawn"
-            )
+        pres, respawns, took = _killed_between_calls(mesh3, case, cfg)
         # the survivor is aborted when the death is seen, not at the timeout
-        assert time.perf_counter() - t0 < RECOVERY_BOUND
+        assert took < RECOVERY_BOUND
         assert respawns >= 1
         assert np.array_equal(pres.state.h, res.state.h)
         assert np.array_equal(pres.state.u, res.state.u)

@@ -186,7 +186,7 @@ def test_the_rk_stages_are_written_once():
 
 def test_there_is_one_run_loop():
     """``ShallowWaterModel.run`` is the only run driver: the only function
-    that fires the per-step ``process.crash`` site or records invariants
+    that passes the per-step chaos crash point or records invariants
     into a history, and the only module that asks which executor
     ``config.parallel`` names.  Six step counters, three ``RunResult``
     builders and three mode dispatches had drifted apart (lockstep ignored
@@ -201,9 +201,7 @@ def test_there_is_one_run_loop():
         )
 
     def crash_site(node):
-        return called(node, "fault_site") and [
-            getattr(a, "value", None) for a in node.args
-        ] == ["process.crash"]
+        return called(node, "crash_point")
 
     def invariant_record(node):
         return called(node, "append") and any(
@@ -396,7 +394,7 @@ def test_restart_files_belong_to_durable_runs():
 #: lower it with every PR that deletes a path, never raise it to make room.
 #: ROADMAP: "every deletion so far was paid back in docstrings, counters and
 #: shims" — a budget is what stops the next one being paid back too.
-SRC_LINE_BUDGET = 16_999
+SRC_LINE_BUDGET = 16_757
 
 
 def test_src_stays_inside_its_line_budget():
@@ -414,7 +412,6 @@ def test_src_stays_inside_its_line_budget():
 #: for the reason given.  A helper only the tests call belongs in
 #: ``tests/oracles/`` instead.
 KEPT_WITHOUT_A_CALLER = {
-    "active_fault_plan": "docs/architecture.md doctests it: which plan is installed",
     "classify_op": "docs/backends.md doctests it: how the CSR compiler sorts ops",
     "clear_plan_memory_cache": "resets module-private plan state for the cache tests",
     "load_history": "reads back what HistoryWriter.save writes",
@@ -506,14 +503,15 @@ def test_the_runtime_split_executor_stays_deleted():
     and its row-cut contract in ``tests/test_compile_oracles.py``; no
     workload installed a split placement, and each one sent the kernels
     off the compiled plan.  Nothing under ``src/repro/{engine,swm,ensemble}``
-    names a placement, and no fault site belongs to a split device."""
+    names a placement, and the one injected fault is the run loop's crash
+    point: no simulated device or transfer can be made to fail."""
     import io
     import tokenize
 
-    from repro.resilience import KNOWN_SITES
+    from repro.resilience import faults
 
     assert not (REPO / "src" / "repro" / "engine" / "split.py").exists()
-    assert sorted(KNOWN_SITES) == ["halo.exchange", "hybrid.transfer", "process.crash"]
+    assert faults.__all__ == ["FaultInjected", "crash_at", "crash_point"]
     found = []
     for package in ("engine", "swm", "ensemble"):
         for path in sorted((REPO / "src" / "repro" / package).rglob("*.py")):
@@ -527,24 +525,36 @@ def test_the_runtime_split_executor_stays_deleted():
 
 
 def test_retry_budgets_are_read_where_they_apply():
-    """There is no process-global recovery policy to install: the lockstep
-    halo exchange and the pool's respawns read ``SWConfig.halo_retries``,
-    the simulated PCIe transfer ``hybrid.executor.TRANSFER_RETRIES``, and a
-    kernel dispatch is a timer around a call, with no fault site and no
-    fallback backend.  The three knobs no run read are retired fields."""
-    from repro.resilience import KNOWN_SITES
+    """There is no process-global recovery policy to install, and one retry
+    budget is left: the pool's respawns of dead workers read
+    ``SWConfig.halo_retries``.  Neither the lockstep halo exchange (an
+    in-process copy) nor the simulated PCIe transfer can fail, so neither
+    retries, and a kernel dispatch is a timer around a call, with no fault
+    site and no fallback backend.  The three knobs no run read are retired
+    fields."""
+    import ast
+
     from repro.swm.config import SWConfig
 
-    assert KNOWN_SITES == ("halo.exchange", "hybrid.transfer", "process.crash")
+    readers = sorted(
+        str(path.relative_to(REPO / "src" / "repro"))
+        for path in (REPO / "src" / "repro").rglob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "halo_retries"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert readers == ["parallel/pool.py"]
     assert not (REPO / "src" / "repro" / "resilience" / "recovery.py").exists()
     assert {"backend_retries", "halo_backoff_s", "transfer_retries"} <= set(
         SWConfig.RETIRED_FIELDS
     )
     found = _mentions_outside_retired_fields(
         "recovery_policy", "RecoveryPolicy", "backend_fallback", "halo_backoff",
-        "engine.dispatch",
+        "engine.dispatch", "TRANSFER_RETRIES", "FaultPlan", "FaultSpec",
+        "kill_at", '"halo.exchange"', '"hybrid.transfer"',
     )
-    assert not found, f"the deleted recovery policy is named again: {found}"
+    assert not found, f"a deleted recovery path is named again: {found}"
 
 
 def test_no_rank_compiles_a_stencil(monkeypatch):

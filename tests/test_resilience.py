@@ -1,23 +1,27 @@
-"""Fault injection, per-layer recovery, watchdogs, rollback and restart files.
+"""Watchdogs, rollback and restart files.
 
-The acceptance contract of the resilience layer: every *recoverable*
-injected fault is bitwise-invisible (the faulted run's final state equals
-the fault-free run's), every unrecoverable one raises ``FaultInjected``
-rather than corrupting state, and numerical blow-ups are caught by the
-watchdog instead of silently propagating NaN.
+The acceptance contract of the resilience layer's numerical half: blow-ups
+are caught by the watchdog instead of silently propagating NaN, and a
+rollback run ends bitwise where its restart oracle ends.  Crashes and real
+OS failures of a run are tested in ``tests/test_durable.py``, worker deaths
+in ``tests/test_pool.py``.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.constants import GRAVITY
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.report import render_resilience_report
-from repro.resilience import FaultInjected, FaultPlan, FaultSpec, use_fault_plan
+from repro.resilience import faults
+from repro.resilience.faults import FaultInjected, crash_at, crash_point
 from repro.resilience.guards import NumericalBlowup, Watchdog, cfl_number
 from repro.swm.config import SWConfig
 from repro.swm.galewsky import galewsky_jet
@@ -38,184 +42,107 @@ def _model(mesh, **overrides):
     return model
 
 
-# ---------------------------------------------------------------- fault plans
-class TestFaultPlan:
-    def test_unknown_site_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault site"):
-            FaultSpec("engine.nonsense", at=(1,))
+# ------------------------------------------------------------- the crash point
+_KILLED_AT_2 = """
+import atexit
+from repro.resilience.faults import crash_at, crash_point
 
-    def test_spec_must_fire(self):
-        with pytest.raises(ValueError, match="never fires"):
-            FaultSpec("halo.exchange")
+atexit.register(print, "atexit ran", flush=True)
+with crash_at(2, kill=True):
+    crash_point(1)
+    print("passed step 1", flush=True)
+    try:
+        crash_point(2)
+    finally:
+        print("cleanup ran", flush=True)
+"""
 
-    def test_one_based_indices(self):
-        with pytest.raises(ValueError, match="1-based"):
-            FaultSpec("halo.exchange", at=(0,))
 
-    def test_probability_range(self):
-        with pytest.raises(ValueError, match="probability"):
-            FaultSpec("halo.exchange", probability=1.5)
+class TestCrashPoint:
+    def test_unarmed_point_is_a_noop(self):
+        assert faults._CRASH is None
+        for step in range(10):
+            crash_point(step)  # must not raise
 
-    def test_deterministic_at_indices(self):
-        plan = FaultPlan([FaultSpec("halo.exchange", at=(2, 4))])
+    def test_fires_only_at_its_step(self):
         fired = []
-        with use_fault_plan(plan):
-            for i in range(1, 6):
+        with crash_at(3):
+            for step in range(1, 6):
                 try:
-                    plan.check("halo.exchange", ranks=2)
+                    crash_point(step)
                     fired.append(False)
-                except FaultInjected:
+                except FaultInjected as exc:
+                    assert "step 3" in str(exc)
                     fired.append(True)
-        assert fired == [False, True, False, True, False]
+        assert fired == [False, False, True, False, False]
 
-    def test_seeded_probability_reproducible(self):
-        def fires(seed):
-            plan = FaultPlan(
-                [FaultSpec("halo.exchange", probability=0.3)], seed=seed
-            )
-            out = []
-            for _ in range(50):
-                try:
-                    plan.check("halo.exchange")
-                    out.append(0)
-                except FaultInjected:
-                    out.append(1)
-            return out
+    def test_an_armed_point_is_not_spent_by_firing(self):
+        """A trajectory that reaches the step again (a rollback replaying
+        it) crashes again while the block is armed."""
+        with crash_at(2):
+            for _ in range(2):
+                with pytest.raises(FaultInjected):
+                    crash_point(2)
 
-        assert fires(7) == fires(7)
-        assert fires(7) != fires(8)
+    def test_leaving_the_block_disarms(self):
+        with crash_at(2):
+            pass
+        assert faults._CRASH is None
+        crash_point(2)
 
-    def test_max_fires_bounds(self):
-        plan = FaultPlan([FaultSpec("halo.exchange", probability=1.0, max_fires=2)])
-        fired = 0
-        for _ in range(10):
-            try:
-                plan.check("halo.exchange")
-            except FaultInjected:
-                fired += 1
-        assert fired == 2 and plan.total_fires == 2
-
-    def test_match_filters_tags(self):
-        plan = FaultPlan([FaultSpec("halo.exchange", at=(1,), match={"ranks": 4})])
-        plan.check("halo.exchange", ranks=2)  # no match, no count
-        with pytest.raises(FaultInjected) as exc:
-            plan.check("halo.exchange", ranks=4)
-        assert exc.value.site == "halo.exchange"
-        assert exc.value.tags == {"ranks": 4}
-
-    def test_reset_rewinds(self):
-        plan = FaultPlan([FaultSpec("halo.exchange", at=(1,), max_fires=1)])
+    def test_a_raising_block_still_disarms(self):
         with pytest.raises(FaultInjected):
-            plan.check("halo.exchange")
-        plan.check("halo.exchange")  # spent
-        plan.reset()
-        with pytest.raises(FaultInjected):
-            plan.check("halo.exchange")
+            with crash_at(1):
+                crash_point(1)
+        assert faults._CRASH is None
+        crash_point(1)
 
-    def test_no_plan_is_noop(self):
-        from repro.resilience import active_fault_plan, fault_site
+    def test_nested_arming_restores_the_outer(self):
+        with crash_at(2):
+            with crash_at(5):
+                crash_point(2)
+                with pytest.raises(FaultInjected):
+                    crash_point(5)
+            crash_point(5)
+            with pytest.raises(FaultInjected):
+                crash_point(2)
+        assert faults._CRASH is None
 
-        assert active_fault_plan() is None
-        fault_site("halo.exchange", ranks=2)  # must not raise
+    def test_run_crashes_as_the_armed_step_starts(self, mesh3):
+        """Step by step (a callback observes every step), the run dies
+        before step 3 starts: the state is bitwise the 2-step run's."""
+        ref = _model(mesh3)
+        ref.run(steps=2)
+        model = _model(mesh3)
+        seen = []
+        with crash_at(3), pytest.raises(FaultInjected, match="step 3"):
+            model.run(steps=5, callback=lambda step, _result: seen.append(step))
+        assert seen == [1, 2]
+        assert model.step == 2
+        assert np.array_equal(model.state.h, ref.state.h)
+        assert np.array_equal(model.state.u, ref.state.u)
 
+    def test_a_point_past_the_run_is_never_reached(self, mesh3):
+        ref = _model(mesh3)
+        ref.run(steps=3)
+        model = _model(mesh3)
+        with crash_at(4):
+            model.run(steps=3)
+        assert np.array_equal(model.state.h, ref.state.h)
+        assert np.array_equal(model.state.u, ref.state.u)
 
-# --------------------------------------------------------------- halo recovery
-class TestHaloRecovery:
-    def _decomposed(self, mesh, steps, plan=None, **knobs):
-        from repro.parallel.runner import DecomposedShallowWater
-
-        case = galewsky_jet()
-        config = SWConfig(dt=suggested_dt(mesh, case, GRAVITY, cfl=0.5), **knobs)
-        runner = DecomposedShallowWater(mesh, 2, case, config)
-        if plan is None:
-            runner.run(steps)
-        else:
-            with use_fault_plan(plan):
-                runner.run(steps)
-        return runner.gather_state()
-
-    def test_faulted_exchange_retried_bitwise(self, mesh3):
-        ref = self._decomposed(mesh3, 2)
-        plan = FaultPlan([FaultSpec("halo.exchange", at=(3,), max_fires=1)])
-        metrics = MetricsRegistry()
-        with use_registry(metrics):
-            got = self._decomposed(mesh3, 2, plan)
-        assert plan.total_fires == 1
-        assert np.array_equal(ref.h, got.h)
-        assert np.array_equal(ref.u, got.u)
-        (retry,) = metrics.series("resilience.recovery.retry")
-        assert retry.tags["site"] == "halo.exchange"
-        # The report's fault/recovery table shows both nonzero counters.
-        text = render_resilience_report(metrics, "faults")
-        for name in ("fault.injected", "recovery.retry"):
-            (row,) = [ln for ln in text.splitlines() if f"resilience.{name}" in ln]
-            assert "site=halo.exchange" in row and row.split("|")[-1].strip() == "1"
-
-    def test_retries_exhausted_raises(self, mesh3):
-        plan = FaultPlan([FaultSpec("halo.exchange", probability=1.0)])
-        with pytest.raises(FaultInjected):
-            self._decomposed(mesh3, 1, plan, halo_retries=1)
-
-    @pytest.mark.parametrize("durable", [False, True], ids=["plain", "run_dir"])
-    def test_lockstep_run_honours_the_configs_retry_knobs(
-        self, mesh3, tmp_path, durable
-    ):
-        """Regression: the lockstep drivers read the retry budget from a
-        process-global policy they never installed, so ``halo_retries=0`` was
-        ignored and a dropped exchange was silently retried under the
-        default.  The runner now reads ``config.halo_retries`` itself."""
-        from repro.api import run
-
-        config = SWConfig(
-            dt=suggested_dt(mesh3, galewsky_jet(), GRAVITY, cfl=0.5),
-            parallel="lockstep", ranks=2, halo_retries=0,
+    def test_kill_mode_is_a_real_sigkill(self):
+        """Armed with ``kill=True`` the point takes the process down with
+        ``SIGKILL``: no exception unwinds, no ``finally`` or ``atexit`` runs."""
+        src = Path(__file__).parent.parent / "src"
+        child = subprocess.run(
+            [sys.executable, "-c", _KILLED_AT_2],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
         )
-        extra = {"run_dir": tmp_path / "run"} if durable else {}
-        with use_fault_plan(FaultPlan([FaultSpec("halo.exchange", at=(1,))])):
-            with pytest.raises(FaultInjected):
-                run("galewsky", mesh=mesh3, config=config, steps=1, **extra)
-
-
-# ----------------------------------------------------------- transfer recovery
-class TestTransferRecovery:
-    @pytest.fixture(scope="class")
-    def executor(self):
-        from repro.dataflow.build import build_step_graph
-        from repro.hybrid.executor import HybridExecutor
-        from repro.hybrid.schedule import node_times, pattern_level_assignment
-        from repro.hybrid.stepmodel import _cpu_parallel_model, _mic_model, _perf_config
-        from repro.machine.counts import MeshCounts
-        from repro.machine.interconnect import TransferModel
-        from repro.machine.spec import PAPER_NODE
-
-        dfg = build_step_graph(_perf_config())
-        counts = MeshCounts(nCells=40962, name="120-km")
-        times = node_times(dfg, counts, _cpu_parallel_model(), _mic_model())
-        transfer = TransferModel(PAPER_NODE.pcie_bw_gbs, PAPER_NODE.pcie_latency_us)
-        ex = HybridExecutor(dfg, times, counts, transfer)
-        return dfg, ex, pattern_level_assignment(dfg, times)
-
-    def test_faulted_transfer_rescheduled(self, executor):
-        dfg, ex, assignment = executor
-        clean = ex.run(assignment)
-        plan = FaultPlan([FaultSpec("hybrid.transfer", at=(1,), max_fires=1)])
-        metrics = MetricsRegistry()
-        with use_registry(metrics), use_fault_plan(plan):
-            faulted = ex.run(assignment)
-        faulted.validate_no_overlap()
-        faulted.validate_dependencies(dfg)
-        retried = [t for t in faulted.tasks if t.name.startswith("xfer!")]
-        assert len(retried) == 1
-        assert faulted.makespan >= clean.makespan
-        (wasted,) = metrics.series("resilience.transfer.wasted_bytes")
-        assert wasted.value > 0
-
-    def test_retries_exhausted_raises(self, executor):
-        _, ex, assignment = executor
-        plan = FaultPlan([FaultSpec("hybrid.transfer", probability=1.0)])
-        with use_fault_plan(plan):
-            with pytest.raises(FaultInjected):
-                ex.run(assignment)
+        assert child.returncode == -signal.SIGKILL, child.stderr[-2000:]
+        assert child.stdout == "passed step 1\n"
+        assert child.stderr == ""
 
 
 # ------------------------------------------------------------------- watchdogs
