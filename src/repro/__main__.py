@@ -17,7 +17,7 @@ name or alias (``galewsky``, ``tc5``, ``dambreak``, ...), a Williamson
 number, or a ``perturbed:<base>:<member>:<seed>`` token
 (``python -m repro cases`` lists them all); ``--parallel``/``--ranks``
 select the executor (serial, lockstep, or the shared-memory process pool),
-and ``--ensemble N`` steps N perturbed-IC members lockstep on every usable
+and ``--ensemble N`` steps N perturbed-IC members on every usable
 CPU (:func:`repro.api.run_ensemble`), printing the per-member verdict
 table.  ``jobs submit`` registers a durable run directory without
 integrating; ``jobs status`` / ``jobs result`` work from any process.
@@ -112,7 +112,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         print(
             f"TC{case.number} ({case.name}): ensemble of "
             f"{ens.n_members} members, {ens.steps} steps of {dt:.0f} s "
-            f"on {mesh.nCells} cells [lockstep, backend={backend}"
+            f"on {mesh.nCells} cells [ensemble, backend={backend}"
             f"{'+plan' if config.plan else ''}]"
         )
         print(ens.summary_table())
@@ -358,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ensemble", type=int, default=0,
-        help="step N perturbed-IC members lockstep, one block of them per "
-        "usable CPU (implies --backend sparse --plan); prints the per-member table",
+        help="step N perturbed-IC members, each usable CPU taking the next "
+        "member-step (implies --backend sparse --plan); prints the per-member table",
     )
     p.add_argument(
         "--perturb-seed", type=int, default=0,

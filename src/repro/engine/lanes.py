@@ -11,8 +11,6 @@ import os
 import threading
 from contextlib import contextmanager, suppress
 
-from ..obs.trace import get_tracer
-
 
 class Lane:
     """The persistent thread pinned to ``cpu``, running the calls handed to
@@ -87,11 +85,10 @@ def engaged() -> Lane | None:
 @contextmanager
 def second_core(wanted: bool = True):
     """Engage the second usable CPU's lane for the calling thread's plan,
-    if ``wanted`` (it has work to hand over): not with one usable CPU, under
-    the (single-threaded) tracer, in a forked child (a pool rank) or while
-    another thread holds the lane."""
+    if ``wanted`` (it has work to hand over): not with one usable CPU, in a
+    forked child (a pool rank) or while another thread holds the lane."""
     cpus = sorted(os.sched_getaffinity(0)) if wanted else []
-    if len(cpus) < 2 or _FORKED or engaged() or get_tracer().enabled:
+    if len(cpus) < 2 or _FORKED or engaged():
         yield
         return
     with claimed(cpus[:2]) as held:

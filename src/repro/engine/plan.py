@@ -1,7 +1,7 @@
 """Fused per-mesh execution plans compiled from the Fig. 4 dataflow graph.
 
 Dispatching the 14 operators one at a time pays, per call, a registry
-lookup, a metrics timer, a fault site and a fresh output allocation.  For
+lookup, a metrics timer and a fresh output allocation.  For
 ``backend="sparse"`` this module removes all of that: :func:`compile_plan`
 topologically schedules an RK substep from the data-flow diagram
 (:mod:`repro.dataflow.schedule`) and emits one :class:`ExecutionPlan` per
@@ -38,7 +38,8 @@ One entry point per Algorithm-1 kernel (:meth:`ExecutionPlan.tend`,
 :meth:`~ExecutionPlan.diagnostics`, :meth:`~ExecutionPlan.reconstruct`):
 the halo exchanges of Fig. 4 are barriers between those segments, and the
 decomposed executors run them.  With the tracer enabled every stage runs
-under a ``category="plan"`` span.  The two tendency outputs live in
+under a ``category="plan"`` span on the thread that runs it: a traced plan
+runs the same program on the same lanes.  The two tendency outputs live in
 plan-owned buffers reused across calls.  Diagnostics are written into the
 ``out`` a caller passes — the RK substeps pass the plan's own
 :attr:`~ExecutionPlan.scratch`, which also holds their provisional state and
@@ -187,9 +188,21 @@ class PlanStage:
     lane: int = 0
 
 
-def _run_group(stages: tuple, ctx: dict) -> None:  # on the lane
+def _run_group(stages, ctx: dict) -> None:  # inline, or a group on the lane
     for st in stages:
         st.fast(ctx)
+
+
+def _run_traced(stages, ctx: dict) -> None:
+    """:func:`_run_group` with each stage in its ``category="plan"`` span, on
+    whichever thread runs it."""
+    tracer = get_tracer()
+    for st in stages:
+        with tracer.span(
+            st.name, category="plan", stage_kind=st.kind,
+            op=st.op or "-", pattern=st.pattern or "-",
+        ):
+            st.fast(ctx)
 
 
 def _join(lane) -> None:
@@ -374,35 +387,27 @@ class ExecutionPlan:
 
     # ------------------------------------------------------------ executor
     def _run(self, kernel: _Kernel, ctx: dict) -> None:
-        tracer = get_tracer()
+        traced = get_tracer().enabled
+        run = _run_traced if traced else _run_group
         lane = ctx["lane"]
-        if tracer.enabled:  # single-threaded: every stage inline, in a span
-            for st in kernel:
-                with tracer.span(
-                    st.name,
-                    category="plan",
-                    stage_kind=st.kind,
-                    op=st.op or "-",
-                    pattern=st.pattern or "-",
-                ):
-                    st.fast(ctx)
-        elif lane is None or kernel.program is None:
-            for st in kernel:
-                st.fast(ctx)
-        else:
-            try:
-                for item in kernel.program:
-                    if item is None:
-                        _join(lane)
-                    elif item.__class__ is tuple:
-                        lane.submit(_run_group, item, ctx)
-                    else:
-                        item.fast(ctx)
-            except BaseException:
-                if lane.busy:  # the caller's exception is the one to keep
-                    with suppress(BaseException):
-                        lane.join()
-                raise
+        if lane is None or kernel.program is None:
+            run(kernel, ctx)
+            return
+        try:
+            for item in kernel.program:
+                if item is None:
+                    _join(lane)
+                elif item.__class__ is tuple:
+                    lane.submit(run, item, ctx)
+                elif traced:
+                    run((item,), ctx)
+                else:
+                    item.fast(ctx)
+        except BaseException:
+            if lane.busy:  # the caller's exception is the one to keep
+                with suppress(BaseException):
+                    lane.join()
+            raise
 
     def _ctx(self, **runtime) -> dict:
         return {**self._buffers, "lane": engaged(), **runtime}

@@ -255,9 +255,8 @@ class EnsembleRun:
         diags: list = [None] * n
         f_vertex = coriolis_at_vertices(self.mesh, self.case, config)
         integ = RK4Integrator(self.mesh, config, b, f_vertex)
-        # One worker per usable CPU (no member's step reads another member);
-        # the tracer is single-threaded: one worker.
-        cpus = _usable_cpus()[: 1 if get_tracer().enabled else n]
+        # One worker per usable CPU (no member's step reads another member).
+        cpus = _usable_cpus()[:n]
         workers = len(cpus)
 
         # Member k's task done[k]: 0 its IC diagnostics, 1 .. steps its RK-4

@@ -7,7 +7,7 @@ Two formats, two audiences:
   :func:`read_jsonl` round-trips everything :func:`write_jsonl` emits.
 * **Chrome trace-event** — the ``{"traceEvents": [...]}`` JSON that
   ``chrome://tracing`` (or https://ui.perfetto.dev) renders as a flame
-  chart.  Wall spans land on one track per nesting stack; simulated
+  chart.  Wall spans land on one track per recording thread; simulated
   executor spans land on one track per model resource (``cpu``, ``mic``,
   ``pcie_up``, ...), so a hybrid schedule reads exactly like Figure 4b.
 
@@ -102,10 +102,11 @@ def read_jsonl(source: str | Path | IO[str]) -> tuple[list[SpanRecord], list[dic
 
 # ----------------------------------------------------------- Chrome trace JSON
 def _tid_of(span: SpanRecord) -> str:
-    """Track name: simulated spans go on their model resource's track."""
+    """Track name: simulated spans go on their model resource's track, wall
+    spans on their thread's (``wall:<ordinal>``)."""
     if span.category in ("sim", "halo-sim"):
         return f"sim:{span.tags.get('resource', 'model')}"
-    return "wall"
+    return f"wall:{span.tags.get('thread', 0)}"
 
 
 def chrome_trace_events(

@@ -293,8 +293,8 @@ def render_resilience_report(registry: MetricsRegistry, title: str) -> str:
 # ------------------------------------------------------------ ensemble runs
 def ensemble_rows(registry: MetricsRegistry) -> list[list[str]]:
     """Every ``ensemble.*`` metric series: width, survivors, per-member
-    step counts and divergences (tagged ``member=k``), and the lockstep
-    step timer."""
+    step counts and divergences (tagged ``member=k``), and the
+    member-step timer."""
     return _series_rows(registry, "ensemble.")
 
 
@@ -540,7 +540,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="run under every backend and print the "
                              "per-backend per-pattern dispatch costs")
     parser.add_argument("--ensemble", type=int, default=0,
-                        help="trace a lockstep ensemble of N members and "
+                        help="trace an ensemble of N members and "
                              "print the per-member summary table")
     args = parser.parse_args(argv)
 

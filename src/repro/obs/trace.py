@@ -20,11 +20,18 @@ A process-wide tracer (:func:`get_tracer`) is installed but *disabled* by
 default; every instrumentation site checks ``enabled`` first and returns a
 shared no-op span, so an untraced run pays one attribute check and one
 no-op context manager per kernel call (far below 1% of kernel cost).
-Tracing is single-threaded by design, like the NumPy model it measures.
+
+Any thread may record: each keeps its own stack of open spans, so a span
+opened on a plan lane or an ensemble worker nests under that thread's open
+spans (the first one a thread opens is a root; no parent link crosses
+threads), and carries the tracer's ordinal for that thread as its ``thread``
+tag (0 for the first thread that records).  Indices are assigned and spans
+appended under one lock, taken only while enabled.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator
@@ -48,7 +55,8 @@ class SpanRecord:
     index of the enclosing span in ``tracer.spans`` (``None`` at the root),
     ``depth`` the nesting level, and ``tags`` an arbitrary mapping — by
     convention ``pattern``, ``kind``, ``kernel``, ``point``, ``n_points``
-    and ``bytes_est`` for pattern spans.
+    and ``bytes_est`` for pattern spans, and always ``thread``: the ordinal
+    of the thread that recorded it, whose open span ``parent`` is.
     """
 
     __slots__ = ("index", "name", "category", "start", "end", "parent", "depth", "tags")
@@ -114,17 +122,21 @@ NULL_SPAN = _NullSpan()
 class _ActiveSpan:
     """Context manager that finalizes one :class:`SpanRecord` on exit."""
 
-    __slots__ = ("_tracer", "_record")
+    __slots__ = ("_tracer", "_record", "_stack")
 
-    def __init__(self, tracer: "Tracer", record: SpanRecord) -> None:
+    def __init__(self, tracer: "Tracer", record: SpanRecord, stack: list[int]) -> None:
         self._tracer = tracer
         self._record = record
+        self._stack = stack
 
     def __enter__(self) -> SpanRecord:
         return self._record
 
     def __exit__(self, *exc) -> bool:
-        self._tracer._finish(self._record)
+        self._record.end = self._tracer.now()
+        stack = self._stack  # the opening thread's; an exception may unwind several
+        while stack and stack[-1] >= self._record.index:
+            stack.pop()
         return False
 
 
@@ -136,7 +148,9 @@ class Tracer:
         self._clock = clock
         self._t0 = clock()
         self.spans: list[SpanRecord] = []
-        self._stack: list[int] = []
+        self._lock = threading.Lock()
+        self._local = threading.local()  # .stack, .ordinal
+        self._threads = 0
 
     # ------------------------------------------------------------------ time
     def now(self) -> float:
@@ -144,29 +158,29 @@ class Tracer:
         return self._clock() - self._t0
 
     # ----------------------------------------------------------------- spans
+    def _record(self, name: str, category: str, start: float, end: float | None, tags: dict):
+        """Append a span under the calling thread's innermost open span;
+        returns that thread's stack and the record."""
+        local = self._local
+        with self._lock:
+            if not hasattr(local, "stack"):
+                local.stack, local.ordinal, self._threads = [], self._threads, self._threads + 1
+            stack = local.stack
+            tags.setdefault("thread", local.ordinal)
+            record = SpanRecord(
+                len(self.spans), name, category, start, end,
+                stack[-1] if stack else None, len(stack), tags,
+            )
+            self.spans.append(record)
+        return stack, record
+
     def span(self, name: str, category: str = "kernel", **tags):
         """Open a nested span; use as ``with tracer.span(...):``."""
         if not self.enabled:
             return NULL_SPAN
-        record = SpanRecord(
-            index=len(self.spans),
-            name=name,
-            category=category,
-            start=self.now(),
-            end=None,
-            parent=self._stack[-1] if self._stack else None,
-            depth=len(self._stack),
-            tags=tags,
-        )
-        self.spans.append(record)
-        self._stack.append(record.index)
-        return _ActiveSpan(self, record)
-
-    def _finish(self, record: SpanRecord) -> None:
-        record.end = self.now()
-        # Robust to exceptions unwinding several spans at once.
-        while self._stack and self._stack[-1] >= record.index:
-            self._stack.pop()
+        stack, record = self._record(name, category, self.now(), None, tags)
+        stack.append(record.index)
+        return _ActiveSpan(self, record, stack)
 
     def add_span(
         self,
@@ -184,18 +198,7 @@ class Tracer:
             return None
         if end < start:
             raise ValueError(f"span {name!r} ends before it starts")
-        record = SpanRecord(
-            index=len(self.spans),
-            name=name,
-            category=category,
-            start=start,
-            end=end,
-            parent=self._stack[-1] if self._stack else None,
-            depth=len(self._stack),
-            tags=tags,
-        )
-        self.spans.append(record)
-        return record
+        return self._record(name, category, start, end, tags)[1]
 
     def merge_records(self, records: list[dict], **extra_tags) -> int:
         """Absorb finished spans exported by another tracer (``to_dict``).
@@ -259,8 +262,11 @@ class Tracer:
         return totals
 
     def clear(self) -> None:
-        self.spans.clear()
-        self._stack.clear()
+        """Drop every span and the calling thread's open-span stack."""
+        with self._lock:
+            self.spans.clear()
+        if hasattr(self._local, "stack"):
+            self._local.stack.clear()
 
     def __len__(self) -> int:
         return len(self.spans)

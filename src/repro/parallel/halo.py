@@ -325,16 +325,16 @@ _DECOMPOSITIONS: "weakref.WeakKeyDictionary[Mesh, dict]" = weakref.WeakKeyDictio
 
 
 def decompose(
-    mesh: Mesh, n_ranks: int, halo_layers: int, method: str = "kmeans"
+    mesh: Mesh, n_ranks: int, halo_layers: int
 ) -> tuple[np.ndarray, tuple[LocalIndexPlan, ...]]:
     """``mesh``'s cell owners for ``n_ranks`` ranks and every rank's index plan,
-    computed once per ``(mesh, n_ranks, halo_layers, method)`` and kept, read
+    computed once per ``(mesh, n_ranks, halo_layers)`` and kept, read
     only, while the mesh lives (the pool and the lockstep runner share them).
     A decomposition that raises (a rank owning no cells) is not kept."""
     memo = _DECOMPOSITIONS.setdefault(mesh, {})
-    key = (n_ranks, halo_layers, method)
+    key = (n_ranks, halo_layers)
     if key not in memo:
-        owner = partition_cells(mesh, n_ranks, method=method)
+        owner = partition_cells(mesh, n_ranks)
         plans = tuple(local_index_plan(mesh, owner, r, halo_layers) for r in range(n_ranks))
         # Each cell and edge has exactly one owner, so a gather writes every
         # global point once and needs no fill value to detect a gap.

@@ -2,8 +2,8 @@
 
 MPAS uses METIS partitions of the cell graph; we provide a deterministic
 spherical k-means partitioner (quasi-uniform meshes yield compact, balanced,
-nearly-convex parts — the same qualitative shape METIS produces) plus a
-graph-greedy fallback, and quality diagnostics (balance, edge cut).
+nearly-convex parts — the same qualitative shape METIS produces) and
+quality diagnostics (balance, edge cut).
 """
 
 from __future__ import annotations
@@ -31,27 +31,16 @@ def _seed_directions(n_parts: int) -> np.ndarray:
     return pts[np.unique(idx)][:n_parts]
 
 
-def partition_cells(
-    mesh: Mesh, n_parts: int, iterations: int = 25, method: str = "kmeans"
-) -> np.ndarray:
-    """Assign every cell an owner in ``[0, n_parts)``.
-
-    ``kmeans``: spherical k-means on cell centres (balanced by construction
-    on quasi-uniform meshes).  ``contiguous``: breadth-first graph growing,
-    guaranteeing exactly balanced part sizes (+-1 cell) at the cost of
-    slightly longer boundaries.
-    """
+def partition_cells(mesh: Mesh, n_parts: int, iterations: int = 25) -> np.ndarray:
+    """Assign every cell an owner in ``[0, n_parts)``: spherical k-means on
+    cell centres (balanced by construction on quasi-uniform meshes)."""
     if n_parts < 1:
         raise ValueError("n_parts must be >= 1")
     if n_parts == 1:
         return np.zeros(mesh.nCells, dtype=np.int64)
     if n_parts > mesh.nCells:
         raise ValueError("more parts than cells")
-    if method == "kmeans":
-        return _kmeans_partition(mesh, n_parts, iterations)
-    if method == "contiguous":
-        return _graph_grow_partition(mesh, n_parts)
-    raise ValueError(f"unknown partition method {method!r}")
+    return _kmeans_partition(mesh, n_parts, iterations)
 
 
 def _kmeans_partition(mesh: Mesh, n_parts: int, iterations: int) -> np.ndarray:
@@ -79,44 +68,6 @@ def _kmeans_partition(mesh: Mesh, n_parts: int, iterations: int) -> np.ndarray:
                 if np.count_nonzero(owner == owner[c]) > 1:
                     owner[c] = p
                     break
-    return owner
-
-
-def _graph_grow_partition(mesh: Mesh, n_parts: int) -> np.ndarray:
-    from collections import deque
-
-    conn = mesh.connectivity
-    target = mesh.nCells // n_parts
-    extras = mesh.nCells % n_parts
-    owner = np.full(mesh.nCells, -1, dtype=np.int64)
-    seeds = _seed_directions(n_parts)
-    x = mesh.metrics.xCell
-    next_start = 0
-    for p in range(n_parts):
-        size_target = target + (1 if p < extras else 0)
-        # Seed: unassigned cell closest to the part direction.
-        free = np.flatnonzero(owner == -1)
-        seed = free[np.argmax(x[free] @ seeds[p])]
-        queue = deque([int(seed)])
-        count = 0
-        while queue and count < size_target:
-            c = queue.popleft()
-            if owner[c] != -1:
-                continue
-            owner[c] = p
-            count += 1
-            for j in range(int(conn.nEdgesOnCell[c])):
-                nb = int(conn.cellsOnCell[c, j])
-                if owner[nb] == -1:
-                    queue.append(nb)
-        # Disconnected leftovers: grab nearest free cells.
-        while count < size_target:
-            free = np.flatnonzero(owner == -1)
-            seed = free[np.argmax(x[free] @ seeds[p])]
-            owner[seed] = p
-            count += 1
-        next_start += size_target
-    assert not np.any(owner == -1)
     return owner
 
 

@@ -354,7 +354,6 @@ class PoolShallowWater:
         case: TestCase,
         config: SWConfig,
         halo_layers: int | None = None,
-        partition_method: str = "kmeans",
         barrier_timeout: float = DEFAULT_BARRIER_TIMEOUT,
     ) -> None:
         self.mesh = mesh
@@ -370,9 +369,7 @@ class PoolShallowWater:
         with trace_span("pool.spawn", category="pool", ranks=n_ranks):
             with trace_span("partition", category="pool"):
                 # Index plans only: each worker builds its own local mesh.
-                self.owner, self._plans = decompose(
-                    mesh, n_ranks, halo_layers, partition_method
-                )
+                self.owner, self._plans = decompose(mesh, n_ranks, halo_layers)
 
             global_state, self.b_cell = initialize(mesh, case)
             self.f_vertex = coriolis_at_vertices(mesh, case, config)
@@ -456,13 +453,15 @@ class PoolShallowWater:
         self._workers[rank] = proc
         self._conns[rank] = parent_conn
 
-    def _await(self, expected: str, ranks) -> list[int]:
-        """Collect one ack per rank; returns the ranks that died instead.
+    def _await(self, expected: str, ranks) -> dict[int, str]:
+        """Collect one ack per rank; returns the ranks that acked something
+        else, each with the first word of its ack (``"exited"``: it died).
 
         Blocks on the pending pipes and process sentinels together, so an
-        ack and a death are both seen as they happen; the first lost rank
-        resets the board, whose abort word sends every survivor out of its
-        wait (recovery latency is detection latency, not the sync timeout).
+        ack and a death are both seen as they happen; the first rank that
+        misses resets the board, whose abort word sends every survivor out
+        of its wait with a ``("broken", step)`` ack (recovery latency is
+        detection latency, not the sync timeout).
         A ``("failed", step, message)`` ack is a numerical failure, not a
         death: the board is reset at once (peers may be blocked on the
         failed rank's next publish), the other acks are collected and
@@ -472,7 +471,7 @@ class PoolShallowWater:
         and raises :class:`WorkerPoolError`.
         """
         pending = set(ranks)
-        dead: list[int] = []
+        missed: dict[int, str] = {}
         failure = None
         while pending:
             waitable = {}
@@ -497,40 +496,55 @@ class PoolShallowWater:
                         f"pool rank {r} failed at step {msg[1]}: {msg[2]}"
                     )
                 elif msg[0] != expected and failure is None:
-                    if not dead:
+                    if not missed:
                         self._board.reset()
-                    dead.append(r)
+                    missed[r] = msg[0]
         if failure is not None:
             raise failure
-        return dead
+        return missed
 
     def _broadcast(self, message: tuple, ranks=None) -> None:
         for r in ranks if ranks is not None else range(self.n_ranks):
             with contextlib.suppress(ConnectionError):  # died idle: see _await
                 self._conns[r].send(message)
 
-    def _recover(self, dead: list[int]) -> None:
-        """Respawn dead ranks and rewind everyone to the last committed state."""
-        for r in set(dead):
+    def _recover(self, missed: dict[int, str]) -> None:
+        """Respawn the ranks lost in a failed batch and reload every rank
+        from the last committed state.  A survivor the board's abort word
+        released acked ``"broken"`` and keeps its process; a rank that
+        exited, or acked anything else while alive, is replaced."""
+        dead = [
+            r for r, reply in missed.items()
+            if reply != "broken" or not self._workers[r].is_alive()
+        ]
+        for r in dead:
             proc = self._workers[r]
-            if proc.is_alive():  # acked something unexpected; treat as lost
+            if proc.is_alive():
                 proc.terminate()
             proc.join(timeout=10.0)
             self._conns[r].close()
-        self._board.reset()
-        self._shared.write_global(*self._snapshot)
+        self._reload(*self._snapshot, self._steps_done, respawn=dead)
+
+    def _reload(self, h, u, step: int, respawn=()) -> None:
+        """Write the global state into every buffer of the segment, rewind
+        the exchange bookkeeping (buffer selection restarts at seq 0), spawn
+        the ranks in ``respawn`` and have every rank re-slice its local
+        state at ``step`` under ``config.dt`` (a rollback has halved it)."""
+        self._shared.write_global(h, u)
         self._exchanges_done = 0
-        for r in set(dead):
+        self._board.reset()
+        self._snapshot = self._shared.read_global()
+        self._steps_done = step
+        for r in respawn:
             self._respawns.inc()
             self._spawn(r)
-        still_dead = self._await("ready", set(dead))
+        still_dead = self._await("ready", respawn)
         if still_dead:
-            raise WorkerPoolError(f"respawned ranks died again: {still_dead}")
-        survivors = [r for r in range(self.n_ranks) if r not in set(dead)]
-        self._broadcast(("load", self._steps_done, self.config.dt), survivors)
-        lost = self._await("loaded", survivors)
+            raise WorkerPoolError(f"respawned ranks died again: {sorted(still_dead)}")
+        self._broadcast(("load", step, self.config.dt))
+        lost = self._await("loaded", range(self.n_ranks))
         if lost:
-            raise WorkerPoolError(f"ranks lost during recovery reload: {lost}")
+            raise WorkerPoolError(f"ranks lost during reload: {sorted(lost)}")
 
     # ------------------------------------------------------------------- run
     def step(self) -> None:
@@ -549,25 +563,13 @@ class PoolShallowWater:
     def load_state(self, state: State, step: int = 0) -> None:
         """Replace the global state on every rank (resume and rollback).
 
-        Writes ``state`` into the shared segment, rewinds the exchange
-        bookkeeping (every buffer of the double-buffered segment gets the
-        new state, so buffer selection restarts cleanly at seq 0) and has
-        each worker re-slice its local state under ``config.dt`` (a
-        rollback has halved it) — the same resynchronization the
-        worker-death recovery performs, driven here by a restored
-        checkpoint or rollback anchor instead of a snapshot.
+        The same reload a worker-death recovery ends with
+        (:meth:`_reload`), from a restored checkpoint or rollback anchor
+        instead of the last committed state.
         """
         if self._closed:
             raise WorkerPoolError("pool is closed")
-        self._shared.write_global(state.h, state.u)
-        self._exchanges_done = 0
-        self._board.reset()
-        self._snapshot = self._shared.read_global()
-        self._steps_done = step
-        self._broadcast(("load", step, self.config.dt))
-        lost = self._await("loaded", range(self.n_ranks))
-        if lost:
-            raise WorkerPoolError(f"ranks lost during state load: {lost}")
+        self._reload(state.h, state.u, step)
 
     def _run_steps(self, steps: int) -> None:
         if self._closed:
@@ -578,18 +580,18 @@ class PoolShallowWater:
         attempt = 0
         while True:
             self._broadcast(("steps", steps))
-            dead = self._await("ok", range(self.n_ranks))
-            if not dead:
+            missed = self._await("ok", range(self.n_ranks))
+            if not missed:
                 break
             if attempt >= budget:
                 self.close()
                 raise WorkerPoolError(
-                    f"ranks {sorted(set(dead))} failed and the respawn budget "
+                    f"ranks {sorted(missed)} failed and the respawn budget "
                     f"({budget} retries) is exhausted"
                 )
             attempt += 1
             self._retries.inc()
-            self._recover(dead)
+            self._recover(missed)
         self._steps_done += steps
         # Every exchange of the batch completed on every rank; the final
         # exchange published each rank's accepted state, so the buffer of

@@ -60,7 +60,6 @@ class DecomposedShallowWater(HaloTransport):
         case: TestCase,
         config: SWConfig,
         halo_layers: int | None = None,
-        partition_method: str = "kmeans",
     ) -> None:
         self.mesh = mesh
         self.config = config
@@ -69,7 +68,7 @@ class DecomposedShallowWater(HaloTransport):
             halo_layers = halo_layers_required(
                 config.thickness_adv_order, config.apvm_upwinding != 0.0
             )
-        self.owner, plans = decompose(mesh, n_ranks, halo_layers, partition_method)
+        self.owner, plans = decompose(mesh, n_ranks, halo_layers)
 
         global_state, global_b = initialize(mesh, case)
         self.b_cell = global_b

@@ -123,8 +123,9 @@ class SWConfig:
     checkpoint_interval: int = 0
     max_rollbacks: int = 3
     #: Ensemble width: 0 runs a single scenario; N > 0 advances N
-    #: perturbed-IC members lockstep, each its own serial run under this
-    #: config (:mod:`repro.ensemble`).  Requires ``parallel="serial"``.
+    #: perturbed-IC members, each its own serial run under this config,
+    #: member-step by member-step on every usable CPU
+    #: (:mod:`repro.ensemble`).  Requires ``parallel="serial"``.
     ensemble: int = 0
     #: Base seed of the per-member IC perturbation streams; member ``k``
     #: draws from ``default_rng([ensemble_seed, k])``, so each member's

@@ -17,8 +17,8 @@ line  kernel                         role
 ====  =============================  ====================================
 
 :func:`rk4_step` is the only place in the package where the four RK stages
-are written out.  Serial, ensemble (one member at a time on each block
-thread), lockstep and both pool schedules all execute it; they differ in how many
+are written out.  Serial, ensemble (one member-step at a time on each
+worker thread), lockstep and both pool schedules all execute it; they differ in how many
 ranks they hand it and in the :class:`HaloTransport` that moves halo values
 at the eight synchronization points.
 """

@@ -314,8 +314,9 @@ def serial_refs(mesh3, dt):
 
 
 class TestMemberBlocks:
-    """Members are stepped as contiguous column blocks, one per usable CPU;
-    the split moves no bit and keeps every verdict under its global index."""
+    """Members are stepped member-step by member-step by one worker per
+    usable CPU; the schedule moves no bit and keeps every verdict under its
+    global index."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -439,32 +440,41 @@ class TestMemberBlocks:
         assert len(poisoned) == (N - 1) * STEPS
         assert not any(poisoned)
 
-    def test_traced_run_sweeps_on_the_caller(self, mesh3, case, dt, monkeypatch):
-        """The tracer is single-threaded: a traced ensemble is one block on
-        the calling thread, and its span tree is well nested."""
+    def test_traced_run_starts_the_workers(self, mesh3, case, dt, monkeypatch):
+        """The tracer selects no other schedule: a traced run starts the
+        same worker, lands on the untraced run's bits, and every thread's
+        span tree is well nested."""
         monkeypatch.setattr(ensemble_run, "_usable_cpus", lambda: _cpu_list(2))
-        def no_workers(*args, **kwargs):
-            raise AssertionError("a traced run started a worker thread")
+        config = _config(dt, ensemble=4)
+        untraced = run_ensemble(mesh3, case, config, 2)
+        handed = []
+        submit = lanes.Lane.submit
 
-        monkeypatch.setattr(lanes, "Lane", no_workers)
-        monkeypatch.setattr(lanes, "_LANES", {})
+        def recorded(self, fn, *args):
+            handed.append(fn.__name__)
+            return submit(self, fn, *args)
+
+        monkeypatch.setattr(lanes.Lane, "submit", recorded)
         tracer = Tracer()
         with use_tracer(tracer):
-            run_ensemble(mesh3, case, _config(dt, ensemble=4), 2)
+            traced = run_ensemble(mesh3, case, config, 2)
+        assert handed == ["work"]
+        for a, b in zip(traced.members, untraced.members):
+            assert np.array_equal(a.state.h, b.state.h)
+            assert np.array_equal(a.state.u, b.state.u)
         spans = tracer.spans
         assert spans and all(s.end is not None for s in spans)
+        siblings: dict[tuple, list] = {}
         for s in spans:
+            siblings.setdefault((s.tags["thread"], s.parent), []).append(s)
             if s.parent is None:
                 assert s.depth == 0
                 continue
             parent = spans[s.parent]
+            assert parent.tags["thread"] == s.tags["thread"]
             assert s.depth == parent.depth + 1
             assert parent.start <= s.start and s.end <= parent.end
-        for parent in [None] + spans:
-            kids = [
-                s for s in spans
-                if s.parent == (None if parent is None else parent.index)
-            ]
+        for kids in siblings.values():
             for a, b in zip(kids, kids[1:]):
                 assert a.end <= b.start
         # members x steps x RK stages: every member is stepped on its own.

@@ -15,8 +15,9 @@ groups to the lane with the same run inline.  Contracts:
   the lane, restores the caller's affinity and leaves the next run working;
 * only ``ShallowWaterModel``'s serial executor and a lone ensemble worker
   engage the lane, once per call (IC diagnostics, every step, the result):
-  not a forked child, a pool rank, a traced run or a worker of a
-  multi-worker ensemble;
+  not a forked child, a pool rank or a worker of a multi-worker ensemble;
+* a traced run hands the lane the untraced run's stage groups, lands on
+  the same bits and traces the lane's stages on the lane's thread;
 * serial runs on more threads than cores share one lane without a lost
   handoff: whichever thread holds it, every run is the inline one.
 """
@@ -342,13 +343,34 @@ def test_a_pool_rank_never_engages(mesh3, forced):
     assert np.array_equal(pooled.state.u, serial.state.u)
 
 
-def test_a_traced_run_runs_inline(mesh3, forced):
+def test_a_traced_run_hands_the_lane_the_same_groups(mesh3, forced, monkeypatch):
     config = _config(mesh3, "galewsky")
-    with use_tracer(Tracer()):
-        traced = run("galewsky", mesh=mesh3, config=config, steps=2)
-    assert forced == []
+    groups = []
+    recorded_submit = lanes.Lane.submit
+
+    def submit(self, fn, *args):
+        groups.append(tuple(st.name for st in args[0]))
+        return recorded_submit(self, fn, *args)
+
+    monkeypatch.setattr(lanes.Lane, "submit", submit)
     laned = run("galewsky", mesh=mesh3, config=config, steps=2)
-    assert forced and np.array_equal(traced.state.u, laned.state.u)
+    untraced, handed = groups[:], forced[:]
+    groups.clear()
+    forced.clear()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        traced = run("galewsky", mesh=mesh3, config=config, steps=2)
+    assert untraced and groups == untraced
+    assert set(handed) == {"_run_group"} and forced == ["_run_traced"] * len(handed)
+    for field in ("h", "u"):
+        assert np.array_equal(getattr(traced.state, field), getattr(laned.state, field))
+    # The caller opens every non-plan span; the lane's stages carry another
+    # thread's ordinal, and exactly the handed stages do.
+    (caller,) = {s.tags["thread"] for s in tracer.spans if s.category != "plan"}
+    on_lane = [s for s in tracer.spans if s.tags["thread"] != caller]
+    assert len({s.tags["thread"] for s in on_lane}) == 1
+    assert all(s.category == "plan" and s.parent is None for s in on_lane)
+    assert sorted(s.name for s in on_lane) == sorted(n for g in groups for n in g)
 
 
 def test_ensemble_block_threads_never_engage(mesh3, forced, monkeypatch):

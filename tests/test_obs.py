@@ -117,6 +117,66 @@ class TestTracer:
         with pytest.raises(ValueError):
             tr.add_span("bad", start=1.0, end=0.5)
 
+    def test_threads_nest_their_own_spans(self):
+        """Two threads, made to interleave by a barrier, each open nested
+        spans: indices stay unique and positional, every parent was opened
+        on its child's thread, the Chrome export gives each thread its own
+        ``wall:`` track, and JSONL keeps the ``thread`` tag."""
+        import threading
+
+        tr = Tracer()
+        turn = threading.Barrier(2)
+
+        def work(name):
+            with tr.span(f"{name}.outer"):
+                turn.wait()
+                for i in range(3):
+                    with tr.span(f"{name}.mid", i=i):
+                        turn.wait()
+                        with tr.span(f"{name}.inner"):
+                            turn.wait()
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        spans = tr.spans
+        assert len(spans) == 2 * 7
+        assert [s.index for s in spans] == list(range(len(spans)))
+        # both outers open before either thread opens a child
+        assert {s.name for s in spans[:2]} == {"a.outer", "b.outer"}
+        thread_of = {s.name[0]: s.tags["thread"] for s in spans}
+        assert sorted(thread_of.values()) == [0, 1]
+        for s in spans:
+            assert s.end is not None and s.tags["thread"] == thread_of[s.name[0]]
+            if s.parent is None:
+                assert s.depth == 0 and s.name.endswith(".outer")
+                continue
+            parent = spans[s.parent]
+            assert parent.tags["thread"] == s.tags["thread"]
+            assert s.depth == parent.depth + 1
+            assert parent.start <= s.start and s.end <= parent.end
+
+        events = chrome_trace_events(tr)
+        tracks = {e["args"]["name"] for e in events if e["name"] == "thread_name"}
+        assert tracks == {"wall:0", "wall:1"}
+        assert validate_chrome_trace({"traceEvents": events}) == len(events)
+        buf = io.StringIO()
+        write_jsonl(tr, buf)
+        buf.seek(0)
+        restored, _ = read_jsonl(buf)
+        assert [r.tags["thread"] for r in restored] == [s.tags["thread"] for s in spans]
+
+    def test_clear_resets_the_calling_threads_stack(self):
+        tr = Tracer()
+        with tr.span("open"):
+            tr.clear()
+            with tr.span("after"):
+                pass
+        (after,) = tr.spans
+        assert after.index == 0 and after.parent is None and after.depth == 0
+
     def test_aggregate(self):
         tr = Tracer()
         tr.add_span("a", 0.0, 1.0, category="sim", resource="cpu")

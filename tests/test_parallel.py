@@ -39,18 +39,11 @@ class TestPartition:
         assert q.imbalance < 1.5
         assert q.cut_fraction < 0.5
 
-    def test_contiguous_exact_balance(self, mesh3):
-        owner = partition_cells(mesh3, 4, method="contiguous")
-        sizes = np.bincount(owner)
-        assert sizes.max() - sizes.min() <= 1
-
     def test_invalid_args(self, mesh3):
         with pytest.raises(ValueError):
             partition_cells(mesh3, 0)
         with pytest.raises(ValueError):
             partition_cells(mesh3, mesh3.nCells + 1)
-        with pytest.raises(ValueError):
-            partition_cells(mesh3, 2, method="magic")
 
     def test_deterministic(self, mesh3):
         a = partition_cells(mesh3, 4)
@@ -178,7 +171,7 @@ class TestDecompositionMemo:
         spy = halo.partition_cells
         monkeypatch.setattr(
             halo, "partition_cells",
-            lambda mesh, n, method: np.zeros(mesh.nCells, dtype=np.int64),
+            lambda mesh, n: np.zeros(mesh.nCells, dtype=np.int64),
         )
         with pytest.raises(ValueError, match=r"^rank 1 owns no cells$"):
             halo.decompose(mesh3, 2, 2)
@@ -235,19 +228,6 @@ class TestDecomposedRuns:
             dec.step()
             assert dec.exchange_count == per_step
         assert SWConfig.halo_schedule == "dataflow"
-
-    def test_contiguous_partition_also_bitwise(self, mesh3):
-        case = steady_zonal_flow()
-        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
-        serial = ShallowWaterModel(mesh3, cfg)
-        serial.initialize(case)
-        res = serial.run(steps=3)
-        dec = DecomposedShallowWater(
-            mesh3, 4, case, cfg, partition_method="contiguous"
-        )
-        dec.run(3)
-        gathered = dec.gather_state()
-        assert np.array_equal(gathered.h, res.state.h)
 
 
 class TestScalingModels:

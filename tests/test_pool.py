@@ -246,6 +246,26 @@ class TestPoolRecovery:
         assert np.array_equal(pres.state.h, res.state.h)
         assert np.array_equal(pres.state.u, res.state.u)
 
+    @pytest.mark.parametrize("n_ranks", [2, 3])
+    def test_one_death_respawns_one_rank(self, mesh3, n_ranks):
+        """The survivors the abort word releases ack ``broken``: the batch
+        is retried, but only the killed rank gets a new process."""
+        case = steady_zonal_flow()
+        cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))
+        res = _serial(mesh3, case, cfg, steps=4)
+        with use_registry(MetricsRegistry()) as registry:
+            with PoolShallowWater(mesh3, n_ranks, case, cfg, barrier_timeout=5.0) as pool:
+                pool.run(1)
+                pids = [proc.pid for proc in pool._workers]
+                _kill(pool, 1)
+                pres = pool.run(3)
+                after = [proc.pid for proc in pool._workers]
+            assert _respawns(registry) == 1
+        assert after[1] != pids[1]
+        assert after[:1] + after[2:] == pids[:1] + pids[2:]
+        assert np.array_equal(pres.state.h, res.state.h)
+        assert np.array_equal(pres.state.u, res.state.u)
+
     def test_respawn_budget_exhausted_raises(self, mesh3):
         case = steady_zonal_flow()
         cfg = SWConfig(
@@ -879,7 +899,7 @@ class TestPoolStartup:
         monkeypatch.setattr(halo_module, "_DECOMPOSITIONS", weakref.WeakKeyDictionary())
         monkeypatch.setattr(
             halo_module, "partition_cells",
-            lambda mesh, n_ranks, method: np.zeros(mesh.nCells, dtype=np.int64),
+            lambda mesh, n_ranks: np.zeros(mesh.nCells, dtype=np.int64),
         )
         case = steady_zonal_flow()
         cfg = SWConfig(dt=suggested_dt(mesh3, case, GRAVITY, cfl=0.6))

@@ -394,7 +394,7 @@ def test_restart_files_belong_to_durable_runs():
 #: lower it with every PR that deletes a path, never raise it to make room.
 #: ROADMAP: "every deletion so far was paid back in docstrings, counters and
 #: shims" — a budget is what stops the next one being paid back too.
-SRC_LINE_BUDGET = 16_757
+SRC_LINE_BUDGET = 16_718
 
 
 def test_src_stays_inside_its_line_budget():

@@ -180,7 +180,7 @@ class TestOperatorCache:
         from repro.parallel.halo import build_local_mesh
         from repro.parallel.partition import partition_cells
 
-        owner = partition_cells(mesh3, 2, method="kmeans")
+        owner = partition_cells(mesh3, 2)
         lm = build_local_mesh(mesh3, owner, 0, halo_layers=2)
         rng = np.random.default_rng(0)
         dispatch("cell_divergence", lm, rng.standard_normal(lm.nEdges),
@@ -217,7 +217,7 @@ class TestDecompositionStability:
         from repro.parallel.halo import build_local_mesh
         from repro.parallel.partition import partition_cells
 
-        owner = partition_cells(mesh3, 4, method="kmeans")
+        owner = partition_cells(mesh3, 4)
         lm = build_local_mesh(mesh3, owner, 0, halo_layers=2)
         gmaps = {
             "cell": lm.cells_global,
